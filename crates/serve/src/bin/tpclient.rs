@@ -8,7 +8,6 @@
 //! tpclient ADDR sweep JSON [JSON...] [--local-check]
 //! tpclient ADDR poll TICKET
 //! tpclient ADDR shutdown
-//! tpclient ADDR bench [JSON] [--clients=N] [--pipeline=M]
 //! ```
 //!
 //! `ADDR` is `host:port` or `unix:PATH`. Every command prints the
@@ -18,12 +17,9 @@
 //! every ticket to a terminal state, and prints a one-line summary;
 //! with `--local-check` it also re-runs each job locally and exits
 //! nonzero unless every served report is byte-identical to the local
-//! run (the gate `scripts/bench_fleet.sh` and the fleet smoke test in
-//! `scripts/check.sh` stand on). `bench` measures cold vs cache-hit
-//! service latency for one request (default: a test-scale Streamline
-//! run), then drives a concurrent phase — `N` client threads, each on
-//! its own connection, each pipelining `M` identical submits — and
-//! prints a `schema:2` JSON summary for `scripts/bench_serve.sh`.
+//! run (the gate the fleet smoke test in `scripts/check.sh` stands on).
+//! Throughput and latency are measured by `benchmark/run.sh`
+//! (`serve_closed`, `fleet_closed`), not here.
 
 use std::time::Instant;
 use tpharness::wire::{parse, Value};
@@ -32,8 +28,7 @@ use tpserve::Client;
 fn usage() -> ! {
     eprintln!(
         "usage: tpclient ADDR ping|stats|shutdown|poll TICKET|submit JSON [--no-wait]\n\
-         \x20      |pipeline JSON [JSON...]|sweep JSON [JSON...] [--local-check]\n\
-         \x20      |bench [JSON] [--clients=N] [--pipeline=M]"
+         \x20      |pipeline JSON [JSON...]|sweep JSON [JSON...] [--local-check]"
     );
     std::process::exit(2);
 }
@@ -43,89 +38,9 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-const BENCH_DEFAULT: &str =
-    r#"{"workload":"spec06.mcf","scale":"test","l1":"stride","temporal":"streamline"}"#;
-
-/// Cache-hit repetitions for the requests/sec figure.
-const HIT_REPS: u32 = 200;
-
-/// Concurrent-phase defaults (override with `--clients=` / `--pipeline=`).
-const DEFAULT_CLIENTS: u32 = 8;
-const DEFAULT_PIPELINE: u32 = 8;
-
-/// Exact nearest-rank percentile over a sorted sample.
-fn percentile(sorted: &[u64], p: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((sorted.len() - 1) as u64 * p / 100) as usize]
-}
-
-/// `clients` threads, each on its own connection, each pipelining
-/// `pipeline` identical submits. Per-response latency is measured from
-/// that connection's batch start (so it includes queueing behind the
-/// earlier responses on the same pipe — the figure a pipelining client
-/// actually experiences).
-fn concurrent_phase(addr: &str, payload: &Value, clients: u32, pipeline: u32) -> Value {
-    let t0 = Instant::now();
-    let mut handles = Vec::new();
-    for _ in 0..clients {
-        let addr = addr.to_string();
-        let payload = payload.clone();
-        handles.push(std::thread::spawn(move || -> std::io::Result<Vec<u64>> {
-            let mut c = Client::connect(&addr)?;
-            let batch: Vec<Value> = (0..pipeline).map(|_| payload.clone()).collect();
-            let start = Instant::now();
-            c.submit_batch(&batch)?;
-            let mut lat = Vec::with_capacity(batch.len());
-            for _ in &batch {
-                let mut resp = c.read_response()?;
-                // The phase runs against a warm cache, but tolerate a
-                // queued response by waiting it out.
-                if resp.get("status").and_then(Value::as_str) == Some("queued") {
-                    let ticket = resp
-                        .get("ticket")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| std::io::Error::other("queued without ticket"))?;
-                    resp = c.wait(ticket)?;
-                }
-                if resp.get("status").and_then(Value::as_str) != Some("done") {
-                    return Err(std::io::Error::other(format!(
-                        "concurrent submit did not complete: {}",
-                        resp.encode()
-                    )));
-                }
-                lat.push(start.elapsed().as_micros() as u64);
-            }
-            Ok(lat)
-        }));
-    }
-    let mut lat: Vec<u64> = Vec::with_capacity((clients * pipeline) as usize);
-    for h in handles {
-        match h.join() {
-            Ok(Ok(mut l)) => lat.append(&mut l),
-            Ok(Err(e)) => fail(&format!("concurrent client failed: {e}")),
-            Err(_) => fail("concurrent client panicked"),
-        }
-    }
-    let total_us = (t0.elapsed().as_micros() as u64).max(1);
-    lat.sort_unstable();
-    let requests = lat.len() as u64;
-    let rps = requests as f64 * 1_000_000.0 / total_us as f64;
-    Value::Obj(vec![
-        ("clients".into(), Value::u64(u64::from(clients))),
-        ("pipeline".into(), Value::u64(u64::from(pipeline))),
-        ("requests".into(), Value::u64(requests)),
-        ("total_us".into(), Value::u64(total_us)),
-        ("rps".into(), Value::f64((rps * 10.0).round() / 10.0)),
-        ("p50_us".into(), Value::u64(percentile(&lat, 50))),
-        ("p99_us".into(), Value::u64(percentile(&lat, 99))),
-    ])
-}
-
-/// Runs one payload locally, exactly as a server worker would:
-/// through the shared sweep path, or the seed-override path for
-/// requests that bypass the seed-blind cache.
+/// Runs one payload locally through a path independent of the
+/// service's own (`Request::run`): the sweep runner, or a direct
+/// reseeded run for requests its seed-blind cache cannot express.
 fn run_locally(payload: &Value) -> tpsim::SimReport {
     use tpharness::experiment::run_single;
     use tpharness::sweep::SweepRunner;
@@ -181,54 +96,6 @@ fn sweep(client: &mut Client, payloads: &[Value], local_check: bool) {
     if !identical {
         std::process::exit(1);
     }
-}
-
-fn bench(addr: &str, client: &mut Client, payload: &Value, clients: u32, pipeline: u32) {
-    // Cold: first submission simulates (unless the server already has
-    // this exact request cached — bench assumes a fresh server).
-    let t0 = Instant::now();
-    let cold = client
-        .submit_and_wait(payload)
-        .unwrap_or_else(|e| fail(&format!("bench submit failed: {e}")));
-    let cold_us = t0.elapsed().as_micros() as u64;
-    if cold.get("status").and_then(Value::as_str) != Some("done") {
-        fail(&format!("bench run did not complete: {}", cold.encode()));
-    }
-    let cold_was_cached = cold.get("cached").and_then(Value::as_bool) == Some(true);
-
-    // Hits: identical request, served from the response cache.
-    let t1 = Instant::now();
-    for _ in 0..HIT_REPS {
-        let hit = client
-            .submit_and_wait(payload)
-            .unwrap_or_else(|e| fail(&format!("bench hit failed: {e}")));
-        if hit.get("cached").and_then(Value::as_bool) != Some(true) {
-            fail("expected a cache hit on repeat submission");
-        }
-    }
-    let hits_total_us = t1.elapsed().as_micros() as u64;
-    let hit_us = (hits_total_us / u64::from(HIT_REPS)).max(1);
-    let hit_rps = 1_000_000.0 / hit_us as f64;
-    let speedup = cold_us as f64 / hit_us as f64;
-
-    // Concurrent phase: many pipelining clients against the warm cache.
-    let concurrent = concurrent_phase(addr, payload, clients, pipeline);
-
-    let out = Value::Obj(vec![
-        ("schema".into(), Value::u64(2)),
-        ("request".into(), payload.clone()),
-        ("cold_us".into(), Value::u64(cold_us)),
-        ("cold_was_cached".into(), Value::Bool(cold_was_cached)),
-        ("hit_reps".into(), Value::u64(u64::from(HIT_REPS))),
-        ("hit_us".into(), Value::u64(hit_us)),
-        ("hit_rps".into(), Value::f64((hit_rps * 10.0).round() / 10.0)),
-        (
-            "cold_over_hit".into(),
-            Value::f64((speedup * 10.0).round() / 10.0),
-        ),
-        ("concurrent".into(), concurrent),
-    ]);
-    println!("{}", out.encode());
 }
 
 fn main() {
@@ -290,25 +157,6 @@ fn main() {
                 usage();
             }
             sweep(&mut client, &payloads, local_check);
-        }
-        "bench" => {
-            let mut clients = DEFAULT_CLIENTS;
-            let mut pipeline = DEFAULT_PIPELINE;
-            let mut json: Option<&str> = None;
-            for a in &args[2..] {
-                if let Some(v) = a.strip_prefix("--clients=") {
-                    clients = v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| usage());
-                } else if let Some(v) = a.strip_prefix("--pipeline=") {
-                    pipeline = v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| usage());
-                } else if json.is_none() && !a.starts_with("--") {
-                    json = Some(a);
-                } else {
-                    usage();
-                }
-            }
-            let payload = parse(json.unwrap_or(BENCH_DEFAULT))
-                .unwrap_or_else(|e| fail(&format!("bad bench payload: {e}")));
-            bench(addr, &mut client, &payload, clients, pipeline);
         }
         _ => usage(),
     }

@@ -19,11 +19,12 @@
 //! served requests without simulating. `--store-cap-mb` bounds the
 //! directory; least-recently-used entries are reclaimed past the cap.
 //!
-//! `--coordinator` runs the fleet coordinator instead: jobs are
-//! consistent-hashed onto the `--backend=` tpserve instances (each
-//! flag may repeat; `unix:PATH` or TCP `host:port`), with reroute on
-//! backend failure and local execution as the last resort. The
-//! client-facing protocol is identical, so clients need no changes.
+//! `--coordinator` runs the same service core over a ring of
+//! backends: jobs are consistent-hashed onto the `--backend=` tpserve
+//! instances (each flag may repeat; `unix:PATH` or TCP `host:port`),
+//! with reroute on backend failure and the local pool as the last
+//! resort. The client-facing protocol is identical, so clients need no
+//! changes.
 
 use std::io::Write;
 use std::sync::atomic::AtomicBool;
@@ -125,7 +126,6 @@ fn main() {
         let ccfg = CoordinatorConfig {
             max_jobs: cfg.queue_capacity,
             audit: cfg.audit,
-            ..Default::default()
         };
         let coord = match Coordinator::bind(&spec, &backends, ccfg) {
             Ok(c) => c,

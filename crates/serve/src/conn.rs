@@ -1,9 +1,8 @@
-//! A tiny stream abstraction (TCP or Unix-domain) shared by server,
-//! coordinator, client, and tests — plus the per-connection state
-//! machine the event-driven loops run: nonblocking read/write buffers
-//! and a newline-delimited line splitter with the protocol's byte cap
-//! enforced while buffering, and the listener wrapper both loops
-//! accept through.
+//! A tiny stream abstraction (TCP or Unix-domain) shared by the event
+//! loop, client, and tests — plus the per-connection state machine the
+//! loop runs: nonblocking read/write buffers and a newline-delimited
+//! line splitter with the protocol's byte cap enforced while
+//! buffering, and the listener wrapper the loop accepts through.
 
 use crate::protocol::MAX_LINE_BYTES;
 use crate::readiness;
@@ -45,8 +44,8 @@ impl Conn {
     }
 
     /// Connects like [`Conn::connect`], but bounds how long a TCP
-    /// connection attempt may block — the coordinator's event loop
-    /// calls this when (re)establishing backend links, so a black-holed
+    /// connection attempt may block — the event loop calls this when
+    /// (re)establishing backend links, so a black-holed
     /// backend address costs at most `timeout`, not a kernel default.
     /// Unix-domain connects either succeed or fail immediately.
     pub(crate) fn connect_timeout(addr: &str, timeout: Duration) -> io::Result<Conn> {
@@ -124,7 +123,7 @@ impl Write for Conn {
 // ---------------------------------------------------------------------
 
 /// A bound listening socket (TCP or Unix-domain), accepted through by
-/// the server and coordinator event loops.
+/// the event loop.
 pub(crate) enum ListenerKind {
     Tcp(TcpListener),
     #[cfg(unix)]
@@ -215,6 +214,14 @@ impl ListenerKind {
 // Event-loop connection state
 // ---------------------------------------------------------------------
 
+/// Most bytes one [`ConnState::fill`] call takes in (a 256-deep
+/// pipelined batch is about half of it). A peer that writes as fast as
+/// the loop reads would otherwise never hit `WouldBlock`: one call
+/// would starve every other connection and grow the buffer past
+/// anything write backpressure could bound. Polling is level-triggered,
+/// so the rest is reported again next iteration.
+const FILL_BUDGET: usize = 64 * 1024;
+
 /// What a nonblocking read pass observed.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum FillOutcome {
@@ -288,14 +295,22 @@ impl ConnState {
     #[cfg(not(unix))]
     pub(crate) fn token(&self) -> readiness::Token {}
 
-    /// Reads until `WouldBlock`/EOF, appending to the input buffer.
+    /// This connection's entry in the poll set: the caller decides
+    /// whether to read; write interest follows the unsent output.
+    pub(crate) fn interest(&self, read: bool) -> (readiness::Token, readiness::Interest) {
+        let write = self.pending_out() > 0;
+        (self.token(), readiness::Interest { read, write })
+    }
+
+    /// Reads until `WouldBlock`/EOF or [`FILL_BUDGET`] bytes, appending
+    /// to the input buffer.
     ///
     /// # Errors
     /// Hard I/O errors (connection reset, ...); the caller drops the
     /// connection.
     pub(crate) fn fill(&mut self) -> io::Result<FillOutcome> {
         let mut tmp = [0u8; 16 * 1024];
-        let mut any = false;
+        let mut taken = 0;
         loop {
             match self.conn.read(&mut tmp) {
                 Ok(0) => {
@@ -305,10 +320,13 @@ impl ConnState {
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&tmp[..n]);
                     self.last_activity = Instant::now();
-                    any = true;
+                    taken += n;
+                    if taken >= FILL_BUDGET {
+                        return Ok(FillOutcome::Progress);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return Ok(if any {
+                    return Ok(if taken > 0 {
                         FillOutcome::Progress
                     } else {
                         FillOutcome::Idle

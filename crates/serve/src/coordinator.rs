@@ -1,884 +1,49 @@
-//! Fleet coordinator: shards jobs across backend tpserve instances.
-//!
-//! `tpserve --coordinator --backend=ADDR...` runs this loop instead of
-//! the worker-pool server. It speaks the *same* client-facing protocol
-//! (`SUBMIT`/`POLL`/`STATS`/`PING`/`SHUTDOWN`), so every existing
-//! client — `tpclient`, `Client`, `TPSIM_SERVER` routing in the bench
-//! crate — works against a coordinator unchanged. Behind the listener,
-//! each accepted job is **consistent-hashed by its canonical request
-//! encoding** onto one of N backends ([`crate::ring::HashRing`]), and
-//! `SUBMIT`/`POLL` are forwarded over persistent nonblocking backend
-//! links woven into the same `poll(2)` readiness set as the client
-//! connections. One thread drives everything; a small local worker
-//! pool exists purely as the fallback of last resort.
-//!
-//! ## Failure semantics
-//!
-//! The coordinator distinguishes *placement* failures (this backend
-//! can't run the job — reroute) from *execution* verdicts (the job ran
-//! and terminally failed — relay):
-//!
-//! * **Reroute** — connect refused, mid-flight disconnect, a `rejected`
-//!   submit (backend draining or queue-full), an unparseable response,
-//!   or an unknown-ticket `error` on poll (backend restarted). The job
-//!   returns to the dispatch state and tries the next distinct ring
-//!   node ([`HashRing::candidates`]); when every backend has been tried
-//!   or is down, it runs locally. Each landing away from its primary
-//!   bumps the `rerouted` counter (per-backend `rerouted_away` in
-//!   STATS attributes the departure).
-//! * **Relay** — `deadline-exceeded` and `failed` are real outcomes of
-//!   running the job; retrying elsewhere would waste a deadline that
-//!   already expired or re-run a deterministic failure. They are
-//!   relayed to the client verbatim.
-//!
-//! Because results are content-addressed by the canonical request
-//! string end to end, a rerouted job's report is byte-identical no
-//! matter where it finally ran — the fleet-equivalence suite pins
-//! coordinator output against serial local runs.
-//!
-//! Links carry a FIFO expectation queue: the wire protocol answers in
-//! request order on a connection, so the k-th response line on a link
-//! belongs to the k-th outstanding forward. A link failure fails *all*
-//! of its outstanding expectations at once and re-dispatches every job
-//! assigned to that backend.
+//! [`Coordinator`]: the same service core as [`Server`], over a
+//! non-empty ring. `tpserve --coordinator --backend=ADDR...` speaks the
+//! *same* client-facing protocol, so every existing client — `tpclient`,
+//! `Client`, `TPSIM_SERVER` routing in the bench crate — works against
+//! a coordinator unchanged. Behind the listener each accepted job is
+//! **consistent-hashed by its canonical request encoding** onto one of
+//! N backends ([`crate::ring::HashRing`]) and `SUBMIT`/`POLL` are
+//! forwarded over persistent nonblocking links woven into the same
+//! readiness set as the client connections (`links.rs`); the
+//! local worker pool is the fallback of last resort.
 
-use crate::conn::{Conn, ConnState, FillOutcome, ListenerKind};
-use crate::protocol::{Request, Target};
-use crate::readiness;
 use crate::ring::HashRing;
-use crate::server::{done_response, key_hex, obj, status_err, Dispatch, Dispatcher, EventConn};
-use std::collections::{HashMap, VecDeque};
+use crate::server::{Controller, Server, ServerConfig};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-use tpharness::experiment::run_single_cancellable;
-use tpharness::sweep::SweepRunner;
-use tpharness::wire::{self, encode_sim_report, Value};
-use tpsim::CancelToken;
+use std::sync::atomic::AtomicBool;
 
-/// Event-loop poll timeout (also the POLL cadence toward backends).
-const POLL_TICK: Duration = Duration::from_millis(10);
-
-/// How long idle client connections linger after shutdown completes.
-const SHUTDOWN_LINGER: Duration = Duration::from_secs(2);
-
-/// Terminal jobs nobody polls are reaped after this long.
-const JOB_TTL: Duration = Duration::from_secs(60);
+/// Local worker threads: used only when no backend can take a job.
+const LOCAL_WORKERS: usize = 2;
 
 /// Coordinator construction knobs.
 #[derive(Clone, Debug)]
 pub struct CoordinatorConfig {
-    /// Cap on live (non-terminal) jobs; submissions beyond it are shed
-    /// with a structured `queue-full` rejection.
+    /// Cap on accepted jobs not yet running locally; submissions beyond
+    /// it are shed with a structured `queue-full` rejection.
     pub max_jobs: usize,
-    /// Local fallback worker threads (used only when no backend can
-    /// take a job).
-    pub local_workers: usize,
     /// Reject locally-run results whose conservation-law audit fails,
     /// even when the request didn't ask for auditing (parity with the
     /// server's `--audit`; forwarded jobs inherit each backend's own
     /// setting).
     pub audit: bool,
-    /// Bound on one blocking backend connect attempt.
-    pub connect_timeout: Duration,
-    /// Minimum time between connect attempts to a down backend.
-    pub reconnect_backoff: Duration,
 }
 
 impl Default for CoordinatorConfig {
     fn default() -> Self {
         CoordinatorConfig {
             max_jobs: 256,
-            local_workers: 2,
             audit: false,
-            connect_timeout: Duration::from_millis(250),
-            reconnect_backoff: Duration::from_millis(250),
         }
     }
 }
-
-/// Lifecycle of one coordinated job.
-enum JobState {
-    /// Needs (re)routing — freshly submitted or bounced off a backend.
-    Dispatch,
-    /// `SUBMIT` forwarded; awaiting the backend's submit response.
-    AwaitSubmit(usize),
-    /// Accepted by a backend under its ticket; `polling` is true while
-    /// a `POLL` is outstanding on the link.
-    Remote {
-        backend: usize,
-        ticket: u64,
-        polling: bool,
-    },
-    /// Queued for the local fallback pool.
-    LocalQueued,
-    /// Running in a local fallback worker.
-    LocalRunning,
-    Done {
-        cached: bool,
-    },
-    DeadlineExceeded,
-    Failed(String),
-}
-
-impl JobState {
-    fn terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Done { .. } | JobState::DeadlineExceeded | JobState::Failed(_)
-        )
-    }
-}
-
-struct Job {
-    request: Request,
-    /// Cache key of the result (and the ring-hash input).
-    canonical: String,
-    /// The raw submitted payload, forwarded verbatim so execution-policy
-    /// fields (`deadline_ms`, `audit`) — which the canonical string
-    /// deliberately excludes — survive the hop to the backend.
-    payload: String,
-    point: u64,
-    /// Backends already tried, in order (never retried for this job).
-    attempts: Vec<usize>,
-    deadline: Option<Instant>,
-    state: JobState,
-    /// When the job reached a terminal state (drives the TTL reap).
-    completed: Option<Instant>,
-}
-
-struct Counters {
-    served: AtomicU64,
-    rejected: AtomicU64,
-    errors: AtomicU64,
-    cache_hits: AtomicU64,
-    /// SUBMITs forwarded to backends (counts re-forwards too).
-    forwarded: AtomicU64,
-    /// Jobs that landed anywhere other than their primary ring node.
-    rerouted: AtomicU64,
-    /// Jobs that fell back to local execution.
-    local_jobs: AtomicU64,
-    cancelled: AtomicU64,
-    failed: AtomicU64,
-}
-
-/// Per-backend health and routing stats (surfaced in STATS).
-struct BackendStats {
-    up: AtomicBool,
-    /// Jobs forwarded to this backend.
-    routed: AtomicU64,
-    /// Jobs this backend completed.
-    completed: AtomicU64,
-    /// Jobs whose primary was this backend but which landed elsewhere.
-    rerouted_away: AtomicU64,
-    /// Successful (re)connects to this backend.
-    connects: AtomicU64,
-}
-
-struct LocalQueue {
-    queue: VecDeque<u64>,
-    stop: bool,
-}
-
-/// State shared between the event loop, the local fallback workers,
-/// and [`CoordController`] handles.
-struct Shared {
-    cfg: CoordinatorConfig,
-    ring: HashRing,
-    jobs: Mutex<HashMap<u64, Job>>,
-    next_ticket: AtomicU64,
-    /// Non-terminal job count (the coordinator's "queue depth").
-    live: AtomicU64,
-    cache: Mutex<HashMap<String, String>>,
-    lq: Mutex<LocalQueue>,
-    lcv: Condvar,
-    runner: SweepRunner,
-    counters: Counters,
-    backends: Vec<BackendStats>,
-    draining: AtomicBool,
-    accept_stop: AtomicBool,
-    started: Instant,
-}
-
-impl Shared {
-    fn publish(&self, canonical: &str, encoded: &str) {
-        self.cache
-            .lock()
-            .expect("coordinator cache lock")
-            .insert(canonical.to_string(), encoded.to_string());
-    }
-
-    fn lookup_cached(&self, canonical: &str) -> Option<String> {
-        self.cache
-            .lock()
-            .expect("coordinator cache lock")
-            .get(canonical)
-            .cloned()
-    }
-
-    /// Moves a job to a terminal state exactly once, decrementing the
-    /// live count and stamping the TTL clock.
-    fn finish(&self, jobs: &mut HashMap<u64, Job>, id: u64, state: JobState) {
-        debug_assert!(state.terminal());
-        if let Some(j) = jobs.get_mut(&id) {
-            if !j.state.terminal() {
-                self.live.fetch_sub(1, Ordering::Relaxed);
-            }
-            j.state = state;
-            j.completed = Some(Instant::now());
-        }
-    }
-
-    fn submit(&self, request: Request, payload: &str) -> Value {
-        let canonical = request.canonical();
-        if let Some(hit) = self.lookup_cached(&canonical) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.counters.served.fetch_add(1, Ordering::Relaxed);
-            return done_response(None, &canonical, true, &hit);
-        }
-        if self.draining.load(Ordering::SeqCst) || self.accept_stop.load(Ordering::SeqCst) {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            return obj(vec![
-                ("status", Value::Str("rejected".into())),
-                ("reason", Value::Str("shutting-down".into())),
-            ]);
-        }
-        let live = self.live.load(Ordering::Relaxed);
-        if live as usize >= self.cfg.max_jobs {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            return obj(vec![
-                ("status", Value::Str("rejected".into())),
-                ("reason", Value::Str("queue-full".into())),
-                ("queue_depth", Value::u64(live)),
-                ("queue_capacity", Value::u64(self.cfg.max_jobs as u64)),
-            ]);
-        }
-
-        let id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        let point = HashRing::job_point(&canonical);
-        let deadline = request
-            .deadline_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
-        self.jobs.lock().expect("job table lock").insert(
-            id,
-            Job {
-                request,
-                canonical: canonical.clone(),
-                payload: payload.to_string(),
-                point,
-                attempts: Vec::new(),
-                deadline,
-                state: JobState::Dispatch,
-                completed: None,
-            },
-        );
-        let depth = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        obj(vec![
-            ("status", Value::Str("queued".into())),
-            ("ticket", Value::u64(id)),
-            ("key", Value::Str(key_hex(&canonical))),
-            ("queue_depth", Value::u64(depth)),
-        ])
-    }
-
-    fn poll(&self, id: u64) -> Value {
-        // Same delivery contract as the server: the first successful
-        // POLL of a terminal job is the delivery, and delivering reaps.
-        enum Snap {
-            Pending(&'static str),
-            Done { cached: bool, canonical: String },
-            DeadlineExceeded,
-            Failed(String),
-        }
-        let mut jobs = self.jobs.lock().expect("job table lock");
-        let snap = match jobs.get(&id) {
-            None => return status_err(format!("unknown ticket {id}")),
-            Some(j) => match &j.state {
-                JobState::Dispatch
-                | JobState::AwaitSubmit(_)
-                | JobState::Remote { .. }
-                | JobState::LocalQueued => Snap::Pending("queued"),
-                JobState::LocalRunning => Snap::Pending("running"),
-                JobState::Done { cached } => Snap::Done {
-                    cached: *cached,
-                    canonical: j.canonical.clone(),
-                },
-                JobState::DeadlineExceeded => Snap::DeadlineExceeded,
-                JobState::Failed(reason) => Snap::Failed(reason.clone()),
-            },
-        };
-        match snap {
-            Snap::Pending(status) => obj(vec![
-                ("status", Value::Str(status.into())),
-                ("ticket", Value::u64(id)),
-            ]),
-            Snap::Done { cached, canonical } => {
-                jobs.remove(&id);
-                drop(jobs);
-                match self.lookup_cached(&canonical) {
-                    Some(encoded) => done_response(Some(id), &canonical, cached, &encoded),
-                    None => status_err(format!(
-                        "ticket {id}: result evicted from the cache; resubmit"
-                    )),
-                }
-            }
-            Snap::DeadlineExceeded => {
-                jobs.remove(&id);
-                obj(vec![
-                    ("status", Value::Str("deadline-exceeded".into())),
-                    ("ticket", Value::u64(id)),
-                ])
-            }
-            Snap::Failed(reason) => {
-                jobs.remove(&id);
-                obj(vec![
-                    ("status", Value::Str("failed".into())),
-                    ("ticket", Value::u64(id)),
-                    ("reason", Value::Str(reason)),
-                ])
-            }
-        }
-    }
-
-    fn stats(&self) -> Value {
-        let tickets = self.jobs.lock().expect("job table lock").len();
-        let c = &self.counters;
-        let backends = Value::Arr(
-            self.backends
-                .iter()
-                .enumerate()
-                .map(|(i, b)| {
-                    obj(vec![
-                        ("addr", Value::Str(self.ring.addr(i).to_string())),
-                        ("up", Value::Bool(b.up.load(Ordering::Relaxed))),
-                        ("routed", Value::u64(b.routed.load(Ordering::Relaxed))),
-                        ("completed", Value::u64(b.completed.load(Ordering::Relaxed))),
-                        (
-                            "rerouted_away",
-                            Value::u64(b.rerouted_away.load(Ordering::Relaxed)),
-                        ),
-                        ("connects", Value::u64(b.connects.load(Ordering::Relaxed))),
-                    ])
-                })
-                .collect(),
-        );
-        obj(vec![
-            ("status", Value::Str("ok".into())),
-            (
-                "stats",
-                obj(vec![
-                    ("role", Value::Str("coordinator".into())),
-                    ("backends", backends),
-                    ("queue_depth", Value::u64(self.live.load(Ordering::Relaxed))),
-                    ("queue_capacity", Value::u64(self.cfg.max_jobs as u64)),
-                    ("tickets", Value::u64(tickets as u64)),
-                    ("served", Value::u64(c.served.load(Ordering::Relaxed))),
-                    ("rejected", Value::u64(c.rejected.load(Ordering::Relaxed))),
-                    ("errors", Value::u64(c.errors.load(Ordering::Relaxed))),
-                    ("cache_hits", Value::u64(c.cache_hits.load(Ordering::Relaxed))),
-                    ("forwarded", Value::u64(c.forwarded.load(Ordering::Relaxed))),
-                    ("rerouted", Value::u64(c.rerouted.load(Ordering::Relaxed))),
-                    ("local_jobs", Value::u64(c.local_jobs.load(Ordering::Relaxed))),
-                    ("cancelled", Value::u64(c.cancelled.load(Ordering::Relaxed))),
-                    ("failed", Value::u64(c.failed.load(Ordering::Relaxed))),
-                    (
-                        "cache_entries",
-                        Value::u64(self.cache.lock().expect("coordinator cache lock").len() as u64),
-                    ),
-                    (
-                        "uptime_ms",
-                        Value::u64(self.started.elapsed().as_millis().min(u128::from(u64::MAX))
-                            as u64),
-                    ),
-                ]),
-            ),
-        ])
-    }
-
-    /// Reaps terminal jobs whose results went uncollected for `ttl`.
-    fn reap_expired_jobs(&self, ttl: Duration) {
-        let now = Instant::now();
-        self.jobs
-            .lock()
-            .expect("job table lock")
-            .retain(|_, j| match j.completed {
-                Some(done) => now.duration_since(done) < ttl,
-                None => true,
-            });
-    }
-
-    fn drain_finished(&self) -> bool {
-        self.draining.load(Ordering::SeqCst) && self.live.load(Ordering::Relaxed) == 0
-    }
-
-    fn finished(&self) -> bool {
-        self.accept_stop.load(Ordering::SeqCst) && self.live.load(Ordering::Relaxed) == 0
-    }
-
-    // --- local fallback workers --------------------------------------
-
-    fn local_worker_loop(&self) {
-        loop {
-            let id = {
-                let mut lq = self.lq.lock().expect("local queue lock");
-                loop {
-                    if lq.stop {
-                        return;
-                    }
-                    if let Some(id) = lq.queue.pop_front() {
-                        break id;
-                    }
-                    lq = self.lcv.wait(lq).expect("local queue lock");
-                }
-            };
-            self.run_local(id);
-        }
-    }
-
-    fn run_local(&self, id: u64) {
-        let info = {
-            let mut jobs = self.jobs.lock().expect("job table lock");
-            match jobs.get_mut(&id) {
-                Some(j) if matches!(j.state, JobState::LocalQueued) => {
-                    j.state = JobState::LocalRunning;
-                    Some((j.request.clone(), j.canonical.clone(), j.deadline))
-                }
-                // Reaped, or no longer ours (state moved on) — skip.
-                _ => None,
-            }
-        };
-        let Some((request, canonical, deadline)) = info else {
-            return;
-        };
-
-        let set = |state: JobState| {
-            let mut jobs = self.jobs.lock().expect("job table lock");
-            self.finish(&mut jobs, id, state);
-        };
-
-        // Expired while bouncing around the fleet: don't start a run
-        // that's already doomed.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            set(JobState::DeadlineExceeded);
-            return;
-        }
-
-        // An identical request may have completed while this one waited.
-        if self.lookup_cached(&canonical).is_some() {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.counters.served.fetch_add(1, Ordering::Relaxed);
-            set(JobState::Done { cached: true });
-            return;
-        }
-
-        let cancel = CancelToken::new();
-        let result = match request.sweep_job() {
-            Some(job) => self.runner.run_one_with_cancel(&job, &cancel),
-            None => {
-                // Seed override: bypass the seed-blind sweep cache
-                // (see Request::sweep_job), exactly as the server does.
-                let seed = request.seed.expect("jobless requests carry a seed");
-                match &request.target {
-                    Target::Single(w) => {
-                        run_single_cancellable(&w.with_seed(seed), &request.experiment(), &cancel)
-                    }
-                    Target::MixOf { .. } => unreachable!("validation rejects seeded mixes"),
-                }
-            }
-        };
-        match result {
-            None => {
-                self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                set(JobState::DeadlineExceeded);
-            }
-            Some(report) => {
-                if (self.cfg.audit || request.audit) && !report.audit.passed() {
-                    self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    set(JobState::Failed("conservation-law audit failed".into()));
-                    return;
-                }
-                let encoded = encode_sim_report(&report);
-                self.publish(&canonical, &encoded);
-                self.counters.served.fetch_add(1, Ordering::Relaxed);
-                set(JobState::Done { cached: false });
-            }
-        }
-    }
-}
-
-impl Dispatcher for Shared {
-    fn dispatch_line(&self, line: &str) -> Dispatch {
-        let line = line.trim();
-        let (verb, rest) = match line.find(' ') {
-            Some(i) => (&line[..i], line[i + 1..].trim()),
-            None => (line, ""),
-        };
-        Dispatch::Reply(match verb {
-            "PING" => obj(vec![
-                ("status", Value::Str("ok".into())),
-                ("pong", Value::Bool(true)),
-            ]),
-            "STATS" => self.stats(),
-            "SUBMIT" => {
-                // Full edge validation before anything is forwarded: a
-                // malformed request never reaches a backend.
-                let parsed = wire::parse(rest).and_then(|v| Request::from_value(&v));
-                match parsed {
-                    Ok(req) => self.submit(req, rest),
-                    Err(reason) => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        status_err(format!("invalid request: {reason}"))
-                    }
-                }
-            }
-            "POLL" => match rest.parse::<u64>() {
-                Ok(id) => self.poll(id),
-                Err(_) => {
-                    self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    status_err("POLL needs a ticket number")
-                }
-            },
-            "SHUTDOWN" => return Dispatch::Shutdown,
-            other => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                status_err(format!(
-                    "unknown verb {other:?} (SUBMIT|POLL|STATS|PING|SHUTDOWN)"
-                ))
-            }
-        })
-    }
-
-    fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
-        self.lcv.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Backend links
-// ---------------------------------------------------------------------
-
-/// What the next response line on a link answers.
-enum Expect {
-    Submit(u64),
-    Poll(u64),
-}
-
-/// One persistent backend connection plus its FIFO expectation queue
-/// (the protocol answers in request order, so responses match
-/// outstanding forwards positionally).
-struct Link {
-    addr: String,
-    cs: Option<ConnState>,
-    expects: VecDeque<Expect>,
-    /// Last connect attempt (gates the reconnect backoff).
-    last_attempt: Option<Instant>,
-}
-
-/// Ensures a live connection to backend `bi`, respecting the backoff.
-fn ensure_link(shared: &Shared, link: &mut Link, bi: usize, now: Instant) -> bool {
-    if link.cs.is_some() {
-        return true;
-    }
-    if link
-        .last_attempt
-        .is_some_and(|t| now.duration_since(t) < shared.cfg.reconnect_backoff)
-    {
-        return false;
-    }
-    link.last_attempt = Some(now);
-    match Conn::connect_timeout(&link.addr, shared.cfg.connect_timeout).and_then(ConnState::new) {
-        Ok(cs) => {
-            link.cs = Some(cs);
-            shared.backends[bi].up.store(true, Ordering::Relaxed);
-            shared.backends[bi].connects.fetch_add(1, Ordering::Relaxed);
-            true
-        }
-        Err(_) => {
-            shared.backends[bi].up.store(false, Ordering::Relaxed);
-            false
-        }
-    }
-}
-
-/// Tears a failed link down and re-dispatches every job assigned to
-/// that backend (outstanding expectations included).
-fn fail_link(shared: &Shared, link: &mut Link, bi: usize) {
-    link.cs = None;
-    link.last_attempt = Some(Instant::now());
-    link.expects.clear();
-    shared.backends[bi].up.store(false, Ordering::Relaxed);
-    let mut jobs = shared.jobs.lock().expect("job table lock");
-    for j in jobs.values_mut() {
-        match j.state {
-            JobState::AwaitSubmit(b) | JobState::Remote { backend: b, .. } if b == bi => {
-                j.state = JobState::Dispatch;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Routes every dispatchable job: first untried, reachable candidate in
-/// ring order, else the local fallback pool. Connect attempts happen
-/// outside the job-table lock so a slow connect can't stall workers.
-fn route_jobs(shared: &Shared, links: &mut [Link]) {
-    let pending: Vec<(u64, u64, Vec<usize>)> = {
-        let jobs = shared.jobs.lock().expect("job table lock");
-        jobs.iter()
-            .filter(|(_, j)| matches!(j.state, JobState::Dispatch))
-            .map(|(&id, j)| (id, j.point, j.attempts.clone()))
-            .collect()
-    };
-    for (id, point, attempts) in pending {
-        let cands = shared.ring.candidates(point);
-        let primary = cands.first().copied();
-        let now = Instant::now();
-        let chosen = cands
-            .iter()
-            .copied()
-            .find(|&b| !attempts.contains(&b) && ensure_link(shared, &mut links[b], b, now));
-
-        let mut jobs = shared.jobs.lock().expect("job table lock");
-        let Some(j) = jobs.get_mut(&id) else { continue };
-        if !matches!(j.state, JobState::Dispatch) {
-            continue;
-        }
-        // A landing anywhere but the primary is a reroute; attribute
-        // the departure to the backend the job came from (retry) or to
-        // the unreachable primary (first dispatch).
-        let count_reroute = |to: Option<usize>| {
-            let from = match j.attempts.last() {
-                Some(&prev) => Some(prev),
-                None if to != primary => primary,
-                None => None,
-            };
-            if let Some(from) = from {
-                shared.counters.rerouted.fetch_add(1, Ordering::Relaxed);
-                shared.backends[from].rerouted_away.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        match chosen {
-            Some(b) => {
-                count_reroute(Some(b));
-                let cs = links[b].cs.as_mut().expect("ensure_link left a live conn");
-                cs.queue(format!("SUBMIT {}\n", j.payload).as_bytes());
-                links[b].expects.push_back(Expect::Submit(id));
-                j.attempts.push(b);
-                j.state = JobState::AwaitSubmit(b);
-                shared.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-                shared.backends[b].routed.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                count_reroute(None);
-                j.state = JobState::LocalQueued;
-                shared.counters.local_jobs.fetch_add(1, Ordering::Relaxed);
-                drop(jobs);
-                shared
-                    .lq
-                    .lock()
-                    .expect("local queue lock")
-                    .queue
-                    .push_back(id);
-                shared.lcv.notify_one();
-            }
-        }
-    }
-}
-
-/// Queues a `POLL` for every remotely-accepted job with no poll in
-/// flight. One outstanding poll per job per tick keeps backend load
-/// proportional to live jobs, not time.
-fn queue_polls(shared: &Shared, links: &mut [Link]) {
-    let mut jobs = shared.jobs.lock().expect("job table lock");
-    for (&id, j) in jobs.iter_mut() {
-        if let JobState::Remote {
-            backend,
-            ticket,
-            polling,
-        } = &mut j.state
-        {
-            if !*polling {
-                if let Some(cs) = links[*backend].cs.as_mut() {
-                    cs.queue(format!("POLL {ticket}\n").as_bytes());
-                    links[*backend].expects.push_back(Expect::Poll(id));
-                    *polling = true;
-                }
-            }
-        }
-    }
-}
-
-/// Records a backend-completed job: the report's literal bytes go into
-/// the coordinator cache under the job's canonical key.
-fn complete_remote(shared: &Shared, jobs: &mut HashMap<u64, Job>, id: u64, bi: usize, v: &Value) {
-    let Some(report) = v.get("report") else {
-        // A done response with no report is a protocol bug; reroute.
-        if let Some(j) = jobs.get_mut(&id) {
-            j.state = JobState::Dispatch;
-        }
-        return;
-    };
-    let cached = v.get("cached").and_then(Value::as_bool).unwrap_or(false);
-    let Some(j) = jobs.get_mut(&id) else { return };
-    let canonical = j.canonical.clone();
-    shared.publish(&canonical, &report.encode());
-    shared.counters.served.fetch_add(1, Ordering::Relaxed);
-    shared.backends[bi].completed.fetch_add(1, Ordering::Relaxed);
-    shared.finish(jobs, id, JobState::Done { cached });
-}
-
-/// Applies one backend response line to the job its FIFO slot names.
-fn handle_backend_line(shared: &Shared, bi: usize, expect: Expect, line: &str) {
-    let parsed = wire::parse(line).ok();
-    let status = parsed
-        .as_ref()
-        .and_then(|v| v.get("status"))
-        .and_then(Value::as_str)
-        .unwrap_or("")
-        .to_string();
-    let mut jobs = shared.jobs.lock().expect("job table lock");
-    match expect {
-        Expect::Submit(id) => {
-            // Ignore stale lines: the job must still be awaiting this
-            // backend (a link failure in between re-dispatched it).
-            if !matches!(jobs.get(&id).map(|j| &j.state), Some(JobState::AwaitSubmit(b)) if *b == bi)
-            {
-                return;
-            }
-            match status.as_str() {
-                "done" => complete_remote(shared, &mut jobs, id, bi, parsed.as_ref().unwrap()),
-                "queued" => {
-                    let ticket = parsed
-                        .as_ref()
-                        .and_then(|v| v.get("ticket"))
-                        .and_then(Value::as_u64);
-                    let j = jobs.get_mut(&id).expect("state checked above");
-                    j.state = match ticket {
-                        Some(t) => JobState::Remote {
-                            backend: bi,
-                            ticket: t,
-                            polling: false,
-                        },
-                        None => JobState::Dispatch,
-                    };
-                }
-                // `rejected` (draining / queue-full), a protocol error,
-                // or garbage: placement failed — reroute.
-                _ => jobs.get_mut(&id).expect("state checked above").state = JobState::Dispatch,
-            }
-        }
-        Expect::Poll(id) => {
-            if !matches!(
-                jobs.get(&id).map(|j| &j.state),
-                Some(JobState::Remote { backend, polling: true, .. }) if *backend == bi
-            ) {
-                return;
-            }
-            match status.as_str() {
-                "done" => complete_remote(shared, &mut jobs, id, bi, parsed.as_ref().unwrap()),
-                "queued" | "running" => {
-                    if let Some(Job {
-                        state: JobState::Remote { polling, .. },
-                        ..
-                    }) = jobs.get_mut(&id)
-                    {
-                        *polling = false;
-                    }
-                }
-                // Execution verdicts relay to the client (see module
-                // docs): the job *ran*; elsewhere wouldn't change that.
-                "deadline-exceeded" => {
-                    shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                    shared.finish(&mut jobs, id, JobState::DeadlineExceeded);
-                }
-                "failed" => {
-                    let reason = parsed
-                        .as_ref()
-                        .and_then(|v| v.get("reason"))
-                        .and_then(Value::as_str)
-                        .unwrap_or("backend reported failure")
-                        .to_string();
-                    shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    shared.finish(&mut jobs, id, JobState::Failed(reason));
-                }
-                // `error` here means the backend lost the ticket
-                // (restart, TTL reap): placement is void — reroute.
-                _ => jobs.get_mut(&id).expect("state checked above").state = JobState::Dispatch,
-            }
-        }
-    }
-}
-
-/// Drains complete response lines off a link. `Err(())` means the link
-/// is broken (EOF, framing violation, or a response with no matching
-/// expectation) and must be failed.
-fn service_link(shared: &Shared, link: &mut Link, bi: usize) -> Result<(), ()> {
-    loop {
-        let Some(cs) = link.cs.as_mut() else {
-            return Ok(());
-        };
-        match cs.next_line() {
-            Ok(Some(line)) => {
-                if line.is_empty() {
-                    continue;
-                }
-                let Some(expect) = link.expects.pop_front() else {
-                    return Err(());
-                };
-                handle_backend_line(shared, bi, expect, &line);
-            }
-            Ok(None) => {
-                if cs.eof {
-                    return Err(());
-                }
-                return Ok(());
-            }
-            Err(_) => return Err(()),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The coordinator
-// ---------------------------------------------------------------------
 
 /// A bound, not-yet-running coordinator.
-pub struct Coordinator {
-    shared: Arc<Shared>,
-    listener: ListenerKind,
-    addr: String,
-}
+pub struct Coordinator(Server);
 
 /// Test/observability handle onto a running coordinator.
-#[derive(Clone)]
-pub struct CoordController {
-    shared: Arc<Shared>,
-}
-
-impl CoordController {
-    /// Jobs that landed anywhere other than their primary ring node.
-    pub fn rerouted(&self) -> u64 {
-        self.shared.counters.rerouted.load(Ordering::Relaxed)
-    }
-
-    /// Jobs that fell back to local execution.
-    pub fn local_jobs(&self) -> u64 {
-        self.shared.counters.local_jobs.load(Ordering::Relaxed)
-    }
-
-    /// Live (non-terminal) jobs right now.
-    pub fn live_jobs(&self) -> u64 {
-        self.shared.live.load(Ordering::Relaxed)
-    }
-
-    /// SUBMITs forwarded to backends (re-forwards included).
-    pub fn forwarded(&self) -> u64 {
-        self.shared.counters.forwarded.load(Ordering::Relaxed)
-    }
-}
+pub type CoordController = Controller;
 
 impl Coordinator {
     /// Binds the client-facing listener (`unix:PATH` or TCP
@@ -892,289 +57,39 @@ impl Coordinator {
         backends: &[S],
         cfg: CoordinatorConfig,
     ) -> io::Result<Coordinator> {
-        let (listener, addr) = ListenerKind::bind(spec)?;
-        let ring = HashRing::new(backends);
-        let backend_stats = (0..ring.len())
-            .map(|_| BackendStats {
-                up: AtomicBool::new(false),
-                routed: AtomicU64::new(0),
-                completed: AtomicU64::new(0),
-                rerouted_away: AtomicU64::new(0),
-                connects: AtomicU64::new(0),
-            })
-            .collect();
-        let shared = Arc::new(Shared {
-            cfg,
-            ring,
-            jobs: Mutex::new(HashMap::new()),
-            next_ticket: AtomicU64::new(1),
-            live: AtomicU64::new(0),
-            cache: Mutex::new(HashMap::new()),
-            lq: Mutex::new(LocalQueue {
-                queue: VecDeque::new(),
-                stop: false,
-            }),
-            lcv: Condvar::new(),
-            // Serial, audit-per-request: identical execution path to the
-            // server's workers, so local fallback results stay
-            // byte-identical to backend results.
-            runner: SweepRunner::serial().with_audit(false),
-            counters: Counters {
-                served: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                errors: AtomicU64::new(0),
-                cache_hits: AtomicU64::new(0),
-                forwarded: AtomicU64::new(0),
-                rerouted: AtomicU64::new(0),
-                local_jobs: AtomicU64::new(0),
-                cancelled: AtomicU64::new(0),
-                failed: AtomicU64::new(0),
-            },
-            backends: backend_stats,
-            draining: AtomicBool::new(false),
-            accept_stop: AtomicBool::new(false),
-            started: Instant::now(),
-        });
-        Ok(Coordinator {
-            shared,
-            listener,
-            addr,
-        })
+        let cfg = ServerConfig {
+            workers: LOCAL_WORKERS,
+            queue_capacity: cfg.max_jobs,
+            audit: cfg.audit,
+            ..ServerConfig::default()
+        };
+        Server::bind_ring(spec, cfg, HashRing::new(backends)).map(Coordinator)
     }
 
-    /// The resolved listen address, connectable by
-    /// [`Client::connect`](crate::client::Client::connect).
+    /// See [`Server::addr`].
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.0.addr()
     }
 
-    /// An observability handle usable from other threads.
+    /// See [`Server::controller`].
     pub fn controller(&self) -> CoordController {
-        CoordController {
-            shared: Arc::clone(&self.shared),
-        }
+        self.0.controller()
     }
 
-    /// Runs until a `SHUTDOWN` request completes. Equivalent to
-    /// [`Coordinator::run_until`] with a flag that never fires.
+    /// See [`Server::run`].
     ///
     /// # Errors
     /// Fatal accept-loop I/O errors.
     pub fn run(self) -> io::Result<()> {
-        self.run_until(&AtomicBool::new(false))
+        self.0.run()
     }
 
-    /// Runs the event loop until either a `SHUTDOWN` request completes
-    /// or `term` becomes true; both paths drain — stop accepting, shed
-    /// new submissions, finish every accepted job (remote or local) —
-    /// before returning.
+    /// See [`Server::run_until`]: the drain covers remote and local
+    /// jobs alike.
     ///
     /// # Errors
     /// Fatal accept-loop I/O errors.
     pub fn run_until(self, term: &AtomicBool) -> io::Result<()> {
-        let Coordinator {
-            shared,
-            listener,
-            addr: _,
-        } = self;
-        listener.set_nonblocking()?;
-
-        let mut pool = Vec::new();
-        for i in 0..shared.cfg.local_workers.max(1) {
-            let sh = Arc::clone(&shared);
-            pool.push(
-                std::thread::Builder::new()
-                    .name(format!("tpcoord-local-{i}"))
-                    .spawn(move || sh.local_worker_loop())
-                    .expect("spawn local worker"),
-            );
-        }
-
-        let mut links: Vec<Link> = (0..shared.ring.len())
-            .map(|i| Link {
-                addr: shared.ring.addr(i).to_string(),
-                cs: None,
-                expects: VecDeque::new(),
-                last_attempt: None,
-            })
-            .collect();
-        let mut conns: Vec<EventConn> = Vec::new();
-        let mut drained_served: Option<u64> = None;
-
-        loop {
-            let accepting = !shared.accept_stop.load(Ordering::SeqCst);
-
-            // Readiness: listener, then clients, then live backend
-            // links (slot order recorded so ready[] maps back).
-            let mut interest: Vec<(readiness::Token, readiness::Interest)> =
-                Vec::with_capacity(conns.len() + links.len() + 1);
-            interest.push((
-                listener.token(),
-                readiness::Interest {
-                    read: accepting,
-                    write: false,
-                },
-            ));
-            for c in &conns {
-                interest.push((
-                    c.cs.token(),
-                    readiness::Interest {
-                        read: !c.closing && !c.awaiting_drain && !c.cs.eof,
-                        write: c.cs.pending_out() > 0,
-                    },
-                ));
-            }
-            let mut link_slots: Vec<(usize, usize)> = Vec::with_capacity(links.len());
-            for (bi, l) in links.iter().enumerate() {
-                if let Some(cs) = &l.cs {
-                    link_slots.push((bi, interest.len()));
-                    interest.push((
-                        cs.token(),
-                        readiness::Interest {
-                            read: true,
-                            write: cs.pending_out() > 0,
-                        },
-                    ));
-                }
-            }
-            let ready = readiness::wait(&interest, POLL_TICK);
-            let known = conns.len();
-
-            // Accept every pending client connection.
-            if accepting && ready[0].read {
-                loop {
-                    match listener.accept() {
-                        Ok(Some(conn)) => match ConnState::new(conn) {
-                            Ok(cs) => conns.push(EventConn::new(cs)),
-                            Err(_) => continue,
-                        },
-                        Ok(None) => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-
-            // Client I/O: parse + dispatch (SUBMITs land as Dispatch
-            // jobs; POLL/STATS answer from shared state immediately).
-            for (i, c) in conns.iter_mut().enumerate() {
-                if c.dead {
-                    continue;
-                }
-                let read_ready = i >= known || ready[i + 1].read;
-                if read_ready && !c.closing && !c.cs.eof {
-                    match c.cs.fill() {
-                        Ok(FillOutcome::Progress | FillOutcome::Eof | FillOutcome::Idle) => {}
-                        Err(_) => {
-                            c.dead = true;
-                            continue;
-                        }
-                    }
-                }
-                c.process(shared.as_ref());
-            }
-
-            // Backend I/O: read responses first (may re-dispatch jobs),
-            // then route and poll, so a failure and its reroute happen
-            // in the same tick.
-            for &(bi, slot) in &link_slots {
-                let read_ready = ready[slot].read;
-                let mut broken = false;
-                if read_ready {
-                    if let Some(cs) = links[bi].cs.as_mut() {
-                        if cs.fill().is_err() {
-                            broken = true;
-                        }
-                    }
-                }
-                if !broken {
-                    broken = service_link(&shared, &mut links[bi], bi).is_err();
-                }
-                if broken {
-                    fail_link(&shared, &mut links[bi], bi);
-                }
-            }
-
-            route_jobs(&shared, &mut links);
-            queue_polls(&shared, &mut links);
-
-            // Flush backend links; a write failure is a link failure.
-            for (bi, l) in links.iter_mut().enumerate() {
-                let failed = match l.cs.as_mut() {
-                    Some(cs) if cs.pending_out() > 0 => cs.flush().is_err(),
-                    _ => false,
-                };
-                if failed {
-                    fail_link(&shared, l, bi);
-                }
-            }
-
-            // External termination requests the same graceful drain as
-            // a protocol SHUTDOWN.
-            if term.load(Ordering::SeqCst) && drained_served.is_none() {
-                shared.begin_drain();
-            }
-            if drained_served.is_none() && shared.drain_finished() {
-                shared.accept_stop.store(true, Ordering::SeqCst);
-                drained_served = Some(shared.counters.served.load(Ordering::Relaxed));
-                let now = Instant::now();
-                for c in conns.iter_mut() {
-                    c.cs.last_activity = now;
-                }
-            }
-            if let Some(served) = drained_served {
-                for c in conns.iter_mut().filter(|c| c.awaiting_drain) {
-                    c.awaiting_drain = false;
-                    c.queue_value(&obj(vec![
-                        ("status", Value::Str("ok".into())),
-                        ("draining", Value::Bool(true)),
-                        ("served", Value::u64(served)),
-                    ]));
-                    c.process(shared.as_ref());
-                }
-            }
-
-            shared.reap_expired_jobs(JOB_TTL);
-
-            // Flush and cull client connections.
-            let finished = shared.finished();
-            for c in conns.iter_mut() {
-                if !c.dead && c.cs.pending_out() > 0 && c.cs.flush().is_err() {
-                    c.dead = true;
-                }
-            }
-            conns.retain(|c| {
-                if c.dead {
-                    return false;
-                }
-                let flushed = c.cs.pending_out() == 0;
-                if c.closing && flushed {
-                    return false;
-                }
-                if c.cs.eof && flushed && !c.awaiting_drain {
-                    return false;
-                }
-                if finished && flushed && c.cs.last_activity.elapsed() > SHUTDOWN_LINGER {
-                    return false;
-                }
-                true
-            });
-
-            if finished && conns.is_empty() {
-                break;
-            }
-        }
-
-        {
-            let mut lq = shared.lq.lock().expect("local queue lock");
-            lq.stop = true;
-        }
-        shared.lcv.notify_all();
-        for h in pool {
-            let _ = h.join();
-        }
-        listener.cleanup();
-        Ok(())
+        self.0.run_until(term)
     }
 }

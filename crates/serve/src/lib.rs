@@ -4,21 +4,34 @@
 //!
 //! Long experiment campaigns re-run the same simulator configurations
 //! over and over (sweeps share baselines, figures share contenders,
-//! people share machines). `tpserve` keeps one process warm and turns
-//! experiment execution into a service:
+//! people share machines). `tpserve` keeps one process — or a fleet of
+//! them — warm and turns experiment execution into a service.
+//!
+//! There is **one service core** (private modules; DESIGN.md §9
+//! describes it): one job table, one two-level
+//! result cache, one event loop, one local worker pool. A [`Server`]
+//! is that core with an empty hash ring; a [`Coordinator`] is the same
+//! core with a ring of backend servers it tries first.
 //!
 //! * **Protocol**: newline-delimited, length-checked JSON-ish lines
 //!   over a Unix-domain or TCP socket ([`protocol`]); verbs are
-//!   `SUBMIT`, `POLL`, `STATS`, `PING`, `SHUTDOWN`.
+//!   `SUBMIT`, `POLL`, `STATS`, `PING`, `SHUTDOWN`. A coordinator
+//!   speaks it unchanged, and `STATS` has one shape for both roles.
 //! * **Event-driven I/O**: one nonblocking, poll-based loop serves
-//!   every connection ([`server`]); clients may **pipeline** requests
-//!   (write many before reading any response) and responses come back
-//!   in request order. Slow readers get per-connection backpressure,
-//!   not unbounded buffering.
-//! * **Execution**: a worker pool layered on the deterministic
-//!   [`SweepRunner`](tpharness::sweep::SweepRunner), so a served report
-//!   is **byte-identical** to the same experiment run directly through
-//!   the CLI (the integration tests compare canonical encodings).
+//!   every client connection and backend link; clients may **pipeline**
+//!   requests (write many before reading any response) and responses
+//!   come back in request order. Slow readers get per-connection
+//!   backpressure — the loop stops parsing *and reading* — not
+//!   unbounded buffering.
+//! * **Routing**: each job goes to the first untried reachable
+//!   candidate of a consistent-hash ring ([`ring`]) keyed by the
+//!   canonical request, else to the local pool. Placement failures
+//!   reroute; execution verdicts relay.
+//! * **Execution**: every worker runs [`Request::run`] — the same
+//!   engine calls as a direct `run_single`/`run_mix` — so a served
+//!   report is **byte-identical** to the same experiment run through
+//!   the CLI, whichever node ran it (the integration and
+//!   fleet-equivalence suites compare canonical encodings).
 //! * **Caching**: responses are content-addressed by the canonical
 //!   request string; a repeat request returns synchronously without
 //!   touching the queue or the simulator. With a store directory
@@ -26,18 +39,19 @@
 //!   **restarted** server answers previously served requests without
 //!   simulating, and a cold miss costs one in-memory admission-index
 //!   probe, not a disk I/O.
-//! * **Backpressure**: a bounded queue with explicit load shedding —
-//!   a full queue rejects with a structured `queue-full` reason instead
-//!   of buffering unboundedly or blocking the socket.
+//! * **Backpressure**: a bounded job table with explicit load
+//!   shedding — a full queue rejects with a structured `queue-full`
+//!   reason instead of buffering unboundedly or blocking the socket.
 //! * **Deadlines**: per-request `deadline_ms` with cooperative
-//!   cancellation at engine epoch boundaries (see [`tpsim::CancelToken`]).
+//!   cancellation at engine epoch boundaries (see
+//!   [`tpsim::CancelToken`]), wherever the job ends up running.
 //! * **Drain**: `SHUTDOWN` (or SIGTERM in the binary) stops accepting,
 //!   sheds new submissions, finishes every accepted request, and only
 //!   then replies — no response is ever lost to a shutdown.
 //!
-//! The `tpserve` binary runs the server; the `tpclient` binary (and the
-//! [`client::Client`] library type it wraps) submits work, polls
-//! tickets, fetches stats, and benchmarks cold-vs-cached latency.
+//! The `tpserve` binary runs either role; the `tpclient` binary (and
+//! the [`client::Client`] library type it wraps) submits work, polls
+//! tickets, runs sweeps and fetches stats.
 //!
 //! ## In-process example
 //!
@@ -61,7 +75,10 @@
 //! ```
 
 mod conn;
+mod event_loop;
+mod links;
 mod readiness;
+mod service;
 
 pub mod client;
 pub mod coordinator;

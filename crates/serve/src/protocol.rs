@@ -17,9 +17,10 @@
 
 use std::io::{self, BufRead};
 use tpharness::baselines::{L1Kind, L2Kind, TemporalKind};
-use tpharness::experiment::Experiment;
+use tpharness::experiment::{run_mix_cancellable, run_single_cancellable, Experiment};
 use tpharness::sweep::SweepJob;
 use tpharness::wire::{fnv1a, Value};
+use tpsim::{CancelToken, SimReport};
 use tptrace::{workloads, Mix, Scale, Workload};
 
 /// Hard cap on one protocol line (requests *and* responses). Reports
@@ -115,6 +116,13 @@ fn parse_temporal(s: &str) -> Result<TemporalKind, String> {
             "unknown temporal prefetcher {other:?} \
              (none|ideal|triage|triangel|triangel-ideal|streamline)"
         )),
+    }
+}
+
+fn mix_of(workloads: &[Workload], index: usize) -> Mix {
+    Mix {
+        index,
+        workloads: workloads.to_vec(),
     }
 }
 
@@ -318,24 +326,38 @@ impl Request {
         exp
     }
 
+    /// Simulates the request on the calling thread — how every service
+    /// worker executes, seeded or not. `None` means `cancel` fired at an
+    /// engine epoch boundary; otherwise the report is byte-identical to
+    /// a direct `run_single`/`run_mix` of the same configuration.
+    pub fn run(&self, cancel: &CancelToken) -> Option<SimReport> {
+        let exp = self.experiment();
+        match &self.target {
+            Target::Single(w) => {
+                let w = self.seed.map_or_else(|| w.clone(), |seed| w.with_seed(seed));
+                run_single_cancellable(&w, &exp, cancel)
+            }
+            Target::MixOf { workloads, index } => {
+                run_mix_cancellable(&mix_of(workloads, *index), &exp, cancel)
+            }
+        }
+    }
+
     /// The request as a sweep job with **canonical** seeds, or `None`
     /// for seed-overriding requests: the sweep cache keys on workload
     /// *name* and experiment fingerprint (deliberately excluding seeds),
-    /// so routing a reseeded run through it would poison the canonical
-    /// entry. The server runs those directly instead.
+    /// so a reseeded run must not go through it. The service itself
+    /// executes through [`Request::run`]; this is the independent
+    /// reference path `tpclient sweep --local-check` compares against.
     pub fn sweep_job(&self) -> Option<SweepJob> {
         if self.seed.is_some() {
             return None;
         }
         Some(match &self.target {
             Target::Single(w) => SweepJob::single(w.clone(), self.experiment()),
-            Target::MixOf { workloads, index } => SweepJob::mix(
-                Mix {
-                    index: *index,
-                    workloads: workloads.clone(),
-                },
-                self.experiment(),
-            ),
+            Target::MixOf { workloads, index } => {
+                SweepJob::mix(mix_of(workloads, *index), self.experiment())
+            }
         })
     }
 }

@@ -1,5 +1,5 @@
-//! Raw-fd readiness polling shared by the server and coordinator event
-//! loops: `poll(2)` on Unix, a short-tick fallback elsewhere.
+//! Raw-fd readiness polling for the event loop: `poll(2)` on Unix, a
+//! short-tick fallback elsewhere.
 
 /// Unix implementation: one `poll(2)` call over every interested fd.
 #[cfg(unix)]
@@ -95,4 +95,4 @@ mod imp {
     }
 }
 
-pub(crate) use imp::{wait, Interest, Token};
+pub(crate) use imp::{wait, Interest, Ready, Token};

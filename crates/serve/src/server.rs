@@ -1,101 +1,19 @@
-//! The service itself: bounded queue, worker pool, two-level result
-//! cache (memory + on-disk store), deadlines, live stats, and graceful
-//! drain — all fronted by a single-threaded, nonblocking event loop.
-//!
-//! ## Architecture
-//!
-//! One [`Server`] owns a listening socket and an [`Arc<Service>`]. The
-//! run loop is **event-driven**: every socket (listener included) is
-//! nonblocking, readiness comes from raw-fd polling (`poll(2)` on
-//! Unix; a short-tick fallback elsewhere), and each connection carries
-//! its own read/write buffers plus a line-protocol state machine
-//! ([`crate::conn::ConnState`]). A client may therefore **pipeline**
-//! requests — write many `SUBMIT`s before reading any response — and
-//! responses always come back in request order on that connection.
-//! Slow readers get backpressure, not unbounded buffering: once a
-//! connection's unsent output passes a soft cap, the loop stops
-//! parsing its input until the peer drains.
-//!
-//! The shared [`Service`] serializes state behind three locks:
-//!
-//! * the **queue state** (bounded ticket queue + in-flight count +
-//!   pause/drain/stop latches) under one mutex with one condvar, so
-//!   load shedding, worker wakeup, and drain tracking can never miss a
-//!   notification;
-//! * the **ticket table** (request lifecycle: queued → running →
-//!   done/deadline-exceeded/failed). Tickets are *bounded*: a terminal
-//!   ticket is reaped at its first successful `POLL`, and a TTL sweep
-//!   in the deadline monitor reaps terminal tickets nobody polls.
-//!   Tickets store the cache key of their result, never a second copy
-//!   of the bytes;
-//! * the **response cache**, keyed by the full canonical request
-//!   string (the FNV hash clients see is display-only, so hash
-//!   collisions cannot alias results). When a store directory is
-//!   configured, the cache is two-level: misses probe the persistent
-//!   [`ResultStore`](crate::store::ResultStore) admission index (one
-//!   `HashMap` probe, no I/O on a cold miss), and disk hits are
-//!   promoted into memory — so a *restarted* server answers previously
-//!   served requests without simulating.
-//!
-//! Workers execute through a shared serial
-//! [`SweepRunner`](tpharness::sweep::SweepRunner), which supplies the
-//! canonical execution path (results byte-identical to direct CLI
-//! runs) plus a second, config-level cache shared across requests; the
-//! server's own pool supplies the concurrency. Seed-overriding
-//! requests bypass the sweep runner — its cache key deliberately
-//! ignores seeds — and run through the cancellable experiment runners
-//! directly.
-//!
-//! Cancellation is cooperative and epoch-granular: a deadline monitor
-//! flips the ticket's [`CancelToken`] and the engine notices at its
-//! next epoch boundary (every [`tpsim::CANCEL_EPOCH`] accesses). The
-//! simulator's hot loop stays branch-cheap and the abandoned run
-//! leaves no partial state anywhere (cancelled runs cache nothing).
-//!
-//! `SHUTDOWN` cannot block the event loop, so its reply is *deferred*:
-//! the connection stops parsing further input, the drain proceeds, and
-//! the acknowledgement is queued once the last in-flight request
-//! finishes — a shutdown response in hand still means every accepted
-//! request has completed.
+//! [`Server`]: the service core with an empty ring — every job runs in
+//! the local worker pool. See `service.rs` for the job table and cache,
+//! `event_loop.rs` for the loop.
 
-use crate::conn::{ConnState, FillOutcome, ListenerKind};
-use crate::hist::LogHistogram;
-use crate::protocol::Request;
-use crate::readiness;
+use crate::conn::ListenerKind;
+use crate::event_loop;
+use crate::ring::HashRing;
+use crate::service::Core;
 use crate::store::{ResultStore, StoreStats, DEFAULT_STORE_CAP_BYTES};
-use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-use tpharness::experiment::run_single_cancellable;
-use tpharness::sweep::SweepRunner;
-use tpharness::wire::{self, encode_sim_report, Value};
-use tpsim::CancelToken;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Default bounded-queue capacity.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
-
-/// How long idle connections linger after shutdown completes, so
-/// clients can still collect responses for drained work.
-const SHUTDOWN_LINGER: Duration = Duration::from_secs(2);
-
-/// Event-loop poll timeout: bounds how fast the loop notices drain
-/// completion and the external termination flag when no fd is ready.
-const POLL_TICK: Duration = Duration::from_millis(20);
-
-/// Deadline monitor scan interval.
-const MONITOR_TICK: Duration = Duration::from_millis(2);
-
-/// Terminal tickets nobody polls are reaped after this long, bounding
-/// the ticket table even for clients that submit and vanish.
-const TICKET_TTL: Duration = Duration::from_secs(60);
-
-/// Per-connection unsent-output soft cap. Past it the loop stops
-/// parsing that connection's input (backpressure) until the peer
-/// drains what it already owes.
-pub(crate) const WRITE_BACKPRESSURE_BYTES: usize = 4 * 1024 * 1024;
 
 /// Server construction knobs.
 #[derive(Clone, Debug)]
@@ -132,790 +50,66 @@ impl Default for ServerConfig {
     }
 }
 
-enum TicketState {
-    Queued,
-    Running,
-    Done { cached: bool },
-    DeadlineExceeded,
-    Failed(String),
-}
-
-struct Ticket {
-    request: Request,
-    /// Cache key of the result; `Done` tickets carry no report bytes —
-    /// `POLL` fetches them from the (two-level) cache by this key.
-    canonical: String,
-    cancel: CancelToken,
-    deadline: Option<Instant>,
-    accepted: Instant,
-    state: TicketState,
-    /// When the ticket reached a terminal state (drives the TTL reap).
-    completed: Option<Instant>,
-}
-
-struct QueueState {
-    queue: VecDeque<u64>,
-    in_flight: usize,
-    paused: bool,
-    draining: bool,
-    stop: bool,
-}
-
-struct Counters {
-    served: AtomicU64,
-    rejected: AtomicU64,
-    errors: AtomicU64,
-    cache_hits: AtomicU64,
-    store_hits: AtomicU64,
-    simulations: AtomicU64,
-    cancelled: AtomicU64,
-    failed: AtomicU64,
-}
-
-pub(crate) struct Service {
-    cfg: ServerConfig,
-    workers: usize,
-    runner: SweepRunner,
-    qs: Mutex<QueueState>,
-    qcv: Condvar,
-    tickets: Mutex<HashMap<u64, Ticket>>,
-    next_ticket: AtomicU64,
-    cache: Mutex<HashMap<String, String>>,
-    store: Option<ResultStore>,
-    counters: Counters,
-    /// Service times split by outcome: a ~46 µs cache hit and a ~0.5 s
-    /// simulation in one histogram would make the p50 meaningless as a
-    /// load signal, so STATS reports them separately.
-    hit_hist: Mutex<LogHistogram>,
-    sim_hist: Mutex<LogHistogram>,
-    accept_stop: AtomicBool,
-    started: Instant,
-}
-
-/// Outcome of dispatching one protocol line.
-pub(crate) enum Dispatch {
-    /// Reply immediately.
-    Reply(Value),
-    /// `SHUTDOWN`: the event loop begins the drain and defers the
-    /// reply until every accepted request has finished.
-    Shutdown,
-}
-
-/// What an event loop needs from its service to drive client
-/// connections: line dispatch plus the drain trigger. Implemented by
-/// the worker-pool [`Service`] here and by the coordinator's shared
-/// state, so both loops run the same [`EventConn`] state machine.
-pub(crate) trait Dispatcher {
-    /// Handles one protocol line.
-    fn dispatch_line(&self, line: &str) -> Dispatch;
-    /// A `SHUTDOWN` line arrived: begin the graceful drain.
-    fn begin_drain(&self);
-}
-
-pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-pub(crate) fn status_err(reason: impl Into<String>) -> Value {
-    obj(vec![
-        ("status", Value::Str("error".into())),
-        ("reason", Value::Str(reason.into())),
-    ])
-}
-
-/// The short display key clients see: FNV-1a of the canonical string.
-pub(crate) fn key_hex(canonical: &str) -> String {
-    format!("{:016x}", wire::fnv1a(canonical.as_bytes()))
-}
-
-/// Embeds an already-encoded report into a response object without
-/// losing its canonical bytes (parse → Value keeps literals intact).
-pub(crate) fn report_value(encoded: &str) -> Value {
-    wire::parse(encoded).unwrap_or_else(|_| Value::Str(encoded.to_string()))
-}
-
-/// A `done` response. `ticket` is `None` for synchronous cache-hit
-/// replies: they are complete in hand, so there is nothing to poll and
-/// no ticket is retained for them.
-pub(crate) fn done_response(
-    ticket: Option<u64>,
-    canonical: &str,
-    cached: bool,
-    encoded: &str,
-) -> Value {
-    let mut fields = vec![("status", Value::Str("done".into()))];
-    if let Some(id) = ticket {
-        fields.push(("ticket", Value::u64(id)));
-    }
-    fields.push(("key", Value::Str(key_hex(canonical))));
-    fields.push(("cached", Value::Bool(cached)));
-    fields.push(("report", report_value(encoded)));
-    obj(fields)
-}
-
-impl Service {
-    fn new(cfg: ServerConfig) -> io::Result<Arc<Service>> {
-        let workers = if cfg.workers == 0 {
-            tpharness::jobs::worker_count(None)
-        } else {
-            cfg.workers
-        };
-        let paused = cfg.start_paused;
-        let store = match &cfg.store_dir {
-            Some(dir) => Some(ResultStore::open(dir, cfg.store_cap_bytes)?),
-            None => None,
-        };
-        Ok(Arc::new(Service {
-            cfg,
-            workers,
-            // Serial runner: the service's own pool is the parallelism;
-            // auditing is enforced per-request below (a panic inside
-            // the runner would kill a worker instead of rejecting).
-            runner: SweepRunner::serial().with_audit(false),
-            qs: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                in_flight: 0,
-                paused,
-                draining: false,
-                stop: false,
-            }),
-            qcv: Condvar::new(),
-            tickets: Mutex::new(HashMap::new()),
-            next_ticket: AtomicU64::new(1),
-            cache: Mutex::new(HashMap::new()),
-            store,
-            counters: Counters {
-                served: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                errors: AtomicU64::new(0),
-                cache_hits: AtomicU64::new(0),
-                store_hits: AtomicU64::new(0),
-                simulations: AtomicU64::new(0),
-                cancelled: AtomicU64::new(0),
-                failed: AtomicU64::new(0),
-            },
-            hit_hist: Mutex::new(LogHistogram::new()),
-            sim_hist: Mutex::new(LogHistogram::new()),
-            accept_stop: AtomicBool::new(false),
-            started: Instant::now(),
-        }))
-    }
-
-    fn record_time(hist: &Mutex<LogHistogram>, accepted: Instant) {
-        let us = accepted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        hist.lock().expect("hist lock").record(us);
-    }
-
-    /// Two-level cached-result lookup: memory first, then one probe of
-    /// the store's admission index (a cold miss costs no disk I/O).
-    /// Disk hits are promoted into memory.
-    fn lookup_cached(&self, canonical: &str) -> Option<String> {
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .expect("response cache lock")
-            .get(canonical)
-            .cloned()
-        {
-            return Some(hit);
-        }
-        let report = self.store.as_ref()?.get(canonical)?;
-        self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-        self.cache
-            .lock()
-            .expect("response cache lock")
-            .insert(canonical.to_string(), report.clone());
-        Some(report)
-    }
-
-    /// Publishes a finished report under its canonical key: memory
-    /// cache plus (when configured) the persistent store.
-    fn publish(&self, canonical: &str, encoded: &str) {
-        self.cache
-            .lock()
-            .expect("response cache lock")
-            .insert(canonical.to_string(), encoded.to_string());
-        if let Some(store) = &self.store {
-            // A store write failure degrades persistence, not
-            // correctness: the report is already served from memory.
-            let _ = store.put(canonical, encoded);
-        }
-    }
-
-    /// Handles `SUBMIT`: cache-hit fast path, load shedding, or enqueue.
-    fn submit(&self, request: Request) -> Value {
-        let canonical = request.canonical();
-        let accepted = Instant::now();
-
-        if let Some(hit) = self.lookup_cached(&canonical) {
-            // Cache hit: answered synchronously, no queue slot consumed,
-            // no simulation run, and — because the reply below is the
-            // delivery — no ticket retained.
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.counters.served.fetch_add(1, Ordering::Relaxed);
-            Self::record_time(&self.hit_hist, accepted);
-            return done_response(None, &canonical, true, &hit);
-        }
-
-        let deadline = request
-            .deadline_ms
-            .map(|ms| accepted + Duration::from_millis(ms));
-
-        let mut qs = self.qs.lock().expect("queue lock");
-        if qs.draining || self.accept_stop.load(Ordering::SeqCst) {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            return obj(vec![
-                ("status", Value::Str("rejected".into())),
-                ("reason", Value::Str("shutting-down".into())),
-            ]);
-        }
-        if qs.queue.len() >= self.cfg.queue_capacity {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            return obj(vec![
-                ("status", Value::Str("rejected".into())),
-                ("reason", Value::Str("queue-full".into())),
-                ("queue_depth", Value::u64(qs.queue.len() as u64)),
-                ("queue_capacity", Value::u64(self.cfg.queue_capacity as u64)),
-            ]);
-        }
-
-        let id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        self.tickets.lock().expect("ticket lock").insert(
-            id,
-            Ticket {
-                request,
-                canonical: canonical.clone(),
-                cancel: CancelToken::new(),
-                deadline,
-                accepted,
-                state: TicketState::Queued,
-                completed: None,
-            },
-        );
-        qs.queue.push_back(id);
-        let depth = qs.queue.len();
-        drop(qs);
-        self.qcv.notify_one();
-        obj(vec![
-            ("status", Value::Str("queued".into())),
-            ("ticket", Value::u64(id)),
-            ("key", Value::Str(key_hex(&canonical))),
-            ("queue_depth", Value::u64(depth as u64)),
-        ])
-    }
-
-    fn poll(&self, id: u64) -> Value {
-        // Snapshot the state, then reap terminal tickets *after* their
-        // response is built: the first successful POLL is the delivery,
-        // and keeping delivered tickets around is how the old server
-        // leaked memory on every request.
-        enum Snap {
-            Pending(&'static str),
-            Done { cached: bool, canonical: String },
-            DeadlineExceeded,
-            Failed(String),
-        }
-        let mut tickets = self.tickets.lock().expect("ticket lock");
-        let snap = match tickets.get(&id) {
-            None => return status_err(format!("unknown ticket {id}")),
-            Some(t) => match &t.state {
-                TicketState::Queued => Snap::Pending("queued"),
-                TicketState::Running => Snap::Pending("running"),
-                TicketState::Done { cached } => Snap::Done {
-                    cached: *cached,
-                    canonical: t.canonical.clone(),
-                },
-                TicketState::DeadlineExceeded => Snap::DeadlineExceeded,
-                TicketState::Failed(reason) => Snap::Failed(reason.clone()),
-            },
-        };
-        match snap {
-            Snap::Pending(status) => obj(vec![
-                ("status", Value::Str(status.into())),
-                ("ticket", Value::u64(id)),
-            ]),
-            Snap::Done { cached, canonical } => {
-                tickets.remove(&id);
-                drop(tickets);
-                match self.lookup_cached(&canonical) {
-                    Some(encoded) => done_response(Some(id), &canonical, cached, &encoded),
-                    // Only reachable if the byte cap evicted the result
-                    // between completion and this poll.
-                    None => status_err(format!(
-                        "ticket {id}: result evicted from the cache; resubmit"
-                    )),
-                }
-            }
-            Snap::DeadlineExceeded => {
-                tickets.remove(&id);
-                obj(vec![
-                    ("status", Value::Str("deadline-exceeded".into())),
-                    ("ticket", Value::u64(id)),
-                ])
-            }
-            Snap::Failed(reason) => {
-                tickets.remove(&id);
-                obj(vec![
-                    ("status", Value::Str("failed".into())),
-                    ("ticket", Value::u64(id)),
-                    ("reason", Value::Str(reason)),
-                ])
-            }
-        }
-    }
-
-    fn hist_value(hist: &Mutex<LogHistogram>) -> Value {
-        let h = hist.lock().expect("hist lock").clone();
-        obj(vec![
-            ("count", Value::u64(h.count())),
-            ("p50", Value::u64(h.p50())),
-            ("p99", Value::u64(h.p99())),
-        ])
-    }
-
-    fn store_value(&self) -> Value {
-        let s = self.store.as_ref().map(ResultStore::stats).unwrap_or_default();
-        obj(vec![
-            ("enabled", Value::Bool(self.store.is_some())),
-            ("entries", Value::u64(s.entries)),
-            ("resident_bytes", Value::u64(s.resident_bytes)),
-            ("hits", Value::u64(s.hits)),
-            ("misses", Value::u64(s.misses)),
-            ("inserts", Value::u64(s.inserts)),
-            ("evictions", Value::u64(s.evictions)),
-            ("collisions", Value::u64(s.collisions)),
-            ("load_errors", Value::u64(s.load_errors)),
-        ])
-    }
-
-    fn stats(&self) -> Value {
-        let (depth, in_flight) = {
-            let qs = self.qs.lock().expect("queue lock");
-            (qs.queue.len(), qs.in_flight)
-        };
-        let tickets = self.tickets.lock().expect("ticket lock").len();
-        let c = &self.counters;
-        let tp = tptrace::pool::global().stats();
-        obj(vec![
-            ("status", Value::Str("ok".into())),
-            (
-                "stats",
-                obj(vec![
-                    ("queue_depth", Value::u64(depth as u64)),
-                    ("in_flight", Value::u64(in_flight as u64)),
-                    ("workers", Value::u64(self.workers as u64)),
-                    ("queue_capacity", Value::u64(self.cfg.queue_capacity as u64)),
-                    // Live ticket-table size: bounded by reap-on-poll +
-                    // the TTL sweep (the old server leaked here).
-                    ("tickets", Value::u64(tickets as u64)),
-                    ("served", Value::u64(c.served.load(Ordering::Relaxed))),
-                    ("rejected", Value::u64(c.rejected.load(Ordering::Relaxed))),
-                    ("errors", Value::u64(c.errors.load(Ordering::Relaxed))),
-                    ("cache_hits", Value::u64(c.cache_hits.load(Ordering::Relaxed))),
-                    ("store_hits", Value::u64(c.store_hits.load(Ordering::Relaxed))),
-                    ("simulations", Value::u64(c.simulations.load(Ordering::Relaxed))),
-                    ("cancelled", Value::u64(c.cancelled.load(Ordering::Relaxed))),
-                    ("failed", Value::u64(c.failed.load(Ordering::Relaxed))),
-                    (
-                        "cache_entries",
-                        Value::u64(self.cache.lock().expect("response cache lock").len() as u64),
-                    ),
-                    (
-                        "sweep_cache_entries",
-                        Value::u64(self.runner.cached_jobs() as u64),
-                    ),
-                    // Persistent result store (zeros when disabled).
-                    ("store", self.store_value()),
-                    (
-                        // Process-wide trace pool (see tptrace::pool):
-                        // how much trace generation the workers shared.
-                        "trace_pool",
-                        obj(vec![
-                            ("hits", Value::u64(tp.hits)),
-                            ("misses", Value::u64(tp.misses)),
-                            ("generations", Value::u64(tp.generations)),
-                            ("evictions", Value::u64(tp.evictions)),
-                            ("resident_bytes", Value::u64(tp.resident_bytes as u64)),
-                        ]),
-                    ),
-                    (
-                        // Split by outcome: one histogram mixing ~46 µs
-                        // hits with ~0.5 s simulations reports a p50
-                        // that tracks the hit/miss ratio, not load.
-                        "service_time_us",
-                        obj(vec![
-                            ("hit", Self::hist_value(&self.hit_hist)),
-                            ("simulated", Self::hist_value(&self.sim_hist)),
-                        ]),
-                    ),
-                    (
-                        "uptime_ms",
-                        Value::u64(self.started.elapsed().as_millis().min(u128::from(u64::MAX))
-                            as u64),
-                    ),
-                ]),
-            ),
-        ])
-    }
-
-    /// Starts shedding new uncached submissions; queued and in-flight
-    /// work runs to completion. Idempotent and non-blocking — the
-    /// event loop watches [`Service::drain_finished`].
-    fn begin_drain(&self) {
-        self.qs.lock().expect("queue lock").draining = true;
-        self.qcv.notify_all();
-    }
-
-    /// True once a drain was requested and nothing is queued or
-    /// in flight.
-    fn drain_finished(&self) -> bool {
-        let qs = self.qs.lock().expect("queue lock");
-        qs.draining && qs.queue.is_empty() && qs.in_flight == 0
-    }
-
-    fn set_paused(&self, paused: bool) {
-        self.qs.lock().expect("queue lock").paused = paused;
-        self.qcv.notify_all();
-    }
-
-    /// True once shutdown is requested *and* the drain has finished.
-    fn finished(&self) -> bool {
-        if !self.accept_stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        let qs = self.qs.lock().expect("queue lock");
-        qs.queue.is_empty() && qs.in_flight == 0
-    }
-
-    fn stop_workers(&self) {
-        self.qs.lock().expect("queue lock").stop = true;
-        self.qcv.notify_all();
-    }
-
-    // --- worker pool -------------------------------------------------
-
-    fn worker_loop(self: &Arc<Self>) {
-        loop {
-            let id = {
-                let mut qs = self.qs.lock().expect("queue lock");
-                loop {
-                    if qs.stop {
-                        return;
-                    }
-                    if !qs.paused {
-                        if let Some(id) = qs.queue.pop_front() {
-                            qs.in_flight += 1;
-                            break id;
-                        }
-                    }
-                    qs = self.qcv.wait(qs).expect("queue lock");
-                }
-            };
-            self.execute(id);
-            let mut qs = self.qs.lock().expect("queue lock");
-            qs.in_flight -= 1;
-            drop(qs);
-            // Wake drain waiters as well as idle siblings.
-            self.qcv.notify_all();
-        }
-    }
-
-    fn execute(&self, id: u64) {
-        let (request, canonical, cancel, deadline, accepted) = {
-            let mut tickets = self.tickets.lock().expect("ticket lock");
-            let t = tickets.get_mut(&id).expect("queued ticket exists");
-            t.state = TicketState::Running;
-            (
-                t.request.clone(),
-                t.canonical.clone(),
-                t.cancel.clone(),
-                t.deadline,
-                t.accepted,
-            )
-        };
-
-        let set_state = |state: TicketState| {
-            let mut tickets = self.tickets.lock().expect("ticket lock");
-            let t = tickets.get_mut(&id).expect("running ticket exists");
-            t.state = state;
-            t.completed = Some(Instant::now());
-        };
-
-        // Expired while queued: don't start a doomed run.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            set_state(TicketState::DeadlineExceeded);
-            return;
-        }
-
-        // An identical request may have completed while this one queued.
-        if self.lookup_cached(&canonical).is_some() {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.counters.served.fetch_add(1, Ordering::Relaxed);
-            Self::record_time(&self.hit_hist, accepted);
-            set_state(TicketState::Done { cached: true });
-            return;
-        }
-
-        let result = match request.sweep_job() {
-            Some(job) => self.runner.run_one_with_cancel(&job, &cancel),
-            None => {
-                // Seed override: run outside the sweep runner (its cache
-                // key ignores seeds; see Request::sweep_job).
-                let seed = request.seed.expect("jobless requests carry a seed");
-                match &request.target {
-                    crate::protocol::Target::Single(w) => {
-                        run_single_cancellable(&w.with_seed(seed), &request.experiment(), &cancel)
-                    }
-                    crate::protocol::Target::MixOf { .. } => {
-                        unreachable!("validation rejects seeded mixes")
-                    }
-                }
-            }
-        };
-
-        match result {
-            None => {
-                self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                set_state(TicketState::DeadlineExceeded);
-            }
-            Some(report) => {
-                self.counters.simulations.fetch_add(1, Ordering::Relaxed);
-                if (self.cfg.audit || request.audit) && !report.audit.passed() {
-                    self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    set_state(TicketState::Failed(
-                        "conservation-law audit failed".into(),
-                    ));
-                    return;
-                }
-                let encoded = encode_sim_report(&report);
-                self.publish(&canonical, &encoded);
-                self.counters.served.fetch_add(1, Ordering::Relaxed);
-                Self::record_time(&self.sim_hist, accepted);
-                set_state(TicketState::Done { cached: false });
-            }
-        }
-    }
-
-    // --- deadline monitor --------------------------------------------
-
-    /// Reaps terminal tickets whose results have gone uncollected for
-    /// `ttl` (the monitor passes [`TICKET_TTL`]; tests pass zero).
-    fn reap_expired_tickets(&self, ttl: Duration) {
-        let now = Instant::now();
-        self.tickets
-            .lock()
-            .expect("ticket lock")
-            .retain(|_, t| match t.completed {
-                Some(done) => now.duration_since(done) < ttl,
-                None => true,
-            });
-    }
-
-    fn monitor_loop(&self) {
-        loop {
-            {
-                let qs = self.qs.lock().expect("queue lock");
-                if qs.stop {
-                    return;
-                }
-            }
-            let now = Instant::now();
-            {
-                let tickets = self.tickets.lock().expect("ticket lock");
-                for t in tickets.values() {
-                    if matches!(t.state, TicketState::Running)
-                        && t.deadline.is_some_and(|d| now >= d)
-                    {
-                        t.cancel.cancel();
-                    }
-                }
-            }
-            self.reap_expired_tickets(TICKET_TTL);
-            std::thread::sleep(MONITOR_TICK);
-        }
-    }
-
-    // --- protocol dispatch -------------------------------------------
-
-    /// Handles one protocol line. `SHUTDOWN` returns
-    /// [`Dispatch::Shutdown`] so the event loop can drain without
-    /// blocking; every other verb replies immediately.
-    fn dispatch(&self, line: &str) -> Dispatch {
-        let line = line.trim();
-        let (verb, rest) = match line.find(' ') {
-            Some(i) => (&line[..i], line[i + 1..].trim()),
-            None => (line, ""),
-        };
-        Dispatch::Reply(match verb {
-            "PING" => obj(vec![
-                ("status", Value::Str("ok".into())),
-                ("pong", Value::Bool(true)),
-            ]),
-            "STATS" => self.stats(),
-            "SUBMIT" => {
-                let parsed = wire::parse(rest).and_then(|v| Request::from_value(&v));
-                match parsed {
-                    Ok(req) => self.submit(req),
-                    Err(reason) => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        status_err(format!("invalid request: {reason}"))
-                    }
-                }
-            }
-            "POLL" => match rest.parse::<u64>() {
-                Ok(id) => self.poll(id),
-                Err(_) => {
-                    self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    status_err("POLL needs a ticket number")
-                }
-            },
-            "SHUTDOWN" => return Dispatch::Shutdown,
-            other => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                status_err(format!(
-                    "unknown verb {other:?} (SUBMIT|POLL|STATS|PING|SHUTDOWN)"
-                ))
-            }
-        })
-    }
-}
-
-impl Dispatcher for Service {
-    fn dispatch_line(&self, line: &str) -> Dispatch {
-        self.dispatch(line)
-    }
-
-    fn begin_drain(&self) {
-        Service::begin_drain(self);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Event loop
-// ---------------------------------------------------------------------
-
-/// One event-loop connection: buffered stream plus protocol phase.
-/// Shared by the worker-pool server and the coordinator — the service
-/// behind it is abstracted as a [`Dispatcher`].
-pub(crate) struct EventConn {
-    pub(crate) cs: ConnState,
-    /// Hit `SHUTDOWN`: parsing is paused (preserving response order on
-    /// a pipelined stream) until the drain completes and the deferred
-    /// acknowledgement is queued.
-    pub(crate) awaiting_drain: bool,
-    /// Flush whatever is queued, then drop (framing error or EOF).
-    pub(crate) closing: bool,
-    /// Hard I/O failure: drop immediately.
-    pub(crate) dead: bool,
-}
-
-impl EventConn {
-    pub(crate) fn new(cs: ConnState) -> EventConn {
-        EventConn {
-            cs,
-            awaiting_drain: false,
-            closing: false,
-            dead: false,
-        }
-    }
-
-    /// Parses and dispatches every complete buffered line, stopping at
-    /// backpressure, `SHUTDOWN`, or a framing error.
-    pub(crate) fn process(&mut self, service: &impl Dispatcher) {
-        while !self.closing && !self.awaiting_drain {
-            match self.cs.next_line() {
-                Ok(Some(line)) => {
-                    if line.is_empty() {
-                        continue;
-                    }
-                    self.handle_line(service, &line);
-                    if self.cs.pending_out() >= WRITE_BACKPRESSURE_BYTES {
-                        return;
-                    }
-                }
-                Ok(None) => {
-                    // EOF parity with the old framed reader: a final
-                    // unterminated line is still a frame.
-                    if self.cs.eof {
-                        match self.cs.take_partial() {
-                            Some(Ok(line)) if !line.is_empty() => {
-                                self.handle_line(service, &line);
-                                continue;
-                            }
-                            Some(Err(e)) => {
-                                self.queue_value(&status_err(e.message()));
-                                self.closing = true;
-                            }
-                            _ => {}
-                        }
-                    }
-                    return;
-                }
-                Err(e) => {
-                    // Oversized line / bad UTF-8: tell the client, then
-                    // close (framing is unrecoverable).
-                    self.queue_value(&status_err(e.message()));
-                    self.closing = true;
-                }
-            }
-        }
-    }
-
-    fn handle_line(&mut self, service: &impl Dispatcher, line: &str) {
-        match service.dispatch_line(line) {
-            Dispatch::Reply(v) => self.queue_value(&v),
-            Dispatch::Shutdown => {
-                service.begin_drain();
-                self.awaiting_drain = true;
-            }
-        }
-    }
-
-    pub(crate) fn queue_value(&mut self, v: &Value) {
-        let mut out = v.encode();
-        out.push('\n');
-        self.cs.queue(out.as_bytes());
-    }
-}
-
 /// A bound, not-yet-running server.
 pub struct Server {
-    service: Arc<Service>,
+    core: Arc<Core>,
     listener: ListenerKind,
     addr: String,
 }
 
-/// Test/control handle onto a running (or about-to-run) server.
+/// Test/observability handle onto a running (or about-to-run) server or
+/// coordinator.
 #[derive(Clone)]
 pub struct Controller {
-    service: Arc<Service>,
+    core: Arc<Core>,
 }
 
 impl Controller {
     /// Releases a paused queue (see [`ServerConfig::start_paused`]).
     pub fn resume(&self) {
-        self.service.set_paused(false);
+        self.core.latch(|t| t.paused = false);
     }
 
     /// Pauses the queue: queued work stays queued, running work finishes.
     pub fn pause(&self) {
-        self.service.set_paused(true);
+        self.core.latch(|t| t.paused = true);
     }
 
-    /// Current queue depth (tickets waiting, excluding in-flight).
+    /// Current queue depth (accepted jobs not yet running here).
     pub fn queue_depth(&self) -> usize {
-        self.service.qs.lock().expect("queue lock").queue.len()
+        self.core.lock().waiting
     }
 
-    /// Live ticket-table size (bounded by reap-on-poll + TTL).
+    /// Live job-table size (bounded by reap-on-poll + TTL).
     pub fn ticket_count(&self) -> usize {
-        self.service.tickets.lock().expect("ticket lock").len()
+        self.core.lock().jobs.len()
     }
 
     /// Persistent-store counters, when a store is configured.
     pub fn store_stats(&self) -> Option<StoreStats> {
-        self.service.store.as_ref().map(ResultStore::stats)
+        self.core.store.as_ref().map(ResultStore::stats)
+    }
+
+    /// Live (non-terminal) jobs right now, wherever they are.
+    pub fn live_jobs(&self) -> u64 {
+        let t = self.core.lock();
+        (t.waiting + t.in_flight) as u64
+    }
+
+    /// SUBMITs forwarded to backends (re-forwards included).
+    pub fn forwarded(&self) -> u64 {
+        self.core.counters.forwarded.load(Relaxed)
+    }
+
+    /// Jobs that landed anywhere other than their primary ring node.
+    pub fn rerouted(&self) -> u64 {
+        self.core.counters.rerouted.load(Relaxed)
+    }
+
+    /// Jobs handed to the local pool: a coordinator's fallbacks of last
+    /// resort, or every accepted job of a plain server.
+    pub fn local_jobs(&self) -> u64 {
+        self.core.counters.local_jobs.load(Relaxed)
     }
 }
 
@@ -928,12 +122,18 @@ impl Server {
     /// Socket binding errors (address in use, bad path, ...) and
     /// result-store directory errors.
     pub fn bind(spec: &str, cfg: ServerConfig) -> io::Result<Server> {
-        let service = Service::new(cfg)?;
+        Server::bind_ring(spec, cfg, HashRing::new::<&str>(&[]))
+    }
+
+    /// [`Server::bind`] over a ring of backends: the routing rule tries
+    /// them before the local pool.
+    pub(crate) fn bind_ring(spec: &str, cfg: ServerConfig, ring: HashRing) -> io::Result<Server> {
+        let core = Core::new(cfg, ring)?;
         let (listener, addr) = ListenerKind::bind(spec)?;
         Ok(Server {
-            service,
-            addr,
+            core,
             listener,
+            addr,
         })
     }
 
@@ -943,10 +143,10 @@ impl Server {
         &self.addr
     }
 
-    /// A control handle (pause/resume) usable from other threads.
+    /// A control handle (pause/resume, gauges) usable from other threads.
     pub fn controller(&self) -> Controller {
         Controller {
-            service: Arc::clone(&self.service),
+            core: Arc::clone(&self.core),
         }
     }
 
@@ -960,369 +160,13 @@ impl Server {
     }
 
     /// Runs the event loop until either a `SHUTDOWN` request completes
-    /// or `term` becomes true (e.g. from a SIGTERM handler); the
-    /// external path performs the same graceful drain — stop accepting,
-    /// shed new submissions, finish in-flight work — before returning.
+    /// or `term` becomes true (e.g. from a SIGTERM handler). Both paths
+    /// drain first: stop accepting, shed new submissions, finish every
+    /// accepted job.
     ///
     /// # Errors
     /// Fatal accept-loop I/O errors.
     pub fn run_until(self, term: &AtomicBool) -> io::Result<()> {
-        let Server {
-            service,
-            listener,
-            addr: _,
-        } = self;
-        listener.set_nonblocking()?;
-
-        let mut pool = Vec::new();
-        for i in 0..service.workers {
-            let svc = Arc::clone(&service);
-            pool.push(
-                std::thread::Builder::new()
-                    .name(format!("tpserve-worker-{i}"))
-                    .spawn(move || svc.worker_loop())
-                    .expect("spawn worker"),
-            );
-        }
-        let monitor = {
-            let svc = Arc::clone(&service);
-            std::thread::Builder::new()
-                .name("tpserve-deadline".into())
-                .spawn(move || svc.monitor_loop())
-                .expect("spawn deadline monitor")
-        };
-
-        let mut conns: Vec<EventConn> = Vec::new();
-        // Set once the drain completes; carries the served count for
-        // deferred SHUTDOWN acknowledgements.
-        let mut drained_served: Option<u64> = None;
-
-        loop {
-            let accepting = !service.accept_stop.load(Ordering::SeqCst);
-
-            // Readiness: listener first, then connections in order.
-            let mut interest: Vec<(readiness::Token, readiness::Interest)> =
-                Vec::with_capacity(conns.len() + 1);
-            interest.push((
-                listener.token(),
-                readiness::Interest {
-                    read: accepting,
-                    write: false,
-                },
-            ));
-            for c in &conns {
-                interest.push((
-                    c.cs.token(),
-                    readiness::Interest {
-                        read: !c.closing
-                            && !c.awaiting_drain
-                            && !c.cs.eof
-                            && c.cs.pending_out() < WRITE_BACKPRESSURE_BYTES,
-                        write: c.cs.pending_out() > 0,
-                    },
-                ));
-            }
-            let ready = readiness::wait(&interest, POLL_TICK);
-            let known = conns.len();
-
-            // Accept every pending connection.
-            if accepting && ready[0].read {
-                loop {
-                    match listener.accept() {
-                        Ok(Some(conn)) => match ConnState::new(conn) {
-                            Ok(cs) => conns.push(EventConn::new(cs)),
-                            Err(_) => continue,
-                        },
-                        Ok(None) => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-
-            // Per-connection I/O. Fresh connections (index >= known)
-            // get an immediate first read instead of waiting a tick.
-            for (i, c) in conns.iter_mut().enumerate() {
-                if c.dead {
-                    continue;
-                }
-                let read_ready = i >= known || ready[i + 1].read;
-                if read_ready && !c.closing && !c.cs.eof {
-                    match c.cs.fill() {
-                        Ok(FillOutcome::Progress | FillOutcome::Eof | FillOutcome::Idle) => {}
-                        Err(_) => {
-                            c.dead = true;
-                            continue;
-                        }
-                    }
-                }
-                c.process(service.as_ref());
-            }
-
-            // External termination requests the same graceful drain as
-            // a protocol SHUTDOWN.
-            if term.load(Ordering::SeqCst) && drained_served.is_none() {
-                service.begin_drain();
-            }
-            if drained_served.is_none() && service.drain_finished() {
-                service.accept_stop.store(true, Ordering::SeqCst);
-                drained_served = Some(service.counters.served.load(Ordering::Relaxed));
-                // The post-drain linger clock starts *now*: a client
-                // that sat idle while its work drained still gets the
-                // full window to collect responses.
-                let now = Instant::now();
-                for c in conns.iter_mut() {
-                    c.cs.last_activity = now;
-                }
-            }
-            if let Some(served) = drained_served {
-                // Deferred SHUTDOWN acknowledgements: queued only now,
-                // so a reply in hand means every accepted request ran.
-                for c in conns.iter_mut().filter(|c| c.awaiting_drain) {
-                    c.awaiting_drain = false;
-                    c.queue_value(&obj(vec![
-                        ("status", Value::Str("ok".into())),
-                        ("draining", Value::Bool(true)),
-                        ("served", Value::u64(served)),
-                    ]));
-                    // Parse anything pipelined behind the SHUTDOWN.
-                    c.process(service.as_ref());
-                }
-            }
-
-            // Flush and cull.
-            let finished = service.finished();
-            for c in conns.iter_mut() {
-                if !c.dead && c.cs.pending_out() > 0 && c.cs.flush().is_err() {
-                    c.dead = true;
-                }
-            }
-            conns.retain(|c| {
-                if c.dead {
-                    return false;
-                }
-                let flushed = c.cs.pending_out() == 0;
-                if c.closing && flushed {
-                    return false;
-                }
-                if c.cs.eof && flushed && !c.awaiting_drain {
-                    return false;
-                }
-                // Post-drain linger: keep serving POLLs briefly, then
-                // close idle connections so the process can exit.
-                if finished && flushed && c.cs.last_activity.elapsed() > SHUTDOWN_LINGER {
-                    return false;
-                }
-                true
-            });
-
-            if finished && conns.is_empty() {
-                break;
-            }
-        }
-
-        service.stop_workers();
-        for h in pool {
-            let _ = h.join();
-        }
-        let _ = monitor.join();
-        listener.cleanup();
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tpharness::wire::parse;
-
-    fn svc(cfg: ServerConfig) -> Arc<Service> {
-        Service::new(cfg).expect("service")
-    }
-
-    fn reply(s: &Service, line: &str) -> Value {
-        match s.dispatch(line) {
-            Dispatch::Reply(v) => v,
-            Dispatch::Shutdown => panic!("unexpected shutdown dispatch"),
-        }
-    }
-
-    fn submit_line(s: &Service, json: &str) -> Value {
-        reply(s, &format!("SUBMIT {json}"))
-    }
-
-    #[test]
-    fn malformed_submit_is_an_error_not_a_rejection() {
-        let s = svc(ServerConfig::default());
-        let r = submit_line(&s, r#"{"workload":"no.such"}"#);
-        assert_eq!(r.get("status").unwrap().as_str(), Some("error"));
-        assert_eq!(s.counters.errors.load(Ordering::Relaxed), 1);
-        assert_eq!(s.counters.rejected.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn paused_queue_sheds_load_beyond_capacity() {
-        let s = svc(ServerConfig {
-            workers: 1,
-            queue_capacity: 2,
-            start_paused: true,
-            ..Default::default()
-        });
-        let a = submit_line(&s, r#"{"workload":"gap.bfs","scale":"test"}"#);
-        let b = submit_line(&s, r#"{"workload":"gap.tc","scale":"test"}"#);
-        let c = submit_line(&s, r#"{"workload":"gap.pr","scale":"test"}"#);
-        assert_eq!(a.get("status").unwrap().as_str(), Some("queued"));
-        assert_eq!(b.get("status").unwrap().as_str(), Some("queued"));
-        assert_eq!(c.get("status").unwrap().as_str(), Some("rejected"));
-        assert_eq!(c.get("reason").unwrap().as_str(), Some("queue-full"));
-        assert_eq!(s.counters.rejected.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn stats_shape_is_complete() {
-        let s = svc(ServerConfig::default());
-        let v = reply(&s, "STATS");
-        let stats = v.get("stats").unwrap();
-        for field in [
-            "queue_depth",
-            "in_flight",
-            "workers",
-            "queue_capacity",
-            "tickets",
-            "served",
-            "rejected",
-            "errors",
-            "cache_hits",
-            "store_hits",
-            "simulations",
-            "cancelled",
-            "failed",
-            "cache_entries",
-            "sweep_cache_entries",
-            "store",
-            "trace_pool",
-            "service_time_us",
-            "uptime_ms",
-        ] {
-            assert!(stats.get(field).is_some(), "stats missing {field}");
-        }
-        let tp = stats.get("trace_pool").unwrap();
-        for field in ["hits", "misses", "generations", "evictions", "resident_bytes"] {
-            assert!(tp.get(field).is_some(), "trace_pool missing {field}");
-        }
-        let store = stats.get("store").unwrap();
-        for field in [
-            "enabled",
-            "entries",
-            "resident_bytes",
-            "hits",
-            "misses",
-            "inserts",
-            "evictions",
-            "collisions",
-            "load_errors",
-        ] {
-            assert!(store.get(field).is_some(), "store missing {field}");
-        }
-        assert_eq!(store.get("enabled").unwrap().as_bool(), Some(false));
-        // Per-outcome service-time histograms (hit vs simulated).
-        let st = stats.get("service_time_us").unwrap();
-        for outcome in ["hit", "simulated"] {
-            let h = st.get(outcome).unwrap();
-            for field in ["count", "p50", "p99"] {
-                assert!(h.get(field).is_some(), "service_time_us.{outcome} missing {field}");
-            }
-        }
-        // The whole response is wire-parseable.
-        assert!(parse(&v.encode()).is_ok());
-    }
-
-    #[test]
-    fn unknown_verbs_and_bad_polls_are_structured_errors() {
-        let s = svc(ServerConfig::default());
-        let v = reply(&s, "FROBNICATE 12");
-        assert_eq!(v.get("status").unwrap().as_str(), Some("error"));
-        let v = reply(&s, "POLL notanumber");
-        assert_eq!(v.get("status").unwrap().as_str(), Some("error"));
-        let v = reply(&s, "POLL 999");
-        assert!(v.get("reason").unwrap().as_str().unwrap().contains("unknown ticket"));
-    }
-
-    #[test]
-    fn synchronous_cache_hits_retain_no_ticket() {
-        let s = svc(ServerConfig::default());
-        let json = r#"{"workload":"gap.bfs","scale":"test"}"#;
-        let canonical = Request::from_value(&parse(json).unwrap())
-            .unwrap()
-            .canonical();
-        // Seed the cache directly; the submit below must hit it.
-        s.cache
-            .lock()
-            .unwrap()
-            .insert(canonical, r#"{"fake":"report"}"#.to_string());
-        for _ in 0..50 {
-            let r = submit_line(&s, json);
-            assert_eq!(r.get("status").unwrap().as_str(), Some("done"));
-            assert_eq!(r.get("cached").unwrap().as_bool(), Some(true));
-            assert!(
-                r.get("ticket").is_none(),
-                "synchronous replies are complete in hand; nothing to poll"
-            );
-        }
-        assert_eq!(s.tickets.lock().unwrap().len(), 0, "hits must not leak tickets");
-        assert_eq!(s.counters.cache_hits.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn terminal_tickets_reap_on_first_poll_and_on_ttl() {
-        let s = svc(ServerConfig {
-            workers: 1,
-            start_paused: true,
-            ..Default::default()
-        });
-        // Queue two requests, run them inline (no worker threads in
-        // unit tests), then collect one via POLL and one via the TTL.
-        let a = submit_line(&s, r#"{"workload":"gap.bfs","scale":"test"}"#);
-        let b = submit_line(&s, r#"{"workload":"gap.tc","scale":"test"}"#);
-        let (ta, tb) = (
-            a.get("ticket").unwrap().as_u64().unwrap(),
-            b.get("ticket").unwrap().as_u64().unwrap(),
-        );
-        s.execute(ta);
-        s.execute(tb);
-        assert_eq!(s.tickets.lock().unwrap().len(), 2);
-
-        // First POLL delivers and reaps; the second sees no ticket.
-        let done = reply(&s, &format!("POLL {ta}"));
-        assert_eq!(done.get("status").unwrap().as_str(), Some("done"));
-        assert!(done.get("report").is_some());
-        assert_eq!(s.tickets.lock().unwrap().len(), 1);
-        let gone = reply(&s, &format!("POLL {ta}"));
-        assert_eq!(gone.get("status").unwrap().as_str(), Some("error"));
-
-        // The uncollected terminal ticket falls to the TTL sweep.
-        s.reap_expired_tickets(Duration::ZERO);
-        assert_eq!(s.tickets.lock().unwrap().len(), 0);
-        // Its result is still served from the cache on resubmission.
-        let hit = submit_line(&s, r#"{"workload":"gap.tc","scale":"test"}"#);
-        assert_eq!(hit.get("cached").unwrap().as_bool(), Some(true));
-    }
-
-    #[test]
-    fn pending_tickets_survive_the_ttl_sweep() {
-        let s = svc(ServerConfig {
-            workers: 1,
-            start_paused: true,
-            ..Default::default()
-        });
-        let a = submit_line(&s, r#"{"workload":"gap.bfs","scale":"test"}"#);
-        assert_eq!(a.get("status").unwrap().as_str(), Some("queued"));
-        s.reap_expired_tickets(Duration::ZERO);
-        assert_eq!(
-            s.tickets.lock().unwrap().len(),
-            1,
-            "queued tickets must never be reaped"
-        );
+        event_loop::run(&self.core, &self.listener, term)
     }
 }

@@ -1,0 +1,852 @@
+//! The one service core behind both [`Server`](crate::Server) and
+//! [`Coordinator`](crate::Coordinator): job table, two-level result
+//! cache, protocol verbs, STATS, and the local worker pool. The event
+//! loop that drives it lives in [`crate::event_loop`]; the backend side
+//! of a fleet in [`crate::links`]. DESIGN.md §9 has the full story.
+//!
+//! ## One job table
+//!
+//! Every accepted `SUBMIT` becomes a [`Job`] whose state runs
+//!
+//! ```text
+//! routing → awaiting-submit → remote ─┐
+//!    └──────→ local-queued → running ─┴→ done | deadline-exceeded | failed
+//! ```
+//!
+//! The routing rule is *first untried reachable ring candidate, else
+//! the local pool*. A backend is a coordinator with an empty ring: with
+//! no candidates every job goes straight to the local pool at submit
+//! time and the event loop does no routing work. For a coordinator the
+//! same pool is the last resort once every ring node has been tried.
+//!
+//! The table, its local queue and the pause/drain/stop latches sit
+//! behind **one** mutex with one condvar, so shedding, worker wakeup
+//! and drain tracking cannot miss each other. [`Table::set_state`] is
+//! the only transition, which keeps the `waiting`/`in_flight` gauges
+//! exact. The table is bounded: the `POLL` that delivers a terminal job
+//! reaps it, and [`Core::tick`] reaps terminal jobs nobody collects.
+//!
+//! ## One cache
+//!
+//! Results are content-addressed by the full canonical request string
+//! (the FNV `key` clients see is display-only, so hash collisions
+//! cannot alias results): memory first, then the optional persistent
+//! [`ResultStore`]. Jobs hold the cache key of their result, never a
+//! second copy of the bytes. A hit is answered synchronously: no queue
+//! slot, no ticket, served even while draining.
+//!
+//! ## Deadlines
+//!
+//! Cancellation is cooperative: [`Core::tick`] flips the
+//! [`CancelToken`] of a running job whose `deadline_ms` has passed and
+//! the engine notices at its next epoch boundary
+//! ([`tpsim::CANCEL_EPOCH`] accesses); a cancelled run caches nothing.
+
+use crate::hist::LogHistogram;
+use crate::protocol::Request;
+use crate::ring::HashRing;
+use crate::server::ServerConfig;
+use crate::store::ResultStore;
+use std::collections::{HashMap, VecDeque};
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+use tpharness::wire::{self, encode_sim_report, Value};
+use tpsim::CancelToken;
+
+/// Terminal jobs nobody polls are reaped after this long, bounding the
+/// table even for clients that submit and vanish.
+pub(crate) const JOB_TTL: Duration = Duration::from_secs(60);
+
+/// Lifecycle of one job (see the module docs for the diagram).
+#[derive(Debug)]
+pub(crate) enum JobState {
+    /// Needs (re)routing: freshly submitted or bounced off a backend.
+    Routing,
+    /// `SUBMIT` forwarded; awaiting that backend's submit response.
+    AwaitSubmit(usize),
+    /// Accepted by a backend under its ticket; `polling` is true while
+    /// a `POLL` is outstanding on the link.
+    Remote {
+        backend: usize,
+        ticket: u64,
+        polling: bool,
+    },
+    /// Queued for the local worker pool.
+    LocalQueued,
+    /// Running in a local worker.
+    Running,
+    Done {
+        cached: bool,
+    },
+    DeadlineExceeded,
+    Failed(String),
+}
+
+impl JobState {
+    fn terminal(&self) -> bool {
+        use JobState::{DeadlineExceeded, Done, Failed};
+        matches!(self, Done { .. } | DeadlineExceeded | Failed(_))
+    }
+}
+
+/// What was submitted: fixed at acceptance and shared, not copied, with
+/// the worker that runs it.
+pub(crate) struct Spec {
+    request: Request,
+    /// Cache key of the result (and the ring-hash input).
+    pub(crate) canonical: String,
+    /// The raw submitted payload, forwarded verbatim so execution-policy
+    /// fields (`deadline_ms`, `audit`) — which the canonical string
+    /// deliberately excludes — survive the hop to a backend.
+    pub(crate) payload: String,
+    cancel: CancelToken,
+    deadline: Option<Instant>,
+    accepted: Instant,
+}
+
+pub(crate) struct Job {
+    pub(crate) spec: Arc<Spec>,
+    /// Backends already tried, in order (never retried for this job).
+    pub(crate) attempts: Vec<usize>,
+    pub(crate) state: JobState,
+    /// When the job reached a terminal state (drives the TTL reap).
+    completed: Option<Instant>,
+}
+
+/// Everything the one mutex guards.
+#[derive(Default)]
+pub(crate) struct Table {
+    pub(crate) jobs: HashMap<u64, Job>,
+    /// Ids of `LocalQueued` jobs, in arrival order.
+    queue: VecDeque<u64>,
+    /// Accepted jobs not yet executing here — routing, on a backend, or
+    /// queued locally. STATS `queue_depth`; what the shedding rule bounds.
+    pub(crate) waiting: usize,
+    /// Jobs running in a local worker.
+    pub(crate) in_flight: usize,
+    last_ticket: u64,
+    /// Workers leave the queue alone while set.
+    pub(crate) paused: bool,
+    /// New uncached submissions are shed; accepted work still runs to
+    /// completion. Never cleared once set.
+    pub(crate) draining: bool,
+    /// Workers exit.
+    pub(crate) stop: bool,
+}
+
+impl Table {
+    /// The only state transition: keeps the gauges in step, queues
+    /// `LocalQueued` jobs for the pool and stamps the TTL clock on
+    /// terminal states. Terminal jobs never change state again.
+    pub(crate) fn set_state(&mut self, id: u64, next: JobState) {
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        let prev = std::mem::replace(&mut job.state, next);
+        debug_assert!(!prev.terminal());
+        match prev {
+            JobState::Running => self.in_flight -= 1,
+            _ => self.waiting -= 1,
+        }
+        match &job.state {
+            JobState::Running => self.in_flight += 1,
+            JobState::LocalQueued => {
+                self.waiting += 1;
+                self.queue.push_back(id);
+            }
+            s if s.terminal() => job.completed = Some(Instant::now()),
+            _ => self.waiting += 1,
+        }
+    }
+
+    /// Pops the next locally queued job and marks it running.
+    fn claim(&mut self) -> Option<(u64, Arc<Spec>)> {
+        let id = self.queue.pop_front()?;
+        self.set_state(id, JobState::Running);
+        Some((id, Arc::clone(&self.jobs.get(&id)?.spec)))
+    }
+}
+
+#[derive(Default)]
+pub(crate) struct Counters {
+    pub(crate) served: AtomicU64,
+    rejected: AtomicU64,
+    errors: AtomicU64,
+    cache_hits: AtomicU64,
+    store_hits: AtomicU64,
+    simulations: AtomicU64,
+    /// SUBMITs forwarded to backends (counts re-forwards too).
+    pub(crate) forwarded: AtomicU64,
+    /// Jobs that landed anywhere other than their primary ring node.
+    pub(crate) rerouted: AtomicU64,
+    /// Jobs handed to the local pool (every job, on an empty ring).
+    pub(crate) local_jobs: AtomicU64,
+    pub(crate) cancelled: AtomicU64,
+    pub(crate) failed: AtomicU64,
+}
+
+/// Per-backend health and routing stats (surfaced in STATS).
+#[derive(Default)]
+pub(crate) struct BackendStats {
+    pub(crate) up: AtomicBool,
+    /// Jobs forwarded to this backend.
+    pub(crate) routed: AtomicU64,
+    /// Jobs this backend completed.
+    pub(crate) completed: AtomicU64,
+    /// Jobs whose primary was this backend but which landed elsewhere.
+    pub(crate) rerouted_away: AtomicU64,
+    /// Successful (re)connects to this backend.
+    pub(crate) connects: AtomicU64,
+}
+
+pub(crate) fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Relaxed);
+}
+
+/// State shared by the event loop, the workers and [`Controller`]
+/// handles.
+///
+/// [`Controller`]: crate::Controller
+pub(crate) struct Core {
+    /// As given, except that `workers` is resolved (never `0`).
+    pub(crate) cfg: ServerConfig,
+    pub(crate) ring: HashRing,
+    table: Mutex<Table>,
+    cv: Condvar,
+    cache: Mutex<HashMap<String, String>>,
+    pub(crate) store: Option<ResultStore>,
+    pub(crate) counters: Counters,
+    pub(crate) backends: Vec<BackendStats>,
+    /// Service times split by outcome: a ~46 µs cache hit and a ~0.5 s
+    /// simulation in one histogram would make the p50 track the hit
+    /// ratio, not load, so STATS reports them separately.
+    hit_hist: Mutex<LogHistogram>,
+    sim_hist: Mutex<LogHistogram>,
+    started: Instant,
+}
+
+type Fields = Vec<(&'static str, Value)>;
+
+fn obj(fields: Fields) -> Value {
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// A response line: `status` first, then `fields`.
+pub(crate) fn response(status: &str, mut fields: Fields) -> Value {
+    fields.insert(0, ("status", text(status)));
+    obj(fields)
+}
+
+/// An `error` response carrying `reason`.
+pub(crate) fn error_response(reason: impl Into<String>) -> Value {
+    response("error", vec![("reason", text(reason))])
+}
+
+fn text(s: impl Into<String>) -> Value {
+    Value::Str(s.into())
+}
+
+fn num(n: usize) -> Value {
+    Value::u64(n as u64)
+}
+
+/// The short display key clients see: FNV-1a of the canonical string.
+fn key_hex(canonical: &str) -> Value {
+    text(format!("{:016x}", wire::fnv1a(canonical.as_bytes())))
+}
+
+/// A `done` response. `ticket` is `None` for synchronous cache-hit
+/// replies: they are complete in hand, so there is nothing to poll and
+/// no job is retained for them. The already-encoded report is embedded
+/// without losing its canonical bytes (parse keeps literals intact).
+fn done_response(ticket: Option<u64>, canonical: &str, cached: bool, encoded: &str) -> Value {
+    let report = wire::parse(encoded).unwrap_or_else(|_| text(encoded));
+    let mut fields = vec![("key", key_hex(canonical)), ("cached", Value::Bool(cached))];
+    fields.push(("report", report));
+    if let Some(id) = ticket {
+        fields.insert(0, ("ticket", Value::u64(id)));
+    }
+    response("done", fields)
+}
+
+fn record_time(hist: &Mutex<LogHistogram>, accepted: Instant) {
+    let us = accepted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    hist.lock().expect("hist lock").record(us);
+}
+
+impl Core {
+    /// `cfg.queue_capacity` bounds `waiting`; `ring` is empty for a
+    /// plain server.
+    pub(crate) fn new(mut cfg: ServerConfig, ring: HashRing) -> io::Result<Arc<Core>> {
+        // Honour TPSIM_TRACE_CACHE_MB before any job generates a trace.
+        tpharness::jobs::configure_trace_pool();
+        if cfg.workers == 0 {
+            cfg.workers = tpharness::jobs::worker_count(None);
+        }
+        let store = match &cfg.store_dir {
+            Some(dir) => Some(ResultStore::open(dir, cfg.store_cap_bytes)?),
+            None => None,
+        };
+        let table = Table {
+            paused: cfg.start_paused,
+            ..Table::default()
+        };
+        Ok(Arc::new(Core {
+            backends: (0..ring.len()).map(|_| BackendStats::default()).collect(),
+            ring,
+            table: Mutex::new(table),
+            cv: Condvar::new(),
+            cache: Mutex::new(HashMap::new()),
+            store,
+            counters: Counters::default(),
+            hit_hist: Mutex::new(LogHistogram::new()),
+            sim_hist: Mutex::new(LogHistogram::new()),
+            started: Instant::now(),
+            cfg,
+        }))
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().expect("job table lock")
+    }
+
+    fn cache(&self) -> MutexGuard<'_, HashMap<String, String>> {
+        self.cache.lock().expect("cache lock")
+    }
+
+    /// Memory first, then one probe of the store's admission index;
+    /// disk hits are promoted into memory.
+    fn lookup_cached(&self, canonical: &str) -> Option<String> {
+        let mem = self.cache().get(canonical).cloned();
+        if mem.is_some() {
+            return mem;
+        }
+        let report = self.store.as_ref()?.get(canonical)?;
+        bump(&self.counters.store_hits);
+        self.cache().insert(canonical.to_string(), report.clone());
+        Some(report)
+    }
+
+    /// Publishes a finished report under its canonical key: memory plus
+    /// (when configured) the persistent store.
+    pub(crate) fn publish(&self, canonical: &str, encoded: &str) {
+        self.cache()
+            .insert(canonical.to_string(), encoded.to_string());
+        if let Some(store) = &self.store {
+            // A store write failure degrades persistence, not
+            // correctness: the report is already served from memory.
+            let _ = store.put(canonical, encoded);
+        }
+    }
+
+    /// `SUBMIT`: cache-hit fast path, load shedding, or accept. An
+    /// accepted job goes to the local pool at once when the ring is
+    /// empty; otherwise the event loop routes it on its next pass.
+    fn submit(&self, request: Request, payload: &str) -> Value {
+        let canonical = request.canonical();
+        let accepted = Instant::now();
+        if let Some(hit) = self.lookup_cached(&canonical) {
+            bump(&self.counters.cache_hits);
+            bump(&self.counters.served);
+            record_time(&self.hit_hist, accepted);
+            return done_response(None, &canonical, true, &hit);
+        }
+
+        let mut t = self.lock();
+        let capacity = self.cfg.queue_capacity;
+        if t.draining {
+            bump(&self.counters.rejected);
+            return response("rejected", vec![("reason", text("shutting-down"))]);
+        }
+        if t.waiting >= capacity {
+            bump(&self.counters.rejected);
+            let depth = ("queue_depth", num(t.waiting));
+            let cap = ("queue_capacity", num(capacity));
+            return response("rejected", vec![("reason", text("queue-full")), depth, cap]);
+        }
+
+        t.last_ticket += 1;
+        let id = t.last_ticket;
+        let key = key_hex(&canonical);
+        let spec = Spec {
+            deadline: request
+                .deadline_ms
+                .map(|ms| accepted + Duration::from_millis(ms)),
+            request,
+            canonical,
+            payload: payload.to_string(),
+            cancel: CancelToken::new(),
+            accepted,
+        };
+        let job = Job {
+            spec: Arc::new(spec),
+            attempts: Vec::new(),
+            state: JobState::Routing,
+            completed: None,
+        };
+        t.jobs.insert(id, job);
+        t.waiting += 1;
+        if self.ring.is_empty() {
+            self.run_locally(&mut t, id);
+        }
+        let depth = ("queue_depth", num(t.waiting));
+        response(
+            "queued",
+            vec![("ticket", Value::u64(id)), ("key", key), depth],
+        )
+    }
+
+    /// The routing rule's last branch: hand `id` to the local pool.
+    pub(crate) fn run_locally(&self, t: &mut Table, id: u64) {
+        t.set_state(id, JobState::LocalQueued);
+        bump(&self.counters.local_jobs);
+        self.cv.notify_one();
+    }
+
+    /// `POLL`: the first successful poll of a terminal job is its
+    /// delivery, and delivering reaps — keeping delivered jobs around is
+    /// how the original server leaked memory on every request.
+    fn poll(&self, id: u64) -> Value {
+        let ticket = ("ticket", Value::u64(id));
+        let mut t = self.lock();
+        match t.jobs.get(&id).map(|j| &j.state) {
+            None => return error_response(format!("unknown ticket {id}")),
+            Some(JobState::Running) => return response("running", vec![ticket]),
+            Some(s) if !s.terminal() => return response("queued", vec![ticket]),
+            Some(_) => {}
+        }
+        let job = t.jobs.remove(&id).expect("present above");
+        drop(t);
+        match job.state {
+            JobState::Done { cached } => match self.lookup_cached(&job.spec.canonical) {
+                Some(encoded) => done_response(Some(id), &job.spec.canonical, cached, &encoded),
+                // Only reachable if the store's byte cap evicted the
+                // result between completion and this poll.
+                None => error_response(format!("ticket {id}: result evicted; resubmit")),
+            },
+            JobState::Failed(reason) => response("failed", vec![ticket, ("reason", text(reason))]),
+            _ => response("deadline-exceeded", vec![ticket]),
+        }
+    }
+
+    /// `STATS`: one shape for every role.
+    fn stats(&self) -> Value {
+        let n = |a: &AtomicU64| Value::u64(a.load(Relaxed));
+        let u = Value::u64;
+        let hist = |h: &Mutex<LogHistogram>| {
+            let h = h.lock().expect("hist lock");
+            obj(vec![
+                ("count", u(h.count())),
+                ("p50", u(h.p50())),
+                ("p99", u(h.p99())),
+            ])
+        };
+        let (waiting, in_flight, tickets) = {
+            let t = self.lock();
+            (t.waiting, t.in_flight, t.jobs.len())
+        };
+        let backend = |(i, b): (usize, &BackendStats)| {
+            obj(vec![
+                ("addr", text(self.ring.addr(i))),
+                ("up", Value::Bool(b.up.load(Relaxed))),
+                ("routed", n(&b.routed)),
+                ("completed", n(&b.completed)),
+                ("rerouted_away", n(&b.rerouted_away)),
+                ("connects", n(&b.connects)),
+            ])
+        };
+        let backends = self.backends.iter().enumerate().map(backend).collect();
+        let role = match self.ring.len() {
+            0 => "server",
+            _ => "coordinator",
+        };
+        let c = &self.counters;
+        let s = self.store.as_ref().map(ResultStore::stats);
+        let s = s.unwrap_or_default();
+        let tp = tptrace::pool::global().stats();
+        let uptime = self.started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
+        // Persistent result store (zeros when disabled).
+        let store = vec![
+            ("enabled", Value::Bool(self.store.is_some())),
+            ("entries", u(s.entries)),
+            ("resident_bytes", u(s.resident_bytes)),
+            ("hits", u(s.hits)),
+            ("misses", u(s.misses)),
+            ("inserts", u(s.inserts)),
+            ("evictions", u(s.evictions)),
+            ("collisions", u(s.collisions)),
+            ("load_errors", u(s.load_errors)),
+        ];
+        // Process-wide trace pool: how much trace generation the
+        // workers shared.
+        let trace_pool = vec![
+            ("hits", u(tp.hits)),
+            ("misses", u(tp.misses)),
+            ("generations", u(tp.generations)),
+            ("evictions", u(tp.evictions)),
+            ("resident_bytes", u(tp.resident_bytes)),
+        ];
+        let service_time = vec![
+            ("hit", hist(&self.hit_hist)),
+            ("simulated", hist(&self.sim_hist)),
+        ];
+        let stats = vec![
+            ("role", text(role)),
+            ("backends", Value::Arr(backends)),
+            ("queue_depth", num(waiting)),
+            ("in_flight", num(in_flight)),
+            ("workers", num(self.cfg.workers)),
+            ("queue_capacity", num(self.cfg.queue_capacity)),
+            // Live table size: bounded by reap-on-poll + the TTL reap.
+            ("tickets", num(tickets)),
+            ("served", n(&c.served)),
+            ("rejected", n(&c.rejected)),
+            ("errors", n(&c.errors)),
+            ("cache_hits", n(&c.cache_hits)),
+            ("store_hits", n(&c.store_hits)),
+            ("simulations", n(&c.simulations)),
+            ("forwarded", n(&c.forwarded)),
+            ("rerouted", n(&c.rerouted)),
+            ("local_jobs", n(&c.local_jobs)),
+            ("cancelled", n(&c.cancelled)),
+            ("failed", n(&c.failed)),
+            ("cache_entries", num(self.cache().len())),
+            ("store", obj(store)),
+            ("trace_pool", obj(trace_pool)),
+            ("service_time_us", obj(service_time)),
+            ("uptime_ms", u(uptime)),
+        ];
+        response("ok", vec![("stats", obj(stats))])
+    }
+
+    /// Handles one protocol line. `None` means `SHUTDOWN`: the drain
+    /// has begun and the event loop owes the reply once it completes;
+    /// every other verb replies immediately.
+    pub(crate) fn dispatch(&self, line: &str) -> Option<Value> {
+        let line = line.trim();
+        let (verb, rest) = match line.find(' ') {
+            Some(i) => (&line[..i], line[i + 1..].trim()),
+            None => (line, ""),
+        };
+        let error = |reason: String| {
+            bump(&self.counters.errors);
+            error_response(reason)
+        };
+        Some(match verb {
+            "PING" => response("ok", vec![("pong", Value::Bool(true))]),
+            "STATS" => self.stats(),
+            // Full validation at the edge: a malformed request never
+            // reaches the queue, a worker or a backend.
+            "SUBMIT" => match wire::parse(rest).and_then(|v| Request::from_value(&v)) {
+                Ok(req) => self.submit(req, rest),
+                Err(reason) => error(format!("invalid request: {reason}")),
+            },
+            "POLL" => match rest.parse::<u64>() {
+                Ok(id) => self.poll(id),
+                Err(_) => error("POLL needs a ticket number".into()),
+            },
+            "SHUTDOWN" => {
+                self.latch(|t| t.draining = true);
+                return None;
+            }
+            other => error(format!(
+                "unknown verb {other:?} (SUBMIT|POLL|STATS|PING|SHUTDOWN)"
+            )),
+        })
+    }
+
+    /// Flips a pause/drain/stop latch and wakes every worker to see it.
+    pub(crate) fn latch(&self, set: impl FnOnce(&mut Table)) {
+        set(&mut self.lock());
+        self.cv.notify_all();
+    }
+
+    /// True once a drain was requested and no job is live anywhere.
+    pub(crate) fn drain_finished(&self) -> bool {
+        let t = self.lock();
+        t.draining && t.waiting + t.in_flight == 0
+    }
+
+    pub(crate) fn worker_loop(&self) {
+        loop {
+            let (id, spec) = {
+                let mut t = self.lock();
+                loop {
+                    if t.stop {
+                        return;
+                    }
+                    if let Some(claim) = (!t.paused).then(|| t.claim()).flatten() {
+                        break claim;
+                    }
+                    t = self.cv.wait(t).expect("job table lock");
+                }
+            };
+            let verdict = self.execute(&spec);
+            self.lock().set_state(id, verdict);
+        }
+    }
+
+    /// Runs one claimed job to its terminal state.
+    fn execute(&self, job: &Spec) -> JobState {
+        let c = &self.counters;
+        if job.deadline.is_some_and(|d| Instant::now() >= d) {
+            // Expired while queued or bouncing around the fleet: don't
+            // start a doomed run.
+            bump(&c.cancelled);
+            return JobState::DeadlineExceeded;
+        }
+        if self.lookup_cached(&job.canonical).is_some() {
+            // An identical request completed while this one waited.
+            bump(&c.cache_hits);
+            bump(&c.served);
+            record_time(&self.hit_hist, job.accepted);
+            return JobState::Done { cached: true };
+        }
+        let Some(report) = job.request.run(&job.cancel) else {
+            bump(&c.cancelled);
+            return JobState::DeadlineExceeded;
+        };
+        bump(&c.simulations);
+        if (self.cfg.audit || job.request.audit) && !report.audit.passed() {
+            bump(&c.failed);
+            return JobState::Failed("conservation-law audit failed".into());
+        }
+        self.publish(&job.canonical, &encode_sim_report(&report));
+        bump(&c.served);
+        record_time(&self.sim_hist, job.accepted);
+        JobState::Done { cached: false }
+    }
+
+    /// The event loop's housekeeping, once per iteration: reaps terminal
+    /// jobs uncollected for `ttl` (the loop passes [`JOB_TTL`]), cancels
+    /// running jobs past their deadline, and returns the nearest
+    /// deadline still ahead so the loop can wake for it.
+    pub(crate) fn tick(&self, now: Instant, ttl: Duration) -> Option<Instant> {
+        let mut next: Option<Instant> = None;
+        self.lock().jobs.retain(|_, j| {
+            match (&j.state, j.spec.deadline) {
+                (JobState::Running, Some(d)) if now >= d => j.spec.cancel.cancel(),
+                (JobState::Running | JobState::LocalQueued, Some(d)) if d > now => {
+                    next = Some(next.map_or(d, |n| n.min(d)));
+                }
+                _ => {}
+            }
+            j.completed
+                .is_none_or(|done| now.duration_since(done) < ttl)
+        });
+        next
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::links::{route_jobs, Link};
+    use tpharness::wire::parse;
+
+    /// An address that refuses connections: bind an ephemeral port and
+    /// drop the listener before anyone dials it.
+    pub(crate) fn dead_addr() -> String {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    }
+
+    /// A core with no event loop and no worker threads, plus the links
+    /// its ring needs. The tests play both: [`Shape::submit`] includes
+    /// the loop's routing pass, [`Shape::run_queued`] is a worker.
+    pub(crate) struct Shape {
+        pub(crate) core: Arc<Core>,
+        pub(crate) links: Vec<Link>,
+    }
+
+    impl Shape {
+        pub(crate) fn new(cfg: ServerConfig, backends: &[String]) -> Shape {
+            let core = Core::new(cfg, HashRing::new(backends)).expect("core");
+            let links = Link::for_ring(&core.ring);
+            Shape { core, links }
+        }
+
+        pub(crate) fn reply(&self, line: &str) -> Value {
+            self.core.dispatch(line).expect("not a SHUTDOWN")
+        }
+
+        /// `SUBMIT`, then the routing pass the loop would run.
+        pub(crate) fn submit(&mut self, json: &str) -> Value {
+            let reply = self.reply(&format!("SUBMIT {json}"));
+            route_jobs(&self.core, &mut self.links);
+            reply
+        }
+
+        fn run_queued(&self) {
+            loop {
+                let Some((id, spec)) = self.core.lock().claim() else {
+                    return;
+                };
+                let verdict = self.core.execute(&spec);
+                self.core.lock().set_state(id, verdict);
+            }
+        }
+
+        pub(crate) fn poll(&self, ticket: u64) -> Value {
+            self.reply(&format!("POLL {ticket}"))
+        }
+    }
+
+    /// Both shapes of the one core: an empty ring (a plain server) and
+    /// a ring whose every backend refuses connections (a coordinator
+    /// reduced to its last resort). Every verb must behave the same.
+    fn both_shapes(case: impl Fn(Shape)) {
+        let cfg = ServerConfig {
+            queue_capacity: 2,
+            ..Default::default()
+        };
+        case(Shape::new(cfg.clone(), &[]));
+        case(Shape::new(cfg, &[dead_addr(), dead_addr()]));
+    }
+
+    pub(crate) fn str_of<'a>(v: &'a Value, field: &str) -> &'a str {
+        v.get(field).and_then(Value::as_str).unwrap_or("<none>")
+    }
+
+    pub(crate) fn status(v: &Value) -> &str {
+        str_of(v, "status")
+    }
+
+    pub(crate) fn ticket(v: &Value) -> u64 {
+        v.get("ticket").and_then(Value::as_u64).expect("a ticket")
+    }
+
+    fn count(counter: &AtomicU64) -> u64 {
+        counter.load(Relaxed)
+    }
+
+    const BFS: &str = r#"{"workload":"gap.bfs","scale":"test"}"#;
+    const TC: &str = r#"{"workload":"gap.tc","scale":"test"}"#;
+    const PR: &str = r#"{"workload":"gap.pr","scale":"test"}"#;
+
+    #[test]
+    fn load_beyond_capacity_is_shed_and_a_drain_sheds_everything() {
+        both_shapes(|mut s| {
+            assert_eq!(status(&s.submit(BFS)), "queued");
+            assert_eq!(status(&s.submit(TC)), "queued");
+            let shed = s.submit(PR);
+            assert_eq!(status(&shed), "rejected");
+            assert_eq!(str_of(&shed, "reason"), "queue-full");
+            assert_eq!(shed.get("queue_depth").and_then(Value::as_u64), Some(2));
+            assert_eq!(count(&s.core.counters.rejected), 1);
+
+            assert!(s.core.dispatch("SHUTDOWN").is_none(), "reply deferred");
+            assert!(!s.core.drain_finished(), "two accepted jobs are still live");
+            s.run_queued();
+            assert!(s.core.drain_finished());
+            assert_eq!(str_of(&s.submit(PR), "reason"), "shutting-down");
+            // Hits create no work, so they are served even now.
+            assert_eq!(status(&s.submit(BFS)), "done");
+        });
+    }
+
+    /// Every STATS field, as a dotted path.
+    const STATS_FIELDS: &str = "role backends queue_depth in_flight workers queue_capacity \
+        tickets served rejected errors cache_hits store_hits simulations forwarded rerouted \
+        local_jobs cancelled failed cache_entries uptime_ms store.enabled store.entries \
+        store.resident_bytes store.hits store.misses store.inserts store.evictions \
+        store.collisions store.load_errors trace_pool.hits trace_pool.misses \
+        trace_pool.generations trace_pool.evictions trace_pool.resident_bytes \
+        service_time_us.hit.count service_time_us.hit.p50 service_time_us.hit.p99 \
+        service_time_us.simulated.count service_time_us.simulated.p50 \
+        service_time_us.simulated.p99";
+
+    #[test]
+    fn stats_shape_is_one_superset_for_every_role() {
+        both_shapes(|s| {
+            let v = s.reply("STATS");
+            let stats = v.get("stats").unwrap();
+            for path in STATS_FIELDS.split_whitespace() {
+                let found = path.split('.').try_fold(stats, |v, key| v.get(key));
+                assert!(found.is_some(), "stats missing {path}");
+            }
+            let enabled = stats.get("store").and_then(|s| s.get("enabled"));
+            assert_eq!(enabled.and_then(Value::as_bool), Some(false));
+            let backends = stats.get("backends").and_then(Value::as_arr).unwrap();
+            assert_eq!(backends.len(), s.core.ring.len());
+            let role = ["server", "coordinator"][usize::from(!backends.is_empty())];
+            assert_eq!(str_of(stats, "role"), role);
+            assert!(parse(&v.encode()).is_ok(), "the response is wire-parseable");
+        });
+    }
+
+    #[test]
+    fn malformed_lines_are_structured_errors_not_rejections() {
+        both_shapes(|mut s| {
+            assert_eq!(status(&s.submit(r#"{"workload":"no.such"}"#)), "error");
+            assert_eq!(status(&s.reply("FROBNICATE 12")), "error");
+            assert_eq!(status(&s.reply("POLL notanumber")), "error");
+            assert!(str_of(&s.poll(999), "reason").contains("unknown ticket"));
+            assert_eq!(count(&s.core.counters.errors), 3);
+            assert_eq!(count(&s.core.counters.rejected), 0);
+        });
+    }
+
+    #[test]
+    fn synchronous_cache_hits_retain_no_job() {
+        both_shapes(|mut s| {
+            let request = Request::from_value(&parse(BFS).unwrap()).unwrap();
+            // Seed the cache directly; the submits below must hit it.
+            s.core.publish(&request.canonical(), r#"{"fake":"report"}"#);
+            for _ in 0..50 {
+                let r = s.submit(BFS);
+                assert_eq!(status(&r), "done");
+                assert_eq!(r.get("cached").unwrap().as_bool(), Some(true));
+                assert!(r.get("ticket").is_none(), "nothing to poll");
+            }
+            assert_eq!(s.core.lock().jobs.len(), 0, "hits must not leak jobs");
+            assert_eq!(count(&s.core.counters.cache_hits), 50);
+        });
+    }
+
+    #[test]
+    fn terminal_jobs_reap_on_first_poll_and_on_ttl() {
+        both_shapes(|mut s| {
+            let (ta, tb) = (ticket(&s.submit(BFS)), ticket(&s.submit(TC)));
+            s.core.tick(Instant::now(), Duration::ZERO);
+            assert_eq!(status(&s.poll(ta)), "queued", "live: never reaped");
+            s.run_queued();
+            assert_eq!(s.core.lock().jobs.len(), 2);
+            assert_eq!(count(&s.core.counters.local_jobs), 2);
+
+            // First POLL delivers and reaps; the second sees no job.
+            let done = s.poll(ta);
+            assert_eq!(status(&done), "done");
+            assert!(done.get("report").is_some());
+            assert_eq!(s.core.lock().jobs.len(), 1);
+            assert_eq!(status(&s.poll(ta)), "error");
+
+            // The uncollected terminal job falls to the TTL reap; its
+            // result is still served from the cache on resubmission.
+            s.core.tick(Instant::now(), Duration::ZERO);
+            assert_eq!(s.core.lock().jobs.len(), 0);
+            assert_eq!(status(&s.poll(tb)), "error");
+            assert_eq!(s.submit(TC).get("cached").unwrap().as_bool(), Some(true));
+        });
+    }
+
+    #[test]
+    fn tick_cancels_running_jobs_past_their_deadline_and_reports_the_next() {
+        both_shapes(|mut s| {
+            let a = ticket(&s.submit(r#"{"workload":"gap.bfs","scale":"test","deadline_ms":1}"#));
+            s.submit(r#"{"workload":"gap.tc","scale":"test","deadline_ms":60000}"#);
+            let start = Instant::now();
+            let next = s.core.tick(start, JOB_TTL).expect("two deadlines ahead");
+            assert!(next <= start + Duration::from_millis(1), "the nearest one");
+
+            let (id, spec) = s.core.lock().claim().expect("first queued job");
+            assert_eq!((id, status(&s.poll(a))), (a, "running"));
+            let past = start + Duration::from_millis(5);
+            let next = s.core.tick(past, JOB_TTL).expect("the later deadline");
+            assert!(next > past + Duration::from_secs(50));
+            assert!(spec.cancel.is_cancelled(), "the engine stops next epoch");
+        });
+    }
+}

@@ -12,8 +12,14 @@ set -e
 cd "$(dirname "$0")/.."
 
 echo "== tier 1: build + tests =="
-cargo build --release
+# --workspace: the gates below run ./target/release/{bench_tracepool,
+# tpserve,tpclient} directly, and a root-package build alone would
+# leave them missing or stale.
+cargo build --release --workspace
 cargo test -q
+
+echo "== service core unit tests (outside the root package's tier 1) =="
+cargo test -q -p tpserve
 
 echo "== lint gate: clippy with warnings denied =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -401,3 +401,53 @@ fn unreachable_fleet_falls_back_to_local_execution() {
     drop(c);
     fleet.handle.join().unwrap();
 }
+
+#[test]
+fn local_fallback_jobs_honour_their_deadline() {
+    // With every ring node down the job runs in the coordinator's own
+    // pool, and a deadline must cancel it there exactly as a backend
+    // would: a four-core full-scale mix runs far longer than 10 ms.
+    let fleet = start_coordinator(&[dead_addr(), dead_addr()]);
+    let mut c = Client::connect(&fleet.addr).expect("connect coordinator");
+    let doomed = req(
+        r#"{"mix":["spec06.mcf","gap.pr","gap.tc","spec06.xalancbmk"],"scale":"full","temporal":"streamline","deadline_ms":10}"#,
+    );
+    let resp = c.submit_and_wait(&doomed).unwrap();
+    assert_eq!(status(&resp), "deadline-exceeded", "{}", resp.encode());
+    assert_eq!(fleet.controller.local_jobs(), 1);
+    assert!(stat_u64(&c.stats().unwrap(), "cancelled") >= 1);
+
+    // The worker that ran the doomed job is free again.
+    let quick = c
+        .submit_and_wait(&req(r#"{"workload":"gap.bfs","scale":"test"}"#))
+        .unwrap();
+    assert_eq!(status(&quick), "done", "{}", quick.encode());
+
+    assert_eq!(status(&c.shutdown().unwrap()), "ok");
+    drop(c);
+    fleet.handle.join().unwrap();
+}
+
+#[test]
+fn coordinator_stops_reading_from_a_client_that_never_reads() {
+    use std::io::Write;
+    // A client that pipelines PINGs and never reads a reply: once 4 MiB
+    // of replies are owed the coordinator must stop *reading* as well,
+    // so the kernel buffers fill and the client's writes stall. Reading
+    // on regardless would buffer the whole 48 MiB in the coordinator.
+    let fleet = start_coordinator(&[dead_addr()]);
+    let mut flood = std::net::TcpStream::connect(&fleet.addr).expect("connect raw");
+    flood
+        .set_write_timeout(Some(std::time::Duration::from_secs(2)))
+        .unwrap();
+    let chunk = "PING\n".repeat(64 * 1024 / 5);
+    let stalled = (0..48 * 16).any(|_| flood.write_all(chunk.as_bytes()).is_err());
+    assert!(stalled, "48 MiB of pipelined requests were all read with no reply collected");
+    drop(flood);
+
+    let mut c = Client::connect(&fleet.addr).expect("connect coordinator");
+    assert_eq!(status(&c.ping().unwrap()), "ok", "the loop still serves others");
+    assert_eq!(status(&c.shutdown().unwrap()), "ok");
+    drop(c);
+    fleet.handle.join().unwrap();
+}
