@@ -241,7 +241,7 @@ mod tests {
         use std::io::{BufRead, BufReader, Write};
 
         // A server that accepts every SUBMIT, then fails the job at
-        // POLL time — the regression this pins: the per-job fallback
+        // `WAIT` time — the regression this pins: the per-job fallback
         // must run locally, return a byte-identical report, and bump
         // the visible counter.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();

@@ -3,16 +3,13 @@
 //! [`Client`] is used three ways: by the `tpclient` binary, by the
 //! integration tests, and by `tpbench`'s optional `TPSIM_SERVER`
 //! routing. It is deliberately thin — one blocking request/response
-//! round-trip per call, plus a poll loop for waiting on tickets.
+//! round-trip per call; waiting on a ticket is one such round trip
+//! (`WAIT`), answered when the job is over.
 
 use crate::conn::Conn;
 use crate::protocol::read_frame;
 use std::io::{self, BufReader, Write};
-use std::time::Duration;
 use tpharness::wire::{self, Value};
-
-/// How long [`Client::wait`] sleeps between polls.
-const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 /// A blocking protocol client over TCP (`host:port`) or a Unix-domain
 /// socket (`unix:PATH`).
@@ -46,8 +43,9 @@ impl Client {
     /// # Errors
     /// I/O errors, unexpected EOF, or an unparseable response.
     pub fn request(&mut self, line: &str) -> io::Result<Value> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per frame: a line and its newline in separate
+        // segments is what Nagle and delayed ACKs turn into 40 ms.
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         self.writer.flush()?;
         match read_frame(&mut self.reader, &mut self.scratch)? {
             None => Err(io::Error::new(
@@ -171,7 +169,7 @@ impl Client {
         Ok(out)
     }
 
-    /// `POLL` one ticket.
+    /// `POLL` one ticket: its status now, without blocking.
     ///
     /// # Errors
     /// See [`Client::request`].
@@ -179,19 +177,14 @@ impl Client {
         self.request(&format!("POLL {ticket}"))
     }
 
-    /// Polls `ticket` until it reaches a terminal state (`done`,
-    /// `deadline-exceeded`, `failed`, or `error`).
+    /// `WAIT` one ticket: blocks until it reaches a terminal state
+    /// (`done`, `deadline-exceeded`, `failed`, or `error`) and returns
+    /// what the delivering `POLL` would have.
     ///
     /// # Errors
     /// See [`Client::request`].
     pub fn wait(&mut self, ticket: u64) -> io::Result<Value> {
-        loop {
-            let resp = self.poll(ticket)?;
-            match resp.get("status").and_then(Value::as_str) {
-                Some("queued") | Some("running") => std::thread::sleep(POLL_INTERVAL),
-                _ => return Ok(resp),
-            }
-        }
+        self.request(&format!("WAIT {ticket}"))
     }
 
     /// Submits and, if the request was queued, waits for its terminal

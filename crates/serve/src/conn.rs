@@ -23,6 +23,16 @@ pub(crate) enum Conn {
 }
 
 impl Conn {
+    /// Every TCP stream the crate creates passes through here: the
+    /// protocol is request/response lines, so Nagle only ever adds a
+    /// delayed-ACK wait (~40 ms) to a line split across two segments.
+    /// Failing to set the option costs latency, never correctness, and
+    /// on an accepted socket must not take the listener down.
+    fn tcp(stream: TcpStream) -> Conn {
+        let _ = stream.set_nodelay(true);
+        Conn::Tcp(stream)
+    }
+
     /// Connects to `addr`: `unix:PATH` selects a Unix-domain socket,
     /// anything else is a TCP `host:port`.
     pub(crate) fn connect(addr: &str) -> io::Result<Conn> {
@@ -40,7 +50,7 @@ impl Conn {
                 ));
             }
         }
-        Ok(Conn::Tcp(TcpStream::connect(addr)?))
+        Ok(Conn::tcp(TcpStream::connect(addr)?))
     }
 
     /// Connects like [`Conn::connect`], but bounds how long a TCP
@@ -55,7 +65,7 @@ impl Conn {
         let mut last = None;
         for sa in addr.to_socket_addrs()? {
             match TcpStream::connect_timeout(&sa, timeout) {
-                Ok(s) => return Ok(Conn::Tcp(s)),
+                Ok(s) => return Ok(Conn::tcp(s)),
                 Err(e) => last = Some(e),
             }
         }
@@ -195,7 +205,7 @@ impl ListenerKind {
     pub(crate) fn accept(&self) -> io::Result<Option<Conn>> {
         let conn = match self {
             ListenerKind::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Conn::Tcp(s),
+                Ok((s, _)) => Conn::tcp(s),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) => return Err(e),
             },
@@ -260,6 +270,9 @@ impl LineError {
 pub(crate) struct ConnState {
     conn: Conn,
     rbuf: Vec<u8>,
+    /// Already-parsed prefix of `rbuf` (compacted once per fill, so a
+    /// deep pipeline is split without moving its tail once per line).
+    rpos: usize,
     wbuf: Vec<u8>,
     /// Already-written prefix of `wbuf` (compacted opportunistically).
     wpos: usize,
@@ -274,6 +287,7 @@ impl ConnState {
         Ok(ConnState {
             conn,
             rbuf: Vec::new(),
+            rpos: 0,
             wbuf: Vec::new(),
             wpos: 0,
             eof: false,
@@ -309,6 +323,7 @@ impl ConnState {
     /// Hard I/O errors (connection reset, ...); the caller drops the
     /// connection.
     pub(crate) fn fill(&mut self) -> io::Result<FillOutcome> {
+        self.compact();
         let mut tmp = [0u8; 16 * 1024];
         let mut taken = 0;
         loop {
@@ -338,6 +353,15 @@ impl ConnState {
         }
     }
 
+    /// Drops the parsed prefix of the input buffer and returns how many
+    /// bytes that moved: the unparsed tail moves once per fill, not
+    /// once per line.
+    fn compact(&mut self) -> usize {
+        self.rbuf.drain(..self.rpos);
+        self.rpos = 0;
+        self.rbuf.len()
+    }
+
     /// Pops the next complete line (CR stripped) from the input
     /// buffer, or `Ok(None)` if no full line is buffered yet.
     ///
@@ -345,22 +369,21 @@ impl ConnState {
     /// [`LineError`] for an oversized or non-UTF-8 line; framing on
     /// this connection is unrecoverable afterwards.
     pub(crate) fn next_line(&mut self) -> Result<Option<String>, LineError> {
-        match self.rbuf.iter().position(|&b| b == b'\n') {
+        let unparsed = &self.rbuf[self.rpos..];
+        match unparsed.iter().position(|&b| b == b'\n') {
             Some(i) => {
                 if i > MAX_LINE_BYTES {
                     return Err(LineError::Oversized);
                 }
-                let mut line: Vec<u8> = self.rbuf.drain(..=i).collect();
-                line.pop(); // the newline
+                let mut line = &unparsed[..i];
                 if line.last() == Some(&b'\r') {
-                    line.pop();
+                    line = &line[..i - 1];
                 }
-                match String::from_utf8(line) {
-                    Ok(s) => Ok(Some(s)),
-                    Err(_) => Err(LineError::NotUtf8),
-                }
+                let line = std::str::from_utf8(line).map(str::to_string);
+                self.rpos += i + 1;
+                line.map(Some).map_err(|_| LineError::NotUtf8)
             }
-            None if self.rbuf.len() > MAX_LINE_BYTES => Err(LineError::Oversized),
+            None if unparsed.len() > MAX_LINE_BYTES => Err(LineError::Oversized),
             None => Ok(None),
         }
     }
@@ -369,6 +392,7 @@ impl ConnState {
     /// framed reader: EOF after a partial line delivers that partial
     /// as a frame). `None` when nothing is buffered.
     pub(crate) fn take_partial(&mut self) -> Option<Result<String, LineError>> {
+        self.compact();
         if self.rbuf.is_empty() {
             return None;
         }
@@ -459,6 +483,30 @@ mod tests {
         client.write_all(b" done\n").unwrap();
         fill_until_progress(&mut cs);
         assert_eq!(cs.next_line().unwrap().as_deref(), Some("partial done"));
+    }
+
+    #[test]
+    fn a_deep_pipeline_splits_in_order_without_moving_its_tail_per_line() {
+        const LINES: usize = 50_000;
+        let (mut cs, _client) = pair();
+        for i in 0..LINES {
+            cs.rbuf.extend_from_slice(format!("POLL {i}\n").as_bytes());
+        }
+        cs.rbuf.extend_from_slice(b"partial");
+        let buffered = cs.rbuf.len();
+        for i in 0..LINES {
+            if i == LINES / 2 {
+                // Splitting moved nothing (the per-line drain this
+                // replaces had moved LINES / 4 buffers' worth by now);
+                // the next fill moves the unparsed tail, once.
+                assert_eq!(cs.rbuf.len(), buffered);
+                let moved = cs.compact();
+                assert!(moved < buffered, "moved {moved} of {buffered}");
+            }
+            assert_eq!(cs.next_line().unwrap(), Some(format!("POLL {i}")));
+        }
+        assert_eq!(cs.next_line().unwrap(), None, "partial line stays buffered");
+        assert_eq!(cs.take_partial().unwrap().unwrap(), "partial");
     }
 
     #[test]

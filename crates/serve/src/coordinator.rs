@@ -4,8 +4,8 @@
 //! `Client`, `TPSIM_SERVER` routing in the bench crate — works against
 //! a coordinator unchanged. Behind the listener each accepted job is
 //! **consistent-hashed by its canonical request encoding** onto one of
-//! N backends ([`crate::ring::HashRing`]) and `SUBMIT`/`POLL` are
-//! forwarded over persistent nonblocking links woven into the same
+//! N backends ([`crate::ring::HashRing`]) and forwarded — one `SUBMIT`,
+//! one `WAIT` — over persistent nonblocking links woven into the same
 //! readiness set as the client connections (`links.rs`); the
 //! local worker pool is the fallback of last resort.
 

@@ -10,10 +10,16 @@
 //! connection's unsent output passes [`WRITE_BACKPRESSURE_BYTES`] the
 //! loop stops parsing *and reading* its input until the peer drains.
 //!
-//! `SHUTDOWN` cannot block the loop, so its reply is *deferred*: the
-//! connection stops parsing further input, the drain proceeds, and the
-//! acknowledgement is queued once the last live job finishes — a
-//! shutdown response in hand still means every accepted request ran.
+//! `WAIT` and `SHUTDOWN` cannot block the loop, so their replies are
+//! *deferred*: the connection is [parked](Parked) — it stops parsing
+//! further input, which keeps its replies in request order — and the
+//! reply is queued in the pass that sees the job terminal, or the last
+//! live job finished. A shutdown response in hand still means every
+//! accepted request ran, and every parked `WAIT` was answered first.
+//! Nothing polls for either: a worker that finishes a job signals
+//! [`Core::waker`], which sits in the readiness set, and a backend's
+//! answer on a link is handled earlier in the same pass than the
+//! parked connections are.
 //!
 //! The loop also owns the clock: [`Core::tick`] runs once per iteration
 //! (TTL reap + deadline scan) and the poll timeout is clamped to the
@@ -22,17 +28,17 @@
 use crate::conn::{ConnState, ListenerKind};
 use crate::links::{pump, Link};
 use crate::readiness::{self, Interest};
-use crate::service::{error_response, response, Core, JOB_TTL};
+use crate::service::{error_response, response, Core, Dispatch, Parked, JOB_TTL};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tpharness::wire::Value;
 
-/// Poll timeout: bounds how fast the loop notices drain completion and
-/// the external termination flag when no fd is ready, and is the POLL
-/// cadence toward backends.
-const POLL_TICK: Duration = Duration::from_millis(10);
+/// Longest the loop sleeps with no fd ready: bounds how late it notices
+/// the external termination flag and a drain that finished with nobody
+/// parked on it. Completions do not wait for it; they signal the waker.
+const IDLE_TICK: Duration = Duration::from_millis(10);
 
 /// How long idle connections linger after shutdown completes, so
 /// clients can still collect responses for drained work.
@@ -44,10 +50,10 @@ const WRITE_BACKPRESSURE_BYTES: usize = 4 * 1024 * 1024;
 /// One client connection: buffered stream plus protocol phase.
 struct EventConn {
     cs: ConnState,
-    /// Hit `SHUTDOWN`: parsing is paused (preserving response order on
-    /// a pipelined stream) until the drain completes and the deferred
-    /// acknowledgement is queued.
-    awaiting_drain: bool,
+    /// Hit `WAIT` on a live job or `SHUTDOWN`: parsing is paused
+    /// (preserving response order on a pipelined stream) until that
+    /// happens and the deferred reply is queued.
+    parked: Option<Parked>,
     /// Flush whatever is queued, then drop (framing error or EOF).
     closing: bool,
     /// Hard I/O failure: drop immediately.
@@ -58,7 +64,7 @@ impl EventConn {
     fn new(cs: ConnState) -> EventConn {
         EventConn {
             cs,
-            awaiting_drain: false,
+            parked: None,
             closing: false,
             dead: false,
         }
@@ -69,15 +75,15 @@ impl EventConn {
     /// the output side to the input side.
     fn wants_read(&self) -> bool {
         !self.closing
-            && !self.awaiting_drain
+            && self.parked.is_none()
             && !self.cs.eof
             && self.cs.pending_out() < WRITE_BACKPRESSURE_BYTES
     }
 
     /// Parses and dispatches every complete buffered line, stopping at
-    /// backpressure, `SHUTDOWN`, or a framing error.
+    /// backpressure, a deferred reply, or a framing error.
     fn process(&mut self, core: &Core) {
-        while !self.closing && !self.awaiting_drain {
+        while !self.closing && self.parked.is_none() {
             let line = match self.cs.next_line() {
                 Ok(Some(line)) => line,
                 // EOF parity with the framed reader: a final
@@ -96,13 +102,21 @@ impl EventConn {
                 continue;
             }
             match core.dispatch(&line) {
-                Some(reply) => self.queue_value(&reply),
-                None => self.awaiting_drain = true,
+                Dispatch::Reply(reply) => self.queue_value(&reply),
+                Dispatch::Park(on) => self.parked = Some(on),
             }
             if self.cs.pending_out() >= WRITE_BACKPRESSURE_BYTES {
                 return;
             }
         }
+    }
+
+    /// Queues the reply this connection was parked for and parses
+    /// whatever was pipelined behind it.
+    fn unpark(&mut self, reply: &Value, core: &Core) {
+        self.parked = None;
+        self.queue_value(reply);
+        self.process(core);
     }
 
     fn fail_framing(&mut self, reason: &str) {
@@ -147,12 +161,13 @@ fn serve(core: &Core, listener: &ListenerKind, term: &AtomicBool) -> io::Result<
         let accepting = drained_served.is_none();
         let now = Instant::now();
         let timeout = match core.tick(now, JOB_TTL) {
-            Some(deadline) => POLL_TICK.min(deadline - now).max(Duration::from_millis(1)),
-            None => POLL_TICK,
+            Some(deadline) => IDLE_TICK.min(deadline - now).max(Duration::from_millis(1)),
+            None => IDLE_TICK,
         };
 
-        // Readiness set: listener, then clients, then connected links.
-        let mut interest = Vec::with_capacity(1 + conns.len() + links.len());
+        // Readiness set: listener, then clients, then connected links,
+        // then the waker.
+        let mut interest = Vec::with_capacity(2 + conns.len() + links.len());
         let (read, write) = (accepting, false);
         interest.push((listener.token(), Interest { read, write }));
         interest.extend(conns.iter().map(|c| c.cs.interest(c.wants_read())));
@@ -163,7 +178,15 @@ fn serve(core: &Core, listener: &ListenerKind, term: &AtomicBool) -> io::Result<
                 interest.push(cs.interest(true));
             }
         }
+        let (read, write) = (true, false);
+        interest.push((core.waker.token(), Interest { read, write }));
         let ready = readiness::wait(&interest, timeout);
+        if ready[interest.len() - 1].read {
+            // Before anything below looks at the job table: a job that
+            // turns terminal after that look leaves a wake for the
+            // next pass.
+            core.waker.drain();
+        }
 
         // Accept every pending connection.
         let mut pending = accepting && ready[0].read;
@@ -192,6 +215,17 @@ fn serve(core: &Core, listener: &ListenerKind, term: &AtomicBool) -> io::Result<
             pump(core, &mut links, &ready);
         }
 
+        // Deferred WAIT replies, after the links so that a backend's
+        // answer reaches the client parked on it in this same pass.
+        for c in conns.iter_mut() {
+            let Some(Parked::Job(id)) = c.parked else {
+                continue;
+            };
+            if let Ok(reply) = core.deliver(id) {
+                c.unpark(&reply, core);
+            }
+        }
+
         // External termination requests the same graceful drain as a
         // protocol SHUTDOWN.
         if term.load(Ordering::SeqCst) && drained_served.is_none() {
@@ -208,13 +242,10 @@ fn serve(core: &Core, listener: &ListenerKind, term: &AtomicBool) -> io::Result<
         if let Some(served) = drained_served {
             // Deferred SHUTDOWN acknowledgements: queued only now, so a
             // reply in hand means every accepted request ran.
-            for c in conns.iter_mut().filter(|c| c.awaiting_drain) {
-                c.awaiting_drain = false;
+            for c in conns.iter_mut().filter(|c| c.parked == Some(Parked::Drain)) {
                 let draining = ("draining", Value::Bool(true));
                 let ack = response("ok", vec![draining, ("served", Value::u64(served))]);
-                c.queue_value(&ack);
-                // Parse anything pipelined behind the SHUTDOWN.
-                c.process(core);
+                c.unpark(&ack, core);
             }
         }
 
@@ -227,10 +258,10 @@ fn serve(core: &Core, listener: &ListenerKind, term: &AtomicBool) -> io::Result<
         }
         conns.retain(|c| {
             let flushed = c.cs.pending_out() == 0;
-            // Post-drain linger: keep serving POLLs briefly, then close
+            // Post-drain linger: keep serving WAITs briefly, then close
             // idle connections so the process can exit.
             let lingered = finished && c.cs.last_activity.elapsed() > SHUTDOWN_LINGER;
-            let done = c.closing || (c.cs.eof && !c.awaiting_drain) || lingered;
+            let done = c.closing || (c.cs.eof && c.parked.is_none()) || lingered;
             !(c.dead || (flushed && done))
         });
         if finished && conns.is_empty() {
@@ -257,21 +288,21 @@ mod tests {
     #[test]
     fn read_interest_is_gated_on_phase_eof_and_write_backlog() {
         const CAP: usize = WRITE_BACKPRESSURE_BYTES;
-        // (closing, awaiting drain, at EOF, bytes owed to the peer) → reads?
-        for (closing, awaiting_drain, eof, owed, reads) in [
-            (false, false, false, 0, true),
-            (true, false, false, 0, false),
-            (false, true, false, 0, false),
-            (false, false, true, 0, false),
-            (false, false, false, CAP - 1, true),
-            (false, false, false, CAP, false),
-            (false, false, false, CAP + 1, false),
+        // (closing, parked on, at EOF, bytes owed to the peer) → reads?
+        for (closing, parked, eof, owed, reads) in [
+            (false, None, false, 0, true),
+            (true, None, false, 0, false),
+            (false, Some(Parked::Drain), false, 0, false),
+            (false, Some(Parked::Job(7)), false, 0, false),
+            (false, None, true, 0, false),
+            (false, None, false, CAP - 1, true),
+            (false, None, false, CAP, false),
+            (false, None, false, CAP + 1, false),
         ] {
             let (mut c, _peer) = pair();
-            (c.closing, c.awaiting_drain, c.cs.eof) = (closing, awaiting_drain, eof);
+            (c.closing, c.parked, c.cs.eof) = (closing, parked, eof);
             c.cs.queue(&vec![b'x'; owed]);
-            let what =
-                format!("closing {closing}, draining {awaiting_drain}, eof {eof}, owes {owed}");
+            let what = format!("closing {closing}, parked {parked:?}, eof {eof}, owes {owed}");
             assert_eq!(c.wants_read(), reads, "{what}");
         }
     }

@@ -15,8 +15,13 @@
 //!
 //! * **Protocol**: newline-delimited, length-checked JSON-ish lines
 //!   over a Unix-domain or TCP socket ([`protocol`]); verbs are
-//!   `SUBMIT`, `POLL`, `STATS`, `PING`, `SHUTDOWN`. A coordinator
-//!   speaks it unchanged, and `STATS` has one shape for both roles.
+//!   `SUBMIT`, `WAIT`, `POLL`, `STATS`, `PING`, `SHUTDOWN`. A
+//!   coordinator speaks it unchanged, and `STATS` has one shape for
+//!   both roles.
+//! * **Completion-driven waiting**: `WAIT <ticket>` is answered when
+//!   the job is over — a finishing worker wakes the loop, a backend
+//!   answers the coordinator's own `WAIT` — so nothing polls; `POLL` is
+//!   the non-blocking probe.
 //! * **Event-driven I/O**: one nonblocking, poll-based loop serves
 //!   every client connection and backend link; clients may **pipeline**
 //!   requests (write many before reading any response) and responses
@@ -50,8 +55,8 @@
 //!   then replies — no response is ever lost to a shutdown.
 //!
 //! The `tpserve` binary runs either role; the `tpclient` binary (and
-//! the [`client::Client`] library type it wraps) submits work, polls
-//! tickets, runs sweeps and fetches stats.
+//! the [`client::Client`] library type it wraps) submits work, waits
+//! for or polls tickets, runs sweeps and fetches stats.
 //!
 //! ## In-process example
 //!

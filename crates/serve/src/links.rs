@@ -9,8 +9,10 @@
 //!
 //! * **Reroute** — connect refused, mid-flight disconnect, a `rejected`
 //!   submit (backend draining or queue-full), an unparseable or
-//!   incomplete response, or an unknown-ticket `error` on poll (backend
-//!   restarted). The job returns to `routing` and tries the next
+//!   incomplete response, or a `WAIT` answered with anything but a
+//!   verdict — the unknown-ticket `error` of a restarted backend, or a
+//!   `queued`/`running` from one that does not hold the reply back. The
+//!   job returns to `routing` and tries the next
 //!   distinct ring node ([`HashRing::candidates`]), each at most once;
 //!   when every backend has been tried or is down it runs in the local
 //!   pool. Each landing away from the primary bumps `rerouted` (and the
@@ -27,6 +29,19 @@
 //! request order on a connection, so the k-th response line belongs to
 //! the k-th outstanding forward. A link failure voids all of its
 //! expectations at once and re-routes every job assigned to it.
+//!
+//! ## One `SUBMIT`, one `WAIT`
+//!
+//! A remote job costs exactly two lines on its link: the `SUBMIT`, and
+//! a `WAIT` sent the moment the backend's `queued` arrives. The backend
+//! parks the link on it and answers when the job is terminal; nothing
+//! is polled. Request order is the protocol's one head-of-line rule and
+//! it applies here: the backend reads nothing further from a link
+//! parked on a `WAIT`, so a later `WAIT` — or `SUBMIT` — on the same
+//! link is held until the older job finishes. A backend runs its queue
+//! FIFO, so a later `WAIT` is delayed by at most the older job's
+//! remaining run time; a sweep pipelines its `SUBMIT`s, so they
+//! normally reach the backend ahead of the first `WAIT`.
 
 use crate::conn::{Conn, ConnState};
 use crate::readiness::Ready;
@@ -46,10 +61,10 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 const RECONNECT_BACKOFF: Duration = Duration::from_millis(250);
 
 /// What the next response line on a link answers: job `id`'s `SUBMIT`,
-/// or (`polled`) a `POLL` of it.
+/// or (`waited`) its `WAIT`.
 struct Expect {
     id: u64,
-    polled: bool,
+    waited: bool,
 }
 
 /// One persistent backend connection plus its expectation queue.
@@ -108,7 +123,7 @@ impl Link {
             .jobs
             .iter()
             .filter(|(_, j)| match j.state {
-                JobState::AwaitSubmit(b) | JobState::Remote { backend: b, .. } => b == bi,
+                JobState::AwaitSubmit(b) | JobState::Remote(b) => b == bi,
                 _ => false,
             })
             .map(|(&id, _)| id)
@@ -136,7 +151,7 @@ impl Link {
 
     /// Applies one response line to the job its FIFO slot names.
     fn on_line(&mut self, core: &Core, bi: usize, line: &str) -> Result<(), ()> {
-        let Expect { id, polled } = self.expects.pop_front().ok_or(())?;
+        let Expect { id, waited } = self.expects.pop_front().ok_or(())?;
         let reply = wire::parse(line).ok();
         let field = |name: &str| reply.as_ref().and_then(|v| v.get(name));
         let status = field("status").and_then(Value::as_str).unwrap_or("");
@@ -148,17 +163,15 @@ impl Link {
         let Some(job) = t.jobs.get_mut(&id) else {
             return Ok(());
         };
-        let current = match &mut job.state {
-            JobState::AwaitSubmit(b) => !polled && *b == bi,
-            JobState::Remote {
-                backend, polling, ..
-            } => polled && *backend == bi && std::mem::replace(polling, false),
+        let current = match job.state {
+            JobState::AwaitSubmit(b) => !waited && b == bi,
+            JobState::Remote(b) => waited && b == bi,
             _ => false,
         };
         if !current {
             return Ok(());
         }
-        let next = match (status, polled) {
+        let next = match (status, waited) {
             // The report's literal bytes go into the cache under the
             // job's canonical key. A `done` with no report is a
             // protocol bug: reroute.
@@ -172,17 +185,15 @@ impl Link {
                 }
                 None => JobState::Routing,
             },
-            ("queued", false) => match field("ticket").and_then(Value::as_u64) {
-                Some(ticket) => JobState::Remote {
-                    backend: bi,
-                    ticket,
-                    polling: false,
-                },
-                None => JobState::Routing,
+            // Accepted: ask, once, to be told when it is over.
+            ("queued", false) => match (field("ticket").and_then(Value::as_u64), &mut self.cs) {
+                (Some(ticket), Some(cs)) => {
+                    cs.queue(format!("WAIT {ticket}\n").as_bytes());
+                    self.expects.push_back(Expect { id, waited: true });
+                    JobState::Remote(bi)
+                }
+                _ => JobState::Routing,
             },
-            // Still pending there; `polling` was cleared above, so the
-            // next pass polls again.
-            ("queued" | "running", true) => return Ok(()),
             ("deadline-exceeded", true) => {
                 bump(&core.counters.cancelled);
                 JobState::DeadlineExceeded
@@ -192,8 +203,9 @@ impl Link {
                 let reason = field("reason").and_then(Value::as_str);
                 JobState::Failed(reason.unwrap_or("backend reported failure").to_string())
             }
-            // `rejected`, garbage, or — on a poll — an `error` meaning
-            // the backend lost the ticket: placement is void.
+            // `rejected`, garbage, or — to a `WAIT` — an `error` (the
+            // backend lost the ticket) or a status that is no verdict:
+            // placement is void.
             _ => JobState::Routing,
         };
         t.set_state(id, next);
@@ -233,7 +245,7 @@ pub(crate) fn route_jobs(core: &Core, links: &mut [Link]) {
             Some(b) => {
                 let cs = links[b].cs.as_mut().expect("ensure left a live conn");
                 cs.queue(format!("SUBMIT {}\n", spec.payload).as_bytes());
-                links[b].expects.push_back(Expect { id, polled: false });
+                links[b].expects.push_back(Expect { id, waited: false });
                 job.attempts.push(b);
                 t.set_state(id, JobState::AwaitSubmit(b));
                 bump(&core.counters.forwarded);
@@ -244,30 +256,10 @@ pub(crate) fn route_jobs(core: &Core, links: &mut [Link]) {
     }
 }
 
-/// Queues a `POLL` for every remotely-accepted job with none in
-/// flight: one outstanding poll per job per pass keeps backend load
-/// proportional to live jobs, not time.
-fn queue_polls(core: &Core, links: &mut [Link]) {
-    for (&id, j) in core.lock().jobs.iter_mut() {
-        if let JobState::Remote {
-            backend,
-            ticket,
-            polling,
-        } = &mut j.state
-        {
-            let link = &mut links[*backend];
-            if let Some(cs) = link.cs.as_mut().filter(|_| !*polling) {
-                cs.queue(format!("POLL {ticket}\n").as_bytes());
-                link.expects.push_back(Expect { id, polled: true });
-                *polling = true;
-            }
-        }
-    }
-}
-
 /// One event-loop pass over the fleet. Responses are read first (they
-/// may re-route jobs), then jobs are routed and polled, then output is
-/// flushed — so a failure and its reroute happen in the same pass.
+/// may re-route jobs, and each `queued` queues its `WAIT`), then jobs
+/// are routed, then output is flushed — so a failure and its reroute
+/// happen in the same pass.
 /// `ready` is what the poll set built from [`Link::slot`]s reported.
 pub(crate) fn pump(core: &Core, links: &mut [Link], ready: &[Ready]) {
     for (bi, link) in links.iter_mut().enumerate() {
@@ -278,7 +270,6 @@ pub(crate) fn pump(core: &Core, links: &mut [Link], ready: &[Ready]) {
         }
     }
     route_jobs(core, links);
-    queue_polls(core, links);
     // A write failure is a link failure.
     let unsent = |cs: &mut ConnState| cs.pending_out() > 0 && cs.flush().is_err();
     for (bi, link) in links.iter_mut().enumerate() {
@@ -296,23 +287,18 @@ mod tests {
 
     /// A two-node ring whose backends refuse connections, with one job
     /// parked on backend 0 as if its link had been live: awaiting the
-    /// submit response (`polled` false) or accepted and being polled.
-    fn parked(polled: bool) -> (Shape, u64) {
+    /// submit response (`waited` false) or accepted and waited for.
+    fn parked(waited: bool) -> (Shape, u64) {
         let mut s = Shape::new(ServerConfig::default(), &[dead_addr(), dead_addr()]);
         let id = ticket(&s.reply(r#"SUBMIT {"workload":"gap.bfs","scale":"test"}"#));
-        let remote = JobState::Remote {
-            backend: 0,
-            ticket: 7,
-            polling: true,
-        };
-        let state = if polled {
-            remote
+        let state = if waited {
+            JobState::Remote(0)
         } else {
             JobState::AwaitSubmit(0)
         };
         s.core.lock().jobs.get_mut(&id).unwrap().attempts.push(0);
         s.core.lock().set_state(id, state);
-        s.links[0].expects.push_back(Expect { id, polled });
+        s.links[0].expects.push_back(Expect { id, waited });
         (s, id)
     }
 
@@ -340,7 +326,7 @@ mod tests {
 
     #[test]
     fn malformed_backend_answers_reroute_the_job() {
-        for (polled, line) in [
+        for (waited, line) in [
             (false, "\u{1}garbage, not json"),
             (true, "\u{1}garbage, not json"),
             (false, r#"{"status":"done","cached":false}"#),
@@ -348,8 +334,11 @@ mod tests {
             (false, r#"{"status":"queued","key":"0"}"#),
             (false, r#"{"status":"rejected","reason":"queue-full"}"#),
             (true, r#"{"status":"error","reason":"unknown ticket 7"}"#),
+            // A WAIT is answered with a verdict or not at all.
+            (true, r#"{"status":"running","ticket":7}"#),
+            (true, r#"{"status":"queued","ticket":7}"#),
         ] {
-            let (mut s, id) = parked(polled);
+            let (mut s, id) = parked(waited);
             assert_eq!(answer(&mut s, line), Ok(()), "{line}");
             assert!(s.links[0].expects.is_empty());
             assert_rerouted_to_local_pool(s, id);
@@ -367,24 +356,14 @@ mod tests {
     }
 
     #[test]
-    fn stale_and_pending_answers_leave_the_job_where_it_is() {
-        // A submit answer for a job that is already being polled (its
-        // link failed and recovered in between) is ignored.
+    fn a_stale_answer_leaves_the_job_where_it_is() {
+        // A submit answer for a job that is already being waited for
+        // (its link failed and recovered in between) is ignored.
         let (mut s, id) = parked(true);
-        s.links[0].expects[0].polled = false;
+        s.links[0].expects[0].waited = false;
         assert_eq!(answer(&mut s, r#"{"status":"queued","ticket":9}"#), Ok(()));
-        assert_eq!(
-            state(&s, id),
-            "Remote { backend: 0, ticket: 7, polling: true }"
-        );
-
-        // `running` keeps it remote and re-arms the poll.
-        s.links[0].expects.push_back(Expect { id, polled: true });
-        assert_eq!(answer(&mut s, r#"{"status":"running"}"#), Ok(()));
-        assert_eq!(
-            state(&s, id),
-            "Remote { backend: 0, ticket: 7, polling: false }"
-        );
+        assert_eq!(state(&s, id), "Remote(0)");
+        assert!(s.links[0].expects.is_empty(), "and asks nothing new");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The request side of the wire protocol: strict parsing, validation,
 //! and canonicalization of experiment requests.
 //!
-//! A request line is `SUBMIT {json}`; this module turns the JSON
+//! The verbs are `SUBMIT {json}`, `WAIT <ticket>`, `POLL <ticket>`,
+//! `STATS`, `PING` and `SHUTDOWN`; this module turns a `SUBMIT`'s JSON
 //! payload into a validated [`Request`] or a precise rejection reason.
 //! Validation is strict on purpose — unknown fields, unknown workload
 //! or prefetcher names, non-finite numbers, and out-of-range warmup

@@ -1,10 +1,13 @@
 //! Raw-fd readiness polling for the event loop: `poll(2)` on Unix, a
-//! short-tick fallback elsewhere.
+//! short-tick fallback elsewhere — plus the [`Waker`] other threads
+//! use to end a wait early.
 
 /// Unix implementation: one `poll(2)` call over every interested fd.
 #[cfg(unix)]
 mod imp {
-    use std::os::fd::RawFd;
+    use std::io::{self, Read, Write};
+    use std::os::fd::{AsRawFd, RawFd};
+    use std::os::unix::net::UnixStream;
     use std::time::Duration;
 
     #[repr(C)]
@@ -50,7 +53,11 @@ mod imp {
         let mut fds: Vec<PollFd> = entries
             .iter()
             .map(|&(fd, i)| PollFd {
-                fd,
+                // `poll` reports a hangup whatever was asked for, and
+                // skips a negative fd. A connection the loop is not
+                // reading (parked on a `WAIT`, say) must not end every
+                // wait at once because its peer left.
+                fd: if i.read || i.write { fd } else { -1 },
                 events: if i.read { POLLIN } else { 0 } | if i.write { POLLOUT } else { 0 },
                 revents: 0,
             })
@@ -66,6 +73,42 @@ mod imp {
                 read: p.revents & (POLLIN | POLLERR | POLLHUP) != 0,
             })
             .collect()
+    }
+
+    /// Ends the event loop's [`wait`] from another thread: a worker
+    /// that finished a job, or a latch flip. A nonblocking socket pair
+    /// whose read end sits in the poll set; the bytes carry nothing.
+    pub struct Waker {
+        tx: UnixStream,
+        rx: UnixStream,
+    }
+
+    impl Waker {
+        pub fn new() -> io::Result<Waker> {
+            let (tx, rx) = UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            Ok(Waker { tx, rx })
+        }
+
+        /// Never blocks and cannot fail the caller: a full pipe
+        /// (`WouldBlock`) means a wake is already pending.
+        pub fn wake(&self) {
+            let _ = (&self.tx).write(&[1]);
+        }
+
+        /// The read end, for the poll set.
+        pub fn token(&self) -> Token {
+            self.rx.as_raw_fd()
+        }
+
+        /// Swallows every pending wake. The loop calls this *before*
+        /// it looks at the job table, so a completion it is about to
+        /// miss leaves a wake behind for the next pass.
+        pub fn drain(&self) {
+            let mut sink = [0u8; 256];
+            while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
+        }
     }
 }
 
@@ -93,6 +136,82 @@ mod imp {
         std::thread::sleep(timeout.min(Duration::from_millis(2)));
         entries.iter().map(|&(_, i)| Ready { read: i.read }).collect()
     }
+
+    /// Nothing to wake: [`wait`] returns within 2 ms regardless, and
+    /// the loop re-checks its parked connections every pass.
+    pub struct Waker;
+
+    impl Waker {
+        pub fn new() -> std::io::Result<Waker> {
+            Ok(Waker)
+        }
+
+        pub fn wake(&self) {}
+
+        pub fn token(&self) -> Token {}
+
+        pub fn drain(&self) {}
+    }
 }
 
-pub(crate) use imp::{wait, Interest, Ready, Token};
+pub(crate) use imp::{wait, Interest, Ready, Token, Waker};
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use crate::server::ServerConfig;
+    use crate::service::tests::{status, ticket, Shape};
+    use crate::service::{Dispatch, Parked};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    const READ: Interest = Interest {
+        read: true,
+        write: false,
+    };
+
+    #[test]
+    fn a_finishing_worker_ends_a_long_wait_and_the_parked_wait_is_answered() {
+        let s = Shape::new(ServerConfig::default(), &[]);
+        // Past its deadline before a worker claims it: terminal without
+        // a simulation whose length the assertion would depend on.
+        let doomed = r#"SUBMIT {"workload":"gap.bfs","scale":"test","deadline_ms":1}"#;
+        let id = ticket(&s.reply(doomed));
+        let parked = s.core.dispatch(&format!("WAIT {id}"));
+        assert!(matches!(parked, Dispatch::Park(Parked::Job(on)) if on == id));
+        std::thread::sleep(Duration::from_millis(2));
+
+        let core = Arc::clone(&s.core);
+        let worker = std::thread::spawn(move || core.worker_loop());
+        // The loop's side, with no socket in the set and a timeout far
+        // beyond what the test allows itself: only the wake ends it.
+        let blocked = Instant::now();
+        let reply = loop {
+            wait(&[(s.core.waker.token(), READ)], Duration::from_secs(30));
+            s.core.waker.drain();
+            if let Ok(reply) = s.core.deliver(id) {
+                break reply;
+            }
+        };
+        assert_eq!(status(&reply), "deadline-exceeded");
+        let woken = blocked.elapsed() < Duration::from_secs(1);
+        assert!(woken, "the 30 s timeout is what ended the wait");
+        s.core.latch(|t| t.stop = true);
+        worker.join().expect("worker exits on stop");
+    }
+
+    #[test]
+    fn wakes_nobody_drains_never_block_or_fail_and_read_as_one() {
+        let waker = Waker::new().expect("socket pair");
+        // Far more than the socket buffers: most of these hit
+        // `WouldBlock`, which `wake` takes to mean "already pending".
+        for _ in 0..10_000 {
+            waker.wake();
+        }
+        let set = [(waker.token(), READ)];
+        assert!(wait(&set, Duration::ZERO)[0].read);
+        waker.drain();
+        let still = wait(&set, Duration::ZERO)[0].read;
+        assert!(!still, "one drain clears them all");
+    }
+}

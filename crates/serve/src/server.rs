@@ -80,7 +80,7 @@ impl Controller {
         self.core.lock().waiting
     }
 
-    /// Live job-table size (bounded by reap-on-poll + TTL).
+    /// Live job-table size (bounded by reap-on-delivery + TTL).
     pub fn ticket_count(&self) -> usize {
         self.core.lock().jobs.len()
     }

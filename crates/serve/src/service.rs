@@ -23,8 +23,18 @@
 //! behind **one** mutex with one condvar, so shedding, worker wakeup
 //! and drain tracking cannot miss each other. [`Table::set_state`] is
 //! the only transition, which keeps the `waiting`/`in_flight` gauges
-//! exact. The table is bounded: the `POLL` that delivers a terminal job
-//! reaps it, and [`Core::tick`] reaps terminal jobs nobody collects.
+//! exact. The table is bounded: the `WAIT` or `POLL` that delivers a
+//! terminal job reaps it, and [`Core::tick`] reaps terminal jobs nobody
+//! collects.
+//!
+//! ## Completion-driven waiting
+//!
+//! `WAIT <ticket>` is answered when the job turns terminal, not
+//! before: [`Core::dispatch`] tells the event loop to [park](Parked)
+//! the connection, a worker (or a backend's answer on a link) makes the
+//! job terminal, the worker signals [`Core::waker`], and the loop's
+//! next pass delivers. Nothing polls. `POLL` remains as the
+//! non-blocking probe.
 //!
 //! ## One cache
 //!
@@ -44,6 +54,7 @@
 
 use crate::hist::LogHistogram;
 use crate::protocol::Request;
+use crate::readiness::Waker;
 use crate::ring::HashRing;
 use crate::server::ServerConfig;
 use crate::store::ResultStore;
@@ -55,7 +66,7 @@ use std::time::{Duration, Instant};
 use tpharness::wire::{self, encode_sim_report, Value};
 use tpsim::CancelToken;
 
-/// Terminal jobs nobody polls are reaped after this long, bounding the
+/// Terminal jobs nobody collects are reaped after this long, bounding the
 /// table even for clients that submit and vanish.
 pub(crate) const JOB_TTL: Duration = Duration::from_secs(60);
 
@@ -66,13 +77,9 @@ pub(crate) enum JobState {
     Routing,
     /// `SUBMIT` forwarded; awaiting that backend's submit response.
     AwaitSubmit(usize),
-    /// Accepted by a backend under its ticket; `polling` is true while
-    /// a `POLL` is outstanding on the link.
-    Remote {
-        backend: usize,
-        ticket: u64,
-        polling: bool,
-    },
+    /// Accepted by that backend; one `WAIT` for it is outstanding on
+    /// the link.
+    Remote(usize),
     /// Queued for the local worker pool.
     LocalQueued,
     /// Running in a local worker.
@@ -225,6 +232,28 @@ pub(crate) struct Core {
     hit_hist: Mutex<LogHistogram>,
     sim_hist: Mutex<LogHistogram>,
     started: Instant,
+    /// Ends the event loop's readiness wait when a job turns terminal
+    /// or a latch flips, so parked connections are answered at once.
+    pub(crate) waker: Waker,
+}
+
+/// What a connection whose reply is deferred is waiting for. It parses
+/// nothing further until then, so replies stay in request order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Parked {
+    /// `WAIT`: this job turning terminal.
+    Job(u64),
+    /// `SHUTDOWN`: the drain completing.
+    Drain,
+}
+
+/// [`Core::dispatch`]'s answer to one protocol line.
+#[derive(Debug)]
+pub(crate) enum Dispatch {
+    Reply(Value),
+    /// The event loop owes the reply once what the connection is
+    /// parked on has happened.
+    Park(Parked),
 }
 
 type Fields = Vec<(&'static str, Value)>;
@@ -304,6 +333,7 @@ impl Core {
             hit_hist: Mutex::new(LogHistogram::new()),
             sim_hist: Mutex::new(LogHistogram::new()),
             started: Instant::now(),
+            waker: Waker::new()?,
             cfg,
         }))
     }
@@ -405,30 +435,32 @@ impl Core {
         self.cv.notify_one();
     }
 
-    /// `POLL`: the first successful poll of a terminal job is its
-    /// delivery, and delivering reaps — keeping delivered jobs around is
-    /// how the original server leaked memory on every request.
-    fn poll(&self, id: u64) -> Value {
+    /// Delivers job `id` if that can be done now: the reply to its
+    /// terminal state, which reaps it — keeping delivered jobs around
+    /// is how the original server leaked memory on every request — or
+    /// the unknown-ticket error. `Err` carries the status of a job
+    /// that is still live.
+    pub(crate) fn deliver(&self, id: u64) -> Result<Value, &'static str> {
         let ticket = ("ticket", Value::u64(id));
         let mut t = self.lock();
         match t.jobs.get(&id).map(|j| &j.state) {
-            None => return error_response(format!("unknown ticket {id}")),
-            Some(JobState::Running) => return response("running", vec![ticket]),
-            Some(s) if !s.terminal() => return response("queued", vec![ticket]),
+            None => return Ok(error_response(format!("unknown ticket {id}"))),
+            Some(JobState::Running) => return Err("running"),
+            Some(s) if !s.terminal() => return Err("queued"),
             Some(_) => {}
         }
         let job = t.jobs.remove(&id).expect("present above");
         drop(t);
-        match job.state {
+        Ok(match job.state {
             JobState::Done { cached } => match self.lookup_cached(&job.spec.canonical) {
                 Some(encoded) => done_response(Some(id), &job.spec.canonical, cached, &encoded),
                 // Only reachable if the store's byte cap evicted the
-                // result between completion and this poll.
+                // result between completion and this delivery.
                 None => error_response(format!("ticket {id}: result evicted; resubmit")),
             },
             JobState::Failed(reason) => response("failed", vec![ticket, ("reason", text(reason))]),
             _ => response("deadline-exceeded", vec![ticket]),
-        }
+        })
     }
 
     /// `STATS`: one shape for every role.
@@ -499,7 +531,7 @@ impl Core {
             ("in_flight", num(in_flight)),
             ("workers", num(self.cfg.workers)),
             ("queue_capacity", num(self.cfg.queue_capacity)),
-            // Live table size: bounded by reap-on-poll + the TTL reap.
+            // Live table size: bounded by reap-on-delivery + the TTL reap.
             ("tickets", num(tickets)),
             ("served", n(&c.served)),
             ("rejected", n(&c.rejected)),
@@ -521,10 +553,10 @@ impl Core {
         response("ok", vec![("stats", obj(stats))])
     }
 
-    /// Handles one protocol line. `None` means `SHUTDOWN`: the drain
-    /// has begun and the event loop owes the reply once it completes;
-    /// every other verb replies immediately.
-    pub(crate) fn dispatch(&self, line: &str) -> Option<Value> {
+    /// Handles one protocol line. `WAIT` on a live job and `SHUTDOWN`
+    /// (whose drain has now begun) park the connection; everything
+    /// else replies immediately.
+    pub(crate) fn dispatch(&self, line: &str) -> Dispatch {
         let line = line.trim();
         let (verb, rest) = match line.find(' ') {
             Some(i) => (&line[..i], line[i + 1..].trim()),
@@ -534,7 +566,7 @@ impl Core {
             bump(&self.counters.errors);
             error_response(reason)
         };
-        Some(match verb {
+        Dispatch::Reply(match verb {
             "PING" => response("ok", vec![("pong", Value::Bool(true))]),
             "STATS" => self.stats(),
             // Full validation at the edge: a malformed request never
@@ -543,24 +575,32 @@ impl Core {
                 Ok(req) => self.submit(req, rest),
                 Err(reason) => error(format!("invalid request: {reason}")),
             },
-            "POLL" => match rest.parse::<u64>() {
-                Ok(id) => self.poll(id),
-                Err(_) => error("POLL needs a ticket number".into()),
+            // The same delivery either way; they differ only in what a
+            // live job gets: `POLL` its status, `WAIT` a parked reply.
+            "POLL" | "WAIT" => match rest.parse::<u64>() {
+                Err(_) => error(format!("{verb} needs a ticket number")),
+                Ok(id) => match self.deliver(id) {
+                    Ok(reply) => reply,
+                    Err(_) if verb == "WAIT" => return Dispatch::Park(Parked::Job(id)),
+                    Err(live) => response(live, vec![("ticket", Value::u64(id))]),
+                },
             },
             "SHUTDOWN" => {
                 self.latch(|t| t.draining = true);
-                return None;
+                return Dispatch::Park(Parked::Drain);
             }
             other => error(format!(
-                "unknown verb {other:?} (SUBMIT|POLL|STATS|PING|SHUTDOWN)"
+                "unknown verb {other:?} (SUBMIT|WAIT|POLL|STATS|PING|SHUTDOWN)"
             )),
         })
     }
 
-    /// Flips a pause/drain/stop latch and wakes every worker to see it.
+    /// Flips a pause/drain/stop latch and wakes every worker, and the
+    /// event loop, to see it.
     pub(crate) fn latch(&self, set: impl FnOnce(&mut Table)) {
         set(&mut self.lock());
         self.cv.notify_all();
+        self.waker.wake();
     }
 
     /// True once a drain was requested and no job is live anywhere.
@@ -585,6 +625,8 @@ impl Core {
             };
             let verdict = self.execute(&spec);
             self.lock().set_state(id, verdict);
+            // Whoever is parked on this job hears now, not a tick later.
+            self.waker.wake();
         }
     }
 
@@ -669,7 +711,10 @@ pub(crate) mod tests {
         }
 
         pub(crate) fn reply(&self, line: &str) -> Value {
-            self.core.dispatch(line).expect("not a SHUTDOWN")
+            match self.core.dispatch(line) {
+                Dispatch::Reply(reply) => reply,
+                Dispatch::Park(on) => panic!("{line:?} parked on {on:?}"),
+            }
         }
 
         /// `SUBMIT`, then the routing pass the loop would run.
@@ -697,13 +742,17 @@ pub(crate) mod tests {
     /// Both shapes of the one core: an empty ring (a plain server) and
     /// a ring whose every backend refuses connections (a coordinator
     /// reduced to its last resort). Every verb must behave the same.
-    fn both_shapes(case: impl Fn(Shape)) {
+    fn shapes() -> [Shape; 2] {
         let cfg = ServerConfig {
             queue_capacity: 2,
             ..Default::default()
         };
-        case(Shape::new(cfg.clone(), &[]));
-        case(Shape::new(cfg, &[dead_addr(), dead_addr()]));
+        let server = Shape::new(cfg.clone(), &[]);
+        [server, Shape::new(cfg, &[dead_addr(), dead_addr()])]
+    }
+
+    fn both_shapes(case: impl Fn(Shape)) {
+        shapes().into_iter().for_each(case);
     }
 
     pub(crate) fn str_of<'a>(v: &'a Value, field: &str) -> &'a str {
@@ -737,7 +786,8 @@ pub(crate) mod tests {
             assert_eq!(shed.get("queue_depth").and_then(Value::as_u64), Some(2));
             assert_eq!(count(&s.core.counters.rejected), 1);
 
-            assert!(s.core.dispatch("SHUTDOWN").is_none(), "reply deferred");
+            let deferred = s.core.dispatch("SHUTDOWN");
+            assert!(matches!(deferred, Dispatch::Park(Parked::Drain)));
             assert!(!s.core.drain_finished(), "two accepted jobs are still live");
             s.run_queued();
             assert!(s.core.drain_finished());
@@ -783,8 +833,9 @@ pub(crate) mod tests {
             assert_eq!(status(&s.submit(r#"{"workload":"no.such"}"#)), "error");
             assert_eq!(status(&s.reply("FROBNICATE 12")), "error");
             assert_eq!(status(&s.reply("POLL notanumber")), "error");
+            assert_eq!(status(&s.reply("WAIT notanumber")), "error");
             assert!(str_of(&s.poll(999), "reason").contains("unknown ticket"));
-            assert_eq!(count(&s.core.counters.errors), 3);
+            assert_eq!(count(&s.core.counters.errors), 4);
             assert_eq!(count(&s.core.counters.rejected), 0);
         });
     }
@@ -830,6 +881,53 @@ pub(crate) mod tests {
             assert_eq!(status(&s.poll(tb)), "error");
             assert_eq!(s.submit(TC).get("cached").unwrap().as_bool(), Some(true));
         });
+    }
+
+    #[test]
+    fn wait_parks_on_a_live_job_and_delivers_what_poll_would_have() {
+        type Finish = fn(&Shape, u64);
+        let cases: [(&str, Finish); 3] = [
+            ("done", |s, _| s.run_queued()),
+            ("failed", |s, id| {
+                let audit = JobState::Failed("conservation-law audit failed".into());
+                s.core.lock().set_state(id, audit);
+            }),
+            ("deadline-exceeded", |s, id| {
+                s.core.lock().set_state(id, JobState::DeadlineExceeded);
+            }),
+        ];
+        for (outcome, finish) in cases {
+            // Twin cores issue the same tickets: one job is waited for,
+            // its twin polled, and the bytes must not differ.
+            for (mut waited, mut polled) in shapes().into_iter().zip(shapes()) {
+                // An unknown ticket is an error at once, never a park.
+                let unknown = waited.reply("WAIT 999");
+                assert_eq!(unknown.encode(), polled.poll(999).encode());
+                assert!(str_of(&unknown, "reason").contains("unknown ticket"));
+
+                let id = ticket(&waited.submit(BFS));
+                assert_eq!(ticket(&polled.submit(BFS)), id);
+                let parked = waited.core.dispatch(&format!("WAIT {id}"));
+                assert!(matches!(parked, Dispatch::Park(Parked::Job(on)) if on == id));
+                assert_eq!(status(&polled.poll(id)), "queued");
+                finish(&waited, id);
+                finish(&polled, id);
+
+                // What the loop does for a connection parked on `id`.
+                let delivered = waited.core.deliver(id).expect("the job is terminal");
+                assert_eq!(status(&delivered), outcome);
+                assert_eq!(delivered.encode(), polled.poll(id).encode());
+                assert_eq!(waited.core.lock().jobs.len(), 0, "delivery reaps");
+
+                // A job already terminal is delivered, and reaped, by
+                // the WAIT itself.
+                let late = ticket(&waited.submit(TC));
+                finish(&waited, late);
+                assert_eq!(status(&waited.reply(&format!("WAIT {late}"))), outcome);
+                assert_eq!(waited.core.lock().jobs.len(), 0);
+                assert_eq!(status(&waited.reply(&format!("WAIT {late}"))), "error");
+            }
+        }
     }
 
     #[test]

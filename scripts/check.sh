@@ -6,6 +6,8 @@
 # 2. A release-mode sweep over the memory-intensive pool at test scale
 #    with --audit, so the release build's counters are checked against
 #    the same laws the debug assertions enforce.
+# 3. Server and fleet smokes from the outside, then the benchmark's own
+#    tests and its quick mode.
 #
 # Usage: ./scripts/check.sh   (from the repo root)
 set -e
@@ -136,7 +138,11 @@ $TPCOORD sweep \
   '{"workload":"gap.bfs","scale":"test","temporal":"streamline"}' \
   '{"workload":"spec06.mcf","scale":"test","temporal":"streamline","seed":4242}' \
   --local-check | grep -q '"identical":true'
-$TPCOORD stats | grep -q '"role":"coordinator"'
+# A WAIT the backends mishandled would reroute the job, not fail it:
+# the bytes above would still match, so the counter is the gate.
+CSTATS=$($TPCOORD stats)
+echo "$CSTATS" | grep -q '"role":"coordinator"'
+echo "$CSTATS" | grep -q '"rerouted":0' || { echo "fleet smoke rerouted jobs: $CSTATS"; exit 1; }
 $TPCOORD shutdown | grep -q '"status":"ok"'
 wait "$COORD_PID"
 ./target/release/tpclient "unix:$B0" shutdown >/dev/null
@@ -144,5 +150,10 @@ wait "$COORD_PID"
 wait "$B0_PID" "$B1_PID"
 trap - EXIT
 [ ! -e "$CSOCK" ] || { echo "coordinator left its socket behind"; exit 1; }
+
+echo "== benchmark: its own tests, then every workload once (quick mode) =="
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# Exits non-zero on any failed operation or correctness check.
+benchmark/run.sh --quick >/dev/null
 
 echo "check.sh: all gates passed"

@@ -451,3 +451,119 @@ fn coordinator_stops_reading_from_a_client_that_never_reads() {
     drop(c);
     fleet.handle.join().unwrap();
 }
+
+/// A scripted backend: accepts the coordinator's one link, records
+/// every line sent down it, answers each `SUBMIT` with `queued` under
+/// the next ticket and each `WAIT` — after a pause long enough for a
+/// poller to show itself — with whatever `verdict` makes of the ticket
+/// and the payload submitted under it. Yields the recorded lines once
+/// the link closes. A `verdict` may say anything, which makes this the
+/// misbehaving backend too.
+fn stub_backend(
+    verdict: impl Fn(u64, &str) -> String + Send + 'static,
+) -> (String, thread::JoinHandle<Vec<String>>) {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let handle = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        let mut payloads: Vec<String> = Vec::new();
+        let mut seen = Vec::new();
+        for line in reader.lines().map_while(Result::ok) {
+            let answer = match line.split_once(' ') {
+                Some(("SUBMIT", payload)) => {
+                    payloads.push(payload.to_string());
+                    let ticket = payloads.len();
+                    format!(r#"{{"status":"queued","ticket":{ticket},"key":"0","queue_depth":1}}"#)
+                }
+                Some(("WAIT", ticket)) => {
+                    thread::sleep(std::time::Duration::from_millis(30));
+                    let ticket: u64 = ticket.parse().expect("a ticket number");
+                    verdict(ticket, &payloads[ticket as usize - 1])
+                }
+                _ => r#"{"status":"error","reason":"the stub speaks SUBMIT and WAIT"}"#.to_string(),
+            };
+            seen.push(line);
+            if stream.write_all(format!("{answer}\n").as_bytes()).is_err() {
+                break;
+            }
+        }
+        seen
+    });
+    (addr, handle)
+}
+
+/// `(SUBMIT lines, WAIT lines, all lines)` a stub recorded.
+fn verbs(lines: &[String]) -> (usize, usize, usize) {
+    let count = |verb: &str| lines.iter().filter(|l| l.starts_with(verb)).count();
+    (count("SUBMIT "), count("WAIT "), lines.len())
+}
+
+fn seeded_local_report(seed: u64) -> String {
+    let w = workloads::by_name("spec06.mcf").unwrap().with_seed(seed);
+    let exp = Experiment::new(Scale::Test)
+        .l1(L1Kind::Stride)
+        .temporal(TemporalKind::Streamline);
+    encode_sim_report(&run_single(&w, &exp))
+}
+
+#[test]
+fn a_link_carries_one_submit_and_one_wait_per_job_and_never_a_poll() {
+    let seeds = [21, 22, 23];
+    let payloads: Vec<Value> = seeds.iter().map(|&s| seeded_payload(s)).collect();
+    let local: Vec<String> = seeds.iter().map(|&s| seeded_local_report(s)).collect();
+    // The stub's canned results are the local runs, keyed by the
+    // payload bytes the coordinator forwards verbatim.
+    let canned: std::collections::HashMap<String, String> = payloads
+        .iter()
+        .map(Value::encode)
+        .zip(local.iter().cloned())
+        .collect();
+    let (addr, stub) = stub_backend(move |ticket, payload| {
+        let report = &canned[payload];
+        format!(
+            r#"{{"status":"done","ticket":{ticket},"key":"0","cached":false,"report":{report}}}"#
+        )
+    });
+
+    let fleet = start_coordinator(&[addr]);
+    let mut c = Client::connect(&fleet.addr).expect("connect coordinator");
+    let served = c.submit_sweep(&payloads).unwrap();
+    for (resp, local) in served.iter().zip(&local) {
+        assert_eq!(status(resp), "done", "{}", resp.encode());
+        assert_eq!(&resp.get("report").unwrap().encode(), local);
+    }
+    assert_eq!(fleet.controller.rerouted(), 0);
+    assert_eq!(fleet.controller.local_jobs(), 0);
+
+    assert_eq!(status(&c.shutdown().unwrap()), "ok");
+    drop(c);
+    fleet.handle.join().unwrap();
+    let lines = stub.join().unwrap();
+    assert_eq!(verbs(&lines), (3, 3, 6), "{lines:#?}");
+}
+
+#[test]
+fn a_wait_answered_without_a_verdict_reroutes_the_job() {
+    // A backend that answers WAIT the way POLL would: the placement is
+    // void, and with the ring exhausted the job runs locally.
+    let (addr, stub) =
+        stub_backend(|ticket, _| format!(r#"{{"status":"running","ticket":{ticket}}}"#));
+    let fleet = start_coordinator(&[addr]);
+    let mut c = Client::connect(&fleet.addr).expect("connect coordinator");
+    let resp = c.submit_and_wait(&seeded_payload(24)).unwrap();
+    assert_eq!(status(&resp), "done", "{}", resp.encode());
+    assert_eq!(
+        resp.get("report").unwrap().encode(),
+        seeded_local_report(24)
+    );
+    assert_eq!(fleet.controller.rerouted(), 1);
+    assert_eq!(fleet.controller.local_jobs(), 1);
+
+    assert_eq!(status(&c.shutdown().unwrap()), "ok");
+    drop(c);
+    fleet.handle.join().unwrap();
+    let lines = stub.join().unwrap();
+    assert_eq!(verbs(&lines), (1, 1, 2), "{lines:#?}");
+}

@@ -2,7 +2,7 @@
 //! round-trips over real sockets, byte-identical reports vs direct
 //! sweep-runner execution, pipelined submissions, persistent-store
 //! warm restarts, ticket-table bounds, load shedding, deadline
-//! cancellation, and graceful drain.
+//! cancellation, deferred `WAIT` replies, and graceful drain.
 
 use std::thread;
 use tpharness::baselines::{L1Kind, TemporalKind};
@@ -36,6 +36,53 @@ fn status(v: &Value) -> &str {
 
 fn req(json: &str) -> Value {
     parse(json).expect("test request parses")
+}
+
+/// A bare protocol connection: unlike [`Client`] it can write several
+/// lines before reading any reply, and leave a reply unread.
+struct Raw {
+    stream: std::net::TcpStream,
+    reader: std::io::BufReader<std::net::TcpStream>,
+}
+
+impl Raw {
+    fn connect(addr: &str) -> Raw {
+        let stream = std::net::TcpStream::connect(addr).expect("connect raw");
+        let reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        Raw { stream, reader }
+    }
+
+    fn send(&mut self, lines: &str) {
+        use std::io::Write;
+        self.stream.write_all(lines.as_bytes()).expect("write");
+    }
+
+    /// The next reply line, or `None` if none arrives within `within`.
+    fn reply_within(&mut self, within: std::time::Duration) -> Option<Value> {
+        use std::io::BufRead;
+        self.stream.set_read_timeout(Some(within)).unwrap();
+        let mut line = String::new();
+        match self.reader.read_line(&mut line) {
+            Ok(n) if n > 0 => Some(parse(line.trim_end()).expect("reply parses")),
+            _ => None,
+        }
+    }
+
+    fn reply(&mut self) -> Value {
+        let patience = std::time::Duration::from_secs(120);
+        self.reply_within(patience).expect("a reply")
+    }
+
+    /// Submits an uncached request and returns the ticket it queued under.
+    fn submit_miss(&mut self, json: &str) -> u64 {
+        self.send(&format!("SUBMIT {json}\n"));
+        let queued = self.reply();
+        assert_eq!(status(&queued), "queued", "{}", queued.encode());
+        queued
+            .get("ticket")
+            .and_then(Value::as_u64)
+            .expect("a ticket")
+    }
 }
 
 #[test]
@@ -368,5 +415,119 @@ fn graceful_drain_loses_no_responses() {
     assert_eq!(late.get("reason").unwrap().as_str(), Some("shutting-down"));
 
     drop(submitter);
+    h.handle.join().unwrap();
+}
+
+#[test]
+fn a_parked_wait_holds_back_the_replies_pipelined_behind_it() {
+    let h = start(ServerConfig {
+        workers: 1,
+        start_paused: true, // the job stays live until the test says otherwise
+        ..Default::default()
+    });
+    let mut c = Raw::connect(&h.addr);
+    let t = c.submit_miss(r#"{"workload":"gap.bfs","scale":"test"}"#);
+
+    // WAIT and PING in one batch: while the job is live the connection
+    // is parked, and the PING behind the WAIT gets no answer either.
+    c.send(&format!("WAIT {t}\nPING\n"));
+    let early = c.reply_within(std::time::Duration::from_millis(200));
+    assert!(
+        early.is_none(),
+        "answered while parked: {}",
+        early.unwrap().encode()
+    );
+
+    // Once the job is done: its reply first, then the PING's.
+    h.controller.resume();
+    let done = c.reply();
+    assert_eq!(status(&done), "done", "{}", done.encode());
+    assert_eq!(done.get("ticket").and_then(Value::as_u64), Some(t));
+    assert!(done.get("report").is_some());
+    let pong = c.reply();
+    assert_eq!(
+        pong.get("pong").and_then(Value::as_bool),
+        Some(true),
+        "{}",
+        pong.encode()
+    );
+    assert_eq!(h.controller.ticket_count(), 0, "the WAIT's delivery reaps");
+
+    c.send("SHUTDOWN\n");
+    assert_eq!(status(&c.reply()), "ok");
+    drop(c);
+    h.handle.join().unwrap();
+}
+
+#[test]
+fn a_waiter_that_disconnects_still_has_its_job_reaped() {
+    let h = start(ServerConfig {
+        workers: 1,
+        start_paused: true,
+        ..Default::default()
+    });
+    let mut gone = Raw::connect(&h.addr);
+    let t = gone.submit_miss(r#"{"workload":"gap.tc","scale":"test"}"#);
+    gone.send(&format!("WAIT {t}\n"));
+    drop(gone);
+
+    // The job still runs, and delivering to the dead peer still reaps.
+    assert_eq!(h.controller.ticket_count(), 1);
+    h.controller.resume();
+    let mut c = Client::connect(&h.addr).expect("connect");
+    let patience = std::time::Instant::now();
+    while h.controller.ticket_count() > 0 {
+        assert!(
+            patience.elapsed().as_secs() < 120,
+            "ticket {t} was never reaped"
+        );
+        assert_eq!(
+            status(&c.ping().unwrap()),
+            "ok",
+            "the loop serves others meanwhile"
+        );
+        thread::sleep(std::time::Duration::from_millis(5));
+    }
+
+    assert_eq!(status(&c.shutdown().unwrap()), "ok");
+    drop(c);
+    h.handle.join().unwrap();
+}
+
+#[test]
+fn shutdown_is_acknowledged_only_after_parked_waits_are_answered() {
+    let h = start(ServerConfig {
+        workers: 1,
+        start_paused: true,
+        ..Default::default()
+    });
+    let mut waiter = Raw::connect(&h.addr);
+    let t = waiter.submit_miss(r#"{"workload":"gap.pr","scale":"test"}"#);
+    waiter.send(&format!("WAIT {t}\n"));
+
+    // SHUTDOWN on a second connection blocks on the drain, which needs
+    // the paused job to run.
+    let addr = h.addr.clone();
+    let shutdown = thread::spawn(move || {
+        let mut c = Client::connect(&addr).expect("connect shutdowner");
+        c.shutdown().expect("shutdown round-trip")
+    });
+    thread::sleep(std::time::Duration::from_millis(50));
+    assert_eq!(h.controller.ticket_count(), 1, "still parked on a live job");
+    h.controller.resume();
+    let ack = shutdown.join().expect("shutdown thread");
+    assert_eq!(status(&ack), "ok", "{}", ack.encode());
+
+    // With the acknowledgement in hand the WAIT has been delivered
+    // (delivery is what reaps), and its reply is there to read.
+    assert_eq!(
+        h.controller.ticket_count(),
+        0,
+        "acknowledged before the WAIT was answered"
+    );
+    let done = waiter.reply();
+    assert_eq!(status(&done), "done", "{}", done.encode());
+
+    drop(waiter);
     h.handle.join().unwrap();
 }
