@@ -23,10 +23,8 @@
 //! scheduling. Pass `--audit` to check every simulation's counters
 //! against the conservation laws in `tpsim::audit` (always on in debug
 //! builds; the flag enables the same checks in release runs).
-//! Self-timed micro-benchmarks for the core data structures live in the
-//! `micro_bench` binary.
+//! Speed is measured from outside, by `benchmark/run.sh`.
 
-pub mod alloc_count;
 pub mod remote;
 
 use std::sync::OnceLock;
@@ -40,12 +38,7 @@ use tptrace::{Scale, Workload};
 pub fn scale_from_args() -> Scale {
     for a in std::env::args() {
         if let Some(s) = a.strip_prefix("--scale=") {
-            return match s {
-                "test" => Scale::Test,
-                "small" => Scale::Small,
-                "full" => Scale::Full,
-                other => panic!("unknown scale {other:?} (test|small|full)"),
-            };
+            return s.parse().unwrap_or_else(|e| panic!("{e}"));
         }
     }
     Scale::Small
@@ -94,8 +87,8 @@ pub fn runner() -> &'static SweepRunner {
 /// Runs a batch of sweep jobs: through a `tpserve` instance when the
 /// `TPSIM_SERVER` environment variable names one (see [`remote`]),
 /// otherwise through the shared local [`runner`]. Reports come back in
-/// job order and are byte-identical either way — the server executes
-/// through the same sweep-runner path.
+/// job order and are byte-identical either way — the server's workers
+/// and the runner's both call `SweepJob::run`.
 pub fn run_jobs(jobs: &[SweepJob]) -> Vec<tpsim::SimReport> {
     if let Some(addr) = remote::server_addr() {
         eprintln!("  routing {} job(s) through tpserve at {addr}", jobs.len());

@@ -8,19 +8,16 @@
 //! (parameterized ablation configs), shed submissions (`queue-full`),
 //! and transport errors all fall back to local execution — a figure run
 //! never fails because the server is busy or gone, and results are
-//! byte-identical either way because the server executes through the
-//! same [`SweepRunner`](tpharness::sweep::SweepRunner) path.
+//! byte-identical either way because the server's workers execute the
+//! same [`SweepJob::run`].
 
 use crate::{audit_from_args, runner};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tpharness::baselines::TemporalKind;
-use tpharness::experiment::Experiment;
-use tpharness::sweep::{reassemble, SweepJob};
-use tpharness::wire::{decode_sim_report, Value};
-use tpserve::Client;
+use tpharness::sweep::SweepJob;
+use tpharness::wire::{decode_sim_report, parse, Value};
+use tpserve::{Client, Request};
 use tpsim::SimReport;
-use tptrace::workloads;
 
 /// Process-wide count of jobs that fell back to local execution while
 /// server routing was active (inexpressible, rejected, or failed by
@@ -45,196 +42,60 @@ pub fn server_addr() -> Option<String> {
     Some(v.to_string())
 }
 
-fn temporal_name(t: TemporalKind) -> Option<&'static str> {
-    // Only parameterless named kinds exist on the wire; ablation
-    // configs (TriangelFixed, StreamlineCfg) carry structs the protocol
-    // deliberately doesn't serialize.
-    match t {
-        TemporalKind::None
-        | TemporalKind::Ideal
-        | TemporalKind::Triage
-        | TemporalKind::Triangel
-        | TemporalKind::TriangelIdeal
-        | TemporalKind::Streamline => Some(t.name()),
-        TemporalKind::TriangelFixed(_) | TemporalKind::StreamlineCfg(_) => None,
-    }
-}
-
-fn exp_fields(exp: &Experiment, fields: &mut Vec<(String, Value)>) -> Option<()> {
-    // Every L1/L2 kind is a parameterless name, so only the temporal
-    // kind can make an experiment inexpressible.
-    fields.push(("scale".into(), Value::Str(exp.scale.to_string())));
-    fields.push(("l1".into(), Value::Str(exp.l1.name().into())));
-    fields.push(("l2".into(), Value::Str(exp.l2.name().into())));
-    fields.push(("temporal".into(), Value::Str(temporal_name(exp.temporal)?.into())));
-    fields.push(("bandwidth".into(), Value::f64(exp.bandwidth_factor)));
-    fields.push(("warmup".into(), Value::f64(exp.warmup)));
-    Some(())
-}
-
-/// Renders a job as a `SUBMIT` payload, or `None` if it isn't
-/// expressible over the wire (runs locally instead).
-fn payload(job: &SweepJob) -> Option<Value> {
-    let mut fields: Vec<(String, Value)> = Vec::new();
-    match job {
-        SweepJob::Single { workload, exp } => {
-            fields.push(("workload".into(), Value::Str(workload.name.into())));
-            exp_fields(exp, &mut fields)?;
-            let canonical_seed = workloads::by_name(workload.name)?.seed;
-            if workload.seed != canonical_seed {
-                fields.push(("seed".into(), Value::u64(workload.seed)));
-            }
-        }
-        SweepJob::Mix { mix, exp } => {
-            // Reseeded mixes aren't expressible (the protocol only
-            // carries one seed, for single-workload requests).
-            for w in &mix.workloads {
-                if workloads::by_name(w.name)?.seed != w.seed {
-                    return None;
-                }
-            }
-            if mix.index > 99 {
-                return None;
-            }
-            fields.push((
-                "mix".into(),
-                Value::Arr(mix.workloads.iter().map(|w| Value::Str(w.name.into())).collect()),
-            ));
-            fields.push(("mix_index".into(), Value::u64(mix.index as u64)));
-            exp_fields(exp, &mut fields)?;
-        }
-    }
-    if audit_from_args() {
-        fields.push(("audit".into(), Value::Bool(true)));
-    }
-    Some(Value::Obj(fields))
-}
-
-enum Slot {
-    Done(Box<SimReport>),
-    Ticket(u64),
-    Local,
-}
-
-fn decode_response_report(resp: &Value) -> Option<SimReport> {
-    let report = resp.get("report")?;
-    decode_sim_report(&report.encode()).ok()
-}
-
-/// Submits every expressible job, then collects queued tickets; any
-/// inexpressible, rejected, or failed job is simulated locally through
-/// the shared [`runner`].
+/// Submits every job the wire can express as one pipelined sweep, then
+/// simulates locally, through the shared [`runner`], whatever was
+/// inexpressible or did not come back `done` with a readable report
+/// (rejected, failed, deadline-exceeded, evicted).
 ///
 /// # Errors
 /// Transport-level failures (cannot connect, connection lost); the
 /// caller falls back to a fully local run.
 pub fn run_via_server(addr: &str, jobs: &[SweepJob]) -> io::Result<Vec<SimReport>> {
-    let mut client = Client::connect(addr)?;
-    let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let slot = match payload(job) {
-            None => Slot::Local,
-            Some(p) => {
-                let resp = client.submit(&p)?;
-                match resp.get("status").and_then(Value::as_str) {
-                    Some("done") => match decode_response_report(&resp) {
-                        Some(r) => Slot::Done(Box::new(r)),
-                        None => Slot::Local,
-                    },
-                    Some("queued") => match resp.get("ticket").and_then(Value::as_u64) {
-                        Some(t) => Slot::Ticket(t),
-                        None => Slot::Local,
-                    },
-                    // rejected (queue-full / shutting-down) or error.
-                    _ => Slot::Local,
-                }
-            }
-        };
-        slots.push(slot);
+    let payload = |job: &SweepJob| {
+        let canonical = Request::from_job(job)?.canonical();
+        let mut payload = parse(&canonical).expect("canonical requests parse");
+        if let (true, Value::Obj(fields)) = (audit_from_args(), &mut payload) {
+            fields.push(("audit".into(), Value::Bool(true)));
+        }
+        Some(payload)
+    };
+    let (sent, payloads): (Vec<usize>, Vec<Value>) = jobs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, job)| Some((i, payload(job)?)))
+        .unzip();
+    let mut served = vec![None; jobs.len()];
+    let responses = Client::connect(addr)?.submit_sweep(&payloads)?;
+    for (i, resp) in sent.into_iter().zip(responses) {
+        if resp.get("status").and_then(Value::as_str) == Some("done") {
+            served[i] = resp
+                .get("report")
+                .and_then(|r| decode_sim_report(&r.encode()).ok());
+        }
     }
 
-    // Collect as (index, report) pairs and reassemble through the same
-    // canonical-order primitive SweepRunner::map uses, so server-routed
-    // sweeps share the lost/duplicated-job invariant with local ones.
-    let mut indexed: Vec<(usize, SimReport)> = Vec::with_capacity(jobs.len());
-    let mut local = 0usize;
-    for (i, (job, slot)) in jobs.iter().zip(slots).enumerate() {
-        let report = match slot {
-            Slot::Done(r) => *r,
-            Slot::Ticket(t) => {
-                let resp = client.wait(t)?;
-                match resp.get("status").and_then(Value::as_str) {
-                    Some("done") => match decode_response_report(&resp) {
-                        Some(r) => r,
-                        None => {
-                            local += 1;
-                            runner().run_one(job.clone())
-                        }
-                    },
-                    // The server accepted the job but it terminated
-                    // without a report (failed, deadline-exceeded,
-                    // evicted): per-job local fallback.
-                    _ => {
-                        local += 1;
-                        runner().run_one(job.clone())
-                    }
-                }
-            }
-            Slot::Local => {
-                local += 1;
-                runner().run_one(job.clone())
-            }
-        };
-        indexed.push((i, report));
+    let missing: Vec<SweepJob> = jobs
+        .iter()
+        .zip(&served)
+        .filter(|(_, report)| report.is_none())
+        .map(|(job, _)| job.clone())
+        .collect();
+    if !missing.is_empty() {
+        LOCAL_FALLBACKS.fetch_add(missing.len() as u64, Ordering::Relaxed);
+        eprintln!("  tpserve routing: {}/{} job(s) ran locally", missing.len(), jobs.len());
     }
-    if local > 0 {
-        LOCAL_FALLBACKS.fetch_add(local as u64, Ordering::Relaxed);
-        eprintln!("  tpserve routing: {local}/{} job(s) ran locally", jobs.len());
-    }
-    Ok(reassemble(indexed, jobs.len()))
+    let mut local = runner().run(&missing).into_iter();
+    Ok(served
+        .into_iter()
+        .map(|report| report.unwrap_or_else(|| local.next().expect("one local run per gap")))
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stride_baseline;
-    use tptrace::{Mix, Scale};
-
-    #[test]
-    fn expressible_jobs_render_canonical_payloads() {
-        let w = workloads::by_name("gap.bfs").unwrap();
-        let job = SweepJob::single(w.clone(), stride_baseline(Scale::Test));
-        let p = payload(&job).unwrap();
-        assert_eq!(p.get("workload").unwrap().as_str(), Some("gap.bfs"));
-        assert_eq!(p.get("scale").unwrap().as_str(), Some("test"));
-        assert!(p.get("seed").is_none(), "canonical seeds travel implicitly");
-
-        let seeded = SweepJob::single(w.with_seed(42), stride_baseline(Scale::Test));
-        let p = payload(&seeded).unwrap();
-        assert_eq!(p.get("seed").unwrap().as_u64(), Some(42));
-    }
-
-    #[test]
-    fn parameterized_ablations_stay_local() {
-        let w = workloads::by_name("gap.bfs").unwrap();
-        let exp = stride_baseline(Scale::Test).temporal(TemporalKind::TriangelFixed(4));
-        assert!(payload(&SweepJob::single(w, exp)).is_none());
-    }
-
-    #[test]
-    fn mix_payloads_carry_names_and_index() {
-        let ws = ["gap.bfs", "spec06.mcf"]
-            .iter()
-            .filter_map(|n| workloads::by_name(n))
-            .collect::<Vec<_>>();
-        let mix = Mix {
-            index: 7,
-            workloads: ws,
-        };
-        let p = payload(&SweepJob::mix(mix, stride_baseline(Scale::Test))).unwrap();
-        assert_eq!(p.get("mix").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(p.get("mix_index").unwrap().as_u64(), Some(7));
-    }
+    use tptrace::{workloads, Scale};
 
     #[test]
     fn accepted_then_failed_jobs_fall_back_locally_and_count() {

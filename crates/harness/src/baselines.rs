@@ -35,6 +35,14 @@ impl L1Kind {
             L1Kind::Berti => "berti",
         }
     }
+
+    /// Every kind, in declaration order.
+    pub const ALL: [L1Kind; 3] = [L1Kind::None, L1Kind::Stride, L1Kind::Berti];
+
+    /// The inverse of [`L1Kind::name`].
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.name() == name)
+    }
 }
 
 /// Regular L2 prefetcher choices (Figure 11c/d).
@@ -69,6 +77,14 @@ impl L2Kind {
             L2Kind::Bingo => "bingo",
             L2Kind::SppPpf => "spp-ppf",
         }
+    }
+
+    /// Every kind, in declaration order.
+    pub const ALL: [L2Kind; 4] = [L2Kind::None, L2Kind::Ipcp, L2Kind::Bingo, L2Kind::SppPpf];
+
+    /// The inverse of [`L2Kind::name`].
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -127,6 +143,24 @@ impl TemporalKind {
             TemporalKind::StreamlineCfg(_) => "streamline-cfg",
         }
     }
+
+    /// Every parameterless kind — the ones a name alone identifies, and
+    /// so the only ones a CLI flag or the service protocol can carry.
+    pub const NAMED: [TemporalKind; 6] = [
+        TemporalKind::None,
+        TemporalKind::Ideal,
+        TemporalKind::Triage,
+        TemporalKind::Triangel,
+        TemporalKind::TriangelIdeal,
+        TemporalKind::Streamline,
+    ];
+
+    /// The inverse of [`TemporalKind::name`] over [`TemporalKind::NAMED`]:
+    /// `"triangel-fixed"` and `"streamline-cfg"` name a family, not a
+    /// configuration, and are `None`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::NAMED.into_iter().find(|k| k.name() == name)
+    }
 }
 
 #[cfg(test)]
@@ -152,5 +186,27 @@ mod tests {
             "streamline"
         );
         assert!(TemporalKind::None.build().is_none());
+    }
+
+    #[test]
+    fn from_name_inverts_name_for_every_parameterless_kind() {
+        for k in L1Kind::ALL {
+            assert_eq!(L1Kind::from_name(k.name()), Some(k));
+        }
+        for k in L2Kind::ALL {
+            assert_eq!(L2Kind::from_name(k.name()), Some(k));
+        }
+        for k in TemporalKind::NAMED {
+            let back = TemporalKind::from_name(k.name()).expect("a named kind");
+            assert_eq!(format!("{back:?}"), format!("{k:?}"));
+        }
+        for family in [
+            TemporalKind::TriangelFixed(4).name(),
+            TemporalKind::StreamlineCfg(StreamlineConfig::default()).name(),
+            "magic",
+        ] {
+            assert!(TemporalKind::from_name(family).is_none(), "{family}");
+        }
+        assert!(L1Kind::from_name("magic").is_none() && L2Kind::from_name("magic").is_none());
     }
 }

@@ -48,37 +48,13 @@ fn parse_opts() -> Opts {
     };
     for a in std::env::args().skip(1) {
         if let Some(v) = a.strip_prefix("--scale=") {
-            o.scale = match v {
-                "test" => Scale::Test,
-                "small" => Scale::Small,
-                "full" => Scale::Full,
-                _ => usage(),
-            };
+            o.scale = v.parse().unwrap_or_else(|_| usage());
         } else if let Some(v) = a.strip_prefix("--l1=") {
-            o.l1 = match v {
-                "none" => L1Kind::None,
-                "stride" => L1Kind::Stride,
-                "berti" => L1Kind::Berti,
-                _ => usage(),
-            };
+            o.l1 = L1Kind::from_name(v).unwrap_or_else(|| usage());
         } else if let Some(v) = a.strip_prefix("--l2=") {
-            o.l2 = match v {
-                "none" => L2Kind::None,
-                "ipcp" => L2Kind::Ipcp,
-                "bingo" => L2Kind::Bingo,
-                "spp-ppf" => L2Kind::SppPpf,
-                _ => usage(),
-            };
+            o.l2 = L2Kind::from_name(v).unwrap_or_else(|| usage());
         } else if let Some(v) = a.strip_prefix("--temporal=") {
-            o.temporal = match v {
-                "none" => TemporalKind::None,
-                "ideal" => TemporalKind::Ideal,
-                "triage" => TemporalKind::Triage,
-                "triangel" => TemporalKind::Triangel,
-                "triangel-ideal" => TemporalKind::TriangelIdeal,
-                "streamline" => TemporalKind::Streamline,
-                _ => usage(),
-            };
+            o.temporal = TemporalKind::from_name(v).unwrap_or_else(|| usage());
         } else if let Some(v) = a.strip_prefix("--bandwidth=") {
             o.bandwidth = v.parse().unwrap_or_else(|_| usage());
         } else if a == "--audit" {

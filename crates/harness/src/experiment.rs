@@ -1,7 +1,7 @@
 //! Experiment descriptions and runners.
 
 use crate::baselines::{L1Kind, L2Kind, TemporalKind};
-use tpsim::{CancelToken, CorePlan, Engine, SimReport, SystemConfig};
+use tpsim::{CorePlan, Engine, SimReport, SystemConfig};
 use tptrace::{Mix, Scale, Workload};
 
 /// A complete experiment configuration: which prefetchers run at each
@@ -62,13 +62,24 @@ impl Experiment {
     /// A stable, human-readable fingerprint of every knob that affects
     /// simulation results. Two experiments with equal fingerprints are
     /// interchangeable, which is what the sweep runner's result cache
-    /// keys on (together with the workload identity).
+    /// keys on (together with each workload's name and seed).
     ///
     /// Derived from the `Debug` form, which spells out the scale, all
     /// three prefetcher kinds (including embedded ablation configs),
     /// the bandwidth factor, and the warmup fraction.
     pub fn fingerprint(&self) -> String {
         format!("{self:?}")
+    }
+
+    /// The engine that simulates `workloads` (one per core, each with
+    /// its own prefetcher instances) under this experiment — the one
+    /// place a job description becomes a simulator. Callers pick how it
+    /// runs: `.run()`, `.run_with_cancel(token)`, `.batch_size(n)`.
+    pub fn engine(&self, workloads: &[Workload]) -> Engine {
+        let plans = workloads.iter().map(|w| self.plan(w)).collect();
+        let system =
+            SystemConfig::with_cores(workloads.len()).with_bandwidth_factor(self.bandwidth_factor);
+        Engine::new(system, plans).warmup_fraction(self.warmup)
     }
 
     fn plan(&self, w: &Workload) -> CorePlan {
@@ -86,75 +97,16 @@ impl Experiment {
         }
         plan
     }
-
-    fn system(&self, cores: usize) -> SystemConfig {
-        SystemConfig::with_cores(cores).with_bandwidth_factor(self.bandwidth_factor)
-    }
 }
 
 /// Runs a single-core experiment on one workload.
 pub fn run_single(workload: &Workload, exp: &Experiment) -> SimReport {
-    Engine::new(exp.system(1), vec![exp.plan(workload)])
-        .warmup_fraction(exp.warmup)
-        .run()
+    exp.engine(std::slice::from_ref(workload)).run()
 }
 
-/// Runs a multi-core experiment on a mix (one workload per core; each
-/// core gets its own prefetcher instances).
+/// Runs a multi-core experiment on a mix (one workload per core).
 pub fn run_mix(mix: &Mix, exp: &Experiment) -> SimReport {
-    let plans: Vec<CorePlan> = mix.workloads.iter().map(|w| exp.plan(w)).collect();
-    Engine::new(exp.system(mix.cores()), plans)
-        .warmup_fraction(exp.warmup)
-        .run()
-}
-
-/// [`run_mix`] at an explicit engine batch size. A batch of 1 selects
-/// the serial reference loop; the `batched_equivalence` differential
-/// suite replays the same mix at several batch sizes and asserts the
-/// reports are byte-identical.
-pub fn run_mix_with_batch(mix: &Mix, exp: &Experiment, batch: usize) -> SimReport {
-    let plans: Vec<CorePlan> = mix.workloads.iter().map(|w| exp.plan(w)).collect();
-    Engine::new(exp.system(mix.cores()), plans)
-        .batch_size(batch)
-        .warmup_fraction(exp.warmup)
-        .run()
-}
-
-/// [`run_mix_with_batch`] with cooperative cancellation (see
-/// [`run_single_cancellable`]).
-pub fn run_mix_with_batch_cancellable(
-    mix: &Mix,
-    exp: &Experiment,
-    batch: usize,
-    cancel: &CancelToken,
-) -> Option<SimReport> {
-    let plans: Vec<CorePlan> = mix.workloads.iter().map(|w| exp.plan(w)).collect();
-    Engine::new(exp.system(mix.cores()), plans)
-        .batch_size(batch)
-        .warmup_fraction(exp.warmup)
-        .run_with_cancel(cancel)
-}
-
-/// [`run_single`] with cooperative cancellation: returns `None` if the
-/// token is cancelled at an engine epoch boundary, otherwise exactly
-/// the report `run_single` would produce.
-pub fn run_single_cancellable(
-    workload: &Workload,
-    exp: &Experiment,
-    cancel: &CancelToken,
-) -> Option<SimReport> {
-    Engine::new(exp.system(1), vec![exp.plan(workload)])
-        .warmup_fraction(exp.warmup)
-        .run_with_cancel(cancel)
-}
-
-/// [`run_mix`] with cooperative cancellation (see
-/// [`run_single_cancellable`]).
-pub fn run_mix_cancellable(mix: &Mix, exp: &Experiment, cancel: &CancelToken) -> Option<SimReport> {
-    let plans: Vec<CorePlan> = mix.workloads.iter().map(|w| exp.plan(w)).collect();
-    Engine::new(exp.system(mix.cores()), plans)
-        .warmup_fraction(exp.warmup)
-        .run_with_cancel(cancel)
+    exp.engine(&mix.workloads).run()
 }
 
 #[cfg(test)]

@@ -11,43 +11,32 @@
 //!   results are reassembled by job index, so `run` returns reports in
 //!   exactly the order jobs were submitted.
 //! * **Stable seeds.** A job's trace seed never depends on which worker
-//!   runs it or when. By default each workload keeps its registry seed;
-//!   under [`SweepRunner::with_base_seed`] the seed is re-derived from a
-//!   hash of the *job key* (workload name) and the base seed, so even
-//!   seed sweeps are order-independent. Crucially the derivation ignores
-//!   the experiment config, so a baseline and a candidate run of the
-//!   same workload always replay the identical trace.
+//!   runs it or when. By default each workload keeps the seed it
+//!   carries; under [`SweepRunner::with_base_seed`] the seed is
+//!   re-derived from a hash of the workload name and the base seed, so
+//!   even seed sweeps are order-independent. Crucially the derivation
+//!   ignores the experiment config, so a baseline and a candidate run
+//!   of the same workload always replay the identical trace.
 //! * **Pure jobs.** The simulator itself takes no input other than the
 //!   trace and config (no wall-clock, no OS entropy), so a job's report
 //!   is a pure function of its cache key.
 //!
 //! Purity is also what makes the built-in **result cache** sound: the
-//! cache is keyed by `(workload name, experiment fingerprint)` (plus
-//! the seed mode), so a config that several figures revisit — the
-//! stride baseline, most commonly — is simulated once per process and
-//! every later request is served byte-identically from memory.
+//! cache is keyed by [`SweepJob::key`] — every workload's name *and
+//! seed* plus the experiment fingerprint, i.e. everything the report
+//! depends on — so a config that several figures revisit (the stride
+//! baseline, most commonly) is simulated once per process and every
+//! later request is served byte-identically from memory, while two
+//! reseeded runs of one workload never share an entry.
 
-use crate::experiment::{
-    run_mix, run_mix_cancellable, run_single, run_single_cancellable, Experiment,
-};
+use crate::experiment::Experiment;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tpsim::{CancelToken, SimReport};
 use tptrace::rng::splitmix64;
 use tptrace::{Mix, Workload};
-
-/// How the runner assigns trace seeds to jobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SeedMode {
-    /// Use each workload's canonical registry seed (the default; keeps
-    /// sweep results identical to direct [`run_single`] calls).
-    Canonical,
-    /// Re-derive every workload's seed from
-    /// `hash(job key, base seed)` — stable across submission order and
-    /// worker count, different per base seed.
-    Derived(u64),
-}
 
 /// Derives a job's trace seed from a stable `(job key, base seed)`
 /// hash (FNV-1a over the key, finalized with splitmix64).
@@ -97,77 +86,87 @@ impl SweepJob {
         SweepJob::Mix { mix, exp }
     }
 
-    /// The job's cache key: workload identity × experiment fingerprint.
+    /// The workloads, one per core, seeds included.
+    pub fn workloads(&self) -> &[Workload] {
+        match self {
+            SweepJob::Single { workload, .. } => std::slice::from_ref(workload),
+            SweepJob::Mix { mix, .. } => &mix.workloads,
+        }
+    }
+
+    /// The experiment configuration.
+    pub fn exp(&self) -> &Experiment {
+        match self {
+            SweepJob::Single { exp, .. } | SweepJob::Mix { exp, .. } => exp,
+        }
+    }
+
+    /// The job's cache key: every workload's name and seed × the
+    /// experiment fingerprint — everything the report is a function of.
     /// Two jobs with equal keys produce byte-identical reports, so the
     /// runner simulates each distinct key at most once.
     pub fn key(&self) -> String {
+        self.key_under(None)
+    }
+
+    /// [`SweepJob::key`] of this job as a runner with `base_seed` would
+    /// run it, without building the reseeded job.
+    fn key_under(&self, base_seed: Option<u64>) -> String {
+        // One allocation for a typical key (an experiment prints in
+        // about 100 bytes) instead of a doubling series.
+        let mut key = String::with_capacity(256);
         match self {
-            SweepJob::Single { workload, exp } => {
-                format!("single:{}#{}", workload.name, exp.fingerprint())
-            }
-            SweepJob::Mix { mix, exp } => {
-                format!("mix:{}#{}", mix.label(), exp.fingerprint())
-            }
+            SweepJob::Single { workload, .. } => write!(key, "single:{}", workload.name),
+            SweepJob::Mix { mix, .. } => write!(key, "mix:{mix}"),
+        }
+        .expect("writing to a String");
+        for w in self.workloads() {
+            write!(key, "@{:x}", effective_seed(base_seed, w)).expect("writing to a String");
+        }
+        write!(key, "#{:?}", self.exp()).expect("writing to a String");
+        key
+    }
+
+    /// This job with every workload reseeded to its effective seed
+    /// under `base_seed`.
+    fn reseeded(&self, base_seed: u64) -> SweepJob {
+        let reseed = |w: &Workload| w.with_seed(effective_seed(Some(base_seed), w));
+        match self {
+            SweepJob::Single { workload, exp } => SweepJob::single(reseed(workload), exp.clone()),
+            SweepJob::Mix { mix, exp } => SweepJob::mix(
+                Mix {
+                    index: mix.index,
+                    workloads: mix.workloads.iter().map(reseed).collect(),
+                },
+                exp.clone(),
+            ),
         }
     }
 
-    /// Runs the job to completion (on the calling thread).
-    fn run(&self, seeds: SeedMode) -> SimReport {
-        match self {
-            SweepJob::Single { workload, exp } => match seeds {
-                SeedMode::Canonical => run_single(workload, exp),
-                SeedMode::Derived(base) => {
-                    let w = workload.with_seed(derive_seed(base, workload.name));
-                    run_single(&w, exp)
-                }
-            },
-            SweepJob::Mix { mix, exp } => match seeds {
-                SeedMode::Canonical => run_mix(mix, exp),
-                SeedMode::Derived(base) => {
-                    let mut m = mix.clone();
-                    m.workloads = m
-                        .workloads
-                        .iter()
-                        .map(|w| w.with_seed(derive_seed(base, w.name)))
-                        .collect();
-                    run_mix(&m, exp)
-                }
-            },
+    /// Simulates the job on the calling thread — the one executor behind
+    /// the runner, the service's workers and every local fallback. With
+    /// a token the engine polls it at epoch boundaries and `None` means
+    /// it fired; without one the run always completes. A completed run
+    /// is byte-identical either way.
+    pub fn run(&self, cancel: Option<&CancelToken>) -> Option<SimReport> {
+        let engine = self.exp().engine(self.workloads());
+        match cancel {
+            Some(token) => engine.run_with_cancel(token),
+            None => Some(engine.run()),
         }
     }
+}
 
-    /// Runs the job with cooperative cancellation; `None` means the
-    /// token fired at an engine epoch boundary before completion. An
-    /// uncancelled run is byte-identical to [`SweepJob::run`].
-    fn run_with_cancel(&self, seeds: SeedMode, cancel: &CancelToken) -> Option<SimReport> {
-        match self {
-            SweepJob::Single { workload, exp } => match seeds {
-                SeedMode::Canonical => run_single_cancellable(workload, exp, cancel),
-                SeedMode::Derived(base) => {
-                    let w = workload.with_seed(derive_seed(base, workload.name));
-                    run_single_cancellable(&w, exp, cancel)
-                }
-            },
-            SweepJob::Mix { mix, exp } => match seeds {
-                SeedMode::Canonical => run_mix_cancellable(mix, exp, cancel),
-                SeedMode::Derived(base) => {
-                    let mut m = mix.clone();
-                    m.workloads = m
-                        .workloads
-                        .iter()
-                        .map(|w| w.with_seed(derive_seed(base, w.name)))
-                        .collect();
-                    run_mix_cancellable(&m, exp, cancel)
-                }
-            },
-        }
-    }
+/// The seed workload `w` replays under a runner's base seed: its own,
+/// or [`derive_seed`] of its name when the runner reseeds.
+fn effective_seed(base_seed: Option<u64>, w: &Workload) -> u64 {
+    base_seed.map_or(w.seed, |base| derive_seed(base, w.name))
 }
 
 /// Deterministic parallel executor for sweep jobs (see module docs).
 pub struct SweepRunner {
     workers: usize,
-    seeds: SeedMode,
+    base_seed: Option<u64>,
     audit: bool,
     cache: Mutex<HashMap<String, SimReport>>,
 }
@@ -189,7 +188,7 @@ impl SweepRunner {
         let workers = crate::jobs::worker_count(None);
         SweepRunner {
             workers,
-            seeds: SeedMode::Canonical,
+            base_seed: None,
             audit: false,
             cache: Mutex::new(HashMap::new()),
         }
@@ -206,10 +205,11 @@ impl SweepRunner {
         self
     }
 
-    /// Switches seed derivation from the registry's canonical seeds to
-    /// `hash(job key, base_seed)` (see [`derive_seed`]).
+    /// Replaces every workload's seed with
+    /// `derive_seed(base_seed, workload name)`: running `jobs` is then
+    /// running the same jobs reseeded by hand, keys and cache included.
     pub fn with_base_seed(mut self, base_seed: u64) -> Self {
-        self.seeds = SeedMode::Derived(base_seed);
+        self.base_seed = Some(base_seed);
         self
     }
 
@@ -263,7 +263,7 @@ impl SweepRunner {
     pub fn run(&self, jobs: &[SweepJob]) -> Vec<SimReport> {
         // Collect the distinct keys that still need simulating, in
         // first-appearance order (stable regardless of worker count).
-        let keys: Vec<String> = jobs.iter().map(|j| j.key()).collect();
+        let keys: Vec<String> = jobs.iter().map(|j| j.key_under(self.base_seed)).collect();
         let mut pending: Vec<(&str, &SweepJob)> = Vec::new();
         {
             let cache = self.cache.lock().expect("sweep cache lock");
@@ -276,7 +276,11 @@ impl SweepRunner {
         }
 
         let fresh = self.map(&pending, |_, (key, job)| {
-            let report = job.run(self.seeds);
+            let report = match self.base_seed {
+                None => job.run(None),
+                Some(base) => job.reseeded(base).run(None),
+            }
+            .expect("a run without a cancel token always completes");
             if self.audit {
                 assert!(
                     report.audit.passed(),
@@ -299,35 +303,6 @@ impl SweepRunner {
     /// Runs one job (through the cache).
     pub fn run_one(&self, job: SweepJob) -> SimReport {
         self.run(std::slice::from_ref(&job)).remove(0)
-    }
-
-    /// Runs one job with cooperative cancellation, through the cache.
-    ///
-    /// A cached key is returned immediately (cancellation cannot fire —
-    /// nothing runs). Otherwise the job executes on the calling thread
-    /// with the engine polling `cancel` at epoch boundaries; `None`
-    /// means it was cancelled and **nothing was cached** (a later retry
-    /// re-simulates). An uncancelled result is inserted into the same
-    /// cache `run` uses, so server-side and batch execution share hits,
-    /// and is byte-identical to what `run_one` would have produced.
-    pub fn run_one_with_cancel(&self, job: &SweepJob, cancel: &CancelToken) -> Option<SimReport> {
-        let key = job.key();
-        if let Some(hit) = self.cache.lock().expect("sweep cache lock").get(&key) {
-            return Some(hit.clone());
-        }
-        let report = job.run_with_cancel(self.seeds, cancel)?;
-        if self.audit {
-            assert!(
-                report.audit.passed(),
-                "conservation-law audit failed for {key}:\n{}",
-                report.audit
-            );
-        }
-        self.cache
-            .lock()
-            .expect("sweep cache lock")
-            .insert(key, report.clone());
-        Some(report)
     }
 
     /// Low-level deterministic parallel map: applies `f` to every item
@@ -450,24 +425,32 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_run_matches_plain_run_and_skips_cache_on_cancel() {
-        let runner = SweepRunner::serial();
+    fn a_token_cancels_the_run_and_a_live_one_does_not_perturb_it() {
         let j = job("gap.tc", TemporalKind::None);
-
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        assert!(runner.run_one_with_cancel(&j, &cancelled).is_none());
-        assert_eq!(runner.cached_jobs(), 0, "cancelled runs must not cache");
+        assert!(j.run(Some(&cancelled)).is_none());
 
         let live = CancelToken::new();
-        let via_cancel = runner.run_one_with_cancel(&j, &live).unwrap();
-        assert_eq!(runner.cached_jobs(), 1);
-        let direct = SweepRunner::serial().run_one(j.clone());
-        assert_eq!(via_cancel.cores[0].cycles, direct.cores[0].cycles);
-        assert_eq!(via_cancel.cores[0].l2.misses, direct.cores[0].l2.misses);
+        let via_token = j.run(Some(&live)).unwrap();
+        let plain = j.run(None).unwrap();
+        assert!(live.polls() > 0, "the engine never polled the token");
+        assert_eq!(format!("{via_token:?}"), format!("{plain:?}"));
+    }
 
-        // A cached key ignores even a cancelled token.
-        assert!(runner.run_one_with_cancel(&j, &cancelled).is_some());
+    #[test]
+    fn the_key_under_a_base_seed_is_the_reseeded_jobs_key() {
+        let single = job("gap.pr", TemporalKind::Streamline);
+        let mix = SweepJob::mix(
+            tptrace::MixGenerator::new(3).mixes(2, 1).remove(0),
+            single.exp().clone(),
+        );
+        for j in [single, mix] {
+            assert_eq!(j.key_under(None), j.key());
+            assert_eq!(j.key_under(Some(9)), j.reseeded(9).key());
+            assert_ne!(j.key_under(Some(9)), j.key());
+            assert_ne!(j.key_under(Some(9)), j.key_under(Some(10)));
+        }
     }
 
     #[test]

@@ -38,26 +38,12 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Runs one payload locally through a path independent of the
-/// service's own (`Request::run`): the sweep runner, or a direct
-/// reseeded run for requests its seed-blind cache cannot express.
+/// Runs one payload locally: the request's job through a fresh serial
+/// sweep runner, in this process — no socket, no service cache, no store.
 fn run_locally(payload: &Value) -> tpsim::SimReport {
-    use tpharness::experiment::run_single;
-    use tpharness::sweep::SweepRunner;
-    use tpserve::protocol::{Request, Target};
-
-    let req = Request::from_value(payload)
+    let req = tpserve::Request::from_value(payload)
         .unwrap_or_else(|e| fail(&format!("--local-check: invalid request: {e}")));
-    match req.sweep_job() {
-        Some(job) => SweepRunner::serial().run_one(job),
-        None => {
-            let seed = req.seed.expect("jobless requests carry a seed");
-            match &req.target {
-                Target::Single(w) => run_single(&w.with_seed(seed), &req.experiment()),
-                Target::MixOf { .. } => unreachable!("validation rejects seeded mixes"),
-            }
-        }
-    }
+    tpharness::sweep::SweepRunner::serial().run_one(req.job())
 }
 
 /// `sweep`: pipelined submits, every ticket waited to a terminal

@@ -32,8 +32,8 @@
 //!   candidate of a consistent-hash ring ([`ring`]) keyed by the
 //!   canonical request, else to the local pool. Placement failures
 //!   reroute; execution verdicts relay.
-//! * **Execution**: every worker runs [`Request::run`] — the same
-//!   engine calls as a direct `run_single`/`run_mix` — so a served
+//! * **Execution**: every worker runs [`Request::run`] — the request's
+//!   `SweepJob`, executed as the sweep runner executes it — so a served
 //!   report is **byte-identical** to the same experiment run through
 //!   the CLI, whichever node ran it (the integration and
 //!   fleet-equivalence suites compare canonical encodings).

@@ -18,7 +18,7 @@
 
 use std::io::{self, BufRead};
 use tpharness::baselines::{L1Kind, L2Kind, TemporalKind};
-use tpharness::experiment::{run_mix_cancellable, run_single_cancellable, Experiment};
+use tpharness::experiment::Experiment;
 use tpharness::sweep::SweepJob;
 use tpharness::wire::{fnv1a, Value};
 use tpsim::{CancelToken, SimReport};
@@ -31,6 +31,10 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Largest mix (core count) a request may ask for.
 pub const MAX_MIX_CORES: usize = 16;
+
+/// Largest `mix_index` a request may carry (the `mixNN[...]` label has
+/// two digits).
+pub const MAX_MIX_INDEX: usize = 99;
 
 /// What a request simulates: one workload or a multi-core mix.
 #[derive(Clone, Debug)]
@@ -46,26 +50,19 @@ pub enum Target {
     },
 }
 
-/// A validated experiment request.
+/// A validated experiment request: a [`SweepJob`] the wire can express
+/// ([`Request::job`], [`Request::from_job`]) plus execution policy.
 #[derive(Clone, Debug)]
 pub struct Request {
-    /// What to simulate.
+    /// What to simulate, as registry workloads (canonical seeds).
     pub target: Target,
-    /// Trace scale.
-    pub scale: Scale,
-    /// L1D prefetcher.
-    pub l1: L1Kind,
-    /// Regular L2 prefetcher.
-    pub l2: L2Kind,
-    /// Temporal prefetcher (named kinds only — parameterized ablation
-    /// configs are not expressible over the wire).
-    pub temporal: TemporalKind,
-    /// DRAM bandwidth factor.
-    pub bandwidth: f64,
-    /// Warmup fraction in `[0, 1)`.
-    pub warmup: f64,
+    /// Scale, prefetchers (parameterless temporal kinds only —
+    /// ablation configs are not expressible over the wire), bandwidth
+    /// factor and warmup fraction.
+    pub exp: Experiment,
     /// Trace seed override (single-workload requests only). `None`
-    /// keeps the registry's canonical seed.
+    /// keeps the registry's canonical seed; spelling that seed out is
+    /// the same request and parses to `None`.
     pub seed: Option<u64>,
     /// Per-request deadline; the run is cancelled at the next engine
     /// epoch boundary once it expires.
@@ -75,56 +72,27 @@ pub struct Request {
     pub audit: bool,
 }
 
-fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s {
-        "test" => Ok(Scale::Test),
-        "small" => Ok(Scale::Small),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("unknown scale {other:?} (test|small|full)")),
-    }
+/// A prefetcher-kind field: absent means `default`, a name must be one
+/// `from_name` knows.
+fn kind<T>(
+    name: Option<&str>,
+    what: &str,
+    from_name: fn(&str) -> Option<T>,
+    default: T,
+) -> Result<T, String> {
+    name.map_or(Ok(default), |s| {
+        from_name(s).ok_or_else(|| format!("unknown {what} prefetcher {s:?}"))
+    })
 }
 
-fn parse_l1(s: &str) -> Result<L1Kind, String> {
-    match s {
-        "none" => Ok(L1Kind::None),
-        "stride" => Ok(L1Kind::Stride),
-        "berti" => Ok(L1Kind::Berti),
-        other => Err(format!("unknown l1 prefetcher {other:?} (none|stride|berti)")),
+/// The range checks every experiment passes before it may reach an
+/// engine (which would panic on them).
+fn check_experiment(exp: &Experiment) -> Result<(), String> {
+    let bandwidth = exp.bandwidth_factor;
+    if !bandwidth.is_finite() || bandwidth <= 0.0 {
+        return Err(format!("bandwidth must be finite and positive, got {bandwidth}"));
     }
-}
-
-fn parse_l2(s: &str) -> Result<L2Kind, String> {
-    match s {
-        "none" => Ok(L2Kind::None),
-        "ipcp" => Ok(L2Kind::Ipcp),
-        "bingo" => Ok(L2Kind::Bingo),
-        "spp-ppf" => Ok(L2Kind::SppPpf),
-        other => Err(format!(
-            "unknown l2 prefetcher {other:?} (none|ipcp|bingo|spp-ppf)"
-        )),
-    }
-}
-
-fn parse_temporal(s: &str) -> Result<TemporalKind, String> {
-    match s {
-        "none" => Ok(TemporalKind::None),
-        "ideal" => Ok(TemporalKind::Ideal),
-        "triage" => Ok(TemporalKind::Triage),
-        "triangel" => Ok(TemporalKind::Triangel),
-        "triangel-ideal" => Ok(TemporalKind::TriangelIdeal),
-        "streamline" => Ok(TemporalKind::Streamline),
-        other => Err(format!(
-            "unknown temporal prefetcher {other:?} \
-             (none|ideal|triage|triangel|triangel-ideal|streamline)"
-        )),
-    }
-}
-
-fn mix_of(workloads: &[Workload], index: usize) -> Mix {
-    Mix {
-        index,
-        workloads: workloads.to_vec(),
-    }
+    tpsim::validate_warmup_fraction(exp.warmup).map_err(|e| e.to_string())
 }
 
 const KNOWN_FIELDS: &[&str] = &[
@@ -208,8 +176,8 @@ impl Request {
                     );
                 }
                 let index = get_u64("mix_index")?.unwrap_or(0);
-                if index > 99 {
-                    return Err("mix_index must be at most 99".into());
+                if index > MAX_MIX_INDEX as u64 {
+                    return Err(format!("mix_index must be at most {MAX_MIX_INDEX}"));
                 }
                 Target::MixOf {
                     workloads: ws,
@@ -218,34 +186,29 @@ impl Request {
             }
         };
 
-        let scale = match get_str("scale")? {
-            Some(s) => parse_scale(s)?,
-            None => Scale::Small,
-        };
-        let l1 = match get_str("l1")? {
-            Some(s) => parse_l1(s)?,
-            None => L1Kind::Stride,
-        };
-        let l2 = match get_str("l2")? {
-            Some(s) => parse_l2(s)?,
-            None => L2Kind::None,
-        };
-        let temporal = match get_str("temporal")? {
-            Some(s) => parse_temporal(s)?,
-            None => TemporalKind::None,
-        };
+        let scale = get_str("scale")?.map_or(Ok(Scale::Small), str::parse)?;
+        let mut exp = Experiment::new(scale)
+            .l1(kind(get_str("l1")?, "l1", L1Kind::from_name, L1Kind::Stride)?)
+            .l2(kind(get_str("l2")?, "l2", L2Kind::from_name, L2Kind::None)?)
+            .temporal(kind(
+                get_str("temporal")?,
+                "temporal",
+                TemporalKind::from_name,
+                TemporalKind::None,
+            )?)
+            .bandwidth(get_f64("bandwidth")?.unwrap_or(1.0));
+        exp.warmup = get_f64("warmup")?.unwrap_or(0.2);
+        check_experiment(&exp)?;
 
-        let bandwidth = get_f64("bandwidth")?.unwrap_or(1.0);
-        if !bandwidth.is_finite() || bandwidth <= 0.0 {
-            return Err(format!("bandwidth must be finite and positive, got {bandwidth}"));
-        }
-        let warmup = get_f64("warmup")?.unwrap_or(0.2);
-        tpsim::validate_warmup_fraction(warmup).map_err(|e| e.to_string())?;
-
-        let seed = get_u64("seed")?;
-        if seed.is_some() && matches!(target, Target::MixOf { .. }) {
-            return Err("seed overrides are only supported for single-workload requests".into());
-        }
+        let seed = match (&target, get_u64("seed")?) {
+            (Target::MixOf { .. }, Some(_)) => {
+                return Err(
+                    "seed overrides are only supported for single-workload requests".into(),
+                )
+            }
+            (Target::Single(w), seed) => seed.filter(|&s| s != w.seed),
+            (Target::MixOf { .. }, None) => None,
+        };
         let deadline_ms = get_u64("deadline_ms")?;
         if deadline_ms == Some(0) {
             return Err("deadline_ms must be at least 1".into());
@@ -258,15 +221,47 @@ impl Request {
 
         Ok(Request {
             target,
-            scale,
-            l1,
-            l2,
-            temporal,
-            bandwidth,
-            warmup,
+            exp,
             seed,
             deadline_ms,
             audit,
+        })
+    }
+
+    /// The request that [`Request::job`] turns back into `job`, or
+    /// `None` if the wire cannot express it: a parameterized temporal
+    /// kind, a reseeded mix (the protocol carries one seed, for
+    /// single-workload requests), a mix beyond the protocol's size and
+    /// index limits, a workload outside the registry, or an experiment
+    /// out of range. No execution policy is set.
+    pub fn from_job(job: &SweepJob) -> Option<Request> {
+        let exp = job.exp();
+        TemporalKind::from_name(exp.temporal.name())?;
+        check_experiment(exp).ok()?;
+        let (target, seed) = match job {
+            SweepJob::Single { workload, .. } => {
+                let registry = workloads::by_name(workload.name)?;
+                let seed = (workload.seed != registry.seed).then_some(workload.seed);
+                (Target::Single(registry), seed)
+            }
+            SweepJob::Mix { mix, .. } => {
+                let cores = 1..=MAX_MIX_CORES;
+                if mix.index > MAX_MIX_INDEX || !cores.contains(&mix.cores()) {
+                    return None;
+                }
+                let registry =
+                    |w: &Workload| workloads::by_name(w.name).filter(|r| r.seed == w.seed);
+                let workloads = mix.workloads.iter().map(registry).collect::<Option<_>>()?;
+                let index = mix.index;
+                (Target::MixOf { workloads, index }, None)
+            }
+        };
+        Some(Request {
+            target,
+            exp: exp.clone(),
+            seed,
+            deadline_ms: None,
+            audit: false,
         })
     }
 
@@ -294,12 +289,13 @@ impl Request {
                 fields.push(("mix_index".into(), Value::u64(*index as u64)));
             }
         }
-        fields.push(("scale".into(), Value::Str(self.scale.to_string())));
-        fields.push(("l1".into(), Value::Str(self.l1.name().into())));
-        fields.push(("l2".into(), Value::Str(self.l2.name().into())));
-        fields.push(("temporal".into(), Value::Str(self.temporal.name().into())));
-        fields.push(("bandwidth".into(), Value::f64(self.bandwidth)));
-        fields.push(("warmup".into(), Value::f64(self.warmup)));
+        let exp = &self.exp;
+        fields.push(("scale".into(), Value::Str(exp.scale.to_string())));
+        fields.push(("l1".into(), Value::Str(exp.l1.name().into())));
+        fields.push(("l2".into(), Value::Str(exp.l2.name().into())));
+        fields.push(("temporal".into(), Value::Str(exp.temporal.name().into())));
+        fields.push(("bandwidth".into(), Value::f64(exp.bandwidth_factor)));
+        fields.push(("warmup".into(), Value::f64(exp.warmup)));
         fields.push((
             "seed".into(),
             match self.seed {
@@ -318,48 +314,32 @@ impl Request {
 
     /// The experiment configuration this request describes.
     pub fn experiment(&self) -> Experiment {
-        let mut exp = Experiment::new(self.scale)
-            .l1(self.l1)
-            .l2(self.l2)
-            .temporal(self.temporal)
-            .bandwidth(self.bandwidth);
-        exp.warmup = self.warmup;
-        exp
+        self.exp.clone()
+    }
+
+    /// The request as the sweep job it describes; a seed override rides
+    /// on the job's workload, so the job means the same thing wherever
+    /// it runs.
+    pub fn job(&self) -> SweepJob {
+        match &self.target {
+            Target::Single(w) => {
+                SweepJob::single(w.with_seed(self.seed.unwrap_or(w.seed)), self.exp.clone())
+            }
+            Target::MixOf { workloads, index } => SweepJob::mix(
+                Mix {
+                    index: *index,
+                    workloads: workloads.clone(),
+                },
+                self.exp.clone(),
+            ),
+        }
     }
 
     /// Simulates the request on the calling thread — how every service
-    /// worker executes, seeded or not. `None` means `cancel` fired at an
-    /// engine epoch boundary; otherwise the report is byte-identical to
-    /// a direct `run_single`/`run_mix` of the same configuration.
+    /// worker executes. `None` means `cancel` fired at an engine epoch
+    /// boundary.
     pub fn run(&self, cancel: &CancelToken) -> Option<SimReport> {
-        let exp = self.experiment();
-        match &self.target {
-            Target::Single(w) => {
-                let w = self.seed.map_or_else(|| w.clone(), |seed| w.with_seed(seed));
-                run_single_cancellable(&w, &exp, cancel)
-            }
-            Target::MixOf { workloads, index } => {
-                run_mix_cancellable(&mix_of(workloads, *index), &exp, cancel)
-            }
-        }
-    }
-
-    /// The request as a sweep job with **canonical** seeds, or `None`
-    /// for seed-overriding requests: the sweep cache keys on workload
-    /// *name* and experiment fingerprint (deliberately excluding seeds),
-    /// so a reseeded run must not go through it. The service itself
-    /// executes through [`Request::run`]; this is the independent
-    /// reference path `tpclient sweep --local-check` compares against.
-    pub fn sweep_job(&self) -> Option<SweepJob> {
-        if self.seed.is_some() {
-            return None;
-        }
-        Some(match &self.target {
-            Target::Single(w) => SweepJob::single(w.clone(), self.experiment()),
-            Target::MixOf { workloads, index } => {
-                SweepJob::mix(mix_of(workloads, *index), self.experiment())
-            }
-        })
+        self.job().run(Some(cancel))
     }
 }
 
@@ -424,12 +404,12 @@ mod tests {
     #[test]
     fn minimal_request_gets_cli_defaults() {
         let r = req(r#"{"workload":"spec06.mcf"}"#).unwrap();
-        assert_eq!(r.scale, Scale::Small);
-        assert_eq!(r.l1, L1Kind::Stride);
-        assert_eq!(r.l2, L2Kind::None);
-        assert!(matches!(r.temporal, TemporalKind::None));
-        assert_eq!(r.bandwidth, 1.0);
-        assert_eq!(r.warmup, 0.2);
+        assert_eq!(r.exp.scale, Scale::Small);
+        assert_eq!(r.exp.l1, L1Kind::Stride);
+        assert_eq!(r.exp.l2, L2Kind::None);
+        assert!(matches!(r.exp.temporal, TemporalKind::None));
+        assert_eq!(r.exp.bandwidth_factor, 1.0);
+        assert_eq!(r.exp.warmup, 0.2);
         assert!(r.seed.is_none() && r.deadline_ms.is_none() && !r.audit);
     }
 
@@ -462,8 +442,15 @@ mod tests {
         // But the seed does.
         let seeded = req(r#"{"workload":"gap.bfs","scale":"test","seed":7}"#).unwrap();
         assert_ne!(plain.canonical(), seeded.canonical());
-        assert!(seeded.sweep_job().is_none(), "seeded runs bypass the sweep cache");
-        assert!(plain.sweep_job().is_some());
+        assert_ne!(plain.job().key(), seeded.job().key(), "the job's key sees the seed");
+        assert_eq!(seeded.job().workloads()[0].seed, 7);
+        // Spelling out the registry's own seed is the plain request.
+        let registry_seed = plain.job().workloads()[0].seed;
+        let spelled = req(&format!(
+            r#"{{"workload":"gap.bfs","scale":"test","seed":{registry_seed}}}"#
+        ))
+        .unwrap();
+        assert_eq!(spelled.canonical(), plain.canonical());
     }
 
     #[test]
@@ -476,8 +463,80 @@ mod tests {
             }
             _ => panic!("expected mix target"),
         }
-        let job = r.sweep_job().unwrap();
-        assert!(job.key().starts_with("mix:mix03[gap.bfs+spec06.mcf]#"));
+        assert!(r.job().key().starts_with("mix:mix03[gap.bfs+spec06.mcf]@"));
+    }
+
+    /// A valid request drawn field by field: single or mix, every named
+    /// kind, seeded singles, bandwidth and warmup off their defaults.
+    fn random_request(g: &mut tpcheck::Gen) -> Request {
+        let pool = workloads::memory_intensive();
+        let mut pick = |g: &mut tpcheck::Gen| pool[g.usize_in(0..pool.len())].clone();
+        let (target, seed) = if g.bool() {
+            let w = pick(g);
+            let seed = g.bool().then(|| g.next_u64()).filter(|&s| s != w.seed);
+            (Target::Single(w), seed)
+        } else {
+            let workloads = g.vec(1..MAX_MIX_CORES + 1, &mut pick);
+            let index = g.usize_in(0..MAX_MIX_INDEX + 1);
+            (Target::MixOf { workloads, index }, None)
+        };
+        let scale = [Scale::Test, Scale::Small, Scale::Full][g.usize_in(0..3)];
+        let mut exp = Experiment::new(scale)
+            .l1(L1Kind::ALL[g.usize_in(0..L1Kind::ALL.len())])
+            .l2(L2Kind::ALL[g.usize_in(0..L2Kind::ALL.len())])
+            .temporal(TemporalKind::NAMED[g.usize_in(0..TemporalKind::NAMED.len())])
+            .bandwidth([0.25, 1.0, 2.0][g.usize_in(0..3)]);
+        exp.warmup = [0.0, 0.2, 0.5][g.usize_in(0..3)];
+        Request {
+            target,
+            exp,
+            seed,
+            deadline_ms: None,
+            audit: false,
+        }
+    }
+
+    #[test]
+    fn from_job_inverts_job_and_the_canonical_form_round_trips() {
+        tpcheck::check("from_job . job == id", 256, |g| {
+            let r = random_request(g);
+            let canon = r.canonical();
+            let back = Request::from_job(&r.job()).ok_or("an expressible job came back None")?;
+            tpcheck::ensure!(back.canonical() == canon, "{} != {canon}", back.canonical());
+            tpcheck::ensure!(back.job().key() == r.job().key(), "job keys differ for {canon}");
+            let reparsed = req(&canon)?;
+            tpcheck::ensure!(reparsed.canonical() == canon, "{canon} is not a fixed point");
+            tpcheck::ensure!(reparsed.job().key() == r.job().key(), "{canon} parses to another job");
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn jobs_the_wire_cannot_carry_have_no_request() {
+        let bfs = workloads::by_name("gap.bfs").unwrap();
+        let mcf = workloads::by_name("spec06.mcf").unwrap();
+        let exp = Experiment::new(Scale::Test).l1(L1Kind::Stride);
+        let mix = |index, workloads| SweepJob::mix(Mix { index, workloads }, exp.clone());
+        let cfg = TemporalKind::StreamlineCfg(Default::default());
+        for (why, job) in [
+            (
+                "a fixed-way Triangel",
+                SweepJob::single(bfs.clone(), exp.clone().temporal(TemporalKind::TriangelFixed(4))),
+            ),
+            ("a Streamline config", SweepJob::single(bfs.clone(), exp.clone().temporal(cfg))),
+            ("a reseeded mix", mix(7, vec![bfs.clone(), mcf.with_seed(42)])),
+            ("mix_index 100", mix(100, vec![bfs.clone(), mcf.clone()])),
+            ("an empty mix", mix(0, vec![])),
+            ("an out-of-range bandwidth", SweepJob::single(bfs.clone(), exp.clone().bandwidth(0.0))),
+        ] {
+            assert!(Request::from_job(&job).is_none(), "{why} must stay local");
+        }
+        // The same shapes inside the limits are expressible, and a
+        // reseeded single carries its seed.
+        let seeded = Request::from_job(&SweepJob::single(bfs.with_seed(42), exp.clone())).unwrap();
+        assert_eq!(seeded.seed, Some(42));
+        let plain = Request::from_job(&mix(7, vec![bfs, mcf])).unwrap();
+        assert!(plain.canonical().starts_with(r#"{"mix":["gap.bfs","spec06.mcf"],"mix_index":7,"#));
     }
 
     #[test]

@@ -219,25 +219,15 @@ impl Hierarchy {
         &self.config
     }
 
-    /// Drains feedback events accumulated since the last call.
-    pub fn take_feedback(&mut self) -> Vec<FeedbackEvent> {
-        std::mem::take(&mut self.feedback)
-    }
-
-    /// Drains feedback events into a caller-provided scratch buffer.
+    /// Drains the feedback events accumulated since the last call into
+    /// a caller-provided scratch buffer.
     ///
     /// `out` is cleared and then *swapped* with the internal buffer, so
     /// steady-state operation ping-pongs two capacity-retaining Vecs and
-    /// never allocates (unlike [`Hierarchy::take_feedback`], which hands
-    /// the buffer away and leaves a capacity-0 replacement behind).
+    /// never allocates.
     pub fn drain_feedback_into(&mut self, out: &mut Vec<FeedbackEvent>) {
         out.clear();
         std::mem::swap(&mut self.feedback, out);
-    }
-
-    /// Drains the sampled LLC accesses for `core`.
-    pub fn take_llc_samples(&mut self, core: usize) -> Vec<Line> {
-        std::mem::take(&mut self.cores[core].llc_samples)
     }
 
     /// Drains the sampled LLC accesses for `core` into a caller-provided
@@ -851,7 +841,8 @@ mod tests {
         let out = h.demand_access(0, Line(777), false, fill + 10);
         assert!(out.l2_hit);
         assert_eq!(out.l2_event, Some(L2EventKind::PrefetchHit));
-        let fb = h.take_feedback();
+        let mut fb = Vec::new();
+        h.drain_feedback_into(&mut fb);
         assert_eq!(fb.len(), 1);
         assert!(fb[0].useful);
         assert_eq!(fb[0].origin, PrefetchOrigin::Temporal);
@@ -991,7 +982,8 @@ mod tests {
             let out = h.demand_access(0, Line(0x10_0000 + i * l2_sets), false, t);
             t = out.complete + 1;
         }
-        let fb = h.take_feedback();
+        let mut fb = Vec::new();
+        h.drain_feedback_into(&mut fb);
         assert!(
             fb.iter().any(|f| f.line == target && !f.useful),
             "expected useless-prefetch feedback"

@@ -66,6 +66,21 @@ impl fmt::Display for Scale {
     }
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// The inverse of `Display` — the one parser of scale names (CLI
+    /// flags and the service protocol both call it).
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "test" => Ok(Scale::Test),
+            "small" => Ok(Scale::Small),
+            "full" => Ok(Scale::Full),
+            other => Err(format!("unknown scale {other:?} (test|small|full)")),
+        }
+    }
+}
+
 /// Stable identifier for a workload in the registry.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct WorkloadId(pub usize);
@@ -250,6 +265,14 @@ mod tests {
         let a = w.generate(Scale::Test);
         let b = w.generate(Scale::Test);
         assert_eq!(a.accesses(), b.accesses());
+    }
+
+    #[test]
+    fn scale_names_parse_back() {
+        for s in [Scale::Test, Scale::Small, Scale::Full] {
+            assert_eq!(s.to_string().parse(), Ok(s));
+        }
+        assert!("huge".parse::<Scale>().unwrap_err().contains("unknown scale"));
     }
 
     #[test]

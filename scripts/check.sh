@@ -14,9 +14,8 @@ set -e
 cd "$(dirname "$0")/.."
 
 echo "== tier 1: build + tests =="
-# --workspace: the gates below run ./target/release/{bench_tracepool,
-# tpserve,tpclient} directly, and a root-package build alone would
-# leave them missing or stale.
+# --workspace: the smokes below run ./target/release/{tpserve,tpclient}
+# directly, and a root-package build alone would leave them stale.
 cargo build --release --workspace
 cargo test -q
 
@@ -36,17 +35,6 @@ cargo test -q --test batched_equivalence
 echo "== trace pool suite (single-flight, eviction, 1-generation sweep) =="
 cargo test -q --test trace_pool
 cargo test -q -p tptrace pool
-
-echo "== trace pool bench gate (4-experiment sweep = 1 generation) =="
-# Run the binary directly so the smoke run does not overwrite the
-# committed full-run BENCH_tracepool.json (regenerate that with
-# ./scripts/bench_tracepool.sh).
-./target/release/bench_tracepool --smoke >/dev/null
-
-echo "== hot-path bench gate (smoke: alloc gate + throughput floor) =="
-# Short-budget run against a temp file; the committed BENCH_hotpath.json
-# is regenerated only by ./scripts/bench_hotpath.sh without --smoke.
-./scripts/bench_hotpath.sh --smoke >/dev/null
 
 echo "== audited quick sweep (release, test scale) =="
 cargo run --release -q -p tpbench --bin fig09_single_core -- \

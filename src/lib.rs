@@ -43,9 +43,7 @@ pub use triangel;
 pub mod prelude {
     pub use streamline_core::{PartitionSize, Streamline, StreamlineConfig};
     pub use tpharness::baselines::{L1Kind, L2Kind, TemporalKind};
-    pub use tpharness::experiment::{
-        run_mix, run_mix_with_batch, run_mix_with_batch_cancellable, run_single, Experiment,
-    };
+    pub use tpharness::experiment::{run_mix, run_single, Experiment};
     pub use tpharness::metrics::{gmean, mix_speedup, summarize, PairedRun};
     pub use tpharness::report::Table;
     pub use tpsim::{

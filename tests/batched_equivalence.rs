@@ -88,6 +88,12 @@ fn max_trace_len(mix: &Mix) -> usize {
         .unwrap_or(1)
 }
 
+/// The engine for `mix` under `exp` at an explicit replay block size
+/// (1 selects the serial reference loop).
+fn at_batch(mix: &Mix, exp: &Experiment, batch: usize) -> Engine {
+    exp.engine(&mix.workloads).batch_size(batch)
+}
+
 /// Angle 1: fuzzed serial-vs-batched differential runs.
 #[test]
 fn batched_replay_is_byte_identical_to_serial() {
@@ -99,8 +105,8 @@ fn batched_replay_is_byte_identical_to_serial() {
             1 => 256,
             _ => max_trace_len(&mix) + 1,
         };
-        let serial = fingerprint(&run_mix_with_batch(&mix, &exp, 1));
-        let batched = fingerprint(&run_mix_with_batch(&mix, &exp, batch));
+        let serial = fingerprint(&at_batch(&mix, &exp, 1).run());
+        let batched = fingerprint(&at_batch(&mix, &exp, batch).run());
         ensure!(
             serial == batched,
             "batch={batch} diverged from serial for {:?} under {}",
@@ -127,9 +133,9 @@ fn batch_ladder_matches_serial_on_full_stack() {
         .l1(L1Kind::Stride)
         .l2(L2Kind::Ipcp)
         .temporal(TemporalKind::Streamline);
-    let serial = fingerprint(&run_mix_with_batch(&mix, &exp, 1));
+    let serial = fingerprint(&at_batch(&mix, &exp, 1).run());
     for batch in [2, 7, 256, max_trace_len(&mix) + 1] {
-        let batched = fingerprint(&run_mix_with_batch(&mix, &exp, batch));
+        let batched = fingerprint(&at_batch(&mix, &exp, batch).run());
         assert_eq!(serial, batched, "batch {batch} diverged from serial");
     }
     let default_path = fingerprint(&run_mix(&mix, &exp));
@@ -153,14 +159,14 @@ fn cancellation_semantics_survive_batching() {
     let pre_cancelled = CancelToken::new();
     pre_cancelled.cancel();
     assert!(
-        run_mix_with_batch_cancellable(&mix, &exp, 256, &pre_cancelled).is_none(),
+        at_batch(&mix, &exp, 256).run_with_cancel(&pre_cancelled).is_none(),
         "a pre-cancelled token must abort the batched run"
     );
 
     let live = CancelToken::new();
-    let via_token = run_mix_with_batch_cancellable(&mix, &exp, 256, &live)
+    let via_token = at_batch(&mix, &exp, 256).run_with_cancel(&live)
         .expect("uncancelled run completes");
-    let plain = run_mix_with_batch(&mix, &exp, 256);
+    let plain = at_batch(&mix, &exp, 256).run();
     assert_eq!(
         fingerprint(&via_token),
         fingerprint(&plain),
@@ -188,11 +194,11 @@ fn batched_polling_stays_at_epoch_granularity() {
     let exp = Experiment::new(Scale::Test).l1(L1Kind::Stride);
     for batch in [7u64, 256, 1024] {
         let serial_token = CancelToken::new();
-        let serial = run_mix_with_batch_cancellable(&mix, &exp, 1, &serial_token)
+        let serial = at_batch(&mix, &exp, 1).run_with_cancel(&serial_token)
             .expect("uncancelled");
         let batched_token = CancelToken::new();
         let batched =
-            run_mix_with_batch_cancellable(&mix, &exp, batch as usize, &batched_token)
+            at_batch(&mix, &exp, batch as usize).run_with_cancel(&batched_token)
                 .expect("uncancelled");
         assert_eq!(fingerprint(&serial), fingerprint(&batched));
 

@@ -94,3 +94,34 @@ fn mix_jobs_are_deterministic_in_parallel() {
     let parallel = render(&SweepRunner::new().with_workers(8).run(&jobs));
     assert_eq!(serial, parallel, "mix sweep diverged under 8 workers");
 }
+
+#[test]
+fn a_base_seed_is_the_same_as_reseeding_every_job_by_hand() {
+    use streamline_repro::tpharness::derive_seed;
+    use streamline_repro::tpharness::wire::encode_sim_report;
+    const BASE: u64 = 42;
+    let reseed = |w: &Workload| w.with_seed(derive_seed(BASE, w.name));
+    let base = Experiment::new(Scale::Test).l1(L1Kind::Stride);
+    let mix = streamline_repro::tptrace::Mix {
+        index: 0,
+        workloads: ["gap.bfs", "spec17.mcf"].map(|n| workloads::by_name(n).unwrap()).to_vec(),
+    };
+    let mut jobs = matrix();
+    jobs.truncate(2);
+    jobs.push(SweepJob::mix(mix, base.temporal(TemporalKind::Streamline)));
+    let by_hand: Vec<SweepJob> = jobs
+        .iter()
+        .map(|job| match job {
+            SweepJob::Single { workload, exp } => SweepJob::single(reseed(workload), exp.clone()),
+            SweepJob::Mix { mix, exp } => {
+                let mut mix = mix.clone();
+                mix.workloads = mix.workloads.iter().map(reseed).collect();
+                SweepJob::mix(mix, exp.clone())
+            }
+        })
+        .collect();
+    let bytes = |reports: Vec<SimReport>| reports.iter().map(encode_sim_report).collect::<Vec<_>>();
+    let derived = bytes(SweepRunner::new().with_base_seed(BASE).run(&jobs));
+    assert_eq!(derived, bytes(SweepRunner::new().run(&by_hand)));
+    assert_ne!(derived, bytes(SweepRunner::new().run(&jobs)), "the base seed changed nothing");
+}

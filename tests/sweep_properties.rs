@@ -6,6 +6,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use streamline_repro::prelude::*;
 use streamline_repro::tpharness::sweep::{SweepJob, SweepRunner};
+use streamline_repro::tptrace::Mix;
 use tpcheck::{check, ensure};
 
 /// `map` over an arbitrary item list with an arbitrary worker count
@@ -104,4 +105,49 @@ fn run_matches_reference_for_arbitrary_job_sequences() {
         Ok(())
     });
     assert_eq!(runner.cached_jobs(), pool.len(), "cache holds one entry per distinct key");
+}
+
+/// Two runs of one workload under one experiment that differ only in
+/// the seed are two jobs: each gets the report a direct run of that
+/// seed produces, and each holds its own cache entry. Likewise two
+/// mixes that differ in one member's seed.
+#[test]
+fn reseeded_jobs_never_alias_in_the_cache() {
+    use streamline_repro::tpharness::wire::encode_sim_report;
+    let bytes = |reports: &[SimReport]| reports.iter().map(encode_sim_report).collect::<Vec<_>>();
+    let exp = Experiment::new(Scale::Test).l1(L1Kind::Stride);
+    let pool = workloads::memory_intensive();
+    check("distinct seeds are distinct jobs", 3, |g| {
+        let w = &pool[g.usize_in(0..pool.len())];
+        let a = g.next_u64();
+        let b = a ^ g.u64_in(1..u64::MAX);
+        let direct = [a, b].map(|seed| run_single(&w.with_seed(seed), &exp));
+        let jobs = [a, b].map(|seed| SweepJob::single(w.with_seed(seed), exp.clone()));
+
+        let runner = SweepRunner::new();
+        ensure!(
+            bytes(&runner.run(&jobs)) == bytes(&direct),
+            "{}: seeds {a:#x} and {b:#x} were served one report",
+            w.name
+        );
+        ensure!(runner.cached_jobs() == 2, "{} cache entries for 2 seeds", runner.cached_jobs());
+        let again = runner.run(&[jobs[1].clone(), jobs[0].clone(), jobs[1].clone()]);
+        ensure!(
+            bytes(&again) == bytes(&[direct[1].clone(), direct[0].clone(), direct[1].clone()]),
+            "a repeated job was served another seed's report"
+        );
+        ensure!(runner.cached_jobs() == 2, "a repeated job added a cache entry");
+        Ok(())
+    });
+
+    let [bfs, mcf] = ["gap.bfs", "spec17.mcf"].map(|n| workloads::by_name(n).unwrap());
+    let mixes = [mcf.clone(), mcf.with_seed(7)].map(|member| Mix {
+        index: 0,
+        workloads: vec![bfs.clone(), member],
+    });
+    let direct = [run_mix(&mixes[0], &exp), run_mix(&mixes[1], &exp)];
+    let runner = SweepRunner::new();
+    let swept = runner.run(&mixes.map(|m| SweepJob::mix(m, exp.clone())));
+    assert_eq!(bytes(&swept), bytes(&direct), "a reseeded mix member was ignored");
+    assert_eq!(runner.cached_jobs(), 2);
 }

@@ -1,0 +1,93 @@
+//! The hard allocation gate for the demand path: `Engine::run` performs
+//! (almost) no heap allocation per simulated access.
+//!
+//! Engine construction front-loads every table and metadata-store slot,
+//! so the bracket wraps `run` only; what is left is per-run epilogue
+//! work (report assembly, audit), well under 0.001 allocs/access over a
+//! trace pass. At or above the gate, an allocation has crept back onto
+//! the per-access path. `benchmark/run.sh` reports the same quantity as
+//! `allocs_per_access`; this is the test that fails on it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+use streamline_repro::prelude::*;
+use streamline_repro::tptrace::TraceBuilder;
+
+thread_local! {
+    /// Allocations made by *this* thread, so the test harness's other
+    /// threads cannot pollute a bracket.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: defers entirely to `System`; the counter has no effect on the
+// returned pointers or layouts. `realloc` counts as one allocation (the
+// grow-in-place path still hits the allocator), `dealloc` is free.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: a thread being torn down may allocate after its
+        // thread-locals are gone.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const MAX_ALLOCS_PER_ACCESS: f64 = 0.005;
+
+fn allocs_per_access(trace: Trace) -> f64 {
+    let trace = Arc::new(trace);
+    let plan = CorePlan::bare(Arc::clone(&trace)).with_temporal(Box::new(Streamline::new()));
+    let engine = Engine::new(SystemConfig::single_core(), vec![plan]);
+    let before = ALLOCS.with(Cell::get);
+    std::hint::black_box(engine.run());
+    (ALLOCS.with(Cell::get) - before) as f64 / trace.len() as f64
+}
+
+#[test]
+fn the_demand_path_does_not_allocate() {
+    // The canonical temporal-prefetching target: dependent loads over a
+    // large irregular footprint.
+    let pointer_chase = workloads::by_name("spec06.mcf")
+        .expect("registry workload")
+        .generate(Scale::Test);
+    // Stores sweeping 2x the LLC with a 1-in-3 load mix: every level
+    // overflows and the writeback / eviction paths run on most accesses.
+    let mut b = TraceBuilder::new("synthetic.store-flood", Suite::Spec06);
+    for i in 0..65_536u64 {
+        b.store(
+            0x400_100,
+            0x10_0000 + i * streamline_repro::tpsim::LINE_SIZE,
+        );
+        if i % 3 == 0 {
+            b.load(
+                0x400_108,
+                0x10_0000 + (i / 5) * streamline_repro::tpsim::LINE_SIZE,
+            );
+        }
+    }
+    for (name, trace) in [
+        ("pointer_chase", pointer_chase),
+        ("store_heavy", b.finish()),
+    ] {
+        let rate = allocs_per_access(trace);
+        assert!(
+            rate < MAX_ALLOCS_PER_ACCESS,
+            "{name}: {rate:.4} allocs/access (gate {MAX_ALLOCS_PER_ACCESS}): \
+             the demand path is allocating again"
+        );
+    }
+}
