@@ -133,22 +133,6 @@ impl Streamline {
             if best != current && best_score < score_of(current) + score_of(current) / 16 {
                 best = current;
             }
-            if std::env::var_os("STREAMLINE_DEBUG_RESIZE").is_some() {
-                eprintln!(
-                    "resize@{}: acc {:.2} w {} | scores S/H/F = {} / {} / {} | data16/12/8 = {}/{}/{} | {:?} -> {:?}",
-                    self.events,
-                    ctx.global_accuracy,
-                    w,
-                    score_of(PartitionSize::SamplesOnly),
-                    score_of(PartitionSize::Half),
-                    score_of(PartitionSize::Full),
-                    self.shadow.hits_with_ways(16),
-                    self.shadow.hits_with_ways(12),
-                    self.shadow.hits_with_ways(8),
-                    current,
-                    best
-                );
-            }
             if best != self.store.size() {
                 let report = self.store.set_size(best);
                 ctx.rearrange(report.moved_blocks as u32);

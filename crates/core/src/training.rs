@@ -146,15 +146,6 @@ impl StreamTu {
         }
     }
 
-    /// Looks up `line` in `pc`'s metadata buffer; on a hit returns the
-    /// covering entry's remaining successors (MRU entry refreshed).
-    /// Allocating convenience wrapper around
-    /// [`StreamTu::buffer_lookup_into`].
-    pub fn buffer_lookup(&mut self, pc: Pc, line: Line) -> Option<Vec<Line>> {
-        let mut out = Vec::new();
-        self.buffer_lookup_into(pc, line, &mut out).then_some(out)
-    }
-
     /// Looks up `line` in `pc`'s metadata buffer; on a hit appends the
     /// covering entry's remaining successors to `out` (MRU entry
     /// refreshed) and returns `true`. The prefetch hot path reuses one
@@ -286,13 +277,13 @@ mod tests {
         tu.observe(Pc(1), Line(0)); // initialise slot
         let e = StreamEntry::new(Line(10), vec![Line(11), Line(12), Line(13), Line(14)]);
         tu.buffer_insert(Pc(1), e);
-        assert_eq!(
-            tu.buffer_lookup(Pc(1), Line(12)),
-            Some(vec![Line(13), Line(14)])
-        );
-        // Final address has no successors -> miss.
-        assert_eq!(tu.buffer_lookup(Pc(1), Line(14)), None);
-        assert_eq!(tu.buffer_lookup(Pc(1), Line(99)), None);
+        let mut out = Vec::new();
+        assert!(tu.buffer_lookup_into(Pc(1), Line(12), &mut out));
+        assert_eq!(out, [Line(13), Line(14)]);
+        // Final address has no successors -> miss, nothing appended.
+        assert!(!tu.buffer_lookup_into(Pc(1), Line(14), &mut out));
+        assert!(!tu.buffer_lookup_into(Pc(1), Line(99), &mut out));
+        assert_eq!(out.len(), 2);
     }
 
     #[test]
@@ -310,8 +301,9 @@ mod tests {
             );
         }
         // Capacity 3: entries 100 and 200 evicted.
-        assert!(tu.buffer_lookup(Pc(1), Line(101)).is_none());
-        assert!(tu.buffer_lookup(Pc(1), Line(301)).is_some());
+        let mut out = Vec::new();
+        assert!(!tu.buffer_lookup_into(Pc(1), Line(101), &mut out));
+        assert!(tu.buffer_lookup_into(Pc(1), Line(301), &mut out));
     }
 
     #[test]
@@ -366,6 +358,6 @@ mod tests {
             Pc(1),
             StreamEntry::new(Line(1), vec![Line(2)]),
         );
-        assert_eq!(tu.buffer_lookup(Pc(1), Line(1)), None);
+        assert!(!tu.buffer_lookup_into(Pc(1), Line(1), &mut Vec::new()));
     }
 }

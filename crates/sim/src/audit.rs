@@ -149,8 +149,8 @@ pub struct CoreFlows {
     pub l2: LevelAudit,
     /// Per-origin L2 prefetch counters.
     pub origin: OriginCounters,
-    /// Sidecar origin population at the last stats reset (slack for the
-    /// per-origin resolution inequality).
+    /// Prefetched, untouched L2 blocks by origin at the last stats reset
+    /// (slack for the per-origin resolution inequality).
     pub origin_at_reset: [u64; 3],
     /// Dirty L1 victims delivered to the L2 (writeback path).
     pub l1_writebacks_to_l2: u64,

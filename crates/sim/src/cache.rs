@@ -1,6 +1,7 @@
-//! Set-associative cache level with LRU replacement, prefetch-bit
-//! tracking, MSHR-limited outstanding misses, port contention, and
-//! (for the LLC) per-set way reservation for prefetcher metadata.
+//! Set-associative cache level with LRU replacement, a way-resident
+//! prefetch record (who installed the block, when its fill lands),
+//! MSHR-limited outstanding misses, port contention, and (for the LLC)
+//! per-set way reservation for prefetcher metadata.
 
 use crate::config::CacheParams;
 use crate::stats::CacheStats;
@@ -8,17 +9,52 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tptrace::record::Line;
 
+/// Who installed a prefetched block (for feedback routing and per-source
+/// accuracy accounting).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PrefetchOrigin {
+    /// The L1 prefetcher (stride / Berti).
+    L1,
+    /// The regular L2 prefetcher (IPCP / Bingo / SPP-PPF).
+    L2Regular,
+    /// The temporal prefetcher under study.
+    Temporal,
+}
+
+impl PrefetchOrigin {
+    pub(crate) fn idx(self) -> usize {
+        match self {
+            PrefetchOrigin::L1 => 0,
+            PrefetchOrigin::L2Regular => 1,
+            PrefetchOrigin::Temporal => 2,
+        }
+    }
+}
+
 /// Result of a lookup-and-update demand access at one level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LookupResult {
-    /// Line present; `first_prefetch_touch` is true when this is the
-    /// first demand touch of a prefetched block.
+    /// Line present. Both fields are handed over once: the lookup
+    /// clears them in the way.
     Hit {
-        /// First demand touch of a block installed by a prefetch.
-        first_prefetch_touch: bool,
+        /// Who prefetched the block, when this is its first demand touch.
+        first_touch: Option<PrefetchOrigin>,
+        /// When the block's fill lands; 0 when no fill is pending.
+        ready_at: u64,
     },
     /// Line absent.
     Miss,
+}
+
+/// A block displaced by a fill.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Evicted {
+    /// The displaced block.
+    pub line: Line,
+    /// Whether it must be written back.
+    pub dirty: bool,
+    /// Who prefetched it, if no demand ever touched it.
+    pub unused: Option<PrefetchOrigin>,
 }
 
 /// Bounded window of outstanding misses (MSHR model).
@@ -75,14 +111,21 @@ impl MshrWindow {
 /// Per-way metadata, kept contiguous so one set scan walks a couple of
 /// cache lines instead of five parallel arrays (tag/valid/dirty/
 /// prefetched/lru each used to live in its own heap allocation, which
-/// made every lookup five data-dependent cache misses).
+/// made every lookup five data-dependent cache misses). The way is also
+/// the only home of a prefetched block's record, so the record cannot
+/// outlive or miss its block. 32 bytes: two slots per host cache line.
 #[derive(Clone, Copy, Debug, Default)]
 struct WaySlot {
     tag: u64,
     lru: u64,
+    /// When the block's fill lands, until a demand hit consumes it. 0 is
+    /// an exact "nothing pending": every fill time is at least a level
+    /// latency, and the only test is `ready_at > completion`.
+    ready_at: u64,
     valid: bool,
     dirty: bool,
-    prefetched: bool,
+    /// Who prefetched the block, until its first demand touch.
+    pending: Option<PrefetchOrigin>,
 }
 
 /// One cache level.
@@ -149,9 +192,16 @@ impl CacheLevel {
         self.stats = CacheStats::default();
     }
 
-    /// Records a late prefetch (demand arrived before the fill completed).
-    pub(crate) fn add_late_prefetch(&mut self) {
-        self.stats.late_prefetches += 1;
+    /// Completion time of a demand hit served at `complete` on a block
+    /// whose fill lands at `ready_at`: a late prefetch (the demand
+    /// arrived before the fill) is counted and waits for the fill.
+    pub(crate) fn await_fill(&mut self, complete: u64, ready_at: u64) -> u64 {
+        if ready_at > complete {
+            self.stats.late_prefetches += 1;
+            ready_at
+        } else {
+            complete
+        }
     }
 
     /// Set index for a line.
@@ -201,7 +251,8 @@ impl CacheLevel {
             .any(|w| w.valid && w.tag == line.0)
     }
 
-    /// Demand lookup: updates recency and prefetch bits and counts stats.
+    /// Demand lookup: updates recency, hands over the way's prefetch
+    /// record and counts stats.
     pub fn demand_lookup(&mut self, line: Line, is_write: bool) -> LookupResult {
         self.stats.accesses += 1;
         let set = self.set_of(line);
@@ -214,14 +265,14 @@ impl CacheLevel {
                 if is_write {
                     way.dirty = true;
                 }
-                let first_prefetch_touch = way.prefetched;
-                if first_prefetch_touch {
-                    way.prefetched = false;
+                let first_touch = way.pending.take();
+                if first_touch.is_some() {
                     self.stats.useful_prefetches += 1;
                 }
                 self.stats.hits += 1;
                 return LookupResult::Hit {
-                    first_prefetch_touch,
+                    first_touch,
+                    ready_at: std::mem::take(&mut way.ready_at),
                 };
             }
         }
@@ -229,9 +280,26 @@ impl CacheLevel {
         LookupResult::Miss
     }
 
-    /// Installs `line`; returns the eviction, if any, as
-    /// `(line, dirty, was_unused_prefetch)`.
-    pub fn fill(&mut self, line: Line, dirty: bool, prefetch: bool) -> Option<(Line, bool, bool)> {
+    /// Installs `line` for a demand miss, a writeback or an LLC fill;
+    /// returns the eviction, if any. `prefetch` marks the block as
+    /// prefetched by nobody in particular (recorded as `L2Regular`) with
+    /// no fill time, which is all the LLC's victim choice reads.
+    pub fn fill(&mut self, line: Line, dirty: bool, prefetch: bool) -> Option<Evicted> {
+        let pending = prefetch.then_some(PrefetchOrigin::L2Regular);
+        self.install(line, dirty, pending, 0)
+    }
+
+    /// Installs `line` with its prefetch record: `pending` is who
+    /// prefetched it (if its usefulness is tracked at this level) and
+    /// `ready_at` when the fill lands. A line already present only has
+    /// `dirty` or-ed in; its record is left alone.
+    pub(crate) fn install(
+        &mut self,
+        line: Line,
+        dirty: bool,
+        pending: Option<PrefetchOrigin>,
+        ready_at: u64,
+    ) -> Option<Evicted> {
         let set = self.set_of(line);
         let usable = self.usable_ways(set);
         if usable == 0 {
@@ -254,7 +322,7 @@ impl CacheLevel {
                 invalid = Some(s);
             }
         }
-        if prefetch {
+        if pending.is_some() {
             self.stats.prefetch_fills += 1;
         }
         // Victim: invalid way first, else LRU.
@@ -265,7 +333,7 @@ impl CacheLevel {
                 (base..base + usable)
                     .min_by_key(|&s| {
                         let way = &self.ways[s];
-                        (!way.prefetched, way.lru)
+                        (way.pending.is_none(), way.lru)
                     })
                     .expect("usable ways > 0")
             } else {
@@ -276,13 +344,17 @@ impl CacheLevel {
         });
         let way = self.ways[s];
         let evicted = if way.valid {
-            if way.prefetched {
+            if way.pending.is_some() {
                 self.stats.useless_prefetch_evictions += 1;
             }
             if way.dirty {
                 self.stats.writebacks += 1;
             }
-            Some((Line(way.tag), way.dirty, way.prefetched))
+            Some(Evicted {
+                line: Line(way.tag),
+                dirty: way.dirty,
+                unused: way.pending,
+            })
         } else {
             None
         };
@@ -290,26 +362,18 @@ impl CacheLevel {
         self.ways[s] = WaySlot {
             tag: line.0,
             lru: self.clock,
+            ready_at,
             valid: true,
             dirty,
-            prefetched: prefetch,
+            pending,
         };
         evicted
     }
 
     /// Reserves `ways` ways for metadata in `set`, invalidating displaced
-    /// data blocks. Returns evicted `(line, dirty)` pairs so the caller
-    /// can charge writeback traffic. Allocating convenience wrapper
-    /// around [`CacheLevel::reserve_ways_into`].
-    pub fn reserve_ways(&mut self, set: usize, ways: u8) -> Vec<(Line, bool)> {
-        let mut evicted = Vec::new();
-        self.reserve_ways_into(set, ways, &mut evicted);
-        evicted
-    }
-
-    /// Like [`CacheLevel::reserve_ways`], but appends evicted pairs to a
-    /// caller-provided scratch buffer instead of allocating a fresh Vec
-    /// (the repartition path reuses one buffer across every set).
+    /// data blocks. Appends evicted `(line, dirty)` pairs to `evicted` so
+    /// the caller can charge writeback traffic (the repartition path
+    /// reuses one buffer across every set).
     pub fn reserve_ways_into(&mut self, set: usize, ways: u8, evicted: &mut Vec<(Line, bool)>) {
         assert!((ways as usize) <= self.params.ways);
         let old_usable = self.usable_ways(set);
@@ -322,13 +386,11 @@ impl CacheLevel {
                 if way.dirty {
                     self.stats.writebacks += 1;
                 }
-                if way.prefetched {
+                if way.pending.is_some() {
                     self.stats.useless_prefetch_evictions += 1;
                 }
                 evicted.push((Line(way.tag), way.dirty));
-                self.ways[s].valid = false;
-                self.ways[s].dirty = false;
-                self.ways[s].prefetched = false;
+                self.ways[s] = WaySlot::default();
             }
         }
     }
@@ -348,11 +410,18 @@ impl CacheLevel {
         self.ways.iter().filter(|w| w.valid).count()
     }
 
-    /// Number of resident blocks still carrying the prefetched bit
-    /// (installed by a prefetch, not yet demand-touched). Captured at
-    /// stats reset as slack for the audit's prefetch-resolution law.
-    pub fn resident_prefetched(&self) -> u64 {
-        self.ways.iter().filter(|w| w.valid && w.prefetched).count() as u64
+    /// Number of resident blocks installed by a prefetch and not yet
+    /// demand-touched, by [`PrefetchOrigin`] (`[L1, L2-regular,
+    /// temporal]`). Captured at stats reset as slack for the audit's
+    /// prefetch-resolution laws.
+    pub fn resident_prefetched(&self) -> [u64; 3] {
+        let mut by_origin = [0; 3];
+        for way in self.ways.iter().filter(|w| w.valid) {
+            if let Some(origin) = way.pending {
+                by_origin[origin.idx()] += 1;
+            }
+        }
+        by_origin
     }
 
     /// Access latency of this level.
@@ -397,26 +466,69 @@ mod tests {
         }
         c.demand_lookup(Line(0), false); // refresh line 0
         let evicted = c.fill(Line(8 * 2), false, false).expect("eviction");
-        assert_eq!(evicted.0, Line(2), "line 2 is the LRU victim");
+        assert_eq!(evicted.line, Line(2), "line 2 is the LRU victim");
     }
 
+    /// The way is the only home of a prefetched block's record: who
+    /// installed it and when its fill lands.
     #[test]
-    fn first_prefetch_touch_reported_once() {
+    fn prefetch_record_lives_and_dies_with_its_way() {
+        use PrefetchOrigin::{L2Regular, Temporal};
+        assert_eq!(std::mem::size_of::<WaySlot>(), 32, "two per host line");
         let mut c = small();
-        c.fill(Line(4), false, true);
-        match c.demand_lookup(Line(4), false) {
-            LookupResult::Hit {
-                first_prefetch_touch,
-            } => assert!(first_prefetch_touch),
-            _ => panic!("expected hit"),
-        }
-        match c.demand_lookup(Line(4), false) {
-            LookupResult::Hit {
-                first_prefetch_touch,
-            } => assert!(!first_prefetch_touch),
-            _ => panic!("expected hit"),
-        }
+        // Handed over on the first hit, gone on the second.
+        assert_eq!(c.install(Line(4), false, Some(Temporal), 900), None);
+        let first = LookupResult::Hit {
+            first_touch: Some(Temporal),
+            ready_at: 900,
+        };
+        let second = LookupResult::Hit {
+            first_touch: None,
+            ready_at: 0,
+        };
+        assert_eq!(c.demand_lookup(Line(4), false), first);
+        assert_eq!(c.demand_lookup(Line(4), false), second);
         assert_eq!(c.stats().useful_prefetches, 1);
+        assert_eq!(c.stats().prefetch_fills, 1);
+        // An unmarked install (the L2 copy of an L1-origin prefetch)
+        // still carries its fill time, for any demand hit to consume.
+        c.install(Line(6), false, None, 700);
+        assert_eq!(
+            c.demand_lookup(Line(6), false),
+            LookupResult::Hit {
+                first_touch: None,
+                ready_at: 700
+            }
+        );
+        assert_eq!(c.demand_lookup(Line(6), false), second);
+        assert_eq!(c.stats().prefetch_fills, 1, "an unmarked fill counted");
+        // A dirty fill of a present, still-pending line (an L1 victim
+        // landing on an untouched L2 prefetch) leaves the record alone.
+        c.install(Line(8), false, Some(L2Regular), 500);
+        assert_eq!(c.fill(Line(8), true, false), None);
+        assert_eq!(c.resident_prefetched(), [0, 1, 0]);
+        // Evicted before any touch: the eviction names who to blame.
+        c.fill(Line(10), false, false);
+        c.demand_lookup(Line(4), false);
+        c.demand_lookup(Line(6), false);
+        c.demand_lookup(Line(10), false);
+        let evicted = c.fill(Line(12), false, false).expect("set 0 is full");
+        let want = Evicted {
+            line: Line(8),
+            dirty: true,
+            unused: Some(L2Regular),
+        };
+        assert_eq!(evicted, want);
+        assert_eq!(c.stats().useless_prefetch_evictions, 1);
+        // A reservation that displaces a pending block clears the record.
+        c.install(Line(1), false, Some(Temporal), 300);
+        let mut displaced = Vec::new();
+        c.reserve_ways_into(1, 4, &mut displaced);
+        assert_eq!(displaced, [(Line(1), false)]);
+        assert_eq!(c.stats().useless_prefetch_evictions, 2);
+        c.reserve_ways_into(1, 0, &mut displaced);
+        assert_eq!(c.resident_prefetched(), [0; 3]);
+        assert_eq!(c.demand_lookup(Line(1), false), LookupResult::Miss);
     }
 
     #[test]
@@ -445,7 +557,8 @@ mod tests {
         for i in 0..4u64 {
             c.fill(Line(i * 2), false, false);
         }
-        let evicted = c.reserve_ways(0, 2);
+        let mut evicted = Vec::new();
+        c.reserve_ways_into(0, 2, &mut evicted);
         assert_eq!(evicted.len(), 2);
         assert_eq!(c.usable_lines(), 4 + 2);
         // Fills now limited to 2 ways in set 0.
@@ -453,14 +566,14 @@ mod tests {
         c.fill(Line(102), false, false);
         assert!(c.occupancy() <= 4);
         // Releasing the reservation restores capacity.
-        c.reserve_ways(0, 0);
+        c.reserve_ways_into(0, 0, &mut evicted);
         assert_eq!(c.usable_lines(), 8);
     }
 
     #[test]
     fn fully_reserved_set_bypasses_fills() {
         let mut c = small();
-        c.reserve_ways(0, 4);
+        c.reserve_ways_into(0, 4, &mut Vec::new());
         assert!(c.fill(Line(0), false, false).is_none());
         assert!(!c.probe(Line(0)));
     }

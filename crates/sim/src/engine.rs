@@ -72,29 +72,14 @@ pub const DEFAULT_BATCH: usize = 256;
 /// Accuracy-tracking epoch in issued prefetches (paper Section IV-E4).
 const ACCURACY_EPOCH: u64 = 2048;
 
-/// Per-core stats snapshot taken when the core completes its target
-/// (short traces in a mix loop; their numbers freeze at one full pass).
-#[derive(Clone, Debug)]
-struct CoreSnapshot {
-    instructions: u64,
-    cycles: u64,
-    l1d: crate::stats::CacheStats,
-    l2: crate::stats::CacheStats,
-    temporal: TemporalStats,
-    l1_prefetches: u64,
-    l2_prefetches: u64,
-    temporal_pf_issued: u64,
-    temporal_pf_dropped: u64,
-    origin: crate::hierarchy::OriginCounters,
-    meta: crate::hierarchy::MetaTraffic,
-}
-
 struct CoreRunState {
     timing: CoreTiming,
     /// Total accesses processed (wraps through the trace).
     processed: usize,
     pending_issue: Option<u64>,
-    snapshot: Option<CoreSnapshot>,
+    /// The core's report, frozen when it completes its target (short
+    /// traces in a mix loop; their numbers freeze at one full pass).
+    snapshot: Option<CoreReport>,
     // Accuracy epoch tracking for utility-aware policies.
     epoch_useful: u64,
     epoch_feedback: u64,
@@ -192,8 +177,12 @@ impl Engine {
                 address_tag: (i as u64) << 52,
             })
             .collect();
+        let mut hierarchy = Hierarchy::new(config);
+        for (core, plan) in plans.iter().enumerate() {
+            hierarchy.set_llc_sampling(core, plan.temporal.is_some());
+        }
         Ok(Engine {
-            hierarchy: Hierarchy::new(config),
+            hierarchy,
             plans,
             states,
             warmup_frac: 0.2,
@@ -533,35 +522,25 @@ impl Engine {
         };
         self.states[core].timing.finish_access(access, complete);
 
-        // L1 prefetcher trains on every L1 access. The scratch buffer
-        // is swapped out for the call (it cannot be borrowed while
-        // `self.hierarchy` is mutated) and back afterwards; capacity is
-        // retained, so this path never allocates in steady state.
-        if let Some(pf) = self.plans[core].l1_prefetcher.as_mut() {
-            let mut lines = std::mem::take(&mut self.access_scratch);
-            lines.clear();
-            pf.on_access(access.pc, line, outcome.l1_hit, &mut lines);
-            for &pl in lines.iter().take(MAX_PREFETCHES_PER_EVENT) {
-                if self.hierarchy.prefetch_into_l1(core, pl, issue).is_some() {
-                    self.states[core].l1_prefetches += 1;
-                }
-            }
-            self.access_scratch = lines;
-        }
-
-        // Regular L2 prefetcher trains on L2 queries (L1 misses).
+        // L1 prefetcher trains on every L1 access, the regular L2
+        // prefetcher on L2 queries (L1 misses).
+        self.train_regular(
+            core,
+            PrefetchOrigin::L1,
+            access,
+            line,
+            outcome.l1_hit,
+            issue,
+        );
         if outcome.l2_queried {
-            if let Some(pf) = self.plans[core].l2_prefetcher.as_mut() {
-                let mut lines = std::mem::take(&mut self.access_scratch);
-                lines.clear();
-                pf.on_access(access.pc, line, outcome.l2_hit, &mut lines);
-                for &pl in lines.iter().take(MAX_PREFETCHES_PER_EVENT) {
-                    if self.hierarchy.prefetch_into_l2(core, pl, issue).is_some() {
-                        self.states[core].l2_prefetches += 1;
-                    }
-                }
-                self.access_scratch = lines;
-            }
+            self.train_regular(
+                core,
+                PrefetchOrigin::L2Regular,
+                access,
+                line,
+                outcome.l2_hit,
+                issue,
+            );
         }
 
         // Temporal prefetcher trains on L2 misses and prefetch hits.
@@ -596,7 +575,7 @@ impl Engine {
                     }
                     match self
                         .hierarchy
-                        .prefetch_into_l2_temporal(core, l, issue + delay)
+                        .prefetch(core, l, issue + delay, PrefetchOrigin::Temporal)
                     {
                         Some(_) => issued += 1,
                         None => dropped += 1, // duplicate or backlog drop
@@ -646,6 +625,35 @@ impl Engine {
                 if let Some(tp) = self.plans[fb.core].temporal.as_mut() {
                     tp.on_feedback(fb.line, fb.useful);
                 }
+            }
+        }
+    }
+
+    /// Trains `core`'s regular prefetcher for `origin`'s level (if it has
+    /// one) on this access, issues what it asks for and counts what the
+    /// hierarchy accepted. The scratch buffer keeps its capacity, so this
+    /// path never allocates in steady state.
+    fn train_regular(
+        &mut self,
+        core: usize,
+        origin: PrefetchOrigin,
+        access: &Access,
+        line: Line,
+        hit: bool,
+        issue: u64,
+    ) {
+        let (plan, state) = (&mut self.plans[core], &mut self.states[core]);
+        let (prefetcher, issued) = match origin {
+            PrefetchOrigin::L1 => (&mut plan.l1_prefetcher, &mut state.l1_prefetches),
+            PrefetchOrigin::L2Regular => (&mut plan.l2_prefetcher, &mut state.l2_prefetches),
+            PrefetchOrigin::Temporal => return, // trained by `on_event`
+        };
+        let Some(prefetcher) = prefetcher else { return };
+        self.access_scratch.clear();
+        prefetcher.on_access(access.pc, line, hit, &mut self.access_scratch);
+        for &pl in self.access_scratch.iter().take(MAX_PREFETCHES_PER_EVENT) {
+            if self.hierarchy.prefetch(core, pl, issue, origin).is_some() {
+                *issued += 1;
             }
         }
     }
@@ -707,7 +715,9 @@ impl Engine {
         temporal.meta_reads = mt.reads;
         temporal.meta_writes = mt.writes;
         temporal.rearranged_blocks = mt.rearranged;
-        let snap = CoreSnapshot {
+        let origin = self.hierarchy.origin_counters(core);
+        let snap = CoreReport {
+            workload: self.plans[core].trace.name().to_string(),
             instructions: s.timing.instructions().saturating_sub(s.measure_from_instr),
             cycles: s.timing.cycles().saturating_sub(s.measure_from_cycles),
             l1d: self.hierarchy.l1d_stats(core),
@@ -717,8 +727,9 @@ impl Engine {
             l2_prefetches: s.l2_prefetches,
             temporal_pf_issued: s.temporal_pf_issued,
             temporal_pf_dropped: s.temporal_pf_dropped,
-            origin: self.hierarchy.origin_counters(core),
-            meta: mt,
+            l2_fills_by_origin: origin.fills,
+            l2_useful_by_origin: origin.useful,
+            l2_useless_by_origin: origin.useless,
         };
         self.states[core].snapshot = Some(snap);
         self.audit.merge(mono);
@@ -732,26 +743,11 @@ impl Engine {
                 self.take_snapshot(c);
             }
         }
-        let mut cores = Vec::with_capacity(self.plans.len());
-        for (plan, s) in self.plans.iter().zip(&self.states) {
-            let snap = s.snapshot.as_ref().expect("snapshot taken above");
-            let _ = &snap.meta;
-            cores.push(CoreReport {
-                workload: plan.trace.name().to_string(),
-                instructions: snap.instructions,
-                cycles: snap.cycles,
-                l1d: snap.l1d,
-                l2: snap.l2,
-                temporal: snap.temporal,
-                l1_prefetches: snap.l1_prefetches,
-                l2_prefetches: snap.l2_prefetches,
-                temporal_pf_issued: snap.temporal_pf_issued,
-                temporal_pf_dropped: snap.temporal_pf_dropped,
-                l2_fills_by_origin: snap.origin.fills,
-                l2_useful_by_origin: snap.origin.useful,
-                l2_useless_by_origin: snap.origin.useless,
-            });
-        }
+        let cores: Vec<CoreReport> = self
+            .states
+            .iter_mut()
+            .map(|s| s.snapshot.take().expect("snapshot taken above"))
+            .collect();
         let mut audit = std::mem::take(&mut self.audit);
         audit.merge(audit::check_hierarchy(&self.hierarchy.audit_snapshot()));
         for (i, c) in cores.iter().enumerate() {

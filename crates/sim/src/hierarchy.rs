@@ -1,36 +1,20 @@
-//! The memory hierarchy: per-core L1D/L2, shared LLC, DRAM, prefetch
-//! insertion paths, metadata-traffic charging, and LLC partitioning.
+//! The memory hierarchy: per-core L1D/L2, shared LLC, DRAM, the one
+//! prefetch entry point ([`Hierarchy::prefetch`]), metadata-traffic
+//! charging, and LLC partitioning.
+//!
+//! Whether a resident block was prefetched and not yet demanded, by
+//! whom, and when its fill lands is recorded in the block's own way
+//! (see [`crate::cache`]); this module keeps no per-line state beside
+//! the cache levels.
 
 use crate::audit;
-use crate::cache::{CacheLevel, LookupResult};
+pub use crate::cache::PrefetchOrigin;
+use crate::cache::{CacheLevel, Evicted, LookupResult};
 use crate::config::SystemConfig;
 use crate::dram::Dram;
 use crate::prefetch::{L2EventKind, MetaCtx, PartitionSpec};
 use crate::stats::{CacheStats, DramStats};
-use crate::table::LineMap;
 use tptrace::record::Line;
-
-/// Who installed a prefetched block (for feedback routing and per-source
-/// accuracy accounting).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PrefetchOrigin {
-    /// The L1 prefetcher (stride / Berti).
-    L1,
-    /// The regular L2 prefetcher (IPCP / Bingo / SPP-PPF).
-    L2Regular,
-    /// The temporal prefetcher under study.
-    Temporal,
-}
-
-impl PrefetchOrigin {
-    fn idx(self) -> usize {
-        match self {
-            PrefetchOrigin::L1 => 0,
-            PrefetchOrigin::L2Regular => 1,
-            PrefetchOrigin::Temporal => 2,
-        }
-    }
-}
 
 /// Per-origin prefetch usefulness counters at the L2.
 #[derive(Clone, Copy, Debug, Default)]
@@ -98,31 +82,13 @@ pub struct MetaTraffic {
 struct CoreCaches {
     l1d: CacheLevel,
     l2: CacheLevel,
-    /// Prefetch origin per filled L2 line (block-granularity sidecar).
-    ///
-    /// A sidecar record exists only while its block is resident in the
-    /// owning level (inserted after `fill`, removed on eviction or
-    /// first demand touch), so its population tracks the number of
-    /// prefetched-but-untouched resident blocks. The tables start at
-    /// MSHR scale and grow deterministically toward that steady-state
-    /// population; once converged they never rehash again, and every
-    /// demand-path probe is gated on the way's prefetched bit so a
-    /// lookup only happens when a record can actually exist.
-    l2_origin: LineMap<PrefetchOrigin>,
-    /// In-flight fill times for prefetches at each level. Entries whose
-    /// block marks the owning way `prefetched`; the L2 copy of an
-    /// L1-origin prefetch does not mark its way, so it lives in
-    /// [`CoreCaches::l2_inflight_l1`] instead.
-    l1_inflight: LineMap<u64>,
-    l2_inflight: LineMap<u64>,
-    /// In-flight fill times for L1-origin prefetches' L2 copies (the
-    /// one case where an in-flight record exists without the resident
-    /// way being marked `prefetched`). Empty unless an L1 prefetcher is
-    /// configured, so the demand path checks `is_empty` before probing.
-    l2_inflight_l1: LineMap<u64>,
     origin_counters: OriginCounters,
     meta_traffic: MetaTraffic,
     partition: PartitionSpec,
+    /// Whether this core's LLC accesses are sampled at all: only a
+    /// temporal prefetcher ever drains `llc_samples`, so the engine
+    /// turns sampling off for cores that have none.
+    sample_llc: bool,
     /// Sampled LLC accesses awaiting delivery to the temporal
     /// prefetcher's data-utility model (1-in-32 sets).
     llc_samples: Vec<Line>,
@@ -135,8 +101,18 @@ struct CoreCaches {
     /// (slack for the audit's resolution inequalities).
     l1_prefetched_at_reset: u64,
     l2_prefetched_at_reset: u64,
-    /// Sidecar origin population at the last stats reset.
+    /// The L2's share of that population by origin.
     origin_at_reset: [u64; 3],
+}
+
+/// The levels below the private caches and the queues their traffic
+/// feeds, kept apart from the per-core caches so an eviction cascade
+/// can hold one core and the shared side at once.
+struct Shared {
+    llc: CacheLevel,
+    dram: Dram,
+    feedback: Vec<FeedbackEvent>,
+    flows: GlobalFlows,
 }
 
 /// Hierarchy-wide flow counters the audit reconciles against the cache
@@ -159,10 +135,7 @@ struct GlobalFlows {
 pub struct Hierarchy {
     config: SystemConfig,
     cores: Vec<CoreCaches>,
-    llc: CacheLevel,
-    dram: Dram,
-    feedback: Vec<FeedbackEvent>,
-    flows: GlobalFlows,
+    shared: Shared,
     /// Prefetched blocks resident in the LLC at the last stats reset.
     llc_prefetched_at_reset: u64,
     /// Scratch buffer reused by [`Hierarchy::apply_partition`] so
@@ -173,25 +146,14 @@ pub struct Hierarchy {
 impl Hierarchy {
     /// Builds a hierarchy from the system configuration.
     pub fn new(config: SystemConfig) -> Self {
-        // Sidecar tables start at MSHR scale: the resident-population
-        // bound (sets * ways) would make each table far larger than the
-        // host's cache, turning every probe into a memory stall. The
-        // growth valve converges on the true prefetched-block
-        // population in O(log n) deterministic doublings and never
-        // fires again in steady state.
-        let l1_pf = config.l1d.mshrs.max(16);
-        let l2_pf = config.l2.mshrs.max(16);
         let cores = (0..config.cores)
             .map(|_| CoreCaches {
                 l1d: CacheLevel::new(config.l1d),
                 l2: CacheLevel::new(config.l2),
-                l2_origin: LineMap::with_capacity_for(l2_pf),
-                l1_inflight: LineMap::with_capacity_for(l1_pf),
-                l2_inflight: LineMap::with_capacity_for(l2_pf),
-                l2_inflight_l1: LineMap::with_capacity_for(8),
                 origin_counters: OriginCounters::default(),
                 meta_traffic: MetaTraffic::default(),
                 partition: PartitionSpec::None,
+                sample_llc: true,
                 llc_samples: Vec::new(),
                 flow_l1_writebacks: 0,
                 flow_l2_writebacks: 0,
@@ -203,11 +165,13 @@ impl Hierarchy {
         let mut llc = CacheLevel::new(config.llc);
         llc.set_prefetch_low_priority(true);
         Hierarchy {
-            llc,
-            dram: Dram::new(config.dram),
+            shared: Shared {
+                llc,
+                dram: Dram::new(config.dram),
+                feedback: Vec::new(),
+                flows: GlobalFlows::default(),
+            },
             cores,
-            feedback: Vec::new(),
-            flows: GlobalFlows::default(),
             llc_prefetched_at_reset: 0,
             scratch_reserve: Vec::new(),
             config,
@@ -227,7 +191,14 @@ impl Hierarchy {
     /// never allocates.
     pub fn drain_feedback_into(&mut self, out: &mut Vec<FeedbackEvent>) {
         out.clear();
-        std::mem::swap(&mut self.feedback, out);
+        std::mem::swap(&mut self.shared.feedback, out);
+    }
+
+    /// Turns `core`'s LLC sampling on or off (on for a new hierarchy).
+    /// A function of the core's plan, set once by the engine: samples
+    /// only ever feed a temporal prefetcher's `observe_llc`.
+    pub(crate) fn set_llc_sampling(&mut self, core: usize, on: bool) {
+        self.cores[core].sample_llc = on;
     }
 
     /// Drains the sampled LLC accesses for `core` into a caller-provided
@@ -250,12 +221,12 @@ impl Hierarchy {
 
     /// Shared LLC stats.
     pub fn llc_stats(&self) -> CacheStats {
-        self.llc.stats()
+        self.shared.llc.stats()
     }
 
     /// DRAM stats.
     pub fn dram_stats(&self) -> DramStats {
-        self.dram.stats()
+        self.shared.dram.stats()
     }
 
     /// Per-origin prefetch counters for a core's L2.
@@ -282,17 +253,14 @@ impl Hierarchy {
             c.meta_traffic = MetaTraffic::default();
             c.flow_l1_writebacks = 0;
             c.flow_l2_writebacks = 0;
-            c.l1_prefetched_at_reset = c.l1d.resident_prefetched();
-            c.l2_prefetched_at_reset = c.l2.resident_prefetched();
-            c.origin_at_reset = [0; 3];
-            for origin in c.l2_origin.values() {
-                c.origin_at_reset[origin.idx()] += 1;
-            }
+            c.l1_prefetched_at_reset = c.l1d.resident_prefetched().iter().sum();
+            c.origin_at_reset = c.l2.resident_prefetched();
+            c.l2_prefetched_at_reset = c.origin_at_reset.iter().sum();
         }
-        self.llc.reset_stats();
-        self.llc_prefetched_at_reset = self.llc.resident_prefetched();
-        self.dram.reset_stats();
-        self.flows = GlobalFlows::default();
+        self.shared.llc.reset_stats();
+        self.llc_prefetched_at_reset = self.shared.llc.resident_prefetched().iter().sum();
+        self.shared.dram.reset_stats();
+        self.shared.flows = GlobalFlows::default();
     }
 
     /// Captures a plain-data snapshot of every counter the
@@ -318,28 +286,26 @@ impl Hierarchy {
                 })
                 .collect(),
             llc: audit::LevelAudit {
-                stats: self.llc.stats(),
+                stats: self.shared.llc.stats(),
                 prefetched_at_reset: self.llc_prefetched_at_reset,
             },
-            dram: self.dram.stats(),
-            llc_writebacks_to_dram: self.flows.llc_writebacks,
-            partition_dirty_evictions: self.flows.partition_dirty,
-            partition_token_writes: self.flows.partition_token_writes,
-            dropped_prefetches: self.flows.dropped_prefetches,
+            dram: self.shared.dram.stats(),
+            llc_writebacks_to_dram: self.shared.flows.llc_writebacks,
+            partition_dirty_evictions: self.shared.flows.partition_dirty,
+            partition_token_writes: self.shared.flows.partition_token_writes,
+            dropped_prefetches: self.shared.flows.dropped_prefetches,
         }
     }
 
     /// Software-prefetches the hierarchy state the *next* demand access
-    /// will touch: the L1D way slots of `line`'s set and its in-flight
-    /// tracking bucket. Purely advisory — reads and writes no simulated
-    /// state, so issuing (or skipping) hints cannot change any result.
-    /// The batched replay loop calls this for access `i + 1` while
-    /// access `i` simulates (see `Engine::run_batched`).
+    /// will touch: the L1D way slots of `line`'s set. Purely advisory —
+    /// reads and writes no simulated state, so issuing (or skipping)
+    /// hints cannot change any result. The batched replay loop calls
+    /// this for access `i + 1` while access `i` simulates (see
+    /// `Engine::run_batched`).
     #[inline]
     pub fn prefetch_hint(&self, core: usize, line: Line) {
-        let cc = &self.cores[core];
-        cc.l1d.prefetch_set_hint(line);
-        cc.l1_inflight.prefetch_hint(line);
+        self.cores[core].l1d.prefetch_set_hint(line);
     }
 
     /// Services a demand access from `core` to `line` at time `t`.
@@ -350,124 +316,58 @@ impl Hierarchy {
         is_write: bool,
         t: u64,
     ) -> DemandOutcome {
-        let cc = &mut self.cores[core];
+        let (cc, shared) = (&mut self.cores[core], &mut self.shared);
         let t0 = cc.l1d.port_start(t);
-        match cc.l1d.demand_lookup(line, is_write) {
-            LookupResult::Hit {
-                first_prefetch_touch,
-            } => {
-                let mut complete = t0 + cc.l1d.latency();
-                // An in-flight record exists only while the resident way
-                // still carries the prefetched bit, so the sidecar is
-                // probed exactly when this is the first demand touch.
-                if first_prefetch_touch {
-                    if let Some(fill) = cc.l1_inflight.remove(line) {
-                        if fill > complete {
-                            cc.l1d.add_late_prefetch();
-                            complete = fill;
-                        }
-                    }
-                }
-                return DemandOutcome {
-                    complete,
-                    l1_hit: true,
-                    l2_queried: false,
-                    l2_event: None,
-                    l2_hit: false,
-                };
-            }
-            LookupResult::Miss => {}
+        if let LookupResult::Hit { ready_at, .. } = cc.l1d.demand_lookup(line, is_write) {
+            return DemandOutcome {
+                complete: cc.l1d.await_fill(t0 + cc.l1d.latency(), ready_at),
+                l1_hit: true,
+                l2_queried: false,
+                l2_event: None,
+                l2_hit: false,
+            };
         }
         // L1 miss: MSHR admission, then L2.
         let t1 = cc.l1d.mshr.admit(t0 + cc.l1d.latency());
         let t2 = cc.l2.port_start(t1);
-        let (mut complete, l2_event, l2_hit);
+        let (complete, l2_event, l2_hit);
         // Write-back L1: stores do not dirty the L2 directly.
         match cc.l2.demand_lookup(line, false) {
             LookupResult::Hit {
-                first_prefetch_touch,
+                first_touch,
+                ready_at,
             } => {
-                complete = t2 + cc.l2.latency();
-                // Marked prefetches (bit set) live in `l2_inflight`;
-                // L1-origin copies (bit clear) in `l2_inflight_l1`.
-                let inflight = if first_prefetch_touch {
-                    cc.l2_inflight.remove(line)
-                } else if !cc.l2_inflight_l1.is_empty() {
-                    cc.l2_inflight_l1.remove(line)
-                } else {
-                    None
-                };
-                if let Some(fill) = inflight {
-                    if fill > complete {
-                        cc.l2.add_late_prefetch();
-                        complete = fill;
-                    }
-                }
+                complete = cc.l2.await_fill(t2 + cc.l2.latency(), ready_at);
                 l2_hit = true;
-                if first_prefetch_touch {
-                    let origin = cc
-                        .l2_origin
-                        .remove(line)
-                        .unwrap_or(PrefetchOrigin::L2Regular);
+                if let Some(origin) = first_touch {
                     cc.origin_counters.useful[origin.idx()] += 1;
-                    self.feedback.push(FeedbackEvent {
+                    shared.feedback.push(FeedbackEvent {
                         core,
                         line,
                         origin,
                         useful: true,
                     });
-                    l2_event = if origin == PrefetchOrigin::Temporal {
-                        Some(L2EventKind::PrefetchHit)
-                    } else {
-                        None
-                    };
-                } else {
-                    l2_event = None;
                 }
+                l2_event = (first_touch == Some(PrefetchOrigin::Temporal))
+                    .then_some(L2EventKind::PrefetchHit);
             }
             LookupResult::Miss => {
                 l2_hit = false;
                 l2_event = Some(L2EventKind::DemandMiss);
                 let t3 = cc.l2.mshr.admit(t2 + cc.l2.latency());
-                complete = self
-                    .llc_access(core, line, t3, false)
+                complete = cc
+                    .llc_access(shared, line, t3, false)
                     .expect("demand accesses always complete");
-                let cc = &mut self.cores[core];
                 cc.l2.mshr.register(complete);
                 // Fill L2 on the way back.
-                if let Some((evicted, dirty, unused_prefetch)) =
-                    cc.l2.fill(line, false, false)
-                {
-                    Self::handle_l2_eviction(
-                        core,
-                        cc,
-                        &mut self.llc,
-                        &mut self.dram,
-                        &mut self.flows,
-                        &mut self.feedback,
-                        evicted,
-                        dirty,
-                        unused_prefetch,
-                        complete,
-                    );
+                if let Some(victim) = cc.l2.fill(line, false, false) {
+                    cc.retire_l2_victim(core, shared, victim, complete);
                 }
             }
         }
-        let cc = &mut self.cores[core];
         cc.l1d.mshr.register(complete);
-        if let Some((evicted, dirty, unused)) = cc.l1d.fill(line, is_write, false) {
-            Self::handle_l1_eviction(
-                core,
-                cc,
-                &mut self.llc,
-                &mut self.dram,
-                &mut self.flows,
-                &mut self.feedback,
-                evicted,
-                dirty,
-                unused,
-                complete,
-            );
+        if let Some(victim) = cc.l1d.fill(line, is_write, false) {
+            cc.retire_l1_victim(core, shared, victim, complete);
         }
         DemandOutcome {
             complete,
@@ -478,225 +378,50 @@ impl Hierarchy {
         }
     }
 
-    /// Retires an L1D victim: drops its in-flight record and, when
-    /// dirty, writes it back into the L2 (writeback-allocate, as
-    /// ChampSim models it). A victim the writeback displaces from the
-    /// L2 continues down the hierarchy through
-    /// [`Hierarchy::handle_l2_eviction`].
-    #[allow(clippy::too_many_arguments)]
-    fn handle_l1_eviction(
-        core: usize,
-        cc: &mut CoreCaches,
-        llc: &mut CacheLevel,
-        dram: &mut Dram,
-        flows: &mut GlobalFlows,
-        feedback: &mut Vec<FeedbackEvent>,
-        evicted: Line,
-        dirty: bool,
-        unused_prefetch: bool,
-        t: u64,
-    ) {
-        // An in-flight record implies the way still carried the
-        // prefetched bit, which the eviction reports as unused.
-        if unused_prefetch {
-            cc.l1_inflight.remove(evicted);
-        }
-        if !dirty {
-            return;
-        }
-        cc.flow_l1_writebacks += 1;
-        if let Some((victim, vdirty, vunused)) = cc.l2.fill(evicted, true, false) {
-            Self::handle_l2_eviction(
-                core, cc, llc, dram, flows, feedback, victim, vdirty, vunused, t,
-            );
-        }
-    }
-
-    /// Retires an L2 victim: origin accounting and feedback, then the
-    /// writeback into the LLC when dirty — whose own dirty victim, if
-    /// any, is written to DRAM.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_l2_eviction(
-        core: usize,
-        cc: &mut CoreCaches,
-        llc: &mut CacheLevel,
-        dram: &mut Dram,
-        flows: &mut GlobalFlows,
-        feedback: &mut Vec<FeedbackEvent>,
-        evicted: Line,
-        dirty: bool,
-        unused_prefetch: bool,
-        t: u64,
-    ) {
-        if unused_prefetch {
-            // The way carried the prefetched bit, so any in-flight and
-            // origin records live in the marked-prefetch tables.
-            cc.l2_inflight.remove(evicted);
-            let origin = cc
-                .l2_origin
-                .remove(evicted)
-                .unwrap_or(PrefetchOrigin::L2Regular);
-            cc.origin_counters.useless[origin.idx()] += 1;
-            feedback.push(FeedbackEvent {
-                core,
-                line: evicted,
-                origin,
-                useful: false,
-            });
-        } else {
-            // Bit clear: an origin record cannot exist (it is removed
-            // together with the bit on first demand touch), and the
-            // only possible in-flight record is an L1-origin L2 copy.
-            if !cc.l2_inflight_l1.is_empty() {
-                cc.l2_inflight_l1.remove(evicted);
-            }
-        }
-        if dirty {
-            // Writeback to LLC: mark dirty there (refill path).
-            cc.flow_l2_writebacks += 1;
-            if let Some((victim, vdirty, _)) = llc.fill(evicted, true, false) {
-                if vdirty {
-                    flows.llc_writebacks += 1;
-                    dram.write(t, victim);
-                }
-            }
-        }
-    }
-
-    /// Maximum DRAM bank backlog (cycles) a prefetch will queue behind;
-    /// beyond this the prefetch is dropped, as a hardware prefetch queue
-    /// would do rather than starve demand traffic.
-    const PREFETCH_DROP_BACKLOG: u64 = 1000;
-
-    /// LLC (and DRAM on miss) access; fills the LLC; returns completion.
-    /// Prefetches that would queue behind a saturated DRAM bank are
-    /// dropped (`None`); demand accesses always complete.
-    fn llc_access(&mut self, core: usize, line: Line, t: u64, is_prefetch: bool) -> Option<u64> {
-        // Record sampled LLC data accesses for the partitioners' data
-        // models (1-in-32 sets, matching the prefetchers' samplers).
-        if (line.0 as usize & (self.llc.sets() - 1)).is_multiple_of(32) {
-            self.cores[core].llc_samples.push(line);
-        }
-        let t0 = self.llc.port_start(t);
-        match self.llc.demand_lookup(line, false) {
-            LookupResult::Hit { .. } => Some(t0 + self.llc.latency()),
-            LookupResult::Miss => {
-                let t1 = self.llc.mshr.admit(t0 + self.llc.latency());
-                if is_prefetch && self.dram.queue_delay(t1, line) > Self::PREFETCH_DROP_BACKLOG
-                {
-                    // The LLC miss is already counted, but no DRAM read
-                    // happens: record the drop so the audit's read
-                    // conservation law still balances.
-                    self.flows.dropped_prefetches += 1;
-                    return None;
-                }
-                let complete = if is_prefetch {
-                    self.dram.read_prefetch(t1, line)
-                } else {
-                    self.dram.read(t1, line)
-                };
-                self.llc.mshr.register(complete);
-                if let Some((evicted, dirty, _)) = self.llc.fill(line, false, is_prefetch) {
-                    if dirty {
-                        self.flows.llc_writebacks += 1;
-                        self.dram.write(complete, evicted);
-                    }
-                }
-                Some(complete)
-            }
-        }
-    }
-
-    /// Issues a prefetch into `core`'s L1D (and L2/LLC below).
-    /// Returns the fill time, or `None` if the line is already present.
-    pub fn prefetch_into_l1(&mut self, core: usize, line: Line, t: u64) -> Option<u64> {
-        if self.cores[core].l1d.probe(line) {
-            return None;
-        }
-        let fill = self.prefetch_into_l2_inner(core, line, t, PrefetchOrigin::L1)?;
-        let cc = &mut self.cores[core];
-        if let Some((evicted, dirty, unused)) = cc.l1d.fill(line, false, true) {
-            Self::handle_l1_eviction(
-                core,
-                cc,
-                &mut self.llc,
-                &mut self.dram,
-                &mut self.flows,
-                &mut self.feedback,
-                evicted,
-                dirty,
-                unused,
-                fill,
-            );
-        }
-        cc.l1_inflight.insert(line, fill);
-        Some(fill)
-    }
-
-    /// Issues a prefetch into `core`'s L2 from the regular L2 prefetcher.
-    pub fn prefetch_into_l2(&mut self, core: usize, line: Line, t: u64) -> Option<u64> {
-        self.prefetch_into_l2_inner(core, line, t, PrefetchOrigin::L2Regular)
-    }
-
-    /// Issues a prefetch into `core`'s L2 from the temporal prefetcher.
-    pub fn prefetch_into_l2_temporal(
-        &mut self,
-        core: usize,
-        line: Line,
-        t: u64,
-    ) -> Option<u64> {
-        self.prefetch_into_l2_inner(core, line, t, PrefetchOrigin::Temporal)
-    }
-
-    fn prefetch_into_l2_inner(
+    /// Issues a prefetch of `line` for `core` at `t` on behalf of
+    /// `origin` — the one way a prefetch enters the hierarchy. The block
+    /// is brought into the L2 (through the LLC), marked with its origin
+    /// so the L2 can report it useful or useless; an
+    /// [`PrefetchOrigin::L1`] prefetch is also installed in the L1D and
+    /// tracked there instead, its L2 copy staying unmarked so L2
+    /// usefulness is not mis-attributed. Returns the fill time, or
+    /// `None` if the line is already resident where `origin` wants it or
+    /// the prefetch was dropped behind a saturated DRAM bank.
+    pub fn prefetch(
         &mut self,
         core: usize,
         line: Line,
         t: u64,
         origin: PrefetchOrigin,
     ) -> Option<u64> {
-        if self.cores[core].l2.probe(line) {
-            return if origin == PrefetchOrigin::L1 {
-                // L1 prefetch of an L2-resident line: cheap fill.
-                Some(t + self.cores[core].l2.latency())
-            } else {
-                None
-            };
+        let (cc, shared) = (&mut self.cores[core], &mut self.shared);
+        let into_l1 = origin == PrefetchOrigin::L1;
+        if into_l1 && cc.l1d.probe(line) {
+            return None;
         }
-        let cc0 = &self.cores[core];
-        if cc0.l2_inflight.contains(line) || cc0.l2_inflight_l1.contains(line) {
-            return None; // already being fetched
-        }
-        // Prefetches ride a separate queue (hardware gives them their
-        // own MSHR-like structure that yields to demands); the DRAM
-        // backlog drop in `llc_access` bounds how far they can run
-        // ahead.
-        let fill = self.llc_access(core, line, t, true)?;
-        let cc = &mut self.cores[core];
-        // L1-origin prefetches track usefulness at the L1; marking the L2
-        // copy as prefetched would mis-attribute L2 usefulness stats.
-        let mark_prefetched = origin != PrefetchOrigin::L1;
-        if let Some((evicted, dirty, unused_prefetch)) = cc.l2.fill(line, false, mark_prefetched)
-        {
-            Self::handle_l2_eviction(
-                core,
-                cc,
-                &mut self.llc,
-                &mut self.dram,
-                &mut self.flows,
-                &mut self.feedback,
-                evicted,
-                dirty,
-                unused_prefetch,
-                fill,
-            );
-        }
-        cc.origin_counters.fills[origin.idx()] += 1;
-        if mark_prefetched {
-            cc.l2_origin.insert(line, origin);
-            cc.l2_inflight.insert(line, fill);
+        let fill = if cc.l2.probe(line) {
+            if !into_l1 {
+                return None;
+            }
+            // L1 prefetch of an L2-resident line: cheap fill.
+            t + cc.l2.latency()
         } else {
-            cc.l2_inflight_l1.insert(line, fill);
+            // Prefetches ride a separate queue (hardware gives them
+            // their own MSHR-like structure that yields to demands); the
+            // DRAM backlog drop in `Shared::access` bounds how far they
+            // can run ahead.
+            let fill = cc.llc_access(shared, line, t, true)?;
+            let mark = (!into_l1).then_some(origin);
+            if let Some(victim) = cc.l2.install(line, false, mark, fill) {
+                cc.retire_l2_victim(core, shared, victim, fill);
+            }
+            cc.origin_counters.fills[origin.idx()] += 1;
+            fill
+        };
+        if into_l1 {
+            if let Some(victim) = cc.l1d.install(line, false, Some(origin), fill) {
+                cc.retire_l1_victim(core, shared, victim, fill);
+            }
         }
         Some(fill)
     }
@@ -714,20 +439,20 @@ impl Hierarchy {
         }
         let ops = ctx.reads() + ctx.writes();
         for _ in 0..ops {
-            self.llc.port_start(ctx.now);
+            self.shared.llc.port_start(ctx.now);
         }
         // Rearrangement shuffles occupy the port in bursts: one read plus
         // one write per moved block.
         for _ in 0..ctx.rearranged().min(4096) {
-            self.llc.port_start(ctx.now);
-            self.llc.port_start(ctx.now);
+            self.shared.llc.port_start(ctx.now);
+            self.shared.llc.port_start(ctx.now);
         }
     }
 
     /// Latency of one metadata read from the LLC partition (used by the
     /// engine to delay metadata-dependent prefetches).
     pub fn metadata_read_latency(&self) -> u64 {
-        self.llc.latency()
+        self.shared.llc.latency()
     }
 
     /// Current partition of a core.
@@ -746,7 +471,8 @@ impl Hierarchy {
         }
         self.cores[core].partition = spec;
         let n = self.config.cores;
-        let sets = self.llc.sets();
+        let llc = &mut self.shared.llc;
+        let sets = llc.sets();
         let mut dirty_evictions = 0u64;
         for s in (core..sets).step_by(n) {
             let domain_index = s / n;
@@ -761,9 +487,9 @@ impl Hierarchy {
                     }
                 }
             };
-            if self.llc.reserved_ways(s) != ways {
+            if llc.reserved_ways(s) != ways {
                 self.scratch_reserve.clear();
-                self.llc.reserve_ways_into(s, ways, &mut self.scratch_reserve);
+                llc.reserve_ways_into(s, ways, &mut self.scratch_reserve);
                 dirty_evictions += self
                     .scratch_reserve
                     .iter()
@@ -777,21 +503,121 @@ impl Hierarchy {
         // would fabricate a huge queueing penalty, so we count the
         // traffic without serialising the timeline behind it.
         let _ = t;
-        self.flows.partition_dirty += dirty_evictions;
+        self.shared.flows.partition_dirty += dirty_evictions;
         let tokens = dirty_evictions.min(4);
-        self.flows.partition_token_writes += tokens;
+        self.shared.flows.partition_token_writes += tokens;
         for _ in 0..tokens {
             // Token charge: keep a trace of bank pressure without the
             // burst (at most a handful of writes hit the queues now).
-            self.dram.write(t, Line(0));
+            self.shared.dram.write(t, Line(0));
         }
     }
 
     /// Bytes of LLC capacity currently reserved for metadata (all cores).
     pub fn reserved_metadata_bytes(&self) -> usize {
-        (0..self.llc.sets())
-            .map(|s| self.llc.reserved_ways(s) as usize * crate::LINE_SIZE as usize)
+        let llc = &self.shared.llc;
+        (0..llc.sets())
+            .map(|s| llc.reserved_ways(s) as usize * crate::LINE_SIZE as usize)
             .sum()
+    }
+}
+
+impl CoreCaches {
+    /// An access from this core to the shared levels, sampled for the
+    /// partitioners' data models (1-in-32 LLC sets, matching the
+    /// prefetchers' samplers) when the core has one.
+    fn llc_access(
+        &mut self,
+        shared: &mut Shared,
+        line: Line,
+        t: u64,
+        is_prefetch: bool,
+    ) -> Option<u64> {
+        if self.sample_llc && shared.llc.set_of(line).is_multiple_of(32) {
+            self.llc_samples.push(line);
+        }
+        shared.access(line, t, is_prefetch)
+    }
+
+    /// Retires an L1D victim: when dirty, writes it back into the L2
+    /// (writeback-allocate, as ChampSim models it). A victim the
+    /// writeback displaces from the L2 continues down the hierarchy
+    /// through [`CoreCaches::retire_l2_victim`].
+    fn retire_l1_victim(&mut self, core: usize, shared: &mut Shared, victim: Evicted, t: u64) {
+        if !victim.dirty {
+            return;
+        }
+        self.flow_l1_writebacks += 1;
+        if let Some(below) = self.l2.fill(victim.line, true, false) {
+            self.retire_l2_victim(core, shared, below, t);
+        }
+    }
+
+    /// Retires an L2 victim: origin accounting and feedback when it was
+    /// prefetched and never used, then the writeback into the LLC when
+    /// dirty — whose own dirty victim, if any, is written to DRAM.
+    fn retire_l2_victim(&mut self, core: usize, shared: &mut Shared, victim: Evicted, t: u64) {
+        if let Some(origin) = victim.unused {
+            self.origin_counters.useless[origin.idx()] += 1;
+            shared.feedback.push(FeedbackEvent {
+                core,
+                line: victim.line,
+                origin,
+                useful: false,
+            });
+        }
+        if victim.dirty {
+            // Writeback to LLC: mark dirty there (refill path).
+            self.flow_l2_writebacks += 1;
+            if let Some(below) = shared.llc.fill(victim.line, true, false) {
+                shared.drain(below, t);
+            }
+        }
+    }
+}
+
+impl Shared {
+    /// Maximum DRAM bank backlog (cycles) a prefetch will queue behind;
+    /// beyond this the prefetch is dropped, as a hardware prefetch queue
+    /// would do rather than starve demand traffic.
+    const PREFETCH_DROP_BACKLOG: u64 = 1000;
+
+    /// LLC (and DRAM on miss) access; fills the LLC; returns completion.
+    /// Prefetches that would queue behind a saturated DRAM bank are
+    /// dropped (`None`); demand accesses always complete.
+    fn access(&mut self, line: Line, t: u64, is_prefetch: bool) -> Option<u64> {
+        let t0 = self.llc.port_start(t);
+        match self.llc.demand_lookup(line, false) {
+            LookupResult::Hit { .. } => Some(t0 + self.llc.latency()),
+            LookupResult::Miss => {
+                let t1 = self.llc.mshr.admit(t0 + self.llc.latency());
+                if is_prefetch && self.dram.queue_delay(t1, line) > Self::PREFETCH_DROP_BACKLOG {
+                    // The LLC miss is already counted, but no DRAM read
+                    // happens: record the drop so the audit's read
+                    // conservation law still balances.
+                    self.flows.dropped_prefetches += 1;
+                    return None;
+                }
+                let complete = if is_prefetch {
+                    self.dram.read_prefetch(t1, line)
+                } else {
+                    self.dram.read(t1, line)
+                };
+                self.llc.mshr.register(complete);
+                if let Some(victim) = self.llc.fill(line, false, is_prefetch) {
+                    self.drain(victim, complete);
+                }
+                Some(complete)
+            }
+        }
+    }
+
+    /// Retires an LLC victim: written to DRAM when dirty.
+    fn drain(&mut self, victim: Evicted, t: u64) {
+        if victim.dirty {
+            self.flows.llc_writebacks += 1;
+            self.dram.write(t, victim.line);
+        }
     }
 }
 
@@ -836,7 +662,7 @@ mod tests {
     fn temporal_prefetch_hit_generates_event_and_feedback() {
         let mut h = hierarchy();
         let fill = h
-            .prefetch_into_l2_temporal(0, Line(777), 0)
+            .prefetch(0, Line(777), 0, PrefetchOrigin::Temporal)
             .expect("prefetch issued");
         let out = h.demand_access(0, Line(777), false, fill + 10);
         assert!(out.l2_hit);
@@ -852,7 +678,9 @@ mod tests {
     #[test]
     fn late_prefetch_shortens_latency_but_counts() {
         let mut h = hierarchy();
-        let fill = h.prefetch_into_l2_temporal(0, Line(555), 0).unwrap();
+        let fill = h
+            .prefetch(0, Line(555), 0, PrefetchOrigin::Temporal)
+            .unwrap();
         // Demand arrives long before the fill completes: it hits on the
         // in-flight block and is pulled up to the fill time, rather than
         // paying a full miss.
@@ -864,8 +692,38 @@ mod tests {
     #[test]
     fn duplicate_temporal_prefetch_is_dropped() {
         let mut h = hierarchy();
-        assert!(h.prefetch_into_l2_temporal(0, Line(9), 0).is_some());
-        assert!(h.prefetch_into_l2_temporal(0, Line(9), 1).is_none());
+        assert!(h
+            .prefetch(0, Line(9), 0, PrefetchOrigin::Temporal)
+            .is_some());
+        assert!(h
+            .prefetch(0, Line(9), 1, PrefetchOrigin::Temporal)
+            .is_none());
+    }
+
+    #[test]
+    fn llc_samples_are_kept_only_for_a_core_that_drains_them() {
+        // 256 LLC-missing accesses, every other one to a sampled set.
+        let lines: Vec<Line> = (0..256u64).map(|i| Line(i * 16)).collect();
+        let drive = |sampling: bool| {
+            let mut h = hierarchy();
+            h.set_llc_sampling(0, sampling);
+            let mut t = 0;
+            for &line in &lines {
+                t = h.demand_access(0, line, false, t).complete + 1;
+            }
+            let mut samples = Vec::new();
+            h.drain_llc_samples_into(0, &mut samples);
+            samples
+        };
+        assert!(drive(false).is_empty());
+        let sampled: Vec<Line> = lines.iter().copied().filter(|l| l.0 % 32 == 0).collect();
+        assert_eq!(drive(true), sampled);
+        // A new hierarchy samples until told otherwise.
+        let mut h = hierarchy();
+        h.demand_access(0, Line(0), false, 0);
+        let mut samples = Vec::new();
+        h.drain_llc_samples_into(0, &mut samples);
+        assert_eq!(samples, [Line(0)]);
     }
 
     #[test]
@@ -962,7 +820,7 @@ mod tests {
             let line = Line((i * 37) % 8192);
             t = h.demand_access(0, line, i % 3 == 0, t).complete + 1;
             if i % 5 == 0 {
-                h.prefetch_into_l2_temporal(0, Line(i + 100_000), t);
+                h.prefetch(0, Line(i + 100_000), t, PrefetchOrigin::Temporal);
             }
         }
         let report = audit::check_hierarchy(&h.audit_snapshot());
@@ -975,7 +833,7 @@ mod tests {
         // Prefetch a line, then stream enough conflicting lines through
         // the same L2 set to evict it untouched.
         let target = Line(0x10_0000);
-        h.prefetch_into_l2_temporal(0, target, 0).unwrap();
+        h.prefetch(0, target, 0, PrefetchOrigin::Temporal).unwrap();
         let l2_sets = 1024u64;
         let mut t = 100;
         for i in 1..=16u64 {

@@ -2,11 +2,11 @@
 //!
 //! The engine simulates accesses in blocks pulled straight from the
 //! packed trace arrays, so the address of access `i + 1` is known while
-//! access `i` is still in flight. Touching the hierarchy structures that
-//! access will hit — the L1 way slots for its set and its in-flight
-//! tracking bucket — overlaps their cache-miss latency with the current
-//! access's simulation work (the scx CPU-context scan pattern). Hints
-//! are advisory: they read no simulated state and never change results.
+//! access `i` is still in flight. Touching the hierarchy structure that
+//! access will hit — the L1 way slots for its set — overlaps its
+//! cache-miss latency with the current access's simulation work (the
+//! scx CPU-context scan pattern). Hints are advisory: they read no
+//! simulated state and never change results.
 
 /// Requests that the cache line containing `p` be pulled toward the
 /// core. No-op on architectures without a stable prefetch intrinsic.

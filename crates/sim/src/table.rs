@@ -1,28 +1,29 @@
 //! Fixed-capacity open-addressed hash table keyed by [`Line`].
 //!
-//! The demand-access hot path tracks three block-granularity sidecars
-//! per core (prefetch origins and in-flight fill times at L1/L2). With
-//! `std::collections::HashMap` every access pays SipHash plus the
-//! occasional rehash-and-reallocate; this table replaces both costs:
+//! Off the demand path: the simulator itself keeps no per-line table
+//! (a prefetched block's record lives in its own cache way, see
+//! [`crate::cache`]). The type is retained only because the benchmark's
+//! `tpsim.table.linemap_op_ns` kernel measures it. Against
+//! `std::collections::HashMap`, where every operation pays SipHash plus
+//! the occasional rehash-and-reallocate, it offers:
 //!
 //! * **Multiplicative hashing** (FxHash-style): a cache-line address is
 //!   already close to uniform in its low bits, so one Fibonacci
 //!   multiply and a shift spread it over the slot array. No per-access
 //!   hasher state, no SipHash rounds.
-//! * **Fixed capacity, linear probing**: the tracked population is
-//!   bounded by the owning cache level's geometry (a sidecar record
-//!   exists only while its block is resident), so the table is sized
-//!   once at construction — `lines + mshrs` scaled to a ≤50% load
-//!   factor — and never reallocates on the access path. A growth path
-//!   exists as a safety valve but is unreachable under that sizing
-//!   (see [`LineMap::with_capacity_for`]).
+//! * **Fixed capacity, linear probing**: a caller that knows its
+//!   population bound sizes the table once at construction, scaled to
+//!   a ≤50% load factor, and it never reallocates afterwards. A growth
+//!   path exists as a safety valve but is unreachable under that
+//!   sizing (see [`LineMap::with_capacity_for`]).
 //! * **Backward-shift deletion**: removals compact the probe cluster in
 //!   place instead of leaving tombstones, so long-running simulations
 //!   keep short probe sequences without periodic rebuilds.
 //!
 //! Equivalence with a `HashMap` reference model is machine-checked by
-//! the tpcheck property suite in this module's tests and, end-to-end,
-//! by `tests/hot_path_equivalence.rs` at the workspace root.
+//! the tpcheck property suite in this module's tests and, on real
+//! address streams, by `tests/hot_path_equivalence.rs` at the
+//! workspace root.
 
 use tptrace::record::Line;
 
@@ -31,9 +32,8 @@ const MULT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// An open-addressed `Line -> V` map with linear probing.
 ///
-/// Values are `Copy` (the hot path stores fill times and origin enums),
-/// which keeps slots `Option<(u64, V)>` and every operation free of
-/// drop glue.
+/// Values are `Copy`, which keeps slots `Option<(u64, V)>` and every
+/// operation free of drop glue.
 #[derive(Clone, Debug)]
 pub struct LineMap<V: Copy> {
     slots: Vec<Option<(u64, V)>>,
@@ -97,14 +97,6 @@ impl<V: Copy> LineMap<V> {
         self.find(line.0).map(|i| self.slots[i].expect("found").1)
     }
 
-    /// Software-prefetches `line`'s home bucket (advisory; reads and
-    /// writes nothing). Batched replay hints the next access's
-    /// in-flight-tracking bucket while the current access simulates.
-    #[inline]
-    pub fn prefetch_hint(&self, line: Line) {
-        crate::hint::prefetch_read(&self.slots[self.home(line.0)]);
-    }
-
     /// True when `line` has an entry.
     #[inline]
     pub fn contains(&self, line: Line) -> bool {
@@ -126,10 +118,8 @@ impl<V: Copy> LineMap<V> {
                 None => {
                     self.slots[i] = Some((key, value));
                     self.len += 1;
-                    // Safety valve: the hierarchy sizes tables so this
-                    // never trips (population ≤ cache lines + MSHRs),
-                    // but a mis-sized caller degrades to a rehash
-                    // instead of an infinite probe loop.
+                    // Safety valve: a mis-sized caller degrades to a
+                    // rehash instead of an infinite probe loop.
                     if self.len * 2 > self.slots.len() {
                         self.grow();
                     }
@@ -165,11 +155,6 @@ impl<V: Copy> LineMap<V> {
             }
         }
         Some(removed)
-    }
-
-    /// Iterates over the stored values (arbitrary order).
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.slots.iter().flatten().map(|(_, v)| v)
     }
 
     /// Iterates over `(Line, value)` pairs (arbitrary order).

@@ -118,19 +118,6 @@ impl<T: Copy + PartialEq> PairwiseStore<T> {
 
     /// Inserts or updates a correlation at MRU position.
     pub fn insert(&mut self, trigger: u64, target: T) -> InsertOutcome {
-        self.insert_at(trigger, target, 0.0)
-    }
-
-    /// Inserts or updates a correlation at a fractional recency position:
-    /// `0.0` is MRU (LRU policy), `~0.6` models SRRIP's long-re-reference
-    /// insertion (Triangel's metadata policy), and utility-ranked
-    /// policies (TP-Mockingjay on a pairwise store) map predicted reuse
-    /// onto the position directly.
-    ///
-    /// # Panics
-    /// Panics if `frac` is not within `[0, 1]`.
-    pub fn insert_at(&mut self, trigger: u64, target: T, frac: f64) -> InsertOutcome {
-        assert!((0.0..=1.0).contains(&frac), "insertion fraction in [0,1]");
         if self.ways == 0 {
             return InsertOutcome::New; // discarded immediately below
         }
@@ -148,8 +135,7 @@ impl<T: Copy + PartialEq> PairwiseStore<T> {
             }
             None => InsertOutcome::New,
         };
-        let pos = ((bucket.len() as f64) * frac) as usize;
-        bucket.insert(pos.min(bucket.len()), (trigger, target));
+        bucket.insert(0, (trigger, target));
         bucket.truncate(cap);
         outcome
     }

@@ -9,12 +9,6 @@ use tpsim::{
 use tptrace::record::Line;
 use triage::pairwise::{InsertOutcome, PairwiseStore};
 
-/// Metadata insertion depth. Triangel uses SRRIP; under metadata-insert
-/// pressure with hit promotion, SRRIP behaves like FIFO/LRU (all entries
-/// age from the same inserted RRPV), so MRU insertion models it without
-/// the capacity loss a naive mid-stack insertion would cause.
-const SRRIP_INSERT_FRAC: f64 = 0.0;
-
 /// Triangel configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct TriangelConfig {
@@ -185,10 +179,12 @@ impl TemporalPrefetcher for Triangel {
                 if self.mrb.contains_pair(trigger.0, target) {
                     self.stats.redundant_inserts += 1;
                 } else {
-                    match self
-                        .store
-                        .insert_at(trigger.0, target.0, SRRIP_INSERT_FRAC)
-                    {
+                    // Triangel uses SRRIP; under metadata-insert pressure
+                    // with hit promotion, SRRIP behaves like FIFO/LRU
+                    // (all entries age from the same inserted RRPV), so
+                    // MRU insertion models it without the capacity loss
+                    // a naive mid-stack insertion would cause.
+                    match self.store.insert(trigger.0, target.0) {
                         InsertOutcome::Redundant => self.stats.redundant_inserts += 1,
                         _ => {
                             self.stats.inserts += 1;

@@ -1,8 +1,10 @@
 #!/bin/sh
 # Tier-1 verification plus an audited quick sweep.
 #
-# 1. Release build + the full test suite (the audit's conservation laws
-#    are also debug-asserted inside every test-mode simulation).
+# 1. Release build + the full test suite: the root package's tier 1,
+#    then every workspace crate's own unit, doc and integration tests
+#    (the audit's conservation laws are also debug-asserted inside
+#    every test-mode simulation), then clippy.
 # 2. A release-mode sweep over the memory-intensive pool at test scale
 #    with --audit, so the release build's counters are checked against
 #    the same laws the debug assertions enforce.
@@ -19,22 +21,11 @@ echo "== tier 1: build + tests =="
 cargo build --release --workspace
 cargo test -q
 
-echo "== service core unit tests (outside the root package's tier 1) =="
-cargo test -q -p tpserve
+echo "== crate unit, doc and integration tests (outside the root package's tier 1) =="
+cargo test -q --workspace --exclude streamline-repro
 
 echo "== lint gate: clippy with warnings denied =="
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== hot-path equivalence suite (debug: audit + overflow checks on) =="
-cargo test -q --test hot_path_equivalence
-cargo test -q --test golden_snapshot
-
-echo "== batched replay differential suite (serial == batched) =="
-cargo test -q --test batched_equivalence
-
-echo "== trace pool suite (single-flight, eviction, 1-generation sweep) =="
-cargo test -q --test trace_pool
-cargo test -q -p tptrace pool
 
 echo "== audited quick sweep (release, test scale) =="
 cargo run --release -q -p tpbench --bin fig09_single_core -- \
