@@ -11,7 +11,14 @@
 //!
 //! Numbers are kept as their literal text (`Value::Num(String)`) rather
 //! than eagerly converted to `f64`, so 64-bit counters round-trip
-//! exactly — no 2^53 precision cliff.
+//! exactly — no 2^53 precision cliff. The parser needs no numeral's
+//! value, only that it is one: it checks the literal against the
+//! grammar `f64::from_str` accepts and computes nothing.
+//!
+//! The encoder's output is a fixed point — `parse(e).encode() == e` —
+//! which is the test `tpserve` applies to bytes it did not encode
+//! before splicing them, unparsed, into a reply. One parser serves
+//! every reader; its test module keeps the one it replaced as reference.
 
 use std::fmt::Write as _;
 use tpsim::{CacheStats, CoreReport, DramStats, SimReport, TemporalStats};
@@ -133,7 +140,9 @@ impl Value {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` as the encoder writes every string and object key:
+/// quoted, with `"`, `\\` and control characters escaped.
+pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -157,11 +166,10 @@ fn escape_into(s: &str, out: &mut String) {
 /// # Errors
 /// Returns a human-readable description of the first syntax error.
 pub fn parse(s: &str) -> Result<Value, String> {
-    let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(s, &mut pos, 0)?;
+    skip_ws(s.as_bytes(), &mut pos);
+    if pos != s.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(v)
@@ -177,10 +185,34 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
+/// Whether `lit`, drawn from the number alphabet `0-9 . e E + -`, is a
+/// literal `f64::from_str` accepts:
+/// `[+-] (digits [. digits*] | . digits) [(e|E) [+-] digits]`.
+/// Numerals stay text, so the grammar is checked and no float computed.
+fn is_number(lit: &[u8]) -> bool {
+    fn unsigned(s: &[u8]) -> &[u8] {
+        s.strip_prefix(b"+").or_else(|| s.strip_prefix(b"-")).unwrap_or(s)
+    }
+    let digits = |s: &[u8]| s.iter().take_while(|c| c.is_ascii_digit()).count();
+    let (mantissa, exponent) = match lit.iter().position(|c| matches!(c, b'e' | b'E')) {
+        Some(e) => (&lit[..e], Some(unsigned(&lit[e + 1..]))),
+        None => (lit, None),
+    };
+    let mantissa = unsigned(mantissa);
+    let whole = digits(mantissa);
+    let fraction = match &mantissa[whole..] {
+        [] => 0,
+        [b'.', rest @ ..] if digits(rest) == rest.len() => rest.len(),
+        _ => return false,
+    };
+    whole + fraction > 0 && exponent.is_none_or(|e| !e.is_empty() && digits(e) == e.len())
+}
+
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
     if depth > MAX_DEPTH {
         return Err("nesting too deep".into());
     }
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
@@ -194,7 +226,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String>
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos, depth + 1)? {
+                let key = match parse_value(s, pos, depth + 1)? {
                     Value::Str(s) => s,
                     _ => return Err(format!("object key at byte {pos} is not a string")),
                 };
@@ -203,7 +235,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String>
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let val = parse_value(b, pos, depth + 1)?;
+                let val = parse_value(s, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -225,7 +257,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String>
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos, depth + 1)?);
+                items.push(parse_value(s, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -241,13 +273,21 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String>
             *pos += 1;
             let mut out = String::new();
             loop {
+                // Copy the run up to the next quote or backslash whole.
+                // Both are ASCII, so the run ends on a scalar boundary.
+                let run = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(&s[run..*pos]);
                 match b.get(*pos) {
                     None => return Err("unterminated string".into()),
                     Some(b'"') => {
                         *pos += 1;
                         return Ok(Value::Str(out));
                     }
-                    Some(b'\\') => {
+                    // A backslash: the run stops at nothing else.
+                    Some(_) => {
                         *pos += 1;
                         match b.get(*pos) {
                             Some(b'"') => out.push('"'),
@@ -271,33 +311,20 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String>
                         }
                         *pos += 1;
                     }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (input is a &str, so
-                        // boundaries are valid).
-                        let start = *pos;
-                        *pos += 1;
-                        while *pos < b.len() && (b[*pos] & 0xc0) == 0x80 {
-                            *pos += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad utf-8")?,
-                        );
-                    }
                 }
             }
         }
         Some(c) if c.is_ascii_digit() || *c == b'-' || *c == b'+' => {
             let start = *pos;
             *pos += 1;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
+            while matches!(b.get(*pos), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
                 *pos += 1;
             }
-            let lit = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad utf-8")?;
-            // Validate it parses as a number now, so `Num` is always a
-            // well-formed literal.
-            lit.parse::<f64>().map_err(|_| format!("bad number {lit:?}"))?;
+            // Checked now, so `Num` is always a well-formed literal.
+            let lit = &s[start..*pos];
+            if !is_number(lit.as_bytes()) {
+                return Err(format!("bad number {lit:?}"));
+            }
             Ok(Value::Num(lit.to_string()))
         }
         Some(_) => {
@@ -574,6 +601,236 @@ mod tests {
         // Depth bound trips instead of recursing unboundedly.
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err());
+    }
+
+    /// The parser before its string and number arms were rewritten —
+    /// one scalar per `push_str`, numerals through `str::parse::<f64>` —
+    /// kept as the reference the live one is pinned against.
+    fn reference_parse(s: &str) -> Result<Value, String> {
+        let bytes = s.as_bytes();
+        let mut pos = 0usize;
+        let v = reference_value(bytes, &mut pos, 0)?;
+        skip_ws(bytes, &mut pos);
+        if pos != bytes.len() {
+            return Err(format!("trailing data at byte {pos}"));
+        }
+        Ok(v)
+    }
+
+    fn reference_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
+        if depth > MAX_DEPTH {
+            return Err("nesting too deep".into());
+        }
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            None => Err("unexpected end of input".into()),
+            Some(b'{') => {
+                *pos += 1;
+                let mut fields = Vec::new();
+                skip_ws(b, pos);
+                if b.get(*pos) == Some(&b'}') {
+                    *pos += 1;
+                    return Ok(Value::Obj(fields));
+                }
+                loop {
+                    skip_ws(b, pos);
+                    let key = match reference_value(b, pos, depth + 1)? {
+                        Value::Str(s) => s,
+                        _ => return Err(format!("object key at byte {pos} is not a string")),
+                    };
+                    skip_ws(b, pos);
+                    if b.get(*pos) != Some(&b':') {
+                        return Err(format!("expected ':' at byte {pos}"));
+                    }
+                    *pos += 1;
+                    let val = reference_value(b, pos, depth + 1)?;
+                    fields.push((key, val));
+                    skip_ws(b, pos);
+                    match b.get(*pos) {
+                        Some(b',') => *pos += 1,
+                        Some(b'}') => {
+                            *pos += 1;
+                            return Ok(Value::Obj(fields));
+                        }
+                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                    }
+                }
+            }
+            Some(b'[') => {
+                *pos += 1;
+                let mut items = Vec::new();
+                skip_ws(b, pos);
+                if b.get(*pos) == Some(&b']') {
+                    *pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                loop {
+                    items.push(reference_value(b, pos, depth + 1)?);
+                    skip_ws(b, pos);
+                    match b.get(*pos) {
+                        Some(b',') => *pos += 1,
+                        Some(b']') => {
+                            *pos += 1;
+                            return Ok(Value::Arr(items));
+                        }
+                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+                    }
+                }
+            }
+            Some(b'"') => {
+                *pos += 1;
+                let mut out = String::new();
+                loop {
+                    match b.get(*pos) {
+                        None => return Err("unterminated string".into()),
+                        Some(b'"') => {
+                            *pos += 1;
+                            return Ok(Value::Str(out));
+                        }
+                        Some(b'\\') => {
+                            *pos += 1;
+                            match b.get(*pos) {
+                                Some(b'"') => out.push('"'),
+                                Some(b'\\') => out.push('\\'),
+                                Some(b'/') => out.push('/'),
+                                Some(b'n') => out.push('\n'),
+                                Some(b'r') => out.push('\r'),
+                                Some(b't') => out.push('\t'),
+                                Some(b'u') => {
+                                    let hex = b
+                                        .get(*pos + 1..*pos + 5)
+                                        .ok_or("truncated \\u escape")?;
+                                    let code = std::str::from_utf8(hex)
+                                        .ok()
+                                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                        .ok_or("bad \\u escape")?;
+                                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                                    *pos += 4;
+                                }
+                                _ => return Err("bad escape".into()),
+                            }
+                            *pos += 1;
+                        }
+                        Some(_) => {
+                            // Consume one UTF-8 scalar (input is a &str, so
+                            // boundaries are valid).
+                            let start = *pos;
+                            *pos += 1;
+                            while *pos < b.len() && (b[*pos] & 0xc0) == 0x80 {
+                                *pos += 1;
+                            }
+                            out.push_str(
+                                std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad utf-8")?,
+                            );
+                        }
+                    }
+                }
+            }
+            Some(c) if c.is_ascii_digit() || *c == b'-' || *c == b'+' => {
+                let start = *pos;
+                *pos += 1;
+                while *pos < b.len()
+                    && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+                {
+                    *pos += 1;
+                }
+                let lit = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad utf-8")?;
+                // Validate it parses as a number now, so `Num` is always a
+                // well-formed literal.
+                lit.parse::<f64>().map_err(|_| format!("bad number {lit:?}"))?;
+                Ok(Value::Num(lit.to_string()))
+            }
+            Some(_) => {
+                for (lit, v) in [
+                    ("null", Value::Null),
+                    ("true", Value::Bool(true)),
+                    ("false", Value::Bool(false)),
+                ] {
+                    if b[*pos..].starts_with(lit.as_bytes()) {
+                        *pos += lit.len();
+                        return Ok(v);
+                    }
+                }
+                Err(format!("unexpected byte {:?} at {}", b[*pos] as char, pos))
+            }
+        }
+    }
+
+    /// A tree that exercises every escape the encoder emits, `\u00XX`,
+    /// multi-byte UTF-8, the numerals that matter, and nesting down to
+    /// `depth` levels below this value.
+    fn random_value(g: &mut tpcheck::Gen, depth: usize) -> Value {
+        const NUMS: [&str; 8] =
+            ["18446744073709551615", "-0.0", "1e-7", "0", "-17", "2.5E+3", "1.", "+4"];
+        const PIECES: [&str; 12] =
+            ["plain", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "/", "é", "日本", "🦀"];
+        let string = |g: &mut tpcheck::Gen| g.vec(0..5, |g| PIECES[g.usize_in(0..12)]).concat();
+        match g.usize_in(0..if depth == 0 { 5 } else { 7 }) {
+            0 => Value::Null,
+            1 => Value::Bool(g.bool()),
+            2 => Value::Num(NUMS[g.usize_in(0..NUMS.len())].into()),
+            3 => Value::u64(g.next_u64()),
+            4 => Value::Str(string(g)),
+            5 => Value::Arr(g.vec(0..4, |g| random_value(g, depth - 1))),
+            _ => Value::Obj(g.vec(0..4, |g| (string(g), random_value(g, depth - 1)))),
+        }
+    }
+
+    #[test]
+    fn parse_agrees_with_the_parser_it_replaces() {
+        const HOSTILE: [&str; 16] = [
+            "\\", "\\u12", "\\uzzzz", "\\ud800", "\\u+041", "\\x", "\"", "1e", "+", ".", "1.", "-.5e+3",
+            "--1", "1e+-2", "é", " ",
+        ];
+        let agree = |doc: &str| {
+            let (live, reference) = (parse(doc), reference_parse(doc));
+            tpcheck::ensure!(live == reference, "{doc:?}: {live:?} != {reference:?}");
+            Ok(())
+        };
+        tpcheck::check("parse == reference_parse", 256, |g| {
+            let depth = g.usize_in(0..MAX_DEPTH + 1);
+            let value = random_value(g, depth);
+            let doc = value.encode();
+            tpcheck::ensure!(parse(&doc) == Ok(value), "{doc} does not round-trip");
+            // Truncated at every byte that leaves a `&str`.
+            for cut in (0..=doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+                agree(&doc[..cut])?;
+                // A hostile fragment spliced in at one cut in eight.
+                if g.usize_in(0..8) == 0 {
+                    let fragment = HOSTILE[g.usize_in(0..HOSTILE.len())];
+                    agree(&format!("{}{fragment}{}", &doc[..cut], &doc[cut..]))?;
+                }
+            }
+            Ok(())
+        });
+        // Nesting to the bound and past it, with the same tree inside.
+        tpcheck::check("parse == reference_parse, nested", 16, |g| {
+            let doc = random_value(g, 2).encode();
+            for wraps in MAX_DEPTH - 3..MAX_DEPTH + 3 {
+                agree(&format!("{}{doc}{}", "[".repeat(wraps), "]".repeat(wraps)))?;
+                agree(&format!("{}{doc}{}", "{\"k\":".repeat(wraps), "}".repeat(wraps)))?;
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn is_number_is_the_f64_literal_grammar_over_the_number_alphabet() {
+        const ALPHABET: &[u8; 15] = b"0123456789.eE+-";
+        for len in 0..=5u32 {
+            for mut n in 0..15usize.pow(len) {
+                let mut lit = String::new();
+                for _ in 0..len {
+                    lit.push(ALPHABET[n % 15] as char);
+                    n /= 15;
+                }
+                let accepted = lit.parse::<f64>().is_ok();
+                assert_eq!(is_number(lit.as_bytes()), accepted, "{lit:?}");
+            }
+        }
+        for long in ["1e99999999999999999999", "-0.000000000000000000000000000001E-400", "1.e5"] {
+            assert!(is_number(long.as_bytes()) && long.parse::<f64>().is_ok(), "{long}");
+        }
     }
 
     #[test]

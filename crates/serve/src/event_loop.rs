@@ -102,7 +102,7 @@ impl EventConn {
                 continue;
             }
             match core.dispatch(&line) {
-                Dispatch::Reply(reply) => self.queue_value(&reply),
+                Dispatch::Reply(reply) => self.queue_line(&reply),
                 Dispatch::Park(on) => self.parked = Some(on),
             }
             if self.cs.pending_out() >= WRITE_BACKPRESSURE_BYTES {
@@ -113,21 +113,22 @@ impl EventConn {
 
     /// Queues the reply this connection was parked for and parses
     /// whatever was pipelined behind it.
-    fn unpark(&mut self, reply: &Value, core: &Core) {
+    fn unpark(&mut self, reply: &str, core: &Core) {
         self.parked = None;
-        self.queue_value(reply);
+        self.queue_line(reply);
         self.process(core);
     }
 
     fn fail_framing(&mut self, reason: &str) {
-        self.queue_value(&error_response(reason));
+        self.queue_line(&error_response(reason));
         self.closing = true;
     }
 
-    fn queue_value(&mut self, v: &Value) {
-        let mut out = v.encode();
-        out.push('\n');
-        self.cs.queue(out.as_bytes());
+    /// Replies reach the loop as encoded lines; framing them is all
+    /// that is left to do.
+    fn queue_line(&mut self, line: &str) {
+        self.cs.queue(line.as_bytes());
+        self.cs.queue(b"\n");
     }
 }
 

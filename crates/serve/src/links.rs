@@ -172,9 +172,10 @@ impl Link {
             return Ok(());
         }
         let next = match (status, waited) {
-            // The report's literal bytes go into the cache under the
-            // job's canonical key. A `done` with no report is a
-            // protocol bug: reroute.
+            // The report goes into the cache under the job's canonical
+            // key as the encoding of its parsed tree: the backend's
+            // literals, in the only spelling the cache holds. A `done`
+            // with no report is a protocol bug: reroute.
             ("done", _) => match field("report") {
                 Some(report) => {
                     core.publish(&job.spec.canonical, &report.encode());

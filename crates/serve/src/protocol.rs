@@ -16,11 +16,12 @@
 //! `audit`) are deliberately excluded: they change how a request is
 //! *run*, not what its report *is*.
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead};
 use tpharness::baselines::{L1Kind, L2Kind, TemporalKind};
 use tpharness::experiment::Experiment;
 use tpharness::sweep::SweepJob;
-use tpharness::wire::{fnv1a, Value};
+use tpharness::wire::{escape_into, fnv1a, Value};
 use tpsim::{CancelToken, SimReport};
 use tptrace::{workloads, Mix, Scale, Workload};
 
@@ -271,39 +272,44 @@ impl Request {
     /// reports, which is what the response cache keys on. The canonical
     /// string is itself a valid request payload.
     pub fn canonical(&self) -> String {
-        let mut fields: Vec<(String, Value)> = Vec::with_capacity(9);
+        // Written straight out, byte for byte what `wire`'s encoder
+        // gives the same nine fields: names go through its escape, the
+        // kinds and the scale are bare identifiers.
+        let mut out = String::with_capacity(256);
         match &self.target {
             Target::Single(w) => {
-                fields.push(("workload".into(), Value::Str(w.name.into())));
+                out.push_str(r#"{"workload":"#);
+                escape_into(w.name, &mut out);
             }
             Target::MixOf { workloads, index } => {
-                fields.push((
-                    "mix".into(),
-                    Value::Arr(
-                        workloads
-                            .iter()
-                            .map(|w| Value::Str(w.name.into()))
-                            .collect(),
-                    ),
-                ));
-                fields.push(("mix_index".into(), Value::u64(*index as u64)));
+                out.push_str(r#"{"mix":["#);
+                for (i, w) in workloads.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    escape_into(w.name, &mut out);
+                }
+                let _ = write!(out, r#"],"mix_index":{index}"#);
             }
         }
         let exp = &self.exp;
-        fields.push(("scale".into(), Value::Str(exp.scale.to_string())));
-        fields.push(("l1".into(), Value::Str(exp.l1.name().into())));
-        fields.push(("l2".into(), Value::Str(exp.l2.name().into())));
-        fields.push(("temporal".into(), Value::Str(exp.temporal.name().into())));
-        fields.push(("bandwidth".into(), Value::f64(exp.bandwidth_factor)));
-        fields.push(("warmup".into(), Value::f64(exp.warmup)));
-        fields.push((
-            "seed".into(),
-            match self.seed {
-                Some(s) => Value::u64(s),
-                None => Value::Null,
-            },
-        ));
-        Value::Obj(fields).encode()
+        let _ = write!(
+            out,
+            r#","scale":"{}","l1":"{}","l2":"{}","temporal":"{}","bandwidth":{:?},"warmup":{:?},"seed":"#,
+            exp.scale,
+            exp.l1.name(),
+            exp.l2.name(),
+            exp.temporal.name(),
+            exp.bandwidth_factor,
+            exp.warmup
+        );
+        match self.seed {
+            Some(seed) => {
+                let _ = write!(out, "{seed}}}");
+            }
+            None => out.push_str("null}"),
+        }
+        out
     }
 
     /// FNV-1a hash of the canonical string — the short `key` clients

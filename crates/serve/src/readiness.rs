@@ -160,7 +160,7 @@ pub(crate) use imp::{wait, Interest, Ready, Token, Waker};
 mod tests {
     use super::*;
     use crate::server::ServerConfig;
-    use crate::service::tests::{status, ticket, Shape};
+    use crate::service::tests::{decoded, status, ticket, Shape};
     use crate::service::{Dispatch, Parked};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -193,7 +193,7 @@ mod tests {
                 break reply;
             }
         };
-        assert_eq!(status(&reply), "deadline-exceeded");
+        assert_eq!(status(&decoded(&reply)), "deadline-exceeded");
         let woken = blocked.elapsed() < Duration::from_secs(1);
         assert!(woken, "the 30 s timeout is what ended the wait");
         s.core.latch(|t| t.stop = true);

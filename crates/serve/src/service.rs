@@ -45,6 +45,16 @@
 //! second copy of the bytes. A hit is answered synchronously: no queue
 //! slot, no ticket, served even while draining.
 //!
+//! One invariant makes a hit a copy of bytes: *what the memory cache
+//! holds is exactly what [`wire`]'s encoder emits, checked once where
+//! it enters and never where it leaves.* Local simulations and relayed
+//! backend results are encoded here, so canonical by construction; a
+//! body read from the store is promoted only if it parses and encodes
+//! back to itself — otherwise the entry is dropped as a load error and
+//! the request is a miss. Entries are `Arc<str>` (a hit clones a
+//! pointer under the lock) and replies are encoded lines: a `done` is
+//! an envelope written around the cached report, which is not re-read.
+//!
 //! ## Deadlines
 //!
 //! Cancellation is cooperative: [`Core::tick`] flips the
@@ -59,6 +69,7 @@ use crate::ring::HashRing;
 use crate::server::ServerConfig;
 use crate::store::ResultStore;
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -222,13 +233,14 @@ pub(crate) struct Core {
     pub(crate) ring: HashRing,
     table: Mutex<Table>,
     cv: Condvar,
-    cache: Mutex<HashMap<String, String>>,
+    cache: Mutex<HashMap<String, Arc<str>>>,
     pub(crate) store: Option<ResultStore>,
     pub(crate) counters: Counters,
     pub(crate) backends: Vec<BackendStats>,
-    /// Service times split by outcome: a ~46 µs cache hit and a ~0.5 s
-    /// simulation in one histogram would make the p50 track the hit
-    /// ratio, not load, so STATS reports them separately.
+    /// Service times, from the line reaching [`Core::dispatch`] to the
+    /// reply line in hand, split by outcome: a ~3 µs cache hit and a
+    /// ~0.5 s simulation in one histogram would make the p50 track the
+    /// hit ratio, not load, so STATS reports them separately.
     hit_hist: Mutex<LogHistogram>,
     sim_hist: Mutex<LogHistogram>,
     started: Instant,
@@ -250,7 +262,8 @@ pub(crate) enum Parked {
 /// [`Core::dispatch`]'s answer to one protocol line.
 #[derive(Debug)]
 pub(crate) enum Dispatch {
-    Reply(Value),
+    /// The encoded reply line, without its newline.
+    Reply(String),
     /// The event loop owes the reply once what the connection is
     /// parked on has happened.
     Park(Parked),
@@ -263,13 +276,13 @@ fn obj(fields: Fields) -> Value {
 }
 
 /// A response line: `status` first, then `fields`.
-pub(crate) fn response(status: &str, mut fields: Fields) -> Value {
+pub(crate) fn response(status: &str, mut fields: Fields) -> String {
     fields.insert(0, ("status", text(status)));
-    obj(fields)
+    obj(fields).encode()
 }
 
 /// An `error` response carrying `reason`.
-pub(crate) fn error_response(reason: impl Into<String>) -> Value {
+pub(crate) fn error_response(reason: impl Into<String>) -> String {
     response("error", vec![("reason", text(reason))])
 }
 
@@ -282,22 +295,34 @@ fn num(n: usize) -> Value {
 }
 
 /// The short display key clients see: FNV-1a of the canonical string.
-fn key_hex(canonical: &str) -> Value {
-    text(format!("{:016x}", wire::fnv1a(canonical.as_bytes())))
+fn key_hex(canonical: &str) -> String {
+    format!("{:016x}", wire::fnv1a(canonical.as_bytes()))
 }
 
-/// A `done` response. `ticket` is `None` for synchronous cache-hit
-/// replies: they are complete in hand, so there is nothing to poll and
-/// no job is retained for them. The already-encoded report is embedded
-/// without losing its canonical bytes (parse keeps literals intact).
-fn done_response(ticket: Option<u64>, canonical: &str, cached: bool, encoded: &str) -> Value {
-    let report = wire::parse(encoded).unwrap_or_else(|_| text(encoded));
-    let mut fields = vec![("key", key_hex(canonical)), ("cached", Value::Bool(cached))];
-    fields.push(("report", report));
+/// A `done` response line: the envelope, then the cached report's
+/// bytes as they are — canonical since they entered the cache, so the
+/// line is what encoding the parsed tree would give. `ticket` is `None`
+/// for synchronous cache-hit replies: they are complete in hand, so
+/// there is nothing to poll and no job is retained for them.
+fn done_response(ticket: Option<u64>, canonical: &str, cached: bool, report: &str) -> String {
+    let mut line = String::with_capacity(report.len() + 96);
+    line.push_str(r#"{"status":"done""#);
     if let Some(id) = ticket {
-        fields.insert(0, ("ticket", Value::u64(id)));
+        let _ = write!(line, r#","ticket":{id}"#);
     }
-    response("done", fields)
+    let key = key_hex(canonical);
+    let _ = write!(
+        line,
+        r#","key":"{key}","cached":{cached},"report":{report}}}"#
+    );
+    line
+}
+
+/// The check on the one source of bytes this process did not encode,
+/// the store: a body is a report only if it is exactly what the encoder
+/// gives its own parse.
+fn is_canonical(body: &str) -> bool {
+    wire::parse(body).is_ok_and(|v| v.encode() == body)
 }
 
 fn record_time(hist: &Mutex<LogHistogram>, accepted: Instant) {
@@ -342,28 +367,31 @@ impl Core {
         self.table.lock().expect("job table lock")
     }
 
-    fn cache(&self) -> MutexGuard<'_, HashMap<String, String>> {
+    fn cache(&self) -> MutexGuard<'_, HashMap<String, Arc<str>>> {
         self.cache.lock().expect("cache lock")
     }
 
     /// Memory first, then one probe of the store's admission index;
-    /// disk hits are promoted into memory.
-    fn lookup_cached(&self, canonical: &str) -> Option<String> {
+    /// disk hits are checked, then promoted into memory. A hit shares
+    /// the cached allocation.
+    fn lookup_cached(&self, canonical: &str) -> Option<Arc<str>> {
         let mem = self.cache().get(canonical).cloned();
         if mem.is_some() {
             return mem;
         }
-        let report = self.store.as_ref()?.get(canonical)?;
+        let store = self.store.as_ref()?;
+        let report: Arc<str> = store.get_checked(canonical, is_canonical)?.into();
         bump(&self.counters.store_hits);
-        self.cache().insert(canonical.to_string(), report.clone());
+        self.cache()
+            .insert(canonical.to_string(), Arc::clone(&report));
         Some(report)
     }
 
-    /// Publishes a finished report under its canonical key: memory plus
-    /// (when configured) the persistent store.
+    /// Publishes a finished report — `encoded` by [`wire`], which is
+    /// what lets a reply splice it unread — under its canonical key:
+    /// memory plus (when configured) the persistent store.
     pub(crate) fn publish(&self, canonical: &str, encoded: &str) {
-        self.cache()
-            .insert(canonical.to_string(), encoded.to_string());
+        self.cache().insert(canonical.to_string(), encoded.into());
         if let Some(store) = &self.store {
             // A store write failure degrades persistence, not
             // correctness: the report is already served from memory.
@@ -374,14 +402,15 @@ impl Core {
     /// `SUBMIT`: cache-hit fast path, load shedding, or accept. An
     /// accepted job goes to the local pool at once when the ring is
     /// empty; otherwise the event loop routes it on its next pass.
-    fn submit(&self, request: Request, payload: &str) -> Value {
+    /// `accepted` is when the line reached [`Core::dispatch`].
+    fn submit(&self, request: Request, payload: &str, accepted: Instant) -> String {
         let canonical = request.canonical();
-        let accepted = Instant::now();
         if let Some(hit) = self.lookup_cached(&canonical) {
             bump(&self.counters.cache_hits);
             bump(&self.counters.served);
+            let reply = done_response(None, &canonical, true, &hit);
             record_time(&self.hit_hist, accepted);
-            return done_response(None, &canonical, true, &hit);
+            return reply;
         }
 
         let mut t = self.lock();
@@ -399,7 +428,7 @@ impl Core {
 
         t.last_ticket += 1;
         let id = t.last_ticket;
-        let key = key_hex(&canonical);
+        let key = text(key_hex(&canonical));
         let spec = Spec {
             deadline: request
                 .deadline_ms
@@ -440,7 +469,7 @@ impl Core {
     /// is how the original server leaked memory on every request — or
     /// the unknown-ticket error. `Err` carries the status of a job
     /// that is still live.
-    pub(crate) fn deliver(&self, id: u64) -> Result<Value, &'static str> {
+    pub(crate) fn deliver(&self, id: u64) -> Result<String, &'static str> {
         let ticket = ("ticket", Value::u64(id));
         let mut t = self.lock();
         match t.jobs.get(&id).map(|j| &j.state) {
@@ -464,7 +493,7 @@ impl Core {
     }
 
     /// `STATS`: one shape for every role.
-    fn stats(&self) -> Value {
+    fn stats(&self) -> String {
         let n = |a: &AtomicU64| Value::u64(a.load(Relaxed));
         let u = Value::u64;
         let hist = |h: &Mutex<LogHistogram>| {
@@ -557,6 +586,7 @@ impl Core {
     /// (whose drain has now begun) park the connection; everything
     /// else replies immediately.
     pub(crate) fn dispatch(&self, line: &str) -> Dispatch {
+        let received = Instant::now();
         let line = line.trim();
         let (verb, rest) = match line.find(' ') {
             Some(i) => (&line[..i], line[i + 1..].trim()),
@@ -572,7 +602,7 @@ impl Core {
             // Full validation at the edge: a malformed request never
             // reaches the queue, a worker or a backend.
             "SUBMIT" => match wire::parse(rest).and_then(|v| Request::from_value(&v)) {
-                Ok(req) => self.submit(req, rest),
+                Ok(req) => self.submit(req, rest, received),
                 Err(reason) => error(format!("invalid request: {reason}")),
             },
             // The same delivery either way; they differ only in what a
@@ -710,11 +740,16 @@ pub(crate) mod tests {
             Shape { core, links }
         }
 
-        pub(crate) fn reply(&self, line: &str) -> Value {
+        /// The reply line to `line`, as the loop would frame it.
+        fn line(&self, line: &str) -> String {
             match self.core.dispatch(line) {
                 Dispatch::Reply(reply) => reply,
                 Dispatch::Park(on) => panic!("{line:?} parked on {on:?}"),
             }
+        }
+
+        pub(crate) fn reply(&self, line: &str) -> Value {
+            decoded(&self.line(line))
         }
 
         /// `SUBMIT`, then the routing pass the loop would run.
@@ -753,6 +788,11 @@ pub(crate) mod tests {
 
     fn both_shapes(case: impl Fn(Shape)) {
         shapes().into_iter().for_each(case);
+    }
+
+    /// A reply line as the client reads it.
+    pub(crate) fn decoded(reply: &str) -> Value {
+        parse(reply).expect("a reply is wire-parseable")
     }
 
     pub(crate) fn str_of<'a>(v: &'a Value, field: &str) -> &'a str {
@@ -857,6 +897,145 @@ pub(crate) mod tests {
         });
     }
 
+    /// The request a test payload parses to, and the encoded report of
+    /// running it directly.
+    fn direct(json: &str) -> (Request, String) {
+        let request = Request::from_value(&parse(json).unwrap()).unwrap();
+        let report = request
+            .run(&CancelToken::new())
+            .expect("nothing cancels it");
+        let encoded = encode_sim_report(&report);
+        (request, encoded)
+    }
+
+    fn report_of(reply: &Value) -> String {
+        reply.get("report").expect("a report").encode()
+    }
+
+    #[test]
+    fn done_lines_are_the_bytes_the_tree_path_encoded() {
+        // What the reply was before the splice: a tree around the
+        // parsed report, encoded.
+        let tree_line = |ticket: Option<u64>, (request, report): &(Request, String), cached| {
+            let key = ("key", text(format!("{:016x}", request.key())));
+            let mut fields = vec![key, ("cached", Value::Bool(cached))];
+            fields.push(("report", parse(report).unwrap()));
+            if let Some(id) = ticket {
+                fields.insert(0, ("ticket", Value::u64(id)));
+            }
+            response("done", fields)
+        };
+        let runs = [
+            (BFS, ["POLL", "WAIT"], direct(BFS)),
+            (TC, ["WAIT", "POLL"], direct(TC)),
+        ];
+        both_shapes(|mut s| {
+            for (json, [verb_a, verb_b], run) in &runs {
+                // Two tickets for one key: the first job simulates, the
+                // second finds the result cached when a worker claims it.
+                let (a, b) = (ticket(&s.submit(json)), ticket(&s.submit(json)));
+                s.run_queued();
+                for (line, expected) in [
+                    (
+                        s.line(&format!("{verb_a} {a}")),
+                        tree_line(Some(a), run, false),
+                    ),
+                    (
+                        s.line(&format!("{verb_b} {b}")),
+                        tree_line(Some(b), run, true),
+                    ),
+                    (
+                        s.line(&format!("SUBMIT {json}")),
+                        tree_line(None, run, true),
+                    ),
+                ] {
+                    assert_eq!(line, expected);
+                    assert!(!line.contains('\n'), "a reply is one frame");
+                }
+                let canonical = run.0.canonical();
+                let hits = [(); 2].map(|()| s.core.lookup_cached(&canonical).expect("cached"));
+                assert!(Arc::ptr_eq(&hits[0], &hits[1]), "hits share one allocation");
+            }
+        });
+    }
+
+    #[test]
+    fn a_damaged_store_body_is_a_miss_that_rewrites_the_entry() {
+        type Damage = fn(&str) -> String;
+        let damages: [(&str, Damage); 4] = [
+            ("a flipped byte inside a counter", |body| {
+                let field = r#""cycles":"#;
+                let mut bytes = body.as_bytes().to_vec();
+                bytes[body.find(field).expect("a cycle count") + field.len()] ^= 0x40;
+                String::from_utf8(bytes).expect("a digit becomes a letter")
+            }),
+            ("a body truncated mid-object", |body| {
+                body[..body.len() / 2].into()
+            }),
+            ("an embedded newline", |body| body.replacen(',', ",\n", 1)),
+            ("valid JSON with extra whitespace", |body| {
+                body.replacen(':', ": ", 1)
+            }),
+        ];
+        let dir = std::env::temp_dir().join(format!("tpserve-damage-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServerConfig {
+            store_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+        let simulate = |s: &mut Shape| {
+            let queued = s.submit(BFS);
+            assert_eq!(status(&queued), "queued", "no cache level answers");
+            s.run_queued();
+            s.poll(ticket(&queued))
+        };
+        let cached = |reply: &Value| reply.get("cached").and_then(Value::as_bool);
+        let (_, direct) = direct(BFS);
+
+        // One server fills the store and stops.
+        assert_eq!(
+            report_of(&simulate(&mut Shape::new(cfg.clone(), &[]))),
+            direct
+        );
+        let mut files = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path());
+        let entry = files
+            .find(|p| p.extension().is_some_and(|x| x == "rsp"))
+            .expect("one entry");
+        let pristine = std::fs::read_to_string(&entry).unwrap();
+        let (canonical, body) = pristine.split_once('\n').unwrap();
+        assert_eq!(body, direct);
+
+        for (what, damage) in damages {
+            std::fs::write(&entry, format!("{canonical}\n{}", damage(body))).unwrap();
+            // The next one starts on the same directory: the damaged
+            // entry must cost a simulation, never answer.
+            let mut s = Shape::new(cfg.clone(), &[]);
+            let fresh = simulate(&mut s);
+            assert_eq!(
+                (cached(&fresh), report_of(&fresh)),
+                (Some(false), direct.clone()),
+                "{what}"
+            );
+            let stats = s.reply("STATS");
+            let stat = |path: &str| {
+                let leaf = path.split('.').try_fold(&stats, |v, key| v.get(key));
+                leaf.and_then(Value::as_u64)
+            };
+            assert_eq!(stat("stats.simulations"), Some(1), "{what}");
+            assert_eq!(stat("stats.store.load_errors"), Some(1), "{what}");
+            assert_eq!(stat("stats.store_hits"), Some(0), "{what}");
+            let again = s.submit(BFS);
+            assert_eq!(
+                (cached(&again), report_of(&again)),
+                (Some(true), direct.clone()),
+                "{what}"
+            );
+            let rewritten = std::fs::read_to_string(&entry).unwrap();
+            assert_eq!(rewritten, pristine, "{what}: the entry is whole again");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn terminal_jobs_reap_on_first_poll_and_on_ttl() {
         both_shapes(|mut s| {
@@ -915,8 +1094,8 @@ pub(crate) mod tests {
 
                 // What the loop does for a connection parked on `id`.
                 let delivered = waited.core.deliver(id).expect("the job is terminal");
-                assert_eq!(status(&delivered), outcome);
-                assert_eq!(delivered.encode(), polled.poll(id).encode());
+                assert_eq!(status(&decoded(&delivered)), outcome);
+                assert_eq!(delivered, polled.poll(id).encode());
                 assert_eq!(waited.core.lock().jobs.len(), 0, "delivery reaps");
 
                 // A job already terminal is delivered, and reaped, by

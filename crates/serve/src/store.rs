@@ -149,35 +149,39 @@ impl ResultStore {
     /// a present key is read and verified against the embedded
     /// canonical string before being served.
     pub fn get(&self, canonical: &str) -> Option<String> {
+        self.get_checked(canonical, |_| true)
+    }
+
+    /// [`get`](Self::get) for a caller that can tell a damaged body: one
+    /// that fails `valid` is dropped as a load error, like an unreadable
+    /// file, and the probe is a miss.
+    pub(crate) fn get_checked(
+        &self,
+        canonical: &str,
+        valid: impl FnOnce(&str) -> bool,
+    ) -> Option<String> {
         let key = key_of(canonical);
         let mut inner = self.inner.lock().expect("store lock");
         if !inner.entries.contains_key(&key) {
             inner.stats.misses += 1;
             return None;
         }
-        match fs::read_to_string(self.dir.join(file_name(key))) {
-            Ok(content) => match content.split_once('\n') {
-                Some((stored_canonical, report)) if stored_canonical == canonical => {
-                    inner.clock += 1;
-                    let clock = inner.clock;
-                    inner.entries.get_mut(&key).expect("probed entry").last_used = clock;
-                    inner.stats.hits += 1;
-                    Some(report.to_string())
-                }
-                Some(_) => {
-                    // A different canonical owns this hash slot.
-                    inner.stats.collisions += 1;
-                    inner.stats.misses += 1;
-                    None
-                }
-                None => {
-                    self.drop_entry(&mut inner, key);
-                    inner.stats.load_errors += 1;
-                    inner.stats.misses += 1;
-                    None
-                }
-            },
-            Err(_) => {
+        let content = fs::read_to_string(self.dir.join(file_name(key))).ok();
+        match content.as_deref().and_then(|c| c.split_once('\n')) {
+            Some((stored_canonical, _)) if stored_canonical != canonical => {
+                // A different canonical owns this hash slot.
+                inner.stats.collisions += 1;
+                inner.stats.misses += 1;
+                None
+            }
+            Some((_, report)) if valid(report) => {
+                inner.clock += 1;
+                let clock = inner.clock;
+                inner.entries.get_mut(&key).expect("probed entry").last_used = clock;
+                inner.stats.hits += 1;
+                Some(report.to_string())
+            }
+            _ => {
                 self.drop_entry(&mut inner, key);
                 inner.stats.load_errors += 1;
                 inner.stats.misses += 1;

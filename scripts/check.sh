@@ -35,18 +35,22 @@ for w in spec06.mcf spec17.xalancbmk gap.bfs; do
     compare "$w" --scale=test --audit >/dev/null
 done
 
-echo "== server smoke test (unix socket, pipelining + store-backed restart) =="
+echo "== server smoke test (unix socket, pipelining, store-backed restart, damaged entry) =="
 SOCK="${TMPDIR:-/tmp}/tpserve-check-$$.sock"
 STORE="${TMPDIR:-/tmp}/tpserve-check-store-$$"
 rm -rf "$STORE"
-./target/release/tpserve --socket="$SOCK" --jobs=2 --audit --store="$STORE" >/dev/null 2>&1 &
-SERVER_PID=$!
+# Starts tpserve on $SOCK over $STORE and waits for its socket.
+start_server() {
+  ./target/release/tpserve --socket="$SOCK" --jobs=2 --audit --store="$STORE" >/dev/null 2>&1 &
+  SERVER_PID=$!
+  for _ in $(seq 1 50); do
+    [ -S "$SOCK" ] && break
+    sleep 0.1
+  done
+  [ -S "$SOCK" ] || { echo "tpserve did not create $SOCK"; exit 1; }
+}
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$STORE"' EXIT
-for _ in $(seq 1 50); do
-  [ -S "$SOCK" ] && break
-  sleep 0.1
-done
-[ -S "$SOCK" ] || { echo "tpserve did not create $SOCK"; exit 1; }
+start_server
 TPC="./target/release/tpclient unix:$SOCK"
 REQ='{"workload":"spec06.mcf","scale":"test","temporal":"streamline"}'
 $TPC ping | grep -q '"pong":true'
@@ -58,6 +62,10 @@ PIPE=$($TPC pipeline "$REQ" "$REQ" "$REQ")
 [ "$(echo "$PIPE" | grep -c '"cached":true')" -eq 3 ] || {
   echo "pipeline: expected 3 cache hits: $PIPE"; exit 1;
 }
+# A hit is the cached bytes in a fixed envelope: the three lines are one.
+[ "$(echo "$PIPE" | sort -u | wc -l)" -eq 1 ] || {
+  echo "pipeline: the three hit lines differ: $PIPE"; exit 1;
+}
 STATS=$($TPC stats)
 echo "$STATS" | grep -q '"simulations":1'
 echo "$STATS" | grep -q '"cache_hits":3'
@@ -68,15 +76,22 @@ wait "$SERVER_PID"
 [ ! -e "$SOCK" ] || { echo "tpserve left its socket behind"; exit 1; }
 # Warm restart over the same store directory: the request served above
 # must come back as a cache hit with zero simulations.
-./target/release/tpserve --socket="$SOCK" --jobs=2 --audit --store="$STORE" >/dev/null 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 50); do
-  [ -S "$SOCK" ] && break
-  sleep 0.1
-done
-[ -S "$SOCK" ] || { echo "tpserve did not restart on $SOCK"; exit 1; }
+start_server
 $TPC submit "$REQ" | grep -q '"cached":true'
 $TPC stats | grep -q '"simulations":0'
+$TPC shutdown | grep -q '"status":"ok"'
+wait "$SERVER_PID"
+# A damaged entry under a stopped server: overwrite the first digit of a
+# counter in the one stored body. The next start must treat it as a load
+# error and a miss — simulate again — never serve it.
+RSP=$(ls "$STORE"/*.rsp)
+CYCLES=$(grep -bo '"cycles":' "$RSP" | head -n 1 | cut -d: -f1)
+printf 'x' | dd of="$RSP" bs=1 seek=$((CYCLES + 9)) conv=notrunc 2>/dev/null
+start_server
+$TPC submit "$REQ" | grep -q '"cached":false' || { echo "a damaged store entry was served"; exit 1; }
+STATS=$($TPC stats)
+echo "$STATS" | grep -q '"load_errors":1'
+echo "$STATS" | grep -q '"simulations":1'
 $TPC shutdown | grep -q '"status":"ok"'
 wait "$SERVER_PID"
 trap - EXIT
