@@ -271,14 +271,14 @@ impl TemporalPrefetcher for Streamline {
                 // only the tag probe.
                 self.stats.trigger_lookups += 1;
                 match self.store.lookup(cursor, pc_hash) {
-                    Some(e) => {
+                    Some(targets) => {
                         self.stats.trigger_hits += 1;
                         ctx.read_block();
-                        succ.extend_from_slice(e.successors_of(cursor));
+                        succ.extend_from_slice(targets);
                         // The only hit path that needs an owned
                         // copy: the training unit's confirmation
                         // buffer outlives the store borrow.
-                        self.tu.buffer_insert(ev.pc, e.clone());
+                        self.tu.buffer_insert(ev.pc, StreamEntry::new(cursor, targets.clone()));
                         false
                     }
                     None => break,

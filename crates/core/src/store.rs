@@ -1,9 +1,17 @@
 //! The Streamline metadata store: tagged set-partitioning, filtered
 //! indexing, TP-Mockingjay replacement, and partial-tag placement
 //! (paper Sections IV-B3, IV-C, IV-D, IV-E).
+//!
+//! One fixed-geometry table, like the slice of the LLC it models:
+//! `llc_sets` rows of `slots_per_set` slots, held as column arrays
+//! sized once in [`StreamStore::new`]; slot `w` of set `s` is index
+//! `s * slots_per_set + w` of each. A resize changes which rows are
+//! allocated and how many of a row's slots are reachable, never the
+//! table's shape.
 
 use crate::config::{PartitionSize, StreamlineConfig};
-use crate::stream::StreamEntry;
+use crate::stream::{StreamEntry, TargetList};
+use std::ops::Range;
 use tpreplace::{EtrSampler, EtrSamplerConfig, EtrSet};
 use tpsim::PartitionSpec;
 use tptrace::record::Line;
@@ -33,68 +41,55 @@ pub struct ResizeReport {
     pub moved_blocks: usize,
 }
 
-#[derive(Clone, Debug)]
-struct Slot {
-    entry: StreamEntry,
-    partial_tag: u16,
-    lru: u64,
-}
-
-/// Mirror-array sentinel for a vacant slot. `Line` values are cache
-/// block numbers (addresses shifted right by 6), so `u64::MAX` can
-/// never collide with a real trigger.
+/// The trigger of a vacant slot, and the only record that a slot is
+/// vacant: the other columns of a vacant slot hold stale values nobody
+/// reads. `Line` values are cache block numbers (addresses shifted
+/// right by 6), so `u64::MAX` can never collide with a real trigger.
 const VACANT: Line = Line(u64::MAX);
-
-#[derive(Clone, Debug, Default)]
-struct MetaSet {
-    slots: Vec<Option<Slot>>,
-    /// Dense mirror of each slot's trigger (`VACANT` when empty). The
-    /// demand path scans triggers on every lookup and several times per
-    /// insert; with inline target storage a `Slot` spans multiple cache
-    /// lines, so the scans walk this 8-byte-stride array instead and
-    /// only touch `slots` at the matched index.
-    triggers: Vec<Line>,
-    /// Dense mirror of each slot's partial tag (valid where `triggers`
-    /// is not `VACANT`), for the alias scan.
-    tags: Vec<u16>,
-    etr: Option<EtrSet>,
-    /// Inserts since the last lookup hit (decayed by hits). Above the
-    /// set capacity the set is *thrashing*: its working set cycles
-    /// through without reuse, so — like Belady's MIN, which TP-Mockingjay
-    /// mimics — new entries are confined to a few probation slots and
-    /// the resident majority is retained. Past 4x capacity with still no
-    /// hits the retained subset is judged stale and normal replacement
-    /// resumes for one round to resample the stream.
-    inserts_since_hit: u32,
-}
 
 /// The stream-based metadata store.
 pub struct StreamStore {
     cfg: StreamlineConfig,
     size: PartitionSize,
-    sets: Vec<MetaSet>,
+    /// Slots per table row: a set's capacity at the widest geometry.
+    slots_per_set: usize,
+    /// Each slot's trigger (`VACANT` when empty). The demand path scans
+    /// triggers on every lookup and several times per insert; with
+    /// inline target storage an entry spans multiple cache lines, so
+    /// the scans walk this 8-byte-stride column and only touch
+    /// `targets` at the matched index.
+    triggers: Vec<Line>,
+    /// Each slot's partial tag, for the alias scan.
+    tags: Vec<u16>,
+    /// Clock value of each slot's last write or lookup hit.
+    lru: Vec<u64>,
+    /// Each slot's correlated targets; with its trigger, the entry.
+    targets: Vec<TargetList>,
+    /// Per-set TP-Mockingjay state; empty when `tpmj` is off.
+    etr: Vec<EtrSet>,
+    /// Per set: inserts since the last lookup hit (decayed by hits).
+    /// Above the set capacity the set is *thrashing*: its working set
+    /// cycles through without reuse, so — like Belady's MIN, which
+    /// TP-Mockingjay mimics — new entries are confined to a few
+    /// probation slots and the resident majority is retained. Past 4x
+    /// capacity with still no hits the retained subset is judged stale
+    /// and normal replacement resumes for one round to resample the
+    /// stream.
+    inserts_since_hit: Vec<u32>,
     sampler: EtrSampler,
     clock: u64,
     alias_conflicts: u64,
     /// Lookup hits credited to each size whose allocation contains the
     /// hit set (real measurements — they embed capacity pressure).
-    /// Indexed by [`size_rank`]. The 64 permanently allocated sample
-    /// sets guarantee index 0 keeps measuring even at "0 MB".
+    /// Indexed by `PartitionSize as usize`, the order of [`ALL_SIZES`].
+    /// The 64 permanently allocated sample sets guarantee index 0 keeps
+    /// measuring even at "0 MB".
     credit: [u64; 4],
     lookups: u64,
 }
 
-fn size_rank(s: PartitionSize) -> usize {
-    match s {
-        PartitionSize::SamplesOnly => 0,
-        PartitionSize::Quarter => 1,
-        PartitionSize::Half => 2,
-        PartitionSize::Full => 3,
-    }
-}
-
-/// Selects the replacement victim among the first `cap` slots in place,
-/// with no candidate lists.
+/// Selects the replacement victim among a set's `cap` reachable slots
+/// in place, with no candidate lists.
 ///
 /// Semantics (pinned by the tpcheck property against the list-building
 /// reference model in this module's tests):
@@ -107,8 +102,9 @@ fn size_rank(s: PartitionSize) -> usize {
 /// * With an ETR set (TP-Mockingjay), the victim has the farthest
 ///   predicted reuse, overdue (negative) preferred on ties, and ties
 ///   resolve to the *last* such slot (`Iterator::max_by_key`).
-/// * Without one, the victim is least-recently used, ties resolving to
-///   the *first* such slot (`Iterator::min_by_key`).
+/// * Without one, the victim is least-recently used by the set's `lru`
+///   stamps, ties resolving to the *first* such slot
+///   (`Iterator::min_by_key`).
 ///
 /// # Panics
 /// Panics if no slot in `0..cap` is allowed.
@@ -116,7 +112,7 @@ fn select_victim(
     cap: usize,
     thrashing: bool,
     etr: Option<&EtrSet>,
-    slots: &[Option<Slot>],
+    lru: &[u64],
     allowed: &dyn Fn(usize) -> bool,
 ) -> usize {
     let floor = if thrashing { cap - (cap / 8).max(1) } else { 0 };
@@ -136,10 +132,9 @@ fn select_victim(
                 }
             }
             None => {
-                let key = |i: usize| slots[i].as_ref().map(|s| s.lru).unwrap_or(0);
                 for i in (floor..cap).filter(|&i| allowed(i)) {
                     // `<`: first minimal wins, as with min_by_key.
-                    if best.is_none_or(|b| key(i) < key(b)) {
+                    if best.is_none_or(|b| lru[i] < lru[b]) {
                         best = Some(i);
                     }
                 }
@@ -152,6 +147,17 @@ fn select_victim(
         .expect("candidates nonempty")
 }
 
+/// Whether the stream `trigger, targets…` holds the correlation
+/// `a → b`.
+fn holds_pair(trigger: Line, targets: &[Line], (a, b): (Line, Line)) -> bool {
+    let mut prev = trigger;
+    targets.iter().any(|&t| {
+        let hit = prev == a && t == b;
+        prev = t;
+        hit
+    })
+}
+
 /// All sizes, smallest to largest.
 pub const ALL_SIZES: [PartitionSize; 4] = [
     PartitionSize::SamplesOnly,
@@ -161,11 +167,25 @@ pub const ALL_SIZES: [PartitionSize; 4] = [
 ];
 
 impl StreamStore {
-    /// Creates a store at the configured initial size.
+    /// Creates a store at the configured initial size. Every slot of
+    /// every set is laid out here, whatever the initial size: this is
+    /// the only place the store allocates under filtered indexing.
     pub fn new(cfg: StreamlineConfig) -> Self {
-        let size = cfg.fixed_size.unwrap_or(cfg.max_size);
-        let mut store = StreamStore {
-            sets: (0..cfg.llc_sets).map(|_| MetaSet::default()).collect(),
+        let slots_per_set = cfg.meta_ways * Self::entries_per_block(&cfg);
+        let slots = cfg.llc_sets * slots_per_set;
+        StreamStore {
+            size: cfg.fixed_size.unwrap_or(cfg.max_size),
+            slots_per_set,
+            triggers: vec![VACANT; slots],
+            tags: vec![0; slots],
+            lru: vec![0; slots],
+            targets: vec![TargetList::new(); slots],
+            etr: if cfg.tpmj {
+                vec![EtrSet::new(slots_per_set, 8); cfg.llc_sets]
+            } else {
+                Vec::new()
+            },
+            inserts_since_hit: vec![0; cfg.llc_sets],
             // Temporal metadata has long but consistent reuse distances
             // (paper Section IV-E5: 3-bit ETRs suffice); the sampler
             // ranges must cover them.
@@ -179,34 +199,7 @@ impl StreamStore {
             alias_conflicts: 0,
             credit: [0; 4],
             lookups: 0,
-            size,
             cfg,
-        };
-        store.prepare_sets();
-        store
-    }
-
-    /// Pre-sizes every allocated set's slot array (and its ETR state
-    /// when TP-Mockingjay is on) at the current geometry. `insert` keeps
-    /// a lazy-growth fallback, but the demand path must never reach it:
-    /// construction and resize (epoch-granularity events) front-load all
-    /// slot storage here.
-    fn prepare_sets(&mut self) {
-        let cap = self.entries_cap(self.size);
-        let (stride, _) = self.geometry(self.size);
-        let tpmj = self.cfg.tpmj;
-        for (i, set) in self.sets.iter_mut().enumerate() {
-            if i & ((1usize << stride) - 1) != 0 {
-                continue; // not allocated at this size: never inserted into
-            }
-            if set.slots.len() < cap {
-                set.slots.resize_with(cap, || None);
-                set.triggers.resize(cap, VACANT);
-                set.tags.resize(cap, 0);
-            }
-            if tpmj && set.etr.is_none() {
-                set.etr = Some(EtrSet::new(cap, 8));
-            }
         }
     }
 
@@ -221,12 +214,22 @@ impl StreamStore {
         }
     }
 
+    /// Stream entries per 64-byte way-block (4 at the default length).
+    fn entries_per_block(cfg: &StreamlineConfig) -> usize {
+        (StreamlineConfig::correlations_per_block(cfg.stream_len) / cfg.stream_len.max(1)).max(1)
+    }
+
+    /// Reachable slots per allocated set at `size`: the first
+    /// `entries_cap` of the row. The rest of the row is vacant.
     fn entries_cap(&self, size: PartitionSize) -> usize {
         let (_, ways) = self.geometry(size);
-        // 4 stream entries per way-block.
-        ways * (StreamlineConfig::correlations_per_block(self.cfg.stream_len)
-            / self.cfg.stream_len.max(1))
-            .max(1)
+        ways * Self::entries_per_block(&self.cfg)
+    }
+
+    /// The column indices of `set`'s first `cap` slots.
+    fn row(&self, set: usize, cap: usize) -> Range<usize> {
+        let base = set * self.slots_per_set;
+        base..base + cap
     }
 
     /// Whether `set` is allocated at `size`.
@@ -300,6 +303,22 @@ impl StreamStore {
         set_idx.is_multiple_of((self.cfg.llc_sets / 64).max(1))
     }
 
+    /// Writes an entry into `slot`, stamped with the current clock.
+    fn write(&mut self, slot: usize, trigger: Line, tag: u16, targets: TargetList) {
+        self.triggers[slot] = trigger;
+        self.tags[slot] = tag;
+        self.lru[slot] = self.clock;
+        self.targets[slot] = targets;
+    }
+
+    /// Empties `slots`, returning how many were occupied.
+    fn vacate(&mut self, slots: Range<usize>) -> usize {
+        let triggers = &mut self.triggers[slots];
+        let occupied = triggers.iter().filter(|&&t| t != VACANT).count();
+        triggers.fill(VACANT);
+        occupied
+    }
+
     /// Inserts a completed stream entry.
     pub fn insert(&mut self, entry: StreamEntry, pc_hash: u8) -> StoreInsert {
         let set_idx = self.set_of(entry.trigger);
@@ -311,7 +330,7 @@ impl StreamStore {
         let tag = self.partial_tag(entry.trigger);
         let tpmj = self.cfg.tpmj;
         let tsp = self.cfg.tsp;
-        let stream_len = self.cfg.stream_len;
+        let stream_len = self.cfg.stream_len.max(1);
         // TP-Mockingjay: sampled sets train the reuse predictor on the
         // first correlation of each completed entry (Section IV-E5).
         if tpmj && self.is_sample_set(set_idx) {
@@ -320,33 +339,19 @@ impl StreamStore {
                 self.sampler.observe(key, pc_hash);
             }
         }
-        let etr = if tpmj {
-            let pred = self.sampler.predict(pc_hash);
-            Some(self.sampler.etr_for(pred, 3))
-        } else {
-            None
-        };
-
-        let clock = self.clock;
-        let set = &mut self.sets[set_idx];
-        if set.slots.len() < cap {
-            set.slots.resize_with(cap, || None);
-            set.triggers.resize(cap, VACANT);
-            set.tags.resize(cap, 0);
-        }
-        if tpmj && set.etr.is_none() {
-            set.etr = Some(EtrSet::new(cap, 8));
-        }
-        if let Some(e) = set.etr.as_mut() {
+        if let Some(e) = self.etr.get_mut(set_idx) {
             e.tick();
         }
 
+        let row = self.row(set_idx, cap);
+        let triggers = &self.triggers[row.clone()];
+
         // Count redundant correlations already present in this set.
-        // The candidate's pairs are materialised once on the stack, and
-        // each resident entry's pairs once per slot, so the quadratic
-        // probe runs over two flat slices instead of re-built iterator
-        // chains (and allocates nothing — the old `pairs()` Vec was the
-        // single hottest allocation site on the insert path).
+        // The candidate's pairs are materialised once on the stack and
+        // probed against each resident entry where it lies in the
+        // table, so the quadratic probe allocates nothing (the old
+        // `pairs()` Vec was the single hottest allocation site on the
+        // insert path).
         let mut epairs = [(Line(0), Line(0)); crate::stream::MAX_STREAM_LEN];
         let mut en = 0usize;
         for p in entry.pair_iter() {
@@ -354,22 +359,13 @@ impl StreamStore {
             en += 1;
         }
         let mut redundant_pairs = 0;
-        for (i, &t) in set.triggers[..cap].iter().enumerate() {
+        for (&t, targets) in triggers.iter().zip(&self.targets[row.clone()]) {
             if t == VACANT || t == entry.trigger {
                 continue; // vacant, or same trigger: an overwrite, handled below
             }
-            let slot = set.slots[i].as_ref().expect("mirror says occupied");
-            let mut spairs = [(Line(0), Line(0)); crate::stream::MAX_STREAM_LEN];
-            let mut sn = 0usize;
-            let mut prev = slot.entry.trigger;
-            for &tgt in slot.entry.targets.iter() {
-                spairs[sn] = (prev, tgt);
-                prev = tgt;
-                sn += 1;
-            }
             redundant_pairs += epairs[..en]
                 .iter()
-                .filter(|p| spairs[..sn].contains(p))
+                .filter(|&&p| holds_pair(t, targets, p))
                 .count();
         }
 
@@ -377,74 +373,46 @@ impl StreamStore {
         // aliasing (aliased entries must share a way — we model the
         // replacement constraint by reusing the aliased slot); else an
         // empty slot; else the policy victim.
-        let way_group = |slot_idx: usize| slot_idx / stream_len.max(1);
-        let placement_ok = |slot_idx: usize| {
-            if tsp {
-                true
-            } else {
-                // Way-partitioned (non-TSP): placement restricted to one
-                // way group chosen by the trigger hash → effective
-                // associativity of a single way.
-                let groups = (cap / stream_len.max(1)).max(1);
-                way_group(slot_idx)
-                    == (Self::hash(entry.trigger) >> 12) as usize % groups
-            }
-        };
-
-        let mut victim: Option<usize> = set.triggers[..cap]
-            .iter()
-            .position(|&t| t == entry.trigger);
+        let mut victim = triggers.iter().position(|&t| t == entry.trigger);
+        // The way group (slot index / entries per way) that placement
+        // is confined to, if any. Way-partitioned (non-TSP): one way
+        // group chosen by the trigger hash → effective associativity
+        // of a single way.
+        let mut group = (!tsp)
+            .then(|| (Self::hash(entry.trigger) >> 12) as usize % (cap / stream_len).max(1));
         // Partial-tag aliasing (Section V-D5): an aliased trigger must
         // share the aliased entry's LLC way, constraining placement to
         // that way group (4 entries per way).
-        let mut alias_group: Option<usize> = None;
         if victim.is_none() && tsp {
-            if let Some(i) = set.triggers[..cap]
+            if let Some(i) = triggers
                 .iter()
-                .zip(&set.tags[..cap])
+                .zip(&self.tags[row.clone()])
                 .position(|(&t, &tg)| t != VACANT && tg == tag && t != entry.trigger)
             {
                 self.alias_conflicts += 1;
-                alias_group = Some(i / stream_len.max(1));
+                group = Some(i / stream_len);
             }
         }
-        let group_ok = |i: usize| {
-            alias_group.is_none_or(|g| i / stream_len.max(1) == g)
-        };
+        let allowed = |i: usize| group.is_none_or(|g| i / stream_len == g);
         if victim.is_none() {
-            victim = set.triggers[..cap]
-                .iter()
-                .enumerate()
-                .position(|(i, &t)| t == VACANT && placement_ok(i) && group_ok(i));
+            victim = (0..cap).find(|&i| triggers[i] == VACANT && allowed(i));
         }
-        set.inserts_since_hit = set.inserts_since_hit.saturating_add(1);
-        if set.inserts_since_hit as usize > 4 * cap {
-            set.inserts_since_hit = 0; // stale retained subset: resample
+        let since_hit = &mut self.inserts_since_hit[set_idx];
+        *since_hit = since_hit.saturating_add(1);
+        if *since_hit as usize > 4 * cap {
+            *since_hit = 0; // stale retained subset: resample
         }
-        let thrashing = tpmj && set.inserts_since_hit as usize > cap;
+        let thrashing = tpmj && *since_hit as usize > cap;
         let victim = victim.unwrap_or_else(|| {
-            let etr = if tpmj {
-                Some(set.etr.as_ref().expect("etr initialised"))
-            } else {
-                None
-            };
-            select_victim(cap, thrashing, etr, &set.slots, &|i| {
-                placement_ok(i) && group_ok(i)
-            })
+            let lru = &self.lru[row.clone()];
+            select_victim(cap, thrashing, self.etr.get(set_idx), lru, &allowed)
         });
 
-        let redundant = set.slots[victim]
-            .as_ref()
-            .is_some_and(|s| s.entry == entry);
-        set.triggers[victim] = entry.trigger;
-        set.tags[victim] = tag;
-        set.slots[victim] = Some(Slot {
-            entry,
-            partial_tag: tag,
-            lru: clock,
-        });
-        if let Some(e) = set.etr.as_mut() {
-            e.fill(victim, etr.unwrap_or(0));
+        let slot = row.start + victim;
+        let redundant = self.triggers[slot] == entry.trigger && self.targets[slot] == entry.targets;
+        self.write(slot, entry.trigger, tag, entry.targets);
+        if let Some(e) = self.etr.get_mut(set_idx) {
+            e.fill(victim, self.sampler.etr_for(self.sampler.predict(pc_hash), 3));
         }
         StoreInsert::Stored {
             redundant_pairs: redundant_pairs + usize::from(redundant),
@@ -454,59 +422,44 @@ impl StreamStore {
     /// Looks up the stream entry whose trigger is `trigger`, refreshing
     /// replacement state and crediting the per-size hit counters.
     ///
-    /// Returns a borrow of the stored entry — the demand path decides
-    /// per hit whether a copy is worth making (most hits only read the
-    /// successor slice), so the store never clones on its own.
-    pub fn lookup(&mut self, trigger: Line, pc_hash: u8) -> Option<&StreamEntry> {
+    /// Returns a borrow of the stored targets (the trigger is the
+    /// caller's own argument) — the demand path decides per hit whether
+    /// a copy is worth making, so the store never clones on its own.
+    pub fn lookup(&mut self, trigger: Line, pc_hash: u8) -> Option<&TargetList> {
         self.lookups += 1;
         let set_idx = self.set_of(trigger);
         if self.cfg.filtering && !self.allocated_at(set_idx, self.size) {
             return None;
         }
         self.clock += 1;
-        let clock = self.clock;
-        let cap = self.entries_cap(self.size);
-        let etr_refresh = if self.cfg.tpmj {
-            let pred = self.sampler.predict(pc_hash);
-            Some(self.sampler.etr_for(pred, 3))
-        } else {
-            None
-        };
-        let mut credit = [false; 4];
-        for s in ALL_SIZES {
-            credit[size_rank(s)] = self.allocated_at(set_idx, s);
-        }
-        let set = &mut self.sets[set_idx];
-        let pos = set.triggers[..cap.min(set.triggers.len())]
-            .iter()
-            .position(|&t| t == trigger)?;
-        let slot = set.slots[pos].as_mut().expect("present");
-        slot.lru = clock;
-        set.inserts_since_hit = set.inserts_since_hit.saturating_sub(4);
-        if let Some(e) = set.etr.as_mut() {
+        let row = self.row(set_idx, self.entries_cap(self.size));
+        let way = self.triggers[row.clone()].iter().position(|&t| t == trigger)?;
+        let slot = row.start + way;
+        self.lru[slot] = self.clock;
+        let since_hit = &mut self.inserts_since_hit[set_idx];
+        *since_hit = since_hit.saturating_sub(4);
+        if let Some(e) = self.etr.get_mut(set_idx) {
             e.tick();
-            e.hit(pos, etr_refresh.unwrap_or(0));
+            e.hit(way, self.sampler.etr_for(self.sampler.predict(pc_hash), 3));
         }
         // One stream-entry hit supplies a whole entry's worth of
         // correlations (a pairwise store would need one hit per pair),
         // so utility accounting credits per correlation supplied.
-        let worth = slot.entry.correlations().max(1) as u64;
-        for (rank, c) in credit.iter().enumerate() {
-            if *c {
-                self.credit[rank] += worth;
+        let worth = self.targets[slot].len().max(1) as u64;
+        for s in ALL_SIZES {
+            if self.allocated_at(set_idx, s) {
+                self.credit[s as usize] += worth;
             }
         }
-        Some(&set.slots[pos].as_ref().expect("present").entry)
+        Some(&self.targets[slot])
     }
 
     /// Reads the first target stored for `trigger` without touching any
     /// replacement state (training-time measurement).
     pub fn peek_first_target(&self, trigger: Line) -> Option<Line> {
-        let set = &self.sets[self.set_of(trigger)];
-        let pos = set.triggers.iter().position(|&t| t == trigger)?;
-        set.slots[pos]
-            .as_ref()
-            .and_then(|s| s.entry.targets.first().copied())
+        let row = self.row(self.set_of(trigger), self.slots_per_set);
+        let way = self.triggers[row.clone()].iter().position(|&t| t == trigger)?;
+        self.targets[row.start + way].first().copied()
     }
 
     /// Resizes the partition.
@@ -518,97 +471,60 @@ impl StreamStore {
         if self.cfg.filtering {
             // Filtered indexing: no index change; entries whose set left
             // the partition are simply dropped.
+            let old_cap = self.entries_cap(self.size);
             self.size = size;
-            let (stride, _) = self.geometry(size);
             let cap = self.entries_cap(size);
-            for (i, set) in self.sets.iter_mut().enumerate() {
-                let allocated = i & ((1usize << stride) - 1) == 0;
-                if !allocated {
-                    report.dropped_entries +=
-                        set.slots.iter().filter(|s| s.is_some()).count();
-                    set.slots.clear();
-                    set.triggers.clear();
-                    set.tags.clear();
-                    set.etr = None;
-                } else if set.slots.len() > cap {
-                    // Fewer ways at the new size (hybrid Quarter):
-                    // slots beyond the cap are unreachable by lookup,
-                    // so evict them rather than leaving phantom
-                    // residents inflating valid_entries()/valid_blocks().
-                    report.dropped_entries +=
-                        set.slots[cap..].iter().filter(|s| s.is_some()).count();
-                    set.slots.truncate(cap);
-                    set.triggers.truncate(cap);
-                    set.tags.truncate(cap);
-                    set.etr = None; // sized for the old ways; rebuilt lazily
-                } else if set.slots.len() < cap {
-                    // More ways: ETR state sized for the smaller
-                    // geometry would be indexed out of bounds once the
-                    // set refills, so rebuild it lazily too.
-                    set.etr = None;
+            for set in 0..self.cfg.llc_sets {
+                // With fewer ways at the new size (hybrid Quarter) the
+                // slots beyond the cap are unreachable by lookup, so
+                // they are evicted too rather than left as phantom
+                // residents inflating valid_entries()/valid_blocks().
+                let keep = if self.allocated_at(set, size) { cap } else { 0 };
+                let row = self.row(set, self.slots_per_set);
+                report.dropped_entries += self.vacate(row.start + keep..row.end);
+                // ETR state of a set that left the partition, or whose
+                // reachable ways changed, restarts: its ages describe
+                // slots that no longer exist.
+                if keep != old_cap {
+                    if let Some(e) = self.etr.get_mut(set) {
+                        e.reset();
+                    }
                 }
             }
         } else {
             // Unfiltered (RTS): the index function changes with the size,
             // so every surviving entry moves — rearrangement traffic.
-            let mut entries: Vec<(StreamEntry, u16)> = Vec::new();
-            for set in &mut self.sets {
-                for s in set.slots.drain(..).flatten() {
-                    entries.push((s.entry, s.partial_tag));
-                }
-                set.triggers.clear();
-                set.tags.clear();
-                set.etr = None;
-            }
+            // The list of movers is the store's one allocation after
+            // `new`; RTS is the scheme filtered indexing replaces.
+            let movers: Vec<(Line, u16, TargetList)> = (0..self.triggers.len())
+                .filter(|&i| self.triggers[i] != VACANT)
+                .map(|i| (self.triggers[i], self.tags[i], self.targets[i].clone()))
+                .collect();
+            self.triggers.fill(VACANT);
+            self.etr.iter_mut().for_each(EtrSet::reset);
             self.size = size;
-            let stream_len = self.cfg.stream_len.max(1);
-            report.moved_blocks = entries.len().div_ceil(
-                (StreamlineConfig::correlations_per_block(self.cfg.stream_len) / stream_len)
-                    .max(1),
-            );
+            report.moved_blocks = movers.len().div_ceil(Self::entries_per_block(&self.cfg));
             let cap = self.entries_cap(size);
-            for (entry, tag) in entries {
-                let set_idx = self.set_of(entry.trigger);
-                let set = &mut self.sets[set_idx];
-                if set.slots.len() < cap {
-                    set.slots.resize_with(cap, || None);
-                    set.triggers.resize(cap, VACANT);
-                    set.tags.resize(cap, 0);
-                }
+            for (trigger, tag, targets) in movers {
+                let row = self.row(self.set_of(trigger), cap);
                 self.clock += 1;
-                if let Some(free) = set.slots.iter().position(|s| s.is_none()) {
-                    set.triggers[free] = entry.trigger;
-                    set.tags[free] = tag;
-                    set.slots[free] = Some(Slot {
-                        entry,
-                        partial_tag: tag,
-                        lru: self.clock,
-                    });
-                } else {
-                    report.dropped_entries += 1;
+                match self.triggers[row.clone()].iter().position(|&t| t == VACANT) {
+                    Some(free) => self.write(row.start + free, trigger, tag, targets),
+                    None => report.dropped_entries += 1,
                 }
             }
         }
-        // Re-front-load slot storage at the new geometry so the demand
-        // path stays allocation-free after the resize.
-        self.prepare_sets();
         report
     }
 
     /// Valid entries stored.
     pub fn valid_entries(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.slots.iter().filter(|x| x.is_some()).count())
-            .sum()
+        self.triggers.iter().filter(|&&t| t != VACANT).count()
     }
 
     /// Valid entries in 64-byte blocks.
     pub fn valid_blocks(&self) -> usize {
-        let per_block = (StreamlineConfig::correlations_per_block(self.cfg.stream_len)
-            / self.cfg.stream_len.max(1))
-        .max(1);
-        self.valid_entries().div_ceil(per_block)
+        self.valid_entries().div_ceil(Self::entries_per_block(&self.cfg))
     }
 
     /// Estimated lookup hits a partition of `size` would capture since
@@ -626,10 +542,10 @@ impl StreamStore {
         let (cur_stride, _) = self.geometry(self.size);
         if stride >= cur_stride {
             // Smaller-or-equal partition: real subset measurement.
-            self.credit[size_rank(size)]
+            self.credit[size as usize]
         } else {
             // Larger partition: scale the current measurement up.
-            self.credit[size_rank(self.size)] << (cur_stride - stride)
+            self.credit[self.size as usize] << (cur_stride - stride)
         }
     }
 
@@ -653,7 +569,6 @@ impl StreamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::TargetList;
 
     fn entry(trigger: u64, base: u64) -> StreamEntry {
         StreamEntry::new(
@@ -671,7 +586,7 @@ mod tests {
         let mut s = store(StreamlineConfig::default());
         let e = entry(100, 200);
         assert!(matches!(s.insert(e.clone(), 1), StoreInsert::Stored { .. }));
-        assert_eq!(s.lookup(Line(100), 1), Some(&e));
+        assert_eq!(s.lookup(Line(100), 1), Some(&e.targets));
         assert_eq!(s.lookup(Line(101), 1), None);
     }
 
@@ -904,7 +819,10 @@ mod tests {
         );
         let cap = s.entries_cap(PartitionSize::Quarter);
         assert!(
-            s.sets.iter().all(|set| set.slots.len() <= cap),
+            (0..2048).all(|set| {
+                let row = s.row(set, s.slots_per_set);
+                s.triggers[row.start + cap..row.end].iter().all(|&t| t == VACANT)
+            }),
             "no phantom slots beyond the new capacity"
         );
     }
@@ -944,7 +862,7 @@ mod tests {
         cap: usize,
         thrashing: bool,
         etr: Option<&EtrSet>,
-        slots: &[Option<Slot>],
+        lru: &[u64],
         allowed: &dyn Fn(usize) -> bool,
     ) -> usize {
         let all: Vec<usize> = (0..cap).filter(|&i| allowed(i)).collect();
@@ -971,7 +889,7 @@ mod tests {
             None => candidates
                 .iter()
                 .copied()
-                .min_by_key(|&i| slots[i].as_ref().map(|s| s.lru).unwrap_or(0))
+                .min_by_key(|&i| lru[i])
                 .expect("candidates nonempty"),
         }
     }
@@ -994,17 +912,9 @@ mod tests {
             } else {
                 None
             };
-            // Random occupancy and LRU stamps (duplicates likely, so the
-            // first-minimal tie-break is exercised too).
-            let slots: Vec<Option<Slot>> = (0..cap)
-                .map(|i| {
-                    g.bool().then(|| Slot {
-                        entry: StreamEntry::new(Line(i as u64), vec![Line(1)]),
-                        partial_tag: 0,
-                        lru: g.u64_in(0..6),
-                    })
-                })
-                .collect();
+            // Random LRU stamps (duplicates likely, so the first-minimal
+            // tie-break is exercised too).
+            let lru: Vec<u64> = (0..cap).map(|_| g.u64_in(0..6)).collect();
             // Random allowed mask, guaranteed nonempty (the real caller
             // always has at least one allowed slot: the insert path's
             // way group / alias group is never empty).
@@ -1013,8 +923,8 @@ mod tests {
             mask[forced] = true;
             let allowed = |i: usize| mask[i];
 
-            let got = select_victim(cap, thrashing, etr_set.as_ref(), &slots, &allowed);
-            let want = reference_victim(cap, thrashing, etr_set.as_ref(), &slots, &allowed);
+            let got = select_victim(cap, thrashing, etr_set.as_ref(), &lru, &allowed);
+            let want = reference_victim(cap, thrashing, etr_set.as_ref(), &lru, &allowed);
             tpcheck::ensure!(
                 got == want,
                 "cap={cap} thrashing={thrashing} tpmj={tpmj}: got {got}, want {want}"
@@ -1049,7 +959,7 @@ mod tests {
                 );
                 if let Some(e) = &first {
                     tpcheck::ensure!(
-                        *e == entry(t, t / 7),
+                        *e == entry(t, t / 7).targets,
                         "trigger {t}: lookup returned a perturbed entry {e:?}"
                     );
                 }

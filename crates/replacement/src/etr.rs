@@ -196,6 +196,13 @@ impl EtrSet {
         }
     }
 
+    /// Returns the set to its just-constructed state, in place.
+    pub fn reset(&mut self) {
+        self.etr.fill(0);
+        self.valid.fill(false);
+        self.access_count = 0;
+    }
+
     /// Records a set access, aging all valid ways periodically.
     pub fn tick(&mut self) {
         self.access_count += 1;

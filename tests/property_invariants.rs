@@ -99,7 +99,7 @@ fn store_never_returns_wrong_entry() {
         }
         for (&t, expected) in &last {
             if let Some(found) = store.lookup(Line(t * 7919), (t % 251) as u8) {
-                ensure!(&found.targets == expected, "trigger {t}: {found:?}");
+                ensure!(found == expected, "trigger {t}: {found:?}");
             }
         }
         Ok(())

@@ -139,9 +139,9 @@ fn run_seed(seed: u64, d: &mut Fnv) {
 
 fn fold_lookup(d: &mut Fnv, store: &mut StreamStore, trigger: Line, pc: u8) {
     match store.lookup(trigger, pc) {
-        Some(e) => {
-            d.fold(e.targets.len() as u64);
-            e.targets.iter().for_each(|t| d.fold(t.0));
+        Some(targets) => {
+            d.fold(targets.len() as u64);
+            targets.iter().for_each(|t| d.fold(t.0));
         }
         None => d.fold(u64::MAX),
     }

@@ -91,3 +91,37 @@ fn the_demand_path_does_not_allocate() {
         );
     }
 }
+
+/// The metadata store lays out every slot in `StreamStore::new`; after
+/// that, inserts, lookups and resizes build nothing. That holds for
+/// filtered indexing (the default, and every configuration outside the
+/// `filtering: false` ablation): an unfiltered (RTS) resize still
+/// collects the entries it must move into one `Vec`.
+#[test]
+fn the_store_never_allocates_after_construction() {
+    use streamline_repro::streamline_core::store::ALL_SIZES;
+    use streamline_repro::streamline_core::{StreamEntry, StreamStore};
+    use streamline_repro::tptrace::record::Line;
+
+    let mut store = StreamStore::new(StreamlineConfig::default());
+    let work = |store: &mut StreamStore, from: u64| {
+        for i in from..from + 25_000 {
+            // ~1.5x the store's 64 K entries, revisited: sets fill,
+            // evict, hit and miss.
+            let trigger = Line(i.wrapping_mul(0x9e37_79b9) % 100_000);
+            let targets = [1, 2, 3, 4].map(|k| Line(trigger.0 + k));
+            std::hint::black_box(store.insert(StreamEntry::new(trigger, &targets[..]), i as u8));
+            let probe = Line(i.wrapping_mul(0x85eb_ca6b) % 100_000);
+            std::hint::black_box(store.lookup(probe, i as u8));
+        }
+    };
+    let before = ALLOCS.with(Cell::get);
+    work(&mut store, 0);
+    // Down through all four sizes and back up, on a warm store.
+    for size in ALL_SIZES.into_iter().rev().chain(ALL_SIZES) {
+        std::hint::black_box(store.set_size(size));
+    }
+    work(&mut store, 25_000);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(allocs, 0, "StreamStore allocated after construction");
+}
