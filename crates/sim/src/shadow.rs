@@ -15,6 +15,10 @@
 
 use tptrace::record::Line;
 
+/// Tag filling the unused tail of a stack. `Line` values are block
+/// numbers (addresses shifted right by 6), so no access carries it.
+const EMPTY: u64 = u64::MAX;
+
 /// Sampled LRU stack-distance profiler over cache sets.
 #[derive(Clone, Debug)]
 pub struct ShadowSets {
@@ -22,8 +26,10 @@ pub struct ShadowSets {
     sample_shift: u32,
     set_mask: u64,
     max_depth: usize,
-    /// Sampled sets: most-recent-first tag stacks.
-    stacks: Vec<Vec<u64>>,
+    /// One most-recent-first tag stack of `max_depth` tags per sampled
+    /// set, back to back; `EMPTY` fills the tail of a stack that has
+    /// seen fewer distinct lines.
+    stacks: Vec<u64>,
     /// Hit counts by stack depth; index `max_depth` counts misses.
     hist: Vec<u64>,
 }
@@ -42,7 +48,7 @@ impl ShadowSets {
             sample_shift,
             set_mask: sets as u64 - 1,
             max_depth,
-            stacks: vec![Vec::new(); sampled],
+            stacks: vec![EMPTY; sampled * max_depth],
             hist: vec![0; max_depth + 1],
         }
     }
@@ -54,20 +60,21 @@ impl ShadowSets {
         if set & ((1 << self.sample_shift) - 1) != 0 {
             return false;
         }
-        let idx = (set >> self.sample_shift) as usize % self.stacks.len();
-        let stack = &mut self.stacks[idx];
+        // A sampled set's number shifted down is below the sampled-set
+        // count (or is 0 when fewer than one stride of sets exists).
+        let base = (set >> self.sample_shift) as usize * self.max_depth;
+        let stack = &mut self.stacks[base..base + self.max_depth];
         match stack.iter().position(|&t| t == line.0) {
             Some(depth) => {
-                self.hist[depth.min(self.max_depth - 1)] += 1;
-                let tag = stack.remove(depth);
-                stack.insert(0, tag);
+                self.hist[depth] += 1;
+                stack[..=depth].rotate_right(1);
             }
             None => {
                 self.hist[self.max_depth] += 1;
-                stack.insert(0, line.0);
-                if stack.len() > self.max_depth {
-                    stack.pop();
-                }
+                // The deepest tag (or an `EMPTY`) comes round to the
+                // top, where the new tag replaces it.
+                stack.rotate_right(1);
+                stack[0] = line.0;
             }
         }
         true
@@ -139,6 +146,103 @@ mod tests {
         s.observe(Line(0));
         // Stack persisted, so this is still a depth-0 hit.
         assert_eq!(s.hits_with_ways(1), 1);
+    }
+
+    /// The per-set `Vec<Vec<u64>>` stacks (`position` + `remove` +
+    /// `insert(0, …)` + `pop`) the flat array replaced, kept as the
+    /// reference model: per sampled set a most-recent-first stack that
+    /// grows to `max_depth`, and a histogram shaped like `hist`.
+    struct Reference {
+        sample_shift: u32,
+        set_mask: u64,
+        max_depth: usize,
+        stacks: Vec<Vec<u64>>,
+        hist: Vec<u64>,
+    }
+
+    fn reference_observe(r: &mut Reference, line: Line) -> bool {
+        let set = line.0 & r.set_mask;
+        if set & ((1 << r.sample_shift) - 1) != 0 {
+            return false;
+        }
+        let idx = (set >> r.sample_shift) as usize % r.stacks.len();
+        let stack = &mut r.stacks[idx];
+        match stack.iter().position(|&t| t == line.0) {
+            Some(depth) => {
+                r.hist[depth.min(r.max_depth - 1)] += 1;
+                let tag = stack.remove(depth);
+                stack.insert(0, tag);
+            }
+            None => {
+                r.hist[r.max_depth] += 1;
+                stack.insert(0, line.0);
+                if stack.len() > r.max_depth {
+                    stack.pop();
+                }
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn flat_stacks_match_the_per_set_vec_reference() {
+        // Not every case reaches the two edges; the run as a whole must.
+        let (mut deepest_hits, mut evictions) = (0u64, 0u64);
+        tpcheck::check("flat shadow stacks == Vec<Vec> reference", 256, |g| {
+            let sets = 1usize << g.usize_in(0..9);
+            let sample_shift = g.usize_in(0..7) as u32;
+            let max_depth = g.usize_in(1..20);
+            let mut flat = ShadowSets::new(sets, sample_shift, max_depth);
+            let mut model = Reference {
+                sample_shift,
+                set_mask: sets as u64 - 1,
+                max_depth,
+                stacks: vec![Vec::new(); (sets >> sample_shift).max(1)],
+                hist: vec![0; max_depth + 1],
+            };
+            // A few hot sets with a tag pool a little deeper than the
+            // stack: heavy reuse at every depth including the last,
+            // and misses that evict the deepest tag.
+            let hot: Vec<u64> = g.vec(1..4, |g| g.u64_in(0..sets as u64));
+            let pool = max_depth as u64 + 3;
+            for _ in 0..g.usize_in(1..600) {
+                if g.u64_in(0..50) == 0 {
+                    flat.reset();
+                    model.hist.iter_mut().for_each(|h| *h = 0);
+                }
+                let line = if g.u64_in(0..8) == 0 {
+                    Line(g.next_u64() >> 8) // anywhere
+                } else {
+                    let set = hot[g.usize_in(0..hot.len())];
+                    Line(g.u64_in(0..pool) * sets as u64 + set)
+                };
+                let held = |m: &Reference| m.stacks.iter().map(Vec::len).sum::<usize>();
+                let before = (model.hist[max_depth - 1], model.hist[max_depth], held(&model));
+                let sampled = reference_observe(&mut model, line);
+                deepest_hits += model.hist[max_depth - 1] - before.0;
+                // A miss that left the stacks no fuller pushed a tag out.
+                evictions += u64::from(model.hist[max_depth] > before.1 && held(&model) == before.2);
+                tpcheck::ensure!(
+                    flat.observe(line) == sampled,
+                    "line {line:?}: sampled-set decision diverged"
+                );
+                for w in 0..=max_depth + 1 {
+                    let want: u64 = model.hist[..w.min(max_depth)].iter().sum();
+                    tpcheck::ensure!(
+                        flat.hits_with_ways(w) == want,
+                        "hits_with_ways({w}) = {} after {line:?}, reference {want}",
+                        flat.hits_with_ways(w)
+                    );
+                }
+                tpcheck::ensure!(
+                    flat.sampled_accesses() == model.hist.iter().sum::<u64>(),
+                    "sampled_accesses diverged after {line:?}"
+                );
+            }
+            Ok(())
+        });
+        assert!(deepest_hits > 0, "no case hit at depth max_depth - 1");
+        assert!(evictions > 0, "no case evicted a deepest tag");
     }
 
     #[test]
