@@ -8,6 +8,7 @@ use crate::stream::{align, StreamEntry, TargetList};
 use crate::training::StreamTu;
 use tpsim::{
     MetaCtx, PartitionSpec, ShadowSets, TemporalEvent, TemporalPrefetcher, TemporalStats,
+    LLC_SAMPLE_SHIFT,
 };
 use tptrace::record::Line;
 
@@ -39,7 +40,7 @@ impl Streamline {
         Streamline {
             tu: StreamTu::new(&cfg),
             store: StreamStore::new(cfg),
-            shadow: ShadowSets::new(cfg.llc_sets, 5, cfg.llc_ways),
+            shadow: ShadowSets::new(cfg.llc_sets, LLC_SAMPLE_SHIFT, cfg.llc_ways),
             events: 0,
             // The first epochs are cold (nothing repeats until the
             // workload's first full pass completes): observe only.
@@ -112,7 +113,7 @@ impl Streamline {
             let score_of = |size: PartitionSize| {
                 // Shadow sets sample 1/32 of sets; scale data hits to
                 // match the sample-set-extrapolated metadata counters.
-                let data = self.shadow.hits_with_ways(self.data_ways_equiv(size)) * 32;
+                let data = self.shadow.hits_with_ways(self.data_ways_equiv(size)) << LLC_SAMPLE_SHIFT;
                 let meta = self.store.hits_at(size);
                 (16 * data + w * meta) as i64
             };
@@ -461,7 +462,7 @@ mod tests {
             let mut ctx = MetaCtx::new(0, 0.0); // useless prefetches
             s.on_event(&mut ctx, ev(3, l), &mut Vec::new());
             // The engine forwards sampled LLC accesses; emulate it here.
-            if (l as usize & 2047).is_multiple_of(32) {
+            if (l as usize & 2047).is_multiple_of(1 << LLC_SAMPLE_SHIFT) {
                 s.observe_llc(Line(l));
             }
         }

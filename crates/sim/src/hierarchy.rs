@@ -524,8 +524,8 @@ impl Hierarchy {
 
 impl CoreCaches {
     /// An access from this core to the shared levels, sampled for the
-    /// partitioners' data models (1-in-32 LLC sets, matching the
-    /// prefetchers' samplers) when the core has one.
+    /// partitioners' data models (one LLC set in `2^LLC_SAMPLE_SHIFT`,
+    /// matching the prefetchers' samplers) when the core has one.
     fn llc_access(
         &mut self,
         shared: &mut Shared,
@@ -533,7 +533,7 @@ impl CoreCaches {
         t: u64,
         is_prefetch: bool,
     ) -> Option<u64> {
-        if self.sample_llc && shared.llc.set_of(line).is_multiple_of(32) {
+        if self.sample_llc && shared.llc.set_of(line).is_multiple_of(1 << crate::LLC_SAMPLE_SHIFT) {
             self.llc_samples.push(line);
         }
         shared.access(line, t, is_prefetch)

@@ -57,7 +57,7 @@ pub use prefetch::{
     AccessPrefetcher, IdealTemporal, L2EventKind, MetaCtx, PartitionSpec, TemporalEvent,
     TemporalPrefetcher,
 };
-pub use shadow::ShadowSets;
+pub use shadow::{ShadowSets, LLC_SAMPLE_SHIFT};
 pub use stats::{CacheStats, CoreReport, DramStats, SimReport, TemporalStats};
 pub use table::LineMap;
 

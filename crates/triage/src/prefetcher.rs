@@ -5,7 +5,7 @@ use crate::pairwise::{InsertOutcome, PairwiseStore};
 use std::collections::HashMap;
 use tpsim::{
     MetaCtx, PartitionSpec, ShadowSets, TemporalEvent, TemporalPrefetcher,
-    TemporalStats,
+    TemporalStats, LLC_SAMPLE_SHIFT,
 };
 use tptrace::record::{Line, Pc};
 
@@ -69,7 +69,7 @@ impl Triage {
                 config.max_ways, // start fully sized; the first epoch adjusts
             ),
             lut: TargetLut::new(),
-            shadow: ShadowSets::new(config.llc_sets, 5, config.llc_ways),
+            shadow: ShadowSets::new(config.llc_sets, LLC_SAMPLE_SHIFT, config.llc_ways),
             events: 0,
             stats: TemporalStats::default(),
             config,

@@ -5,6 +5,7 @@ use crate::mrb::Mrb;
 use crate::training::TrainingUnit;
 use tpsim::{
     MetaCtx, PartitionSpec, ShadowSets, TemporalEvent, TemporalPrefetcher, TemporalStats,
+    LLC_SAMPLE_SHIFT,
 };
 use tptrace::record::Line;
 use triage::pairwise::{InsertOutcome, PairwiseStore};
@@ -87,7 +88,7 @@ impl Triangel {
                 initial,
             ),
             mrb: Mrb::new(config.mrb_entries),
-            shadow: ShadowSets::new(config.llc_sets, 5, config.llc_ways),
+            shadow: ShadowSets::new(config.llc_sets, LLC_SAMPLE_SHIFT, config.llc_ways),
             events: 0,
             stats: TemporalStats::default(),
             config,
@@ -117,7 +118,7 @@ impl Triangel {
                 let data = self.shadow.hits_with_ways(self.config.llc_ways - w as usize);
                 // Shadow sets sample 1/32 of sets; scale to match the
                 // unsampled trigger histogram.
-                (data * 32 + self.store.hits_with_ways(w)) as i64
+                ((data << LLC_SAMPLE_SHIFT) + self.store.hits_with_ways(w)) as i64
             };
             let current = self.store.ways();
             let mut best_w = current;
@@ -360,7 +361,7 @@ mod tests {
             let mut ctx = MetaCtx::new(0, 0.0);
             t.on_event(&mut ctx, ev(2, l), &mut Vec::new());
             // The engine forwards sampled LLC accesses; emulate it.
-            if (l as usize & 2047).is_multiple_of(32) {
+            if (l as usize & 2047).is_multiple_of(1 << LLC_SAMPLE_SHIFT) {
                 t.observe_llc(Line(l));
             }
             rearranged += ctx.rearranged() as u64;
