@@ -326,11 +326,7 @@ impl TemporalPrefetcher for Streamline {
     }
 
     fn partition(&self) -> PartitionSpec {
-        if self.cfg.dedicated {
-            PartitionSpec::Dedicated
-        } else {
-            self.store.partition_spec()
-        }
+        self.store.partition_spec()
     }
 
     fn stats(&self) -> TemporalStats {

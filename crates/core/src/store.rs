@@ -1,13 +1,6 @@
 //! The Streamline metadata store: tagged set-partitioning, filtered
 //! indexing, TP-Mockingjay replacement, and partial-tag placement
 //! (paper Sections IV-B3, IV-C, IV-D, IV-E).
-//!
-//! One fixed-geometry table, like the slice of the LLC it models:
-//! `llc_sets` rows of `slots_per_set` slots, held as column arrays
-//! sized once in [`StreamStore::new`]; slot `w` of set `s` is index
-//! `s * slots_per_set + w` of each. A resize changes which rows are
-//! allocated and how many of a row's slots are reachable, never the
-//! table's shape.
 
 use crate::config::{PartitionSize, StreamlineConfig};
 use crate::stream::{StreamEntry, TargetList};
@@ -47,7 +40,12 @@ pub struct ResizeReport {
 /// right by 6), so `u64::MAX` can never collide with a real trigger.
 const VACANT: Line = Line(u64::MAX);
 
-/// The stream-based metadata store.
+/// The stream-based metadata store: one fixed-geometry table, like the
+/// slice of the LLC it models. Its `llc_sets` rows of `slots_per_set`
+/// slots are column arrays sized once in [`StreamStore::new`]; slot `w`
+/// of set `s` is index `s * slots_per_set + w` of each. A resize changes
+/// which rows are allocated and how many of a row's slots are
+/// reachable, never the table's shape.
 pub struct StreamStore {
     cfg: StreamlineConfig,
     size: PartitionSize,
@@ -89,7 +87,7 @@ pub struct StreamStore {
 }
 
 /// Selects the replacement victim among a set's `cap` reachable slots
-/// in place, with no candidate lists.
+/// in one pass over them, with no candidate lists.
 ///
 /// Semantics (pinned by the tpcheck property against the list-building
 /// reference model in this module's tests):
@@ -116,35 +114,17 @@ fn select_victim(
     allowed: &dyn Fn(usize) -> bool,
 ) -> usize {
     let floor = if thrashing { cap - (cap / 8).max(1) } else { 0 };
-    let scan = |floor: usize| -> Option<usize> {
-        let mut best: Option<usize> = None;
+    let scan = |floor: usize| {
+        let eligible = (floor..cap).filter(|&i| allowed(i));
         match etr {
-            Some(e) => {
-                let key = |i: usize| {
-                    let v = e.etr_value(i);
-                    (v.unsigned_abs(), v < 0)
-                };
-                for i in (floor..cap).filter(|&i| allowed(i)) {
-                    // `>=`: last maximal wins, as with max_by_key.
-                    if best.is_none_or(|b| key(i) >= key(b)) {
-                        best = Some(i);
-                    }
-                }
-            }
-            None => {
-                for i in (floor..cap).filter(|&i| allowed(i)) {
-                    // `<`: first minimal wins, as with min_by_key.
-                    if best.is_none_or(|b| lru[i] < lru[b]) {
-                        best = Some(i);
-                    }
-                }
-            }
+            Some(e) => eligible.max_by_key(|&i| {
+                let v = e.etr_value(i);
+                (v.unsigned_abs(), v < 0)
+            }),
+            None => eligible.min_by_key(|&i| lru[i]),
         }
-        best
     };
-    scan(floor)
-        .or_else(|| if floor > 0 { scan(0) } else { None })
-        .expect("candidates nonempty")
+    scan(floor).or_else(|| scan(0)).expect("candidates nonempty")
 }
 
 /// Whether the stream `trigger, targets…` holds the correlation

@@ -16,10 +16,9 @@
 use tptrace::record::Line;
 
 /// Log2 of the LLC set-sampling ratio (5 → every 32nd set). The
-/// hierarchy forwards accesses to sampled sets only, the temporal
+/// hierarchy forwards only sampled sets' accesses, the temporal
 /// prefetchers size their [`ShadowSets`] by it, and their partitioners
-/// scale sampled data hits back up by it against unsampled metadata
-/// hits — all of which must agree.
+/// scale sampled data hits back up by it: all three must agree.
 pub const LLC_SAMPLE_SHIFT: u32 = 5;
 
 /// Tag filling the unused tail of a stack. `Line` values are block

@@ -9,7 +9,7 @@
 #    with --audit, so the release build's counters are checked against
 #    the same laws the debug assertions enforce.
 # 3. Server and fleet smokes from the outside, then the benchmark's own
-#    tests and its quick mode.
+#    tests and its quick mode, then the line counts.
 #
 # Usage: ./scripts/check.sh   (from the repo root)
 set -e
@@ -149,5 +149,8 @@ echo "== benchmark: its own tests, then every workload once (quick mode) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # Exits non-zero on any failed operation or correctness check.
 benchmark/run.sh --quick >/dev/null
+
+echo "== line counts (crates/ is a tracked quantity; compare with the parent's) =="
+./scripts/loc.sh
 
 echo "check.sh: all gates passed"
