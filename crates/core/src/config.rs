@@ -6,8 +6,8 @@
 /// Sizes are expressed as the log2 stride of allocated LLC sets: a
 /// `1 MB` store allocates 8 ways in **every** set of the core's domain, a
 /// `0.5 MB` store in every *other* set, and so on. `SamplesOnly` models
-/// the "0 MB" configuration, which still permanently allocates 64 sample
-/// sets so the partitioner can observe metadata utility.
+/// the "0 MB" configuration, which still permanently allocates the 64
+/// sample sets so the partitioner can observe metadata utility.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PartitionSize {
     /// 64 permanently allocated sample sets only ("0 MB").
@@ -21,20 +21,21 @@ pub enum PartitionSize {
 }
 
 impl PartitionSize {
-    /// Log2 of the allocated-set stride.
-    pub fn stride_log2(self) -> u8 {
+    /// Log2 of the allocated-set stride on a `llc_sets`-set domain.
+    pub fn stride_log2(self, llc_sets: usize) -> u8 {
         match self {
             PartitionSize::Full => 0,
             PartitionSize::Half => 1,
             PartitionSize::Quarter => 2,
-            // 2048-set domain / 64 sample sets = every 32nd set.
-            PartitionSize::SamplesOnly => 5,
+            // The 64 sample sets, evenly spread (every 32nd set of a
+            // 2048-set domain); every set of a domain of 64 or fewer.
+            PartitionSize::SamplesOnly => (llc_sets / 64).max(1).ilog2() as u8,
         }
     }
 
     /// Capacity in bytes on a `llc_sets`-set domain with 8 reserved ways.
     pub fn capacity_bytes(self, llc_sets: usize, ways: usize) -> usize {
-        (llc_sets >> self.stride_log2()) * ways * 64
+        (llc_sets >> self.stride_log2(llc_sets)) * ways * 64
     }
 }
 
@@ -152,7 +153,7 @@ impl StreamlineConfig {
 
     /// Total correlation capacity at a given partition size.
     pub fn capacity_correlations(&self, size: PartitionSize) -> usize {
-        let blocks = (self.llc_sets >> size.stride_log2()) * self.meta_ways;
+        let blocks = (self.llc_sets >> size.stride_log2(self.llc_sets)) * self.meta_ways;
         blocks * Self::correlations_per_block(self.stream_len)
     }
 }
@@ -188,11 +189,13 @@ mod tests {
         assert_eq!(PartitionSize::Full.capacity_bytes(sets, 8), 1 << 20);
         assert_eq!(PartitionSize::Half.capacity_bytes(sets, 8), 512 << 10);
         assert_eq!(PartitionSize::Quarter.capacity_bytes(sets, 8), 256 << 10);
-        // 64 sample sets.
-        assert_eq!(
-            PartitionSize::SamplesOnly.capacity_bytes(sets, 8),
-            64 * 8 * 64
-        );
+        // 64 sample sets, on any domain that has them.
+        for sets in [64, 1024, sets, 4096] {
+            assert_eq!(
+                PartitionSize::SamplesOnly.capacity_bytes(sets, 8),
+                64 * 8 * 64
+            );
+        }
     }
 
     #[test]

@@ -190,7 +190,7 @@ impl StreamStore {
         if self.cfg.hybrid && size == PartitionSize::Quarter {
             (1, self.cfg.meta_ways / 2)
         } else {
-            (size.stride_log2(), self.cfg.meta_ways)
+            (size.stride_log2(self.cfg.llc_sets), self.cfg.meta_ways)
         }
     }
 
@@ -277,10 +277,11 @@ impl StreamStore {
 
     /// Whether `set_idx` is one of the 64 permanently allocated
     /// TP-Mockingjay sample sets that train the reuse predictor (paper
-    /// Section IV-E4). The stride is derived from the set count so the
-    /// sample population stays 64 regardless of LLC geometry.
+    /// Section IV-E4): exactly the sets "0 MB" keeps, whose stride is
+    /// derived from the set count so the sample population stays 64
+    /// regardless of LLC geometry.
     pub fn is_sample_set(&self, set_idx: usize) -> bool {
-        set_idx.is_multiple_of((self.cfg.llc_sets / 64).max(1))
+        self.allocated_at(set_idx, PartitionSize::SamplesOnly)
     }
 
     /// Writes an entry into `slot`, stamped with the current clock.
@@ -760,19 +761,29 @@ mod tests {
     }
 
     #[test]
-    fn exactly_64_sample_sets_at_default_geometry() {
-        let s = store(StreamlineConfig::default());
-        let sampled = (0..2048).filter(|&i| s.is_sample_set(i)).count();
-        assert_eq!(sampled, 64, "paper Section IV-E4: 64 sample sets");
-        // Sample sets must lie inside the SamplesOnly allocation so the
-        // predictor keeps training even at the smallest partition.
-        for i in 0..2048 {
-            if s.is_sample_set(i) {
-                assert!(
-                    s.allocated_at(i, PartitionSize::SamplesOnly),
-                    "sample set {i} outside the SamplesOnly allocation"
-                );
+    fn exactly_64_sample_sets_at_every_geometry() {
+        for llc_sets in (6..=13).map(|log2| 1usize << log2) {
+            let mut s = store(StreamlineConfig {
+                llc_sets,
+                ..Default::default()
+            });
+            let samples: Vec<usize> = (0..llc_sets).filter(|&i| s.is_sample_set(i)).collect();
+            assert_eq!(samples.len(), 64, "paper Section IV-E4: 64 sample sets of {llc_sets}");
+            assert!(
+                samples.iter().enumerate().all(|(k, &i)| i == k * (llc_sets / 64)),
+                "sample sets of {llc_sets} are not evenly spread: {samples:?}"
+            );
+            // "0 MB" must keep exactly the sample sets: there the
+            // predictor keeps training and the smallest size's hit
+            // counter keeps measuring, which is the partitioner's only
+            // way back up from the smallest partition.
+            s.set_size(PartitionSize::SamplesOnly);
+            for t in (0..4096u64).map(|t| t * 257) {
+                let stored = matches!(s.insert(entry(t, t), 1), StoreInsert::Stored { .. });
+                assert_eq!(stored, s.is_sample_set(s.set_of(Line(t))), "{llc_sets} sets, trigger {t}");
+                assert_eq!(s.lookup(Line(t), 1).is_some(), stored);
             }
+            assert!(s.hits_at(PartitionSize::SamplesOnly) > 0, "{llc_sets} sets: nothing measured");
         }
     }
 
@@ -799,7 +810,7 @@ mod tests {
         );
         let cap = s.entries_cap(PartitionSize::Quarter);
         assert!(
-            (0..2048).all(|set| {
+            (0..s.cfg.llc_sets).all(|set| {
                 let row = s.row(set, s.slots_per_set);
                 s.triggers[row.start + cap..row.end].iter().all(|&t| t == VACANT)
             }),

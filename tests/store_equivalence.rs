@@ -16,9 +16,14 @@ use streamline_repro::streamline_core::{StoreInsert, StreamEntry, StreamStore};
 use streamline_repro::tptrace::record::Line;
 use streamline_repro::tptrace::rng::SmallRng;
 
-/// Recorded on the per-set `Vec<Option<Slot>>` store at 4cd6e86, before
-/// the single-table rewrite; the rewrite had to reproduce it.
-const DIGEST: u64 = 0xda17_2a70_c7ab_6bd9;
+/// Recorded history. 4cd6e86, on the per-set `Vec<Option<Slot>>` store:
+/// `0xda17_2a70_c7ab_6bd9`, which the single-table rewrite reproduced.
+/// Re-recorded once, alone, by the fix that derives the "0 MB" stride
+/// from `llc_sets` — the old constant stride of 32 sets suited only
+/// 2048-set domains, and every domain drawn here is smaller. (The same
+/// 64 op traces at `llc_sets: 2048` digest to `0xf27a_b5a6_f4a8_0842`
+/// on both sides of that fix.)
+const DIGEST: u64 = 0x3dea_ace7_fccb_12f1;
 
 const SEEDS: u64 = 64;
 const OPS: usize = 6_000;
