@@ -601,6 +601,304 @@ mod tests {
         assert_eq!(b, 11);
     }
 
+    /// The way-by-way scans [`CacheLevel`] had before its tag rows,
+    /// kept as the reference model: a `valid` flag per way, one branchy
+    /// loop per lookup, `min_by_key` for the victim.
+    #[derive(Clone, Copy, Default)]
+    struct ReferenceWay {
+        tag: u64,
+        lru: u64,
+        ready_at: u64,
+        valid: bool,
+        dirty: bool,
+        pending: Option<PrefetchOrigin>,
+    }
+
+    struct ReferenceLevel {
+        ways_per_set: usize,
+        sets: usize,
+        ways: Vec<ReferenceWay>,
+        clock: u64,
+        reserved: Vec<u8>,
+        prefetch_low_priority: bool,
+        stats: CacheStats,
+    }
+
+    impl ReferenceLevel {
+        fn new(params: CacheParams, prefetch_low_priority: bool) -> Self {
+            ReferenceLevel {
+                ways_per_set: params.ways,
+                sets: params.sets(),
+                ways: vec![ReferenceWay::default(); params.sets() * params.ways],
+                clock: 0,
+                reserved: vec![0; params.sets()],
+                prefetch_low_priority,
+                stats: CacheStats::default(),
+            }
+        }
+
+        /// The slot range of `line`'s set that data may occupy.
+        fn usable(&self, line: Line) -> std::ops::Range<usize> {
+            let set = (line.0 as usize) & (self.sets - 1);
+            let base = set * self.ways_per_set;
+            base..base + self.ways_per_set - self.reserved[set] as usize
+        }
+
+        fn reference_probe(&self, line: Line) -> bool {
+            self.ways[self.usable(line)]
+                .iter()
+                .any(|w| w.valid && w.tag == line.0)
+        }
+
+        fn reference_demand_lookup(&mut self, line: Line, is_write: bool) -> LookupResult {
+            self.stats.accesses += 1;
+            for s in self.usable(line) {
+                let way = &mut self.ways[s];
+                if way.valid && way.tag == line.0 {
+                    self.clock += 1;
+                    way.lru = self.clock;
+                    if is_write {
+                        way.dirty = true;
+                    }
+                    let first_touch = way.pending.take();
+                    if first_touch.is_some() {
+                        self.stats.useful_prefetches += 1;
+                    }
+                    self.stats.hits += 1;
+                    return LookupResult::Hit {
+                        first_touch,
+                        ready_at: std::mem::take(&mut way.ready_at),
+                    };
+                }
+            }
+            self.stats.misses += 1;
+            LookupResult::Miss
+        }
+
+        fn reference_install(
+            &mut self,
+            line: Line,
+            dirty: bool,
+            pending: Option<PrefetchOrigin>,
+            ready_at: u64,
+        ) -> Option<Evicted> {
+            let usable = self.usable(line);
+            if usable.is_empty() {
+                return None;
+            }
+            let mut invalid = None;
+            for s in usable.clone() {
+                let way = &self.ways[s];
+                if way.valid && way.tag == line.0 {
+                    if dirty {
+                        self.ways[s].dirty = true;
+                    }
+                    return None;
+                }
+                if !way.valid && invalid.is_none() {
+                    invalid = Some(s);
+                }
+            }
+            if pending.is_some() {
+                self.stats.prefetch_fills += 1;
+            }
+            let s = invalid.unwrap_or_else(|| {
+                if self.prefetch_low_priority {
+                    usable
+                        .min_by_key(|&s| (self.ways[s].pending.is_none(), self.ways[s].lru))
+                        .expect("usable ways > 0")
+                } else {
+                    usable
+                        .min_by_key(|&s| self.ways[s].lru)
+                        .expect("usable ways > 0")
+                }
+            });
+            let way = self.ways[s];
+            let evicted = way.valid.then(|| {
+                if way.pending.is_some() {
+                    self.stats.useless_prefetch_evictions += 1;
+                }
+                if way.dirty {
+                    self.stats.writebacks += 1;
+                }
+                Evicted {
+                    line: Line(way.tag),
+                    dirty: way.dirty,
+                    unused: way.pending,
+                }
+            });
+            self.clock += 1;
+            self.ways[s] = ReferenceWay {
+                tag: line.0,
+                lru: self.clock,
+                ready_at,
+                valid: true,
+                dirty,
+                pending,
+            };
+            evicted
+        }
+
+        fn reference_reserve(&mut self, set: usize, ways: u8, evicted: &mut Vec<(Line, bool)>) {
+            let old_usable = self.ways_per_set - self.reserved[set] as usize;
+            self.reserved[set] = ways;
+            for w in self.ways_per_set - ways as usize..old_usable {
+                let s = set * self.ways_per_set + w;
+                let way = self.ways[s];
+                if way.valid {
+                    if way.dirty {
+                        self.stats.writebacks += 1;
+                    }
+                    if way.pending.is_some() {
+                        self.stats.useless_prefetch_evictions += 1;
+                    }
+                    evicted.push((Line(way.tag), way.dirty));
+                    self.ways[s] = ReferenceWay::default();
+                }
+            }
+        }
+
+        fn occupancy(&self) -> usize {
+            self.ways.iter().filter(|w| w.valid).count()
+        }
+
+        fn resident_prefetched(&self) -> [u64; 3] {
+            let mut by_origin = [0; 3];
+            for origin in self.ways.iter().filter(|w| w.valid).filter_map(|w| w.pending) {
+                by_origin[origin.idx()] += 1;
+            }
+            by_origin
+        }
+    }
+
+    /// Lines of one set whose fingerprints are equal: the collisions
+    /// the property below needs more of than chance supplies.
+    fn colliding_lines(sets: u64, n: usize) -> Vec<Line> {
+        let fp = crate::tagrow::fingerprint(0);
+        (0..)
+            .map(|i| Line(i * sets))
+            .filter(|l| crate::tagrow::fingerprint(l.0) == fp)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn scans_match_the_way_by_way_reference() {
+        use PrefetchOrigin::{L2Regular, Temporal, L1};
+        tpcheck::check("CacheLevel == way-by-way reference", 192, |g| {
+            let ways = g.usize_in(1..17);
+            let sets = 1usize << g.usize_in(0..7);
+            let params = CacheParams {
+                capacity: sets * ways * 64,
+                ways,
+                latency: 5,
+                mshrs: 2,
+                ports: 1,
+            };
+            let low_priority = g.bool();
+            let mut level = CacheLevel::new(params);
+            level.set_prefetch_low_priority(low_priority);
+            let mut reference = ReferenceLevel::new(params, low_priority);
+            // A pool a little larger than the cache, so sets fill and
+            // evict, plus same-set lines with one fingerprint.
+            let mut pool: Vec<Line> = (0..g.usize_in(1..2 * sets * ways + 2))
+                .map(|_| Line(g.u64_in(0..(4 * sets * ways) as u64)))
+                .collect();
+            pool.extend(colliding_lines(sets as u64, ways.min(4) + 1));
+            for step in 0..400 {
+                let line = pool[g.usize_in(0..pool.len())];
+                let what = match g.usize_in(0..16) {
+                    0..=4 => {
+                        let write = g.bool();
+                        let (got, want) = (
+                            level.demand_lookup(line, write),
+                            reference.reference_demand_lookup(line, write),
+                        );
+                        tpcheck::ensure!(got == want, "step {step}: lookup {line:?}: {got:?} vs {want:?}");
+                        "demand_lookup"
+                    }
+                    5..=6 => {
+                        let (got, want) = (level.probe(line), reference.reference_probe(line));
+                        tpcheck::ensure!(got == want, "step {step}: probe {line:?}: {got} vs {want}");
+                        "probe"
+                    }
+                    7..=9 => {
+                        let (dirty, prefetch) = (g.bool(), g.bool());
+                        let pending = prefetch.then_some(L2Regular);
+                        let (got, want) = (
+                            level.fill(line, dirty, prefetch),
+                            reference.reference_install(line, dirty, pending, 0),
+                        );
+                        tpcheck::ensure!(got == want, "step {step}: fill {line:?}: {got:?} vs {want:?}");
+                        "fill"
+                    }
+                    10..=14 => {
+                        let dirty = g.bool();
+                        let pending = [None, Some(L1), Some(L2Regular), Some(Temporal)][g.usize_in(0..4)];
+                        let ready_at = g.u64_in(0..1000);
+                        let (got, want) = (
+                            level.install(line, dirty, pending, ready_at),
+                            reference.reference_install(line, dirty, pending, ready_at),
+                        );
+                        tpcheck::ensure!(got == want, "step {step}: install {line:?}: {got:?} vs {want:?}");
+                        "install"
+                    }
+                    _ => {
+                        let set = g.usize_in(0..sets);
+                        let reserve = g.usize_in(0..ways + 1) as u8;
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        level.reserve_ways_into(set, reserve, &mut got);
+                        reference.reference_reserve(set, reserve, &mut want);
+                        tpcheck::ensure!(got == want, "step {step}: reserve {reserve} of set {set}: {got:?} vs {want:?}");
+                        "reserve_ways_into"
+                    }
+                };
+                tpcheck::ensure!(
+                    level.stats() == reference.stats,
+                    "step {step} ({what}): stats {:?} vs {:?}",
+                    level.stats(),
+                    reference.stats
+                );
+                tpcheck::ensure!(
+                    level.occupancy() == reference.occupancy()
+                        && level.resident_prefetched() == reference.resident_prefetched(),
+                    "step {step} ({what}): occupancy {} vs {}, prefetched {:?} vs {:?}",
+                    level.occupancy(),
+                    reference.occupancy(),
+                    level.resident_prefetched(),
+                    reference.resident_prefetched()
+                );
+            }
+            Ok(())
+        });
+    }
+
+    /// Two lines of one set with equal fingerprints: the fingerprint
+    /// narrows the search, the full tag decides.
+    #[test]
+    fn equal_fingerprints_in_one_set_stay_distinct_lines() {
+        let mut c = small();
+        let [a, b, other] = colliding_lines(2, 3)[..] else {
+            panic!("three lines wanted")
+        };
+        c.fill(a, false, false);
+        assert!(c.probe(a) && !c.probe(b), "a's fingerprint is not b's tag");
+        c.fill(b, true, false);
+        assert!(c.probe(a) && c.probe(b) && !c.probe(other));
+        assert_eq!(c.occupancy(), 2);
+        // Refilling `b` finds `b`, not the first way with its fingerprint.
+        assert_eq!(c.fill(b, false, false), None);
+        assert_eq!(c.occupancy(), 2);
+        assert!(matches!(c.demand_lookup(a, false), LookupResult::Hit { .. }));
+        // `b` is now least recent: two more lines fill the set, the
+        // third evicts `b` (dirty), and `a` stays.
+        c.fill(Line(1002), false, false);
+        c.fill(Line(1004), false, false);
+        let evicted = c.fill(Line(1006), false, false).expect("set 0 is full");
+        assert_eq!((evicted.line, evicted.dirty), (b, true));
+        assert!(c.probe(a) && !c.probe(b));
+    }
+
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_panics() {

@@ -45,6 +45,7 @@ pub mod prefetch;
 pub mod shadow;
 pub mod stats;
 pub mod table;
+pub mod tagrow;
 
 pub use audit::{AuditReport, Violation};
 pub use cancel::{CancelToken, CANCEL_EPOCH};

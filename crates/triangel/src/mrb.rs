@@ -98,4 +98,81 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m.lookup(1), Some(Line(11)));
     }
+
+    /// The `Vec` of pairs [`Mrb`] was before its tag row, kept as the
+    /// reference model: `position` to search, `remove` + `insert(0, …)`
+    /// to refresh.
+    struct ReferenceMrb {
+        entries: Vec<(u64, Line)>,
+        capacity: usize,
+    }
+
+    impl ReferenceMrb {
+        fn lookup(&mut self, trigger: u64) -> Option<Line> {
+            let pos = self.entries.iter().position(|&(t, _)| t == trigger)?;
+            let e = self.entries.remove(pos);
+            self.entries.insert(0, e);
+            Some(e.1)
+        }
+
+        fn contains_pair(&self, trigger: u64, target: Line) -> bool {
+            self.entries.iter().any(|&(t, v)| t == trigger && v == target)
+        }
+
+        fn update(&mut self, trigger: u64, target: Line) {
+            if let Some(pos) = self.entries.iter().position(|&(t, _)| t == trigger) {
+                self.entries.remove(pos);
+            }
+            self.entries.insert(0, (trigger, target));
+            self.entries.truncate(self.capacity);
+        }
+    }
+
+    #[test]
+    fn matches_the_vec_of_pairs_reference() {
+        for capacity in [1, 7, 32] {
+            tpcheck::check("Mrb == Vec-of-pairs reference", 64, |g| {
+                let mut mrb = Mrb::new(capacity);
+                let mut reference = ReferenceMrb {
+                    entries: Vec::new(),
+                    capacity,
+                };
+                // Up to twice as many triggers as entries (at 32 entries,
+                // 65 triggers over 128 fingerprints: some share one);
+                // few targets, so exact pairs recur.
+                let triggers = g.u64_in(1..2 * capacity as u64 + 2);
+                for step in 0..600 {
+                    let trigger = g.u64_in(0..triggers) << 7;
+                    let target = Line(g.u64_in(0..3));
+                    match g.usize_in(0..3) {
+                        0 => {
+                            let (got, want) = (mrb.lookup(trigger), reference.lookup(trigger));
+                            tpcheck::ensure!(got == want, "step {step}: lookup {trigger}: {got:?} vs {want:?}");
+                        }
+                        1 => {
+                            let got = mrb.contains_pair(trigger, target);
+                            let want = reference.contains_pair(trigger, target);
+                            tpcheck::ensure!(got == want, "step {step}: pair {trigger}→{target:?}: {got} vs {want}");
+                        }
+                        _ => {
+                            mrb.update(trigger, target);
+                            reference.update(trigger, target);
+                        }
+                    }
+                    tpcheck::ensure!(
+                        mrb.len() == reference.entries.len() && mrb.is_empty() == reference.entries.is_empty(),
+                        "step {step}: {} entries vs {}",
+                        mrb.len(),
+                        reference.entries.len()
+                    );
+                }
+                // What is resident at the end.
+                for t in 0..triggers {
+                    let (got, want) = (mrb.lookup(t << 7), reference.lookup(t << 7));
+                    tpcheck::ensure!(got == want, "final lookup {t}: {got:?} vs {want:?}");
+                }
+                Ok(())
+            });
+        }
+    }
 }
