@@ -5,8 +5,10 @@
 
 use crate::config::CacheParams;
 use crate::stats::CacheStats;
+use crate::tagrow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use tptrace::record::Line;
 
 /// Who installed a prefetched block (for feedback routing and per-source
@@ -109,11 +111,13 @@ impl MshrWindow {
 }
 
 /// Per-way metadata, kept contiguous so one set scan walks a couple of
-/// cache lines instead of five parallel arrays (tag/valid/dirty/
-/// prefetched/lru each used to live in its own heap allocation, which
-/// made every lookup five data-dependent cache misses). The way is also
-/// the only home of a prefetched block's record, so the record cannot
-/// outlive or miss its block. 32 bytes: two slots per host cache line.
+/// cache lines instead of five parallel arrays (tag/dirty/prefetched/lru
+/// each used to live in its own heap allocation, which made every
+/// lookup five data-dependent cache misses). The way is also the only
+/// home of a prefetched block's record, so the record cannot outlive or
+/// miss its block. Whether a way holds a block at all is its byte of
+/// the level's tag row, not a field here; an empty way is
+/// `WaySlot::default()`. 32 bytes: two slots per host cache line.
 #[derive(Clone, Copy, Debug, Default)]
 struct WaySlot {
     tag: u64,
@@ -122,7 +126,6 @@ struct WaySlot {
     /// an exact "nothing pending": every fill time is at least a level
     /// latency, and the only test is `ready_at > completion`.
     ready_at: u64,
-    valid: bool,
     dirty: bool,
     /// Who prefetched the block, until its first demand touch.
     pending: Option<PrefetchOrigin>,
@@ -134,6 +137,12 @@ pub struct CacheLevel {
     params: CacheParams,
     sets: usize,
     ways: Vec<WaySlot>,
+    /// The tag rows ([`tagrow`]), one per set at a stride of the way
+    /// count rounded up to whole words: byte `w` of a set's row is 0 when
+    /// way `w` is empty — the level's one occupancy record — and the
+    /// fingerprint of the way's tag otherwise.
+    fp: Vec<u8>,
+    fp_stride: usize,
     clock: u64,
     /// Per-set ways reserved for prefetcher metadata (LLC only; zero
     /// elsewhere). Data may only occupy ways `< ways - reserved`.
@@ -154,9 +163,12 @@ impl CacheLevel {
         let sets = params.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         let slots = sets * params.ways;
+        let fp_stride = params.ways.next_multiple_of(8);
         CacheLevel {
             sets,
             ways: vec![WaySlot::default(); slots],
+            fp: vec![0; sets * fp_stride],
+            fp_stride,
             clock: 0,
             reserved: vec![0; sets],
             prefetch_low_priority: false,
@@ -209,23 +221,18 @@ impl CacheLevel {
         (line.0 as usize) & (self.sets - 1)
     }
 
-    fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.params.ways + way
-    }
-
-    /// Software-prefetches the way slots of `line`'s set (advisory; no
-    /// simulated state is read or written). The batched replay loop
-    /// calls this for access `i + 1` while access `i` simulates, so the
-    /// set's `WaySlot` span is already in cache when the demand lookup
-    /// walks it.
-    #[inline]
-    pub fn prefetch_set_hint(&self, line: Line) {
-        let base = self.slot(self.set_of(line), 0);
-        crate::hint::prefetch_read(&self.ways[base]);
-    }
-
     fn usable_ways(&self, set: usize) -> usize {
         self.params.ways - self.reserved[set] as usize
+    }
+
+
+    /// Where `line`'s set keeps the ways data may occupy: their bytes
+    /// of `fp` and their slots of `ways`.
+    fn usable_span(&self, line: Line) -> (Range<usize>, Range<usize>) {
+        let set = self.set_of(line);
+        let usable = self.usable_ways(set);
+        let (row, base) = (set * self.fp_stride, set * self.params.ways);
+        (row..row + usable, base..base + usable)
     }
 
     /// Charges a port slot for a request arriving at `t`; returns the
@@ -244,40 +251,37 @@ impl CacheLevel {
 
     /// Pure lookup (no state change); true if present.
     pub fn probe(&self, line: Line) -> bool {
-        let set = self.set_of(line);
-        let base = self.slot(set, 0);
-        self.ways[base..base + self.usable_ways(set)]
-            .iter()
-            .any(|w| w.valid && w.tag == line.0)
+        let (row, span) = self.usable_span(line);
+        let ways = &self.ways[span];
+        tagrow::find(&self.fp[row], tagrow::fingerprint(line.0), |w| ways[w].tag == line.0).is_some()
     }
 
     /// Demand lookup: updates recency, hands over the way's prefetch
     /// record and counts stats.
     pub fn demand_lookup(&mut self, line: Line, is_write: bool) -> LookupResult {
         self.stats.accesses += 1;
-        let set = self.set_of(line);
-        let base = self.slot(set, 0);
-        for s in base..base + self.usable_ways(set) {
-            let way = &mut self.ways[s];
-            if way.valid && way.tag == line.0 {
-                self.clock += 1;
-                way.lru = self.clock;
-                if is_write {
-                    way.dirty = true;
-                }
-                let first_touch = way.pending.take();
-                if first_touch.is_some() {
-                    self.stats.useful_prefetches += 1;
-                }
-                self.stats.hits += 1;
-                return LookupResult::Hit {
-                    first_touch,
-                    ready_at: std::mem::take(&mut way.ready_at),
-                };
-            }
+        let (row, span) = self.usable_span(line);
+        let ways = &mut self.ways[span];
+        let hit = tagrow::find(&self.fp[row], tagrow::fingerprint(line.0), |w| ways[w].tag == line.0);
+        let Some(w) = hit else {
+            self.stats.misses += 1;
+            return LookupResult::Miss;
+        };
+        let way = &mut ways[w];
+        self.clock += 1;
+        way.lru = self.clock;
+        if is_write {
+            way.dirty = true;
         }
-        self.stats.misses += 1;
-        LookupResult::Miss
+        let first_touch = way.pending.take();
+        if first_touch.is_some() {
+            self.stats.useful_prefetches += 1;
+        }
+        self.stats.hits += 1;
+        LookupResult::Hit {
+            first_touch,
+            ready_at: std::mem::take(&mut way.ready_at),
+        }
     }
 
     /// Installs `line` for a demand miss, a writeback or an LLC fill;
@@ -300,50 +304,37 @@ impl CacheLevel {
         pending: Option<PrefetchOrigin>,
         ready_at: u64,
     ) -> Option<Evicted> {
-        let set = self.set_of(line);
-        let usable = self.usable_ways(set);
-        if usable == 0 {
+        let (row, span) = self.usable_span(line);
+        if span.is_empty() {
             // Fully reserved set: the fill bypasses this level.
             return None;
         }
-        let base = self.slot(set, 0);
-        // One pass over the set: refill of a present line just updates
-        // bits; otherwise remember the first invalid way as the victim.
-        let mut invalid = None;
-        for s in base..base + usable {
-            let way = &self.ways[s];
-            if way.valid && way.tag == line.0 {
-                if dirty {
-                    self.ways[s].dirty = true;
-                }
-                return None;
-            }
-            if !way.valid && invalid.is_none() {
-                invalid = Some(s);
-            }
+        let (row, ways) = (&mut self.fp[row], &mut self.ways[span]);
+        let fp = tagrow::fingerprint(line.0);
+        if let Some(w) = tagrow::find(row, fp, |w| ways[w].tag == line.0) {
+            ways[w].dirty |= dirty;
+            return None;
         }
         if pending.is_some() {
             self.stats.prefetch_fills += 1;
         }
-        // Victim: invalid way first, else LRU.
-        let s = invalid.unwrap_or_else(|| {
-            if self.prefetch_low_priority {
-                // Unused prefetched blocks first (distant re-reference),
-                // then LRU among demand blocks.
-                (base..base + usable)
-                    .min_by_key(|&s| {
-                        let way = &self.ways[s];
-                        (way.pending.is_none(), way.lru)
-                    })
-                    .expect("usable ways > 0")
-            } else {
-                (base..base + usable)
-                    .min_by_key(|&s| self.ways[s].lru)
-                    .expect("usable ways > 0")
+        // Victim: an empty way first, else the least recently used —
+        // with distant re-reference, among the prefetched blocks no
+        // demand has touched before any demand block. One key orders
+        // both; the first minimum wins.
+        let w = tagrow::first_empty(row).unwrap_or_else(|| {
+            let demote = self.prefetch_low_priority;
+            let (mut victim, mut least) = (0, u64::MAX);
+            for (w, way) in ways.iter().enumerate() {
+                let key = u64::from(demote & way.pending.is_none()) << 63 | way.lru;
+                if key < least {
+                    (victim, least) = (w, key);
+                }
             }
+            victim
         });
-        let way = self.ways[s];
-        let evicted = if way.valid {
+        let way = ways[w];
+        let evicted = if row[w] != 0 {
             if way.pending.is_some() {
                 self.stats.useless_prefetch_evictions += 1;
             }
@@ -359,11 +350,11 @@ impl CacheLevel {
             None
         };
         self.clock += 1;
-        self.ways[s] = WaySlot {
+        row[w] = fp;
+        ways[w] = WaySlot {
             tag: line.0,
             lru: self.clock,
             ready_at,
-            valid: true,
             dirty,
             pending,
         };
@@ -380,9 +371,8 @@ impl CacheLevel {
         self.reserved[set] = ways;
         let new_usable = self.usable_ways(set);
         for w in new_usable..old_usable {
-            let s = self.slot(set, w);
-            let way = self.ways[s];
-            if way.valid {
+            let way = std::mem::take(&mut self.ways[set * self.params.ways + w]);
+            if std::mem::take(&mut self.fp[set * self.fp_stride + w]) != 0 {
                 if way.dirty {
                     self.stats.writebacks += 1;
                 }
@@ -390,7 +380,6 @@ impl CacheLevel {
                     self.stats.useless_prefetch_evictions += 1;
                 }
                 evicted.push((Line(way.tag), way.dirty));
-                self.ways[s] = WaySlot::default();
             }
         }
     }
@@ -407,7 +396,7 @@ impl CacheLevel {
 
     /// Number of valid data blocks (test/introspection hook).
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.fp.iter().filter(|&&b| b != 0).count()
     }
 
     /// Number of resident blocks installed by a prefetch and not yet
@@ -416,10 +405,9 @@ impl CacheLevel {
     /// prefetch-resolution laws.
     pub fn resident_prefetched(&self) -> [u64; 3] {
         let mut by_origin = [0; 3];
-        for way in self.ways.iter().filter(|w| w.valid) {
-            if let Some(origin) = way.pending {
-                by_origin[origin.idx()] += 1;
-            }
+        // An empty way is `WaySlot::default()`: nothing pending.
+        for origin in self.ways.iter().filter_map(|w| w.pending) {
+            by_origin[origin.idx()] += 1;
         }
         by_origin
     }

@@ -11,7 +11,7 @@ use crate::prefetch::{
 };
 use crate::stats::{CoreReport, SimReport, TemporalStats};
 use std::sync::Arc;
-use tptrace::record::{Access, AccessKind, Addr, Line};
+use tptrace::record::{Access, AccessKind, Line};
 use tptrace::Trace;
 
 /// Everything attached to one simulated core.
@@ -427,13 +427,6 @@ impl Engine {
             let mut ran = 0usize;
             loop {
                 let access = block.get(ran);
-                if ran + 1 < cap {
-                    // Overlap the next access's hierarchy-state misses
-                    // with this access's simulation (scx scan pattern).
-                    let tag = self.states[core].address_tag;
-                    let next = Line(Addr(block.addr(ran + 1)).line().0 | tag);
-                    self.hierarchy.prefetch_hint(core, next);
-                }
                 self.states[core].processed += 1;
                 self.step_with(core, &access, issue);
                 ran += 1;

@@ -297,17 +297,6 @@ impl Hierarchy {
         }
     }
 
-    /// Software-prefetches the hierarchy state the *next* demand access
-    /// will touch: the L1D way slots of `line`'s set. Purely advisory —
-    /// reads and writes no simulated state, so issuing (or skipping)
-    /// hints cannot change any result. The batched replay loop calls
-    /// this for access `i + 1` while access `i` simulates (see
-    /// `Engine::run_batched`).
-    #[inline]
-    pub fn prefetch_hint(&self, core: usize, line: Line) {
-        self.cores[core].l1d.prefetch_set_hint(line);
-    }
-
     /// Services a demand access from `core` to `line` at time `t`.
     pub fn demand_access(
         &mut self,

@@ -40,7 +40,6 @@ pub mod core_model;
 pub mod dram;
 pub mod engine;
 pub mod hierarchy;
-mod hint;
 pub mod prefetch;
 pub mod shadow;
 pub mod stats;

@@ -281,17 +281,6 @@ impl BlockView<'_> {
             gap,
         }
     }
-
-    /// Raw byte address of the `i`-th access — one load, no meta
-    /// unpacking. Used for lookahead (prefetching the *next* access's
-    /// cache state while the current one simulates).
-    ///
-    /// # Panics
-    /// Panics if `i >= self.len()`.
-    #[inline]
-    pub fn addr(&self, i: usize) -> u64 {
-        self.addrs[i]
-    }
 }
 
 /// Iterator over a trace's accesses, reconstituting each [`Access`]
@@ -583,7 +572,6 @@ mod tests {
             assert_eq!(blk.is_empty(), len == 0);
             for i in 0..len {
                 assert_eq!(blk.get(i), t.get(start + i), "block({start},{len})[{i}]");
-                assert_eq!(blk.addr(i), t.get(start + i).addr.0);
             }
         }
     }
