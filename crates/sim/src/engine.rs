@@ -551,7 +551,9 @@ impl Engine {
                 let mut lines = std::mem::take(&mut self.prefetch_scratch);
                 lines.clear();
                 tp.on_event(&mut ctx, ev, &mut lines);
-                let dedicated = tp.partition() == PartitionSpec::Dedicated;
+                // Nothing below can move the partition again: ask once.
+                let spec = tp.partition();
+                let dedicated = spec == PartitionSpec::Dedicated;
                 // Metadata reads delay the dependent prefetches.
                 let delay = if ctx.reads() > 0 {
                     self.hierarchy.metadata_read_latency()
@@ -578,7 +580,6 @@ impl Engine {
                 self.states[core].temporal_pf_issued += issued;
                 self.states[core].temporal_pf_dropped += dropped;
                 // Partition changes (dynamic repartitioning).
-                let spec = self.plans[core].temporal.as_ref().expect("checked").partition();
                 if self.hierarchy.partition(core) != spec {
                     self.hierarchy.apply_partition(core, spec, issue);
                 }
