@@ -279,7 +279,7 @@ impl TemporalPrefetcher for Streamline {
                         // The only hit path that needs an owned
                         // copy: the training unit's confirmation
                         // buffer outlives the store borrow.
-                        self.tu.buffer_insert(ev.pc, StreamEntry::new(cursor, targets.clone()));
+                        self.tu.buffer_insert(ev.pc, StreamEntry::new(cursor, targets));
                         false
                     }
                     None => break,

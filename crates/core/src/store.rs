@@ -6,7 +6,7 @@ use crate::config::{PartitionSize, StreamlineConfig};
 use crate::stream::{StreamEntry, TargetList};
 use std::ops::Range;
 use tpreplace::{EtrSampler, EtrSamplerConfig, EtrSet};
-use tpsim::PartitionSpec;
+use tpsim::{tagrow, PartitionSpec};
 use tptrace::record::Line;
 
 /// Result of a store insertion.
@@ -34,9 +34,9 @@ pub struct ResizeReport {
     pub moved_blocks: usize,
 }
 
-/// The trigger of a vacant slot, and the only record that a slot is
-/// vacant: the other columns of a vacant slot hold stale values nobody
-/// reads. `Line` values are cache block numbers (addresses shifted
+/// The trigger of a vacant slot. It and the 0 in the slot's byte of
+/// `fps` are the record that a slot is vacant: the other columns of a
+/// vacant slot hold stale values nobody reads. `Line` values are cache block numbers (addresses shifted
 /// right by 6), so `u64::MAX` can never collide with a real trigger.
 const VACANT: Line = Line(u64::MAX);
 
@@ -51,18 +51,21 @@ pub struct StreamStore {
     size: PartitionSize,
     /// Slots per table row: a set's capacity at the widest geometry.
     slots_per_set: usize,
-    /// Each slot's trigger (`VACANT` when empty). The demand path scans
-    /// triggers on every lookup and several times per insert; with
-    /// inline target storage an entry spans multiple cache lines, so
-    /// the scans walk this 8-byte-stride column and only touch
-    /// `targets` at the matched index.
+    /// Each slot's trigger (`VACANT` when empty).
     triggers: Vec<Line>,
+    /// The tag rows ([`tagrow`]): 0 for a vacant slot, else the
+    /// fingerprint of its trigger. Searches for a trigger go through
+    /// this one-byte-stride column and read `triggers` only where a
+    /// fingerprint matches.
+    fps: Vec<u8>,
     /// Each slot's partial tag, for the alias scan.
     tags: Vec<u16>,
     /// Clock value of each slot's last write or lookup hit.
     lru: Vec<u64>,
-    /// Each slot's correlated targets; with its trigger, the entry.
-    targets: Vec<TargetList>,
+    /// Each slot's correlated targets, `stream_len` lines apart, the
+    /// first `lens[slot]` of them valid; with its trigger, the entry.
+    targets: Vec<Line>,
+    lens: Vec<u8>,
     /// Per-set TP-Mockingjay state; empty when `tpmj` is off.
     etr: Vec<EtrSet>,
     /// Per set: inserts since the last lookup hit (decayed by hits).
@@ -157,9 +160,11 @@ impl StreamStore {
             size: cfg.fixed_size.unwrap_or(cfg.max_size),
             slots_per_set,
             triggers: vec![VACANT; slots],
+            fps: vec![0; slots],
             tags: vec![0; slots],
             lru: vec![0; slots],
-            targets: vec![TargetList::new(); slots],
+            targets: vec![Line(0); slots * cfg.stream_len.max(1)],
+            lens: vec![0; slots],
             etr: if cfg.tpmj {
                 vec![EtrSet::new(slots_per_set, 8); cfg.llc_sets]
             } else {
@@ -284,19 +289,44 @@ impl StreamStore {
         self.allocated_at(set_idx, PartitionSize::SamplesOnly)
     }
 
+    /// Lines of `targets` per slot.
+    fn stride(&self) -> usize {
+        self.cfg.stream_len.max(1)
+    }
+
+    /// The targets stored in `slot`.
+    fn targets_of(&self, slot: usize) -> &[Line] {
+        let at = slot * self.stride();
+        &self.targets[at..at + self.lens[slot] as usize]
+    }
+
+    /// Which slot of `row` holds `trigger`, counted from the row's start.
+    fn find(&self, row: Range<usize>, trigger: Line) -> Option<usize> {
+        let triggers = &self.triggers[row.clone()];
+        tagrow::find(&self.fps[row], tagrow::fingerprint(trigger.0), |w| triggers[w] == trigger)
+    }
+
     /// Writes an entry into `slot`, stamped with the current clock.
-    fn write(&mut self, slot: usize, trigger: Line, tag: u16, targets: TargetList) {
+    ///
+    /// # Panics
+    /// Panics if `targets` is longer than the configured `stream_len`.
+    fn write(&mut self, slot: usize, trigger: Line, tag: u16, targets: &[Line]) {
+        let stride = self.stride();
+        assert!(targets.len() <= stride, "entry longer than stream_len");
         self.triggers[slot] = trigger;
+        self.fps[slot] = tagrow::fingerprint(trigger.0);
         self.tags[slot] = tag;
         self.lru[slot] = self.clock;
-        self.targets[slot] = targets;
+        self.targets[slot * stride..][..targets.len()].copy_from_slice(targets);
+        self.lens[slot] = targets.len() as u8;
     }
 
     /// Empties `slots`, returning how many were occupied.
     fn vacate(&mut self, slots: Range<usize>) -> usize {
-        let triggers = &mut self.triggers[slots];
+        let triggers = &mut self.triggers[slots.clone()];
         let occupied = triggers.iter().filter(|&&t| t != VACANT).count();
         triggers.fill(VACANT);
+        self.fps[slots].fill(0);
         occupied
     }
 
@@ -311,7 +341,7 @@ impl StreamStore {
         let tag = self.partial_tag(entry.trigger);
         let tpmj = self.cfg.tpmj;
         let tsp = self.cfg.tsp;
-        let stream_len = self.cfg.stream_len.max(1);
+        let stream_len = self.stride();
         // TP-Mockingjay: sampled sets train the reuse predictor on the
         // first correlation of each completed entry (Section IV-E5).
         if tpmj && self.is_sample_set(set_idx) {
@@ -340,13 +370,14 @@ impl StreamStore {
             en += 1;
         }
         let mut redundant_pairs = 0;
-        for (&t, targets) in triggers.iter().zip(&self.targets[row.clone()]) {
+        let stored = self.targets[row.start * stream_len..row.end * stream_len].chunks_exact(stream_len);
+        for ((&t, &len), targets) in triggers.iter().zip(&self.lens[row.clone()]).zip(stored) {
             if t == VACANT || t == entry.trigger {
                 continue; // vacant, or same trigger: an overwrite, handled below
             }
             redundant_pairs += epairs[..en]
                 .iter()
-                .filter(|&&p| holds_pair(t, targets, p))
+                .filter(|&&p| holds_pair(t, &targets[..len as usize], p))
                 .count();
         }
 
@@ -354,7 +385,7 @@ impl StreamStore {
         // aliasing (aliased entries must share a way — we model the
         // replacement constraint by reusing the aliased slot); else an
         // empty slot; else the policy victim.
-        let mut victim = triggers.iter().position(|&t| t == entry.trigger);
+        let mut victim = self.find(row.clone(), entry.trigger);
         // The way group (slot index / entries per way) that placement
         // is confined to, if any. Way-partitioned (non-TSP): one way
         // group chosen by the trigger hash → effective associativity
@@ -390,8 +421,8 @@ impl StreamStore {
         });
 
         let slot = row.start + victim;
-        let redundant = self.triggers[slot] == entry.trigger && self.targets[slot] == entry.targets;
-        self.write(slot, entry.trigger, tag, entry.targets);
+        let redundant = self.triggers[slot] == entry.trigger && self.targets_of(slot) == &entry.targets[..];
+        self.write(slot, entry.trigger, tag, &entry.targets);
         if let Some(e) = self.etr.get_mut(set_idx) {
             e.fill(victim, self.sampler.etr_for(self.sampler.predict(pc_hash), 3));
         }
@@ -406,7 +437,7 @@ impl StreamStore {
     /// Returns a borrow of the stored targets (the trigger is the
     /// caller's own argument) — the demand path decides per hit whether
     /// a copy is worth making, so the store never clones on its own.
-    pub fn lookup(&mut self, trigger: Line, pc_hash: u8) -> Option<&TargetList> {
+    pub fn lookup(&mut self, trigger: Line, pc_hash: u8) -> Option<&[Line]> {
         self.lookups += 1;
         let set_idx = self.set_of(trigger);
         if self.cfg.filtering && !self.allocated_at(set_idx, self.size) {
@@ -414,7 +445,7 @@ impl StreamStore {
         }
         self.clock += 1;
         let row = self.row(set_idx, self.entries_cap(self.size));
-        let way = self.triggers[row.clone()].iter().position(|&t| t == trigger)?;
+        let way = self.find(row.clone(), trigger)?;
         let slot = row.start + way;
         self.lru[slot] = self.clock;
         let since_hit = &mut self.inserts_since_hit[set_idx];
@@ -426,21 +457,21 @@ impl StreamStore {
         // One stream-entry hit supplies a whole entry's worth of
         // correlations (a pairwise store would need one hit per pair),
         // so utility accounting credits per correlation supplied.
-        let worth = self.targets[slot].len().max(1) as u64;
+        let worth = self.lens[slot].max(1) as u64;
         for s in ALL_SIZES {
             if self.allocated_at(set_idx, s) {
                 self.credit[s as usize] += worth;
             }
         }
-        Some(&self.targets[slot])
+        Some(self.targets_of(slot))
     }
 
     /// Reads the first target stored for `trigger` without touching any
     /// replacement state (training-time measurement).
     pub fn peek_first_target(&self, trigger: Line) -> Option<Line> {
         let row = self.row(self.set_of(trigger), self.slots_per_set);
-        let way = self.triggers[row.clone()].iter().position(|&t| t == trigger)?;
-        self.targets[row.start + way].first().copied()
+        let way = self.find(row.clone(), trigger)?;
+        self.targets_of(row.start + way).first().copied()
     }
 
     /// Resizes the partition.
@@ -479,9 +510,10 @@ impl StreamStore {
             // `new`; RTS is the scheme filtered indexing replaces.
             let movers: Vec<(Line, u16, TargetList)> = (0..self.triggers.len())
                 .filter(|&i| self.triggers[i] != VACANT)
-                .map(|i| (self.triggers[i], self.tags[i], self.targets[i].clone()))
+                .map(|i| (self.triggers[i], self.tags[i], TargetList::from(self.targets_of(i))))
                 .collect();
             self.triggers.fill(VACANT);
+            self.fps.fill(0);
             self.etr.iter_mut().for_each(EtrSet::reset);
             self.size = size;
             report.moved_blocks = movers.len().div_ceil(Self::entries_per_block(&self.cfg));
@@ -489,8 +521,8 @@ impl StreamStore {
             for (trigger, tag, targets) in movers {
                 let row = self.row(self.set_of(trigger), cap);
                 self.clock += 1;
-                match self.triggers[row.clone()].iter().position(|&t| t == VACANT) {
-                    Some(free) => self.write(row.start + free, trigger, tag, targets),
+                match tagrow::first_empty(&self.fps[row.clone()]) {
+                    Some(free) => self.write(row.start + free, trigger, tag, &targets),
                     None => report.dropped_entries += 1,
                 }
             }
@@ -567,7 +599,7 @@ mod tests {
         let mut s = store(StreamlineConfig::default());
         let e = entry(100, 200);
         assert!(matches!(s.insert(e.clone(), 1), StoreInsert::Stored { .. }));
-        assert_eq!(s.lookup(Line(100), 1), Some(&e.targets));
+        assert_eq!(s.lookup(Line(100), 1), Some(&e.targets[..]));
         assert_eq!(s.lookup(Line(101), 1), None);
     }
 
@@ -942,8 +974,8 @@ mod tests {
             }
             let total = s.valid_entries();
             for &t in &triggers {
-                let first = s.lookup(Line(t), (t % 251) as u8).cloned();
-                let second = s.lookup(Line(t), (t % 251) as u8).cloned();
+                let first = s.lookup(Line(t), (t % 251) as u8).map(<[Line]>::to_vec);
+                let second = s.lookup(Line(t), (t % 251) as u8).map(<[Line]>::to_vec);
                 tpcheck::ensure!(
                     first == second,
                     "trigger {t}: repeated lookups diverged ({first:?} vs {second:?})"
@@ -959,6 +991,38 @@ mod tests {
                 s.valid_entries() == total,
                 "lookups changed the resident population"
             );
+            Ok(())
+        });
+    }
+
+    /// The tag-row invariant, after inserts, overwrites, evictions and
+    /// resizes under both indexing schemes: a slot's byte of `fps` is 0
+    /// exactly when the slot is vacant, and its trigger's fingerprint
+    /// otherwise.
+    #[test]
+    fn the_tag_rows_mirror_the_trigger_column() {
+        tpcheck::check("fps == fingerprint(triggers)", 48, |g| {
+            let cfg = StreamlineConfig {
+                llc_sets: 64 << g.usize_in(0..3),
+                filtering: g.bool(),
+                realignment: false,
+                hybrid: g.bool(),
+                tpmj: g.bool(),
+                tsp: g.bool(),
+                ..Default::default()
+            };
+            let mut s = StreamStore::new(cfg);
+            for _ in 0..6 {
+                for _ in 0..g.usize_in(1..600) {
+                    let t = g.u64_in(0..3000) * 131;
+                    s.insert(entry(t, t / 7), (t % 251) as u8);
+                }
+                s.set_size(ALL_SIZES[g.usize_in(0..4)]);
+                for (i, (&t, &fp)) in s.triggers.iter().zip(&s.fps).enumerate() {
+                    let want = if t == VACANT { 0 } else { tagrow::fingerprint(t.0) };
+                    tpcheck::ensure!(fp == want, "slot {i}: trigger {t:?}, byte {fp}, want {want}");
+                }
+            }
             Ok(())
         });
     }
