@@ -2,13 +2,17 @@
 //! recently touched metadata correlations that filters redundant LLC
 //! metadata traffic (Triangel's step 2/3).
 
+use tpsim::tagrow;
 use tptrace::record::Line;
 
-/// A fully-associative, LRU, (trigger → target) reuse buffer.
+/// A fully-associative, LRU, (trigger → target) reuse buffer: two
+/// arrays sized once, kept most recent first.
 #[derive(Clone, Debug)]
 pub struct Mrb {
+    /// The tag row ([`tagrow`]): 0 past the last entry, else the
+    /// fingerprint of the entry's trigger.
+    row: Vec<u8>,
     entries: Vec<(u64, Line)>,
-    capacity: usize,
 }
 
 impl Mrb {
@@ -19,42 +23,60 @@ impl Mrb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "mrb capacity must be nonzero");
         Mrb {
-            entries: Vec::with_capacity(capacity),
-            capacity,
+            row: vec![0; capacity],
+            entries: vec![(0, Line(0)); capacity],
+        }
+    }
+
+    /// Where `trigger`'s entry is, counted from the most recent.
+    #[inline]
+    fn position(&self, trigger: u64) -> Option<usize> {
+        tagrow::find(&self.row, tagrow::fingerprint(trigger), |i| self.entries[i].0 == trigger)
+    }
+
+    /// Brings entry `pos` to the front; the entries before it age by
+    /// one place, the entries behind it stay. Most hits are on the most
+    /// recent entry and move nothing.
+    #[inline]
+    fn promote(&mut self, pos: usize) {
+        if pos > 0 {
+            let (fp, entry) = (self.row[pos], self.entries[pos]);
+            self.row.copy_within(..pos, 1);
+            self.entries.copy_within(..pos, 1);
+            (self.row[0], self.entries[0]) = (fp, entry);
         }
     }
 
     /// Looks up a trigger, refreshing recency on hit.
     pub fn lookup(&mut self, trigger: u64) -> Option<Line> {
-        let pos = self.entries.iter().position(|&(t, _)| t == trigger)?;
-        let e = self.entries.remove(pos);
-        self.entries.insert(0, e);
-        Some(e.1)
+        let pos = self.position(trigger)?;
+        self.promote(pos);
+        Some(self.entries[0].1)
     }
 
     /// True if the exact (trigger, target) pair is present — a store for
     /// it would be redundant.
     pub fn contains_pair(&self, trigger: u64, target: Line) -> bool {
-        self.entries.iter().any(|&(t, v)| t == trigger && v == target)
+        self.position(trigger).is_some_and(|i| self.entries[i].1 == target)
     }
 
     /// Records a correlation at MRU.
     pub fn update(&mut self, trigger: u64, target: Line) {
-        if let Some(pos) = self.entries.iter().position(|&(t, _)| t == trigger) {
-            self.entries.remove(pos);
-        }
-        self.entries.insert(0, (trigger, target));
-        self.entries.truncate(self.capacity);
+        // A new trigger takes over the last place: the least recent
+        // entry of a full buffer, an empty one otherwise.
+        let pos = self.position(trigger).unwrap_or(self.row.len() - 1);
+        self.promote(pos);
+        (self.row[0], self.entries[0]) = (tagrow::fingerprint(trigger), (trigger, target));
     }
 
     /// Current occupancy.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        tagrow::first_empty(&self.row).unwrap_or(self.row.len())
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.row[0] == 0
     }
 }
 
@@ -97,6 +119,24 @@ mod tests {
         m.update(1, Line(11));
         assert_eq!(m.len(), 1);
         assert_eq!(m.lookup(1), Some(Line(11)));
+    }
+
+    /// Two triggers with one fingerprint: the row narrows the search,
+    /// the full trigger decides, and each keeps its own target and age.
+    #[test]
+    fn equal_fingerprints_stay_distinct_triggers() {
+        let fp = tagrow::fingerprint(1);
+        let twin = (2..).find(|&t| tagrow::fingerprint(t) == fp).expect("one in 128");
+        let mut m = Mrb::new(2);
+        m.update(1, Line(10));
+        assert_eq!(m.lookup(twin), None, "1's fingerprint is not twin's trigger");
+        m.update(twin, Line(20));
+        assert!(m.contains_pair(1, Line(10)) && m.contains_pair(twin, Line(20)));
+        assert!(!m.contains_pair(1, Line(20)));
+        assert_eq!(m.lookup(1), Some(Line(10)));
+        m.update(3, Line(30)); // evicts twin, the less recent of the two
+        assert_eq!(m.lookup(twin), None);
+        assert_eq!(m.lookup(1), Some(Line(10)));
     }
 
     /// The `Vec` of pairs [`Mrb`] was before its tag row, kept as the

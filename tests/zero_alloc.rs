@@ -125,3 +125,25 @@ fn the_store_never_allocates_after_construction() {
     let allocs = ALLOCS.with(Cell::get) - before;
     assert_eq!(allocs, 0, "StreamStore allocated after construction");
 }
+
+/// Triangel's reuse buffer is three arrays sized in `Mrb::new`; hits,
+/// misses, overwrites and evictions move entries inside them.
+#[test]
+fn the_mrb_never_allocates_after_construction() {
+    use streamline_repro::tptrace::record::Line;
+    use streamline_repro::triangel::Mrb;
+
+    let mut mrb = Mrb::new(32);
+    let before = ALLOCS.with(Cell::get);
+    for i in 0..10_000u64 {
+        // 47 triggers over 32 entries: the buffer fills, then evicts.
+        let trigger = i.wrapping_mul(0x9e37_79b9) % 47;
+        if !mrb.contains_pair(trigger, Line(i % 3)) {
+            mrb.update(trigger, Line(i % 3));
+        }
+        std::hint::black_box(mrb.lookup(i.wrapping_mul(0x85eb_ca6b) % 47));
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(allocs, 0, "Mrb allocated after construction");
+    assert_eq!(mrb.len(), 32);
+}
