@@ -140,7 +140,8 @@ pub struct CacheLevel {
     /// The tag rows ([`tagrow`]), one per set at a stride of the way
     /// count rounded up to whole words: byte `w` of a set's row is 0 when
     /// way `w` is empty — the level's one occupancy record — and the
-    /// fingerprint of the way's tag otherwise.
+    /// fingerprint of the way's tag otherwise. Reserved ways and the
+    /// padding behind the last way are always empty.
     fp: Vec<u8>,
     fp_stride: usize,
     clock: u64,
@@ -225,14 +226,15 @@ impl CacheLevel {
         self.params.ways - self.reserved[set] as usize
     }
 
-
-    /// Where `line`'s set keeps the ways data may occupy: their bytes
-    /// of `fp` and their slots of `ways`.
+    /// Where `line`'s set keeps the ways data may occupy: their slots of
+    /// `ways`, and their bytes of `fp` up to the end of the last word —
+    /// a search over whole words has no tail to pick apart, and the
+    /// bytes behind the usable ways, being empty, match no fingerprint.
     fn usable_span(&self, line: Line) -> (Range<usize>, Range<usize>) {
         let set = self.set_of(line);
         let usable = self.usable_ways(set);
         let (row, base) = (set * self.fp_stride, set * self.params.ways);
-        (row..row + usable, base..base + usable)
+        (row..row + usable.next_multiple_of(8), base..base + usable)
     }
 
     /// Charges a port slot for a request arriving at `t`; returns the
@@ -322,7 +324,8 @@ impl CacheLevel {
         // with distant re-reference, among the prefetched blocks no
         // demand has touched before any demand block. One key orders
         // both; the first minimum wins.
-        let w = tagrow::first_empty(row).unwrap_or_else(|| {
+        let empty = tagrow::first_empty(row).filter(|&w| w < ways.len());
+        let w = empty.unwrap_or_else(|| {
             let demote = self.prefetch_low_priority;
             let (mut victim, mut least) = (0, u64::MAX);
             for (w, way) in ways.iter().enumerate() {
@@ -841,6 +844,20 @@ mod tests {
                         "reserve_ways_into"
                     }
                 };
+                // The tag-row invariant: a way's byte is 0 when the way
+                // is empty — reserved ways and padding always are —
+                // and its tag's fingerprint otherwise.
+                for (s, (way, refway)) in level.ways.iter().zip(&reference.ways).enumerate() {
+                    let (set, w) = (s / ways, s % ways);
+                    let byte = level.fp[set * level.fp_stride + w];
+                    let want = if refway.valid { tagrow::fingerprint(way.tag) } else { 0 };
+                    tpcheck::ensure!(byte == want, "step {step} ({what}): set {set} way {w}: byte {byte}, want {want}");
+                    tpcheck::ensure!(byte == 0 || w < ways - level.reserved[set] as usize, "a reserved way holds a block");
+                }
+                tpcheck::ensure!(
+                    level.fp.chunks(level.fp_stride).all(|row| row[ways..].iter().all(|&b| b == 0)),
+                    "step {step} ({what}): padding written"
+                );
                 tpcheck::ensure!(
                     level.stats() == reference.stats,
                     "step {step} ({what}): stats {:?} vs {:?}",
