@@ -209,9 +209,7 @@ impl Trace {
     ///
     /// This is the batched-replay entry point: the engine pulls
     /// fixed-size blocks and walks them with [`BlockView::get`] (three
-    /// dense loads, no bounds re-derivation per access) while using
-    /// [`BlockView::addr`] to software-prefetch the *next* access's
-    /// hierarchy state. Blocks never wrap: callers clamp `len` to
+    /// dense loads, no bounds re-derivation per access). Blocks never wrap: callers clamp `len` to
     /// `trace.len() - start` and take a fresh block after the wrap.
     ///
     /// # Panics
