@@ -36,8 +36,9 @@ pub struct ResizeReport {
 
 /// The trigger of a vacant slot. It and the 0 in the slot's byte of
 /// `fps` are the record that a slot is vacant: the other columns of a
-/// vacant slot hold stale values nobody reads. `Line` values are cache block numbers (addresses shifted
-/// right by 6), so `u64::MAX` can never collide with a real trigger.
+/// vacant slot hold stale values nobody reads. `Line` values are cache
+/// block numbers (addresses shifted right by 6), so `u64::MAX` can
+/// never collide with a real trigger.
 const VACANT: Line = Line(u64::MAX);
 
 /// The stream-based metadata store: one fixed-geometry table, like the

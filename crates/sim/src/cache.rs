@@ -111,12 +111,12 @@ impl MshrWindow {
 }
 
 /// Per-way metadata, kept contiguous so one set scan walks a couple of
-/// cache lines instead of five parallel arrays (tag/dirty/prefetched/lru
-/// each used to live in its own heap allocation, which made every
-/// lookup five data-dependent cache misses). The way is also the only
-/// home of a prefetched block's record, so the record cannot outlive or
-/// miss its block. Whether a way holds a block at all is its byte of
-/// the level's tag row, not a field here; an empty way is
+/// cache lines instead of five parallel arrays (tag/valid/dirty/
+/// prefetched/lru each used to live in its own heap allocation, which
+/// made every lookup five data-dependent cache misses). The way is also
+/// the only home of a prefetched block's record, so the record cannot
+/// outlive or miss its block. Whether a way holds a block at all is its
+/// byte of the level's tag row, not a field here; an empty way is
 /// `WaySlot::default()`. 32 bytes: two slots per host cache line.
 #[derive(Clone, Copy, Debug, Default)]
 struct WaySlot {
@@ -129,6 +129,12 @@ struct WaySlot {
     dirty: bool,
     /// Who prefetched the block, until its first demand touch.
     pending: Option<PrefetchOrigin>,
+}
+
+/// The way of a set — its tag row and its slots — that holds `line`.
+#[inline]
+fn way_of(row: &[u8], ways: &[WaySlot], line: Line) -> Option<usize> {
+    tagrow::find(row, tagrow::fingerprint(line.0), |w| ways[w].tag == line.0)
 }
 
 /// One cache level.
@@ -254,8 +260,7 @@ impl CacheLevel {
     /// Pure lookup (no state change); true if present.
     pub fn probe(&self, line: Line) -> bool {
         let (row, span) = self.usable_span(line);
-        let ways = &self.ways[span];
-        tagrow::find(&self.fp[row], tagrow::fingerprint(line.0), |w| ways[w].tag == line.0).is_some()
+        way_of(&self.fp[row], &self.ways[span], line).is_some()
     }
 
     /// Demand lookup: updates recency, hands over the way's prefetch
@@ -264,8 +269,7 @@ impl CacheLevel {
         self.stats.accesses += 1;
         let (row, span) = self.usable_span(line);
         let ways = &mut self.ways[span];
-        let hit = tagrow::find(&self.fp[row], tagrow::fingerprint(line.0), |w| ways[w].tag == line.0);
-        let Some(w) = hit else {
+        let Some(w) = way_of(&self.fp[row], ways, line) else {
             self.stats.misses += 1;
             return LookupResult::Miss;
         };
@@ -312,8 +316,7 @@ impl CacheLevel {
             return None;
         }
         let (row, ways) = (&mut self.fp[row], &mut self.ways[span]);
-        let fp = tagrow::fingerprint(line.0);
-        if let Some(w) = tagrow::find(row, fp, |w| ways[w].tag == line.0) {
+        if let Some(w) = way_of(row, ways, line) {
             ways[w].dirty |= dirty;
             return None;
         }
@@ -353,7 +356,7 @@ impl CacheLevel {
             None
         };
         self.clock += 1;
-        row[w] = fp;
+        row[w] = tagrow::fingerprint(line.0);
         ways[w] = WaySlot {
             tag: line.0,
             lru: self.clock,
