@@ -35,7 +35,7 @@ fn flags(row: &[u8], base: usize, byte: u8) -> u64 {
             (word, !(u64::MAX << (8 * tail.len())))
         }
     };
-    let x = word ^ u64::from(byte) * LANES;
+    let x = word ^ (u64::from(byte) * LANES);
     x.wrapping_sub(LANES) & !x & TOPS & live
 }
 
