@@ -84,22 +84,20 @@ impl Dram {
     /// the completion time of the data transfer.
     pub fn read(&mut self, t: u64, line: Line) -> u64 {
         self.stats.reads += 1;
-        self.access(t, line, true)
+        self.access(t, self.map(line), true)
     }
 
     /// Services a **prefetch** read: scheduled behind all traffic, and
     /// only lightly delaying later demands (demand-first scheduling).
-    pub fn read_prefetch(&mut self, t: u64, line: Line) -> u64 {
+    /// When its bank would hold it back more than `max_backlog` cycles,
+    /// the read is dropped instead: `None`, and nothing changes.
+    pub fn read_prefetch(&mut self, t: u64, line: Line, max_backlog: u64) -> Option<u64> {
+        let at @ (ch, bank, _) = self.map(line);
+        if self.channels[ch].banks[bank].ready.saturating_sub(t) > max_backlog {
+            return None;
+        }
         self.stats.reads += 1;
-        self.access(t, line, false)
-    }
-
-    /// How long a low-priority request for `line` arriving at `t` would
-    /// wait before its bank accepts it (queue backlog probe; no state
-    /// change).
-    pub fn queue_delay(&self, t: u64, line: Line) -> u64 {
-        let (ch, bank_idx, _) = self.map(line);
-        self.channels[ch].banks[bank_idx].ready.saturating_sub(t)
+        Some(self.access(t, at, false))
     }
 
     /// Services a writeback for `line` arriving at time `t`; returns the
@@ -120,8 +118,7 @@ impl Dram {
         done
     }
 
-    fn access(&mut self, t: u64, line: Line, demand: bool) -> u64 {
-        let (ch, bank_idx, row) = self.map(line);
+    fn access(&mut self, t: u64, (ch, bank_idx, row): (usize, usize, u64), demand: bool) -> u64 {
         let p = self.params;
         let channel = &mut self.channels[ch];
         let bank = &mut channel.banks[bank_idx];
@@ -218,6 +215,18 @@ mod tests {
         assert_eq!(d.stats().writes, 1);
         d.reset_stats();
         assert_eq!(d.stats().total(), 0);
+    }
+
+    #[test]
+    fn a_prefetch_behind_a_deep_backlog_is_dropped_untouched() {
+        let mut d = dram();
+        let done = d.read(0, Line(0));
+        let backlog = done - d.params().burst;
+        assert_eq!(d.read_prefetch(0, Line(0), backlog - 1), None);
+        assert_eq!(d.stats().reads, 1, "a drop is not a read");
+        let queued = d.read_prefetch(0, Line(0), backlog).expect("within the backlog");
+        assert!(queued > done);
+        assert_eq!((d.stats().reads, d.stats().row_hits), (2, 1));
     }
 
     #[test]
