@@ -1,10 +1,10 @@
 #!/bin/sh
 # Tier-1 verification plus an audited quick sweep.
 #
-# 1. Release build + the full test suite: the root package's tier 1,
-#    then every workspace crate's own unit, doc and integration tests
-#    (the audit's conservation laws are also debug-asserted inside
-#    every test-mode simulation), then clippy.
+# 1. Release build + the full test suite — the root package's tests
+#    and every workspace crate's own unit, doc and integration tests,
+#    all default members (the audit's conservation laws are also
+#    debug-asserted inside every test-mode simulation) — then clippy.
 # 2. A release-mode sweep over the memory-intensive pool at test scale
 #    with --audit, so the release build's counters are checked against
 #    the same laws the debug assertions enforce.
@@ -15,14 +15,9 @@
 set -e
 cd "$(dirname "$0")/.."
 
-echo "== tier 1: build + tests =="
-# --workspace: the smokes below run ./target/release/{tpserve,tpclient}
-# directly, and a root-package build alone would leave them stale.
-cargo build --release --workspace
+echo "== tier 1: build + tests (every workspace crate: see default-members) =="
+cargo build --release
 cargo test -q
-
-echo "== crate unit, doc and integration tests (outside the root package's tier 1) =="
-cargo test -q --workspace --exclude streamline-repro
 
 echo "== lint gate: clippy with warnings denied =="
 cargo clippy --workspace --all-targets -- -D warnings
