@@ -18,7 +18,7 @@
 //! ```
 
 use crate::record::{Access, AccessKind, Addr, Dep, Pc};
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceBuilder};
 use crate::workloads::Suite;
 use std::fmt;
 
@@ -167,14 +167,14 @@ pub fn from_bytes(buf: &[u8]) -> Result<Trace, DecodeError> {
     // Every access costs at least two bytes (a flags varint and an
     // address-delta varint), so a count claiming more records than the
     // remaining bytes could possibly hold is hostile or truncated.
-    // Rejecting it here also bounds the reservation below by
-    // `buf.len() / 2`: a forged 2^60 count cannot overallocate.
+    // Rejecting it here spares decoding a prefix of a forged 2^60-record
+    // trace; the builder below only grows with records actually read.
     let remaining = buf.len() - pos;
     if count > remaining / 2 {
         return Err(DecodeError::Truncated);
     }
 
-    let mut accesses = Vec::with_capacity(count);
+    let mut b = TraceBuilder::new(name, suite);
     let mut last_pc = 0u64;
     let mut last_addr: std::collections::HashMap<u64, i64> =
         std::collections::HashMap::new();
@@ -198,7 +198,7 @@ pub fn from_bytes(buf: &[u8]) -> Result<Trace, DecodeError> {
         let prev = last_addr.entry(pc).or_insert(0);
         let addr = (*prev).wrapping_add(delta) as u64;
         *prev = addr as i64;
-        accesses.push(Access {
+        b.push(Access {
             pc: Pc(pc),
             addr: Addr(addr),
             kind,
@@ -206,7 +206,7 @@ pub fn from_bytes(buf: &[u8]) -> Result<Trace, DecodeError> {
             gap,
         });
     }
-    Ok(Trace::new(name, suite, accesses))
+    Ok(b.finish())
 }
 
 /// Writes a trace to a file.

@@ -10,17 +10,18 @@
 //! negligible). An [`Access`] is 24 bytes with padding; the packed
 //! layout is 16 bytes per access and keeps the replay loop walking
 //! dense, independently prefetchable streams. [`Access`] remains
-//! the builder/generator-facing view: [`TraceBuilder`] accepts it and
+//! the builder/generator-facing view: [`TraceBuilder`] packs each one
+//! into the columns as it is pushed (there is no staging copy) and
 //! [`Trace::get`]/[`Trace::iter`] reconstitute it on demand, so code
 //! that produces or inspects traces never sees the packing.
 //!
-//! Summary statistics are computed once at construction and cached
-//! ([`Trace::stats`] is O(1)), since every report path asks for them
-//! and the arrays never change.
+//! Summary statistics are not stored: [`Trace::stats`] recounts them
+//! from the columns when asked. Only tests and `tpcli inspect` ask, and
+//! a cached copy would cost every generated trace a per-access line set.
 
 use crate::record::{Access, AccessKind, Addr, Dep, Pc};
 use crate::workloads::Suite;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Largest representable non-memory instruction gap (30 bits). Gaps
@@ -78,62 +79,19 @@ pub struct Trace {
     pc_ix: Vec<u32>,
     addrs: Vec<u64>,
     meta: Vec<u32>,
-    stats: TraceStats,
 }
 
 impl Trace {
-    /// Creates a trace from parts. Prefer [`TraceBuilder`] in generators.
-    ///
-    /// Packs the accesses into the struct-of-arrays layout and computes
-    /// the cached [`TraceStats`] in the same pass. Gaps above
-    /// [`MAX_GAP`] saturate.
+    /// Creates a trace from a list of accesses by pushing each through
+    /// a [`TraceBuilder`], the one packing path. Gaps above [`MAX_GAP`]
+    /// saturate. Generators use the builder directly, which never holds
+    /// an unpacked copy.
     pub fn new(name: impl Into<String>, suite: Suite, accesses: Vec<Access>) -> Self {
-        let n = accesses.len();
-        let mut pc_table = Vec::new();
-        let mut pc_index: HashMap<u64, u32> = HashMap::new();
-        let mut pc_ix = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        let mut meta = Vec::with_capacity(n);
-        let mut lines = HashSet::new();
-        let mut loads = 0u64;
-        let mut stores = 0u64;
-        let mut dependent = 0u64;
-        let mut instructions = 0u64;
-        for a in &accesses {
-            let ix = *pc_index.entry(a.pc.0).or_insert_with(|| {
-                pc_table.push(a.pc.0);
-                (pc_table.len() - 1) as u32
-            });
-            pc_ix.push(ix);
-            addrs.push(a.addr.0);
-            let m = pack_meta(a.kind, a.dep, a.gap);
-            meta.push(m);
-            lines.insert(a.addr.line());
-            match a.kind {
-                AccessKind::Load => loads += 1,
-                AccessKind::Store => stores += 1,
-            }
-            if a.dep == Dep::PrevLoad {
-                dependent += 1;
-            }
-            instructions += 1 + (m & MAX_GAP) as u64;
+        let mut b = TraceBuilder::new(name, suite);
+        for a in accesses {
+            b.push(a);
         }
-        Trace {
-            name: name.into(),
-            suite,
-            pc_table,
-            pc_ix,
-            addrs,
-            meta,
-            stats: TraceStats {
-                accesses: n as u64,
-                instructions,
-                loads,
-                stores,
-                dependent_loads: dependent,
-                unique_lines: lines.len() as u64,
-            },
-        }
+        b.finish()
     }
 
     /// Workload name, e.g. `"gap.pr"`.
@@ -185,7 +143,7 @@ impl Trace {
 
     /// Total instruction count represented (accesses plus gaps).
     pub fn instructions(&self) -> u64 {
-        self.stats.instructions
+        self.meta.iter().map(|&m| 1 + (m & MAX_GAP) as u64).sum()
     }
 
     /// Iterate over accesses (reconstituted by value; `Access` is
@@ -194,14 +152,27 @@ impl Trace {
         Accesses { trace: self, idx: 0 }
     }
 
-    /// Summary statistics for the trace, computed once at construction.
+    /// Summary statistics for the trace, recounted from the columns on
+    /// every call: a pass over `meta` and a sort of the line numbers.
     pub fn stats(&self) -> TraceStats {
-        self.stats
+        let count = |bit: u32| self.meta.iter().filter(|&&m| m & bit != 0).count() as u64;
+        let stores = count(STORE_BIT);
+        TraceStats {
+            accesses: self.len() as u64,
+            instructions: self.instructions(),
+            loads: self.len() as u64 - stores,
+            stores,
+            dependent_loads: count(DEP_BIT),
+            unique_lines: self.footprint_lines(),
+        }
     }
 
-    /// Unique cache lines touched by the trace (cached at build time).
+    /// Unique cache lines touched by the trace (sorts a copy of them).
     pub fn footprint_lines(&self) -> u64 {
-        self.stats.unique_lines
+        let mut lines: Vec<u64> = self.addrs.iter().map(|&a| Addr(a).line().0).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        lines.len() as u64
     }
 
     /// A zero-copy window of `len` accesses starting at `start`,
@@ -351,7 +322,8 @@ impl fmt::Display for TraceStats {
     }
 }
 
-/// Incremental builder used by the workload generators.
+/// Incremental builder used by the workload generators. Each pushed
+/// access is packed straight into the trace's columns: no staging copy.
 ///
 /// ```
 /// use tptrace::{TraceBuilder, Suite};
@@ -364,9 +336,10 @@ impl fmt::Display for TraceStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TraceBuilder {
-    name: String,
-    suite: Suite,
-    accesses: Vec<Access>,
+    /// The trace so far, its columns growing by push.
+    trace: Trace,
+    /// `trace.pc_table` inverted: PC → dictionary index.
+    pc_index: HashMap<u64, u32>,
     default_gap: u32,
 }
 
@@ -374,9 +347,15 @@ impl TraceBuilder {
     /// Starts a new trace.
     pub fn new(name: impl Into<String>, suite: Suite) -> Self {
         TraceBuilder {
-            name: name.into(),
-            suite,
-            accesses: Vec::new(),
+            trace: Trace {
+                name: name.into(),
+                suite,
+                pc_table: Vec::new(),
+                pc_ix: Vec::new(),
+                addrs: Vec::new(),
+                meta: Vec::new(),
+            },
+            pc_index: HashMap::new(),
             default_gap: 2,
         }
     }
@@ -388,9 +367,16 @@ impl TraceBuilder {
         self
     }
 
-    /// Appends an arbitrary access record.
+    /// Appends an arbitrary access record, interning its PC.
     pub fn push(&mut self, access: Access) -> &mut Self {
-        self.accesses.push(access);
+        let t = &mut self.trace;
+        let ix = *self.pc_index.entry(access.pc.0).or_insert_with(|| {
+            t.pc_table.push(access.pc.0);
+            (t.pc_table.len() - 1) as u32
+        });
+        t.pc_ix.push(ix);
+        t.addrs.push(access.addr.0);
+        t.meta.push(pack_meta(access.kind, access.dep, access.gap));
         self
     }
 
@@ -423,17 +409,24 @@ impl TraceBuilder {
 
     /// Number of accesses recorded so far.
     pub fn len(&self) -> usize {
-        self.accesses.len()
+        self.trace.len()
     }
 
     /// Whether no accesses have been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.accesses.is_empty()
+        self.trace.is_empty()
     }
 
-    /// Finalises the trace (packing it into the SoA layout).
-    pub fn finish(self) -> Trace {
-        Trace::new(self.name, self.suite, self.accesses)
+    /// Finalises the trace, trimming each column to its length:
+    /// [`Trace::resident_bytes`] (and so the pool's accounting) reads
+    /// capacity.
+    pub fn finish(mut self) -> Trace {
+        let t = &mut self.trace;
+        t.pc_table.shrink_to_fit();
+        t.pc_ix.shrink_to_fit();
+        t.addrs.shrink_to_fit();
+        t.meta.shrink_to_fit();
+        self.trace
     }
 }
 
@@ -524,7 +517,7 @@ mod tests {
             }],
         );
         assert_eq!(t.get(0).gap, MAX_GAP);
-        // The cached instruction count uses the saturated gap.
+        // The instruction count uses the saturated gap.
         assert_eq!(t.instructions(), 1 + MAX_GAP as u64);
     }
 
@@ -584,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_cached_and_consistent_with_recount() {
+    fn stats_agree_with_a_recount_of_the_view() {
         let mut b = TraceBuilder::new("t", Suite::Spec06);
         for i in 0..500u64 {
             if i % 7 == 0 {
@@ -605,5 +598,118 @@ mod tests {
         assert_eq!((s.loads, s.stores, s.dependent_loads), (loads, stores, deps));
         assert_eq!(s.instructions, instrs);
         assert_eq!(s.accesses, t.len() as u64);
+    }
+
+    /// The packing loop `Trace::new` ran before the builder packed in
+    /// place: a staged `Vec<Access>`, columns reserved to its length,
+    /// and a `TraceStats` cached in the same pass with a hashed line
+    /// set. Kept as the reference the builder is pinned against.
+    fn reference_new(name: &str, suite: Suite, accesses: &[Access]) -> (Trace, TraceStats) {
+        let n = accesses.len();
+        let mut pc_table = Vec::new();
+        let mut pc_index: HashMap<u64, u32> = HashMap::new();
+        let mut pc_ix = Vec::with_capacity(n);
+        let mut addrs = Vec::with_capacity(n);
+        let mut meta = Vec::with_capacity(n);
+        let mut lines = std::collections::HashSet::new();
+        let mut loads = 0u64;
+        let mut stores = 0u64;
+        let mut dependent = 0u64;
+        let mut instructions = 0u64;
+        for a in accesses {
+            let ix = *pc_index.entry(a.pc.0).or_insert_with(|| {
+                pc_table.push(a.pc.0);
+                (pc_table.len() - 1) as u32
+            });
+            pc_ix.push(ix);
+            addrs.push(a.addr.0);
+            let m = pack_meta(a.kind, a.dep, a.gap);
+            meta.push(m);
+            lines.insert(a.addr.line());
+            match a.kind {
+                AccessKind::Load => loads += 1,
+                AccessKind::Store => stores += 1,
+            }
+            if a.dep == Dep::PrevLoad {
+                dependent += 1;
+            }
+            instructions += 1 + (m & MAX_GAP) as u64;
+        }
+        let trace = Trace {
+            name: name.into(),
+            suite,
+            pc_table,
+            pc_ix,
+            addrs,
+            meta,
+        };
+        let stats = TraceStats {
+            accesses: n as u64,
+            instructions,
+            loads,
+            stores,
+            dependent_loads: dependent,
+            unique_lines: lines.len() as u64,
+        };
+        (trace, stats)
+    }
+
+    /// Both kinds, dependent loads, a few hot PCs among fresh ones,
+    /// lines that repeat among lines that do not, and gaps past
+    /// `MAX_GAP`.
+    fn random_accesses(g: &mut tpcheck::Gen) -> Vec<Access> {
+        let hot_pcs = g.u64_in(1..12);
+        g.vec(0..400, |g| Access {
+            pc: Pc(if g.u64_in(0..8) == 0 {
+                g.next_u64()
+            } else {
+                0x400_000 + 4 * g.u64_in(0..hot_pcs)
+            }),
+            addr: Addr(if g.bool() {
+                g.u64_in(0..64 * 64)
+            } else {
+                g.next_u64()
+            }),
+            kind: if g.bool() { AccessKind::Store } else { AccessKind::Load },
+            dep: if g.u64_in(0..3) == 0 { Dep::PrevLoad } else { Dep::None },
+            gap: if g.u64_in(0..8) == 0 {
+                g.u64_in(MAX_GAP as u64 + 1..1 << 32) as u32
+            } else {
+                g.u64_in(0..16) as u32
+            },
+        })
+    }
+
+    #[test]
+    fn builder_packs_exactly_like_the_reference_loop() {
+        tpcheck::check("builder == reference packing", 256, |g| {
+            let accesses = random_accesses(g);
+            let (want, want_stats) = reference_new("eq", Suite::Spec17, &accesses);
+            let mut b = TraceBuilder::new("eq", Suite::Spec17);
+            for &a in &accesses {
+                b.push(a);
+            }
+            let got = b.finish();
+            tpcheck::ensure!((got.name(), got.suite()) == (want.name(), want.suite()));
+            tpcheck::ensure!(got.pc_table == want.pc_table, "pc_table differs");
+            tpcheck::ensure!(got.pc_ix == want.pc_ix, "pc_ix differs");
+            tpcheck::ensure!(got.addrs == want.addrs, "addrs differs");
+            tpcheck::ensure!(got.meta == want.meta, "meta differs");
+            let caps = [
+                got.pc_table.capacity(),
+                got.pc_ix.capacity(),
+                got.addrs.capacity(),
+                got.meta.capacity(),
+            ];
+            let lens = [got.pc_table.len(), got.len(), got.len(), got.len()];
+            tpcheck::ensure!(caps == lens, "columns not trimmed: {caps:?} for {lens:?}");
+            tpcheck::ensure!(
+                got.stats() == want_stats,
+                "{:?} != {want_stats:?}",
+                got.stats()
+            );
+            tpcheck::ensure!(Trace::new("eq", Suite::Spec17, accesses) == got);
+            Ok(())
+        });
     }
 }

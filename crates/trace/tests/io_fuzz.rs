@@ -37,9 +37,14 @@ fn random_trace(g: &mut tpcheck::Gen) -> Trace {
 fn round_trips_arbitrary_addresses_and_pcs() {
     tpcheck::check("io round-trip on hostile-shaped traces", 128, |g| {
         let t = random_trace(g);
-        let back = from_bytes(&to_bytes(&t)).map_err(|e| format!("decode failed: {e}"))?;
+        let bytes = to_bytes(&t);
+        let back = from_bytes(&bytes).map_err(|e| format!("decode failed: {e}"))?;
         tpcheck::ensure!(back.accesses() == t.accesses(), "accesses changed");
         tpcheck::ensure!(back.suite() == t.suite(), "suite changed");
+        // The decoder packs through the same builder as `Trace::new`:
+        // same PC dictionary, same columns, and the same bytes again.
+        tpcheck::ensure!(back == t, "decoded trace differs in its packed columns");
+        tpcheck::ensure!(to_bytes(&back) == bytes, "write -> read -> write changed the bytes");
         Ok(())
     });
 }

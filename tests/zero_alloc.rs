@@ -1,12 +1,14 @@
-//! The hard allocation gate for the demand path: `Engine::run` performs
-//! (almost) no heap allocation per simulated access.
+//! The hard allocation gates: `Engine::run` performs (almost) no heap
+//! allocation per simulated access, and generating a trace costs little
+//! more memory than the finished trace holds.
 //!
 //! Engine construction front-loads every table and metadata-store slot,
 //! so the bracket wraps `run` only; what is left is per-run epilogue
 //! work (report assembly, audit), well under 0.001 allocs/access over a
 //! trace pass. At or above the gate, an allocation has crept back onto
 //! the per-access path. `benchmark/run.sh` reports the same quantity as
-//! `allocs_per_access`; this is the test that fails on it.
+//! `allocs_per_access`; this is the test that fails on it. Its
+//! `peak_heap_mb` is counted the way [`LIVE`] and [`PEAK`] count here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,27 +20,57 @@ thread_local! {
     /// Allocations made by *this* thread, so the test harness's other
     /// threads cannot pollute a bracket.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread holds in blocks of [`TRACKED_MIN`] or more
+    /// (signed: a block may be freed by a thread that did not allocate
+    /// it).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most [`LIVE`] has been since a bracket reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Smallest block that counts towards [`LIVE`], as in the benchmark's
+/// heap tracker: the traces, tables and stores are the footprint.
+const TRACKED_MIN: usize = 4096;
+
+/// `try_with` throughout: a thread being torn down may allocate after
+/// its thread-locals are gone.
+fn grew(bytes: usize) {
+    if bytes >= TRACKED_MIN {
+        let _ = LIVE.try_with(|l| {
+            l.set(l.get() + bytes as i64);
+            let _ = PEAK.try_with(|p| p.set(p.get().max(l.get())));
+        });
+    }
+}
+
+fn shrank(bytes: usize) {
+    if bytes >= TRACKED_MIN {
+        let _ = LIVE.try_with(|l| l.set(l.get() - bytes as i64));
+    }
 }
 
 struct CountingAlloc;
 
-// SAFETY: defers entirely to `System`; the counter has no effect on the
-// returned pointers or layouts. `realloc` counts as one allocation (the
-// grow-in-place path still hits the allocator), `dealloc` is free.
+// SAFETY: defers entirely to `System`; the counters have no effect on
+// the returned pointers or layouts. `realloc` counts as one allocation
+// (the grow-in-place path still hits the allocator) and, for live
+// bytes, as a free of the old block and an allocation of the new one.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread being torn down may allocate after its
-        // thread-locals are gone.
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        grew(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        shrank(layout.size());
+        grew(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -146,4 +178,28 @@ fn the_mrb_never_allocates_after_construction() {
     let allocs = ALLOCS.with(Cell::get) - before;
     assert_eq!(allocs, 0, "Mrb allocated after construction");
     assert_eq!(mrb.len(), 32);
+}
+
+/// Live bytes while `generate` runs may peak at this multiple of the
+/// finished trace's `resident_bytes()`. A builder that packs in place
+/// pays its columns' growth slack (up to 2x) plus the generator's own
+/// working set; staging a 24-byte `Vec<Access>` and then packing a
+/// second copy read 2.8-4.4x.
+const MAX_GENERATION_PEAK: f64 = 2.5;
+
+#[test]
+fn generating_a_trace_peaks_near_its_resident_size() {
+    for w in workloads::memory_intensive() {
+        let before = LIVE.with(Cell::get);
+        PEAK.with(|p| p.set(before));
+        let trace = w.generate(Scale::Test);
+        let ratio = (PEAK.with(Cell::get) - before) as f64 / trace.resident_bytes() as f64;
+        assert!(
+            ratio <= MAX_GENERATION_PEAK,
+            "{}: generation peaked at {ratio:.2}x the trace's {} resident bytes \
+             (gate {MAX_GENERATION_PEAK}x)",
+            w.name,
+            trace.resident_bytes()
+        );
+    }
 }
