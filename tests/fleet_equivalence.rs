@@ -567,3 +567,35 @@ fn a_wait_answered_without_a_verdict_reroutes_the_job() {
     let lines = stub.join().unwrap();
     assert_eq!(verbs(&lines), (1, 1, 2), "{lines:#?}");
 }
+
+#[test]
+fn a_backend_verdict_of_a_panicked_job_reaches_the_client_and_the_link_lives_on() {
+    // Ticket 1 panicked on its backend worker; ticket 2 ran. The
+    // coordinator relays the first verdict as it is — no reroute, no
+    // local run — and serves the next job over the same link.
+    let reason = "panicked: warmup fraction 2 is not in [0, 1)";
+    let report = seeded_local_report(26);
+    let canned = report.clone();
+    let (addr, stub) = stub_backend(move |ticket, _| match ticket {
+        1 => format!(r#"{{"status":"failed","ticket":{ticket},"reason":"{reason}"}}"#),
+        _ => format!(
+            r#"{{"status":"done","ticket":{ticket},"key":"0","cached":false,"report":{canned}}}"#
+        ),
+    });
+    let fleet = start_coordinator(&[addr]);
+    let mut c = Client::connect(&fleet.addr).expect("connect coordinator");
+    let failed = c.submit_and_wait(&seeded_payload(25)).unwrap();
+    assert_eq!(status(&failed), "failed", "{}", failed.encode());
+    assert_eq!(failed.get("reason").and_then(Value::as_str), Some(reason));
+    let next = c.submit_and_wait(&seeded_payload(26)).unwrap();
+    assert_eq!(status(&next), "done", "{}", next.encode());
+    assert_eq!(next.get("report").unwrap().encode(), report);
+    assert_eq!(fleet.controller.rerouted(), 0);
+    assert_eq!(fleet.controller.local_jobs(), 0);
+
+    assert_eq!(status(&c.shutdown().unwrap()), "ok");
+    drop(c);
+    fleet.handle.join().unwrap();
+    let lines = stub.join().unwrap();
+    assert_eq!(verbs(&lines), (2, 2, 4), "{lines:#?}");
+}
