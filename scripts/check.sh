@@ -21,6 +21,8 @@ cargo test -q
 
 echo "== lint gate: clippy with warnings denied =="
 cargo clippy --workspace --all-targets -- -D warnings
+# The benchmark is its own workspace, which the line above never lints.
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "== audited quick sweep (release, test scale) =="
 cargo run --release -q -p tpbench --bin fig09_single_core -- \
