@@ -37,7 +37,7 @@ struct SchemeStore {
     scheme: Scheme,
     /// Fraction of the max partition in eighths (2 = 0.25MB, 8 = 1MB).
     size_eighths: usize,
-    /// slots[set] holds (trigger, lru) pairs.
+    /// `slots[set]` holds (trigger, lru) pairs.
     slots: Vec<Vec<(u64, u64)>>,
     clock: u64,
     moved_blocks: u64,

@@ -15,7 +15,7 @@ use crate::{audit_from_args, runner};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tpharness::sweep::SweepJob;
-use tpharness::wire::{decode_sim_report, parse, Value};
+use tpharness::wire::{parse, sim_report_from_value, Value};
 use tpserve::{Client, Request};
 use tpsim::SimReport;
 
@@ -70,7 +70,7 @@ pub fn run_via_server(addr: &str, jobs: &[SweepJob]) -> io::Result<Vec<SimReport
         if resp.get("status").and_then(Value::as_str) == Some("done") {
             served[i] = resp
                 .get("report")
-                .and_then(|r| decode_sim_report(&r.encode()).ok());
+                .and_then(|r| sim_report_from_value(r).ok());
         }
     }
 

@@ -9,19 +9,85 @@
 //! that a report served by `tpserve` is *byte-identical* to the same
 //! experiment run directly through the sweep runner.
 //!
-//! Numbers are kept as their literal text (`Value::Num(String)`) rather
+//! Numbers are kept as their literal text (`Value::Num(Numeral)`) rather
 //! than eagerly converted to `f64`, so 64-bit counters round-trip
 //! exactly — no 2^53 precision cliff. The parser needs no numeral's
 //! value, only that it is one: it checks the literal against the
-//! grammar `f64::from_str` accepts and computes nothing.
+//! grammar `f64::from_str` accepts and computes nothing. A [`Numeral`]
+//! holds up to 22 bytes in place (every `u64` fits), so parsing a
+//! report allocates for its keys, strings and containers only — 83
+//! allocations for a one-core `done` reply, where one `String` per
+//! numeral made it 138.
 //!
 //! The encoder's output is a fixed point — `parse(e).encode() == e` —
 //! which is the test `tpserve` applies to bytes it did not encode
 //! before splicing them, unparsed, into a reply. One parser serves
 //! every reader; its test module keeps the one it replaced as reference.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use tpsim::{CacheStats, CoreReport, DramStats, SimReport, TemporalStats};
+
+/// Bytes a [`Numeral`] holds without allocating.
+const INLINE: usize = 22;
+
+/// A numeric literal's text: up to 22 bytes in place, longer literals
+/// in one exact-size box. Keeps [`Value`] at 32 bytes.
+#[derive(Clone, PartialEq)]
+pub struct Numeral(Repr);
+
+#[derive(Clone, PartialEq)]
+enum Repr {
+    /// The length, then the bytes; those past the length stay zero, so
+    /// the derived equality compares text.
+    Inline(u8, [u8; INLINE]),
+    Boxed(Box<str>),
+}
+
+impl Numeral {
+    /// The literal's text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline(len, bytes) => {
+                std::str::from_utf8(&bytes[..*len as usize]).expect("only whole strs are written")
+            }
+            Repr::Boxed(text) => text,
+        }
+    }
+
+    /// `args` formatted, with no allocation if the text fits in place.
+    fn format(args: fmt::Arguments) -> Numeral {
+        let mut n = Numeral::from("");
+        n.write_fmt(args).expect("writing to a Numeral cannot fail");
+        n
+    }
+}
+
+impl From<&str> for Numeral {
+    fn from(text: &str) -> Numeral {
+        let mut n = Numeral(Repr::Inline(0, [0; INLINE]));
+        let _ = n.write_str(text);
+        n
+    }
+}
+
+impl fmt::Write for Numeral {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        match &mut self.0 {
+            Repr::Inline(len, bytes) if *len as usize + s.len() <= INLINE => {
+                bytes[*len as usize..][..s.len()].copy_from_slice(s.as_bytes());
+                *len += s.len() as u8;
+            }
+            _ => self.0 = Repr::Boxed([self.as_str(), s].concat().into_boxed_str()),
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Debug for Numeral {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// A JSON-ish value tree.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,7 +97,7 @@ pub enum Value {
     /// `true` / `false`.
     Bool(bool),
     /// A numeric literal, kept as text for lossless round-trips.
-    Num(String),
+    Num(Numeral),
     /// A string.
     Str(String),
     /// An array.
@@ -43,13 +109,13 @@ pub enum Value {
 impl Value {
     /// Builds a number from a `u64` (exact).
     pub fn u64(v: u64) -> Value {
-        Value::Num(v.to_string())
+        Value::Num(Numeral::format(format_args!("{v}")))
     }
 
     /// Builds a number from an `f64` via Rust's shortest-round-trip
     /// formatting (deterministic and parseable).
     pub fn f64(v: f64) -> Value {
-        Value::Num(format!("{v:?}"))
+        Value::Num(Numeral::format(format_args!("{v:?}")))
     }
 
     /// Object field lookup (first match).
@@ -71,7 +137,7 @@ impl Value {
     /// The value as `u64`, if it is an exactly-representable numeral.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(s) => s.parse().ok(),
+            Value::Num(n) => n.as_str().parse().ok(),
             _ => None,
         }
     }
@@ -79,7 +145,7 @@ impl Value {
     /// The value as `f64`, if numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(s) => s.parse().ok(),
+            Value::Num(n) => n.as_str().parse().ok(),
             _ => None,
         }
     }
@@ -112,7 +178,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Num(s) => out.push_str(s),
+            Value::Num(n) => out.push_str(n.as_str()),
             Value::Str(s) => escape_into(s, out),
             Value::Arr(items) => {
                 out.push('[');
@@ -226,9 +292,14 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(s, pos, depth + 1)? {
-                    Value::Str(s) => s,
-                    _ => return Err(format!("object key at byte {pos} is not a string")),
+                let key = match b.get(*pos) {
+                    Some(b'"') if depth < MAX_DEPTH => parse_string(s, pos)?,
+                    // Fails as parsing the key as a value would, or says
+                    // the value it is is no string.
+                    _ => {
+                        parse_value(s, pos, depth + 1)?;
+                        return Err(format!("object key at byte {pos} is not a string"));
+                    }
                 };
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
@@ -269,51 +340,7 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
                 }
             }
         }
-        Some(b'"') => {
-            *pos += 1;
-            let mut out = String::new();
-            loop {
-                // Copy the run up to the next quote or backslash whole.
-                // Both are ASCII, so the run ends on a scalar boundary.
-                let run = *pos;
-                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
-                    *pos += 1;
-                }
-                out.push_str(&s[run..*pos]);
-                match b.get(*pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Value::Str(out));
-                    }
-                    // A backslash: the run stops at nothing else.
-                    Some(_) => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                let hex = b
-                                    .get(*pos + 1..*pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = std::str::from_utf8(hex)
-                                    .ok()
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or("bad \\u escape")?;
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                *pos += 4;
-                            }
-                            _ => return Err("bad escape".into()),
-                        }
-                        *pos += 1;
-                    }
-                }
-            }
-        }
+        Some(b'"') => parse_string(s, pos).map(Value::Str),
         Some(c) if c.is_ascii_digit() || *c == b'-' || *c == b'+' => {
             let start = *pos;
             *pos += 1;
@@ -325,7 +352,7 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
             if !is_number(lit.as_bytes()) {
                 return Err(format!("bad number {lit:?}"));
             }
-            Ok(Value::Num(lit.to_string()))
+            Ok(Value::Num(Numeral::from(lit)))
         }
         Some(_) => {
             for (lit, v) in [
@@ -339,6 +366,53 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
                 }
             }
             Err(format!("unexpected byte {:?} at {}", b[*pos] as char, pos))
+        }
+    }
+}
+
+/// The string whose opening quote is at `*pos`, unescaped; `*pos` ends
+/// past its closing quote.
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
+    *pos += 1;
+    let mut out = String::new();
+    loop {
+        // Copy the run up to the next quote or backslash whole.
+        // Both are ASCII, so the run ends on a scalar boundary.
+        let run = *pos;
+        while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+            *pos += 1;
+        }
+        out.push_str(&s[run..*pos]);
+        match b.get(*pos) {
+            None => return Err("unterminated string".into()),
+            Some(b'"') => {
+                *pos += 1;
+                return Ok(out);
+            }
+            // A backslash: the run stops at nothing else.
+            Some(_) => {
+                *pos += 1;
+                match b.get(*pos) {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'u') => {
+                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
+                        let code = std::str::from_utf8(hex)
+                            .ok()
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .ok_or("bad \\u escape")?;
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        *pos += 4;
+                    }
+                    _ => return Err("bad escape".into()),
+                }
+                *pos += 1;
+            }
         }
     }
 }
@@ -488,9 +562,18 @@ pub fn encode_sim_report(r: &SimReport) -> String {
 /// not shipped across the wire.
 ///
 /// # Errors
-/// Returns a description of the first missing or malformed field.
+/// Returns a description of the first syntax error, or of the first
+/// missing or malformed field.
 pub fn decode_sim_report(s: &str) -> Result<SimReport, String> {
-    let v = parse(s)?;
+    sim_report_from_value(&parse(s)?)
+}
+
+/// Reads a report out of a parsed [`encode_sim_report`] tree, such as
+/// the `report` field of a reply already parsed whole.
+///
+/// # Errors
+/// Returns a description of the first missing or malformed field.
+pub fn sim_report_from_value(v: &Value) -> Result<SimReport, String> {
     let cores_v = v
         .get("cores")
         .and_then(Value::as_arr)
@@ -738,7 +821,7 @@ mod tests {
                 // Validate it parses as a number now, so `Num` is always a
                 // well-formed literal.
                 lit.parse::<f64>().map_err(|_| format!("bad number {lit:?}"))?;
-                Ok(Value::Num(lit.to_string()))
+                Ok(Value::Num(Numeral::from(lit)))
             }
             Some(_) => {
                 for (lit, v) in [
@@ -760,15 +843,17 @@ mod tests {
     /// multi-byte UTF-8, the numerals that matter, and nesting down to
     /// `depth` levels below this value.
     fn random_value(g: &mut tpcheck::Gen, depth: usize) -> Value {
-        const NUMS: [&str; 8] =
-            ["18446744073709551615", "-0.0", "1e-7", "0", "-17", "2.5E+3", "1.", "+4"];
+        const NUMS: [&str; 9] = [
+            "18446744073709551615", "-0.0", "1e-7", "0", "-17", "2.5E+3", "1.", "+4",
+            "-1.2345678901234567e-300",
+        ];
         const PIECES: [&str; 12] =
             ["plain", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "/", "é", "日本", "🦀"];
         let string = |g: &mut tpcheck::Gen| g.vec(0..5, |g| PIECES[g.usize_in(0..12)]).concat();
         match g.usize_in(0..if depth == 0 { 5 } else { 7 }) {
             0 => Value::Null,
             1 => Value::Bool(g.bool()),
-            2 => Value::Num(NUMS[g.usize_in(0..NUMS.len())].into()),
+            2 => Value::Num(Numeral::from(NUMS[g.usize_in(0..NUMS.len())])),
             3 => Value::u64(g.next_u64()),
             4 => Value::Str(string(g)),
             5 => Value::Arr(g.vec(0..4, |g| random_value(g, depth - 1))),
@@ -834,6 +919,34 @@ mod tests {
     }
 
     #[test]
+    fn numerals_keep_their_text_in_place_and_boxed() {
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+        tpcheck::check("Value::u64 is n.to_string()", 256, |g| {
+            let shifted = g.next_u64() >> g.usize_in(0..64);
+            let n = [0, u64::MAX, g.next_u64(), shifted][g.usize_in(0..4)];
+            let v = Value::u64(n);
+            tpcheck::ensure!(v.encode() == n.to_string(), "{n}: {}", v.encode());
+            tpcheck::ensure!(v.as_u64() == Some(n), "{n}: as_u64 gave {:?}", v.as_u64());
+            Ok(())
+        });
+        // Literals just below, at and just above the inline capacity.
+        tpcheck::check("numerals around the inline capacity survive parse", 256, |g| {
+            let len = g.usize_in(INLINE - 2..INLINE + 3);
+            let digit = |g: &mut tpcheck::Gen| (b'0' + g.usize_in(0..10) as u8) as char;
+            let digits: String = (0..len).map(|_| digit(g)).collect();
+            let signed = format!("-{}", &digits[1..]);
+            let exponent = format!("{}e-9", &digits[3..]);
+            for lit in [digits, signed, exponent] {
+                let v = parse(&lit).map_err(|e| format!("{lit}: {e}"))?;
+                tpcheck::ensure!(v.encode() == lit, "{lit} came back {}", v.encode());
+                tpcheck::ensure!(v.as_f64() == lit.parse().ok(), "{lit}: as_f64 {:?}", v.as_f64());
+                tpcheck::ensure!(v.as_u64() == lit.parse().ok(), "{lit}: as_u64 {:?}", v.as_u64());
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
     fn sim_report_round_trips_exactly() {
         let w = workloads::by_name("spec06.mcf").unwrap();
         let exp = Experiment::new(Scale::Test)
@@ -844,6 +957,8 @@ mod tests {
         let back = decode_sim_report(&text).unwrap();
         // Canonical encoding: round-trip must be byte-identical.
         assert_eq!(encode_sim_report(&back), text);
+        let from_tree = sim_report_from_value(&parse(&text).unwrap()).unwrap();
+        assert_eq!(encode_sim_report(&from_tree), text);
         assert_eq!(back.cores[0].cycles, r.cores[0].cycles);
         assert_eq!(back.cores[0].temporal, r.cores[0].temporal);
         assert_eq!(back.llc, r.llc);

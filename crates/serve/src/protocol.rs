@@ -354,7 +354,9 @@ impl Request {
 /// buffered whole). Partial data survives in `scratch` across timeout
 /// errors (`WouldBlock`/`TimedOut`), so callers with read timeouts can
 /// retry without losing bytes. `Ok(None)` means clean EOF; EOF after a
-/// partial line delivers that partial as a final frame.
+/// partial line delivers that partial as a final frame. `scratch` keeps
+/// its capacity from frame to frame: a frame costs one exact-size
+/// `String`.
 ///
 /// # Errors
 /// I/O errors from the underlying reader, `InvalidData` for oversized
@@ -366,10 +368,7 @@ pub fn read_frame<R: BufRead>(r: &mut R, scratch: &mut Vec<u8>) -> io::Result<Op
             if scratch.is_empty() {
                 return Ok(None);
             }
-            let line = std::mem::take(scratch);
-            return String::from_utf8(line)
-                .map(Some)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"));
+            return take_frame(scratch).map(Some);
         }
         let newline = available.iter().position(|&b| b == b'\n');
         let take = newline.unwrap_or(available.len());
@@ -385,17 +384,21 @@ pub fn read_frame<R: BufRead>(r: &mut R, scratch: &mut Vec<u8>) -> io::Result<Op
         match newline {
             Some(i) => {
                 r.consume(i + 1);
-                let mut line = std::mem::take(scratch);
-                if line.last() == Some(&b'\r') {
-                    line.pop();
+                if scratch.last() == Some(&b'\r') {
+                    scratch.pop();
                 }
-                return String::from_utf8(line).map(Some).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8")
-                });
+                return take_frame(scratch).map(Some);
             }
             None => r.consume(take),
         }
     }
+}
+
+/// A copy of the frame in `scratch`, which is left empty.
+fn take_frame(scratch: &mut Vec<u8>) -> io::Result<String> {
+    let frame = std::str::from_utf8(scratch).map(str::to_owned);
+    scratch.clear();
+    frame.map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
 }
 
 #[cfg(test)]
@@ -569,6 +572,54 @@ mod tests {
                 "{json} should mention {needle:?}, got: {err}"
             );
         }
+    }
+
+    #[test]
+    fn pipelined_frames_come_back_line_for_line_through_any_buffer() {
+        use std::io::BufReader;
+        let long = |g: &mut tpcheck::Gen| "L".repeat(g.usize_in(1000..5000));
+        let line = |g: &mut tpcheck::Gen| {
+            const PIECES: [&str; 6] = ["x", r#"{"k":1}"#, " ", "é", "日本", "SUBMIT"];
+            match g.usize_in(0..8) {
+                0 => String::new(),
+                1 => long(g),
+                _ => g.vec(1..12, |g| PIECES[g.usize_in(0..PIECES.len())]).concat(),
+            }
+        };
+        tpcheck::check("read_frame gives back each pipelined line", 128, |g| {
+            // One scratch for both streams: the second starts right
+            // after the first's oversized line failed.
+            let mut scratch = Vec::new();
+            for oversized in [true, false] {
+                // A long line first, so short frames follow a grown buffer.
+                let mut lines = vec![long(g)];
+                lines.extend(g.vec(1..16, line));
+                let mut stream = Vec::new();
+                for l in &lines {
+                    stream.extend_from_slice(l.as_bytes());
+                    stream.extend_from_slice(if g.bool() { b"\r\n" } else { b"\n" });
+                }
+                if oversized {
+                    stream.extend(std::iter::repeat_n(b'y', MAX_LINE_BYTES + 1));
+                    stream.push(b'\n');
+                }
+                let mut r = BufReader::with_capacity(g.usize_in(1..64), &stream[..]);
+                for (i, l) in lines.iter().enumerate() {
+                    let frame = read_frame(&mut r, &mut scratch).map_err(|e| e.to_string())?;
+                    tpcheck::ensure!(frame.as_ref() == Some(l), "frame {i}: {frame:?} != {l:?}");
+                }
+                let end = read_frame(&mut r, &mut scratch);
+                match oversized {
+                    true => tpcheck::ensure!(
+                        end.as_ref().is_err_and(|e| e.kind() == io::ErrorKind::InvalidData),
+                        "the oversized line gave {:?}",
+                        end.map(|f| f.map(|f| f.len()))
+                    ),
+                    false => tpcheck::ensure!(end.as_ref().is_ok_and(Option::is_none), "{end:?}"),
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

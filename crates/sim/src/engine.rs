@@ -245,11 +245,11 @@ impl Engine {
     }
 
     /// Runs the simulation with cooperative cancellation: the engine
-    /// checks `cancel` at epoch boundaries (every
-    /// [`CANCEL_EPOCH`](crate::cancel::CANCEL_EPOCH) processed accesses)
-    /// and returns `None` if cancellation was requested, discarding the
-    /// partial run. A completed run returns the same report `run` would
-    /// have produced — the check adds no simulation-visible state.
+    /// checks `cancel` at epoch boundaries (every [`CANCEL_EPOCH`]
+    /// processed accesses) and returns `None` if cancellation was
+    /// requested, discarding the partial run. A completed run returns
+    /// the same report `run` would have produced — the check adds no
+    /// simulation-visible state.
     pub fn run_with_cancel(self, cancel: &CancelToken) -> Option<SimReport> {
         self.run_impl(Some(cancel))
     }

@@ -4,7 +4,8 @@
 # 1. Release build + the full test suite — the root package's tests
 #    and every workspace crate's own unit, doc and integration tests,
 #    all default members (the audit's conservation laws are also
-#    debug-asserted inside every test-mode simulation) — then clippy.
+#    debug-asserted inside every test-mode simulation) — then clippy
+#    and rustdoc, warnings denied.
 # 2. A release-mode sweep over the memory-intensive pool at test scale
 #    with --audit, so the release build's counters are checked against
 #    the same laws the debug assertions enforce.
@@ -19,10 +20,12 @@ echo "== tier 1: build + tests (every workspace crate: see default-members) =="
 cargo build --release
 cargo test -q
 
-echo "== lint gate: clippy with warnings denied =="
+echo "== lint gate: clippy and rustdoc with warnings denied =="
 cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark is its own workspace, which the line above never lints.
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+# Broken intra-doc links and other rustdoc warnings.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== audited quick sweep (release, test scale) =="
 cargo run --release -q -p tpbench --bin fig09_single_core -- \

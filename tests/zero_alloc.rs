@@ -1,6 +1,7 @@
 //! The hard allocation gates: `Engine::run` performs (almost) no heap
-//! allocation per simulated access, and generating a trace costs little
-//! more memory than the finished trace holds.
+//! allocation per simulated access, generating a trace costs little
+//! more memory than the finished trace holds, and a served report is
+//! read and parsed with one allocation per thing the tree must own.
 //!
 //! Engine construction front-loads every table and metadata-store slot,
 //! so the bracket wraps `run` only; what is left is per-run epilogue
@@ -14,6 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use streamline_repro::prelude::*;
+use streamline_repro::tpharness::wire::{self, encode_sim_report, Value};
 use streamline_repro::tptrace::TraceBuilder;
 
 thread_local! {
@@ -202,4 +204,80 @@ fn generating_a_trace_peaks_near_its_resident_size() {
             trace.resident_bytes()
         );
     }
+}
+
+/// Counts what parsing `v` must allocate for: one `String` per key and
+/// string into `owned`, one `Vec` per array and object into
+/// `containers`. Numerals, `null` and booleans own no heap memory.
+fn count_parts(v: &Value, owned: &mut u64, containers: &mut u64) {
+    match v {
+        Value::Str(_) => *owned += 1,
+        Value::Arr(items) => {
+            *containers += 1;
+            for v in items {
+                count_parts(v, owned, containers);
+            }
+        }
+        Value::Obj(fields) => {
+            *containers += 1;
+            *owned += fields.len() as u64;
+            for (_, v) in fields {
+                count_parts(v, owned, containers);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// A cached hit's reply: the envelope a `done` line carries around the
+/// report of an `spec06.mcf` run with Streamline.
+fn done_reply() -> String {
+    let w = workloads::by_name("spec06.mcf").expect("registry workload");
+    let exp = Experiment::new(Scale::Test)
+        .l1(L1Kind::Stride)
+        .temporal(TemporalKind::Streamline);
+    let report = encode_sim_report(&run_single(&w, &exp));
+    format!(r#"{{"status":"done","key":"0123456789abcdef","cached":true,"report":{report}}}"#)
+}
+
+#[test]
+fn a_done_reply_parses_with_one_allocation_per_owned_part() {
+    let line = done_reply();
+    let before = ALLOCS.with(Cell::get);
+    let tree = wire::parse(&line).expect("a done reply parses");
+    let allocs = ALLOCS.with(Cell::get) - before;
+    let (mut owned, mut containers) = (0, 0);
+    count_parts(&tree, &mut owned, &mut containers);
+    // A `Vec` grown past its first capacity allocates twice.
+    let gate = owned + 2 * containers;
+    assert!(
+        allocs <= gate,
+        "parsing a done reply made {allocs} allocations; its {owned} keys and strings and \
+         {containers} containers allow {gate}"
+    );
+}
+
+#[test]
+fn read_frame_allocates_once_per_frame() {
+    use std::io::BufReader;
+    use tpserve::protocol::read_frame;
+
+    const FRAMES: usize = 64;
+    let line = done_reply();
+    // Replies of varying length, the longest first so the kept buffer
+    // has its size before the count starts.
+    let stream: String = (0..=FRAMES)
+        .map(|i| format!("{}\n", &line[..line.len() - i]))
+        .collect();
+    let mut reader = BufReader::new(stream.as_bytes());
+    let mut scratch = Vec::new();
+    read_frame(&mut reader, &mut scratch).expect("first frame");
+    let before = ALLOCS.with(Cell::get);
+    let frames: Vec<String> = (0..FRAMES)
+        .map(|_| read_frame(&mut reader, &mut scratch).expect("a frame").expect("not EOF"))
+        .collect();
+    let allocs = ALLOCS.with(Cell::get) - before;
+    // The `Vec` of frames collects into one exact-size allocation.
+    assert_eq!(allocs, FRAMES as u64 + 1, "{FRAMES} frames read with {allocs} allocations");
+    assert!(frames.iter().all(|f| line.starts_with(f.as_str())));
 }
