@@ -14,10 +14,8 @@
 //! exactly — no 2^53 precision cliff. The parser needs no numeral's
 //! value, only that it is one: it checks the literal against the
 //! grammar `f64::from_str` accepts and computes nothing. A [`Numeral`]
-//! holds up to 22 bytes in place (every `u64` fits), so parsing a
-//! report allocates for its keys, strings and containers only — 83
-//! allocations for a one-core `done` reply, where one `String` per
-//! numeral made it 138.
+//! holds every `u64` in place, so parsing a one-core `done` reply
+//! allocates 83 times (keys, strings, containers), not 138.
 //!
 //! The encoder's output is a fixed point — `parse(e).encode() == e` —
 //! which is the test `tpserve` applies to bytes it did not encode
@@ -30,15 +28,14 @@ use tpsim::{CacheStats, CoreReport, DramStats, SimReport, TemporalStats};
 /// Bytes a [`Numeral`] holds without allocating.
 const INLINE: usize = 22;
 
-/// A numeric literal's text: up to 22 bytes in place, longer literals
-/// in one exact-size box. Keeps [`Value`] at 32 bytes.
+/// A numeric literal's text: up to 22 bytes in place, a longer one in
+/// an exact-size box. Keeps [`Value`] at 32 bytes.
 #[derive(Clone, PartialEq)]
 pub struct Numeral(Repr);
 
+/// Inline bytes past the length stay zero: derived equality is text's.
 #[derive(Clone, PartialEq)]
 enum Repr {
-    /// The length, then the bytes; those past the length stay zero, so
-    /// the derived equality compares text.
     Inline(u8, [u8; INLINE]),
     Boxed(Box<str>),
 }
@@ -48,38 +45,21 @@ impl Numeral {
     pub fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Inline(len, bytes) => {
-                std::str::from_utf8(&bytes[..*len as usize]).expect("only whole strs are written")
+                std::str::from_utf8(&bytes[..*len as usize]).expect("a whole str was copied in")
             }
             Repr::Boxed(text) => text,
         }
-    }
-
-    /// `args` formatted, with no allocation if the text fits in place.
-    fn format(args: fmt::Arguments) -> Numeral {
-        let mut n = Numeral::from("");
-        n.write_fmt(args).expect("writing to a Numeral cannot fail");
-        n
     }
 }
 
 impl From<&str> for Numeral {
     fn from(text: &str) -> Numeral {
-        let mut n = Numeral(Repr::Inline(0, [0; INLINE]));
-        let _ = n.write_str(text);
-        n
-    }
-}
-
-impl fmt::Write for Numeral {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        match &mut self.0 {
-            Repr::Inline(len, bytes) if *len as usize + s.len() <= INLINE => {
-                bytes[*len as usize..][..s.len()].copy_from_slice(s.as_bytes());
-                *len += s.len() as u8;
-            }
-            _ => self.0 = Repr::Boxed([self.as_str(), s].concat().into_boxed_str()),
-        }
-        Ok(())
+        let mut bytes = [0; INLINE];
+        let Some(head) = bytes.get_mut(..text.len()) else {
+            return Numeral(Repr::Boxed(text.into()));
+        };
+        head.copy_from_slice(text.as_bytes());
+        Numeral(Repr::Inline(text.len() as u8, bytes))
     }
 }
 
@@ -109,13 +89,17 @@ pub enum Value {
 impl Value {
     /// Builds a number from a `u64` (exact).
     pub fn u64(v: u64) -> Value {
-        Value::Num(Numeral::format(format_args!("{v}")))
+        let mut digits = [0; 20];
+        let mut rest = &mut digits[..];
+        std::io::Write::write_fmt(&mut rest, format_args!("{v}")).expect("a u64 has 20 digits");
+        let len = 20 - rest.len();
+        Value::Num(Numeral::from(std::str::from_utf8(&digits[..len]).expect("digits")))
     }
 
     /// Builds a number from an `f64` via Rust's shortest-round-trip
     /// formatting (deterministic and parseable).
     pub fn f64(v: f64) -> Value {
-        Value::Num(Numeral::format(format_args!("{v:?}")))
+        Value::Num(Numeral::from(format!("{v:?}").as_str()))
     }
 
     /// Object field lookup (first match).
@@ -294,8 +278,8 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
                 skip_ws(b, pos);
                 let key = match b.get(*pos) {
                     Some(b'"') if depth < MAX_DEPTH => parse_string(s, pos)?,
-                    // Fails as parsing the key as a value would, or says
-                    // the value it is is no string.
+                    // Anything else, or a key past the depth bound, fails
+                    // as parsing it as a value would.
                     _ => {
                         parse_value(s, pos, depth + 1)?;
                         return Err(format!("object key at byte {pos} is not a string"));
@@ -562,14 +546,13 @@ pub fn encode_sim_report(r: &SimReport) -> String {
 /// not shipped across the wire.
 ///
 /// # Errors
-/// Returns a description of the first syntax error, or of the first
-/// missing or malformed field.
+/// Returns a description of the first missing or malformed field.
 pub fn decode_sim_report(s: &str) -> Result<SimReport, String> {
     sim_report_from_value(&parse(s)?)
 }
 
-/// Reads a report out of a parsed [`encode_sim_report`] tree, such as
-/// the `report` field of a reply already parsed whole.
+/// [`decode_sim_report`] for a tree already parsed, such as a reply's
+/// `report` field.
 ///
 /// # Errors
 /// Returns a description of the first missing or malformed field.

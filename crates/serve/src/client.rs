@@ -47,15 +47,7 @@ impl Client {
         // segments is what Nagle and delayed ACKs turn into 40 ms.
         self.writer.write_all(format!("{line}\n").as_bytes())?;
         self.writer.flush()?;
-        match read_frame(&mut self.reader, &mut self.scratch)? {
-            None => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )),
-            Some(resp) => {
-                wire::parse(&resp).map_err(|e| data_err(format!("bad response: {e}: {resp:.120}")))
-            }
-        }
+        self.read_response()
     }
 
     /// `PING`.
@@ -118,7 +110,7 @@ impl Client {
         match read_frame(&mut self.reader, &mut self.scratch)? {
             None => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
-                "server closed the connection mid-pipeline",
+                "server closed the connection",
             )),
             Some(resp) => {
                 wire::parse(&resp).map_err(|e| data_err(format!("bad response: {e}: {resp:.120}")))

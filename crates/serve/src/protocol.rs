@@ -355,8 +355,7 @@ impl Request {
 /// errors (`WouldBlock`/`TimedOut`), so callers with read timeouts can
 /// retry without losing bytes. `Ok(None)` means clean EOF; EOF after a
 /// partial line delivers that partial as a final frame. `scratch` keeps
-/// its capacity from frame to frame: a frame costs one exact-size
-/// `String`.
+/// its capacity: a frame costs one exact-size `String`.
 ///
 /// # Errors
 /// I/O errors from the underlying reader, `InvalidData` for oversized
@@ -606,16 +605,15 @@ mod tests {
                 let mut r = BufReader::with_capacity(g.usize_in(1..64), &stream[..]);
                 for (i, l) in lines.iter().enumerate() {
                     let frame = read_frame(&mut r, &mut scratch).map_err(|e| e.to_string())?;
-                    tpcheck::ensure!(frame.as_ref() == Some(l), "frame {i}: {frame:?} != {l:?}");
+                    let (got, want) = (frame.as_ref().map(String::len), l.len());
+                    tpcheck::ensure!(frame.as_ref() == Some(l), "frame {i}: {got:?} B, not {want}");
                 }
-                let end = read_frame(&mut r, &mut scratch);
-                match oversized {
-                    true => tpcheck::ensure!(
-                        end.as_ref().is_err_and(|e| e.kind() == io::ErrorKind::InvalidData),
-                        "the oversized line gave {:?}",
-                        end.map(|f| f.map(|f| f.len()))
-                    ),
-                    false => tpcheck::ensure!(end.as_ref().is_ok_and(Option::is_none), "{end:?}"),
+                let end = read_frame(&mut r, &mut scratch).map(|f| f.map(|f| f.len()));
+                if oversized {
+                    let invalid = |e: &io::Error| e.kind() == io::ErrorKind::InvalidData;
+                    tpcheck::ensure!(end.as_ref().is_err_and(invalid), "oversized line: {end:?}");
+                } else {
+                    tpcheck::ensure!(matches!(end, Ok(None)), "past the last line: {end:?}");
                 }
             }
             Ok(())
