@@ -25,7 +25,6 @@
 use std::fmt::{self, Write as _};
 use tpsim::{CacheStats, CoreReport, DramStats, SimReport, TemporalStats};
 
-/// Bytes a [`Numeral`] holds without allocating.
 const INLINE: usize = 22;
 
 /// A numeric literal's text: up to 22 bytes in place, a longer one in
@@ -89,11 +88,14 @@ pub enum Value {
 impl Value {
     /// Builds a number from a `u64` (exact).
     pub fn u64(v: u64) -> Value {
-        let mut digits = [0; 20];
-        let mut rest = &mut digits[..];
-        std::io::Write::write_fmt(&mut rest, format_args!("{v}")).expect("a u64 has 20 digits");
-        let len = 20 - rest.len();
-        Value::Num(Numeral::from(std::str::from_utf8(&digits[..len]).expect("digits")))
+        let mut digits = [0; INLINE];
+        let len = v.checked_ilog10().map_or(1, |l| l as usize + 1);
+        let mut rest = v;
+        for d in digits[..len].iter_mut().rev() {
+            *d = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        Value::Num(Numeral(Repr::Inline(len as u8, digits)))
     }
 
     /// Builds a number from an `f64` via Rust's shortest-round-trip
@@ -278,8 +280,7 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
                 skip_ws(b, pos);
                 let key = match b.get(*pos) {
                     Some(b'"') if depth < MAX_DEPTH => parse_string(s, pos)?,
-                    // Anything else, or a key past the depth bound, fails
-                    // as parsing it as a value would.
+                    // Else (or past the depth bound) fail as a value would.
                     _ => {
                         parse_value(s, pos, depth + 1)?;
                         return Err(format!("object key at byte {pos} is not a string"));
@@ -354,8 +355,7 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
     }
 }
 
-/// The string whose opening quote is at `*pos`, unescaped; `*pos` ends
-/// past its closing quote.
+/// The string opening at `*pos`, unescaped; `*pos` ends past its close.
 fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
     let b = s.as_bytes();
     *pos += 1;
