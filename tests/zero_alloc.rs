@@ -230,7 +230,7 @@ fn count_parts(v: &Value, owned: &mut u64, containers: &mut u64) {
 }
 
 /// A cached hit's reply: the envelope a `done` line carries around the
-/// report of an `spec06.mcf` run with Streamline.
+/// report of a `spec06.mcf` run with Streamline.
 fn done_reply() -> String {
     let w = workloads::by_name("spec06.mcf").expect("registry workload");
     let exp = Experiment::new(Scale::Test)
@@ -248,7 +248,8 @@ fn a_done_reply_parses_with_one_allocation_per_owned_part() {
     let allocs = ALLOCS.with(Cell::get) - before;
     let (mut owned, mut containers) = (0, 0);
     count_parts(&tree, &mut owned, &mut containers);
-    // A `Vec` grown past its first capacity allocates twice.
+    // `Vec`s regrow as they fill (a 13-field object allocates three
+    // times): two allocations per container, on average.
     let gate = owned + 2 * containers;
     assert!(
         allocs <= gate,
