@@ -32,7 +32,6 @@ use tpserve::{Coordinator, CoordinatorConfig, Server, ServerConfig, DEFAULT_QUEU
 
 static TERM: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 mod sig {
     use super::TERM;
     use std::sync::atomic::Ordering;
@@ -119,7 +118,6 @@ fn main() {
         usage();
     }
 
-    #[cfg(unix)]
     sig::install();
 
     if coordinator {

@@ -8,9 +8,7 @@ use crate::protocol::MAX_LINE_BYTES;
 use crate::readiness;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-#[cfg(unix)]
 use std::os::fd::{AsRawFd, RawFd};
-#[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -18,7 +16,6 @@ use std::time::{Duration, Instant};
 /// A connected byte stream (TCP or Unix-domain).
 pub(crate) enum Conn {
     Tcp(TcpStream),
-    #[cfg(unix)]
     Unix(UnixStream),
 }
 
@@ -37,18 +34,7 @@ impl Conn {
     /// anything else is a TCP `host:port`.
     pub(crate) fn connect(addr: &str) -> io::Result<Conn> {
         if let Some(path) = addr.strip_prefix("unix:") {
-            #[cfg(unix)]
-            {
-                return Ok(Conn::Unix(UnixStream::connect(path)?));
-            }
-            #[cfg(not(unix))]
-            {
-                let _ = path;
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "unix sockets are not available on this platform",
-                ));
-            }
+            return Ok(Conn::Unix(UnixStream::connect(path)?));
         }
         Ok(Conn::tcp(TcpStream::connect(addr)?))
     }
@@ -77,7 +63,6 @@ impl Conn {
     pub(crate) fn try_clone(&self) -> io::Result<Conn> {
         Ok(match self {
             Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
-            #[cfg(unix)]
             Conn::Unix(s) => Conn::Unix(s.try_clone()?),
         })
     }
@@ -85,14 +70,12 @@ impl Conn {
     pub(crate) fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
         match self {
             Conn::Tcp(s) => s.set_nonblocking(nb),
-            #[cfg(unix)]
             Conn::Unix(s) => s.set_nonblocking(nb),
         }
     }
 
     /// Raw fd for readiness polling.
-    #[cfg(unix)]
-    pub(crate) fn raw_fd(&self) -> RawFd {
+    fn raw_fd(&self) -> RawFd {
         match self {
             Conn::Tcp(s) => s.as_raw_fd(),
             Conn::Unix(s) => s.as_raw_fd(),
@@ -104,7 +87,6 @@ impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
             Conn::Unix(s) => s.read(buf),
         }
     }
@@ -114,7 +96,6 @@ impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
             Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
             Conn::Unix(s) => s.write(buf),
         }
     }
@@ -122,7 +103,6 @@ impl Write for Conn {
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
             Conn::Unix(s) => s.flush(),
         }
     }
@@ -136,7 +116,6 @@ impl Write for Conn {
 /// the event loop.
 pub(crate) enum ListenerKind {
     Tcp(TcpListener),
-    #[cfg(unix)]
     Unix {
         listener: UnixListener,
         path: PathBuf,
@@ -149,25 +128,14 @@ impl ListenerKind {
     /// listener plus its resolved, connectable address.
     pub(crate) fn bind(spec: &str) -> io::Result<(ListenerKind, String)> {
         if let Some(path) = spec.strip_prefix("unix:") {
-            #[cfg(unix)]
-            {
-                let pb = PathBuf::from(path);
-                // A stale socket file from a dead server blocks rebinding.
-                let _ = std::fs::remove_file(&pb);
-                let listener = UnixListener::bind(&pb)?;
-                return Ok((
-                    ListenerKind::Unix { listener, path: pb },
-                    format!("unix:{path}"),
-                ));
-            }
-            #[cfg(not(unix))]
-            {
-                let _ = path;
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "unix sockets are not available on this platform",
-                ));
-            }
+            let pb = PathBuf::from(path);
+            // A stale socket file from a dead server blocks rebinding.
+            let _ = std::fs::remove_file(&pb);
+            let listener = UnixListener::bind(&pb)?;
+            return Ok((
+                ListenerKind::Unix { listener, path: pb },
+                format!("unix:{path}"),
+            ));
         }
         let listener = TcpListener::bind(spec)?;
         let addr = listener.local_addr()?.to_string();
@@ -177,12 +145,10 @@ impl ListenerKind {
     pub(crate) fn set_nonblocking(&self) -> io::Result<()> {
         match self {
             ListenerKind::Tcp(l) => l.set_nonblocking(true),
-            #[cfg(unix)]
             ListenerKind::Unix { listener, .. } => listener.set_nonblocking(true),
         }
     }
 
-    #[cfg(unix)]
     pub(crate) fn token(&self) -> readiness::Token {
         match self {
             ListenerKind::Tcp(l) => l.as_raw_fd(),
@@ -190,12 +156,8 @@ impl ListenerKind {
         }
     }
 
-    #[cfg(not(unix))]
-    pub(crate) fn token(&self) -> readiness::Token {}
-
     /// Removes the Unix socket file, if any (called on loop exit).
     pub(crate) fn cleanup(&self) {
-        #[cfg(unix)]
         if let ListenerKind::Unix { path, .. } = self {
             let _ = std::fs::remove_file(path);
         }
@@ -209,7 +171,6 @@ impl ListenerKind {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) => return Err(e),
             },
-            #[cfg(unix)]
             ListenerKind::Unix { listener, .. } => match listener.accept() {
                 Ok((s, _)) => Conn::Unix(s),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
@@ -295,19 +256,10 @@ impl ConnState {
         })
     }
 
-    #[cfg(unix)]
-    pub(crate) fn raw_fd(&self) -> RawFd {
+    /// Readiness token for the event loop's poll set.
+    pub(crate) fn token(&self) -> readiness::Token {
         self.conn.raw_fd()
     }
-
-    /// Readiness token for the event loop's poll set.
-    #[cfg(unix)]
-    pub(crate) fn token(&self) -> readiness::Token {
-        self.raw_fd()
-    }
-
-    #[cfg(not(unix))]
-    pub(crate) fn token(&self) -> readiness::Token {}
 
     /// This connection's entry in the poll set: the caller decides
     /// whether to read; write interest follows the unsent output.

@@ -1,6 +1,6 @@
 //! The one event loop: a single thread drives the listener, every
-//! client connection and every backend link through one readiness set
-//! (`poll(2)` on Unix; a short-tick fallback elsewhere).
+//! client connection and every backend link through one `poll(2)`
+//! readiness set.
 //!
 //! Each connection carries its own read/write buffers plus a
 //! line-protocol state machine ([`ConnState`]), so a client may

@@ -1,162 +1,114 @@
-//! Raw-fd readiness polling for the event loop: `poll(2)` on Unix, a
-//! short-tick fallback elsewhere — plus the [`Waker`] other threads
-//! use to end a wait early.
+//! Raw-fd readiness polling for the event loop — one `poll(2)` call
+//! over every interested fd — plus the [`Waker`] other threads use to
+//! end a wait early.
 
-/// Unix implementation: one `poll(2)` call over every interested fd.
-#[cfg(unix)]
-mod imp {
-    use std::io::{self, Read, Write};
-    use std::os::fd::{AsRawFd, RawFd};
-    use std::os::unix::net::UnixStream;
-    use std::time::Duration;
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+// std links libc on every supported Unix; declaring `poll` directly
+// keeps the workspace dependency-free (same idiom as the `signal`
+// declaration in the tpserve binary).
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: core::ffi::c_ulong, timeout_ms: i32) -> i32;
+}
+
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+
+/// What the loop wants to know about one fd.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Interest {
+    pub(crate) read: bool,
+    pub(crate) write: bool,
+}
+
+/// What the kernel reported. Only read-readiness is surfaced: the loop
+/// flushes any pending output every tick regardless, so write interest
+/// exists purely to wake the poll when a previously-full socket drains.
+/// Errors/hangups surface as read-readiness so the next nonblocking op
+/// observes the failure.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Ready {
+    pub(crate) read: bool,
+}
+
+pub(crate) type Token = RawFd;
+
+/// Blocks until any interested fd is ready or `timeout` elapses.
+pub(crate) fn wait(entries: &[(Token, Interest)], timeout: Duration) -> Vec<Ready> {
+    let mut fds: Vec<PollFd> = entries
+        .iter()
+        .map(|&(fd, i)| PollFd {
+            // `poll` reports a hangup whatever was asked for, and skips
+            // a negative fd. A connection the loop is not reading
+            // (parked on a `WAIT`, say) must not end every wait at once
+            // because its peer left.
+            fd: if i.read || i.write { fd } else { -1 },
+            events: if i.read { POLLIN } else { 0 } | if i.write { POLLOUT } else { 0 },
+            revents: 0,
+        })
+        .collect();
+    let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as core::ffi::c_ulong, timeout_ms) };
+    if n <= 0 {
+        // Timeout or EINTR: nothing ready; the loop ticks anyway.
+        return vec![Ready::default(); entries.len()];
+    }
+    fds.iter()
+        .map(|p| Ready {
+            read: p.revents & (POLLIN | POLLERR | POLLHUP) != 0,
+        })
+        .collect()
+}
+
+/// Ends the event loop's [`wait`] from another thread: a worker that
+/// finished a job, or a latch flip. A nonblocking socket pair whose
+/// read end sits in the poll set; the bytes carry nothing.
+pub(crate) struct Waker {
+    tx: UnixStream,
+    rx: UnixStream,
+}
+
+impl Waker {
+    pub(crate) fn new() -> io::Result<Waker> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Waker { tx, rx })
     }
 
-    // std links libc on every supported Unix; declaring `poll`
-    // directly keeps the workspace dependency-free (same idiom as the
-    // `signal` declaration in the tpserve binary).
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: core::ffi::c_ulong, timeout_ms: i32) -> i32;
+    /// Never blocks and cannot fail the caller: a full pipe
+    /// (`WouldBlock`) means a wake is already pending.
+    pub(crate) fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
     }
 
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    /// What the loop wants to know about one fd.
-    #[derive(Clone, Copy, Default)]
-    pub struct Interest {
-        pub read: bool,
-        pub write: bool,
+    /// The read end, for the poll set.
+    pub(crate) fn token(&self) -> Token {
+        self.rx.as_raw_fd()
     }
 
-    /// What the kernel reported. Only read-readiness is surfaced:
-    /// the loop flushes any pending output every tick regardless, so
-    /// write interest exists purely to wake the poll when a
-    /// previously-full socket drains. Errors/hangups surface as
-    /// read-readiness so the next nonblocking op observes the failure.
-    #[derive(Clone, Copy, Default)]
-    pub struct Ready {
-        pub read: bool,
-    }
-
-    pub type Token = RawFd;
-
-    /// Blocks until any interested fd is ready or `timeout` elapses.
-    pub fn wait(entries: &[(Token, Interest)], timeout: Duration) -> Vec<Ready> {
-        let mut fds: Vec<PollFd> = entries
-            .iter()
-            .map(|&(fd, i)| PollFd {
-                // `poll` reports a hangup whatever was asked for, and
-                // skips a negative fd. A connection the loop is not
-                // reading (parked on a `WAIT`, say) must not end every
-                // wait at once because its peer left.
-                fd: if i.read || i.write { fd } else { -1 },
-                events: if i.read { POLLIN } else { 0 } | if i.write { POLLOUT } else { 0 },
-                revents: 0,
-            })
-            .collect();
-        let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as core::ffi::c_ulong, timeout_ms) };
-        if n <= 0 {
-            // Timeout or EINTR: nothing ready; the loop ticks anyway.
-            return vec![Ready::default(); entries.len()];
-        }
-        fds.iter()
-            .map(|p| Ready {
-                read: p.revents & (POLLIN | POLLERR | POLLHUP) != 0,
-            })
-            .collect()
-    }
-
-    /// Ends the event loop's [`wait`] from another thread: a worker
-    /// that finished a job, or a latch flip. A nonblocking socket pair
-    /// whose read end sits in the poll set; the bytes carry nothing.
-    pub struct Waker {
-        tx: UnixStream,
-        rx: UnixStream,
-    }
-
-    impl Waker {
-        pub fn new() -> io::Result<Waker> {
-            let (tx, rx) = UnixStream::pair()?;
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            Ok(Waker { tx, rx })
-        }
-
-        /// Never blocks and cannot fail the caller: a full pipe
-        /// (`WouldBlock`) means a wake is already pending.
-        pub fn wake(&self) {
-            let _ = (&self.tx).write(&[1]);
-        }
-
-        /// The read end, for the poll set.
-        pub fn token(&self) -> Token {
-            self.rx.as_raw_fd()
-        }
-
-        /// Swallows every pending wake. The loop calls this *before*
-        /// it looks at the job table, so a completion it is about to
-        /// miss leaves a wake behind for the next pass.
-        pub fn drain(&self) {
-            let mut sink = [0u8; 256];
-            while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
-        }
+    /// Swallows every pending wake. The loop calls this *before* it
+    /// looks at the job table, so a completion it is about to miss
+    /// leaves a wake behind for the next pass.
+    pub(crate) fn drain(&self) {
+        let mut sink = [0u8; 256];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
     }
 }
 
-/// Portable fallback: no fd readiness API, so the loop sleeps one
-/// short tick and then *attempts* every interested nonblocking op
-/// (reads return `WouldBlock` harmlessly when nothing is pending).
-#[cfg(not(unix))]
-mod imp {
-    use std::time::Duration;
-
-    #[derive(Clone, Copy, Default)]
-    pub struct Interest {
-        pub read: bool,
-        pub write: bool,
-    }
-
-    #[derive(Clone, Copy, Default)]
-    pub struct Ready {
-        pub read: bool,
-    }
-
-    pub type Token = ();
-
-    pub fn wait(entries: &[(Token, Interest)], timeout: Duration) -> Vec<Ready> {
-        std::thread::sleep(timeout.min(Duration::from_millis(2)));
-        entries.iter().map(|&(_, i)| Ready { read: i.read }).collect()
-    }
-
-    /// Nothing to wake: [`wait`] returns within 2 ms regardless, and
-    /// the loop re-checks its parked connections every pass.
-    pub struct Waker;
-
-    impl Waker {
-        pub fn new() -> std::io::Result<Waker> {
-            Ok(Waker)
-        }
-
-        pub fn wake(&self) {}
-
-        pub fn token(&self) -> Token {}
-
-        pub fn drain(&self) {}
-    }
-}
-
-pub(crate) use imp::{wait, Interest, Ready, Token, Waker};
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::ServerConfig;
