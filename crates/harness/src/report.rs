@@ -1,9 +1,9 @@
-//! Fixed-width table rendering for the figure binaries.
+//! Fixed-width table rendering for `tpbench`, `tpcli` and the examples.
 
 use std::fmt::Write as _;
 
 /// A simple fixed-width table: header row plus data rows, printed with
-/// aligned columns (and optionally as CSV).
+/// aligned columns.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
     title: String,
@@ -29,22 +29,6 @@ impl Table {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells.to_vec());
         self
-    }
-
-    /// Convenience: appends a row from displayable items.
-    pub fn row_fmt(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let v: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&v)
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table with aligned columns.
@@ -75,30 +59,10 @@ impl Table {
         out
     }
 
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.header.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out
-    }
-
     /// Prints the rendered table to stdout.
     pub fn print(&self) {
         print!("{}", self.render());
     }
-}
-
-/// Formats a ratio as a signed percent string, e.g. `"+6.7%"`.
-pub fn pct(x: f64) -> String {
-    format!("{:+.1}%", x)
-}
-
-/// Formats a fraction as an unsigned percent string, e.g. `"42.0%"`.
-pub fn frac_pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
 }
 
 #[cfg(test)]
@@ -113,15 +77,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("== demo =="));
         assert!(s.contains("longer"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_round_trips_cells() {
-        let mut t = Table::new("", &["a", "b"]);
-        t.row(&["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]
@@ -129,12 +84,5 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(pct(6.71), "+6.7%");
-        assert_eq!(pct(-3.0), "-3.0%");
-        assert_eq!(frac_pct(0.425), "42.5%");
     }
 }
