@@ -2,16 +2,16 @@
 //!
 //! When the `TPSIM_SERVER` environment variable names a server address
 //! (`host:port` or `unix:PATH`), [`crate::run_jobs`] submits each
-//! expressible job there instead of simulating locally, so concurrent
-//! figure binaries share one process-wide result cache. The design is
-//! strictly best-effort: jobs the wire protocol cannot express
-//! (parameterized ablation configs), shed submissions (`queue-full`),
-//! and transport errors all fall back to local execution — a figure run
-//! never fails because the server is busy or gone, and results are
-//! byte-identical either way because the server's workers execute the
-//! same [`SweepJob::run`].
+//! expressible job there instead of simulating locally, so a fleet can
+//! spread the work and a server's `--store` can keep results across
+//! runs. The design is strictly best-effort: jobs the wire protocol
+//! cannot express (parameterized ablation configs), shed submissions
+//! (`queue-full`), and transport errors all fall back to local
+//! execution — a figure run never fails because the server is busy or
+//! gone, and results are byte-identical either way because the server's
+//! workers execute the same [`SweepJob::run`].
 
-use crate::{audit_from_args, runner};
+use crate::runner;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tpharness::sweep::SweepJob;
@@ -54,7 +54,7 @@ pub fn run_via_server(addr: &str, jobs: &[SweepJob]) -> io::Result<Vec<SimReport
     let payload = |job: &SweepJob| {
         let canonical = Request::from_job(job)?.canonical();
         let mut payload = parse(&canonical).expect("canonical requests parse");
-        if let (true, Value::Obj(fields)) = (audit_from_args(), &mut payload) {
+        if let (true, Value::Obj(fields)) = (runner().audits(), &mut payload) {
             fields.push(("audit".into(), Value::Bool(true)));
         }
         Some(payload)

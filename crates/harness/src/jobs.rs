@@ -1,6 +1,6 @@
 //! Worker-count resolution shared by every parallel front end.
 //!
-//! The sweep runner, the `tpbench` figure binaries, and the `tpserve`
+//! The sweep runner, the `tpbench` figure renderer, and the `tpserve`
 //! simulation service all size their worker pools the same way:
 //! an explicit `--jobs=N` flag wins, then the `TPSIM_JOBS` environment
 //! variable, then the machine's available parallelism. This module is

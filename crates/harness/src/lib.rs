@@ -11,12 +11,12 @@
 //! paper-style tables ([`report`]). Two infrastructure modules round it
 //! out: [`jobs`] is the single worker-count policy (`--jobs` /
 //! `TPSIM_JOBS` / available parallelism) shared by the sweep runner,
-//! the figure binaries, and the `tpserve` service, and [`wire`] is the
+//! `tpbench`, and the `tpserve` service, and [`wire`] is the
 //! dependency-free JSON-ish codec with a canonical byte-comparable
 //! [`SimReport`](tpsim::SimReport) encoding used by the service
 //! protocol.
 //!
-//! Every `tpbench` figure binary is a thin composition of these pieces.
+//! Every `tpbench` table and figure is a thin composition of these pieces.
 //!
 //! ## Example: one speedup cell of Figure 9
 //!

@@ -181,7 +181,7 @@ impl SweepRunner {
     /// Creates a runner with the default worker count: the `TPSIM_JOBS`
     /// environment variable if set, otherwise the machine's available
     /// parallelism (see [`crate::jobs::worker_count`], the policy shared
-    /// with the figure binaries and the simulation server).
+    /// with `tpbench` and the simulation server).
     pub fn new() -> Self {
         // Honour TPSIM_TRACE_CACHE_MB before any job generates a trace.
         crate::jobs::configure_trace_pool();
@@ -217,7 +217,7 @@ impl SweepRunner {
     /// is checked against `tpsim::audit`'s invariants and a violation
     /// aborts the sweep with the failing law named. Debug builds always
     /// audit inside the engine; this flag is the release-mode gate
-    /// (surfaced as `--audit` in the tpbench binaries).
+    /// (surfaced as `--audit` in `tpbench`).
     pub fn with_audit(mut self, on: bool) -> Self {
         self.audit = on;
         self
@@ -239,7 +239,7 @@ impl SweepRunner {
     }
 
     /// One-line summary of the process-wide trace pool's counters, for
-    /// the end-of-sweep status line the figure binaries print. The pool
+    /// the end-of-sweep status line `tpbench` prints. The pool
     /// is process-global, so the numbers cover every sweep in the
     /// process, not just this runner's jobs.
     pub fn pool_summary(&self) -> String {

@@ -6,7 +6,7 @@
 //! triggers whose *targets* are unstable, producing useless prefetches.
 //! [`min_sim`] therefore reports both the trigger hit rate (what MIN
 //! optimises) and the correlation hit rate (what actually produces useful
-//! prefetches), so the TP-MIN comparison in `fig13_metadata` can show the
+//! prefetches), so the TP-MIN comparison in `tpbench fig13` can show the
 //! gap.
 
 use std::collections::{BTreeSet, HashMap};

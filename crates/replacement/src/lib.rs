@@ -15,7 +15,7 @@
 //!   *(trigger, target)* correlations instead (paper Section IV-D1,
 //!   Figure 6).
 //!
-//! The offline analyzers are used by `fig13_metadata` to reproduce the
+//! The offline analyzers are used by `tpbench fig13` to reproduce the
 //! paper's MIN-vs-TP-MIN comparison, and by property tests that check the
 //! online policies never beat the offline optimum.
 

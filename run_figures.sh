@@ -1,58 +1,20 @@
 #!/bin/sh
-# Regenerates every paper table/figure, teeing outputs to results/.
+# Regenerates every paper table/figure into results/NAME.txt with one
+# tpbench process, so a simulation several figures share runs once.
 # Usage: ./run_figures.sh [scale] [jobs]   (default: small, all cores)
 # Jobs can also be set via TPSIM_JOBS. Results are bit-identical for
 # any worker count: simulations fan out through the deterministic
 # sweep runner, which reassembles reports in canonical job order.
 # Set AUDIT=1 to check every simulation against the conservation laws
 # in tpsim::audit (debug builds always check; this enables the same
-# checks in these release runs, aborting on the first violation).
-# Set TPSIM_SERVER=1 to start a local tpserve instance and route every
-# expressible simulation through it, so all figure binaries share one
-# process-wide result cache (results are byte-identical either way).
-# TPSIM_SERVER=host:port reuses an already-running server instead.
+# checks in this release run, aborting on the first violation).
+# Set TPSIM_SERVER=host:port (or unix:PATH) to route every expressible
+# simulation through a running tpserve (results are byte-identical).
+# Progress goes to results/tpbench.log.
 set -e
 SCALE=${1:-small}
 JOBS=${2:-${TPSIM_JOBS:-$(nproc 2>/dev/null || echo 1)}}
-AUDIT_FLAG=${AUDIT:+--audit}
 mkdir -p results
-
-SERVER_PID=
-cleanup() {
-  if [ -n "$SERVER_PID" ]; then
-    kill -TERM "$SERVER_PID" 2>/dev/null || true
-    wait "$SERVER_PID" 2>/dev/null || true
-  fi
-}
-if [ "${TPSIM_SERVER:-}" = "1" ]; then
-  echo "== starting local tpserve (jobs=$JOBS) =="
-  cargo build --release -q -p tpserve
-  ./target/release/tpserve --listen=127.0.0.1:0 --jobs="$JOBS" $AUDIT_FLAG \
-    >results/tpserve.log 2>&1 &
-  SERVER_PID=$!
-  trap cleanup EXIT INT TERM
-  for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^tpserve: listening on //p' results/tpserve.log)
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-  done
-  [ -n "$ADDR" ] || { echo "tpserve did not come up"; exit 1; }
-  TPSIM_SERVER="$ADDR"
-  export TPSIM_SERVER
-  echo "   routing simulations through tpserve at $TPSIM_SERVER"
-fi
-
-run() {
-  echo "== $1 ($2, jobs=$JOBS${AUDIT_FLAG:+, audit}) =="
-  cargo run --release -q -p tpbench --bin "$1" -- --scale="$2" --jobs="$JOBS" $AUDIT_FLAG $3 \
-    2>results/"$1".log | tee results/"$1".txt
-}
-run table1_partitioning "$SCALE"
-run table2_params "$SCALE"
-run fig09_single_core "$SCALE"
-run fig12_stream_issues "$SCALE"
-run fig13_metadata "$SCALE"
-run fig14_ablation "$SCALE"
-run fig15_filtering "$SCALE"
-run fig10_perf "$SCALE" --quick
-run fig11_regular "$SCALE" --quick
+echo "== tpbench ($SCALE, jobs=$JOBS${AUDIT:+, audit}) =="
+cargo run --release -q -p tpbench -- --scale="$SCALE" --jobs="$JOBS" ${AUDIT:+--audit} \
+  --out=results 2>results/tpbench.log

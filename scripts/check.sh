@@ -28,8 +28,7 @@ cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D 
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== audited quick sweep (release, test scale) =="
-cargo run --release -q -p tpbench --bin fig09_single_core -- \
-  --scale=test --audit >/dev/null
+cargo run --release -q -p tpbench -- --scale=test --audit fig09 >/dev/null
 for w in spec06.mcf spec17.xalancbmk gap.bfs; do
   cargo run --release -q -p tpharness --bin tpcli -- \
     compare "$w" --scale=test --audit >/dev/null
