@@ -188,6 +188,9 @@ fn main() {
             println!("name : {}", trace.name());
             println!("suite: {:?}", trace.suite());
             println!("stats: {}", trace.stats());
+            let bytes = trace.resident_bytes();
+            let per_access = bytes as f64 / trace.len().max(1) as f64;
+            println!("resident: {bytes} bytes ({per_access:.2} B/access)");
         }
         _ => usage(),
     }

@@ -18,7 +18,7 @@
 //! ```
 
 use crate::record::{Access, AccessKind, Addr, Dep, Pc};
-use crate::trace::{Trace, TraceBuilder};
+use crate::trace::{Trace, TraceBuilder, MAX_GAP};
 use crate::workloads::Suite;
 use std::fmt;
 
@@ -132,12 +132,13 @@ pub fn to_bytes(trace: &Trace) -> Vec<u8> {
 
 /// Deserializes a trace from bytes.
 ///
-/// The decoder is hardened for **untrusted input** (the simulation
-/// server accepts serialized traces over the wire): every length field
+/// The decoder is hardened for **untrusted input** (`tpcli inspect`
+/// loads whatever file it is given, through [`load`]): every length field
 /// is validated against the bytes actually present before any
 /// allocation, so a hostile header can neither panic the process nor
 /// make it overallocate, and all delta reconstruction uses wrapping
 /// arithmetic so adversarial deltas cannot trip debug overflow checks.
+/// Gaps above [`MAX_GAP`] saturate, as [`TraceBuilder::push`] does.
 ///
 /// # Errors
 /// Returns a [`DecodeError`] on malformed input; never panics.
@@ -193,7 +194,8 @@ pub fn from_bytes(buf: &[u8]) -> Result<Trace, DecodeError> {
             last_pc = (last_pc as i64).wrapping_add(d) as u64;
             last_pc
         };
-        let gap = (flags >> 3) as u32;
+        // Saturate as `TraceBuilder::push` does (a cast wraps mod 2^32).
+        let gap = (flags >> 3).min(u64::from(MAX_GAP)) as u32;
         let delta = unzigzag(get_varint(buf, &mut pos)?);
         let prev = last_addr.entry(pc).or_insert(0);
         let addr = (*prev).wrapping_add(delta) as u64;

@@ -1,8 +1,8 @@
 //! Fuzzing the trace decoder with hostile input.
 //!
 //! `tptrace::io::from_bytes` is the one boundary where serialized bytes
-//! from outside the process (files on disk, traces submitted to the
-//! simulation server) become in-memory structures, so it must be total:
+//! from outside the process (trace files on disk, which `tpcli inspect`
+//! loads through `io::load`) become in-memory structures, so it must be total:
 //! for *any* byte string it either returns a decoded trace or a
 //! [`DecodeError`](tptrace::io::DecodeError) — never a panic, never an
 //! attacker-sized allocation. These properties drive the decoder with
@@ -12,6 +12,7 @@
 
 use tptrace::io::{from_bytes, to_bytes, DecodeError};
 use tptrace::record::{Access, AccessKind, Addr, Dep, Pc};
+use tptrace::trace::MAX_GAP;
 use tptrace::{Suite, Trace};
 
 /// A random but *valid* trace: arbitrary 64-bit PCs and addresses
@@ -146,4 +147,59 @@ fn count_exceeding_payload_bound_is_rejected() {
     assert_eq!(*bytes.last().unwrap(), 0);
     *bytes.last_mut().unwrap() = 5; // claims 5 accesses, 0 payload bytes
     assert_eq!(from_bytes(&bytes), Err(DecodeError::Truncated));
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v & 0x7f) as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+#[test]
+fn a_gap_past_u32_saturates_instead_of_wrapping() {
+    // One record whose gap bits are 2^32 + 5: flags = gap << 3 with the
+    // same-PC bit set (PC 0), then a zero address delta.
+    let mut bytes = b"TPT1".to_vec();
+    bytes.extend_from_slice(&[2, 1, b'x', 1]); // suite Gap, name "x", 1 access
+    put_varint(&mut bytes, (((1u64 << 32) + 5) << 3) | 4);
+    put_varint(&mut bytes, 0);
+    let t = from_bytes(&bytes).expect("a well-formed record");
+    assert_eq!(t.get(0).gap, MAX_GAP, "gap must saturate, not wrap to 5");
+    let want = Access { gap: MAX_GAP, ..Access::load(0, 0) };
+    assert_eq!(t, Trace::new("x", Suite::Gap, vec![want]));
+}
+
+#[test]
+fn a_fresh_shape_per_access_round_trips_within_the_old_worst_case() {
+    // Every access has a PC and a high address word no other access
+    // has, so the shape table holds one entry per access: the most a
+    // hostile file can make a decoded trace cost.
+    tpcheck::check("io worst-case shape dictionary", 32, |g| {
+        let (pc0, step, hi0) = (g.next_u64(), g.next_u64() | 1, g.next_u64());
+        let accesses: Vec<Access> = (0..g.u64_in(1..2000))
+            .map(|i| Access {
+                pc: Pc(pc0.wrapping_add(i.wrapping_mul(step))),
+                addr: Addr((hi0.wrapping_add(i << 32) & !0xffff_ffff) | g.u64_in(0..1 << 32)),
+                kind: if g.bool() { AccessKind::Store } else { AccessKind::Load },
+                dep: if g.bool() { Dep::PrevLoad } else { Dep::None },
+                gap: g.u64_in(0..1 << 20) as u32,
+            })
+            .collect();
+        let t = Trace::new("worst", Suite::Spec17, accesses);
+        let bytes = to_bytes(&t);
+        let back = from_bytes(&bytes).map_err(|e| format!("decode failed: {e}"))?;
+        tpcheck::ensure!(back == t, "decoded trace differs");
+        tpcheck::ensure!(to_bytes(&back) == bytes, "write -> read -> write changed the bytes");
+        // 8 B of columns plus a 16 B shape per access: the 16 B columns
+        // plus 8 B PC entry per access this layout replaced.
+        let fixed = std::mem::size_of::<Trace>() + back.name().len();
+        let (resident, len) = (back.resident_bytes(), back.len());
+        tpcheck::ensure!(
+            resident <= 24 * len + fixed,
+            "{resident} resident bytes for {len} accesses exceeds 24 B/access"
+        );
+        Ok(())
+    });
 }

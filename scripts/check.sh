@@ -9,8 +9,10 @@
 # 2. A release-mode sweep over the memory-intensive pool at test scale
 #    with --audit, so the release build's counters are checked against
 #    the same laws the debug assertions enforce.
-# 3. Server and fleet smokes from the outside, then the benchmark's own
-#    tests and its quick mode, then the line counts.
+# 3. The README's trace export -> inspect pair (the serialized format,
+#    and the loaded trace at <= 8.1 B/access), server and fleet smokes
+#    from the outside, then the benchmark's own tests and its quick
+#    mode, then the line counts.
 #
 # Usage: ./scripts/check.sh   (from the repo root)
 set -e
@@ -33,6 +35,16 @@ for w in spec06.mcf spec17.xalancbmk gap.bfs; do
   cargo run --release -q -p tpharness --bin tpcli -- \
     compare "$w" --scale=test --audit >/dev/null
 done
+
+echo "== trace format and layout from the shipped binaries (README's export -> inspect) =="
+TPT="${TMPDIR:-/tmp}/tpcli-check-$$.tpt"
+cargo run --release -q -p tpharness --bin tpcli -- export gap.pr "$TPT" --scale=test >/dev/null
+INSPECT=$(cargo run --release -q -p tpharness --bin tpcli -- inspect "$TPT")
+rm -f "$TPT"
+BPA=$(echo "$INSPECT" | sed -n 's/^resident: .*(\([0-9.]*\) B\/access)$/\1/p')
+awk -v b="$BPA" 'BEGIN { exit !(b != "" && b <= 8.1) }' || {
+  echo "inspect: expected <= 8.1 B/access resident, got: $INSPECT"; exit 1;
+}
 
 echo "== server smoke test (unix socket, pipelining, store-backed restart, damaged entry) =="
 SOCK="${TMPDIR:-/tmp}/tpserve-check-$$.sock"
