@@ -170,10 +170,7 @@ pub fn runner() -> &'static SweepRunner {
 pub fn run_jobs(jobs: &[SweepJob]) -> Vec<tpsim::SimReport> {
     if let Some(addr) = remote::server_addr() {
         eprintln!("  routing {} job(s) through tpserve at {addr}", jobs.len());
-        match remote::run_via_server(&addr, jobs) {
-            Ok(reports) => return reports,
-            Err(e) => eprintln!("  tpserve at {addr} unusable ({e}); running locally"),
-        }
+        return remote::run_via_server(&addr, jobs);
     }
     let reports = runner().run(jobs);
     eprintln!("  {}", runner().pool_summary());

@@ -12,7 +12,6 @@
 //! workers execute the same [`SweepJob::run`].
 
 use crate::runner;
-use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tpharness::sweep::SweepJob;
 use tpharness::wire::{parse, sim_report_from_value, Value};
@@ -45,12 +44,10 @@ pub fn server_addr() -> Option<String> {
 /// Submits every job the wire can express as one pipelined sweep, then
 /// simulates locally, through the shared [`runner`], whatever was
 /// inexpressible or did not come back `done` with a readable report
-/// (rejected, failed, deadline-exceeded, evicted).
-///
-/// # Errors
-/// Transport-level failures (cannot connect, connection lost); the
-/// caller falls back to a fully local run.
-pub fn run_via_server(addr: &str, jobs: &[SweepJob]) -> io::Result<Vec<SimReport>> {
+/// (rejected, failed, deadline-exceeded, evicted). A transport failure
+/// (cannot connect, connection lost) leaves every job missing, so the
+/// same local path runs them all and [`local_fallbacks`] counts them.
+pub fn run_via_server(addr: &str, jobs: &[SweepJob]) -> Vec<SimReport> {
     let payload = |job: &SweepJob| {
         let canonical = Request::from_job(job)?.canonical();
         let mut payload = parse(&canonical).expect("canonical requests parse");
@@ -65,7 +62,13 @@ pub fn run_via_server(addr: &str, jobs: &[SweepJob]) -> io::Result<Vec<SimReport
         .filter_map(|(i, job)| Some((i, payload(job)?)))
         .unzip();
     let mut served = vec![None; jobs.len()];
-    let responses = Client::connect(addr)?.submit_sweep(&payloads)?;
+    let responses = match Client::connect(addr).and_then(|mut c| c.submit_sweep(&payloads)) {
+        Ok(responses) => responses,
+        Err(e) => {
+            eprintln!("  tpserve at {addr} unusable ({e})");
+            Vec::new()
+        }
+    };
     for (i, resp) in sent.into_iter().zip(responses) {
         if resp.get("status").and_then(Value::as_str) == Some("done") {
             served[i] = resp
@@ -85,17 +88,23 @@ pub fn run_via_server(addr: &str, jobs: &[SweepJob]) -> io::Result<Vec<SimReport
         eprintln!("  tpserve routing: {}/{} job(s) ran locally", missing.len(), jobs.len());
     }
     let mut local = runner().run(&missing).into_iter();
-    Ok(served
+    served
         .into_iter()
         .map(|report| report.unwrap_or_else(|| local.next().expect("one local run per gap")))
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stride_baseline;
+    use std::sync::Mutex;
+    use tpharness::experiment::Experiment;
     use tptrace::{workloads, Scale};
+
+    /// Held by each test that reads [`local_fallbacks`], whose counter
+    /// is process-wide: a concurrent test's jobs would skew the delta.
+    static FALLBACK_COUNTER: Mutex<()> = Mutex::new(());
 
     #[test]
     fn accepted_then_failed_jobs_fall_back_locally_and_count() {
@@ -126,8 +135,9 @@ mod tests {
 
         let w = workloads::by_name("gap.bfs").unwrap();
         let job = SweepJob::single(w, stride_baseline(Scale::Test));
+        let _counter = FALLBACK_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
         let before = local_fallbacks();
-        let got = run_via_server(&addr, std::slice::from_ref(&job)).unwrap();
+        let got = run_via_server(&addr, std::slice::from_ref(&job));
         assert_eq!(got.len(), 1);
         assert_eq!(
             local_fallbacks() - before,
@@ -141,6 +151,31 @@ mod tests {
             "fallback reports must be byte-identical to local runs"
         );
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_dead_server_runs_every_job_locally_and_counts_them() {
+        // Nothing listens at this path: the connect fails, and that one
+        // transport failure must send every job down the local path.
+        let dead = std::env::temp_dir().join(format!("tpbench-dead-{}/s.sock", std::process::id()));
+        let addr = format!("unix:{}", dead.display());
+        let w = workloads::by_name("gap.bfs").unwrap();
+        let jobs = [
+            SweepJob::single(w.clone(), stride_baseline(Scale::Test)),
+            SweepJob::single(w, Experiment::new(Scale::Test)),
+        ];
+        let _counter = FALLBACK_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+        let before = local_fallbacks();
+        let got = run_via_server(&addr, &jobs);
+        assert_eq!(local_fallbacks() - before, jobs.len() as u64);
+        let direct = runner().run(&jobs);
+        assert_eq!(got.len(), jobs.len());
+        for (g, d) in got.iter().zip(&direct) {
+            assert_eq!(
+                tpharness::wire::encode_sim_report(g),
+                tpharness::wire::encode_sim_report(d)
+            );
+        }
     }
 
     #[test]

@@ -2,35 +2,17 @@
 //!
 //! The sweep runner, the `tpbench` figure renderer, and the `tpserve`
 //! simulation service all size their worker pools the same way:
-//! an explicit `--jobs=N` flag wins, then the `TPSIM_JOBS` environment
-//! variable, then the machine's available parallelism. This module is
-//! the single implementation of that policy (it used to be duplicated
-//! between `tpharness::sweep` and `tpbench`).
+//! an explicit count wins (each binary parses its own `--jobs=N` flag
+//! with the rest of its arguments and passes the count in), then the
+//! `TPSIM_JOBS` environment variable, then the machine's available
+//! parallelism. This module is the single implementation of that
+//! policy (it used to be duplicated between `tpharness::sweep` and
+//! `tpbench`).
 //!
 //! It also resolves the sibling `TPSIM_TRACE_CACHE_MB` knob, which
 //! bounds the process-wide trace pool's resident bytes (see
 //! [`tptrace::pool`]); every front end applies it via
 //! [`configure_trace_pool`] before running work.
-
-/// Parses `--jobs=N` from the process arguments.
-///
-/// Returns `None` when the flag is absent.
-///
-/// # Panics
-/// Panics with a usage message when the value is not a positive
-/// integer — a malformed CLI flag is a user error, reported loudly.
-pub fn jobs_flag() -> Option<usize> {
-    for a in std::env::args() {
-        if let Some(j) = a.strip_prefix("--jobs=") {
-            let n: usize = j
-                .parse()
-                .unwrap_or_else(|_| panic!("bad --jobs value {j:?} (want a positive integer)"));
-            assert!(n > 0, "--jobs must be at least 1");
-            return Some(n);
-        }
-    }
-    None
-}
 
 /// Reads the `TPSIM_JOBS` environment variable, ignoring unset, empty,
 /// non-numeric, and zero values.
@@ -75,13 +57,6 @@ pub fn configure_trace_pool() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flag_absent_in_test_harness() {
-        // The test binary is not invoked with --jobs, so the flag parse
-        // must fall through to None rather than misreading other args.
-        assert_eq!(jobs_flag(), None);
-    }
 
     #[test]
     fn explicit_count_wins_and_is_clamped() {

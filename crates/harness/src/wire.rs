@@ -4,10 +4,12 @@
 //! JSON-ish slice the simulation service needs: a [`Value`] tree, a
 //! strict single-line parser, an escaping encoder, and a **canonical**
 //! encoding of [`SimReport`] in which every counter appears in a fixed
-//! order. Canonical means byte-comparable: two reports are equal iff
-//! their encodings are equal, which is how the integration tests prove
-//! that a report served by `tpserve` is *byte-identical* to the same
-//! experiment run directly through the sweep runner.
+//! order (a counter set's is its declaration order in [`tpsim::stats`],
+//! read through its `NAMES`). Canonical means byte-comparable: two
+//! reports are equal iff their encodings are equal, which is how the
+//! integration tests prove that a report served by `tpserve` is
+//! *byte-identical* to the same experiment run directly through the
+//! sweep runner.
 //!
 //! Numbers are kept as their literal text (`Value::Num(Numeral)`) rather
 //! than eagerly converted to `f64`, so 64-bit counters round-trip
@@ -405,79 +407,16 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
 // Canonical SimReport encoding
 // ---------------------------------------------------------------------
 
-fn cache_stats_value(c: &CacheStats) -> Value {
-    Value::Obj(vec![
-        ("accesses".into(), Value::u64(c.accesses)),
-        ("hits".into(), Value::u64(c.hits)),
-        ("misses".into(), Value::u64(c.misses)),
-        ("useful_prefetches".into(), Value::u64(c.useful_prefetches)),
-        ("late_prefetches".into(), Value::u64(c.late_prefetches)),
-        ("prefetch_fills".into(), Value::u64(c.prefetch_fills)),
-        (
-            "useless_prefetch_evictions".into(),
-            Value::u64(c.useless_prefetch_evictions),
-        ),
-        ("writebacks".into(), Value::u64(c.writebacks)),
-    ])
+/// One counter set as an object, its keys in declaration order.
+fn counters_value(names: &[&str], values: impl IntoIterator<Item = u64>) -> Value {
+    Value::Obj(names.iter().zip(values).map(|(&k, n)| (k.into(), Value::u64(n))).collect())
 }
 
-fn cache_stats_from(v: &Value) -> Result<CacheStats, String> {
-    let f = |k: &str| -> Result<u64, String> {
-        v.get(k)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("missing cache counter {k:?}"))
-    };
-    Ok(CacheStats {
-        accesses: f("accesses")?,
-        hits: f("hits")?,
-        misses: f("misses")?,
-        useful_prefetches: f("useful_prefetches")?,
-        late_prefetches: f("late_prefetches")?,
-        prefetch_fills: f("prefetch_fills")?,
-        useless_prefetch_evictions: f("useless_prefetch_evictions")?,
-        writebacks: f("writebacks")?,
-    })
-}
-
-fn temporal_stats_value(t: &TemporalStats) -> Value {
-    Value::Obj(vec![
-        ("meta_reads".into(), Value::u64(t.meta_reads)),
-        ("meta_writes".into(), Value::u64(t.meta_writes)),
-        ("rearranged_blocks".into(), Value::u64(t.rearranged_blocks)),
-        ("trigger_lookups".into(), Value::u64(t.trigger_lookups)),
-        ("trigger_hits".into(), Value::u64(t.trigger_hits)),
-        ("correlation_hits".into(), Value::u64(t.correlation_hits)),
-        ("inserts".into(), Value::u64(t.inserts)),
-        ("redundant_inserts".into(), Value::u64(t.redundant_inserts)),
-        ("aligned_inserts".into(), Value::u64(t.aligned_inserts)),
-        ("filtered".into(), Value::u64(t.filtered)),
-        ("realigned".into(), Value::u64(t.realigned)),
-        ("resizes".into(), Value::u64(t.resizes)),
-        ("prefetches_issued".into(), Value::u64(t.prefetches_issued)),
-    ])
-}
-
-fn temporal_stats_from(v: &Value) -> Result<TemporalStats, String> {
-    let f = |k: &str| -> Result<u64, String> {
-        v.get(k)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("missing temporal counter {k:?}"))
-    };
-    Ok(TemporalStats {
-        meta_reads: f("meta_reads")?,
-        meta_writes: f("meta_writes")?,
-        rearranged_blocks: f("rearranged_blocks")?,
-        trigger_lookups: f("trigger_lookups")?,
-        trigger_hits: f("trigger_hits")?,
-        correlation_hits: f("correlation_hits")?,
-        inserts: f("inserts")?,
-        redundant_inserts: f("redundant_inserts")?,
-        aligned_inserts: f("aligned_inserts")?,
-        filtered: f("filtered")?,
-        realigned: f("realigned")?,
-        resizes: f("resizes")?,
-        prefetches_issued: f("prefetches_issued")?,
-    })
+/// Counter `name` of the `set` (cache, temporal, dram) object `v`.
+fn counter(v: &Value, set: &str, name: &str) -> Result<u64, String> {
+    v.get(name)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("missing {set} counter {name:?}"))
 }
 
 fn origin_value(a: &[u64; 3]) -> Value {
@@ -510,9 +449,9 @@ pub fn encode_sim_report(r: &SimReport) -> String {
                 ("workload".into(), Value::Str(c.workload.clone())),
                 ("instructions".into(), Value::u64(c.instructions)),
                 ("cycles".into(), Value::u64(c.cycles)),
-                ("l1d".into(), cache_stats_value(&c.l1d)),
-                ("l2".into(), cache_stats_value(&c.l2)),
-                ("temporal".into(), temporal_stats_value(&c.temporal)),
+                ("l1d".into(), counters_value(CacheStats::NAMES, c.l1d.values())),
+                ("l2".into(), counters_value(CacheStats::NAMES, c.l2.values())),
+                ("temporal".into(), counters_value(TemporalStats::NAMES, c.temporal.values())),
                 ("l1_prefetches".into(), Value::u64(c.l1_prefetches)),
                 ("l2_prefetches".into(), Value::u64(c.l2_prefetches)),
                 ("temporal_pf_issued".into(), Value::u64(c.temporal_pf_issued)),
@@ -525,15 +464,8 @@ pub fn encode_sim_report(r: &SimReport) -> String {
         .collect();
     Value::Obj(vec![
         ("cores".into(), Value::Arr(cores)),
-        ("llc".into(), cache_stats_value(&r.llc)),
-        (
-            "dram".into(),
-            Value::Obj(vec![
-                ("reads".into(), Value::u64(r.dram.reads)),
-                ("writes".into(), Value::u64(r.dram.writes)),
-                ("row_hits".into(), Value::u64(r.dram.row_hits)),
-            ]),
-        ),
+        ("llc".into(), counters_value(CacheStats::NAMES, r.llc.values())),
+        ("dram".into(), counters_value(DramStats::NAMES, r.dram.values())),
         ("audit_passed".into(), Value::Bool(r.audit.passed())),
     ])
     .encode()
@@ -568,6 +500,8 @@ pub fn sim_report_from_value(v: &Value) -> Result<SimReport, String> {
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("core {i}: missing {k:?}"))
         };
+        let sub = |k: &str| c.get(k).ok_or_else(|| format!("core {i}: missing {k}"));
+        let (l1d, l2, temporal) = (sub("l1d")?, sub("l2")?, sub("temporal")?);
         cores.push(CoreReport {
             workload: c
                 .get("workload")
@@ -576,11 +510,9 @@ pub fn sim_report_from_value(v: &Value) -> Result<SimReport, String> {
                 .to_string(),
             instructions: f("instructions")?,
             cycles: f("cycles")?,
-            l1d: cache_stats_from(c.get("l1d").ok_or_else(|| format!("core {i}: missing l1d"))?)?,
-            l2: cache_stats_from(c.get("l2").ok_or_else(|| format!("core {i}: missing l2"))?)?,
-            temporal: temporal_stats_from(
-                c.get("temporal").ok_or_else(|| format!("core {i}: missing temporal"))?,
-            )?,
+            l1d: CacheStats::try_from_names(|k| counter(l1d, "cache", k))?,
+            l2: CacheStats::try_from_names(|k| counter(l2, "cache", k))?,
+            temporal: TemporalStats::try_from_names(|k| counter(temporal, "temporal", k))?,
             l1_prefetches: f("l1_prefetches")?,
             l2_prefetches: f("l2_prefetches")?,
             temporal_pf_issued: f("temporal_pf_issued")?,
@@ -599,22 +531,12 @@ pub fn sim_report_from_value(v: &Value) -> Result<SimReport, String> {
             )?,
         });
     }
-    let llc = cache_stats_from(v.get("llc").ok_or("missing llc")?)?;
+    let llc_v = v.get("llc").ok_or("missing llc")?;
     let dram_v = v.get("dram").ok_or("missing dram")?;
-    let df = |k: &str| -> Result<u64, String> {
-        dram_v
-            .get(k)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("missing dram counter {k:?}"))
-    };
     Ok(SimReport {
         cores,
-        llc,
-        dram: DramStats {
-            reads: df("reads")?,
-            writes: df("writes")?,
-            row_hits: df("row_hits")?,
-        },
+        llc: CacheStats::try_from_names(|k| counter(llc_v, "cache", k))?,
+        dram: DramStats::try_from_names(|k| counter(dram_v, "dram", k))?,
         audit: Default::default(),
     })
 }
@@ -946,6 +868,43 @@ mod tests {
         assert_eq!(back.cores[0].temporal, r.cores[0].temporal);
         assert_eq!(back.llc, r.llc);
         assert_eq!(back.dram, r.dram);
+    }
+
+    #[test]
+    fn a_missing_counter_is_named_in_every_set() {
+        fn member<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+            let Value::Obj(fields) = v else { panic!("{key}: parent is not an object") };
+            &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+        }
+        let mut r = SimReport::default();
+        r.cores.push(CoreReport::default());
+        let full = parse(&encode_sim_report(&r)).unwrap();
+        assert!(sim_report_from_value(&full).is_ok());
+        let sets: [(&str, &str, &[&str]); 5] = [
+            ("l1d", "cache", CacheStats::NAMES),
+            ("l2", "cache", CacheStats::NAMES),
+            ("temporal", "temporal", TemporalStats::NAMES),
+            ("llc", "cache", CacheStats::NAMES),
+            ("dram", "dram", DramStats::NAMES),
+        ];
+        for (path, set, names) in sets {
+            for name in names {
+                let mut v = full.clone();
+                let obj = if matches!(path, "llc" | "dram") {
+                    member(&mut v, path)
+                } else {
+                    let Value::Arr(cores) = member(&mut v, "cores") else { panic!("cores") };
+                    member(&mut cores[0], path)
+                };
+                let Value::Obj(fields) = obj else { panic!("{path} is not an object") };
+                fields.retain(|(k, _)| k != name);
+                assert_eq!(
+                    sim_report_from_value(&v).unwrap_err(),
+                    format!("missing {set} counter {name:?}"),
+                    "{path}.{name}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,10 @@ mod sig {
     }
 
     pub fn install() {
+        // SAFETY: `signal` is the C library's, declared with its C
+        // signature; `on_term` is an `extern "C" fn(i32)` that lives for
+        // the whole program and only stores to an atomic, which is
+        // async-signal-safe.
         unsafe {
             signal(SIGTERM, on_term as *const () as usize);
             signal(SIGINT, on_term as *const () as usize);
@@ -72,7 +76,6 @@ fn main() {
     let mut coordinator = false;
     let mut backends: Vec<String> = Vec::new();
     let mut cfg = ServerConfig {
-        workers: tpharness::jobs::worker_count(tpharness::jobs::jobs_flag()),
         queue_capacity: DEFAULT_QUEUE_CAPACITY,
         ..Default::default()
     };
@@ -81,6 +84,12 @@ fn main() {
             spec = v.to_string();
         } else if let Some(v) = arg.strip_prefix("--socket=") {
             spec = format!("unix:{v}");
+        } else if let Some(v) = arg.strip_prefix("--jobs=") {
+            cfg.workers = v
+                .parse()
+                .ok()
+                .filter(|&n| n >= 1)
+                .unwrap_or_else(|| usage());
         } else if let Some(v) = arg.strip_prefix("--queue=") {
             cfg.queue_capacity = v
                 .parse()
@@ -103,8 +112,6 @@ fn main() {
             coordinator = true;
         } else if let Some(v) = arg.strip_prefix("--backend=") {
             backends.push(v.to_string());
-        } else if arg.starts_with("--jobs=") {
-            // Parsed by tpharness::jobs::jobs_flag above.
         } else {
             usage();
         }

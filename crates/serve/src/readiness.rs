@@ -60,6 +60,9 @@ pub(crate) fn wait(entries: &[(Token, Interest)], timeout: Duration) -> Vec<Read
         })
         .collect();
     let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    // SAFETY: `fds` is a live, exclusively borrowed buffer of
+    // `fds.len()` `#[repr(C)]` `pollfd`s for the whole call, and `poll`
+    // writes only their `revents` fields.
     let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as core::ffi::c_ulong, timeout_ms) };
     if n <= 0 {
         // Timeout or EINTR: nothing ready; the loop ticks anyway.

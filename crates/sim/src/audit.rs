@@ -337,22 +337,8 @@ pub fn check_temporal_monotonic(
     now: &TemporalStats,
 ) -> AuditReport {
     let mut a = AuditReport::default();
-    let fields: [(&'static str, u64, u64); 13] = [
-        ("meta_reads", base.meta_reads, now.meta_reads),
-        ("meta_writes", base.meta_writes, now.meta_writes),
-        ("rearranged_blocks", base.rearranged_blocks, now.rearranged_blocks),
-        ("trigger_lookups", base.trigger_lookups, now.trigger_lookups),
-        ("trigger_hits", base.trigger_hits, now.trigger_hits),
-        ("correlation_hits", base.correlation_hits, now.correlation_hits),
-        ("inserts", base.inserts, now.inserts),
-        ("redundant_inserts", base.redundant_inserts, now.redundant_inserts),
-        ("aligned_inserts", base.aligned_inserts, now.aligned_inserts),
-        ("filtered", base.filtered, now.filtered),
-        ("realigned", base.realigned, now.realigned),
-        ("resizes", base.resizes, now.resizes),
-        ("prefetches_issued", base.prefetches_issued, now.prefetches_issued),
-    ];
-    for (name, b, n) in fields {
+    let pairs = base.values().into_iter().zip(now.values());
+    for (name, (b, n)) in TemporalStats::NAMES.iter().zip(pairs) {
         a.require_le(
             "snapshot-monotonicity",
             format!("core{core}.temporal.{name}"),
@@ -404,14 +390,18 @@ mod tests {
 
     #[test]
     fn monotonicity_regression_is_reported() {
-        let base = TemporalStats {
-            inserts: 100,
-            ..Default::default()
-        };
-        let now = TemporalStats::default(); // counter ran backwards
-        let r = check_temporal_monotonic(0, &base, &now);
-        assert!(!r.passed());
-        assert!(r.violations[0].context.contains("inserts"));
+        // Each counter on its own: raising one field in `base` (so it
+        // ran backwards) must give exactly one violation, naming it.
+        let now = TemporalStats::default();
+        for (i, name) in TemporalStats::NAMES.iter().enumerate() {
+            let base = TemporalStats::try_from_names(|n| Ok::<_, ()>(u64::from(n == *name)))
+                .unwrap();
+            assert_eq!(base.values()[i], 1);
+            let r = check_temporal_monotonic(0, &base, &now);
+            assert_eq!(r.checks, TemporalStats::NAMES.len() as u64);
+            assert_eq!(r.violations.len(), 1, "{name}");
+            assert_eq!(r.violations[0].context, format!("core0.temporal.{name}"));
+        }
     }
 
     #[test]

@@ -2,28 +2,85 @@
 
 use crate::audit::AuditReport;
 use std::fmt;
-use std::ops::Sub;
+use std::ops::{Add, Sub};
 
-/// Counters for one cache level.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Demand accesses (loads + stores).
-    pub accesses: u64,
-    /// Demand hits.
-    pub hits: u64,
-    /// Demand misses.
-    pub misses: u64,
-    /// Demand hits on blocks brought in by a prefetch (first touch).
-    pub useful_prefetches: u64,
-    /// Demand misses that found their line already in flight from a
-    /// prefetch (late prefetches; partial latency credit).
-    pub late_prefetches: u64,
-    /// Prefetch fills installed at this level.
-    pub prefetch_fills: u64,
-    /// Prefetched blocks evicted without ever being demanded.
-    pub useless_prefetch_evictions: u64,
-    /// Dirty evictions (writebacks issued downstream).
-    pub writebacks: u64,
+/// Declares a plain-`u64` counter struct from one field list. The
+/// list's order is the wire order (`tpharness::wire` encodes the
+/// fields in it), and every walk over the counters — `Sub`, `Add`,
+/// the wire encoder and decoder, the monotonic audit — reads it
+/// through the generated `NAMES`, `values()` and `try_from_names`, so
+/// a new counter is one line here.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* $field:ident,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: u64,)*
+        }
+
+        impl $name {
+            /// Field names in declaration (wire) order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($field)),*];
+
+            /// Field values in [`Self::NAMES`] order.
+            pub fn values(&self) -> [u64; [$(stringify!($field)),*].len()] {
+                [$(self.$field),*]
+            }
+
+            /// Builds the struct by asking `value` for each field by
+            /// name, in [`Self::NAMES`] order; the first error wins.
+            ///
+            /// # Errors
+            /// The first error `value` returns.
+            pub fn try_from_names<E>(
+                mut value: impl FnMut(&'static str) -> Result<u64, E>,
+            ) -> Result<Self, E> {
+                Ok(Self { $($field: value(stringify!($field))?,)* })
+            }
+        }
+
+        impl Sub for $name {
+            type Output = $name;
+            fn sub(self, rhs: $name) -> $name {
+                $name { $($field: self.$field - rhs.$field,)* }
+            }
+        }
+
+        impl Add for $name {
+            type Output = $name;
+            fn add(self, rhs: $name) -> $name {
+                $name { $($field: self.$field + rhs.$field,)* }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Counters for one cache level.
+    pub struct CacheStats {
+        /// Demand accesses (loads + stores).
+        accesses,
+        /// Demand hits.
+        hits,
+        /// Demand misses.
+        misses,
+        /// Demand hits on blocks brought in by a prefetch (first touch).
+        useful_prefetches,
+        /// Demand misses that found their line already in flight from a
+        /// prefetch (late prefetches; partial latency credit).
+        late_prefetches,
+        /// Prefetch fills installed at this level.
+        prefetch_fills,
+        /// Prefetched blocks evicted without ever being demanded.
+        useless_prefetch_evictions,
+        /// Dirty evictions (writebacks issued downstream).
+        writebacks,
+    }
 }
 
 impl CacheStats {
@@ -37,32 +94,16 @@ impl CacheStats {
     }
 }
 
-impl Sub for CacheStats {
-    type Output = CacheStats;
-    fn sub(self, rhs: CacheStats) -> CacheStats {
-        CacheStats {
-            accesses: self.accesses - rhs.accesses,
-            hits: self.hits - rhs.hits,
-            misses: self.misses - rhs.misses,
-            useful_prefetches: self.useful_prefetches - rhs.useful_prefetches,
-            late_prefetches: self.late_prefetches - rhs.late_prefetches,
-            prefetch_fills: self.prefetch_fills - rhs.prefetch_fills,
-            useless_prefetch_evictions: self.useless_prefetch_evictions
-                - rhs.useless_prefetch_evictions,
-            writebacks: self.writebacks - rhs.writebacks,
-        }
+counters! {
+    /// DRAM traffic counters.
+    pub struct DramStats {
+        /// Line reads serviced (demand + prefetch fills).
+        reads,
+        /// Line writes serviced (writebacks).
+        writes,
+        /// Row-buffer hits among reads+writes.
+        row_hits,
     }
-}
-
-/// DRAM traffic counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Line reads serviced (demand + prefetch fills).
-    pub reads: u64,
-    /// Line writes serviced (writebacks).
-    pub writes: u64,
-    /// Row-buffer hits among reads+writes.
-    pub row_hits: u64,
 }
 
 impl DramStats {
@@ -72,52 +113,42 @@ impl DramStats {
     }
 }
 
-impl Sub for DramStats {
-    type Output = DramStats;
-    fn sub(self, rhs: DramStats) -> DramStats {
-        DramStats {
-            reads: self.reads - rhs.reads,
-            writes: self.writes - rhs.writes,
-            row_hits: self.row_hits - rhs.row_hits,
-        }
+counters! {
+    /// Counters kept by temporal prefetchers and the metadata subsystem.
+    ///
+    /// Every prefetcher fills the fields that apply to it; the figure
+    /// harnesses read them to regenerate the paper's metadata-centric plots
+    /// (Figures 12 and 13).
+    pub struct TemporalStats {
+        /// Metadata block reads issued to the LLC.
+        meta_reads,
+        /// Metadata block writes issued to the LLC.
+        meta_writes,
+        /// Blocks shuffled by repartitioning (Triangel's rearrangement).
+        rearranged_blocks,
+        /// Lookups of a trigger in the metadata store.
+        trigger_lookups,
+        /// Lookups that found the trigger.
+        trigger_hits,
+        /// Lookups that found the trigger *and* whose stored correlation
+        /// matched the actual next access (measured on training events).
+        correlation_hits,
+        /// Metadata entries inserted.
+        inserts,
+        /// Inserts that duplicated correlations already present (redundancy;
+        /// paper Figure 12b).
+        redundant_inserts,
+        /// Inserts merged by stream alignment (Streamline only).
+        aligned_inserts,
+        /// Entries discarded by filtered indexing (Streamline only).
+        filtered,
+        /// Entries saved by stream realignment (Streamline only).
+        realigned,
+        /// Partition resizes performed.
+        resizes,
+        /// Prefetches issued by the temporal prefetcher.
+        prefetches_issued,
     }
-}
-
-/// Counters kept by temporal prefetchers and the metadata subsystem.
-///
-/// Every prefetcher fills the fields that apply to it; the figure
-/// harnesses read them to regenerate the paper's metadata-centric plots
-/// (Figures 12 and 13).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TemporalStats {
-    /// Metadata block reads issued to the LLC.
-    pub meta_reads: u64,
-    /// Metadata block writes issued to the LLC.
-    pub meta_writes: u64,
-    /// Blocks shuffled by repartitioning (Triangel's rearrangement).
-    pub rearranged_blocks: u64,
-    /// Lookups of a trigger in the metadata store.
-    pub trigger_lookups: u64,
-    /// Lookups that found the trigger.
-    pub trigger_hits: u64,
-    /// Lookups that found the trigger *and* whose stored correlation
-    /// matched the actual next access (measured on training events).
-    pub correlation_hits: u64,
-    /// Metadata entries inserted.
-    pub inserts: u64,
-    /// Inserts that duplicated correlations already present (redundancy;
-    /// paper Figure 12b).
-    pub redundant_inserts: u64,
-    /// Inserts merged by stream alignment (Streamline only).
-    pub aligned_inserts: u64,
-    /// Entries discarded by filtered indexing (Streamline only).
-    pub filtered: u64,
-    /// Entries saved by stream realignment (Streamline only).
-    pub realigned: u64,
-    /// Partition resizes performed.
-    pub resizes: u64,
-    /// Prefetches issued by the temporal prefetcher.
-    pub prefetches_issued: u64,
 }
 
 impl TemporalStats {
@@ -142,27 +173,6 @@ impl TemporalStats {
     /// Metadata traffic in 64-byte blocks (reads + writes + shuffles).
     pub fn traffic_blocks(&self) -> u64 {
         self.meta_reads + self.meta_writes + self.rearranged_blocks
-    }
-}
-
-impl Sub for TemporalStats {
-    type Output = TemporalStats;
-    fn sub(self, rhs: TemporalStats) -> TemporalStats {
-        TemporalStats {
-            meta_reads: self.meta_reads - rhs.meta_reads,
-            meta_writes: self.meta_writes - rhs.meta_writes,
-            rearranged_blocks: self.rearranged_blocks - rhs.rearranged_blocks,
-            trigger_lookups: self.trigger_lookups - rhs.trigger_lookups,
-            trigger_hits: self.trigger_hits - rhs.trigger_hits,
-            correlation_hits: self.correlation_hits - rhs.correlation_hits,
-            inserts: self.inserts - rhs.inserts,
-            redundant_inserts: self.redundant_inserts - rhs.redundant_inserts,
-            aligned_inserts: self.aligned_inserts - rhs.aligned_inserts,
-            filtered: self.filtered - rhs.filtered,
-            realigned: self.realigned - rhs.realigned,
-            resizes: self.resizes - rhs.resizes,
-            prefetches_issued: self.prefetches_issued - rhs.prefetches_issued,
-        }
     }
 }
 
@@ -301,24 +311,7 @@ impl SimReport {
 
     /// Aggregate temporal-prefetcher stats across cores.
     pub fn temporal_total(&self) -> TemporalStats {
-        let mut total = TemporalStats::default();
-        for c in &self.cores {
-            let t = c.temporal;
-            total.meta_reads += t.meta_reads;
-            total.meta_writes += t.meta_writes;
-            total.rearranged_blocks += t.rearranged_blocks;
-            total.trigger_lookups += t.trigger_lookups;
-            total.trigger_hits += t.trigger_hits;
-            total.correlation_hits += t.correlation_hits;
-            total.inserts += t.inserts;
-            total.redundant_inserts += t.redundant_inserts;
-            total.aligned_inserts += t.aligned_inserts;
-            total.filtered += t.filtered;
-            total.realigned += t.realigned;
-            total.resizes += t.resizes;
-            total.prefetches_issued += t.prefetches_issued;
-        }
-        total
+        self.cores.iter().map(|c| c.temporal).fold(TemporalStats::default(), Add::add)
     }
 }
 
@@ -395,6 +388,27 @@ mod tests {
         let d = a - b;
         assert_eq!(d.accesses, 6);
         assert_eq!(d.hits, 4);
+    }
+
+    #[test]
+    fn names_values_and_try_from_names_agree() {
+        // Field i holds i + 1: each walk must visit the fields in one order.
+        let t = TemporalStats::try_from_names(|name| {
+            let i = TemporalStats::NAMES.iter().position(|n| *n == name).unwrap();
+            Ok::<_, ()>(i as u64 + 1)
+        })
+        .unwrap();
+        assert_eq!(t.values().to_vec(), (1..=13).collect::<Vec<u64>>());
+        assert_eq!((t.meta_reads, t.prefetches_issued), (1, 13));
+        assert_eq!(t + t - t, t);
+        let mut rep = SimReport::default();
+        for _ in 0..2 {
+            rep.cores.push(CoreReport {
+                temporal: t,
+                ..Default::default()
+            });
+        }
+        assert_eq!(rep.temporal_total(), t + t);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 #    and every workspace crate's own unit, doc and integration tests,
 #    all default members (the audit's conservation laws are also
 #    debug-asserted inside every test-mode simulation) — then clippy
-#    and rustdoc, warnings denied.
+#    and rustdoc, warnings denied (and, for the workspace, any `unsafe`
+#    block without a `// SAFETY:` comment).
 # 2. A release-mode sweep over the memory-intensive pool at test scale
 #    with --audit, so the release build's counters are checked against
 #    the same laws the debug assertions enforce.
@@ -23,7 +24,7 @@ cargo build --release
 cargo test -q
 
 echo "== lint gate: clippy and rustdoc with warnings denied =="
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 # The benchmark is its own workspace, which the line above never lints.
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 # Broken intra-doc links and other rustdoc warnings.

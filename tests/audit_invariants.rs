@@ -23,8 +23,6 @@ use streamline_repro::tptrace::record::Line;
 use streamline_repro::tptrace::TraceBuilder;
 use tpcheck::{check, ensure, Gen};
 
-const L1_KINDS: [L1Kind; 3] = [L1Kind::None, L1Kind::Stride, L1Kind::Berti];
-const L2_KINDS: [L2Kind; 4] = [L2Kind::None, L2Kind::Ipcp, L2Kind::Bingo, L2Kind::SppPpf];
 const TEMPORAL_KINDS: [TemporalKind; 6] = [
     TemporalKind::None,
     TemporalKind::Ideal,
@@ -38,8 +36,8 @@ const TEMPORAL_KINDS: [TemporalKind; 6] = [
 /// fraction (including zero, which skips the mid-run stats reset).
 fn random_experiment(g: &mut Gen) -> Experiment {
     let mut exp = Experiment::new(Scale::Test)
-        .l1(L1_KINDS[g.usize_in(0..L1_KINDS.len())])
-        .l2(L2_KINDS[g.usize_in(0..L2_KINDS.len())])
+        .l1(L1Kind::ALL[g.usize_in(0..L1Kind::ALL.len())])
+        .l2(L2Kind::ALL[g.usize_in(0..L2Kind::ALL.len())])
         .temporal(TEMPORAL_KINDS[g.usize_in(0..TEMPORAL_KINDS.len())]);
     exp.warmup = [0.0, 0.2, 0.5][g.usize_in(0..3)];
     exp

@@ -33,9 +33,6 @@ use streamline_repro::tptrace::record::Line;
 use streamline_repro::tptrace::Mix;
 use tpcheck::{check, ensure, Gen};
 
-const L1_KINDS: [L1Kind; 3] = [L1Kind::None, L1Kind::Stride, L1Kind::Berti];
-const L2_KINDS: [L2Kind; 4] = [L2Kind::None, L2Kind::Ipcp, L2Kind::Bingo, L2Kind::SppPpf];
-
 /// A random experiment at test scale. Unlike the audit suite's
 /// generator, the temporal prefetcher is always on (any `None` config
 /// would leave the sidecar tables and the partition path idle).
@@ -47,8 +44,8 @@ fn random_prefetching_experiment(g: &mut Gen) -> Experiment {
         TemporalKind::Streamline,
     ][g.usize_in(0..4)];
     let mut exp = Experiment::new(Scale::Test)
-        .l1(L1_KINDS[g.usize_in(0..L1_KINDS.len())])
-        .l2(L2_KINDS[g.usize_in(0..L2_KINDS.len())])
+        .l1(L1Kind::ALL[g.usize_in(0..L1Kind::ALL.len())])
+        .l2(L2Kind::ALL[g.usize_in(0..L2Kind::ALL.len())])
         .temporal(temporal);
     exp.warmup = [0.0, 0.2, 0.5][g.usize_in(0..3)];
     exp
