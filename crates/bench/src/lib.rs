@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # tpbench — the paper's tables and figures
 //!
 //! One binary, `tpbench`, renders every paper table and figure in one

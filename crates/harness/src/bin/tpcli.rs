@@ -65,6 +65,10 @@ fn parse_opts() -> Opts {
             o.positional.push(a);
         }
     }
+    if let Err(e) = experiment(&o).validate() {
+        eprintln!("tpcli: {e}");
+        usage();
+    }
     o
 }
 

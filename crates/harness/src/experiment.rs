@@ -59,6 +59,22 @@ impl Experiment {
         self
     }
 
+    /// The range checks an experiment passes before it may reach an
+    /// engine, which panics on them: a finite, positive bandwidth factor
+    /// and a warmup fraction in `[0, 1)`.
+    ///
+    /// # Errors
+    /// A message naming the rejected value.
+    pub fn validate(&self) -> Result<(), String> {
+        let bandwidth = self.bandwidth_factor;
+        if !bandwidth.is_finite() || bandwidth <= 0.0 {
+            return Err(format!(
+                "bandwidth must be finite and positive, got {bandwidth}"
+            ));
+        }
+        tpsim::validate_warmup_fraction(self.warmup).map_err(|e| e.to_string())
+    }
+
     /// A stable, human-readable fingerprint of every knob that affects
     /// simulation results. Two experiments with equal fingerprints are
     /// interchangeable, which is what the sweep runner's result cache
@@ -140,6 +156,32 @@ mod tests {
         let r = run_mix(mix, &exp);
         assert_eq!(r.cores.len(), 2);
         assert!(r.cores.iter().all(|c| c.instructions > 0));
+    }
+
+    #[test]
+    fn validate_rejects_what_would_panic_the_engine() {
+        let exp = |bandwidth: f64, warmup: f64| {
+            let mut e = Experiment::new(Scale::Test).bandwidth(bandwidth);
+            e.warmup = warmup;
+            e.validate()
+        };
+        assert_eq!(exp(1.0, 0.2), Ok(()));
+        assert_eq!(exp(0.25, 0.0), Ok(()));
+        // An infinite factor would saturate the DRAM channel count, so
+        // it is checked here and never run.
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = exp(bad, 0.2).expect_err("rejected");
+            assert!(
+                err.starts_with("bandwidth must be finite and positive"),
+                "{err}"
+            );
+        }
+        for bad in [1.0, -0.1, f64::NAN] {
+            assert!(
+                exp(1.0, bad).expect_err("rejected").contains("warmup"),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -343,27 +343,16 @@ impl SweepRunner {
                 });
             }
         });
-        let indexed = collected.into_inner().expect("sweep result lock");
-        reassemble(indexed, items.len())
+        // Back into submission order: exactly one result per slot of
+        // `0..n` (a lost or duplicated job is a harness bug, never data).
+        let mut indexed = collected.into_inner().expect("sweep result lock");
+        indexed.sort_unstable_by_key(|&(i, _)| i);
+        assert_eq!(indexed.len(), items.len(), "sweep lost or duplicated jobs");
+        for (slot, &(i, _)) in indexed.iter().enumerate() {
+            assert_eq!(slot, i, "sweep result indices must be exactly 0..n");
+        }
+        indexed.into_iter().map(|(_, u)| u).collect()
     }
-}
-
-/// Reassembles out-of-order `(index, result)` pairs into submission
-/// order — the canonical-order primitive shared by [`SweepRunner::map`]
-/// and every remote execution path (server-routed sweeps, the fleet
-/// coordinator's clients), so "results in job order" means the same
-/// thing no matter where the jobs ran.
-///
-/// # Panics
-/// Panics unless the pairs contain exactly one result per slot of
-/// `0..n` (a lost or duplicated job is a harness bug, never data).
-pub fn reassemble<U>(mut indexed: Vec<(usize, U)>, n: usize) -> Vec<U> {
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    assert_eq!(indexed.len(), n, "sweep lost or duplicated jobs");
-    for (slot, &(i, _)) in indexed.iter().enumerate() {
-        assert_eq!(slot, i, "sweep result indices must be exactly 0..n");
-    }
-    indexed.into_iter().map(|(_, u)| u).collect()
 }
 
 #[cfg(test)]

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # tpreplace — replacement policies for caches and temporal metadata
@@ -6,7 +7,10 @@
 //! Streamline reproduction:
 //!
 //! * Online set-local policies usable for both data and metadata:
-//!   [`Lru`] and [`Srrip`] (Triangel's metadata policy).
+//!   [`Lru`] and [`Srrip`]. Triangel's metadata is SRRIP-managed in
+//!   hardware; the `triangel` crate models that by MRU insertion and
+//!   does not call [`Srrip`], which the online-vs-offline property tests
+//!   exercise instead.
 //! * [`EtrSampler`], the sampled reuse-distance predictor at the heart of
 //!   Mockingjay (HPCA 2022) and of the paper's **TP-Mockingjay** variant.
 //! * Offline analyzers: [`belady`] implements Belady's MIN over *trigger

@@ -5,9 +5,8 @@
 //! a coordinator unchanged. Behind the listener each accepted job is
 //! **consistent-hashed by its canonical request encoding** onto one of
 //! N backends ([`crate::ring::HashRing`]) and forwarded — one `SUBMIT`,
-//! one `WAIT` — over persistent nonblocking links woven into the same
-//! readiness set as the client connections (`links.rs`); the
-//! local worker pool is the fallback of last resort.
+//! one `WAIT` — over persistent links, each with its own reader thread
+//! (`links.rs`); the local worker pool is the fallback of last resort.
 
 use crate::ring::HashRing;
 use crate::server::{Controller, Server, ServerConfig};

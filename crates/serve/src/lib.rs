@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # tpserve — a dependency-free simulation service
@@ -9,7 +10,7 @@
 //!
 //! There is **one service core** (private modules; DESIGN.md §9
 //! describes it): one job table, one two-level
-//! result cache, one event loop, one local worker pool. A [`Server`]
+//! result cache, one local worker pool. A [`Server`]
 //! is that core with an empty hash ring; a [`Coordinator`] is the same
 //! core with a ring of backend servers it tries first.
 //!
@@ -19,15 +20,17 @@
 //!   coordinator speaks it unchanged, and `STATS` has one shape for
 //!   both roles.
 //! * **Completion-driven waiting**: `WAIT <ticket>` is answered when
-//!   the job is over — a finishing worker wakes the loop, a backend
-//!   answers the coordinator's own `WAIT` — so nothing polls; `POLL` is
-//!   the non-blocking probe.
-//! * **Event-driven I/O**: one nonblocking, poll-based loop serves
-//!   every client connection and backend link; clients may **pipeline**
-//!   requests (write many before reading any response) and responses
-//!   come back in request order. Slow readers get per-connection
-//!   backpressure — the loop stops parsing *and reading* — not
-//!   unbounded buffering.
+//!   the job is over — the connection's thread blocks until a finishing
+//!   worker, or a backend answering the coordinator's own `WAIT`,
+//!   settles the job — so nothing polls; `POLL` is the non-blocking
+//!   probe.
+//! * **Blocking I/O, one thread per connection**: each accepted
+//!   connection is served on its own thread, and each backend link has
+//!   one reader thread. Clients may **pipeline** requests (write many
+//!   before reading any response); responses come back in request
+//!   order, written in batches. A slow reader blocks only its own
+//!   thread's `write`, which stops that thread reading too: per-
+//!   connection backpressure, not unbounded buffering.
 //! * **Routing**: each job goes to the first untried reachable
 //!   candidate of a consistent-hash ring ([`ring`]) keyed by the
 //!   canonical request, else to the local pool. Placement failures
@@ -80,9 +83,7 @@
 //! ```
 
 mod conn;
-mod event_loop;
 mod links;
-mod readiness;
 mod service;
 
 pub mod client;

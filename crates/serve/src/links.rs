@@ -30,31 +30,51 @@
 //! the k-th outstanding forward. A link failure voids all of its
 //! expectations at once and re-routes every job assigned to it.
 //!
+//! ## Threads and locks
+//!
+//! Each link has one reader thread, which applies every answer
+//! ([`Link::on_line`]) and fails the link when its connection breaks.
+//! Lines are written under the link's lock by whoever needs them sent:
+//! the thread routing a job (the submitting connection's, or a failing
+//! link's as it re-routes what it stranded) writes the `SUBMIT`, the
+//! reader writes the `WAIT` when it sees `queued`. Writing a line and
+//! queueing its expectation happen under that one lock, so the queue
+//! matches the wire; the reader pops without it. Locks nest link, then
+//! job table, never the other way, and no link lock is held while
+//! routing, so no two links wait on each other. A connect attempt holds
+//! only its own link's lock.
+//!
+//! A write blocks while the backend is not reading, which it does not
+//! while a `WAIT` holds its connection. The coordinator's bounded job
+//! table bounds what can be unread on a link — a `SUBMIT` and a `WAIT`
+//! per job — well inside a socket buffer at the default capacity.
+//!
 //! ## One `SUBMIT`, one `WAIT`
 //!
 //! A remote job costs exactly two lines on its link: the `SUBMIT`, and
-//! a `WAIT` sent the moment the backend's `queued` arrives. The backend
-//! parks the link on it and answers when the job is terminal; nothing
-//! is polled. Request order is the protocol's one head-of-line rule and
-//! it applies here: the backend reads nothing further from a link
-//! parked on a `WAIT`, so a later `WAIT` — or `SUBMIT` — on the same
-//! link is held until the older job finishes. A backend runs its queue
-//! FIFO, so a later `WAIT` is delayed by at most the older job's
-//! remaining run time; a sweep pipelines its `SUBMIT`s, so they
-//! normally reach the backend ahead of the first `WAIT`.
+//! a `WAIT` sent the moment the backend's `queued` arrives. The
+//! backend's thread for the link blocks on it and answers when the job
+//! is terminal; nothing is polled. Request order is the protocol's one
+//! head-of-line rule and it applies here: the backend reads nothing
+//! further from a link blocked on a `WAIT`, so a later `WAIT` — or
+//! `SUBMIT` — on the same link is held until the older job finishes. A
+//! backend runs its queue FIFO, so a later `WAIT` is delayed by at most
+//! the older job's remaining run time; a sweep pipelines its `SUBMIT`s,
+//! so they normally reach the backend ahead of the first `WAIT`.
 
-use crate::conn::{Conn, ConnState};
-use crate::readiness::Ready;
+use crate::conn::Conn;
+use crate::protocol::read_frame;
 use crate::ring::HashRing;
-use crate::service::{bump, BackendStats, Core, Job, JobState};
+use crate::service::{bump, Core, JobState, Table};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
+use std::io::{BufReader, Write};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tpharness::wire::{self, Value};
 
-/// Bound on one blocking connect attempt from the event loop: a
-/// black-holed backend address costs at most this, not a kernel default.
+/// Bound on one blocking connect attempt: a black-holed backend address
+/// costs at most this, not a kernel default.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Minimum time between connect attempts to a down backend.
@@ -67,91 +87,193 @@ struct Expect {
     waited: bool,
 }
 
-/// One persistent backend connection plus its expectation queue.
+/// The expectations of one connection, oldest first. Writers push under
+/// the link lock; the reader pops without it, since a writer may hold
+/// that lock while the backend's socket is full.
+type Expects = Arc<Mutex<VecDeque<Expect>>>;
+
+/// One live backend connection: the handle lines are written on, and
+/// what their answers are for.
+struct Session {
+    conn: Conn,
+    expects: Expects,
+}
+
+impl Session {
+    /// Writes one request line and queues what its answer is for; false
+    /// if the write failed.
+    fn send(&mut self, expect: Expect, line: &str) -> bool {
+        self.expects.lock().expect("expects lock").push_back(expect);
+        self.conn.write_all(line.as_bytes()).is_ok()
+    }
+}
+
+/// What the link lock guards.
 #[derive(Default)]
-pub(crate) struct Link {
-    addr: String,
-    pub(crate) cs: Option<ConnState>,
-    /// Where the event loop put this link in the current poll set.
-    pub(crate) slot: Option<usize>,
-    expects: VecDeque<Expect>,
+struct LinkState {
+    session: Option<Session>,
     /// Last connect attempt (gates the reconnect backoff).
     last_attempt: Option<Instant>,
+    /// The server is stopping: no session opens, the reader returns.
+    closed: bool,
+}
+
+/// Per-backend health and routing stats (surfaced in STATS).
+#[derive(Default)]
+pub(crate) struct BackendStats {
+    pub(crate) up: AtomicBool,
+    /// Jobs forwarded to this backend.
+    pub(crate) routed: AtomicU64,
+    /// Jobs this backend completed.
+    pub(crate) completed: AtomicU64,
+    /// Jobs whose primary was this backend but which landed elsewhere.
+    pub(crate) rerouted_away: AtomicU64,
+    /// Successful (re)connects to this backend.
+    pub(crate) connects: AtomicU64,
+}
+
+/// One persistent backend connection, its expectations and its stats.
+pub(crate) struct Link {
+    /// This backend's position in the ring.
+    index: usize,
+    pub(crate) addr: String,
+    pub(crate) stats: BackendStats,
+    state: Mutex<LinkState>,
+    /// Wakes the reader when a session opens or the link closes.
+    changed: Condvar,
 }
 
 impl Link {
     /// One unconnected link per ring node; nothing dials until the
     /// first job routes.
     pub(crate) fn for_ring(ring: &HashRing) -> Vec<Link> {
-        let unconnected = |i| Link {
-            addr: ring.addr(i).to_string(),
-            ..Link::default()
+        let unconnected = |index| Link {
+            index,
+            addr: ring.addr(index).to_string(),
+            stats: BackendStats::default(),
+            state: Mutex::default(),
+            changed: Condvar::new(),
         };
         (0..ring.len()).map(unconnected).collect()
     }
 
-    /// Ensures a live connection, respecting the backoff.
-    fn ensure(&mut self, stats: &BackendStats, now: Instant) -> bool {
-        if self.cs.is_some() {
-            return true;
-        }
-        let backing_off = |t| now.duration_since(t) < RECONNECT_BACKOFF;
-        if self.last_attempt.is_some_and(backing_off) {
-            return false;
-        }
-        self.last_attempt = Some(now);
-        self.cs = Conn::connect_timeout(&self.addr, CONNECT_TIMEOUT)
-            .and_then(ConnState::new)
-            .ok();
-        let up = self.cs.is_some();
-        stats.up.store(up, Relaxed);
-        if up {
-            bump(&stats.connects);
-        }
-        up
+    fn lock(&self) -> MutexGuard<'_, LinkState> {
+        self.state.lock().expect("link lock")
     }
 
-    /// Tears the link down and re-routes every job assigned to backend
-    /// `bi` (outstanding expectations included).
-    pub(crate) fn fail(&mut self, core: &Core, bi: usize) {
-        self.cs = None;
-        self.last_attempt = Some(Instant::now());
-        self.expects.clear();
-        core.backends[bi].up.store(false, Relaxed);
+    /// The live session, connecting first if the backoff allows.
+    fn ensure<'a>(&self, st: &'a mut LinkState) -> Option<&'a mut Session> {
+        let backing_off = |t: Instant| t.elapsed() < RECONNECT_BACKOFF;
+        if st.session.is_none() && !st.closed && !st.last_attempt.is_some_and(backing_off) {
+            st.last_attempt = Some(Instant::now());
+            let conn = Conn::connect_timeout(&self.addr, CONNECT_TIMEOUT);
+            st.session = conn.ok().map(|conn| Session {
+                conn,
+                expects: Expects::default(),
+            });
+            let up = st.session.is_some();
+            self.stats.up.store(up, Relaxed);
+            if up {
+                bump(&self.stats.connects);
+                self.changed.notify_all();
+            }
+        }
+        st.session.as_mut()
+    }
+
+    /// Tears the live session down and moves every job assigned to this
+    /// backend back to `routing`, returning them for the caller to route
+    /// once it has let go of the link lock.
+    fn drop_session(&self, core: &Core, st: &mut LinkState) -> Vec<u64> {
+        if let Some(session) = st.session.take() {
+            // The reader's blocking read returns.
+            session.conn.shutdown();
+        }
+        st.last_attempt = Some(Instant::now());
+        self.stats.up.store(false, Relaxed);
         let mut t = core.lock();
         let stranded: Vec<u64> = t
             .jobs
             .iter()
             .filter(|(_, j)| match j.state {
-                JobState::AwaitSubmit(b) | JobState::Remote(b) => b == bi,
+                JobState::AwaitSubmit(b) | JobState::Remote(b) => b == self.index,
                 _ => false,
             })
             .map(|(&id, _)| id)
             .collect();
-        for id in stranded {
+        for &id in &stranded {
             t.set_state(id, JobState::Routing);
         }
+        stranded
     }
 
-    /// Applies every complete buffered response line. `Err(())` means
-    /// the link is broken (EOF, framing violation, or a response nothing
-    /// was waiting for) and must be [failed](Link::fail).
-    fn service(&mut self, core: &Core, bi: usize) -> Result<(), ()> {
-        while let Some(cs) = self.cs.as_mut() {
-            match cs.next_line() {
-                Ok(Some(line)) if line.is_empty() => {}
-                Ok(Some(line)) => self.on_line(core, bi, &line)?,
-                Ok(None) if cs.eof => return Err(()),
-                Ok(None) => break,
-                Err(_) => return Err(()),
+    /// Fails the session `expects` belongs to, unless another thread
+    /// already has, and re-routes what it stranded.
+    fn fail(&self, core: &Core, expects: &Expects) {
+        let stranded = {
+            let mut st = self.lock();
+            let current = st
+                .session
+                .as_ref()
+                .is_some_and(|s| Arc::ptr_eq(&s.expects, expects));
+            if !current {
+                return;
             }
-        }
-        Ok(())
+            self.drop_session(core, &mut st)
+        };
+        stranded.into_iter().for_each(|id| route(core, id));
     }
 
-    /// Applies one response line to the job its FIFO slot names.
-    fn on_line(&mut self, core: &Core, bi: usize, line: &str) -> Result<(), ()> {
-        let Expect { id, waited } = self.expects.pop_front().ok_or(())?;
+    /// Stops the link for good: the live session is shut and the reader
+    /// returns.
+    pub(crate) fn close(&self) {
+        let mut st = self.lock();
+        st.closed = true;
+        if let Some(session) = st.session.take() {
+            session.conn.shutdown();
+        }
+        self.changed.notify_all();
+    }
+
+    /// The body of this link's reader thread: applies each answer on
+    /// the live session, fails the link when the session breaks (EOF,
+    /// framing violation, or a response nothing was waiting for), then
+    /// waits for the next session. Returns once the link is closed.
+    pub(crate) fn read_answers(&self, core: &Core) {
+        loop {
+            let (conn, expects) = {
+                let mut st = self.lock();
+                loop {
+                    if st.closed {
+                        return;
+                    }
+                    if let Some(s) = &st.session {
+                        break (s.conn.try_clone(), Arc::clone(&s.expects));
+                    }
+                    st = self.changed.wait(st).expect("link lock");
+                }
+            };
+            if let Ok(conn) = conn {
+                let mut answers = BufReader::new(conn);
+                let mut scratch = Vec::new();
+                loop {
+                    match read_frame(&mut answers, &mut scratch) {
+                        Ok(Some(line)) if line.is_empty() => {}
+                        Ok(Some(line)) if self.on_line(core, &expects, &line).is_ok() => {}
+                        _ => break,
+                    }
+                }
+            }
+            self.fail(core, &expects);
+        }
+    }
+
+    /// Applies one response line to the job its FIFO slot names. `Err`
+    /// means nothing was waiting for it: the link must be failed.
+    fn on_line(&self, core: &Core, expects: &Expects, line: &str) -> Result<(), ()> {
+        let bi = self.index;
+        let next = expects.lock().expect("expects lock").pop_front();
+        let Expect { id, waited } = next.ok_or(())?;
         let reply = wire::parse(line).ok();
         let field = |name: &str| reply.as_ref().and_then(|v| v.get(name));
         let status = field("status").and_then(Value::as_str).unwrap_or("");
@@ -171,6 +293,7 @@ impl Link {
         if !current {
             return Ok(());
         }
+        let mut wait_on = None;
         let next = match (status, waited) {
             // The report goes into the cache under the job's canonical
             // key as the encoding of its parsed tree: the backend's
@@ -180,20 +303,19 @@ impl Link {
                 Some(report) => {
                     core.publish(&job.spec.canonical, &report.encode());
                     bump(&core.counters.served);
-                    bump(&core.backends[bi].completed);
+                    bump(&self.stats.completed);
                     let cached = field("cached").and_then(Value::as_bool).unwrap_or(false);
                     JobState::Done { cached }
                 }
                 None => JobState::Routing,
             },
             // Accepted: ask, once, to be told when it is over.
-            ("queued", false) => match (field("ticket").and_then(Value::as_u64), &mut self.cs) {
-                (Some(ticket), Some(cs)) => {
-                    cs.queue(format!("WAIT {ticket}\n").as_bytes());
-                    self.expects.push_back(Expect { id, waited: true });
+            ("queued", false) => match field("ticket").and_then(Value::as_u64) {
+                Some(ticket) => {
+                    wait_on = Some(ticket);
                     JobState::Remote(bi)
                 }
-                _ => JobState::Routing,
+                None => JobState::Routing,
             },
             ("deadline-exceeded", true) => {
                 bump(&core.counters.cancelled);
@@ -209,74 +331,110 @@ impl Link {
             // placement is void.
             _ => JobState::Routing,
         };
-        t.set_state(id, next);
+        let reroute = matches!(next, JobState::Routing);
+        core.settle(&mut t, id, next);
+        drop(t);
+        if let Some(ticket) = wait_on {
+            self.wait_remote(core, expects, id, ticket);
+        }
+        if reroute {
+            route(core, id);
+        }
         Ok(())
     }
-}
 
-/// Routes every `routing` job: first untried, reachable candidate in
-/// ring order, else the local pool. Connect attempts happen outside
-/// the table lock so a slow connect can't stall workers.
-pub(crate) fn route_jobs(core: &Core, links: &mut [Link]) {
-    let routing = |(&id, j): (&u64, &Job)| {
-        matches!(j.state, JobState::Routing).then(|| (id, Arc::clone(&j.spec), j.attempts.clone()))
-    };
-    let pending: Vec<_> = core.lock().jobs.iter().filter_map(routing).collect();
-    for (id, spec, attempts) in pending {
-        let cands = core.ring.candidates(HashRing::job_point(&spec.canonical));
-        let now = Instant::now();
-        let chosen = cands
-            .iter()
-            .copied()
-            .find(|&b| !attempts.contains(&b) && links[b].ensure(&core.backends[b], now));
-
-        let mut t = core.lock();
-        let Some(job) = t.jobs.get_mut(&id) else {
-            continue;
-        };
-        // A landing anywhere but the primary is a reroute; attribute
-        // the departure to the backend the job came from (retry) or to
-        // the unreachable primary (first routing).
-        let primary = cands.first().copied().filter(|&p| Some(p) != chosen);
-        if let Some(from) = job.attempts.last().copied().or(primary) {
-            bump(&core.counters.rerouted);
-            bump(&core.backends[from].rerouted_away);
-        }
-        match chosen {
-            Some(b) => {
-                let cs = links[b].cs.as_mut().expect("ensure left a live conn");
-                cs.queue(format!("SUBMIT {}\n", spec.payload).as_bytes());
-                links[b].expects.push_back(Expect { id, waited: false });
-                job.attempts.push(b);
-                t.set_state(id, JobState::AwaitSubmit(b));
-                bump(&core.counters.forwarded);
-                bump(&core.backends[b].routed);
+    /// Sends job `id`'s `WAIT` for backend ticket `ticket` on the
+    /// session of `expects`. If that session is gone, its failure
+    /// already re-routed the job; a failed write fails it now.
+    fn wait_remote(&self, core: &Core, expects: &Expects, id: u64, ticket: u64) {
+        let stranded = {
+            let mut st = self.lock();
+            let ours = |s: &&mut Session| Arc::ptr_eq(&s.expects, expects);
+            let Some(session) = st.session.as_mut().filter(ours) else {
+                return;
+            };
+            if session.send(Expect { id, waited: true }, &format!("WAIT {ticket}\n")) {
+                return;
             }
-            None => core.run_locally(&mut t, id),
-        }
+            self.drop_session(core, &mut st)
+        };
+        stranded.into_iter().for_each(|id| route(core, id));
+    }
+
+    /// Places routing job `id` on this backend: connects if need be,
+    /// then sends its `SUBMIT`. False if the backend is unreachable. A
+    /// failed write fails the link, whose re-routing takes the job along.
+    fn submit(&self, core: &Core, id: u64, payload: &str, primary: Option<usize>) -> bool {
+        let bi = self.index;
+        let stranded = {
+            let mut st = self.lock();
+            let Some(session) = self.ensure(&mut st) else {
+                return false;
+            };
+            {
+                let mut t = core.lock();
+                if !land(core, &mut t, id, Some(bi), primary) {
+                    return true;
+                }
+                t.jobs.get_mut(&id).expect("landed").attempts.push(bi);
+                t.set_state(id, JobState::AwaitSubmit(bi));
+            }
+            bump(&core.counters.forwarded);
+            bump(&self.stats.routed);
+            if session.send(Expect { id, waited: false }, &format!("SUBMIT {payload}\n")) {
+                return true;
+            }
+            self.drop_session(core, &mut st)
+        };
+        stranded.into_iter().for_each(|id| route(core, id));
+        true
     }
 }
 
-/// One event-loop pass over the fleet. Responses are read first (they
-/// may re-route jobs, and each `queued` queues its `WAIT`), then jobs
-/// are routed, then output is flushed — so a failure and its reroute
-/// happen in the same pass.
-/// `ready` is what the poll set built from [`Link::slot`]s reported.
-pub(crate) fn pump(core: &Core, links: &mut [Link], ready: &[Ready]) {
-    for (bi, link) in links.iter_mut().enumerate() {
-        let readable = link.slot.take().is_some_and(|slot| ready[slot].read);
-        let read_failed = readable && link.cs.as_mut().is_some_and(|cs| cs.fill().is_err());
-        if read_failed || link.service(core, bi).is_err() {
-            link.fail(core, bi);
+/// Whether job `id` is still `routing`, so the caller may place it. If
+/// so, a landing on `to` (`None`: the local pool) anywhere but the
+/// primary is a reroute, attributed to the backend the job came from
+/// (retry) or to the unreachable primary (first routing).
+fn land(core: &Core, t: &mut Table, id: u64, to: Option<usize>, primary: Option<usize>) -> bool {
+    let Some(job) = t
+        .jobs
+        .get(&id)
+        .filter(|j| matches!(j.state, JobState::Routing))
+    else {
+        return false;
+    };
+    let away_from_primary = primary.filter(|&p| Some(p) != to);
+    if let Some(from) = job.attempts.last().copied().or(away_from_primary) {
+        bump(&core.counters.rerouted);
+        bump(&core.links[from].stats.rerouted_away);
+    }
+    true
+}
+
+/// Routes job `id` if it is `routing`: first untried, reachable
+/// candidate in ring order, else the local pool. Called by whoever put
+/// the job in that state, holding no lock.
+pub(crate) fn route(core: &Core, id: u64) {
+    let routing = |t: &Table| {
+        let job = t
+            .jobs
+            .get(&id)
+            .filter(|j| matches!(j.state, JobState::Routing))?;
+        Some((Arc::clone(&job.spec), job.attempts.clone()))
+    };
+    let Some((spec, attempts)) = routing(&core.lock()) else {
+        return;
+    };
+    let cands = core.ring.candidates(HashRing::job_point(&spec.canonical));
+    let primary = cands.first().copied();
+    for &b in cands.iter().filter(|b| !attempts.contains(b)) {
+        if core.links[b].submit(core, id, &spec.payload, primary) {
+            return;
         }
     }
-    route_jobs(core, links);
-    // A write failure is a link failure.
-    let unsent = |cs: &mut ConnState| cs.pending_out() > 0 && cs.flush().is_err();
-    for (bi, link) in links.iter_mut().enumerate() {
-        if link.cs.as_mut().is_some_and(unsent) {
-            link.fail(core, bi);
-        }
+    let mut t = core.lock();
+    if land(core, &mut t, id, None, primary) {
+        core.run_locally(&mut t, id);
     }
 }
 
@@ -284,44 +442,55 @@ pub(crate) fn pump(core: &Core, links: &mut [Link], ready: &[Ready]) {
 mod tests {
     use super::*;
     use crate::server::ServerConfig;
-    use crate::service::tests::{dead_addr, status, str_of, ticket, Shape};
+    use crate::service::tests::{dead_addr, request, status, str_of, Shape};
+    use std::io::Read;
+    use std::os::unix::net::UnixStream;
 
     /// A two-node ring whose backends refuse connections, with one job
-    /// parked on backend 0 as if its link had been live: awaiting the
+    /// placed on backend 0 as if over a live session: awaiting the
     /// submit response (`waited` false) or accepted and waited for.
-    fn parked(waited: bool) -> (Shape, u64) {
-        let mut s = Shape::new(ServerConfig::default(), &[dead_addr(), dead_addr()]);
-        let id = ticket(&s.reply(r#"SUBMIT {"workload":"gap.bfs","scale":"test"}"#));
+    /// Also returns that session's expectations and its far end.
+    fn parked(waited: bool) -> (Shape, u64, Expects, UnixStream) {
+        let s = Shape::new(ServerConfig::default(), &[dead_addr(), dead_addr()]);
+        let id = s.accept(request(r#"{"workload":"gap.bfs","scale":"test"}"#));
         let state = if waited {
             JobState::Remote(0)
         } else {
             JobState::AwaitSubmit(0)
         };
-        s.core.lock().jobs.get_mut(&id).unwrap().attempts.push(0);
-        s.core.lock().set_state(id, state);
-        s.links[0].expects.push_back(Expect { id, waited });
-        (s, id)
+        let (near, far) = UnixStream::pair().unwrap();
+        let expects = Expects::default();
+        expects.lock().unwrap().push_back(Expect { id, waited });
+        let session = Session {
+            conn: Conn::Unix(near),
+            expects: Arc::clone(&expects),
+        };
+        s.core.links[0].lock().session = Some(session);
+        {
+            let mut t = s.core.lock();
+            t.jobs.get_mut(&id).unwrap().attempts.push(0);
+            t.set_state(id, state);
+        }
+        (s, id, expects, far)
     }
 
     /// What backend 0 says next.
-    fn answer(s: &mut Shape, line: &str) -> Result<(), ()> {
-        s.links[0].on_line(&s.core, 0, line)
+    fn answer(s: &Shape, expects: &Expects, line: &str) -> Result<(), ()> {
+        s.core.links[0].on_line(&s.core, expects, line)
     }
 
     fn state(s: &Shape, id: u64) -> String {
         format!("{:?}", s.core.lock().jobs[&id].state)
     }
 
-    /// After any placement failure the job must re-route — here, with
-    /// backend 1 refusing too, all the way to the local pool — and the
-    /// departure from backend 0 must be counted.
-    fn assert_rerouted_to_local_pool(mut s: Shape, id: u64) {
-        assert_eq!(state(&s, id), "Routing", "placement failed");
-        route_jobs(&s.core, &mut s.links);
-        assert_eq!(state(&s, id), "LocalQueued");
+    /// After any placement failure the job must re-route at once — here,
+    /// with backend 1 refusing too, all the way to the local pool — and
+    /// the departure from backend 0 must be counted.
+    fn assert_rerouted_to_local_pool(s: &Shape, id: u64) {
+        assert_eq!(state(s, id), "LocalQueued", "placement failed");
         assert_eq!(s.core.counters.local_jobs.load(Relaxed), 1);
         assert_eq!(s.core.counters.rerouted.load(Relaxed), 1);
-        assert_eq!(s.core.backends[0].rerouted_away.load(Relaxed), 1);
+        assert_eq!(s.core.links[0].stats.rerouted_away.load(Relaxed), 1);
         assert_eq!(status(&s.poll(id)), "queued", "never stuck");
     }
 
@@ -339,39 +508,60 @@ mod tests {
             (true, r#"{"status":"running","ticket":7}"#),
             (true, r#"{"status":"queued","ticket":7}"#),
         ] {
-            let (mut s, id) = parked(waited);
-            assert_eq!(answer(&mut s, line), Ok(()), "{line}");
-            assert!(s.links[0].expects.is_empty());
-            assert_rerouted_to_local_pool(s, id);
+            let (s, id, expects, _far) = parked(waited);
+            assert_eq!(answer(&s, &expects, line), Ok(()), "{line}");
+            assert!(expects.lock().unwrap().is_empty());
+            assert_rerouted_to_local_pool(&s, id);
         }
     }
 
     #[test]
     fn an_answer_nobody_asked_for_fails_the_link_and_reroutes_its_jobs() {
-        let (mut s, id) = parked(true);
-        s.links[0].expects.clear();
-        let unasked = answer(&mut s, r#"{"status":"ok","pong":true}"#);
-        assert_eq!(unasked, Err(()), "the loop must fail this link");
-        s.links[0].fail(&s.core, 0);
-        assert_rerouted_to_local_pool(s, id);
+        let (s, id, expects, mut far) = parked(true);
+        expects.lock().unwrap().clear();
+        let unasked = answer(&s, &expects, r#"{"status":"ok","pong":true}"#);
+        assert_eq!(unasked, Err(()), "the reader must fail this link");
+        s.core.links[0].fail(&s.core, &expects);
+        assert_rerouted_to_local_pool(&s, id);
+        assert!(s.core.links[0].lock().session.is_none());
+        assert_eq!(far.read(&mut [0; 8]).unwrap(), 0, "the session is shut");
     }
 
     #[test]
     fn a_stale_answer_leaves_the_job_where_it_is() {
         // A submit answer for a job that is already being waited for
         // (its link failed and recovered in between) is ignored.
-        let (mut s, id) = parked(true);
-        s.links[0].expects[0].waited = false;
-        assert_eq!(answer(&mut s, r#"{"status":"queued","ticket":9}"#), Ok(()));
+        let (s, id, expects, _far) = parked(true);
+        expects.lock().unwrap()[0].waited = false;
+        let queued = r#"{"status":"queued","ticket":9}"#;
+        assert_eq!(answer(&s, &expects, queued), Ok(()));
         assert_eq!(state(&s, id), "Remote(0)");
-        assert!(s.links[0].expects.is_empty(), "and asks nothing new");
+        assert!(expects.lock().unwrap().is_empty(), "and asks nothing new");
+    }
+
+    #[test]
+    fn a_queued_answer_sends_one_wait_on_the_same_session() {
+        let (s, id, expects, mut far) = parked(false);
+        let queued = r#"{"status":"queued","ticket":9}"#;
+        assert_eq!(answer(&s, &expects, queued), Ok(()));
+        assert_eq!(state(&s, id), "Remote(0)");
+        let mut sent = [0; 7];
+        far.read_exact(&mut sent).unwrap();
+        assert_eq!(&sent, b"WAIT 9\n");
+        let pending: Vec<_> = expects
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|e| (e.id, e.waited))
+            .collect();
+        assert_eq!(pending, [(id, true)]);
     }
 
     #[test]
     fn execution_verdicts_relay_instead_of_rerouting() {
-        let (mut s, id) = parked(true);
+        let (s, id, expects, _far) = parked(true);
         let verdict = r#"{"status":"failed","ticket":7,"reason":"audit"}"#;
-        assert_eq!(answer(&mut s, verdict), Ok(()));
+        assert_eq!(answer(&s, &expects, verdict), Ok(()));
         let reply = s.poll(id);
         assert_eq!(status(&reply), "failed");
         assert_eq!(str_of(&reply, "reason"), "audit");

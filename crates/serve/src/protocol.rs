@@ -86,16 +86,6 @@ fn kind<T>(
     })
 }
 
-/// The range checks every experiment passes before it may reach an
-/// engine (which would panic on them).
-fn check_experiment(exp: &Experiment) -> Result<(), String> {
-    let bandwidth = exp.bandwidth_factor;
-    if !bandwidth.is_finite() || bandwidth <= 0.0 {
-        return Err(format!("bandwidth must be finite and positive, got {bandwidth}"));
-    }
-    tpsim::validate_warmup_fraction(exp.warmup).map_err(|e| e.to_string())
-}
-
 const KNOWN_FIELDS: &[&str] = &[
     "workload", "mix", "mix_index", "scale", "l1", "l2", "temporal", "bandwidth", "warmup",
     "seed", "deadline_ms", "audit",
@@ -199,7 +189,7 @@ impl Request {
             )?)
             .bandwidth(get_f64("bandwidth")?.unwrap_or(1.0));
         exp.warmup = get_f64("warmup")?.unwrap_or(0.2);
-        check_experiment(&exp)?;
+        exp.validate()?;
 
         let seed = match (&target, get_u64("seed")?) {
             (Target::MixOf { .. }, Some(_)) => {
@@ -238,7 +228,7 @@ impl Request {
     pub fn from_job(job: &SweepJob) -> Option<Request> {
         let exp = job.exp();
         TemporalKind::from_name(exp.temporal.name())?;
-        check_experiment(exp).ok()?;
+        exp.validate().ok()?;
         let (target, seed) = match job {
             SweepJob::Single { workload, .. } => {
                 let registry = workloads::by_name(workload.name)?;

@@ -1,8 +1,9 @@
 //! The one service core behind both [`Server`](crate::Server) and
 //! [`Coordinator`](crate::Coordinator): job table, two-level result
-//! cache, protocol verbs, STATS, and the local worker pool. The event
-//! loop that drives it lives in [`crate::event_loop`]; the backend side
-//! of a fleet in [`crate::links`]. DESIGN.md §9 has the full story.
+//! cache, protocol verbs, STATS, and the local worker pool. Threads
+//! drive it — one per client connection ([`crate::conn::serve`]), the
+//! workers, a housekeeper ([`crate::server`]) — and the backend side of
+//! a fleet lives in [`crate::links`]. DESIGN.md §9 has the full story.
 //!
 //! ## One job table
 //!
@@ -16,12 +17,15 @@
 //! The routing rule is *first untried reachable ring candidate, else
 //! the local pool*. A backend is a coordinator with an empty ring: with
 //! no candidates every job goes straight to the local pool at submit
-//! time and the event loop does no routing work. For a coordinator the
-//! same pool is the last resort once every ring node has been tried.
+//! time and nothing routes. For a coordinator the submitting thread
+//! routes the job at once, and the same pool is the last resort once
+//! every ring node has been tried.
 //!
 //! The table, its local queue and the pause/drain/stop latches sit
-//! behind **one** mutex with one condvar, so shedding, worker wakeup
-//! and drain tracking cannot miss each other. [`Table::set_state`] is
+//! behind **one** mutex, so shedding, worker wakeup and drain tracking
+//! cannot miss each other; workers wait on one of its condvars for
+//! work, `WAIT` and `SHUTDOWN` on the other for jobs to settle.
+//! [`Table::set_state`] is
 //! the only transition, which keeps the `waiting`/`in_flight` gauges
 //! exact. The table is bounded: the `WAIT` or `POLL` that delivers a
 //! terminal job reaps it, and [`Core::tick`] reaps terminal jobs nobody
@@ -30,11 +34,12 @@
 //! ## Completion-driven waiting
 //!
 //! `WAIT <ticket>` is answered when the job turns terminal, not
-//! before: [`Core::dispatch`] tells the event loop to [park](Parked)
-//! the connection, a worker (or a backend's answer on a link) makes the
-//! job terminal, the worker signals [`Core::waker`], and the loop's
-//! next pass delivers. Nothing polls. `POLL` remains as the
-//! non-blocking probe.
+//! before: the connection's thread blocks on the table's condvar until
+//! a worker (or a backend's answer on a link) [settles](Core::settle)
+//! the job, then delivers it. Nothing polls. `POLL` remains as the
+//! non-blocking probe. `SHUTDOWN` blocks the same way until the drain
+//! is over, which counts blocked `WAIT`s: its reply in hand means every
+//! accepted job ran and every `WAIT` on one was answered.
 //!
 //! ## One cache
 //!
@@ -63,8 +68,8 @@
 //! ([`tpsim::CANCEL_EPOCH`] accesses); a cancelled run caches nothing.
 
 use crate::hist::LogHistogram;
+use crate::links::{self, Link};
 use crate::protocol::Request;
-use crate::readiness::Waker;
 use crate::ring::HashRing;
 use crate::server::ServerConfig;
 use crate::store::ResultStore;
@@ -73,7 +78,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tpharness::wire::{self, encode_sim_report, Value};
@@ -146,6 +151,9 @@ pub(crate) struct Table {
     pub(crate) waiting: usize,
     /// Jobs running in a local worker.
     pub(crate) in_flight: usize,
+    /// Threads blocked in `WAIT`; a drain is not over until they are
+    /// answered.
+    waiters: usize,
     last_ticket: u64,
     /// Workers leave the queue alone while set.
     pub(crate) paused: bool,
@@ -181,6 +189,24 @@ impl Table {
         }
     }
 
+    /// A drain was requested, no job is live anywhere and every `WAIT`
+    /// has been answered.
+    pub(crate) fn drained(&self) -> bool {
+        self.draining && self.waiting + self.in_flight + self.waiters == 0
+    }
+
+    /// Takes job `id` out of the table if it is over — delivery reaps,
+    /// which keeps the table bounded — and returns it (`None`: unknown
+    /// ticket). `Err` carries the status of a live job.
+    fn take(&mut self, id: u64) -> Result<Option<Job>, &'static str> {
+        match self.jobs.get(&id).map(|j| &j.state) {
+            None => Ok(None),
+            Some(JobState::Running) => Err("running"),
+            Some(s) if !s.terminal() => Err("queued"),
+            Some(_) => Ok(self.jobs.remove(&id)),
+        }
+    }
+
     /// Pops the next locally queued job and marks it running.
     fn claim(&mut self) -> Option<(u64, Arc<Spec>)> {
         let id = self.queue.pop_front()?;
@@ -207,26 +233,12 @@ pub(crate) struct Counters {
     pub(crate) failed: AtomicU64,
 }
 
-/// Per-backend health and routing stats (surfaced in STATS).
-#[derive(Default)]
-pub(crate) struct BackendStats {
-    pub(crate) up: AtomicBool,
-    /// Jobs forwarded to this backend.
-    pub(crate) routed: AtomicU64,
-    /// Jobs this backend completed.
-    pub(crate) completed: AtomicU64,
-    /// Jobs whose primary was this backend but which landed elsewhere.
-    pub(crate) rerouted_away: AtomicU64,
-    /// Successful (re)connects to this backend.
-    pub(crate) connects: AtomicU64,
-}
-
 pub(crate) fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Relaxed);
 }
 
-/// State shared by the event loop, the workers and [`Controller`]
-/// handles.
+/// State shared by the connection threads, the workers, the link
+/// readers, the housekeeper and [`Controller`] handles.
 ///
 /// [`Controller`]: crate::Controller
 pub(crate) struct Core {
@@ -234,11 +246,16 @@ pub(crate) struct Core {
     pub(crate) cfg: ServerConfig,
     pub(crate) ring: HashRing,
     table: Mutex<Table>,
+    /// Work was queued or a latch flipped: wakes workers.
     cv: Condvar,
+    /// A job turned terminal, a `WAIT` was answered or a latch flipped:
+    /// wakes blocked `WAIT`s and `SHUTDOWN`s.
+    settled: Condvar,
     cache: Mutex<HashMap<String, Arc<str>>>,
     pub(crate) store: Option<ResultStore>,
     pub(crate) counters: Counters,
-    pub(crate) backends: Vec<BackendStats>,
+    /// One per ring node, in ring order.
+    pub(crate) links: Vec<Link>,
     /// Service times, from the line reaching [`Core::dispatch`] to the
     /// reply line in hand, split by outcome: a ~3 µs cache hit and a
     /// ~0.5 s simulation in one histogram would make the p50 track the
@@ -246,29 +263,6 @@ pub(crate) struct Core {
     hit_hist: Mutex<LogHistogram>,
     sim_hist: Mutex<LogHistogram>,
     started: Instant,
-    /// Ends the event loop's readiness wait when a job turns terminal
-    /// or a latch flips, so parked connections are answered at once.
-    pub(crate) waker: Waker,
-}
-
-/// What a connection whose reply is deferred is waiting for. It parses
-/// nothing further until then, so replies stay in request order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Parked {
-    /// `WAIT`: this job turning terminal.
-    Job(u64),
-    /// `SHUTDOWN`: the drain completing.
-    Drain,
-}
-
-/// [`Core::dispatch`]'s answer to one protocol line.
-#[derive(Debug)]
-pub(crate) enum Dispatch {
-    /// The encoded reply line, without its newline.
-    Reply(String),
-    /// The event loop owes the reply once what the connection is
-    /// parked on has happened.
-    Park(Parked),
 }
 
 type Fields = Vec<(&'static str, Value)>;
@@ -357,17 +351,17 @@ impl Core {
             ..Table::default()
         };
         Ok(Arc::new(Core {
-            backends: (0..ring.len()).map(|_| BackendStats::default()).collect(),
+            links: Link::for_ring(&ring),
             ring,
             table: Mutex::new(table),
             cv: Condvar::new(),
+            settled: Condvar::new(),
             cache: Mutex::new(HashMap::new()),
             store,
             counters: Counters::default(),
             hit_hist: Mutex::new(LogHistogram::new()),
             sim_hist: Mutex::new(LogHistogram::new()),
             started: Instant::now(),
-            waker: Waker::new()?,
             cfg,
         }))
     }
@@ -410,7 +404,7 @@ impl Core {
 
     /// `SUBMIT`: cache-hit fast path, load shedding, or accept. An
     /// accepted job goes to the local pool at once when the ring is
-    /// empty; otherwise the event loop routes it on its next pass.
+    /// empty; otherwise this thread routes it before replying.
     /// `accepted` is when the line reached [`Core::dispatch`].
     fn submit(&self, request: Request, payload: &str, accepted: Instant) -> String {
         let canonical = request.canonical();
@@ -460,6 +454,10 @@ impl Core {
             self.run_locally(&mut t, id);
         }
         let depth = ("queue_depth", num(t.waiting));
+        drop(t);
+        if !self.ring.is_empty() {
+            links::route(self, id);
+        }
         response(
             "queued",
             vec![("ticket", Value::u64(id)), ("key", key), depth],
@@ -473,23 +471,17 @@ impl Core {
         self.cv.notify_one();
     }
 
-    /// Delivers job `id` if that can be done now: the reply to its
-    /// terminal state, which reaps it — keeping delivered jobs around
-    /// is how the original server leaked memory on every request — or
-    /// the unknown-ticket error. `Err` carries the status of a job
-    /// that is still live.
-    pub(crate) fn deliver(&self, id: u64) -> Result<String, &'static str> {
+    /// The reply to what [`Table::take`] gave for ticket `id`: the
+    /// delivered job's terminal state, the unknown-ticket error, or the
+    /// status of a live job.
+    fn answer(&self, id: u64, taken: Result<Option<Job>, &'static str>) -> String {
         let ticket = ("ticket", Value::u64(id));
-        let mut t = self.lock();
-        match t.jobs.get(&id).map(|j| &j.state) {
-            None => return Ok(error_response(format!("unknown ticket {id}"))),
-            Some(JobState::Running) => return Err("running"),
-            Some(s) if !s.terminal() => return Err("queued"),
-            Some(_) => {}
-        }
-        let job = t.jobs.remove(&id).expect("present above");
-        drop(t);
-        Ok(match job.state {
+        let job = match taken {
+            Ok(Some(job)) => job,
+            Ok(None) => return error_response(format!("unknown ticket {id}")),
+            Err(live) => return response(live, vec![ticket]),
+        };
+        match job.state {
             JobState::Done { cached } => match self.lookup_cached(&job.spec.canonical) {
                 Some(encoded) => done_response(Some(id), &job.spec.canonical, cached, &encoded),
                 // Only reachable if the store's byte cap evicted the
@@ -498,7 +490,37 @@ impl Core {
             },
             JobState::Failed(reason) => response("failed", vec![ticket, ("reason", text(reason))]),
             _ => response("deadline-exceeded", vec![ticket]),
-        })
+        }
+    }
+
+    /// `WAIT`: blocks until job `id` is over, then delivers it. Only a
+    /// stopping server answers a live job, with its status.
+    fn wait(&self, id: u64) -> String {
+        let mut t = self.lock();
+        t.waiters += 1;
+        let taken = loop {
+            match t.take(id) {
+                Err(_) if !t.stop => t = self.settled.wait(t).expect("job table lock"),
+                taken => break taken,
+            }
+        };
+        t.waiters -= 1;
+        drop(t);
+        // A drain may have been waiting on this delivery.
+        self.settled.notify_all();
+        self.answer(id, taken)
+    }
+
+    /// `SHUTDOWN`: starts the drain and blocks until it is over.
+    fn shutdown(&self) -> String {
+        let mut t = self.lock();
+        t.draining = true;
+        while !t.drained() && !t.stop {
+            t = self.settled.wait(t).expect("job table lock");
+        }
+        drop(t);
+        let served = ("served", Value::u64(self.counters.served.load(Relaxed)));
+        response("ok", vec![("draining", Value::Bool(true)), served])
     }
 
     /// `STATS`: one shape for every role.
@@ -517,9 +539,10 @@ impl Core {
             let t = self.lock();
             (t.waiting, t.in_flight, t.jobs.len())
         };
-        let backend = |(i, b): (usize, &BackendStats)| {
+        let backend = |link: &Link| {
+            let b = &link.stats;
             obj(vec![
-                ("addr", text(self.ring.addr(i))),
+                ("addr", text(link.addr.as_str())),
                 ("up", Value::Bool(b.up.load(Relaxed))),
                 ("routed", n(&b.routed)),
                 ("completed", n(&b.completed)),
@@ -527,7 +550,7 @@ impl Core {
                 ("connects", n(&b.connects)),
             ])
         };
-        let backends = self.backends.iter().enumerate().map(backend).collect();
+        let backends = self.links.iter().map(backend).collect();
         let role = match self.ring.len() {
             0 => "server",
             _ => "coordinator",
@@ -591,10 +614,10 @@ impl Core {
         response("ok", vec![("stats", obj(stats))])
     }
 
-    /// Handles one protocol line. `WAIT` on a live job and `SHUTDOWN`
-    /// (whose drain has now begun) park the connection; everything
-    /// else replies immediately.
-    pub(crate) fn dispatch(&self, line: &str) -> Dispatch {
+    /// Handles one protocol line and returns the reply line. `WAIT` on a
+    /// live job and `SHUTDOWN` block the calling thread until they can
+    /// be answered; everything else replies immediately.
+    pub(crate) fn dispatch(&self, line: &str) -> String {
         let received = Instant::now();
         let line = line.trim();
         let (verb, rest) = match line.find(' ') {
@@ -605,7 +628,7 @@ impl Core {
             bump(&self.counters.errors);
             error_response(reason)
         };
-        Dispatch::Reply(match verb {
+        match verb {
             "PING" => response("ok", vec![("pong", Value::Bool(true))]),
             "STATS" => self.stats(),
             // Full validation at the edge: a malformed request never
@@ -615,37 +638,34 @@ impl Core {
                 Err(reason) => error(format!("invalid request: {reason}")),
             },
             // The same delivery either way; they differ only in what a
-            // live job gets: `POLL` its status, `WAIT` a parked reply.
+            // live job gets: `POLL` its status, `WAIT` a blocked reply.
             "POLL" | "WAIT" => match rest.parse::<u64>() {
                 Err(_) => error(format!("{verb} needs a ticket number")),
-                Ok(id) => match self.deliver(id) {
-                    Ok(reply) => reply,
-                    Err(_) if verb == "WAIT" => return Dispatch::Park(Parked::Job(id)),
-                    Err(live) => response(live, vec![("ticket", Value::u64(id))]),
-                },
+                Ok(id) if verb == "WAIT" => self.wait(id),
+                Ok(id) => {
+                    let taken = self.lock().take(id);
+                    self.answer(id, taken)
+                }
             },
-            "SHUTDOWN" => {
-                self.latch(|t| t.draining = true);
-                return Dispatch::Park(Parked::Drain);
-            }
+            "SHUTDOWN" => self.shutdown(),
             other => error(format!(
                 "unknown verb {other:?} (SUBMIT|WAIT|POLL|STATS|PING|SHUTDOWN)"
             )),
-        })
+        }
     }
 
-    /// Flips a pause/drain/stop latch and wakes every worker, and the
-    /// event loop, to see it.
+    /// Flips a pause/drain/stop latch and wakes every thread that waits
+    /// on the table to see it.
     pub(crate) fn latch(&self, set: impl FnOnce(&mut Table)) {
         set(&mut self.lock());
         self.cv.notify_all();
-        self.waker.wake();
+        self.settled.notify_all();
     }
 
-    /// True once a drain was requested and no job is live anywhere.
-    pub(crate) fn drain_finished(&self) -> bool {
-        let t = self.lock();
-        t.draining && t.waiting + t.in_flight == 0
+    /// Moves job `id` to `next` and wakes whoever waits on it.
+    pub(crate) fn settle(&self, t: &mut Table, id: u64, next: JobState) {
+        t.set_state(id, next);
+        self.settled.notify_all();
     }
 
     pub(crate) fn worker_loop(&self) {
@@ -670,9 +690,7 @@ impl Core {
                     bump(&self.counters.failed);
                     JobState::Failed(format!("panicked: {}", panic_message(&*payload)))
                 });
-            self.lock().set_state(id, verdict);
-            // Whoever is parked on this job hears now, not a tick later.
-            self.waker.wake();
+            self.settle(&mut self.lock(), id, verdict);
         }
     }
 
@@ -707,31 +725,23 @@ impl Core {
         JobState::Done { cached: false }
     }
 
-    /// The event loop's housekeeping, once per iteration: reaps terminal
-    /// jobs uncollected for `ttl` (the loop passes [`JOB_TTL`]), cancels
-    /// running jobs past their deadline, and returns the nearest
-    /// deadline still ahead so the loop can wake for it.
-    pub(crate) fn tick(&self, now: Instant, ttl: Duration) -> Option<Instant> {
-        let mut next: Option<Instant> = None;
+    /// Housekeeping, run every few milliseconds: reaps terminal jobs
+    /// uncollected for `ttl` (the server passes [`JOB_TTL`]) and cancels
+    /// running jobs past their deadline.
+    pub(crate) fn tick(&self, now: Instant, ttl: Duration) {
         self.lock().jobs.retain(|_, j| {
-            match (&j.state, j.spec.deadline) {
-                (JobState::Running, Some(d)) if now >= d => j.spec.cancel.cancel(),
-                (JobState::Running | JobState::LocalQueued, Some(d)) if d > now => {
-                    next = Some(next.map_or(d, |n| n.min(d)));
-                }
-                _ => {}
+            if matches!(j.state, JobState::Running) && j.spec.deadline.is_some_and(|d| now >= d) {
+                j.spec.cancel.cancel();
             }
             j.completed
                 .is_none_or(|done| now.duration_since(done) < ttl)
         });
-        next
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::links::{route_jobs, Link};
     use tpharness::wire::parse;
 
     /// An address that refuses connections: bind an ephemeral port and
@@ -741,38 +751,59 @@ pub(crate) mod tests {
         l.local_addr().unwrap().to_string()
     }
 
-    /// A core with no event loop and no worker threads, plus the links
-    /// its ring needs. The tests play both: [`Shape::submit`] includes
-    /// the loop's routing pass, [`Shape::run_queued`] is a worker.
+    /// A core with no server threads. The tests play them: dispatching
+    /// a line is a connection's thread, [`Shape::run_queued`] a worker.
     pub(crate) struct Shape {
         pub(crate) core: Arc<Core>,
-        pub(crate) links: Vec<Link>,
     }
 
     impl Shape {
         pub(crate) fn new(cfg: ServerConfig, backends: &[String]) -> Shape {
             let core = Core::new(cfg, HashRing::new(backends)).expect("core");
-            let links = Link::for_ring(&core.ring);
-            Shape { core, links }
+            Shape { core }
         }
 
-        /// The reply line to `line`, as the loop would frame it.
         fn line(&self, line: &str) -> String {
-            match self.core.dispatch(line) {
-                Dispatch::Reply(reply) => reply,
-                Dispatch::Park(on) => panic!("{line:?} parked on {on:?}"),
-            }
+            self.core.dispatch(line)
         }
 
         pub(crate) fn reply(&self, line: &str) -> Value {
             decoded(&self.line(line))
         }
 
-        /// `SUBMIT`, then the routing pass the loop would run.
-        pub(crate) fn submit(&mut self, json: &str) -> Value {
-            let reply = self.reply(&format!("SUBMIT {json}"));
-            route_jobs(&self.core, &mut self.links);
-            reply
+        pub(crate) fn submit(&self, json: &str) -> Value {
+            self.reply(&format!("SUBMIT {json}"))
+        }
+
+        /// Accepts `request` as `SUBMIT` would, but leaves it `routing`.
+        pub(crate) fn accept(&self, request: Request) -> u64 {
+            let spec = Spec {
+                canonical: request.canonical(),
+                payload: request.canonical(),
+                request,
+                cancel: CancelToken::new(),
+                deadline: None,
+                accepted: Instant::now(),
+            };
+            let job = Job {
+                spec: Arc::new(spec),
+                attempts: Vec::new(),
+                state: JobState::Routing,
+                completed: None,
+            };
+            let mut t = self.core.lock();
+            t.last_ticket += 1;
+            let id = t.last_ticket;
+            t.jobs.insert(id, job);
+            t.waiting += 1;
+            id
+        }
+
+        /// Returns once a thread is blocked in `WAIT` on this core.
+        fn await_waiter(&self) {
+            while self.core.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
         }
 
         fn run_queued(&self) {
@@ -781,7 +812,7 @@ pub(crate) mod tests {
                     return;
                 };
                 let verdict = self.core.execute(&spec);
-                self.core.lock().set_state(id, verdict);
+                self.core.settle(&mut self.core.lock(), id, verdict);
             }
         }
 
@@ -804,6 +835,10 @@ pub(crate) mod tests {
 
     fn both_shapes(case: impl Fn(Shape)) {
         shapes().into_iter().for_each(case);
+    }
+
+    pub(crate) fn request(json: &str) -> Request {
+        Request::from_value(&parse(json).unwrap()).unwrap()
     }
 
     /// A reply line as the client reads it.
@@ -833,7 +868,7 @@ pub(crate) mod tests {
 
     #[test]
     fn load_beyond_capacity_is_shed_and_a_drain_sheds_everything() {
-        both_shapes(|mut s| {
+        both_shapes(|s| {
             assert_eq!(status(&s.submit(BFS)), "queued");
             assert_eq!(status(&s.submit(TC)), "queued");
             let shed = s.submit(PR);
@@ -842,11 +877,12 @@ pub(crate) mod tests {
             assert_eq!(shed.get("queue_depth").and_then(Value::as_u64), Some(2));
             assert_eq!(count(&s.core.counters.rejected), 1);
 
-            let deferred = s.core.dispatch("SHUTDOWN");
-            assert!(matches!(deferred, Dispatch::Park(Parked::Drain)));
-            assert!(!s.core.drain_finished(), "two accepted jobs are still live");
+            // What `SHUTDOWN` does before it blocks.
+            s.core.latch(|t| t.draining = true);
+            assert!(!s.core.lock().drained(), "two accepted jobs are still live");
             s.run_queued();
-            assert!(s.core.drain_finished());
+            assert!(s.core.lock().drained());
+            assert_eq!(str_of(&s.reply("SHUTDOWN"), "status"), "ok", "nothing to wait for");
             assert_eq!(str_of(&s.submit(PR), "reason"), "shutting-down");
             // Hits create no work, so they are served even now.
             assert_eq!(status(&s.submit(BFS)), "done");
@@ -885,7 +921,7 @@ pub(crate) mod tests {
 
     #[test]
     fn malformed_lines_are_structured_errors_not_rejections() {
-        both_shapes(|mut s| {
+        both_shapes(|s| {
             assert_eq!(status(&s.submit(r#"{"workload":"no.such"}"#)), "error");
             assert_eq!(status(&s.reply("FROBNICATE 12")), "error");
             assert_eq!(status(&s.reply("POLL notanumber")), "error");
@@ -898,8 +934,8 @@ pub(crate) mod tests {
 
     #[test]
     fn synchronous_cache_hits_retain_no_job() {
-        both_shapes(|mut s| {
-            let request = Request::from_value(&parse(BFS).unwrap()).unwrap();
+        both_shapes(|s| {
+            let request = request(BFS);
             // Seed the cache directly; the submits below must hit it.
             s.core.publish(&request.canonical(), r#"{"fake":"report"}"#);
             for _ in 0..50 {
@@ -916,7 +952,7 @@ pub(crate) mod tests {
     /// The request a test payload parses to, and the encoded report of
     /// running it directly.
     fn direct(json: &str) -> (Request, String) {
-        let request = Request::from_value(&parse(json).unwrap()).unwrap();
+        let request = request(json);
         let report = request
             .run(&CancelToken::new())
             .expect("nothing cancels it");
@@ -945,7 +981,7 @@ pub(crate) mod tests {
             (BFS, ["POLL", "WAIT"], direct(BFS)),
             (TC, ["WAIT", "POLL"], direct(TC)),
         ];
-        both_shapes(|mut s| {
+        both_shapes(|s| {
             for (json, [verb_a, verb_b], run) in &runs {
                 // Two tickets for one key: the first job simulates, the
                 // second finds the result cached when a worker claims it.
@@ -999,7 +1035,7 @@ pub(crate) mod tests {
             store_dir: Some(dir.clone()),
             ..Default::default()
         };
-        let simulate = |s: &mut Shape| {
+        let simulate = |s: &Shape| {
             let queued = s.submit(BFS);
             assert_eq!(status(&queued), "queued", "no cache level answers");
             s.run_queued();
@@ -1010,7 +1046,7 @@ pub(crate) mod tests {
 
         // One server fills the store and stops.
         assert_eq!(
-            report_of(&simulate(&mut Shape::new(cfg.clone(), &[]))),
+            report_of(&simulate(&Shape::new(cfg.clone(), &[]))),
             direct
         );
         let mut files = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path());
@@ -1025,8 +1061,8 @@ pub(crate) mod tests {
             std::fs::write(&entry, format!("{canonical}\n{}", damage(body))).unwrap();
             // The next one starts on the same directory: the damaged
             // entry must cost a simulation, never answer.
-            let mut s = Shape::new(cfg.clone(), &[]);
-            let fresh = simulate(&mut s);
+            let s = Shape::new(cfg.clone(), &[]);
+            let fresh = simulate(&s);
             assert_eq!(
                 (cached(&fresh), report_of(&fresh)),
                 (Some(false), direct.clone()),
@@ -1054,7 +1090,7 @@ pub(crate) mod tests {
 
     #[test]
     fn terminal_jobs_reap_on_first_poll_and_on_ttl() {
-        both_shapes(|mut s| {
+        both_shapes(|s| {
             let (ta, tb) = (ticket(&s.submit(BFS)), ticket(&s.submit(TC)));
             s.core.tick(Instant::now(), Duration::ZERO);
             assert_eq!(status(&s.poll(ta)), "queued", "live: never reaped");
@@ -1085,37 +1121,40 @@ pub(crate) mod tests {
             ("done", |s, _| s.run_queued()),
             ("failed", |s, id| {
                 let audit = JobState::Failed("conservation-law audit failed".into());
-                s.core.lock().set_state(id, audit);
+                s.core.settle(&mut s.core.lock(), id, audit);
             }),
             ("deadline-exceeded", |s, id| {
-                s.core.lock().set_state(id, JobState::DeadlineExceeded);
+                s.core.settle(&mut s.core.lock(), id, JobState::DeadlineExceeded);
             }),
         ];
         for (outcome, finish) in cases {
             // Twin cores issue the same tickets: one job is waited for,
             // its twin polled, and the bytes must not differ.
-            for (mut waited, mut polled) in shapes().into_iter().zip(shapes()) {
-                // An unknown ticket is an error at once, never a park.
+            for (waited, polled) in shapes().into_iter().zip(shapes()) {
+                // An unknown ticket is an error at once, never a wait.
                 let unknown = waited.reply("WAIT 999");
                 assert_eq!(unknown.encode(), polled.poll(999).encode());
                 assert!(str_of(&unknown, "reason").contains("unknown ticket"));
 
                 let id = ticket(&waited.submit(BFS));
                 assert_eq!(ticket(&polled.submit(BFS)), id);
-                let parked = waited.core.dispatch(&format!("WAIT {id}"));
-                assert!(matches!(parked, Dispatch::Park(Parked::Job(on)) if on == id));
-                assert_eq!(status(&polled.poll(id)), "queued");
-                finish(&waited, id);
+                let delivered = std::thread::scope(|scope| {
+                    let waiter = scope.spawn(|| waited.line(&format!("WAIT {id}")));
+                    waited.await_waiter();
+                    assert_eq!(status(&polled.poll(id)), "queued");
+                    assert!(!waiter.is_finished(), "WAIT answered a live job");
+                    finish(&waited, id);
+                    waiter.join().expect("the waiter")
+                });
                 finish(&polled, id);
-
-                // What the loop does for a connection parked on `id`.
-                let delivered = waited.core.deliver(id).expect("the job is terminal");
                 assert_eq!(status(&decoded(&delivered)), outcome);
                 assert_eq!(delivered, polled.poll(id).encode());
-                assert_eq!(waited.core.lock().jobs.len(), 0, "delivery reaps");
+                let t = waited.core.lock();
+                assert_eq!((t.jobs.len(), t.waiters), (0, 0), "delivery reaps");
+                drop(t);
 
                 // A job already terminal is delivered, and reaped, by
-                // the WAIT itself.
+                // the WAIT at once.
                 let late = ticket(&waited.submit(TC));
                 finish(&waited, late);
                 assert_eq!(status(&waited.reply(&format!("WAIT {late}"))), outcome);
@@ -1126,19 +1165,38 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn tick_cancels_running_jobs_past_their_deadline_and_reports_the_next() {
-        both_shapes(|mut s| {
+    fn a_finishing_worker_ends_a_long_wait_and_the_parked_wait_is_answered() {
+        let s = Shape::new(ServerConfig::default(), &[]);
+        // Past its deadline before a worker claims it: terminal without
+        // a simulation whose length the assertion would depend on.
+        let doomed = r#"SUBMIT {"workload":"gap.bfs","scale":"test","deadline_ms":1}"#;
+        let id = ticket(&s.reply(doomed));
+        std::thread::sleep(Duration::from_millis(2));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| s.reply(&format!("WAIT {id}")));
+            s.await_waiter();
+            assert!(!waiter.is_finished(), "no worker yet, so no answer");
+            let started = Instant::now();
+            scope.spawn(|| s.core.worker_loop());
+            let reply = waiter.join().expect("the waiter");
+            assert_eq!(status(&reply), "deadline-exceeded");
+            let woken = started.elapsed() < Duration::from_secs(1);
+            assert!(woken, "the worker's settle did not end the wait");
+            s.core.latch(|t| t.stop = true);
+        });
+    }
+
+    #[test]
+    fn tick_cancels_running_jobs_past_their_deadline() {
+        both_shapes(|s| {
             let a = ticket(&s.submit(r#"{"workload":"gap.bfs","scale":"test","deadline_ms":1}"#));
             s.submit(r#"{"workload":"gap.tc","scale":"test","deadline_ms":60000}"#);
             let start = Instant::now();
-            let next = s.core.tick(start, JOB_TTL).expect("two deadlines ahead");
-            assert!(next <= start + Duration::from_millis(1), "the nearest one");
-
             let (id, spec) = s.core.lock().claim().expect("first queued job");
             assert_eq!((id, status(&s.poll(a))), (a, "running"));
-            let past = start + Duration::from_millis(5);
-            let next = s.core.tick(past, JOB_TTL).expect("the later deadline");
-            assert!(next > past + Duration::from_secs(50));
+            s.core.tick(start, JOB_TTL);
+            assert!(!spec.cancel.is_cancelled(), "not yet due");
+            s.core.tick(start + Duration::from_millis(5), JOB_TTL);
             assert!(spec.cancel.is_cancelled(), "the engine stops next epoch");
         });
     }
@@ -1148,63 +1206,29 @@ pub(crate) mod tests {
     /// completes.
     #[test]
     fn a_panicking_job_fails_and_its_worker_lives_on() {
-        let mut s = Shape::new(ServerConfig::default(), &[]);
+        let s = Shape::new(ServerConfig::default(), &[]);
         // `from_value` rejects this warmup, so no client can send it;
         // `Engine::warmup_fraction` panics on it.
-        let mut request = Request::from_value(&parse(BFS).unwrap()).unwrap();
-        request.exp.warmup = 2.0;
-        let spec = Spec {
-            canonical: request.canonical(),
-            request,
-            payload: String::new(),
-            cancel: CancelToken::new(),
-            deadline: None,
-            accepted: Instant::now(),
-        };
-        let doomed = {
-            let mut t = s.core.lock();
-            t.last_ticket += 1;
-            let id = t.last_ticket;
-            let job = Job {
-                spec: Arc::new(spec),
-                attempts: Vec::new(),
-                state: JobState::Routing,
-                completed: None,
-            };
-            t.jobs.insert(id, job);
-            t.waiting += 1;
-            s.core.run_locally(&mut t, id);
-            id
-        };
-        let core = Arc::clone(&s.core);
-        let worker = std::thread::spawn(move || core.worker_loop());
-        // The event loop's side: a worker's wake ends each wait.
-        let read = crate::readiness::Interest {
-            read: true,
-            write: false,
-        };
-        let delivered = |s: &Shape, id: u64| loop {
-            let woken = crate::readiness::wait(&[(s.core.waker.token(), read)], Duration::from_secs(30));
-            s.core.waker.drain();
-            if let Ok(reply) = s.core.deliver(id) {
-                break decoded(&reply);
-            }
-            assert!(woken[0].read, "no worker finished job {id} within 30 s");
-        };
+        let mut doomed = request(BFS);
+        doomed.exp.warmup = 2.0;
+        let doomed = s.accept(doomed);
+        s.core.run_locally(&mut s.core.lock(), doomed);
+        std::thread::scope(|scope| {
+            scope.spawn(|| s.core.worker_loop());
+            let failed = s.reply(&format!("WAIT {doomed}"));
+            assert_eq!(status(&failed), "failed");
+            let reason = str_of(&failed, "reason");
+            assert!(reason.starts_with("panicked: ") && reason.contains("warmup"), "{reason}");
+            assert_eq!(count(&s.core.counters.failed), 1);
+            let gauges = |t: MutexGuard<'_, Table>| (t.in_flight, t.waiting);
+            assert_eq!(gauges(s.core.lock()), (0, 0));
 
-        let failed = delivered(&s, doomed);
-        assert_eq!(status(&failed), "failed");
-        let reason = str_of(&failed, "reason");
-        assert!(reason.starts_with("panicked: ") && reason.contains("warmup"), "{reason}");
-        assert_eq!(count(&s.core.counters.failed), 1);
-        let gauges = |t: MutexGuard<'_, Table>| (t.in_flight, t.waiting);
-        assert_eq!(gauges(s.core.lock()), (0, 0));
-
-        let next = ticket(&s.submit(BFS));
-        assert_eq!(status(&delivered(&s, next)), "done", "the worker survived");
-        assert!(matches!(s.core.dispatch("SHUTDOWN"), Dispatch::Park(Parked::Drain)));
-        assert!(s.core.drain_finished());
-        s.core.latch(|t| t.stop = true);
-        worker.join().expect("the worker exits on stop, not by a panic");
+            let next = ticket(&s.submit(BFS));
+            let done = s.reply(&format!("WAIT {next}"));
+            assert_eq!(status(&done), "done", "the worker survived");
+            assert_eq!(status(&s.reply("SHUTDOWN")), "ok");
+            assert!(s.core.lock().drained());
+            s.core.latch(|t| t.stop = true);
+        });
     }
 }

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # tpsim — cycle-approximate multi-core memory-hierarchy simulator

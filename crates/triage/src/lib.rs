@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # triage — the Triage on-chip temporal prefetcher (Wu et al., MICRO

@@ -3,10 +3,7 @@
 use crate::lut::{CompressedTarget, TargetLut};
 use crate::pairwise::{InsertOutcome, PairwiseStore};
 use std::collections::HashMap;
-use tpsim::{
-    MetaCtx, PartitionSpec, ShadowSets, TemporalEvent, TemporalPrefetcher,
-    TemporalStats, LLC_SAMPLE_SHIFT,
-};
+use tpsim::{MetaCtx, PartitionSpec, TemporalEvent, TemporalPrefetcher, TemporalStats};
 use tptrace::record::{Line, Pc};
 
 /// Triage configuration.
@@ -14,8 +11,6 @@ use tptrace::record::{Line, Pc};
 pub struct TriageConfig {
     /// LLC sets in this core's slice (2048 for 2 MB / 16-way).
     pub llc_sets: usize,
-    /// LLC associativity (16).
-    pub llc_ways: usize,
     /// Maximum metadata ways (8 → 1 MB).
     pub max_ways: u8,
     /// Prefetch degree (4).
@@ -31,7 +26,6 @@ impl Default for TriageConfig {
     fn default() -> Self {
         TriageConfig {
             llc_sets: 2048,
-            llc_ways: 16,
             max_ways: 8,
             degree: 4,
             epoch: 50_000,
@@ -47,7 +41,6 @@ pub struct Triage {
     tu: HashMap<Pc, Line>,
     store: PairwiseStore<CompressedTarget>,
     lut: TargetLut,
-    shadow: ShadowSets,
     events: u64,
     stats: TemporalStats,
 }
@@ -69,7 +62,6 @@ impl Triage {
                 config.max_ways, // start fully sized; the first epoch adjusts
             ),
             lut: TargetLut::new(),
-            shadow: ShadowSets::new(config.llc_sets, LLC_SAMPLE_SHIFT, config.llc_ways),
             events: 0,
             stats: TemporalStats::default(),
             config,
@@ -111,7 +103,6 @@ impl Triage {
             ctx.rearrange(moved);
         }
         self.store.reset_hist();
-        self.shadow.reset();
     }
 }
 
@@ -176,10 +167,6 @@ impl TemporalPrefetcher for Triage {
         self.stats.prefetches_issued += out.len() as u64;
 
         self.maybe_resize(ctx);
-    }
-
-    fn observe_llc(&mut self, line: Line) {
-        self.shadow.observe(line);
     }
 
     fn partition(&self) -> PartitionSpec {

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # triangel — the Triangel on-chip temporal prefetcher (Ainsworth &

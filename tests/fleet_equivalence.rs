@@ -431,25 +431,31 @@ fn local_fallback_jobs_honour_their_deadline() {
 #[test]
 fn coordinator_stops_reading_from_a_client_that_never_reads() {
     use std::io::Write;
-    // A client that pipelines PINGs and never reads a reply: once 4 MiB
-    // of replies are owed the coordinator must stop *reading* as well,
-    // so the kernel buffers fill and the client's writes stall. Reading
-    // on regardless would buffer the whole 48 MiB in the coordinator.
+    // A client that pipelines PINGs and never reads a reply: once the
+    // thread serving it blocks writing replies, it stops *reading* as
+    // well, so the kernel buffers fill and the client's writes stall.
+    // Reading on regardless would buffer the whole 48 MiB in the
+    // service. The same holds for a coordinator and a plain server.
+    let server = start_backend();
     let fleet = start_coordinator(&[dead_addr()]);
-    let mut flood = std::net::TcpStream::connect(&fleet.addr).expect("connect raw");
-    flood
-        .set_write_timeout(Some(std::time::Duration::from_secs(2)))
-        .unwrap();
-    let chunk = "PING\n".repeat(64 * 1024 / 5);
-    let stalled = (0..48 * 16).any(|_| flood.write_all(chunk.as_bytes()).is_err());
-    assert!(stalled, "48 MiB of pipelined requests were all read with no reply collected");
-    drop(flood);
+    for (addr, handle) in [(server.addr, server.handle), (fleet.addr, fleet.handle)] {
+        let mut flood = std::net::TcpStream::connect(&addr).expect("connect raw");
+        flood
+            .set_write_timeout(Some(std::time::Duration::from_secs(2)))
+            .unwrap();
+        let chunk = "PING\n".repeat(64 * 1024 / 5);
+        let stalled = (0..48 * 16).any(|_| flood.write_all(chunk.as_bytes()).is_err());
+        let what = "48 MiB of pipelined requests were all read with no reply collected";
+        assert!(stalled, "{addr}: {what}");
 
-    let mut c = Client::connect(&fleet.addr).expect("connect coordinator");
-    assert_eq!(status(&c.ping().unwrap()), "ok", "the loop still serves others");
-    assert_eq!(status(&c.shutdown().unwrap()), "ok");
-    drop(c);
-    fleet.handle.join().unwrap();
+        // The stalled connection holds up nobody else.
+        let mut c = Client::connect(&addr).expect("connect");
+        assert_eq!(status(&c.ping().unwrap()), "ok", "{addr}: others are still served");
+        drop(flood);
+        assert_eq!(status(&c.shutdown().unwrap()), "ok");
+        drop(c);
+        handle.join().unwrap();
+    }
 }
 
 /// A scripted backend: accepts the coordinator's one link, records
