@@ -1,16 +1,20 @@
 //! In-memory access traces and trace-level statistics.
 //!
-//! ## Packed layout: two 4-byte columns and a shape dictionary
+//! ## Packed layout: two columns and a shape dictionary
 //!
 //! A [`Trace`] is replayed millions of times by the engine but mutated
 //! never, so instead of a `Vec<Access>` (24 B per access) it stores two
-//! parallel `u32` columns: each access's low 32 address bits and an
+//! parallel columns: each access's low 32 address bits (`u32`) and an
 //! index into a per-trace dictionary of *shapes*. A shape is everything
 //! about an access except that low word (PC, high 32 address bits,
 //! kind, dependence, gap), one 16-byte entry per distinct tuple in
 //! first-appearance order. Generators emit a handful of PCs, addresses
 //! in a few 4 GiB regions and one gap per trace, so a trace holds a few
-//! shapes: the table stays in L1 and the layout costs 8 B per access.
+//! shapes: the table stays in L1, the index fits in one byte and the
+//! layout costs 5 B per access. The index column is `u8` while the
+//! dictionary holds at most 256 shapes; the builder widens it to `u32`
+//! once, when a 257th distinct shape arrives, so a trace of many shapes
+//! (a hostile file, say) still packs losslessly, at 8 B per access.
 //! [`Access`] remains the builder/generator-facing view:
 //! [`TraceBuilder`] interns each one's shape and packs its columns as
 //! it is pushed (there is no staging copy) and
@@ -38,6 +42,9 @@ const STORE_BIT: u32 = 1 << 31;
 /// `Shape::meta` bit flagging a dependent (pointer-chase) load.
 const DEP_BIT: u32 = 1 << 30;
 
+/// Slots in [`TraceBuilder`]'s cache of recently pushed shapes.
+const RECENT: usize = 16;
+
 /// Everything about an access except its low address word: the entry
 /// of a trace's shape dictionary that each access indexes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -57,6 +64,13 @@ impl Shape {
         Shape { pc: a.pc.0, hi: (a.addr.0 >> 32) as u32, meta }
     }
 
+    /// This shape's slot in [`TraceBuilder`]'s recent-shape cache.
+    #[inline]
+    fn slot(self) -> usize {
+        let key = self.pc ^ u64::from(self.hi).rotate_left(32) ^ u64::from(self.meta);
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % RECENT
+    }
+
     /// The access of this shape whose low address word is `lo`.
     #[inline]
     fn access(self, lo: u32) -> Access {
@@ -65,6 +79,105 @@ impl Shape {
         let addr = Addr((u64::from(self.hi) << 32) | u64::from(lo));
         Access { pc: Pc(self.pc), addr, kind, dep, gap: self.meta & MAX_GAP }
     }
+}
+
+/// The per-access shape index column: one byte per access while the
+/// dictionary holds at most 256 shapes, four once a 257th arrives.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum ShapeIx {
+    Narrow(Vec<u8>),
+    Wide(Vec<u32>),
+}
+
+impl ShapeIx {
+    /// Appends `ix`, widening the column to `u32` (once) when `ix`
+    /// does not fit in a byte.
+    fn push(&mut self, ix: u32) {
+        match self {
+            ShapeIx::Narrow(col) => match u8::try_from(ix) {
+                Ok(ix) => push_grown(col, ix),
+                Err(_) => {
+                    let mut wide = Vec::with_capacity(col.len() + growth(col.len()));
+                    wide.extend(col.iter().map(|&i| u32::from(i)));
+                    wide.push(ix);
+                    *self = ShapeIx::Wide(wide);
+                }
+            },
+            ShapeIx::Wide(col) => push_grown(col, ix),
+        }
+    }
+
+    fn as_slice(&self) -> IxSlice<'_> {
+        match self {
+            ShapeIx::Narrow(col) => IxSlice::Narrow(col),
+            ShapeIx::Wide(col) => IxSlice::Wide(col),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            ShapeIx::Narrow(col) => col.shrink_to_fit(),
+            ShapeIx::Wide(col) => col.shrink_to_fit(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            ShapeIx::Narrow(col) => col.capacity(),
+            ShapeIx::Wide(col) => col.capacity() * std::mem::size_of::<u32>(),
+        }
+    }
+}
+
+/// A borrowed run of a [`ShapeIx`] column.
+#[derive(Clone, Copy, Debug)]
+enum IxSlice<'a> {
+    Narrow(&'a [u8]),
+    Wide(&'a [u32]),
+}
+
+impl<'a> IxSlice<'a> {
+    #[inline]
+    fn get(self, i: usize) -> usize {
+        match self {
+            IxSlice::Narrow(col) => usize::from(col[i]),
+            IxSlice::Wide(col) => col[i] as usize,
+        }
+    }
+
+    fn range(self, start: usize, end: usize) -> IxSlice<'a> {
+        match self {
+            IxSlice::Narrow(col) => IxSlice::Narrow(&col[start..end]),
+            IxSlice::Wide(col) => IxSlice::Wide(&col[start..end]),
+        }
+    }
+
+    /// How many accesses use each of `shapes` shapes.
+    fn counts(self, shapes: usize) -> Vec<u64> {
+        let mut counts = vec![0u64; shapes];
+        match self {
+            IxSlice::Narrow(col) => col.iter().for_each(|&i| counts[usize::from(i)] += 1),
+            IxSlice::Wide(col) => col.iter().for_each(|&i| counts[i as usize] += 1),
+        }
+        counts
+    }
+}
+
+/// Elements a full builder column grows by: an eighth of its length,
+/// at least 4096. `Vec`'s doubling would leave up to half a column of
+/// slack live while a generator runs; the column is trimmed by
+/// [`TraceBuilder::finish`] either way.
+fn growth(len: usize) -> usize {
+    (len / 8).max(4096)
+}
+
+/// Pushes `v` onto `col`, growing a full column by [`growth`].
+#[inline]
+fn push_grown<T>(col: &mut Vec<T>, v: T) {
+    if col.len() == col.capacity() {
+        col.reserve_exact(growth(col.len()));
+    }
+    col.push(v);
 }
 
 /// A complete, replayable memory access trace for one simulated core.
@@ -83,8 +196,8 @@ pub struct Trace {
     suite: Suite,
     /// Distinct shapes in first-appearance order.
     shapes: Vec<Shape>,
-    /// Per-access index into `shapes`.
-    shape_ix: Vec<u32>,
+    /// Per-access index into `shapes`, one byte wide while it can be.
+    shape_ix: ShapeIx,
     /// Per-access address bits 0..32.
     lo: Vec<u32>,
 }
@@ -114,14 +227,13 @@ impl Trace {
 
     /// Reconstitutes the access at `idx` from the packed columns.
     ///
-    /// This is the replay hot path: two dense column loads and one
-    /// shape-table load, no allocation.
+    /// Two dense column loads and one shape-table load, no allocation.
     ///
     /// # Panics
     /// Panics if `idx >= self.len()`.
     #[inline]
     pub fn get(&self, idx: usize) -> Access {
-        self.shapes[self.shape_ix[idx] as usize].access(self.lo[idx])
+        self.shapes[self.shape_ix.as_slice().get(idx)].access(self.lo[idx])
     }
 
     /// The recorded accesses, in program order, **materialized** into a
@@ -134,22 +246,23 @@ impl Trace {
 
     /// Number of memory accesses in the trace.
     pub fn len(&self) -> usize {
-        self.shape_ix.len()
+        self.lo.len()
     }
 
     /// Whether the trace holds no accesses.
     pub fn is_empty(&self) -> bool {
-        self.shape_ix.is_empty()
+        self.lo.is_empty()
     }
 
-    /// Each access's shape, in program order.
-    fn shapes_in_order(&self) -> impl Iterator<Item = Shape> + '_ {
-        self.shape_ix.iter().map(|&ix| self.shapes[ix as usize])
+    /// Each shape paired with how many accesses use it.
+    fn shape_counts(&self) -> impl Iterator<Item = (Shape, u64)> + '_ {
+        let counts = self.shape_ix.as_slice().counts(self.shapes.len());
+        self.shapes.iter().copied().zip(counts)
     }
 
     /// Total instruction count represented (accesses plus gaps).
     pub fn instructions(&self) -> u64 {
-        self.shapes_in_order().map(|s| 1 + u64::from(s.meta & MAX_GAP)).sum()
+        self.shape_counts().map(|(s, n)| n * (1 + u64::from(s.meta & MAX_GAP))).sum()
     }
 
     /// Iterate over accesses (reconstituted by value; `Access` is
@@ -159,9 +272,11 @@ impl Trace {
     }
 
     /// Summary statistics for the trace, recounted on every call: a
-    /// pass over the accesses' shapes and a sort of the line numbers.
+    /// pass over the shape index column and a sort of the line numbers.
     pub fn stats(&self) -> TraceStats {
-        let count = |bit: u32| self.shapes_in_order().filter(|s| s.meta & bit != 0).count() as u64;
+        let count = |bit: u32| {
+            self.shape_counts().filter(|(s, _)| s.meta & bit != 0).map(|(_, n)| n).sum()
+        };
         let stores = count(STORE_BIT);
         TraceStats {
             accesses: self.len() as u64,
@@ -186,9 +301,9 @@ impl Trace {
     ///
     /// This is the batched-replay entry point: the engine pulls
     /// fixed-size blocks and walks them with [`BlockView::get`] (two
-    /// dense column loads and one shape-table load, no bounds
-    /// re-derivation per access). Blocks never wrap: callers clamp `len` to
-    /// `trace.len() - start` and take a fresh block after the wrap.
+    /// dense column loads and one shape-table load). Blocks never wrap:
+    /// callers clamp `len` to `trace.len() - start` and take a fresh
+    /// block after the wrap.
     ///
     /// # Panics
     /// Panics if `start + len > self.len()`.
@@ -200,7 +315,7 @@ impl Trace {
         assert!(end <= self.len(), "block [{start}, {end}) out of bounds");
         BlockView {
             shapes: &self.shapes,
-            shape_ix: &self.shape_ix[start..end],
+            shape_ix: self.shape_ix.as_slice().range(start, end),
             lo: &self.lo[start..end],
         }
     }
@@ -212,7 +327,7 @@ impl Trace {
         std::mem::size_of::<Self>()
             + self.name.len()
             + self.shapes.capacity() * std::mem::size_of::<Shape>()
-            + self.shape_ix.capacity() * std::mem::size_of::<u32>()
+            + self.shape_ix.heap_bytes()
             + self.lo.capacity() * std::mem::size_of::<u32>()
     }
 }
@@ -222,7 +337,7 @@ impl Trace {
 #[derive(Clone, Copy, Debug)]
 pub struct BlockView<'a> {
     shapes: &'a [Shape],
-    shape_ix: &'a [u32],
+    shape_ix: IxSlice<'a>,
     lo: &'a [u32],
 }
 
@@ -230,13 +345,13 @@ impl BlockView<'_> {
     /// Number of accesses in the block.
     #[inline]
     pub fn len(&self) -> usize {
-        self.shape_ix.len()
+        self.lo.len()
     }
 
     /// Whether the block holds no accesses.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.shape_ix.is_empty()
+        self.lo.is_empty()
     }
 
     /// Reconstitutes the `i`-th access of the block.
@@ -245,7 +360,7 @@ impl BlockView<'_> {
     /// Panics if `i >= self.len()`.
     #[inline]
     pub fn get(&self, i: usize) -> Access {
-        self.shapes[self.shape_ix[i] as usize].access(self.lo[i])
+        self.shapes[self.shape_ix.get(i)].access(self.lo[i])
     }
 }
 
@@ -321,7 +436,9 @@ impl fmt::Display for TraceStats {
 
 /// Incremental builder used by the workload generators. Each pushed
 /// access is packed straight into the trace's columns, its shape
-/// interned as it goes: no staging copy.
+/// interned as it goes: no staging copy. A full column grows by an
+/// eighth of its length rather than doubling, so a generator's peak
+/// pays little slack.
 ///
 /// ```
 /// use tptrace::{TraceBuilder, Suite};
@@ -338,8 +455,9 @@ pub struct TraceBuilder {
     trace: Trace,
     /// `trace.shapes` inverted: shape → dictionary index.
     shape_index: HashMap<Shape, u32>,
-    /// Index of the last shape pushed: a run of one shape skips the map.
-    last: u32,
+    /// The dictionary index last pushed in each slot of [`Shape::slot`]:
+    /// a generator cycling through a few shapes skips the map.
+    recent: [u32; RECENT],
     default_gap: u32,
 }
 
@@ -351,11 +469,11 @@ impl TraceBuilder {
                 name: name.into(),
                 suite,
                 shapes: Vec::new(),
-                shape_ix: Vec::new(),
+                shape_ix: ShapeIx::Narrow(Vec::new()),
                 lo: Vec::new(),
             },
             shape_index: HashMap::new(),
-            last: 0,
+            recent: [0; RECENT],
             default_gap: 2,
         }
     }
@@ -367,18 +485,20 @@ impl TraceBuilder {
         self
     }
 
-    /// Appends an arbitrary access record, interning its shape.
+    /// Appends an arbitrary access record, interning its shape. The
+    /// 257th distinct shape widens the shape index column to `u32`.
     pub fn push(&mut self, access: Access) -> &mut Self {
         let shape = Shape::of(&access);
         let t = &mut self.trace;
-        if t.shapes.get(self.last as usize) != Some(&shape) {
-            self.last = *self.shape_index.entry(shape).or_insert_with(|| {
+        let slot = &mut self.recent[shape.slot()];
+        if t.shapes.get(*slot as usize) != Some(&shape) {
+            *slot = *self.shape_index.entry(shape).or_insert_with(|| {
                 t.shapes.push(shape);
                 (t.shapes.len() - 1) as u32
             });
         }
-        t.shape_ix.push(self.last);
-        t.lo.push(access.addr.0 as u32);
+        t.shape_ix.push(*slot);
+        push_grown(&mut t.lo, access.addr.0 as u32);
         self
     }
 
@@ -542,10 +662,11 @@ mod tests {
             .map(|a| (a.pc, a.addr.0 >> 32, a.kind, a.dep, a.gap))
             .collect();
         let t = Trace::new("size", Suite::Gap, accesses);
-        // The per-access columns cost exactly 8 B each (4 B shape index
+        // The per-access columns cost exactly 5 B each (1 B shape index
         // + 4 B low address word); the shape table is amortized noise.
-        let per_access = (t.shape_ix.capacity() * 4 + t.lo.capacity() * 4) / t.len();
-        assert_eq!(per_access, 8, "packed layout is 8 B/access");
+        assert!(matches!(t.shape_ix, ShapeIx::Narrow(_)), "a few shapes index in one byte");
+        let per_access = (t.shape_ix.heap_bytes() + t.lo.capacity() * 4) / t.len();
+        assert_eq!(per_access, 5, "packed layout is 5 B/access");
         assert_eq!(t.shapes.len(), tuples.len(), "one shape per distinct tuple");
         assert_eq!(std::mem::size_of::<Shape>(), 16);
         assert!(
@@ -616,8 +737,9 @@ mod tests {
     /// place — a staged `Vec<Access>`, columns reserved to its length,
     /// and a `TraceStats` cached in the same pass with a hashed line
     /// set — here packing the shape table and its two columns, with
-    /// every shape looked up in the map. Kept as the reference the
-    /// builder is pinned against.
+    /// every shape looked up in the map and the index column narrowed
+    /// to bytes at the end when the table has at most 256 entries. Kept
+    /// as the reference the builder is pinned against.
     fn reference_new(name: &str, suite: Suite, accesses: &[Access]) -> (Trace, TraceStats) {
         let n = accesses.len();
         let mut shapes = Vec::new();
@@ -647,6 +769,11 @@ mod tests {
             }
             instructions += 1 + u64::from(a.gap.min(MAX_GAP));
         }
+        let shape_ix = if shapes.len() <= 256 {
+            ShapeIx::Narrow(shape_ix.iter().map(|&ix| ix as u8).collect())
+        } else {
+            ShapeIx::Wide(shape_ix)
+        };
         let trace = Trace {
             name: name.into(),
             suite,
@@ -699,36 +826,91 @@ mod tests {
         accesses
     }
 
+    /// Packs `accesses` through the builder and checks it against
+    /// [`reference_new`]: the same table and columns, trimmed, at the
+    /// width the table needs; every access back but for gap
+    /// saturation; the same stats; and `Trace::new` giving the same.
+    fn check_against_reference(accesses: Vec<Access>) -> Result<Trace, String> {
+        let (want, want_stats) = reference_new("eq", Suite::Spec17, &accesses);
+        let mut b = TraceBuilder::new("eq", Suite::Spec17);
+        for &a in &accesses {
+            b.push(a);
+        }
+        let got = b.finish();
+        tpcheck::ensure!((got.name(), got.suite()) == (want.name(), want.suite()));
+        tpcheck::ensure!(got.shapes == want.shapes, "shapes differ");
+        tpcheck::ensure!(got.shape_ix == want.shape_ix, "shape_ix differs");
+        tpcheck::ensure!(got.lo == want.lo, "lo differs");
+        let width = if got.shapes.len() <= 256 { 1 } else { 4 };
+        let caps = [got.shapes.capacity(), got.shape_ix.heap_bytes(), got.lo.capacity()];
+        let lens = [got.shapes.len(), width * got.len(), got.len()];
+        tpcheck::ensure!(caps == lens, "columns not trimmed: {caps:?} for {lens:?}");
+        // Lossless but for the documented gap saturation.
+        let saturated: Vec<Access> = accesses
+            .iter()
+            .map(|&a| Access { gap: a.gap.min(MAX_GAP), ..a })
+            .collect();
+        tpcheck::ensure!(got.accesses() == saturated, "accesses() differs from the input");
+        tpcheck::ensure!(
+            got.stats() == want_stats,
+            "{:?} != {want_stats:?}",
+            got.stats()
+        );
+        tpcheck::ensure!(Trace::new("eq", Suite::Spec17, accesses) == got);
+        Ok(got)
+    }
+
     #[test]
     fn builder_packs_exactly_like_the_reference_loop() {
         tpcheck::check("builder == reference packing", 256, |g| {
-            let accesses = random_accesses(g);
-            let (want, want_stats) = reference_new("eq", Suite::Spec17, &accesses);
-            let mut b = TraceBuilder::new("eq", Suite::Spec17);
-            for &a in &accesses {
-                b.push(a);
-            }
-            let got = b.finish();
-            tpcheck::ensure!((got.name(), got.suite()) == (want.name(), want.suite()));
-            tpcheck::ensure!(got.shapes == want.shapes, "shapes differ");
-            tpcheck::ensure!(got.shape_ix == want.shape_ix, "shape_ix differs");
-            tpcheck::ensure!(got.lo == want.lo, "lo differs");
-            let caps = [got.shapes.capacity(), got.shape_ix.capacity(), got.lo.capacity()];
-            let lens = [got.shapes.len(), got.len(), got.len()];
-            tpcheck::ensure!(caps == lens, "columns not trimmed: {caps:?} for {lens:?}");
-            // Lossless but for the documented gap saturation.
-            let saturated: Vec<Access> = accesses
-                .iter()
-                .map(|&a| Access { gap: a.gap.min(MAX_GAP), ..a })
-                .collect();
-            tpcheck::ensure!(got.accesses() == saturated, "accesses() differs from the input");
-            tpcheck::ensure!(
-                got.stats() == want_stats,
-                "{:?} != {want_stats:?}",
-                got.stats()
-            );
-            tpcheck::ensure!(Trace::new("eq", Suite::Spec17, accesses) == got);
-            Ok(())
+            check_against_reference(random_accesses(g)).map(drop)
         });
+    }
+
+    /// `distinct` shapes (one PC each) in first-appearance order, each
+    /// new one followed by a revisit of an earlier one, then a pass back
+    /// over all of them: accesses on both sides of the 257th shape.
+    fn accesses_with_shapes(distinct: u64) -> Vec<Access> {
+        let shape = |i: u64| {
+            let pc = 0x400_000 + i;
+            let a = if i.is_multiple_of(3) { Access::store(pc, 0) } else { Access::dep_load(pc, 0) };
+            Access { gap: (i % 5) as u32, ..a }
+        };
+        let at = |i: u64, n: u64| Access { addr: Addr((3 << 32) | (n << 6)), ..shape(i) };
+        let mut accesses = Vec::new();
+        for i in 0..distinct {
+            accesses.push(at(i, accesses.len() as u64));
+            accesses.push(at(i / 2, accesses.len() as u64));
+        }
+        for i in (0..distinct).rev() {
+            accesses.push(at(i, accesses.len() as u64));
+        }
+        accesses
+    }
+
+    #[test]
+    fn the_257th_shape_widens_the_index_column_once() {
+        for distinct in [1, 255, 256, 257, 1000] {
+            let accesses = accesses_with_shapes(distinct);
+            let t = check_against_reference(accesses.clone())
+                .unwrap_or_else(|e| panic!("{distinct}: {e}"));
+            assert_eq!(t.shapes.len() as u64, distinct);
+            assert_eq!(matches!(t.shape_ix, ShapeIx::Wide(_)), distinct > 256, "{distinct} shapes");
+            // The 257th shape is first pushed at access 2 × 256.
+            for &(start, len) in &[(0, t.len()), (500, 24), (511, 2), (512, 1), (t.len() - 1, 1)] {
+                if start + len > t.len() {
+                    continue;
+                }
+                let blk = t.block(start, len);
+                for i in 0..len {
+                    let want = accesses[start + i];
+                    assert_eq!(blk.get(i), want, "{distinct}: block({start},{len})[{i}]");
+                }
+            }
+            let bytes = crate::io::to_bytes(&t);
+            let back = crate::io::from_bytes(&bytes).expect("round trip");
+            assert_eq!(back, t, "{distinct}: decoded trace differs");
+            assert_eq!(crate::io::to_bytes(&back), bytes, "{distinct}: bytes changed");
+        }
     }
 }

@@ -192,8 +192,9 @@ fn a_fresh_shape_per_access_round_trips_within_the_old_worst_case() {
         let back = from_bytes(&bytes).map_err(|e| format!("decode failed: {e}"))?;
         tpcheck::ensure!(back == t, "decoded trace differs");
         tpcheck::ensure!(to_bytes(&back) == bytes, "write -> read -> write changed the bytes");
-        // 8 B of columns plus a 16 B shape per access: the 16 B columns
-        // plus 8 B PC entry per access this layout replaced.
+        // Past 256 shapes the index column is widened to 4 B: 8 B of
+        // columns plus a 16 B shape per access, the 16 B columns plus
+        // 8 B PC entry per access this layout's predecessor cost.
         let fixed = std::mem::size_of::<Trace>() + back.name().len();
         let (resident, len) = (back.resident_bytes(), back.len());
         tpcheck::ensure!(

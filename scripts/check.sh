@@ -11,7 +11,7 @@
 #    with --audit, so the release build's counters are checked against
 #    the same laws the debug assertions enforce.
 # 3. The README's trace export -> inspect pair (the serialized format,
-#    and the loaded trace at <= 8.1 B/access), server and fleet smokes
+#    and the loaded trace at <= 5.1 B/access), server and fleet smokes
 #    from the outside, then the benchmark's own tests and its quick
 #    mode, then the line counts.
 #
@@ -43,8 +43,8 @@ cargo run --release -q -p tpharness --bin tpcli -- export gap.pr "$TPT" --scale=
 INSPECT=$(cargo run --release -q -p tpharness --bin tpcli -- inspect "$TPT")
 rm -f "$TPT"
 BPA=$(echo "$INSPECT" | sed -n 's/^resident: .*(\([0-9.]*\) B\/access)$/\1/p')
-awk -v b="$BPA" 'BEGIN { exit !(b != "" && b <= 8.1) }' || {
-  echo "inspect: expected <= 8.1 B/access resident, got: $INSPECT"; exit 1;
+awk -v b="$BPA" 'BEGIN { exit !(b != "" && b <= 5.1) }' || {
+  echo "inspect: expected <= 5.1 B/access resident, got: $INSPECT"; exit 1;
 }
 
 echo "== server smoke test (unix socket, pipelining, store-backed restart, damaged entry) =="

@@ -164,8 +164,9 @@ fn pipelined_submits_answer_in_request_order() {
     let mut c = Client::connect(&h.addr).expect("connect");
 
     // Four SUBMITs (one a duplicate) written before any response is
-    // read; the event loop must answer them in request order on this
-    // connection even though workers finish out of order.
+    // read. The connection's own thread answers each line before it
+    // reads the next, so the replies must come back in request order,
+    // whichever worker finishes first.
     let payloads: Vec<Value> = ["gap.bfs", "gap.tc", "gap.pr", "gap.bfs"]
         .iter()
         .map(|wl| req(&format!(r#"{{"workload":"{wl}","scale":"test"}}"#)))

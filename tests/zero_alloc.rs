@@ -1,6 +1,6 @@
 //! The hard allocation gates: `Engine::run` performs (almost) no heap
 //! allocation per simulated access, generating a trace costs little
-//! more memory than the finished trace holds (8 B per access), and a
+//! more memory than the finished trace holds (5 B per access), and a
 //! served report is read and parsed with one allocation per thing the
 //! tree must own.
 //!
@@ -185,9 +185,9 @@ fn the_mrb_never_allocates_after_construction() {
 
 /// Live bytes while `generate` runs may peak at this multiple of the
 /// finished trace's `resident_bytes()`. A builder that packs in place
-/// pays its columns' growth slack (up to 2x) plus the generator's own
-/// working set; staging a 24-byte `Vec<Access>` and then packing a
-/// second copy read 2.8-4.4x.
+/// pays its columns' growth slack (an eighth, as they grow) plus the
+/// generator's own working set; staging a 24-byte `Vec<Access>` and
+/// then packing a second copy read 2.8-4.4x.
 const MAX_GENERATION_PEAK: f64 = 2.5;
 
 #[test]
@@ -207,17 +207,18 @@ fn generating_a_trace_peaks_near_its_resident_size() {
     }
 }
 
-/// What a generated trace may hold beyond its two 4-byte columns: the
-/// shape table (2-5 16-byte entries today), the name and the struct.
+/// What a generated trace may hold beyond its 4-byte address column
+/// and 1-byte shape index column: the shape table (2-5 16-byte entries
+/// today), the name and the struct.
 const LAYOUT_SLACK: usize = 1024;
 
 #[test]
-fn every_generated_trace_is_resident_at_8_bytes_per_access() {
+fn every_generated_trace_is_resident_at_5_bytes_per_access() {
     for w in workloads::memory_intensive() {
         let trace = w.generate(Scale::Test);
         assert!(
-            trace.resident_bytes() <= 8 * trace.len() + LAYOUT_SLACK,
-            "{}: {} resident bytes for {} accesses (gate 8 B/access + {LAYOUT_SLACK} B)",
+            trace.resident_bytes() <= 5 * trace.len() + LAYOUT_SLACK,
+            "{}: {} resident bytes for {} accesses (gate 5 B/access + {LAYOUT_SLACK} B)",
             w.name,
             trace.resident_bytes(),
             trace.len()
