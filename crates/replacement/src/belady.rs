@@ -27,26 +27,6 @@ pub struct MinReport {
     pub correlation_hits: u64,
 }
 
-impl MinReport {
-    /// Trigger hit rate in [0, 1].
-    pub fn trigger_hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.trigger_hits as f64 / self.accesses as f64
-        }
-    }
-
-    /// Correlation hit rate in [0, 1].
-    pub fn correlation_hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.correlation_hits as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// Simulates Belady's MIN with `capacity` metadata entries keyed by
 /// **trigger address**, replaying the correlation stream.
 ///
@@ -96,11 +76,6 @@ pub fn min_sim(stream: &[Correlation], capacity: usize) -> MinReport {
         }
     }
     report
-}
-
-/// Convenience wrapper returning only the trigger hit count.
-pub fn belady_min_hits(stream: &[Correlation], capacity: usize) -> u64 {
-    min_sim(stream, capacity).trigger_hits
 }
 
 #[cfg(test)]
@@ -163,6 +138,5 @@ mod tests {
     fn empty_stream_reports_zero() {
         let r = min_sim(&[], 4);
         assert_eq!(r, MinReport::default());
-        assert_eq!(r.trigger_hit_rate(), 0.0);
     }
 }

@@ -29,11 +29,11 @@ pub mod lru;
 pub mod srrip;
 pub mod tpmin;
 
-pub use belady::{belady_min_hits, min_sim};
+pub use belady::min_sim;
 pub use etr::{EtrSampler, EtrSamplerConfig, EtrSet, ReusePrediction};
 pub use lru::Lru;
 pub use srrip::Srrip;
-pub use tpmin::{tp_min_hits, tpmin_sim};
+pub use tpmin::tpmin_sim;
 
 /// A set-local replacement policy over `ways` slots.
 ///

@@ -1,10 +1,10 @@
 //! Client side of the service protocol.
 //!
-//! [`Client`] is used three ways: by the `tpclient` binary, by the
-//! integration tests, and by `tpbench`'s optional `TPSIM_SERVER`
-//! routing. It is deliberately thin — one blocking request/response
-//! round-trip per call; waiting on a ticket is one such round trip
-//! (`WAIT`), answered when the job is over.
+//! [`Client`] is used by the `tpclient` binary, by the integration
+//! tests and by the benchmark's service workloads. It is deliberately
+//! thin — one blocking request/response round-trip per call; waiting on
+//! a ticket is one such round trip (`WAIT`), answered when the job is
+//! over.
 
 use crate::conn::Conn;
 use crate::protocol::read_frame;

@@ -1,8 +1,7 @@
 //! [`Coordinator`]: the same service core as [`Server`], over a
 //! non-empty ring. `tpserve --coordinator --backend=ADDR...` speaks the
 //! *same* client-facing protocol, so every existing client — `tpclient`,
-//! `Client`, `TPSIM_SERVER` routing in the bench crate — works against
-//! a coordinator unchanged. Behind the listener each accepted job is
+//! `Client` — works against a coordinator unchanged. Behind the listener each accepted job is
 //! **consistent-hashed by its canonical request encoding** onto one of
 //! N backends ([`crate::ring::HashRing`]) and forwarded — one `SUBMIT`,
 //! one `WAIT` — over persistent links, each with its own reader thread

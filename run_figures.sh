@@ -8,8 +8,6 @@
 # Set AUDIT=1 to check every simulation against the conservation laws
 # in tpsim::audit (debug builds always check; this enables the same
 # checks in this release run, aborting on the first violation).
-# Set TPSIM_SERVER=host:port (or unix:PATH) to route every expressible
-# simulation through a running tpserve (results are byte-identical).
 # Progress goes to results/tpbench.log.
 set -e
 SCALE=${1:-small}

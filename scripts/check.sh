@@ -4,9 +4,9 @@
 # 1. Release build + the full test suite — the root package's tests
 #    and every workspace crate's own unit, doc and integration tests,
 #    all default members (the audit's conservation laws are also
-#    debug-asserted inside every test-mode simulation) — then clippy
-#    and rustdoc, warnings denied (and, for the workspace, any `unsafe`
-#    block without a `// SAFETY:` comment).
+#    debug-asserted inside every test-mode simulation) — then rustfmt
+#    in check mode, clippy and rustdoc, warnings denied (and, for the
+#    workspace, any `unsafe` block without a `// SAFETY:` comment).
 # 2. A release-mode sweep over the memory-intensive pool at test scale
 #    with --audit, so the release build's counters are checked against
 #    the same laws the debug assertions enforce.
@@ -23,7 +23,10 @@ echo "== tier 1: build + tests (every workspace crate: see default-members) =="
 cargo build --release
 cargo test -q
 
-echo "== lint gate: clippy and rustdoc with warnings denied =="
+echo "== lint gate: rustfmt, clippy and rustdoc with warnings denied =="
+# Both workspaces stay rustfmt-clean; --check never rewrites a file.
+cargo fmt --all --check
+cargo fmt --check --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 # The benchmark is its own workspace, which the line above never lints.
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
