@@ -14,14 +14,7 @@ pub fn render(scale: Scale) -> String {
 
     let mut table = Table::new(
         format!("Figure 9: Single-Core Speedup over stride baseline ({scale})"),
-        &[
-            "prefetcher",
-            "SPEC06",
-            "SPEC17",
-            "GAP",
-            "all",
-            "irregular",
-        ],
+        &["prefetcher", "SPEC06", "SPEC17", "GAP", "all", "irregular"],
     );
     let mut per_workload = Table::new(
         "Figure 9 (per workload speedup %)",

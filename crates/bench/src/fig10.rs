@@ -109,7 +109,12 @@ pub fn render(scale: Scale) -> String {
         let runs = paired_runs(&all, &base, &exp);
         let mut cov = vec![name.to_string(), "coverage".into()];
         let mut acc = vec![name.to_string(), "accuracy".into()];
-        for suite in [Some(Suite::Spec06), Some(Suite::Spec17), Some(Suite::Gap), None] {
+        for suite in [
+            Some(Suite::Spec06),
+            Some(Suite::Spec17),
+            Some(Suite::Gap),
+            None,
+        ] {
             let s = summarize(runs.iter(), suite);
             cov.push(format!("{:.1}%", s.coverage_pct));
             acc.push(format!("{:.1}%", s.accuracy_pct));

@@ -29,7 +29,11 @@ pub fn render(scale: Scale) -> String {
     // Berti alone, relative to the stride baseline.
     let berti_alone = paired_runs(&pool, &stride_base, &berti_base);
     let s = summarize(berti_alone.iter(), None);
-    a.row(&["berti only".into(), format!("{:+.1}%", s.speedup_pct), "-".into()]);
+    a.row(&[
+        "berti only".into(),
+        format!("{:+.1}%", s.speedup_pct),
+        "-".into(),
+    ]);
     for (name, kind) in [
         ("berti + triangel", TemporalKind::Triangel),
         ("berti + streamline", TemporalKind::Streamline),
@@ -91,7 +95,11 @@ pub fn render(scale: Scale) -> String {
         eprintln!("== {} ==", l2.name());
         let l2_base = stride_base.clone().l2(l2);
         let alone = paired_runs(&pool, &stride_base, &l2_base);
-        let tri = paired_runs(&pool, &stride_base, &l2_base.clone().temporal(TemporalKind::Triangel));
+        let tri = paired_runs(
+            &pool,
+            &stride_base,
+            &l2_base.clone().temporal(TemporalKind::Triangel),
+        );
         let stl = paired_runs(
             &pool,
             &stride_base,

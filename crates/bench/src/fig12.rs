@@ -38,7 +38,11 @@ pub fn render(scale: Scale) -> String {
             ..StreamlineConfig::default()
         };
         eprintln!("== stream length {len} ==");
-        let runs = paired_runs(&pool, &base, &base.clone().temporal(TemporalKind::StreamlineCfg(cfg)));
+        let runs = paired_runs(
+            &pool,
+            &base,
+            &base.clone().temporal(TemporalKind::StreamlineCfg(cfg)),
+        );
         let s = summarize(runs.iter(), None);
         // Missed-trigger rate: store lookups that found nothing, among
         // all lookups (longer streams have fewer triggers to hit).
@@ -56,7 +60,12 @@ pub fn render(scale: Scale) -> String {
         a.row(&[
             len.to_string(),
             StreamlineConfig::correlations_per_block(len).to_string(),
-            format!("{:.1}%", gmean(&missed.iter().map(|m| m + 1.0).collect::<Vec<_>>()).max(1.0).mul_add(100.0, -100.0)),
+            format!(
+                "{:.1}%",
+                gmean(&missed.iter().map(|m| m + 1.0).collect::<Vec<_>>())
+                    .max(1.0)
+                    .mul_add(100.0, -100.0)
+            ),
             format!("{:.1}%", s.coverage_pct),
             format!("{:+.1}%", s.speedup_pct),
         ]);
@@ -67,7 +76,12 @@ pub fn render(scale: Scale) -> String {
     // --- (b) redundancy with/without alignment -----------------------
     let mut b = Table::new(
         format!("Figure 12b: Stream Alignment vs Redundancy ({scale})"),
-        &["alignment", "redundant/insert", "aligned/completion", "coverage"],
+        &[
+            "alignment",
+            "redundant/insert",
+            "aligned/completion",
+            "coverage",
+        ],
     );
     for (label, alignment) in [("off", false), ("on", true)] {
         let cfg = StreamlineConfig {
@@ -75,7 +89,11 @@ pub fn render(scale: Scale) -> String {
             ..StreamlineConfig::default()
         };
         eprintln!("== alignment {label} ==");
-        let runs = paired_runs(&pool, &base, &base.clone().temporal(TemporalKind::StreamlineCfg(cfg)));
+        let runs = paired_runs(
+            &pool,
+            &base,
+            &base.clone().temporal(TemporalKind::StreamlineCfg(cfg)),
+        );
         let red: Vec<f64> = runs
             .iter()
             .map(|r| {
@@ -113,7 +131,11 @@ pub fn render(scale: Scale) -> String {
             ..StreamlineConfig::default()
         };
         eprintln!("== buffer {entries} ==");
-        let runs = paired_runs(&pool, &base, &base.clone().temporal(TemporalKind::StreamlineCfg(cfg)));
+        let runs = paired_runs(
+            &pool,
+            &base,
+            &base.clone().temporal(TemporalKind::StreamlineCfg(cfg)),
+        );
         let rate: Vec<f64> = runs
             .iter()
             .map(|r| {

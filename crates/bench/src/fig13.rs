@@ -115,7 +115,13 @@ pub fn render(scale: Scale) -> String {
     // --- offline MIN vs TP-MIN (Section IV-D1 / Figure 6 at scale) ----
     let mut o = Table::new(
         "Offline replacement on extracted correlation streams",
-        &["workload", "capacity", "MIN corr-hits", "TP-MIN corr-hits", "TP-MIN/MIN"],
+        &[
+            "workload",
+            "capacity",
+            "MIN corr-hits",
+            "TP-MIN corr-hits",
+            "TP-MIN/MIN",
+        ],
     );
     for name in ["spec06.mcf", "gap.pr", "spec06.omnetpp"] {
         let w = workloads::by_name(name).unwrap();

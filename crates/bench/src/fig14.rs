@@ -39,7 +39,13 @@ fn variants() -> Vec<(&'static str, StreamlineConfig)> {
             },
         ),
         ("+TSP", StreamlineConfig { tsp: true, ..unopt }),
-        ("+TP-MJ", StreamlineConfig { tpmj: true, ..unopt }),
+        (
+            "+TP-MJ",
+            StreamlineConfig {
+                tpmj: true,
+                ..unopt
+            },
+        ),
         (
             "+TSP,TP-MJ",
             StreamlineConfig {
@@ -58,7 +64,13 @@ fn variants() -> Vec<(&'static str, StreamlineConfig)> {
             },
         ),
         ("-TSP", StreamlineConfig { tsp: false, ..full }),
-        ("-TP-MJ", StreamlineConfig { tpmj: false, ..full }),
+        (
+            "-TP-MJ",
+            StreamlineConfig {
+                tpmj: false,
+                ..full
+            },
+        ),
     ]
 }
 

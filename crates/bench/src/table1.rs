@@ -121,7 +121,10 @@ impl SchemeStore {
         // reachable (effective associativity = one way).
         let reachable = |i: usize, b: &Vec<(u64, u64)>| match group {
             None => true,
-            Some(g) => (Self::hash(b[i].0) >> 24) as usize % MAX_WAYS.min(cap / ENTRIES_PER_WAY).max(1) == g,
+            Some(g) => {
+                (Self::hash(b[i].0) >> 24) as usize % MAX_WAYS.min(cap / ENTRIES_PER_WAY).max(1)
+                    == g
+            }
         };
         if let Some(i) = (0..bucket.len()).find(|&i| bucket[i].0 == trigger && reachable(i, bucket))
         {
@@ -130,7 +133,9 @@ impl SchemeStore {
         }
         // Miss: insert, evicting LRU among reachable entries when the
         // group (untagged) or whole set (tagged) is full.
-        let in_group: Vec<usize> = (0..bucket.len()).filter(|&i| reachable(i, bucket)).collect();
+        let in_group: Vec<usize> = (0..bucket.len())
+            .filter(|&i| reachable(i, bucket))
+            .collect();
         let group_cap = match group {
             None => cap,
             Some(_) => ENTRIES_PER_WAY,

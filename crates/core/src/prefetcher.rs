@@ -113,7 +113,8 @@ impl Streamline {
             let score_of = |size: PartitionSize| {
                 // Shadow sets sample 1/32 of sets; scale data hits to
                 // match the sample-set-extrapolated metadata counters.
-                let data = self.shadow.hits_with_ways(self.data_ways_equiv(size)) << LLC_SAMPLE_SHIFT;
+                let data =
+                    self.shadow.hits_with_ways(self.data_ways_equiv(size)) << LLC_SAMPLE_SHIFT;
                 let meta = self.store.hits_at(size);
                 (16 * data + w * meta) as i64
             };
@@ -279,7 +280,8 @@ impl TemporalPrefetcher for Streamline {
                         // The only hit path that needs an owned
                         // copy: the training unit's confirmation
                         // buffer outlives the store borrow.
-                        self.tu.buffer_insert(ev.pc, StreamEntry::new(cursor, targets));
+                        self.tu
+                            .buffer_insert(ev.pc, StreamEntry::new(cursor, targets));
                         false
                     }
                     None => break,
@@ -290,11 +292,7 @@ impl TemporalPrefetcher for Streamline {
             // low-accuracy phase stops gambling metadata reads on
             // unvalidated entries, while confirmed continuations keep
             // the full degree.
-            let fresh_budget = if ctx.global_accuracy >= 0.70 {
-                2
-            } else {
-                1
-            };
+            let fresh_budget = if ctx.global_accuracy >= 0.70 { 2 } else { 1 };
             let budget = if confirmed {
                 degree
             } else {

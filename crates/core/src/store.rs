@@ -128,7 +128,9 @@ fn select_victim(
             None => eligible.min_by_key(|&i| lru[i]),
         }
     };
-    scan(floor).or_else(|| scan(0)).expect("candidates nonempty")
+    scan(floor)
+        .or_else(|| scan(0))
+        .expect("candidates nonempty")
 }
 
 /// Whether the stream `trigger, targets…` holds the correlation
@@ -304,7 +306,9 @@ impl StreamStore {
     /// Which slot of `row` holds `trigger`, counted from the row's start.
     fn find(&self, row: Range<usize>, trigger: Line) -> Option<usize> {
         let triggers = &self.triggers[row.clone()];
-        tagrow::find(&self.fps[row], tagrow::fingerprint(trigger.0), |w| triggers[w] == trigger)
+        tagrow::find(&self.fps[row], tagrow::fingerprint(trigger.0), |w| {
+            triggers[w] == trigger
+        })
     }
 
     /// Writes an entry into `slot`, stamped with the current clock.
@@ -371,7 +375,8 @@ impl StreamStore {
             en += 1;
         }
         let mut redundant_pairs = 0;
-        let stored = self.targets[row.start * stream_len..row.end * stream_len].chunks_exact(stream_len);
+        let stored =
+            self.targets[row.start * stream_len..row.end * stream_len].chunks_exact(stream_len);
         for ((&t, &len), targets) in triggers.iter().zip(&self.lens[row.clone()]).zip(stored) {
             if t == VACANT || t == entry.trigger {
                 continue; // vacant, or same trigger: an overwrite, handled below
@@ -391,8 +396,8 @@ impl StreamStore {
         // is confined to, if any. Way-partitioned (non-TSP): one way
         // group chosen by the trigger hash → effective associativity
         // of a single way.
-        let mut group = (!tsp)
-            .then(|| (Self::hash(entry.trigger) >> 12) as usize % (cap / stream_len).max(1));
+        let mut group =
+            (!tsp).then(|| (Self::hash(entry.trigger) >> 12) as usize % (cap / stream_len).max(1));
         // Partial-tag aliasing (Section V-D5): an aliased trigger must
         // share the aliased entry's LLC way, constraining placement to
         // that way group (4 entries per way).
@@ -422,10 +427,14 @@ impl StreamStore {
         });
 
         let slot = row.start + victim;
-        let redundant = self.triggers[slot] == entry.trigger && self.targets_of(slot) == &entry.targets[..];
+        let redundant =
+            self.triggers[slot] == entry.trigger && self.targets_of(slot) == &entry.targets[..];
         self.write(slot, entry.trigger, tag, &entry.targets);
         if let Some(e) = self.etr.get_mut(set_idx) {
-            e.fill(victim, self.sampler.etr_for(self.sampler.predict(pc_hash), 3));
+            e.fill(
+                victim,
+                self.sampler.etr_for(self.sampler.predict(pc_hash), 3),
+            );
         }
         StoreInsert::Stored {
             redundant_pairs: redundant_pairs + usize::from(redundant),
@@ -511,7 +520,13 @@ impl StreamStore {
             // `new`; RTS is the scheme filtered indexing replaces.
             let movers: Vec<(Line, u16, TargetList)> = (0..self.triggers.len())
                 .filter(|&i| self.triggers[i] != VACANT)
-                .map(|i| (self.triggers[i], self.tags[i], TargetList::from(self.targets_of(i))))
+                .map(|i| {
+                    (
+                        self.triggers[i],
+                        self.tags[i],
+                        TargetList::from(self.targets_of(i)),
+                    )
+                })
                 .collect();
             self.triggers.fill(VACANT);
             self.fps.fill(0);
@@ -538,7 +553,8 @@ impl StreamStore {
 
     /// Valid entries in 64-byte blocks.
     pub fn valid_blocks(&self) -> usize {
-        self.valid_entries().div_ceil(Self::entries_per_block(&self.cfg))
+        self.valid_entries()
+            .div_ceil(Self::entries_per_block(&self.cfg))
     }
 
     /// Estimated lookup hits a partition of `size` would capture since
@@ -801,9 +817,16 @@ mod tests {
                 ..Default::default()
             });
             let samples: Vec<usize> = (0..llc_sets).filter(|&i| s.is_sample_set(i)).collect();
-            assert_eq!(samples.len(), 64, "paper Section IV-E4: 64 sample sets of {llc_sets}");
+            assert_eq!(
+                samples.len(),
+                64,
+                "paper Section IV-E4: 64 sample sets of {llc_sets}"
+            );
             assert!(
-                samples.iter().enumerate().all(|(k, &i)| i == k * (llc_sets / 64)),
+                samples
+                    .iter()
+                    .enumerate()
+                    .all(|(k, &i)| i == k * (llc_sets / 64)),
                 "sample sets of {llc_sets} are not evenly spread: {samples:?}"
             );
             // "0 MB" must keep exactly the sample sets: there the
@@ -813,10 +836,17 @@ mod tests {
             s.set_size(PartitionSize::SamplesOnly);
             for t in (0..4096u64).map(|t| t * 257) {
                 let stored = matches!(s.insert(entry(t, t), 1), StoreInsert::Stored { .. });
-                assert_eq!(stored, s.is_sample_set(s.set_of(Line(t))), "{llc_sets} sets, trigger {t}");
+                assert_eq!(
+                    stored,
+                    s.is_sample_set(s.set_of(Line(t))),
+                    "{llc_sets} sets, trigger {t}"
+                );
                 assert_eq!(s.lookup(Line(t), 1).is_some(), stored);
             }
-            assert!(s.hits_at(PartitionSize::SamplesOnly) > 0, "{llc_sets} sets: nothing measured");
+            assert!(
+                s.hits_at(PartitionSize::SamplesOnly) > 0,
+                "{llc_sets} sets: nothing measured"
+            );
         }
     }
 
@@ -845,7 +875,9 @@ mod tests {
         assert!(
             (0..s.cfg.llc_sets).all(|set| {
                 let row = s.row(set, s.slots_per_set);
-                s.triggers[row.start + cap..row.end].iter().all(|&t| t == VACANT)
+                s.triggers[row.start + cap..row.end]
+                    .iter()
+                    .all(|&t| t == VACANT)
             }),
             "no phantom slots beyond the new capacity"
         );
@@ -892,7 +924,11 @@ mod tests {
         let all: Vec<usize> = (0..cap).filter(|&i| allowed(i)).collect();
         let candidates: Vec<usize> = if thrashing {
             let probation = (cap / 8).max(1);
-            let p: Vec<usize> = all.iter().copied().filter(|&i| i >= cap - probation).collect();
+            let p: Vec<usize> = all
+                .iter()
+                .copied()
+                .filter(|&i| i >= cap - probation)
+                .collect();
             if p.is_empty() {
                 all
             } else {
@@ -1020,8 +1056,15 @@ mod tests {
                 }
                 s.set_size(ALL_SIZES[g.usize_in(0..4)]);
                 for (i, (&t, &fp)) in s.triggers.iter().zip(&s.fps).enumerate() {
-                    let want = if t == VACANT { 0 } else { tagrow::fingerprint(t.0) };
-                    tpcheck::ensure!(fp == want, "slot {i}: trigger {t:?}, byte {fp}, want {want}");
+                    let want = if t == VACANT {
+                        0
+                    } else {
+                        tagrow::fingerprint(t.0)
+                    };
+                    tpcheck::ensure!(
+                        fp == want,
+                        "slot {i}: trigger {t:?}, byte {fp}, want {want}"
+                    );
                 }
             }
             Ok(())
@@ -1036,7 +1079,7 @@ mod tests {
         };
         let mut s = store(cfg);
         s.insert(entry(1, 100), 1); // pairs (1,101),(101,102)...
-        // Another entry sharing pairs (101,102).
+                                    // Another entry sharing pairs (101,102).
         let dup = StreamEntry::new(Line(50), vec![Line(101), Line(102), Line(9), Line(10)]);
         match s.insert(dup, 1) {
             StoreInsert::Stored { redundant_pairs } => {

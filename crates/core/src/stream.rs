@@ -369,8 +369,7 @@ mod tests {
         let a = align(&old, &new, 4).expect("aligns");
         let mut chain: Vec<Line> = a.aligned.addresses().collect();
         chain.extend(a.leftover.iter().copied());
-        let merged_pairs: Vec<(Line, Line)> =
-            chain.windows(2).map(|w| (w[0], w[1])).collect();
+        let merged_pairs: Vec<(Line, Line)> = chain.windows(2).map(|w| (w[0], w[1])).collect();
         for p in new.pairs() {
             assert!(merged_pairs.contains(&p), "lost correlation {p:?}");
         }

@@ -159,10 +159,11 @@ impl StreamTu {
         if !s.valid || s.tag != pc.0 {
             return false;
         }
-        let Some(pos) = s.buffer.iter().position(|e| {
-            e.position_of(line)
-                .is_some_and(|p| p < e.correlations())
-        }) else {
+        let Some(pos) = s
+            .buffer
+            .iter()
+            .position(|e| e.position_of(line).is_some_and(|p| p < e.correlations()))
+        else {
             return false;
         };
         let e = s.buffer.remove(pos);
@@ -296,7 +297,12 @@ mod tests {
                 Pc(1),
                 StreamEntry::new(
                     Line(base),
-                    vec![Line(base + 1), Line(base + 2), Line(base + 3), Line(base + 4)],
+                    vec![
+                        Line(base + 1),
+                        Line(base + 2),
+                        Line(base + 3),
+                        Line(base + 4),
+                    ],
                 ),
             );
         }
@@ -326,10 +332,7 @@ mod tests {
         // Unstable: insert on (almost) every access.
         for i in 0..40u64 {
             tu.observe(Pc(1), Line(1000 + i * 3));
-            tu.buffer_insert(
-                Pc(1),
-                StreamEntry::new(Line(i), vec![Line(i + 1)]),
-            );
+            tu.buffer_insert(Pc(1), StreamEntry::new(Line(i), vec![Line(i + 1)]));
         }
         assert_eq!(tu.degree(Pc(1)), 1, "unstable PC should drop to degree 1");
     }
@@ -354,10 +357,7 @@ mod tests {
         c.buffer_entries = 0;
         let mut tu = StreamTu::new(&c);
         tu.observe(Pc(1), Line(0));
-        tu.buffer_insert(
-            Pc(1),
-            StreamEntry::new(Line(1), vec![Line(2)]),
-        );
+        tu.buffer_insert(Pc(1), StreamEntry::new(Line(1), vec![Line(2)]));
         assert!(!tu.buffer_lookup_into(Pc(1), Line(1), &mut Vec::new()));
     }
 }

@@ -122,7 +122,11 @@ fn main() {
             t.print();
         }
         "run" => {
-            let name = o.positional.get(1).map(String::as_str).unwrap_or_else(|| usage());
+            let name = o
+                .positional
+                .get(1)
+                .map(String::as_str)
+                .unwrap_or_else(|| usage());
             let w = workload_or_exit(name);
             let r = run_single(&w, &experiment(&o));
             audit_or_exit(&o, name, &r);
@@ -133,17 +137,31 @@ fn main() {
             println!("coverage    : {:.1}%", c.temporal_coverage() * 100.0);
             println!("accuracy    : {:.1}%", c.temporal_accuracy() * 100.0);
             println!("meta traffic: {} blocks", c.temporal.traffic_blocks());
-            println!("dram        : {} reads / {} writes", r.dram.reads, r.dram.writes);
+            println!(
+                "dram        : {} reads / {} writes",
+                r.dram.reads, r.dram.writes
+            );
         }
         "compare" => {
-            let name = o.positional.get(1).map(String::as_str).unwrap_or_else(|| usage());
+            let name = o
+                .positional
+                .get(1)
+                .map(String::as_str)
+                .unwrap_or_else(|| usage());
             let w = workload_or_exit(name);
             let base = experiment(&o).temporal(TemporalKind::None);
             let b = run_single(&w, &base);
             audit_or_exit(&o, "baseline", &b);
             let mut t = Table::new(
                 format!("{name} ({})", o.scale),
-                &["config", "ipc", "speedup", "coverage", "accuracy", "meta blocks"],
+                &[
+                    "config",
+                    "ipc",
+                    "speedup",
+                    "coverage",
+                    "accuracy",
+                    "meta blocks",
+                ],
             );
             t.row(&[
                 "baseline".into(),
@@ -173,8 +191,16 @@ fn main() {
             t.print();
         }
         "export" => {
-            let name = o.positional.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            let path = o.positional.get(2).map(String::as_str).unwrap_or_else(|| usage());
+            let name = o
+                .positional
+                .get(1)
+                .map(String::as_str)
+                .unwrap_or_else(|| usage());
+            let path = o
+                .positional
+                .get(2)
+                .map(String::as_str)
+                .unwrap_or_else(|| usage());
             let w = workload_or_exit(name);
             let trace = w.generate_shared(o.scale);
             tptrace::io::save(&trace, path).unwrap_or_else(|e| {
@@ -184,7 +210,11 @@ fn main() {
             println!("wrote {} accesses to {path}", trace.len());
         }
         "inspect" => {
-            let path = o.positional.get(1).map(String::as_str).unwrap_or_else(|| usage());
+            let path = o
+                .positional
+                .get(1)
+                .map(String::as_str)
+                .unwrap_or_else(|| usage());
             let trace = tptrace::io::load(path).unwrap_or_else(|e| {
                 eprintln!("inspect failed: {e}");
                 std::process::exit(1);

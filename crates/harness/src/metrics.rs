@@ -133,7 +133,8 @@ mod tests {
 
     #[test]
     fn summarize_filters_by_suite() {
-        let runs = [PairedRun {
+        let runs = [
+            PairedRun {
                 workload: workloads::by_name("gap.pr").unwrap(),
                 base: report(100, 100),
                 with: report(200, 100),
@@ -142,7 +143,8 @@ mod tests {
                 workload: workloads::by_name("spec06.mcf").unwrap(),
                 base: report(100, 100),
                 with: report(100, 100),
-            }];
+            },
+        ];
         let gap = summarize(runs.iter(), Some(Suite::Gap));
         assert_eq!(gap.n, 1);
         assert!((gap.speedup_pct - 100.0).abs() < 1e-6);
@@ -155,7 +157,6 @@ mod tests {
     fn mix_speedup_pairs_cores() {
         let mut base = report(100, 100);
         base.cores.push({
-            
             CoreReport {
                 instructions: 100,
                 cycles: 200,
@@ -164,7 +165,6 @@ mod tests {
         });
         let mut with = report(100, 50);
         with.cores.push({
-            
             CoreReport {
                 instructions: 100,
                 cycles: 200,

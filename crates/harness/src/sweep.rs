@@ -364,7 +364,9 @@ mod tests {
     fn job(name: &str, temporal: TemporalKind) -> SweepJob {
         SweepJob::single(
             workloads::by_name(name).unwrap(),
-            Experiment::new(Scale::Test).l1(L1Kind::Stride).temporal(temporal),
+            Experiment::new(Scale::Test)
+                .l1(L1Kind::Stride)
+                .temporal(temporal),
         )
     }
 

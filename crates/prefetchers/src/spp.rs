@@ -106,7 +106,9 @@ impl AccessPrefetcher for SppPpf {
             self.patterns.clear();
         }
         for _ in 0..LOOKAHEAD_MAX {
-            let Some(p) = self.patterns.get(&sig) else { break };
+            let Some(p) = self.patterns.get(&sig) else {
+                break;
+            };
             if p.total == 0 {
                 break;
             }

@@ -54,7 +54,10 @@ impl Conn {
             }
         }
         Err(last.unwrap_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, format!("no addresses for {addr}"))
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("no addresses for {addr}"),
+            )
         }))
     }
 
@@ -214,7 +217,10 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
-        (BufReader::with_capacity(READ_BUFFER, Conn::Tcp(server)), client)
+        (
+            BufReader::with_capacity(READ_BUFFER, Conn::Tcp(server)),
+            client,
+        )
     }
 
     fn next(input: &mut BufReader<Conn>, scratch: &mut Vec<u8>) -> Option<String> {
@@ -231,7 +237,10 @@ mod tests {
         }
         assert!(!input.buffer().contains(&b'\n'), "serve flushes here");
         client.write_all(b" done\n").unwrap();
-        assert_eq!(next(&mut input, &mut scratch).as_deref(), Some("partial done"));
+        assert_eq!(
+            next(&mut input, &mut scratch).as_deref(),
+            Some("partial done")
+        );
     }
 
     /// `BufReader` consumes by offset, so splitting moves no bytes per
@@ -264,7 +273,10 @@ mod tests {
         client.write_all(&vec![b'x'; MAX_LINE_BYTES + 2]).unwrap();
         let err = read_frame(&mut input, &mut Vec::new()).expect_err("oversized");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(err.to_string(), format!("line exceeds {MAX_LINE_BYTES} bytes"));
+        assert_eq!(
+            err.to_string(),
+            format!("line exceeds {MAX_LINE_BYTES} bytes")
+        );
     }
 
     /// One line of a fuzzed stream: printable bytes, then CRLF or LF.
@@ -283,7 +295,11 @@ mod tests {
     fn a_byte_stream_cut_anywhere_comes_back_as_its_lines() {
         tpcheck::check("read_frame over a socket, arbitrary cuts", 32, |g| {
             let lines = g.vec(1..24, random_line);
-            let partial = if g.bool() { random_line(g).0 } else { Vec::new() };
+            let partial = if g.bool() {
+                random_line(g).0
+            } else {
+                Vec::new()
+            };
             let mut stream = Vec::new();
             for (content, crlf) in &lines {
                 stream.extend_from_slice(content);
@@ -346,7 +362,12 @@ mod tests {
             let lens = |v: &[Option<String>]| -> Vec<_> {
                 v.iter().map(|l| l.as_ref().map(String::len)).collect()
             };
-            tpcheck::ensure!(got == want, "lines {:?}, want {:?}", lens(&got), lens(&want));
+            tpcheck::ensure!(
+                got == want,
+                "lines {:?}, want {:?}",
+                lens(&got),
+                lens(&want)
+            );
             Ok(())
         });
     }

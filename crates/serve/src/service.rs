@@ -882,7 +882,11 @@ pub(crate) mod tests {
             assert!(!s.core.lock().drained(), "two accepted jobs are still live");
             s.run_queued();
             assert!(s.core.lock().drained());
-            assert_eq!(str_of(&s.reply("SHUTDOWN"), "status"), "ok", "nothing to wait for");
+            assert_eq!(
+                str_of(&s.reply("SHUTDOWN"), "status"),
+                "ok",
+                "nothing to wait for"
+            );
             assert_eq!(str_of(&s.submit(PR), "reason"), "shutting-down");
             // Hits create no work, so they are served even now.
             assert_eq!(status(&s.submit(BFS)), "done");
@@ -1045,10 +1049,7 @@ pub(crate) mod tests {
         let (_, direct) = direct(BFS);
 
         // One server fills the store and stops.
-        assert_eq!(
-            report_of(&simulate(&Shape::new(cfg.clone(), &[]))),
-            direct
-        );
+        assert_eq!(report_of(&simulate(&Shape::new(cfg.clone(), &[]))), direct);
         let mut files = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path());
         let entry = files
             .find(|p| p.extension().is_some_and(|x| x == "rsp"))
@@ -1124,7 +1125,8 @@ pub(crate) mod tests {
                 s.core.settle(&mut s.core.lock(), id, audit);
             }),
             ("deadline-exceeded", |s, id| {
-                s.core.settle(&mut s.core.lock(), id, JobState::DeadlineExceeded);
+                s.core
+                    .settle(&mut s.core.lock(), id, JobState::DeadlineExceeded);
             }),
         ];
         for (outcome, finish) in cases {
@@ -1218,7 +1220,10 @@ pub(crate) mod tests {
             let failed = s.reply(&format!("WAIT {doomed}"));
             assert_eq!(status(&failed), "failed");
             let reason = str_of(&failed, "reason");
-            assert!(reason.starts_with("panicked: ") && reason.contains("warmup"), "{reason}");
+            assert!(
+                reason.starts_with("panicked: ") && reason.contains("warmup"),
+                "{reason}"
+            );
             assert_eq!(count(&s.core.counters.failed), 1);
             let gauges = |t: MutexGuard<'_, Table>| (t.in_flight, t.waiting);
             assert_eq!(gauges(s.core.lock()), (0, 0));

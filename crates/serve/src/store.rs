@@ -108,8 +108,12 @@ impl ResultStore {
                 let _ = fs::remove_file(entry.path());
                 continue;
             }
-            let Some(hex) = name.strip_suffix(ENTRY_SUFFIX) else { continue };
-            let Ok(key) = u64::from_str_radix(hex, 16) else { continue };
+            let Some(hex) = name.strip_suffix(ENTRY_SUFFIX) else {
+                continue;
+            };
+            let Ok(key) = u64::from_str_radix(hex, 16) else {
+                continue;
+            };
             let Ok(meta) = entry.metadata() else { continue };
             let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
             found.push((key, meta.len(), mtime));
@@ -261,7 +265,8 @@ mod tests {
     use super::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("tpserve-store-test-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("tpserve-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -307,11 +312,17 @@ mod tests {
         let dir = tmp_dir("cap");
         // Each entry is ~60 bytes; cap at ~2.5 entries.
         let store = ResultStore::open(&dir, 150).unwrap();
-        store.put("request-number-one.....", "report-one.....................").unwrap();
-        store.put("request-number-two.....", "report-two.....................").unwrap();
+        store
+            .put("request-number-one.....", "report-one.....................")
+            .unwrap();
+        store
+            .put("request-number-two.....", "report-two.....................")
+            .unwrap();
         // Touch one so three is older than it when the cap trips.
         assert!(store.get("request-number-one.....").is_some());
-        store.put("request-number-three...", "report-three...................").unwrap();
+        store
+            .put("request-number-three...", "report-three...................")
+            .unwrap();
         let s = store.stats();
         assert!(s.evictions >= 1, "cap must evict: {s:?}");
         assert!(s.resident_bytes <= 150);

@@ -218,8 +218,18 @@ pub fn check_hierarchy(s: &HierarchySnapshot) -> AuditReport {
         // tracked at the L1), so the L2's own counters are exactly the
         // L2-regular + temporal shares.
         let o = &c.origin;
-        a.require_eq("origin-consistency", format!("core{i}.useful[l1]"), o.useful[0], 0);
-        a.require_eq("origin-consistency", format!("core{i}.useless[l1]"), o.useless[0], 0);
+        a.require_eq(
+            "origin-consistency",
+            format!("core{i}.useful[l1]"),
+            o.useful[0],
+            0,
+        );
+        a.require_eq(
+            "origin-consistency",
+            format!("core{i}.useless[l1]"),
+            o.useless[0],
+            0,
+        );
         a.require_eq(
             "origin-consistency",
             format!("core{i}.useful"),
@@ -394,8 +404,8 @@ mod tests {
         // ran backwards) must give exactly one violation, naming it.
         let now = TemporalStats::default();
         for (i, name) in TemporalStats::NAMES.iter().enumerate() {
-            let base = TemporalStats::try_from_names(|n| Ok::<_, ()>(u64::from(n == *name)))
-                .unwrap();
+            let base =
+                TemporalStats::try_from_names(|n| Ok::<_, ()>(u64::from(n == *name))).unwrap();
             assert_eq!(base.values()[i], 1);
             let r = check_temporal_monotonic(0, &base, &now);
             assert_eq!(r.checks, TemporalStats::NAMES.len() as u64);

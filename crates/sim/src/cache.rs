@@ -161,7 +161,10 @@ impl SetHeader {
     fn new(ways: usize) -> Self {
         let padding = u64::MAX.checked_shl(4 * ways as u32).unwrap_or(0);
         let order = WAYS_IN_ORDER | padding;
-        SetHeader { order, ..SetHeader::default() }
+        SetHeader {
+            order,
+            ..SetHeader::default()
+        }
     }
 
     fn pending(&self, w: usize) -> Option<PrefetchOrigin> {
@@ -216,7 +219,9 @@ impl SetHeader {
 /// The way of a set that holds `line`.
 #[inline]
 fn way_of(h: &SetHeader, ways: &[WaySlot], line: Line) -> Option<usize> {
-    tagrow::find(&h.fp, tagrow::fingerprint(line.0), |w| ways[w].tag == line.0)
+    tagrow::find(&h.fp, tagrow::fingerprint(line.0), |w| {
+        ways[w].tag == line.0
+    })
 }
 
 /// One cache level.
@@ -438,7 +443,11 @@ impl CacheLevel {
 
     /// Number of valid data blocks (test/introspection hook).
     pub fn occupancy(&self) -> usize {
-        self.headers.iter().flat_map(|h| h.fp).filter(|&b| b != 0).count()
+        self.headers
+            .iter()
+            .flat_map(|h| h.fp)
+            .filter(|&b| b != 0)
+            .count()
     }
 
     /// Number of resident blocks installed by a prefetch and not yet
@@ -507,7 +516,11 @@ mod tests {
         use PrefetchOrigin::{L2Regular, Temporal};
         assert_eq!(std::mem::size_of::<WaySlot>(), 16, "four per host line");
         assert_eq!(std::mem::size_of::<SetHeader>(), 32, "two per host line");
-        assert_eq!(std::mem::align_of::<SetHeader>(), 32, "never straddling two");
+        assert_eq!(
+            std::mem::align_of::<SetHeader>(),
+            32,
+            "never straddling two"
+        );
         let mut c = small();
         // Handed over on the first hit, gone on the second.
         assert_eq!(c.install(Line(4), false, Some(Temporal), 900), None);
@@ -797,7 +810,12 @@ mod tests {
 
         fn resident_prefetched(&self) -> [u64; 3] {
             let mut by_origin = [0; 3];
-            for origin in self.ways.iter().filter(|w| w.valid).filter_map(|w| w.pending) {
+            for origin in self
+                .ways
+                .iter()
+                .filter(|w| w.valid)
+                .filter_map(|w| w.pending)
+            {
                 by_origin[origin.idx()] += 1;
             }
             by_origin
@@ -817,7 +835,9 @@ mod tests {
 
     /// `order`'s nibbles: `ways` in order, then `0xF`.
     fn packed(ways: &[usize]) -> u64 {
-        (0..16).fold(0, |o, i| o | (ways.get(i).map_or(0xF, |&w| w as u64) << (4 * i)))
+        (0..16).fold(0, |o, i| {
+            o | (ways.get(i).map_or(0xF, |&w| w as u64) << (4 * i))
+        })
     }
 
     /// The set-header invariant against the reference's ways of `set`.
@@ -827,24 +847,44 @@ mod tests {
     /// and the reference's fields otherwise. `order` is a permutation of
     /// the ways padded with `0xF`, and its occupied usable ways are the
     /// reference's sorted by stamp, most recent first.
-    fn header_matches(level: &CacheLevel, reference: &ReferenceLevel, set: usize) -> tpcheck::PropResult {
+    fn header_matches(
+        level: &CacheLevel,
+        reference: &ReferenceLevel,
+        set: usize,
+    ) -> tpcheck::PropResult {
         let n = level.params.ways;
         let (h, slots) = (&level.headers[set], &level.ways[set * n..][..n]);
         let refways = &reference.ways[set * n..][..n];
         let usable = n - h.reserved as usize;
         for w in 0..16 {
-            let r = refways.get(w).copied().filter(|r| r.valid).unwrap_or_default();
-            let want = if r.valid { tagrow::fingerprint(r.tag) } else { 0 };
+            let r = refways
+                .get(w)
+                .copied()
+                .filter(|r| r.valid)
+                .unwrap_or_default();
+            let want = if r.valid {
+                tagrow::fingerprint(r.tag)
+            } else {
+                0
+            };
             tpcheck::ensure!(h.fp[w] == want, "way {w}: byte {}, want {want}", h.fp[w]);
             tpcheck::ensure!(!r.valid || w < usable, "reserved way {w} holds a block");
             let (got, want) = ((h.pending(w), h.dirty(w)), (r.pending, r.dirty));
-            tpcheck::ensure!(got == want, "way {w}: (pending, dirty) {got:?}, want {want:?}");
+            tpcheck::ensure!(
+                got == want,
+                "way {w}: (pending, dirty) {got:?}, want {want:?}"
+            );
             if let Some(slot) = slots.get(w) {
                 let (got, want) = ((slot.tag, slot.ready_at), (r.tag, r.ready_at));
-                tpcheck::ensure!(got == want, "way {w}: (tag, ready_at) {got:?}, want {want:?}");
+                tpcheck::ensure!(
+                    got == want,
+                    "way {w}: (tag, ready_at) {got:?}, want {want:?}"
+                );
             }
         }
-        let order: Vec<usize> = (0..n).map(|i| (h.order >> (4 * i) & 0xF) as usize).collect();
+        let order: Vec<usize> = (0..n)
+            .map(|i| (h.order >> (4 * i) & 0xF) as usize)
+            .collect();
         let mut sorted = order.clone();
         sorted.sort_unstable();
         tpcheck::ensure!(
@@ -852,10 +892,16 @@ mod tests {
             "order {:#018x} is not a permutation of {n} ways padded with 0xF",
             h.order
         );
-        let occupied: Vec<usize> = order.into_iter().filter(|&w| w < usable && refways[w].valid).collect();
+        let occupied: Vec<usize> = order
+            .into_iter()
+            .filter(|&w| w < usable && refways[w].valid)
+            .collect();
         let mut by_stamp: Vec<usize> = (0..usable).filter(|&w| refways[w].valid).collect();
         by_stamp.sort_by_key(|&w| Reverse(refways[w].lru));
-        tpcheck::ensure!(occupied == by_stamp, "occupied ways by order {occupied:?}, by stamp {by_stamp:?}");
+        tpcheck::ensure!(
+            occupied == by_stamp,
+            "occupied ways by order {occupied:?}, by stamp {by_stamp:?}"
+        );
         Ok(())
     }
 
@@ -880,7 +926,11 @@ mod tests {
                         h.touch(w);
                         ways.remove(at);
                         ways.insert(0, w);
-                        tpcheck::ensure!(h.order == packed(&ways), "{n} ways, {w} at {at}: {:#018x}", h.order);
+                        tpcheck::ensure!(
+                            h.order == packed(&ways),
+                            "{n} ways, {w} at {at}: {:#018x}",
+                            h.order
+                        );
                     }
                 }
             }
@@ -935,12 +985,18 @@ mod tests {
                             level.demand_lookup(line, write),
                             reference.reference_demand_lookup(line, write),
                         );
-                        tpcheck::ensure!(got == want, "step {step}: lookup {line:?}: {got:?} vs {want:?}");
+                        tpcheck::ensure!(
+                            got == want,
+                            "step {step}: lookup {line:?}: {got:?} vs {want:?}"
+                        );
                         "demand_lookup"
                     }
                     5..=6 => {
                         let (got, want) = (level.probe(line), reference.reference_probe(line));
-                        tpcheck::ensure!(got == want, "step {step}: probe {line:?}: {got} vs {want}");
+                        tpcheck::ensure!(
+                            got == want,
+                            "step {step}: probe {line:?}: {got} vs {want}"
+                        );
                         "probe"
                     }
                     7..=9 => {
@@ -950,7 +1006,10 @@ mod tests {
                             level.fill(line, dirty, prefetch),
                             reference.reference_install(line, dirty, pending, 0),
                         );
-                        tpcheck::ensure!(got == want, "step {step}: fill {line:?}: {got:?} vs {want:?}");
+                        tpcheck::ensure!(
+                            got == want,
+                            "step {step}: fill {line:?}: {got:?} vs {want:?}"
+                        );
                         "fill"
                     }
                     10..=14 => {
@@ -965,7 +1024,10 @@ mod tests {
                             level.install(line, dirty, pending, ready_at),
                             reference.reference_install(line, dirty, pending, ready_at),
                         );
-                        tpcheck::ensure!(got == want, "step {step}: install {line:?}: {got:?} vs {want:?}");
+                        tpcheck::ensure!(
+                            got == want,
+                            "step {step}: install {line:?}: {got:?} vs {want:?}"
+                        );
                         "install"
                     }
                     _ => {
@@ -974,7 +1036,10 @@ mod tests {
                         let (mut got, mut want) = (Vec::new(), Vec::new());
                         level.reserve_ways_into(set, reserve, &mut got);
                         reference.reference_reserve(set, reserve, &mut want);
-                        tpcheck::ensure!(got == want, "step {step}: reserve {reserve} of set {set}: {got:?} vs {want:?}");
+                        tpcheck::ensure!(
+                            got == want,
+                            "step {step}: reserve {reserve} of set {set}: {got:?} vs {want:?}"
+                        );
                         "reserve_ways_into"
                     }
                 };
@@ -1018,7 +1083,10 @@ mod tests {
         // Refilling `b` finds `b`, not the first way with its fingerprint.
         assert_eq!(c.fill(b, false, false), None);
         assert_eq!(c.occupancy(), 2);
-        assert!(matches!(c.demand_lookup(a, false), LookupResult::Hit { .. }));
+        assert!(matches!(
+            c.demand_lookup(a, false),
+            LookupResult::Hit { .. }
+        ));
         // `b` is now least recent: two more lines fill the set, the
         // third evicts `b` (dirty), and `a` stays.
         c.fill(Line(1002), false, false);

@@ -123,7 +123,11 @@ impl Dram {
         let channel = &mut self.channels[ch];
         let bank = &mut channel.banks[bank_idx];
 
-        let start = t.max(if demand { bank.ready_demand } else { bank.ready });
+        let start = t.max(if demand {
+            bank.ready_demand
+        } else {
+            bank.ready
+        });
         let array_latency = match bank.open_row {
             Some(open) if open == row => {
                 self.stats.row_hits += 1;
@@ -175,8 +179,8 @@ mod tests {
         let p = *d.params();
         let a = Line(0);
         // Same channel & bank, different row.
-        let b = Line(p.channels as u64 * p.ranks as u64 * p.banks_per_rank as u64
-            * p.lines_per_row);
+        let b =
+            Line(p.channels as u64 * p.ranks as u64 * p.banks_per_rank as u64 * p.lines_per_row);
         let t1 = d.read(0, a);
         let t2 = d.read(t1, b);
         assert!(t2 - t1 >= p.t_rp + p.t_rcd + p.t_cas + p.burst);
@@ -224,7 +228,9 @@ mod tests {
         let backlog = done - d.params().burst;
         assert_eq!(d.read_prefetch(0, Line(0), backlog - 1), None);
         assert_eq!(d.stats().reads, 1, "a drop is not a read");
-        let queued = d.read_prefetch(0, Line(0), backlog).expect("within the backlog");
+        let queued = d
+            .read_prefetch(0, Line(0), backlog)
+            .expect("within the backlog");
         assert!(queued > done);
         assert_eq!((d.stats().reads, d.stats().row_hits), (2, 1));
     }

@@ -215,7 +215,8 @@ impl Engine {
     /// Panics if `frac` is NaN or outside `[0, 1)`; use
     /// [`Engine::try_warmup_fraction`] to get the rejection as a value.
     pub fn warmup_fraction(self, frac: f64) -> Self {
-        self.try_warmup_fraction(frac).unwrap_or_else(|e| panic!("{e}"))
+        self.try_warmup_fraction(frac)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Sets the warmup fraction, returning the validation error instead
@@ -482,9 +483,7 @@ impl Engine {
         // contention, but only up to a bound: with extreme IPC ratios in
         // a mix, unbounded looping would multiply simulation work
         // without changing the laggard's environment materially.
-        if s.snapshot.is_some()
-            && s.processed >= s.measure_from_processed + 4 * trace.len()
-        {
+        if s.snapshot.is_some() && s.processed >= s.measure_from_processed + 4 * trace.len() {
             return;
         }
         let access = trace.get(s.processed % trace.len());
@@ -794,12 +793,13 @@ mod tests {
             vec![CorePlan::bare(trace("spec06.mcf"))],
         )
         .run();
-        let with = Engine::new(
-            SystemConfig::single_core(),
-            vec![CorePlan::bare(trace("spec06.mcf"))
-                .with_temporal(Box::new(IdealTemporal::new(4)))],
-        )
-        .run();
+        let with =
+            Engine::new(
+                SystemConfig::single_core(),
+                vec![CorePlan::bare(trace("spec06.mcf"))
+                    .with_temporal(Box::new(IdealTemporal::new(4)))],
+            )
+            .run();
         assert!(
             with.cores[0].ipc() > base.cores[0].ipc() * 1.05,
             "ideal temporal should help mcf: {} vs {}",
@@ -846,8 +846,9 @@ mod tests {
         let run = || {
             Engine::new(
                 SystemConfig::single_core(),
-                vec![CorePlan::bare(trace("gap.bfs"))
-                    .with_temporal(Box::new(IdealTemporal::new(4)))],
+                vec![
+                    CorePlan::bare(trace("gap.bfs")).with_temporal(Box::new(IdealTemporal::new(4)))
+                ],
             )
             .run()
         };
@@ -865,7 +866,9 @@ mod tests {
 
     #[test]
     fn try_new_reports_plan_mismatch_as_value() {
-        let err = Engine::try_new(SystemConfig::with_cores(2), vec![]).err().unwrap();
+        let err = Engine::try_new(SystemConfig::with_cores(2), vec![])
+            .err()
+            .unwrap();
         assert_eq!(
             err,
             crate::config::ConfigError::PlanCountMismatch { plans: 0, cores: 2 }
@@ -911,8 +914,9 @@ mod tests {
         let mk = || {
             Engine::new(
                 SystemConfig::single_core(),
-                vec![CorePlan::bare(trace("gap.bfs"))
-                    .with_temporal(Box::new(IdealTemporal::new(4)))],
+                vec![
+                    CorePlan::bare(trace("gap.bfs")).with_temporal(Box::new(IdealTemporal::new(4)))
+                ],
             )
         };
         let pre_cancelled = CancelToken::new();
@@ -920,7 +924,9 @@ mod tests {
         assert!(mk().run_with_cancel(&pre_cancelled).is_none());
 
         let live = CancelToken::new();
-        let via_token = mk().run_with_cancel(&live).expect("uncancelled run completes");
+        let via_token = mk()
+            .run_with_cancel(&live)
+            .expect("uncancelled run completes");
         let plain = mk().run();
         assert_eq!(via_token.cores[0].cycles, plain.cores[0].cycles);
         assert_eq!(via_token.cores[0].l2.misses, plain.cores[0].l2.misses);

@@ -523,7 +523,12 @@ impl CoreCaches {
         t: u64,
         is_prefetch: bool,
     ) -> Option<u64> {
-        if self.sample_llc && shared.llc.set_of(line).is_multiple_of(1 << crate::LLC_SAMPLE_SHIFT) {
+        if self.sample_llc
+            && shared
+                .llc
+                .set_of(line)
+                .is_multiple_of(1 << crate::LLC_SAMPLE_SHIFT)
+        {
             self.llc_samples.push(line);
         }
         shared.access(line, t, is_prefetch)
@@ -582,7 +587,8 @@ impl Shared {
             LookupResult::Miss => {
                 let t1 = self.llc.mshr.admit(t0 + self.llc.latency());
                 let read = if is_prefetch {
-                    self.dram.read_prefetch(t1, line, Self::PREFETCH_DROP_BACKLOG)
+                    self.dram
+                        .read_prefetch(t1, line, Self::PREFETCH_DROP_BACKLOG)
                 } else {
                     Some(self.dram.read(t1, line))
                 };

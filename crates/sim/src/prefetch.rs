@@ -345,9 +345,6 @@ mod tests {
             .capacity_bytes(2048, 16),
             512 << 10
         );
-        assert_eq!(
-            PartitionSpec::Dedicated.capacity_bytes(2048, 16),
-            2 << 20
-        );
+        assert_eq!(PartitionSpec::Dedicated.capacity_bytes(2048, 16), 2 << 20);
     }
 }

@@ -223,11 +223,16 @@ mod tests {
                     Line(g.u64_in(0..pool) * sets as u64 + set)
                 };
                 let held = |m: &Reference| m.stacks.iter().map(Vec::len).sum::<usize>();
-                let before = (model.hist[max_depth - 1], model.hist[max_depth], held(&model));
+                let before = (
+                    model.hist[max_depth - 1],
+                    model.hist[max_depth],
+                    held(&model),
+                );
                 let sampled = reference_observe(&mut model, line);
                 deepest_hits += model.hist[max_depth - 1] - before.0;
                 // A miss that left the stacks no fuller pushed a tag out.
-                evictions += u64::from(model.hist[max_depth] > before.1 && held(&model) == before.2);
+                evictions +=
+                    u64::from(model.hist[max_depth] > before.1 && held(&model) == before.2);
                 tpcheck::ensure!(
                     flat.observe(line) == sampled,
                     "line {line:?}: sampled-set decision diverged"

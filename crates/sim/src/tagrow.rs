@@ -28,7 +28,10 @@ pub fn fingerprint(key: u64) -> u8 {
 #[inline]
 fn flags(row: &[u8], base: usize, byte: u8) -> u64 {
     let (word, live) = match row.get(base..base + 8) {
-        Some(w) => (u64::from_le_bytes(w.try_into().expect("eight bytes")), u64::MAX),
+        Some(w) => (
+            u64::from_le_bytes(w.try_into().expect("eight bytes")),
+            u64::MAX,
+        ),
         None => {
             let tail = &row[base..];
             let word = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
@@ -83,7 +86,11 @@ mod tests {
         // apart (equal low bits) still spread.
         let distinct: std::collections::HashSet<u8> =
             (0..256u64).map(|i| fingerprint(i << 11)).collect();
-        assert!(distinct.len() > 64, "{} distinct fingerprints", distinct.len());
+        assert!(
+            distinct.len() > 64,
+            "{} distinct fingerprints",
+            distinct.len()
+        );
     }
 
     /// For every byte and every row length 0–24: the slots offered are
@@ -113,13 +120,23 @@ mod tests {
                     );
                     // Accepting everything makes `find` a `position`.
                     let got = find(&row, fp, |_| true);
-                    tpcheck::ensure!(got == exact.first().copied(), "row {row:?} fp {fp}: {got:?}");
+                    tpcheck::ensure!(
+                        got == exact.first().copied(),
+                        "row {row:?} fp {fp}: {got:?}"
+                    );
                     // Rejecting the first match moves on to the second.
                     let second = find(&row, fp, |i| Some(&i) != exact.first());
-                    tpcheck::ensure!(second == exact.get(1).copied(), "row {row:?} fp {fp}: {second:?}");
+                    tpcheck::ensure!(
+                        second == exact.get(1).copied(),
+                        "row {row:?} fp {fp}: {second:?}"
+                    );
                 }
                 let want = row.iter().position(|&b| b == 0);
-                tpcheck::ensure!(first_empty(&row) == want, "row {row:?}: {:?}", first_empty(&row));
+                tpcheck::ensure!(
+                    first_empty(&row) == want,
+                    "row {row:?}: {:?}",
+                    first_empty(&row)
+                );
             }
             Ok(())
         });

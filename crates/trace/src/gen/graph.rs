@@ -10,9 +10,9 @@
 
 use super::{permutation, region, rng};
 use crate::record::LINE_SIZE;
+use crate::rng::SmallRng;
 use crate::trace::{Trace, TraceBuilder};
 use crate::workloads::{Scale, Suite};
-use crate::rng::SmallRng;
 
 /// A synthetic scale-free graph in CSR form with shuffled vertex-property
 /// placement.

@@ -77,8 +77,7 @@ pub fn xalanc_like(scale: Scale, seed: u64) -> Trace {
 
     let mut r = rng(seed);
     let placement = permutation(&mut r, nodes);
-    let addr_of =
-        |node: usize| region::HEAP + 0x100_0000_0000 + placement[node] as u64 * LINE_SIZE;
+    let addr_of = |node: usize| region::HEAP + 0x100_0000_0000 + placement[node] as u64 * LINE_SIZE;
 
     // Build a random tree: parent of node i (i>0) is uniform in [0, i).
     // A DFS pre-order over it gives the stable visit order.
@@ -142,7 +141,10 @@ mod tests {
             .unwrap()
             .addr;
         let occurrences = t.accesses().iter().filter(|a| a.addr == first).count();
-        assert!(occurrences >= 3, "expected epoch repeats, got {occurrences}");
+        assert!(
+            occurrences >= 3,
+            "expected epoch repeats, got {occurrences}"
+        );
     }
 
     #[test]

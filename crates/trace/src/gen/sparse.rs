@@ -45,7 +45,10 @@ pub fn sparse_like(scale: Scale, seed: u64) -> Trace {
             }
             // Write y[row]: 8 doubles per line.
             if row % 8 == 0 {
-                b.store(y_pc, region::VEC + 0x80_0000_0000 + (row as u64 / 8) * LINE_SIZE);
+                b.store(
+                    y_pc,
+                    region::VEC + 0x80_0000_0000 + (row as u64 / 8) * LINE_SIZE,
+                );
             }
         }
     }
@@ -89,6 +92,9 @@ mod tests {
             .filter(|a| a.pc.0 == 0x43_1000)
             .map(|a| a.addr.0)
             .collect();
-        assert!(idx.windows(2).take(50).all(|w| w[1] == w[0] + LINE_SIZE || w[1] < w[0]));
+        assert!(idx
+            .windows(2)
+            .take(50)
+            .all(|w| w[1] == w[0] + LINE_SIZE || w[1] < w[0]));
     }
 }

@@ -89,7 +89,10 @@ pub fn scan_like(scale: Scale, seed: u64) -> Trace {
         }
         // Short cold scan (run-length encoding pass).
         for _ in 0..300 {
-            b.load(0x62_2000, region::STREAM + 0x600_0000_0000 + scan_cursor * LINE_SIZE);
+            b.load(
+                0x62_2000,
+                region::STREAM + 0x600_0000_0000 + scan_cursor * LINE_SIZE,
+            );
             scan_cursor = (scan_cursor + 1) % scan_lines as u64;
         }
     }
@@ -156,8 +159,7 @@ mod tests {
     #[test]
     fn stencil_touches_three_planes() {
         let t = stencil_like(Scale::Test, 0x607);
-        let pcs: std::collections::HashSet<_> =
-            t.accesses().iter().map(|a| a.pc.0).collect();
+        let pcs: std::collections::HashSet<_> = t.accesses().iter().map(|a| a.pc.0).collect();
         assert!(pcs.len() >= 4);
     }
 

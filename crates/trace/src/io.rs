@@ -108,8 +108,7 @@ pub fn to_bytes(trace: &Trace) -> Vec<u8> {
     let mut last_pc = 0u64;
     // Per-PC last address: streams are PC-local, so deltas against the
     // same PC's previous access are tiny even when PCs interleave.
-    let mut last_addr: std::collections::HashMap<u64, i64> =
-        std::collections::HashMap::new();
+    let mut last_addr: std::collections::HashMap<u64, i64> = std::collections::HashMap::new();
     for a in trace.iter() {
         // Flag byte: bit0 store, bit1 dep, bit2 same-pc, bits 3.. gap.
         let same_pc = a.pc.0 == last_pc;
@@ -119,7 +118,10 @@ pub fn to_bytes(trace: &Trace) -> Vec<u8> {
             | (a.gap as u64) << 3;
         put_varint(&mut out, flags);
         if !same_pc {
-            put_varint(&mut out, zigzag((a.pc.0 as i64).wrapping_sub(last_pc as i64)));
+            put_varint(
+                &mut out,
+                zigzag((a.pc.0 as i64).wrapping_sub(last_pc as i64)),
+            );
             last_pc = a.pc.0;
         }
         let prev = last_addr.entry(a.pc.0).or_insert(0);
@@ -177,8 +179,7 @@ pub fn from_bytes(buf: &[u8]) -> Result<Trace, DecodeError> {
 
     let mut b = TraceBuilder::new(name, suite);
     let mut last_pc = 0u64;
-    let mut last_addr: std::collections::HashMap<u64, i64> =
-        std::collections::HashMap::new();
+    let mut last_addr: std::collections::HashMap<u64, i64> = std::collections::HashMap::new();
     for _ in 0..count {
         let flags = get_varint(buf, &mut pos)?;
         let kind = if flags & 1 != 0 {
@@ -186,7 +187,11 @@ pub fn from_bytes(buf: &[u8]) -> Result<Trace, DecodeError> {
         } else {
             AccessKind::Load
         };
-        let dep = if flags & 2 != 0 { Dep::PrevLoad } else { Dep::None };
+        let dep = if flags & 2 != 0 {
+            Dep::PrevLoad
+        } else {
+            Dep::None
+        };
         let pc = if flags & 4 != 0 {
             last_pc
         } else {
@@ -276,9 +281,7 @@ mod tests {
 
     #[test]
     fn bad_suite_tag_is_rejected() {
-        let mut bytes = to_bytes(
-            &by_name("gap.tc").unwrap().generate(Scale::Test),
-        );
+        let mut bytes = to_bytes(&by_name("gap.tc").unwrap().generate(Scale::Test));
         bytes[4] = 9;
         assert_eq!(from_bytes(&bytes).unwrap_err(), DecodeError::BadTag(9));
     }

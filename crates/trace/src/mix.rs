@@ -5,8 +5,8 @@
 //! seeded [`MixGenerator`]; the default mix count is smaller (laptop-scale)
 //! but configurable.
 
-use crate::workloads::{memory_intensive, Workload};
 use crate::rng::SmallRng;
+use crate::workloads::{memory_intensive, Workload};
 use std::fmt;
 
 /// A multi-programmed mix: one workload per core.

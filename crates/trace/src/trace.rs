@@ -58,10 +58,18 @@ struct Shape {
 
 impl Shape {
     fn of(a: &Access) -> Shape {
-        let store = if a.kind == AccessKind::Store { STORE_BIT } else { 0 };
+        let store = if a.kind == AccessKind::Store {
+            STORE_BIT
+        } else {
+            0
+        };
         let dep = if a.dep == Dep::PrevLoad { DEP_BIT } else { 0 };
         let meta = a.gap.min(MAX_GAP) | store | dep;
-        Shape { pc: a.pc.0, hi: (a.addr.0 >> 32) as u32, meta }
+        Shape {
+            pc: a.pc.0,
+            hi: (a.addr.0 >> 32) as u32,
+            meta,
+        }
     }
 
     /// This shape's slot in [`TraceBuilder`]'s recent-shape cache.
@@ -74,10 +82,24 @@ impl Shape {
     /// The access of this shape whose low address word is `lo`.
     #[inline]
     fn access(self, lo: u32) -> Access {
-        let kind = if self.meta & STORE_BIT != 0 { AccessKind::Store } else { AccessKind::Load };
-        let dep = if self.meta & DEP_BIT != 0 { Dep::PrevLoad } else { Dep::None };
+        let kind = if self.meta & STORE_BIT != 0 {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        };
+        let dep = if self.meta & DEP_BIT != 0 {
+            Dep::PrevLoad
+        } else {
+            Dep::None
+        };
         let addr = Addr((u64::from(self.hi) << 32) | u64::from(lo));
-        Access { pc: Pc(self.pc), addr, kind, dep, gap: self.meta & MAX_GAP }
+        Access {
+            pc: Pc(self.pc),
+            addr,
+            kind,
+            dep,
+            gap: self.meta & MAX_GAP,
+        }
     }
 }
 
@@ -262,20 +284,28 @@ impl Trace {
 
     /// Total instruction count represented (accesses plus gaps).
     pub fn instructions(&self) -> u64 {
-        self.shape_counts().map(|(s, n)| n * (1 + u64::from(s.meta & MAX_GAP))).sum()
+        self.shape_counts()
+            .map(|(s, n)| n * (1 + u64::from(s.meta & MAX_GAP)))
+            .sum()
     }
 
     /// Iterate over accesses (reconstituted by value; `Access` is
     /// `Copy`).
     pub fn iter(&self) -> Accesses<'_> {
-        Accesses { trace: self, idx: 0 }
+        Accesses {
+            trace: self,
+            idx: 0,
+        }
     }
 
     /// Summary statistics for the trace, recounted on every call: a
     /// pass over the shape index column and a sort of the line numbers.
     pub fn stats(&self) -> TraceStats {
         let count = |bit: u32| {
-            self.shape_counts().filter(|(s, _)| s.meta & bit != 0).map(|(_, n)| n).sum()
+            self.shape_counts()
+                .filter(|(s, _)| s.meta & bit != 0)
+                .map(|(_, n)| n)
+                .sum()
         };
         let stores = count(STORE_BIT);
         TraceStats {
@@ -309,9 +339,7 @@ impl Trace {
     /// Panics if `start + len > self.len()`.
     #[inline]
     pub fn block(&self, start: usize, len: usize) -> BlockView<'_> {
-        let end = start
-            .checked_add(len)
-            .expect("block range overflows usize");
+        let end = start.checked_add(len).expect("block range overflows usize");
         assert!(end <= self.len(), "block [{start}, {end}) out of bounds");
         BlockView {
             shapes: &self.shapes,
@@ -664,7 +692,10 @@ mod tests {
         let t = Trace::new("size", Suite::Gap, accesses);
         // The per-access columns cost exactly 5 B each (1 B shape index
         // + 4 B low address word); the shape table is amortized noise.
-        assert!(matches!(t.shape_ix, ShapeIx::Narrow(_)), "a few shapes index in one byte");
+        assert!(
+            matches!(t.shape_ix, ShapeIx::Narrow(_)),
+            "a few shapes index in one byte"
+        );
         let per_access = (t.shape_ix.heap_bytes() + t.lo.capacity() * 4) / t.len();
         assert_eq!(per_access, 5, "packed layout is 5 B/access");
         assert_eq!(t.shapes.len(), tuples.len(), "one shape per distinct tuple");
@@ -690,7 +721,14 @@ mod tests {
         let t = b.finish();
         // Every (start, len) shape the engine can produce, including
         // empty blocks and full-trace blocks.
-        for &(start, len) in &[(0usize, 300usize), (0, 1), (299, 1), (150, 0), (37, 256), (44, 7)] {
+        for &(start, len) in &[
+            (0usize, 300usize),
+            (0, 1),
+            (299, 1),
+            (150, 0),
+            (37, 256),
+            (44, 7),
+        ] {
             let blk = t.block(start, len);
             assert_eq!(blk.len(), len);
             assert_eq!(blk.is_empty(), len == 0);
@@ -728,7 +766,10 @@ mod tests {
         let stores = t.iter().filter(|a| a.kind == AccessKind::Store).count() as u64;
         let deps = t.iter().filter(|a| a.dep == Dep::PrevLoad).count() as u64;
         let instrs: u64 = t.iter().map(|a| a.instructions()).sum();
-        assert_eq!((s.loads, s.stores, s.dependent_loads), (loads, stores, deps));
+        assert_eq!(
+            (s.loads, s.stores, s.dependent_loads),
+            (loads, stores, deps)
+        );
         assert_eq!(s.instructions, instrs);
         assert_eq!(s.accesses, t.len() as u64);
     }
@@ -808,8 +849,16 @@ mod tests {
                 1 => (7 << 32) | g.u64_in(0..1 << 32),
                 _ => g.next_u64(),
             }),
-            kind: if g.bool() { AccessKind::Store } else { AccessKind::Load },
-            dep: if g.u64_in(0..3) == 0 { Dep::PrevLoad } else { Dep::None },
+            kind: if g.bool() {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            },
+            dep: if g.u64_in(0..3) == 0 {
+                Dep::PrevLoad
+            } else {
+                Dep::None
+            },
             gap: if g.u64_in(0..8) == 0 {
                 g.u64_in(MAX_GAP as u64 + 1..1 << 32) as u32
             } else {
@@ -842,15 +891,25 @@ mod tests {
         tpcheck::ensure!(got.shape_ix == want.shape_ix, "shape_ix differs");
         tpcheck::ensure!(got.lo == want.lo, "lo differs");
         let width = if got.shapes.len() <= 256 { 1 } else { 4 };
-        let caps = [got.shapes.capacity(), got.shape_ix.heap_bytes(), got.lo.capacity()];
+        let caps = [
+            got.shapes.capacity(),
+            got.shape_ix.heap_bytes(),
+            got.lo.capacity(),
+        ];
         let lens = [got.shapes.len(), width * got.len(), got.len()];
         tpcheck::ensure!(caps == lens, "columns not trimmed: {caps:?} for {lens:?}");
         // Lossless but for the documented gap saturation.
         let saturated: Vec<Access> = accesses
             .iter()
-            .map(|&a| Access { gap: a.gap.min(MAX_GAP), ..a })
+            .map(|&a| Access {
+                gap: a.gap.min(MAX_GAP),
+                ..a
+            })
             .collect();
-        tpcheck::ensure!(got.accesses() == saturated, "accesses() differs from the input");
+        tpcheck::ensure!(
+            got.accesses() == saturated,
+            "accesses() differs from the input"
+        );
         tpcheck::ensure!(
             got.stats() == want_stats,
             "{:?} != {want_stats:?}",
@@ -873,10 +932,20 @@ mod tests {
     fn accesses_with_shapes(distinct: u64) -> Vec<Access> {
         let shape = |i: u64| {
             let pc = 0x400_000 + i;
-            let a = if i.is_multiple_of(3) { Access::store(pc, 0) } else { Access::dep_load(pc, 0) };
-            Access { gap: (i % 5) as u32, ..a }
+            let a = if i.is_multiple_of(3) {
+                Access::store(pc, 0)
+            } else {
+                Access::dep_load(pc, 0)
+            };
+            Access {
+                gap: (i % 5) as u32,
+                ..a
+            }
         };
-        let at = |i: u64, n: u64| Access { addr: Addr((3 << 32) | (n << 6)), ..shape(i) };
+        let at = |i: u64, n: u64| Access {
+            addr: Addr((3 << 32) | (n << 6)),
+            ..shape(i)
+        };
         let mut accesses = Vec::new();
         for i in 0..distinct {
             accesses.push(at(i, accesses.len() as u64));
@@ -895,9 +964,19 @@ mod tests {
             let t = check_against_reference(accesses.clone())
                 .unwrap_or_else(|e| panic!("{distinct}: {e}"));
             assert_eq!(t.shapes.len() as u64, distinct);
-            assert_eq!(matches!(t.shape_ix, ShapeIx::Wide(_)), distinct > 256, "{distinct} shapes");
+            assert_eq!(
+                matches!(t.shape_ix, ShapeIx::Wide(_)),
+                distinct > 256,
+                "{distinct} shapes"
+            );
             // The 257th shape is first pushed at access 2 × 256.
-            for &(start, len) in &[(0, t.len()), (500, 24), (511, 2), (512, 1), (t.len() - 1, 1)] {
+            for &(start, len) in &[
+                (0, t.len()),
+                (500, 24),
+                (511, 2),
+                (512, 1),
+                (t.len() - 1, 1),
+            ] {
                 if start + len > t.len() {
                     continue;
                 }
@@ -910,7 +989,11 @@ mod tests {
             let bytes = crate::io::to_bytes(&t);
             let back = crate::io::from_bytes(&bytes).expect("round trip");
             assert_eq!(back, t, "{distinct}: decoded trace differs");
-            assert_eq!(crate::io::to_bytes(&back), bytes, "{distinct}: bytes changed");
+            assert_eq!(
+                crate::io::to_bytes(&back),
+                bytes,
+                "{distinct}: bytes changed"
+            );
         }
     }
 }

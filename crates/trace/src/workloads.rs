@@ -187,7 +187,13 @@ pub fn memory_intensive() -> Vec<Workload> {
         ("spec06.xalancbmk", Spec06, true, 0x06_03, gen::xalanc_like),
         ("spec06.soplex", Spec06, true, 0x06_04, gen::sparse_like),
         ("spec06.sphinx3", Spec06, true, 0x06_05, gen::phased_like),
-        ("spec06.libquantum", Spec06, false, 0x06_06, gen::stream_like),
+        (
+            "spec06.libquantum",
+            Spec06,
+            false,
+            0x06_06,
+            gen::stream_like
+        ),
         ("spec06.lbm", Spec06, false, 0x06_07, gen::stencil_like),
         ("spec06.bzip2", Spec06, false, 0x06_08, gen::scan_like),
         // --- SPEC 2017 stand-ins ---
@@ -195,7 +201,13 @@ pub fn memory_intensive() -> Vec<Workload> {
         ("spec17.omnetpp", Spec17, true, 0x17_02, gen::omnetpp_like),
         ("spec17.xalancbmk", Spec17, true, 0x17_03, gen::xalanc_like),
         ("spec17.gcc", Spec17, true, 0x17_04, gen::phased_like),
-        ("spec17.cactuBSSN", Spec17, false, 0x17_05, gen::stencil_like),
+        (
+            "spec17.cactuBSSN",
+            Spec17,
+            false,
+            0x17_05,
+            gen::stencil_like
+        ),
         ("spec17.lbm", Spec17, false, 0x17_06, gen::stencil_like),
         ("spec17.fotonik3d", Spec17, false, 0x17_07, gen::stream_like),
         ("spec17.roms", Spec17, false, 0x17_08, gen::stream_like),
@@ -211,7 +223,10 @@ pub fn memory_intensive() -> Vec<Workload> {
 
 /// The statically-marked irregular subset of [`memory_intensive`].
 pub fn irregular_subset() -> Vec<Workload> {
-    memory_intensive().into_iter().filter(|w| w.irregular).collect()
+    memory_intensive()
+        .into_iter()
+        .filter(|w| w.irregular)
+        .collect()
 }
 
 /// Looks up a workload by name.
@@ -272,7 +287,10 @@ mod tests {
         for s in [Scale::Test, Scale::Small, Scale::Full] {
             assert_eq!(s.to_string().parse(), Ok(s));
         }
-        assert!("huge".parse::<Scale>().unwrap_err().contains("unknown scale"));
+        assert!("huge"
+            .parse::<Scale>()
+            .unwrap_err()
+            .contains("unknown scale"));
     }
 
     #[test]

@@ -22,7 +22,11 @@ fn random_trace(g: &mut tpcheck::Gen) -> Trace {
     let accesses = g.vec(0..64, |g| Access {
         pc: Pc(g.next_u64()),
         addr: Addr(g.next_u64()),
-        kind: if g.bool() { AccessKind::Store } else { AccessKind::Load },
+        kind: if g.bool() {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        },
         dep: if g.bool() { Dep::PrevLoad } else { Dep::None },
         gap: g.u64_in(0..1 << 20) as u32,
     });
@@ -45,7 +49,10 @@ fn round_trips_arbitrary_addresses_and_pcs() {
         // The decoder packs through the same builder as `Trace::new`:
         // same PC dictionary, same columns, and the same bytes again.
         tpcheck::ensure!(back == t, "decoded trace differs in its packed columns");
-        tpcheck::ensure!(to_bytes(&back) == bytes, "write -> read -> write changed the bytes");
+        tpcheck::ensure!(
+            to_bytes(&back) == bytes,
+            "write -> read -> write changed the bytes"
+        );
         Ok(())
     });
 }
@@ -120,7 +127,11 @@ fn forged_name_length_is_rejected() {
         bytes.push(0);
         // A name length far beyond the buffer (sometimes usize::MAX-ish
         // to probe the overflow path).
-        let len: u64 = if g.bool() { u64::MAX / 2 } else { g.u64_in(256..1 << 40) };
+        let len: u64 = if g.bool() {
+            u64::MAX / 2
+        } else {
+            g.u64_in(256..1 << 40)
+        };
         let mut v = len;
         while v >= 0x80 {
             bytes.push((v & 0x7f) as u8 | 0x80);
@@ -167,7 +178,10 @@ fn a_gap_past_u32_saturates_instead_of_wrapping() {
     put_varint(&mut bytes, 0);
     let t = from_bytes(&bytes).expect("a well-formed record");
     assert_eq!(t.get(0).gap, MAX_GAP, "gap must saturate, not wrap to 5");
-    let want = Access { gap: MAX_GAP, ..Access::load(0, 0) };
+    let want = Access {
+        gap: MAX_GAP,
+        ..Access::load(0, 0)
+    };
     assert_eq!(t, Trace::new("x", Suite::Gap, vec![want]));
 }
 
@@ -182,7 +196,11 @@ fn a_fresh_shape_per_access_round_trips_within_the_old_worst_case() {
             .map(|i| Access {
                 pc: Pc(pc0.wrapping_add(i.wrapping_mul(step))),
                 addr: Addr((hi0.wrapping_add(i << 32) & !0xffff_ffff) | g.u64_in(0..1 << 32)),
-                kind: if g.bool() { AccessKind::Store } else { AccessKind::Load },
+                kind: if g.bool() {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                },
                 dep: if g.bool() { Dep::PrevLoad } else { Dep::None },
                 gap: g.u64_in(0..1 << 20) as u32,
             })
@@ -191,7 +209,10 @@ fn a_fresh_shape_per_access_round_trips_within_the_old_worst_case() {
         let bytes = to_bytes(&t);
         let back = from_bytes(&bytes).map_err(|e| format!("decode failed: {e}"))?;
         tpcheck::ensure!(back == t, "decoded trace differs");
-        tpcheck::ensure!(to_bytes(&back) == bytes, "write -> read -> write changed the bytes");
+        tpcheck::ensure!(
+            to_bytes(&back) == bytes,
+            "write -> read -> write changed the bytes"
+        );
         // Past 256 shapes the index column is widened to 4 B: 8 B of
         // columns plus a 16 B shape per access, the 16 B columns plus
         // 8 B PC entry per access this layout's predecessor cost.

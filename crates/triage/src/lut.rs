@@ -91,7 +91,11 @@ impl TargetLut {
                     .expect("nonempty lut")
             });
         let e = &mut self.entries[slot];
-        let generation = if e.valid { e.generation + 1 } else { e.generation };
+        let generation = if e.valid {
+            e.generation + 1
+        } else {
+            e.generation
+        };
         self.entries[slot] = LutEntry {
             region,
             generation,

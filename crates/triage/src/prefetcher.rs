@@ -87,8 +87,7 @@ impl Triage {
         let mut best_w = 0u8;
         let mut best_score = i64::MIN;
         for w in 0..=self.config.max_ways {
-            let score =
-                self.store.hits_with_ways(w) as i64 - per_way_cost as i64 * w as i64;
+            let score = self.store.hits_with_ways(w) as i64 - per_way_cost as i64 * w as i64;
             if score > best_score {
                 best_score = score;
                 best_w = w;

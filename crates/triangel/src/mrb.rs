@@ -31,7 +31,9 @@ impl Mrb {
     /// Where `trigger`'s entry is, counted from the most recent.
     #[inline]
     fn position(&self, trigger: u64) -> Option<usize> {
-        tagrow::find(&self.row, tagrow::fingerprint(trigger), |i| self.entries[i].0 == trigger)
+        tagrow::find(&self.row, tagrow::fingerprint(trigger), |i| {
+            self.entries[i].0 == trigger
+        })
     }
 
     /// Brings entry `pos` to the front; the entries before it age by
@@ -57,7 +59,8 @@ impl Mrb {
     /// True if the exact (trigger, target) pair is present — a store for
     /// it would be redundant.
     pub fn contains_pair(&self, trigger: u64, target: Line) -> bool {
-        self.position(trigger).is_some_and(|i| self.entries[i].1 == target)
+        self.position(trigger)
+            .is_some_and(|i| self.entries[i].1 == target)
     }
 
     /// Records a correlation at MRU.
@@ -126,10 +129,16 @@ mod tests {
     #[test]
     fn equal_fingerprints_stay_distinct_triggers() {
         let fp = tagrow::fingerprint(1);
-        let twin = (2..).find(|&t| tagrow::fingerprint(t) == fp).expect("one in 128");
+        let twin = (2..)
+            .find(|&t| tagrow::fingerprint(t) == fp)
+            .expect("one in 128");
         let mut m = Mrb::new(2);
         m.update(1, Line(10));
-        assert_eq!(m.lookup(twin), None, "1's fingerprint is not twin's trigger");
+        assert_eq!(
+            m.lookup(twin),
+            None,
+            "1's fingerprint is not twin's trigger"
+        );
         m.update(twin, Line(20));
         assert!(m.contains_pair(1, Line(10)) && m.contains_pair(twin, Line(20)));
         assert!(!m.contains_pair(1, Line(20)));
@@ -156,7 +165,9 @@ mod tests {
         }
 
         fn contains_pair(&self, trigger: u64, target: Line) -> bool {
-            self.entries.iter().any(|&(t, v)| t == trigger && v == target)
+            self.entries
+                .iter()
+                .any(|&(t, v)| t == trigger && v == target)
         }
 
         fn update(&mut self, trigger: u64, target: Line) {
@@ -187,12 +198,18 @@ mod tests {
                     match g.usize_in(0..3) {
                         0 => {
                             let (got, want) = (mrb.lookup(trigger), reference.lookup(trigger));
-                            tpcheck::ensure!(got == want, "step {step}: lookup {trigger}: {got:?} vs {want:?}");
+                            tpcheck::ensure!(
+                                got == want,
+                                "step {step}: lookup {trigger}: {got:?} vs {want:?}"
+                            );
                         }
                         1 => {
                             let got = mrb.contains_pair(trigger, target);
                             let want = reference.contains_pair(trigger, target);
-                            tpcheck::ensure!(got == want, "step {step}: pair {trigger}→{target:?}: {got} vs {want}");
+                            tpcheck::ensure!(
+                                got == want,
+                                "step {step}: pair {trigger}→{target:?}: {got} vs {want}"
+                            );
                         }
                         _ => {
                             mrb.update(trigger, target);
@@ -200,7 +217,8 @@ mod tests {
                         }
                     }
                     tpcheck::ensure!(
-                        mrb.len() == reference.entries.len() && mrb.is_empty() == reference.entries.is_empty(),
+                        mrb.len() == reference.entries.len()
+                            && mrb.is_empty() == reference.entries.is_empty(),
                         "step {step}: {} entries vs {}",
                         mrb.len(),
                         reference.entries.len()

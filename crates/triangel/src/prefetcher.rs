@@ -115,7 +115,9 @@ impl Triangel {
             // hits plus trigger hits — Triangel values both the same,
             // which Section IV-D2 criticises.
             let score_of = |w: u8| {
-                let data = self.shadow.hits_with_ways(self.config.llc_ways - w as usize);
+                let data = self
+                    .shadow
+                    .hits_with_ways(self.config.llc_ways - w as usize);
                 // Shadow sets sample 1/32 of sets; scale to match the
                 // unsampled trigger histogram.
                 ((data << LLC_SAMPLE_SHIFT) + self.store.hits_with_ways(w)) as i64

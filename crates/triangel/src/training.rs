@@ -263,11 +263,7 @@ impl TrainingUnit {
             let _ = same_pc;
             // Park the expectation in the SCS: if the old target shows
             // up shortly, the pattern was merely reordered.
-            let free = self
-                .scs
-                .iter()
-                .position(|s| !s.valid)
-                .unwrap_or(0);
+            let free = self.scs.iter().position(|s| !s.valid).unwrap_or(0);
             self.scs[free] = ScsEntry {
                 expected: h.next,
                 tu_tag: h.tu_tag,
@@ -327,10 +323,7 @@ mod tests {
     use super::*;
 
     fn drive(tu: &mut TrainingUnit, pc: u64, lines: &[u64]) -> Vec<TuDecision> {
-        lines
-            .iter()
-            .map(|&l| tu.observe(Pc(pc), Line(l)))
-            .collect()
+        lines.iter().map(|&l| tu.observe(Pc(pc), Line(l))).collect()
     }
 
     #[test]

@@ -18,14 +18,23 @@ fn main() {
         eprintln!("unknown workload {name:?}");
         std::process::exit(1);
     };
-    println!("planning metadata budget for {} at {scale} scale\n", workload.name);
+    println!(
+        "planning metadata budget for {} at {scale} scale\n",
+        workload.name
+    );
 
     let base = Experiment::new(scale).l1(L1Kind::Stride);
     let base_ipc = run_single(&workload, &base).cores[0].ipc();
 
     let mut table = Table::new(
         "Budget sweep",
-        &["budget", "LLC given up", "speedup", "coverage", "traffic blocks"],
+        &[
+            "budget",
+            "LLC given up",
+            "speedup",
+            "coverage",
+            "traffic blocks",
+        ],
     );
     let sizes = [
         ("0 (samples only)", Some(PartitionSize::SamplesOnly)),
@@ -50,10 +59,7 @@ fn main() {
             best = (speedup, label);
         }
         let given_up = match fixed {
-            Some(s) => format!(
-                "{} KB",
-                s.capacity_bytes(2048, 8) >> 10
-            ),
+            Some(s) => format!("{} KB", s.capacity_bytes(2048, 8) >> 10),
             None => "adaptive".into(),
         };
         table.row(&[

@@ -16,7 +16,9 @@ fn chase(nodes: usize, epochs: usize, churn: usize) -> Trace {
     let mut place: Vec<u64> = (0..nodes as u64).collect();
     let mut x = 0x5eed_u64;
     for i in (1..nodes).rev() {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         place.swap(i, (x >> 33) as usize % (i + 1));
     }
     let mut next: Vec<u32> = (0..nodes as u32).map(|i| (i + 1) % nodes as u32).collect();

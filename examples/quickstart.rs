@@ -23,7 +23,10 @@ fn main() {
         std::process::exit(1);
     };
 
-    println!("workload: {} ({:?}, scale {scale})", workload.name, workload.suite);
+    println!(
+        "workload: {} ({:?}, scale {scale})",
+        workload.name, workload.suite
+    );
     // Shared-pool fetch: run_single below asks the pool for the same
     // (workload, seed, scale) key and replays this very allocation.
     let trace = workload.generate_shared(scale);

@@ -79,7 +79,11 @@ fn audited_quick_sweep_covers_every_workload() {
     let reports = runner.run(&jobs);
     assert_eq!(reports.len(), workloads::memory_intensive().len());
     for r in &reports {
-        assert!(r.audit.passed(), "sweep returned a failing audit:\n{}", r.audit);
+        assert!(
+            r.audit.passed(),
+            "sweep returned a failing audit:\n{}",
+            r.audit
+        );
     }
 }
 
@@ -128,8 +132,14 @@ fn corrupted_snapshots_are_caught() {
         t = out.complete + 4;
     }
     let clean = h.audit_snapshot();
-    assert!(check_hierarchy(&clean).passed(), "baseline snapshot must pass");
-    assert!(clean.cores[0].l1d.stats.writebacks > 0, "need dirty traffic");
+    assert!(
+        check_hierarchy(&clean).passed(),
+        "baseline snapshot must pass"
+    );
+    assert!(
+        clean.cores[0].l1d.stats.writebacks > 0,
+        "need dirty traffic"
+    );
     assert!(clean.dram.writes > 0, "need dirty lines reaching DRAM");
 
     // Resurrect the original bug: L1 reports dirty evictions that were
@@ -139,7 +149,10 @@ fn corrupted_snapshots_are_caught() {
     let report = check_hierarchy(&broken);
     assert!(!report.passed(), "dead L1 writeback path went unnoticed");
     assert!(
-        report.violations.iter().any(|v| v.invariant == "writeback-conservation"),
+        report
+            .violations
+            .iter()
+            .any(|v| v.invariant == "writeback-conservation"),
         "wrong law tripped:\n{report}"
     );
 

@@ -156,12 +156,15 @@ fn cancellation_semantics_survive_batching() {
     let pre_cancelled = CancelToken::new();
     pre_cancelled.cancel();
     assert!(
-        at_batch(&mix, &exp, 256).run_with_cancel(&pre_cancelled).is_none(),
+        at_batch(&mix, &exp, 256)
+            .run_with_cancel(&pre_cancelled)
+            .is_none(),
         "a pre-cancelled token must abort the batched run"
     );
 
     let live = CancelToken::new();
-    let via_token = at_batch(&mix, &exp, 256).run_with_cancel(&live)
+    let via_token = at_batch(&mix, &exp, 256)
+        .run_with_cancel(&live)
         .expect("uncancelled run completes");
     let plain = at_batch(&mix, &exp, 256).run();
     assert_eq!(
@@ -191,12 +194,13 @@ fn batched_polling_stays_at_epoch_granularity() {
     let exp = Experiment::new(Scale::Test).l1(L1Kind::Stride);
     for batch in [7u64, 256, 1024] {
         let serial_token = CancelToken::new();
-        let serial = at_batch(&mix, &exp, 1).run_with_cancel(&serial_token)
+        let serial = at_batch(&mix, &exp, 1)
+            .run_with_cancel(&serial_token)
             .expect("uncancelled");
         let batched_token = CancelToken::new();
-        let batched =
-            at_batch(&mix, &exp, batch as usize).run_with_cancel(&batched_token)
-                .expect("uncancelled");
+        let batched = at_batch(&mix, &exp, batch as usize)
+            .run_with_cancel(&batched_token)
+            .expect("uncancelled");
         assert_eq!(fingerprint(&serial), fingerprint(&batched));
 
         let ps = serial_token.polls();
@@ -212,9 +216,6 @@ fn batched_polling_stays_at_epoch_granularity() {
              batching stretched the poll interval past one block"
         );
         // And batching never polls *more* often than the epoch cadence.
-        assert!(
-            pb <= ps + 1,
-            "batch {batch}: {pb} polls > serial {ps} + 1"
-        );
+        assert!(pb <= ps + 1, "batch {batch}: {pb} polls > serial {ps} + 1");
     }
 }

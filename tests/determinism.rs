@@ -59,7 +59,12 @@ fn repeated_parallel_sweeps_agree() {
 fn derived_seed_sweeps_are_deterministic_too() {
     let jobs = matrix();
     let serial = render(&SweepRunner::serial().with_base_seed(42).run(&jobs));
-    let parallel = render(&SweepRunner::new().with_workers(8).with_base_seed(42).run(&jobs));
+    let parallel = render(
+        &SweepRunner::new()
+            .with_workers(8)
+            .with_base_seed(42)
+            .run(&jobs),
+    );
     assert_eq!(serial, parallel, "derived-seed sweep diverged");
 }
 
@@ -104,7 +109,9 @@ fn a_base_seed_is_the_same_as_reseeding_every_job_by_hand() {
     let base = Experiment::new(Scale::Test).l1(L1Kind::Stride);
     let mix = streamline_repro::tptrace::Mix {
         index: 0,
-        workloads: ["gap.bfs", "spec17.mcf"].map(|n| workloads::by_name(n).unwrap()).to_vec(),
+        workloads: ["gap.bfs", "spec17.mcf"]
+            .map(|n| workloads::by_name(n).unwrap())
+            .to_vec(),
     };
     let mut jobs = matrix();
     jobs.truncate(2);
@@ -123,5 +130,9 @@ fn a_base_seed_is_the_same_as_reseeding_every_job_by_hand() {
     let bytes = |reports: Vec<SimReport>| reports.iter().map(encode_sim_report).collect::<Vec<_>>();
     let derived = bytes(SweepRunner::new().with_base_seed(BASE).run(&jobs));
     assert_eq!(derived, bytes(SweepRunner::new().run(&by_hand)));
-    assert_ne!(derived, bytes(SweepRunner::new().run(&jobs)), "the base seed changed nothing");
+    assert_ne!(
+        derived,
+        bytes(SweepRunner::new().run(&jobs)),
+        "the base seed changed nothing"
+    );
 }

@@ -155,8 +155,12 @@ fn experiments_are_deterministic() {
 #[test]
 fn bandwidth_scaling_changes_outcomes_sanely() {
     let w = workloads::by_name("gap.pr").unwrap();
-    let narrow = Experiment::new(Scale::Test).l1(L1Kind::Stride).bandwidth(0.25);
-    let wide = Experiment::new(Scale::Test).l1(L1Kind::Stride).bandwidth(2.0);
+    let narrow = Experiment::new(Scale::Test)
+        .l1(L1Kind::Stride)
+        .bandwidth(0.25);
+    let wide = Experiment::new(Scale::Test)
+        .l1(L1Kind::Stride)
+        .bandwidth(2.0);
     let n = run_single(&w, &narrow);
     let x = run_single(&w, &wide);
     assert!(ipc(&x) >= ipc(&n), "{} vs {}", ipc(&x), ipc(&n));
@@ -181,10 +185,7 @@ fn l2_prefetchers_compose_with_streamline() {
     let w = workloads::by_name("spec06.soplex").unwrap();
     let base = Experiment::new(Scale::Test).l1(L1Kind::Stride);
     for l2 in [L2Kind::Ipcp, L2Kind::Bingo, L2Kind::SppPpf] {
-        let r = run_single(
-            &w,
-            &base.clone().l2(l2).temporal(TemporalKind::Streamline),
-        );
+        let r = run_single(&w, &base.clone().l2(l2).temporal(TemporalKind::Streamline));
         assert!(r.cores[0].ipc() > 0.0, "{l2:?} composition runs");
         assert!(r.cores[0].l2_prefetches + r.cores[0].temporal.prefetches_issued > 0);
     }

@@ -11,7 +11,7 @@ use tpharness::sweep::{SweepJob, SweepRunner};
 use tpharness::wire::{encode_sim_report, parse, Value};
 use tpserve::protocol::Request;
 use tpserve::{
-    Client, Coordinator, CoordController, CoordinatorConfig, HashRing, Server, ServerConfig,
+    Client, CoordController, Coordinator, CoordinatorConfig, HashRing, Server, ServerConfig,
 };
 use tptrace::{workloads, Scale};
 
@@ -127,7 +127,9 @@ fn fleet_of_three_matches_local_jobs_sweep() {
             )));
             jobs.push(SweepJob::single(
                 workloads::by_name(name).unwrap(),
-                Experiment::new(Scale::Test).l1(L1Kind::Stride).temporal(kind),
+                Experiment::new(Scale::Test)
+                    .l1(L1Kind::Stride)
+                    .temporal(kind),
             ));
         }
     }
@@ -201,7 +203,10 @@ fn fleet_of_three_matches_local_jobs_sweep() {
     assert_eq!(status(&resp), "done");
     assert_eq!(resp.get("cached").unwrap().as_bool(), Some(true));
     assert_eq!(resp.get("report").unwrap().encode(), served[0]);
-    assert_eq!(stat_u64(&c.stats().unwrap(), "forwarded"), payloads.len() as u64 + 1);
+    assert_eq!(
+        stat_u64(&c.stats().unwrap(), "forwarded"),
+        payloads.len() as u64 + 1
+    );
 
     assert_eq!(status(&c.shutdown().unwrap()), "ok");
     drop(c);
@@ -322,7 +327,11 @@ fn backend_down_at_start_falls_back_and_counts_reroutes() {
     );
 
     assert!(fleet.controller.rerouted() >= 1);
-    assert_eq!(fleet.controller.local_jobs(), 0, "a live ring node must absorb the job");
+    assert_eq!(
+        fleet.controller.local_jobs(),
+        0,
+        "a live ring node must absorb the job"
+    );
     let stats = c.stats().unwrap();
     assert!(
         stat_u64(&stats, "rerouted") >= 1,
@@ -357,9 +366,8 @@ fn unreachable_fleet_falls_back_to_local_execution() {
     let fleet = start_coordinator(&addrs);
     let mut c = Client::connect(&fleet.addr).expect("connect coordinator");
 
-    let canonical = req(
-        r#"{"workload":"gap.bfs","scale":"test","l1":"stride","temporal":"streamline"}"#,
-    );
+    let canonical =
+        req(r#"{"workload":"gap.bfs","scale":"test","l1":"stride","temporal":"streamline"}"#);
     let resp = c.submit_and_wait(&canonical).unwrap();
     assert_eq!(status(&resp), "done", "{}", resp.encode());
     let direct = SweepRunner::serial().run_one(SweepJob::single(
@@ -368,7 +376,10 @@ fn unreachable_fleet_falls_back_to_local_execution() {
             .l1(L1Kind::Stride)
             .temporal(TemporalKind::Streamline),
     ));
-    assert_eq!(resp.get("report").unwrap().encode(), encode_sim_report(&direct));
+    assert_eq!(
+        resp.get("report").unwrap().encode(),
+        encode_sim_report(&direct)
+    );
 
     let seeded = seeded_payload(777);
     let resp = c.submit_and_wait(&seeded).unwrap();
@@ -384,7 +395,10 @@ fn unreachable_fleet_falls_back_to_local_execution() {
     );
 
     assert_eq!(fleet.controller.local_jobs(), 2);
-    assert!(fleet.controller.rerouted() >= 2, "departures from unreachable primaries count");
+    assert!(
+        fleet.controller.rerouted() >= 2,
+        "departures from unreachable primaries count"
+    );
     let stats = c.stats().unwrap();
     assert_eq!(stat_u64(&stats, "local_jobs"), 2);
     assert_eq!(stat_u64(&stats, "forwarded"), 0);
@@ -450,7 +464,11 @@ fn coordinator_stops_reading_from_a_client_that_never_reads() {
 
         // The stalled connection holds up nobody else.
         let mut c = Client::connect(&addr).expect("connect");
-        assert_eq!(status(&c.ping().unwrap()), "ok", "{addr}: others are still served");
+        assert_eq!(
+            status(&c.ping().unwrap()),
+            "ok",
+            "{addr}: others are still served"
+        );
         drop(flood);
         assert_eq!(status(&c.shutdown().unwrap()), "ok");
         drop(c);

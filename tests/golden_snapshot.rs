@@ -9,17 +9,33 @@
 //! a refactor — either it fixed a bug (update the snapshot and say why
 //! in the commit) or it introduced one.
 
+use std::fmt::Write as _;
 use streamline_repro::prelude::*;
 use streamline_repro::tpharness::sweep::{SweepJob, SweepRunner};
 use streamline_repro::tptrace::{Mix, TraceBuilder};
-use std::fmt::Write as _;
 
 /// (workload, baseline IPC, streamline IPC, streamline L2 MPKI,
 /// temporal coverage %, temporal accuracy %), all at 4 decimals.
 const GOLDEN: &[(&str, &str, &str, &str, &str, &str)] = &[
-    ("spec06.mcf", "0.1314", "0.0980", "21.6968", "87.3761", "97.8795"),
-    ("spec17.xalancbmk", "0.1236", "0.1250", "14.8787", "91.0728", "99.9978"),
-    ("gap.bfs", "0.2250", "0.1457", "57.7071", "63.6836", "80.5800"),
+    (
+        "spec06.mcf",
+        "0.1314",
+        "0.0980",
+        "21.6968",
+        "87.3761",
+        "97.8795",
+    ),
+    (
+        "spec17.xalancbmk",
+        "0.1236",
+        "0.1250",
+        "14.8787",
+        "91.0728",
+        "99.9978",
+    ),
+    (
+        "gap.bfs", "0.2250", "0.1457", "57.7071", "63.6836", "80.5800",
+    ),
 ];
 
 fn snapshot(runner: &SweepRunner) -> Vec<(&'static str, String, String, String, String, String)> {
@@ -195,9 +211,15 @@ fn store_heavy_report() -> SimReport {
     // overflows, dirty victims cascade to DRAM, and the temporal
     // prefetcher trains on the load misses.
     for i in 0..65_536u64 {
-        b.store(0x400_100, 0x10_0000 + i * streamline_repro::tpsim::LINE_SIZE);
+        b.store(
+            0x400_100,
+            0x10_0000 + i * streamline_repro::tpsim::LINE_SIZE,
+        );
         if i % 3 == 0 {
-            b.load(0x400_108, 0x10_0000 + (i / 5) * streamline_repro::tpsim::LINE_SIZE);
+            b.load(
+                0x400_108,
+                0x10_0000 + (i / 5) * streamline_repro::tpsim::LINE_SIZE,
+            );
         }
     }
     let plan = CorePlan::bare(b.finish()).with_temporal(Box::new(Streamline::new()));
@@ -213,13 +235,22 @@ fn mixed_store_feedback_report() -> SimReport {
     // plus a recurring pointer-chase loop that trains Streamline.
     let mut b = TraceBuilder::new("synthetic.store-feedback-golden", Suite::Spec06);
     for i in 0..48_000u64 {
-        b.store(0x500_100, 0x20_0000 + i * streamline_repro::tpsim::LINE_SIZE);
+        b.store(
+            0x500_100,
+            0x20_0000 + i * streamline_repro::tpsim::LINE_SIZE,
+        );
         if i % 2 == 0 {
-            b.load(0x500_108, 0x80_0000 + (i / 2) * streamline_repro::tpsim::LINE_SIZE);
+            b.load(
+                0x500_108,
+                0x80_0000 + (i / 2) * streamline_repro::tpsim::LINE_SIZE,
+            );
         }
         if i % 4 == 0 {
             // 64-line temporal loop: revisited every 256 accesses.
-            b.load(0x500_110, 0xC0_0000 + (i / 4 % 64) * 7 * streamline_repro::tpsim::LINE_SIZE);
+            b.load(
+                0x500_110,
+                0xC0_0000 + (i / 4 % 64) * 7 * streamline_repro::tpsim::LINE_SIZE,
+            );
         }
     }
     let stack = |trace: std::sync::Arc<Trace>| {

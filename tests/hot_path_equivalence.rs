@@ -76,12 +76,23 @@ fn linemap_matches_hashmap_on_real_address_streams() {
             // record, the next touch of the same line resolves it.
             if let std::collections::hash_map::Entry::Vacant(e) = reference.entry(line.0) {
                 let got = map.insert(line, t);
-                let want = { e.insert(t); None };
-                ensure!(got == want, "{}: insert({line:?}) {got:?} != {want:?}", w.name);
+                let want = {
+                    e.insert(t);
+                    None
+                };
+                ensure!(
+                    got == want,
+                    "{}: insert({line:?}) {got:?} != {want:?}",
+                    w.name
+                );
             } else {
                 let got = map.remove(line);
                 let want = reference.remove(&line.0);
-                ensure!(got == want, "{}: remove({line:?}) {got:?} != {want:?}", w.name);
+                ensure!(
+                    got == want,
+                    "{}: remove({line:?}) {got:?} != {want:?}",
+                    w.name
+                );
             }
             ensure!(map.len() == reference.len(), "population diverged");
         }

@@ -8,7 +8,12 @@ use tpcheck::{check, ensure, Gen};
 use tpserve::HashRing;
 
 /// A random (trigger, target) metadata stream.
-fn stream(g: &mut Gen, triggers: u64, targets: u64, len: std::ops::Range<usize>) -> Vec<(u64, u64)> {
+fn stream(
+    g: &mut Gen,
+    triggers: u64,
+    targets: u64,
+    len: std::ops::Range<usize>,
+) -> Vec<(u64, u64)> {
     g.vec(len, |g| (g.u64_in(0..triggers), g.u64_in(0..targets)))
 }
 
@@ -61,12 +66,18 @@ fn alignment_preserves_new_correlations() {
         let pos = g.usize_in(0..4);
         let old = StreamEntry::new(
             Line(100),
-            old_targets.iter().map(|&t| Line(100 + t)).collect::<Vec<_>>(),
+            old_targets
+                .iter()
+                .map(|&t| Line(100 + t))
+                .collect::<Vec<_>>(),
         );
         let addrs: Vec<Line> = old.addresses().collect();
         let new = StreamEntry::new(
             addrs[pos],
-            new_targets.iter().map(|&t| Line(200 + t)).collect::<Vec<_>>(),
+            new_targets
+                .iter()
+                .map(|&t| Line(200 + t))
+                .collect::<Vec<_>>(),
         );
         if let Some(a) = align(&old, &new, 4) {
             let mut chain: Vec<Line> = a.aligned.addresses().collect();
@@ -154,7 +165,15 @@ fn traces_are_deterministic() {
 /// Random backend address lists for the coordinator's hash ring.
 fn backend_addrs(g: &mut Gen, n: usize) -> Vec<String> {
     (0..n)
-        .map(|_| format!("10.{}.{}.{}:{}", g.u64_in(0..256), g.u64_in(0..256), g.u64_in(0..256), g.u64_in(1024..65536)))
+        .map(|_| {
+            format!(
+                "10.{}.{}.{}:{}",
+                g.u64_in(0..256),
+                g.u64_in(0..256),
+                g.u64_in(0..256),
+                g.u64_in(1024..65536)
+            )
+        })
         .collect()
 }
 

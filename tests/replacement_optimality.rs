@@ -26,9 +26,13 @@ fn lcg_stream(seed: u64, len: usize, triggers: u64, targets: u64) -> Vec<Correla
     let mut x = seed;
     (0..len)
         .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let t = (x >> 33) % triggers;
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (t, (x >> 33) % targets)
         })
         .collect()
@@ -43,7 +47,10 @@ fn belady_min_bounds_online_policies_on_trigger_hits() {
             let lru = online_trigger_hits(&stream, cap, &mut Lru::new(cap));
             let srrip = online_trigger_hits(&stream, cap, &mut Srrip::new(cap));
             assert!(lru <= optimal, "lru {lru} > MIN {optimal} (cap {cap})");
-            assert!(srrip <= optimal, "srrip {srrip} > MIN {optimal} (cap {cap})");
+            assert!(
+                srrip <= optimal,
+                "srrip {srrip} > MIN {optimal} (cap {cap})"
+            );
         }
     }
 }

@@ -95,7 +95,8 @@ fn served_reports_are_byte_identical_and_cache_hits_skip_simulation() {
     assert_eq!(status(&c.ping().unwrap()), "ok");
 
     // Canonical-seed request vs a direct sweep-runner run.
-    let payload = req(r#"{"workload":"spec06.mcf","scale":"test","l1":"stride","temporal":"streamline"}"#);
+    let payload =
+        req(r#"{"workload":"spec06.mcf","scale":"test","l1":"stride","temporal":"streamline"}"#);
     let resp = c.submit_and_wait(&payload).unwrap();
     assert_eq!(status(&resp), "done", "{}", resp.encode());
     assert_eq!(resp.get("cached").unwrap().as_bool(), Some(false));
@@ -116,7 +117,9 @@ fn served_reports_are_byte_identical_and_cache_hits_skip_simulation() {
 
     // Seed-overriding request vs a direct reseeded run (this path
     // bypasses the sweep cache inside the server).
-    let seeded = req(r#"{"workload":"spec06.mcf","scale":"test","l1":"stride","temporal":"streamline","seed":12345}"#);
+    let seeded = req(
+        r#"{"workload":"spec06.mcf","scale":"test","l1":"stride","temporal":"streamline","seed":12345}"#,
+    );
     let resp = c.submit_and_wait(&seeded).unwrap();
     assert_eq!(status(&resp), "done");
     let w = workloads::by_name("spec06.mcf").unwrap().with_seed(12345);
@@ -130,7 +133,13 @@ fn served_reports_are_byte_identical_and_cache_hits_skip_simulation() {
     // cache, with no new simulation (proven via STATS counters).
     let sims_before = {
         let stats = c.stats().unwrap();
-        stats.get("stats").unwrap().get("simulations").unwrap().as_u64().unwrap()
+        stats
+            .get("stats")
+            .unwrap()
+            .get("simulations")
+            .unwrap()
+            .as_u64()
+            .unwrap()
     };
     let resp = c.submit_and_wait(&payload).unwrap();
     assert_eq!(status(&resp), "done");
@@ -176,7 +185,9 @@ fn pipelined_submits_answer_in_request_order() {
         .map(|p| {
             format!(
                 "{:016x}",
-                tpserve::Request::from_value(p).expect("payload parses").key()
+                tpserve::Request::from_value(p)
+                    .expect("payload parses")
+                    .key()
             )
         })
         .collect();
@@ -310,9 +321,15 @@ fn full_queue_sheds_load_with_structured_rejections() {
     });
     let mut c = Client::connect(&h.addr).expect("connect");
 
-    let a = c.submit(&req(r#"{"workload":"gap.bfs","scale":"test"}"#)).unwrap();
-    let b = c.submit(&req(r#"{"workload":"gap.tc","scale":"test"}"#)).unwrap();
-    let shed = c.submit(&req(r#"{"workload":"gap.pr","scale":"test"}"#)).unwrap();
+    let a = c
+        .submit(&req(r#"{"workload":"gap.bfs","scale":"test"}"#))
+        .unwrap();
+    let b = c
+        .submit(&req(r#"{"workload":"gap.tc","scale":"test"}"#))
+        .unwrap();
+    let shed = c
+        .submit(&req(r#"{"workload":"gap.pr","scale":"test"}"#))
+        .unwrap();
     assert_eq!(status(&a), "queued");
     assert_eq!(status(&b), "queued");
     assert_eq!(status(&shed), "rejected", "{}", shed.encode());
@@ -328,7 +345,12 @@ fn full_queue_sheds_load_with_structured_rejections() {
     }
     let stats = c.stats().unwrap();
     assert_eq!(
-        stats.get("stats").unwrap().get("rejected").unwrap().as_u64(),
+        stats
+            .get("stats")
+            .unwrap()
+            .get("rejected")
+            .unwrap()
+            .as_u64(),
         Some(1)
     );
 
@@ -361,7 +383,14 @@ fn deadline_expires_mid_run_and_the_server_keeps_serving() {
     assert_eq!(status(&quick), "done", "{}", quick.encode());
     let stats = c.stats().unwrap();
     assert!(
-        stats.get("stats").unwrap().get("cancelled").unwrap().as_u64().unwrap() >= 1,
+        stats
+            .get("stats")
+            .unwrap()
+            .get("cancelled")
+            .unwrap()
+            .as_u64()
+            .unwrap()
+            >= 1,
         "cancelled counter must record the deadline expiry"
     );
 
@@ -405,7 +434,12 @@ fn graceful_drain_loses_no_responses() {
     // Every response accepted before the drain is still collectable.
     for t in tickets {
         let resp = submitter.wait(t).unwrap();
-        assert_eq!(status(&resp), "done", "drained ticket {t}: {}", resp.encode());
+        assert_eq!(
+            status(&resp),
+            "done",
+            "drained ticket {t}: {}",
+            resp.encode()
+        );
     }
     // New (uncached) work is shed with a structured reason; already-
     // cached requests would still be served, since they create no work.

@@ -12,7 +12,10 @@ fn ring_trace(lines: u64, passes: usize) -> Trace {
     for _ in 0..passes {
         for i in 0..lines {
             // Multiplicative ordering scatters the addresses.
-            b.dep_load(0x1000, (i.wrapping_mul(2654435761) % lines) * 64 + (1 << 40));
+            b.dep_load(
+                0x1000,
+                (i.wrapping_mul(2654435761) % lines) * 64 + (1 << 40),
+            );
         }
     }
     b.finish()
@@ -69,13 +72,7 @@ fn reserving_llc_capacity_costs_data_hits() {
         fn name(&self) -> &'static str {
             "hog"
         }
-        fn on_event(
-            &mut self,
-            _ctx: &mut MetaCtx,
-            _ev: TemporalEvent,
-            _out: &mut Vec<Line>,
-        ) {
-        }
+        fn on_event(&mut self, _ctx: &mut MetaCtx, _ev: TemporalEvent, _out: &mut Vec<Line>) {}
         fn partition(&self) -> PartitionSpec {
             PartitionSpec::Ways { ways: 8 }
         }

@@ -104,7 +104,11 @@ fn run_matches_reference_for_arbitrary_job_sequences() {
         }
         Ok(())
     });
-    assert_eq!(runner.cached_jobs(), pool.len(), "cache holds one entry per distinct key");
+    assert_eq!(
+        runner.cached_jobs(),
+        pool.len(),
+        "cache holds one entry per distinct key"
+    );
 }
 
 /// Two runs of one workload under one experiment that differ only in
@@ -130,13 +134,20 @@ fn reseeded_jobs_never_alias_in_the_cache() {
             "{}: seeds {a:#x} and {b:#x} were served one report",
             w.name
         );
-        ensure!(runner.cached_jobs() == 2, "{} cache entries for 2 seeds", runner.cached_jobs());
+        ensure!(
+            runner.cached_jobs() == 2,
+            "{} cache entries for 2 seeds",
+            runner.cached_jobs()
+        );
         let again = runner.run(&[jobs[1].clone(), jobs[0].clone(), jobs[1].clone()]);
         ensure!(
             bytes(&again) == bytes(&[direct[1].clone(), direct[0].clone(), direct[1].clone()]),
             "a repeated job was served another seed's report"
         );
-        ensure!(runner.cached_jobs() == 2, "a repeated job added a cache entry");
+        ensure!(
+            runner.cached_jobs() == 2,
+            "a repeated job added a cache entry"
+        );
         Ok(())
     });
 
@@ -148,6 +159,10 @@ fn reseeded_jobs_never_alias_in_the_cache() {
     let direct = [run_mix(&mixes[0], &exp), run_mix(&mixes[1], &exp)];
     let runner = SweepRunner::new();
     let swept = runner.run(&mixes.map(|m| SweepJob::mix(m, exp.clone())));
-    assert_eq!(bytes(&swept), bytes(&direct), "a reseeded mix member was ignored");
+    assert_eq!(
+        bytes(&swept),
+        bytes(&direct),
+        "a reseeded mix member was ignored"
+    );
     assert_eq!(runner.cached_jobs(), 2);
 }

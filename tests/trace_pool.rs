@@ -138,7 +138,9 @@ fn four_experiment_sweep_generates_the_trace_exactly_once() {
         .map(|&bw| {
             SweepJob::single(
                 w.clone(),
-                Experiment::new(Scale::Test).l1(L1Kind::Stride).bandwidth(bw),
+                Experiment::new(Scale::Test)
+                    .l1(L1Kind::Stride)
+                    .bandwidth(bw),
             )
         })
         .collect();

@@ -295,10 +295,18 @@ fn read_frame_allocates_once_per_frame() {
     read_frame(&mut reader, &mut scratch).expect("first frame");
     let before = ALLOCS.with(Cell::get);
     let frames: Vec<String> = (0..FRAMES)
-        .map(|_| read_frame(&mut reader, &mut scratch).expect("a frame").expect("not EOF"))
+        .map(|_| {
+            read_frame(&mut reader, &mut scratch)
+                .expect("a frame")
+                .expect("not EOF")
+        })
         .collect();
     let allocs = ALLOCS.with(Cell::get) - before;
     // The `Vec` of frames collects into one exact-size allocation.
-    assert_eq!(allocs, FRAMES as u64 + 1, "{FRAMES} frames read with {allocs} allocations");
+    assert_eq!(
+        allocs,
+        FRAMES as u64 + 1,
+        "{FRAMES} frames read with {allocs} allocations"
+    );
     assert!(frames.iter().all(|f| line.starts_with(f.as_str())));
 }
