@@ -4,26 +4,32 @@
 //! JSON-ish slice the simulation service needs: a [`Value`] tree, a
 //! strict single-line parser, an escaping encoder, and a **canonical**
 //! encoding of [`SimReport`] in which every counter appears in a fixed
-//! order (a counter set's is its declaration order in [`tpsim::stats`],
-//! read through its `NAMES`). Canonical means byte-comparable: two
-//! reports are equal iff their encodings are equal, which is how the
-//! integration tests prove that a report served by `tpserve` is
-//! *byte-identical* to the same experiment run directly through the
-//! sweep runner.
+//! order. Canonical means byte-comparable: two reports are equal iff
+//! their encodings are equal, which is how the integration tests prove
+//! that a report served by `tpserve` is *byte-identical* to the same
+//! experiment run directly through the sweep runner.
+//!
+//! A counter set (`l1d`, `l2` and `temporal` of each core, `llc`,
+//! `dram`) travels as a positional array of its `values()`: the names
+//! are the set's `NAMES` in [`tpsim::stats`], in declaration order, so
+//! the wire does not repeat them. A report's own fields and the reply
+//! envelope stay named objects.
 //!
 //! Numbers are kept as their literal text (`Value::Num(Numeral)`) rather
 //! than eagerly converted to `f64`, so 64-bit counters round-trip
 //! exactly — no 2^53 precision cliff. The parser needs no numeral's
 //! value, only that it is one: it checks the literal against the
 //! grammar `f64::from_str` accepts and computes nothing. A [`Numeral`]
-//! holds every `u64` in place, so parsing a one-core `done` reply
-//! allocates 83 times (keys, strings, containers), not 138.
+//! holds every `u64` in place, and every array and object moves out of
+//! a per-thread stack at its exact length, so parsing a one-core `done`
+//! reply allocates once per key, string and container: 36 times.
 //!
 //! The encoder's output is a fixed point — `parse(e).encode() == e` —
 //! which is the test `tpserve` applies to bytes it did not encode
 //! before splicing them, unparsed, into a reply. One parser serves
 //! every reader; its test module keeps the one it replaced as reference.
 
+use std::cell::RefCell;
 use std::fmt::{self, Write as _};
 use tpsim::{CacheStats, CoreReport, DramStats, SimReport, TemporalStats};
 
@@ -161,7 +167,9 @@ impl Value {
         out
     }
 
-    fn encode_into(&self, out: &mut String) {
+    /// Appends what [`Value::encode`] returns to `out`; it allocates
+    /// only if `out` must grow.
+    pub fn encode_into(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
@@ -220,18 +228,44 @@ pub fn escape_into(s: &str, out: &mut String) {
 /// # Errors
 /// Returns a human-readable description of the first syntax error.
 pub fn parse(s: &str) -> Result<Value, String> {
-    let mut pos = 0usize;
-    let v = parse_value(s, &mut pos, 0)?;
-    skip_ws(s.as_bytes(), &mut pos);
-    if pos != s.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(v)
+    STACKS.with_borrow_mut(|stacks| {
+        let mut pos = 0usize;
+        let v = parse_value(s, &mut pos, 0, stacks);
+        // An error leaves the members of the containers it cut short.
+        stacks.items.clear();
+        stacks.fields.clear();
+        if stacks.items.capacity() > KEEP || stacks.fields.capacity() > KEEP {
+            *stacks = Stacks::default();
+        }
+        let v = v?;
+        skip_ws(s.as_bytes(), &mut pos);
+        if pos != s.len() {
+            return Err(format!("trailing data at byte {pos}"));
+        }
+        Ok(v)
+    })
 }
 
 /// Containers deeper than this are rejected (stack-depth bound for
 /// untrusted input).
 const MAX_DEPTH: usize = 16;
+
+/// The members of the containers being parsed, innermost last. Each
+/// container moves its own out at their exact count when it closes, so
+/// no `Vec` of a parsed tree regrows while it fills.
+#[derive(Default)]
+struct Stacks {
+    items: Vec<Value>,
+    fields: Vec<(String, Value)>,
+}
+
+/// Entries a thread's stacks keep between parses; one wide document
+/// does not pin its high-water mark on the thread.
+const KEEP: usize = 1024;
+
+thread_local! {
+    static STACKS: RefCell<Stacks> = RefCell::default();
+}
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
@@ -264,7 +298,7 @@ fn is_number(lit: &[u8]) -> bool {
     whole + fraction > 0 && exponent.is_none_or(|e| !e.is_empty() && digits(e) == e.len())
 }
 
-fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+fn parse_value(s: &str, pos: &mut usize, depth: usize, st: &mut Stacks) -> Result<Value, String> {
     if depth > MAX_DEPTH {
         return Err("nesting too deep".into());
     }
@@ -274,11 +308,11 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
             *pos += 1;
-            let mut fields = Vec::new();
+            let base = st.fields.len();
             skip_ws(b, pos);
             if b.get(*pos) == Some(&b'}') {
                 *pos += 1;
-                return Ok(Value::Obj(fields));
+                return Ok(Value::Obj(Vec::new()));
             }
             loop {
                 skip_ws(b, pos);
@@ -286,7 +320,7 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
                     Some(b'"') if depth < MAX_DEPTH => parse_string(s, pos)?,
                     // Else (or past the depth bound) fail as a value would.
                     _ => {
-                        parse_value(s, pos, depth + 1)?;
+                        parse_value(s, pos, depth + 1, st)?;
                         return Err(format!("object key at byte {pos} is not a string"));
                     }
                 };
@@ -295,14 +329,14 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let val = parse_value(s, pos, depth + 1)?;
-                fields.push((key, val));
+                let val = parse_value(s, pos, depth + 1, st)?;
+                st.fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
                     Some(b'}') => {
                         *pos += 1;
-                        return Ok(Value::Obj(fields));
+                        return Ok(Value::Obj(st.fields.drain(base..).collect()));
                     }
                     _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
                 }
@@ -310,20 +344,21 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
         }
         Some(b'[') => {
             *pos += 1;
-            let mut items = Vec::new();
+            let base = st.items.len();
             skip_ws(b, pos);
             if b.get(*pos) == Some(&b']') {
                 *pos += 1;
-                return Ok(Value::Arr(items));
+                return Ok(Value::Arr(Vec::new()));
             }
             loop {
-                items.push(parse_value(s, pos, depth + 1)?);
+                let item = parse_value(s, pos, depth + 1, st)?;
+                st.items.push(item);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
                     Some(b']') => {
                         *pos += 1;
-                        return Ok(Value::Arr(items));
+                        return Ok(Value::Arr(st.items.drain(base..).collect()));
                     }
                     _ => return Err(format!("expected ',' or ']' at byte {pos}")),
                 }
@@ -412,22 +447,32 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
 // Canonical SimReport encoding
 // ---------------------------------------------------------------------
 
-/// One counter set as an object, its keys in declaration order.
-fn counters_value(names: &[&str], values: impl IntoIterator<Item = u64>) -> Value {
-    Value::Obj(
-        names
-            .iter()
-            .zip(values)
-            .map(|(&k, n)| (k.into(), Value::u64(n)))
-            .collect(),
-    )
+/// One counter set as an array of its `values()`, in `NAMES` order.
+fn counters_value<const N: usize>(values: [u64; N]) -> Value {
+    Value::Arr(values.map(Value::u64).into())
 }
 
-/// Counter `name` of the `set` (cache, temporal, dram) object `v`.
-fn counter(v: &Value, set: &str, name: &str) -> Result<u64, String> {
-    v.get(name)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing {set} counter {name:?}"))
+/// Reads the counter set `set` from the array `v` by position: the
+/// `try_from_names` argument that hands out `v`'s entries in the order
+/// it asks for them, once `v` is known to hold no more than `len`.
+fn counters_from<'a>(
+    v: &'a Value,
+    set: &'a str,
+    len: usize,
+) -> Result<impl FnMut(&str) -> Result<u64, String> + 'a, String> {
+    let items = v
+        .as_arr()
+        .ok_or_else(|| format!("{set} counters are not an array"))?;
+    if items.len() > len {
+        return Err(format!("{set} has {} counters, not {len}", items.len()));
+    }
+    let mut items = items.iter();
+    Ok(move |name: &str| match items.next() {
+        Some(item) => item
+            .as_u64()
+            .ok_or_else(|| format!("{set} counter {name:?} is not a u64")),
+        None => Err(format!("missing {set} counter {name:?}")),
+    })
 }
 
 fn origin_value(a: &[u64; 3]) -> Value {
@@ -460,18 +505,9 @@ pub fn encode_sim_report(r: &SimReport) -> String {
                 ("workload".into(), Value::Str(c.workload.clone())),
                 ("instructions".into(), Value::u64(c.instructions)),
                 ("cycles".into(), Value::u64(c.cycles)),
-                (
-                    "l1d".into(),
-                    counters_value(CacheStats::NAMES, c.l1d.values()),
-                ),
-                (
-                    "l2".into(),
-                    counters_value(CacheStats::NAMES, c.l2.values()),
-                ),
-                (
-                    "temporal".into(),
-                    counters_value(TemporalStats::NAMES, c.temporal.values()),
-                ),
+                ("l1d".into(), counters_value(c.l1d.values())),
+                ("l2".into(), counters_value(c.l2.values())),
+                ("temporal".into(), counters_value(c.temporal.values())),
                 ("l1_prefetches".into(), Value::u64(c.l1_prefetches)),
                 ("l2_prefetches".into(), Value::u64(c.l2_prefetches)),
                 (
@@ -499,14 +535,8 @@ pub fn encode_sim_report(r: &SimReport) -> String {
         .collect();
     Value::Obj(vec![
         ("cores".into(), Value::Arr(cores)),
-        (
-            "llc".into(),
-            counters_value(CacheStats::NAMES, r.llc.values()),
-        ),
-        (
-            "dram".into(),
-            counters_value(DramStats::NAMES, r.dram.values()),
-        ),
+        ("llc".into(), counters_value(r.llc.values())),
+        ("dram".into(), counters_value(r.dram.values())),
         ("audit_passed".into(), Value::Bool(r.audit.passed())),
     ])
     .encode()
@@ -529,7 +559,8 @@ pub fn decode_sim_report(s: &str) -> Result<SimReport, String> {
 ///
 /// # Errors
 /// Returns a description of the first missing or malformed field.
-fn sim_report_from_value(v: &Value) -> Result<SimReport, String> {
+pub fn sim_report_from_value(v: &Value) -> Result<SimReport, String> {
+    const CACHE: usize = CacheStats::NAMES.len();
     let cores_v = v
         .get("cores")
         .and_then(Value::as_arr)
@@ -551,9 +582,13 @@ fn sim_report_from_value(v: &Value) -> Result<SimReport, String> {
                 .to_string(),
             instructions: f("instructions")?,
             cycles: f("cycles")?,
-            l1d: CacheStats::try_from_names(|k| counter(l1d, "cache", k))?,
-            l2: CacheStats::try_from_names(|k| counter(l2, "cache", k))?,
-            temporal: TemporalStats::try_from_names(|k| counter(temporal, "temporal", k))?,
+            l1d: CacheStats::try_from_names(counters_from(l1d, "l1d", CACHE)?)?,
+            l2: CacheStats::try_from_names(counters_from(l2, "l2", CACHE)?)?,
+            temporal: TemporalStats::try_from_names(counters_from(
+                temporal,
+                "temporal",
+                TemporalStats::NAMES.len(),
+            )?)?,
             l1_prefetches: f("l1_prefetches")?,
             l2_prefetches: f("l2_prefetches")?,
             temporal_pf_issued: f("temporal_pf_issued")?,
@@ -579,8 +614,8 @@ fn sim_report_from_value(v: &Value) -> Result<SimReport, String> {
     let dram_v = v.get("dram").ok_or("missing dram")?;
     Ok(SimReport {
         cores,
-        llc: CacheStats::try_from_names(|k| counter(llc_v, "cache", k))?,
-        dram: DramStats::try_from_names(|k| counter(dram_v, "dram", k))?,
+        llc: CacheStats::try_from_names(counters_from(llc_v, "llc", CACHE)?)?,
+        dram: DramStats::try_from_names(counters_from(dram_v, "dram", DramStats::NAMES.len())?)?,
         audit: Default::default(),
     })
 }
@@ -964,39 +999,110 @@ mod tests {
             };
             &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
         }
+        /// The counter array `set` of the tree `v`.
+        fn counters<'a>(v: &'a mut Value, set: &str) -> &'a mut Vec<Value> {
+            let arr = if matches!(set, "llc" | "dram") {
+                member(v, set)
+            } else {
+                let Value::Arr(cores) = member(v, "cores") else {
+                    panic!("cores")
+                };
+                member(&mut cores[0], set)
+            };
+            let Value::Arr(items) = arr else {
+                panic!("{set} is not an array")
+            };
+            items
+        }
         let mut r = SimReport::default();
         r.cores.push(CoreReport::default());
         let full = parse(&encode_sim_report(&r)).unwrap();
         assert!(sim_report_from_value(&full).is_ok());
-        let sets: [(&str, &str, &[&str]); 5] = [
-            ("l1d", "cache", CacheStats::NAMES),
-            ("l2", "cache", CacheStats::NAMES),
-            ("temporal", "temporal", TemporalStats::NAMES),
-            ("llc", "cache", CacheStats::NAMES),
-            ("dram", "dram", DramStats::NAMES),
+        let sets: [(&str, &[&str]); 5] = [
+            ("l1d", CacheStats::NAMES),
+            ("l2", CacheStats::NAMES),
+            ("temporal", TemporalStats::NAMES),
+            ("llc", CacheStats::NAMES),
+            ("dram", DramStats::NAMES),
         ];
-        for (path, set, names) in sets {
-            for name in names {
+        for (set, names) in sets {
+            assert_eq!(counters(&mut full.clone(), set).len(), names.len(), "{set}");
+            // Cut short before each counter: the first absent one is named.
+            for (kept, name) in names.iter().enumerate() {
                 let mut v = full.clone();
-                let obj = if matches!(path, "llc" | "dram") {
-                    member(&mut v, path)
-                } else {
-                    let Value::Arr(cores) = member(&mut v, "cores") else {
-                        panic!("cores")
-                    };
-                    member(&mut cores[0], path)
-                };
-                let Value::Obj(fields) = obj else {
-                    panic!("{path} is not an object")
-                };
-                fields.retain(|(k, _)| k != name);
+                counters(&mut v, set).truncate(kept);
                 assert_eq!(
                     sim_report_from_value(&v).unwrap_err(),
                     format!("missing {set} counter {name:?}"),
-                    "{path}.{name}"
+                    "{set} cut to {kept}"
                 );
             }
+            let mut v = full.clone();
+            counters(&mut v, set).push(Value::u64(0));
+            let err = sim_report_from_value(&v).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{set} has")),
+                "{set} too long: {err}"
+            );
+            let mut v = full.clone();
+            counters(&mut v, set)[0] = Value::Str("0".into());
+            let err = sim_report_from_value(&v).unwrap_err();
+            assert_eq!(err, format!("{set} counter {:?} is not a u64", names[0]));
         }
+    }
+
+    /// A report of `cores` cores whose every counter is drawn from 0,
+    /// `u64::MAX` and random values, and whose workload names need
+    /// escaping. Its audit is the default one the decoder gives.
+    fn random_report(g: &mut tpcheck::Gen, cores: usize) -> SimReport {
+        fn n(g: &mut tpcheck::Gen) -> u64 {
+            let shifted = g.next_u64() >> g.usize_in(0..64);
+            [0, u64::MAX, g.next_u64(), shifted][g.usize_in(0..4)]
+        }
+        const NAMES: [&str; 4] = ["spec06.mcf", "gap \"bfs\"", "tab\there", "é\u{1}"];
+        SimReport {
+            cores: (0..cores)
+                .map(|_| CoreReport {
+                    workload: NAMES[g.usize_in(0..NAMES.len())].into(),
+                    instructions: n(g),
+                    cycles: n(g),
+                    l1d: CacheStats::try_from_names(|_| Ok::<_, ()>(n(g))).unwrap(),
+                    l2: CacheStats::try_from_names(|_| Ok::<_, ()>(n(g))).unwrap(),
+                    temporal: TemporalStats::try_from_names(|_| Ok::<_, ()>(n(g))).unwrap(),
+                    l1_prefetches: n(g),
+                    l2_prefetches: n(g),
+                    temporal_pf_issued: n(g),
+                    temporal_pf_dropped: n(g),
+                    l2_fills_by_origin: [n(g), n(g), n(g)],
+                    l2_useful_by_origin: [n(g), n(g), n(g)],
+                    l2_useless_by_origin: [n(g), n(g), n(g)],
+                })
+                .collect(),
+            llc: CacheStats::try_from_names(|_| Ok::<_, ()>(n(g))).unwrap(),
+            dram: DramStats::try_from_names(|_| Ok::<_, ()>(n(g))).unwrap(),
+            audit: Default::default(),
+        }
+    }
+
+    #[test]
+    fn decode_inverts_encode_and_the_encoding_is_a_fixed_point() {
+        tpcheck::check("decode(encode(r)) == r, parse(e).encode() == e", 256, |g| {
+            let cores = [1, 2, 4][g.usize_in(0..3)];
+            let r = random_report(g, cores);
+            let text = encode_sim_report(&r);
+            let back = decode_sim_report(&text).map_err(|e| format!("{text}: {e}"))?;
+            tpcheck::ensure!(
+                format!("{back:?}") == format!("{r:?}"),
+                "{cores} cores: {back:?} != {r:?}"
+            );
+            let tree = parse(&text).map_err(|e| format!("{text}: {e}"))?;
+            tpcheck::ensure!(tree.encode() == text, "{text} is no fixed point");
+            tpcheck::ensure!(
+                encode_sim_report(&back) == text,
+                "{text} re-encodes differently"
+            );
+            Ok(())
+        });
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::conn::Conn;
 use crate::protocol::read_frame;
+use std::fmt::Write as _;
 use std::io::{self, BufReader, Write};
 use tpharness::wire::{self, Value};
 
@@ -17,6 +18,16 @@ pub struct Client {
     reader: BufReader<Conn>,
     writer: Conn,
     scratch: Vec<u8>,
+    /// The lines of the next write, kept between writes so a request
+    /// is encoded without allocating once it has its size.
+    out: String,
+}
+
+/// Appends `payload`'s `SUBMIT` line.
+fn submit_line(out: &mut String, payload: &Value) {
+    out.push_str("SUBMIT ");
+    payload.encode_into(out);
+    out.push('\n');
 }
 
 fn data_err(msg: impl Into<String>) -> io::Error {
@@ -35,7 +46,25 @@ impl Client {
             reader: BufReader::new(conn),
             writer,
             scratch: Vec::new(),
+            out: String::new(),
         })
+    }
+
+    /// Writes what `lines` appends to the kept buffer, in one write:
+    /// a line and its newline in separate segments is what Nagle and
+    /// delayed ACKs turn into 40 ms.
+    fn send(&mut self, lines: impl FnOnce(&mut String)) -> io::Result<()> {
+        self.out.clear();
+        lines(&mut self.out);
+        self.writer.write_all(self.out.as_bytes())?;
+        self.writer.flush()
+    }
+
+    /// Sends the one protocol line `line` appends and reads the
+    /// one-line response.
+    fn exchange(&mut self, line: impl FnOnce(&mut String)) -> io::Result<Value> {
+        self.send(line)?;
+        self.read_response()
     }
 
     /// Sends one protocol line and reads the one-line response.
@@ -43,11 +72,10 @@ impl Client {
     /// # Errors
     /// I/O errors, unexpected EOF, or an unparseable response.
     pub fn request(&mut self, line: &str) -> io::Result<Value> {
-        // One write per frame: a line and its newline in separate
-        // segments is what Nagle and delayed ACKs turn into 40 ms.
-        self.writer.write_all(format!("{line}\n").as_bytes())?;
-        self.writer.flush()?;
-        self.read_response()
+        self.exchange(|out| {
+            out.push_str(line);
+            out.push('\n');
+        })
     }
 
     /// `PING`.
@@ -81,7 +109,7 @@ impl Client {
     /// # Errors
     /// See [`Client::request`].
     pub fn submit(&mut self, payload: &Value) -> io::Result<Value> {
-        self.request(&format!("SUBMIT {}", payload.encode()))
+        self.exchange(|out| submit_line(out, payload))
     }
 
     /// Writes one `SUBMIT` line per payload as a single batch without
@@ -92,14 +120,7 @@ impl Client {
     /// # Errors
     /// I/O errors.
     pub fn submit_batch(&mut self, payloads: &[Value]) -> io::Result<()> {
-        let mut batch = String::new();
-        for p in payloads {
-            batch.push_str("SUBMIT ");
-            batch.push_str(&p.encode());
-            batch.push('\n');
-        }
-        self.writer.write_all(batch.as_bytes())?;
-        self.writer.flush()
+        self.send(|out| payloads.iter().for_each(|p| submit_line(out, p)))
     }
 
     /// Reads the next response frame — the read half of pipelining.
@@ -166,7 +187,9 @@ impl Client {
     /// # Errors
     /// See [`Client::request`].
     pub fn poll(&mut self, ticket: u64) -> io::Result<Value> {
-        self.request(&format!("POLL {ticket}"))
+        self.exchange(|out| {
+            let _ = writeln!(out, "POLL {ticket}");
+        })
     }
 
     /// `WAIT` one ticket: blocks until it reaches a terminal state
@@ -176,7 +199,9 @@ impl Client {
     /// # Errors
     /// See [`Client::request`].
     pub fn wait(&mut self, ticket: u64) -> io::Result<Value> {
-        self.request(&format!("WAIT {ticket}"))
+        self.exchange(|out| {
+            let _ = writeln!(out, "WAIT {ticket}");
+        })
     }
 
     /// Submits and, if the request was queued, waits for its terminal

@@ -9,7 +9,8 @@
 //!
 //! * **Reroute** — connect refused, mid-flight disconnect, a `rejected`
 //!   submit (backend draining or queue-full), an unparseable or
-//!   incomplete response, or a `WAIT` answered with anything but a
+//!   incomplete response (a `done` whose `report` does not decode as a
+//!   report is one), or a `WAIT` answered with anything but a
 //!   verdict — the unknown-ticket `error` of a restarted backend, or a
 //!   `queued`/`running` from one that does not hold the reply back. The
 //!   job returns to `routing` and tries the next
@@ -298,16 +299,17 @@ impl Link {
             // The report goes into the cache under the job's canonical
             // key as the encoding of its parsed tree: the backend's
             // literals, in the only spelling the cache holds. A `done`
-            // with no report is a protocol bug: reroute.
+            // with no report, or one that does not decode as a report,
+            // is a protocol bug: reroute.
             ("done", _) => match field("report") {
-                Some(report) => {
+                Some(report) if wire::sim_report_from_value(report).is_ok() => {
                     core.publish(&job.spec.canonical, &report.encode());
                     bump(&core.counters.served);
                     bump(&self.stats.completed);
                     let cached = field("cached").and_then(Value::as_bool).unwrap_or(false);
                     JobState::Done { cached }
                 }
-                None => JobState::Routing,
+                _ => JobState::Routing,
             },
             // Accepted: ask, once, to be told when it is over.
             ("queued", false) => match field("ticket").and_then(Value::as_u64) {

@@ -315,10 +315,10 @@ fn done_response(ticket: Option<u64>, canonical: &str, cached: bool, report: &st
 }
 
 /// The check on the one source of bytes this process did not encode,
-/// the store: a body is a report only if it is exactly what the encoder
-/// gives its own parse.
-fn is_canonical(body: &str) -> bool {
-    wire::parse(body).is_ok_and(|v| v.encode() == body)
+/// the store: a body is a report only if its parse decodes as one and
+/// is exactly what the encoder gives that parse.
+fn is_canonical_report(body: &str) -> bool {
+    wire::parse(body).is_ok_and(|v| wire::sim_report_from_value(&v).is_ok() && v.encode() == body)
 }
 
 /// What a panic said, when it said it with a string.
@@ -383,7 +383,7 @@ impl Core {
             return mem;
         }
         let store = self.store.as_ref()?;
-        let report: Arc<str> = store.get_checked(canonical, is_canonical)?.into();
+        let report: Arc<str> = store.get_checked(canonical, is_canonical_report)?.into();
         bump(&self.counters.store_hits);
         self.cache()
             .insert(canonical.to_string(), Arc::clone(&report));
@@ -1018,7 +1018,37 @@ pub(crate) mod tests {
     #[test]
     fn a_damaged_store_body_is_a_miss_that_rewrites_the_entry() {
         type Damage = fn(&str) -> String;
-        let damages: [(&str, Damage); 4] = [
+        /// `body` with every counter set spelled as an object of its
+        /// names: how a store written before counter sets became
+        /// positional holds its entries.
+        fn named_counters(body: &str) -> String {
+            use tpsim::{CacheStats, DramStats, TemporalStats};
+            fn member<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+                let Value::Obj(fields) = v else {
+                    panic!("{key}: parent is not an object")
+                };
+                &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+            }
+            fn name(set: &mut Value, names: &[&str]) {
+                let Value::Arr(values) = std::mem::replace(set, Value::Null) else {
+                    panic!("a counter set is not an array")
+                };
+                *set = Value::Obj(names.iter().map(|n| n.to_string()).zip(values).collect());
+            }
+            let mut v = parse(body).expect("a stored body parses");
+            let Value::Arr(cores) = member(&mut v, "cores") else {
+                panic!("cores")
+            };
+            for core in cores {
+                name(member(core, "l1d"), CacheStats::NAMES);
+                name(member(core, "l2"), CacheStats::NAMES);
+                name(member(core, "temporal"), TemporalStats::NAMES);
+            }
+            name(member(&mut v, "llc"), CacheStats::NAMES);
+            name(member(&mut v, "dram"), DramStats::NAMES);
+            v.encode()
+        }
+        let damages: [(&str, Damage); 6] = [
             ("a flipped byte inside a counter", |body| {
                 let field = r#""cycles":"#;
                 let mut bytes = body.as_bytes().to_vec();
@@ -1032,6 +1062,13 @@ pub(crate) mod tests {
             ("valid JSON with extra whitespace", |body| {
                 body.replacen(':', ": ", 1)
             }),
+            ("a counter removed, still canonical JSON", |body| {
+                let set = r#""l1d":["#;
+                let first = body.find(set).expect("an l1d array") + set.len();
+                let comma = first + body[first..].find(',').expect("a second counter");
+                format!("{}{}", &body[..first], &body[comma + 1..])
+            }),
+            ("counter sets spelled as named objects", named_counters),
         ];
         let dir = std::env::temp_dir().join(format!("tpserve-damage-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -96,19 +96,30 @@ $TPC submit "$REQ" | grep -q '"cached":true'
 $TPC stats | grep -q '"simulations":0'
 $TPC shutdown | grep -q '"status":"ok"'
 wait "$SERVER_PID"
-# A damaged entry under a stopped server: overwrite the first digit of a
-# counter in the one stored body. The next start must treat it as a load
-# error and a miss — simulate again — never serve it.
+# A damaged entry under a stopped server: the next start must treat it
+# as a load error and a miss — simulate again, which rewrites the entry
+# — never serve it.
+restart_on_damage() {
+  start_server
+  $TPC submit "$REQ" | grep -q '"cached":false' || { echo "a store entry with $1 was served"; exit 1; }
+  STATS=$($TPC stats)
+  echo "$STATS" | grep -q '"load_errors":1' || { echo "$1: expected one load error: $STATS"; exit 1; }
+  echo "$STATS" | grep -q '"simulations":1' || { echo "$1: expected one simulation: $STATS"; exit 1; }
+  $TPC shutdown | grep -q '"status":"ok"'
+  wait "$SERVER_PID"
+}
+# First: overwrite the first digit of the cycle count in the one body.
 RSP=$(ls "$STORE"/*.rsp)
 CYCLES=$(grep -bo '"cycles":' "$RSP" | head -n 1 | cut -d: -f1)
 printf 'x' | dd of="$RSP" bs=1 seek=$((CYCLES + 9)) conv=notrunc 2>/dev/null
-start_server
-$TPC submit "$REQ" | grep -q '"cached":false' || { echo "a damaged store entry was served"; exit 1; }
-STATS=$($TPC stats)
-echo "$STATS" | grep -q '"load_errors":1'
-echo "$STATS" | grep -q '"simulations":1'
-$TPC shutdown | grep -q '"status":"ok"'
-wait "$SERVER_PID"
+restart_on_damage "an overwritten digit"
+# Then: delete the first value of the l1d counter array, which leaves
+# canonical JSON that does not decode as a report.
+RSP=$(ls "$STORE"/*.rsp)
+WHOLE=$(cksum < "$RSP")
+sed -i 's/"l1d":\[[0-9]*,/"l1d":[/' "$RSP"
+[ "$(cksum < "$RSP")" != "$WHOLE" ] || { echo "no l1d counter array in $RSP"; exit 1; }
+restart_on_damage "a counter deleted"
 trap - EXIT
 rm -rf "$STORE"
 [ ! -e "$SOCK" ] || { echo "tpserve left its socket behind"; exit 1; }

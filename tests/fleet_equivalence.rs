@@ -593,6 +593,35 @@ fn a_wait_answered_without_a_verdict_reroutes_the_job() {
 }
 
 #[test]
+fn a_done_whose_report_does_not_decode_reroutes_the_job() {
+    // Canonical JSON, but not a report: the placement is void, the
+    // bytes never reach the cache, and the job runs locally.
+    let (addr, stub) = stub_backend(|ticket, _| {
+        format!(
+            r#"{{"status":"done","ticket":{ticket},"key":"0","cached":false,"report":{{"cores":[]}}}}"#
+        )
+    });
+    let fleet = start_coordinator(&[addr]);
+    let mut c = Client::connect(&fleet.addr).expect("connect coordinator");
+    for _ in 0..2 {
+        let resp = c.submit_and_wait(&seeded_payload(27)).unwrap();
+        assert_eq!(status(&resp), "done", "{}", resp.encode());
+        assert_eq!(
+            resp.get("report").unwrap().encode(),
+            seeded_local_report(27)
+        );
+    }
+    assert_eq!(fleet.controller.rerouted(), 1);
+    assert_eq!(fleet.controller.local_jobs(), 1);
+
+    assert_eq!(status(&c.shutdown().unwrap()), "ok");
+    drop(c);
+    fleet.handle.join().unwrap();
+    let lines = stub.join().unwrap();
+    assert_eq!(verbs(&lines), (1, 1, 2), "{lines:#?}");
+}
+
+#[test]
 fn a_backend_verdict_of_a_panicked_job_reaches_the_client_and_the_link_lives_on() {
     // Ticket 1 panicked on its backend worker; ticket 2 ran. The
     // coordinator relays the first verdict as it is — no reroute, no

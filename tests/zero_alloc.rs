@@ -263,19 +263,38 @@ fn done_reply() -> String {
 #[test]
 fn a_done_reply_parses_with_one_allocation_per_owned_part() {
     let line = done_reply();
+    // The first parse on a thread sizes the stacks it keeps.
+    wire::parse(&line).expect("a done reply parses");
     let before = ALLOCS.with(Cell::get);
     let tree = wire::parse(&line).expect("a done reply parses");
     let allocs = ALLOCS.with(Cell::get) - before;
     let (mut owned, mut containers) = (0, 0);
     count_parts(&tree, &mut owned, &mut containers);
-    // `Vec`s regrow as they fill (a 13-field object allocates three
-    // times): two allocations per container, on average.
-    let gate = owned + 2 * containers;
+    // Every container moves out of the kept stacks at its exact length.
+    let gate = owned + containers;
     assert!(
         allocs <= gate,
         "parsing a done reply made {allocs} allocations; its {owned} keys and strings and \
          {containers} containers allow {gate}"
     );
+}
+
+#[test]
+fn encoding_into_a_buffer_with_room_allocates_nothing() {
+    let payload = wire::parse(
+        r#"{"workload":"spec06.mcf","scale":"test","l1":"stride","temporal":"streamline","seed":7}"#,
+    )
+    .expect("a payload parses");
+    let reply = wire::parse(&done_reply()).expect("a done reply parses");
+    for v in [payload, reply] {
+        let mut out = String::with_capacity(4096);
+        let before = ALLOCS.with(Cell::get);
+        v.encode_into(&mut out);
+        v.encode_into(&mut out);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(allocs, 0, "encoding {} allocated", v.encode());
+        assert_eq!(out, v.encode().repeat(2));
+    }
 }
 
 #[test]
