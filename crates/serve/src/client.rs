@@ -124,6 +124,9 @@ impl Client {
     }
 
     /// Reads the next response frame — the read half of pipelining.
+    /// Every reply is read by [`wire::parse_reply`]: a `done` reply's
+    /// `report` is the [`Value::Encoded`] text it arrived in, checked
+    /// but not built, so its `encode()` is the served bytes.
     ///
     /// # Errors
     /// I/O errors, unexpected EOF, or an unparseable response.
@@ -133,9 +136,8 @@ impl Client {
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             )),
-            Some(resp) => {
-                wire::parse(&resp).map_err(|e| data_err(format!("bad response: {e}: {resp:.120}")))
-            }
+            Some(resp) => wire::parse_reply(resp)
+                .map_err(|e| data_err(format!("bad response: {e}: {resp:.120}"))),
         }
     }
 

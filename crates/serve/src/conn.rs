@@ -180,9 +180,9 @@ pub(crate) fn serve(core: &Core, conn: Conn) {
     let mut replies = String::new();
     loop {
         match read_frame(&mut input, &mut scratch) {
-            Ok(Some(line)) if line.is_empty() => {}
+            Ok(Some("")) => {}
             Ok(Some(line)) => {
-                replies.push_str(&core.dispatch(&line));
+                replies.push_str(&core.dispatch(line));
                 replies.push('\n');
             }
             Ok(None) => break,
@@ -224,7 +224,9 @@ mod tests {
     }
 
     fn next(input: &mut BufReader<Conn>, scratch: &mut Vec<u8>) -> Option<String> {
-        read_frame(input, scratch).expect("a frame or EOF")
+        read_frame(input, scratch)
+            .expect("a frame or EOF")
+            .map(str::to_owned)
     }
 
     #[test]
@@ -348,7 +350,7 @@ mod tests {
             let mut got = Vec::new();
             loop {
                 match read_frame(&mut input, &mut scratch) {
-                    Ok(Some(line)) => got.push(Some(line)),
+                    Ok(Some(line)) => got.push(Some(line.to_owned())),
                     Ok(None) => break,
                     Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                         got.push(None);

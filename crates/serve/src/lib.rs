@@ -65,7 +65,7 @@
 //!
 //! ```
 //! use tpserve::{Client, Server, ServerConfig};
-//! use tpharness::wire::parse;
+//! use tpharness::wire::{decode_sim_report, parse, Value};
 //!
 //! let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
 //! let addr = server.addr().to_string();
@@ -75,7 +75,10 @@
 //! let req = parse(r#"{"workload":"gap.bfs","scale":"test","temporal":"streamline"}"#).unwrap();
 //! let resp = c.submit_and_wait(&req).unwrap();
 //! assert_eq!(resp.get("status").unwrap().as_str(), Some("done"));
-//! assert!(resp.get("report").is_some());
+//! // The report is kept as the text it arrived in, checked but not
+//! // built: `encode` gives the served bytes, and it decodes on demand.
+//! let Some(Value::Encoded(report)) = resp.get("report") else { panic!("no report") };
+//! assert_eq!(decode_sim_report(report).unwrap().cores.len(), 1);
 //!
 //! c.shutdown().unwrap();
 //! drop(c); // disconnect so the server's handler thread exits promptly

@@ -321,20 +321,30 @@ impl Request {
 /// buffered whole). Partial data survives in `scratch` across timeout
 /// errors (`WouldBlock`/`TimedOut`), so callers with read timeouts can
 /// retry without losing bytes. `Ok(None)` means clean EOF; EOF after a
-/// partial line delivers that partial as a final frame. `scratch` keeps
-/// its capacity: a frame costs one exact-size `String`.
+/// partial line delivers that partial as a final frame. The frame is
+/// lent from `scratch` until the next call, which reuses its capacity:
+/// a frame costs no allocation once `scratch` has held a longer one.
 ///
 /// # Errors
 /// I/O errors from the underlying reader, `InvalidData` for oversized
 /// lines or non-UTF-8 content.
-pub fn read_frame<R: BufRead>(r: &mut R, scratch: &mut Vec<u8>) -> io::Result<Option<String>> {
+pub fn read_frame<'s, R: BufRead>(
+    r: &mut R,
+    scratch: &'s mut Vec<u8>,
+) -> io::Result<Option<&'s str>> {
+    // A lent frame ends in the newline `lend` leaves; a partial line
+    // kept across a timeout has none.
+    if scratch.last() == Some(&b'\n') {
+        scratch.clear();
+    }
     loop {
         let available = r.fill_buf()?;
         if available.is_empty() {
             if scratch.is_empty() {
                 return Ok(None);
             }
-            return take_frame(scratch).map(Some);
+            let len = scratch.len();
+            return lend(scratch, len).map(Some);
         }
         let newline = available.iter().position(|&b| b == b'\n');
         let take = newline.unwrap_or(available.len());
@@ -350,21 +360,19 @@ pub fn read_frame<R: BufRead>(r: &mut R, scratch: &mut Vec<u8>) -> io::Result<Op
         match newline {
             Some(i) => {
                 r.consume(i + 1);
-                if scratch.last() == Some(&b'\r') {
-                    scratch.pop();
-                }
-                return take_frame(scratch).map(Some);
+                let len = scratch.len() - usize::from(scratch.last() == Some(&b'\r'));
+                return lend(scratch, len).map(Some);
             }
             None => r.consume(take),
         }
     }
 }
 
-/// A copy of the frame in `scratch`, which is left empty.
-fn take_frame(scratch: &mut Vec<u8>) -> io::Result<String> {
-    let frame = std::str::from_utf8(scratch).map(str::to_owned);
-    scratch.clear();
-    frame.map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
+/// The frame in `scratch[..len]`, after marking `scratch` as lent.
+fn lend(scratch: &mut Vec<u8>, len: usize) -> io::Result<&str> {
+    scratch.push(b'\n');
+    std::str::from_utf8(&scratch[..len])
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
 }
 
 #[cfg(test)]
@@ -556,9 +564,9 @@ mod tests {
                 let mut r = BufReader::with_capacity(g.usize_in(1..64), &stream[..]);
                 for (i, l) in lines.iter().enumerate() {
                     let frame = read_frame(&mut r, &mut scratch).map_err(|e| e.to_string())?;
-                    let (got, want) = (frame.as_ref().map(String::len), l.len());
+                    let (got, want) = (frame.map(str::len), l.len());
                     tpcheck::ensure!(
-                        frame.as_ref() == Some(l),
+                        frame == Some(l.as_str()),
                         "frame {i}: {got:?} B, not {want}"
                     );
                 }
@@ -592,14 +600,16 @@ mod tests {
         // Clean EOF, CRLF tolerance, EOF-terminated final frame.
         let mut scratch = Vec::new();
         let mut r = BufReader::new(&b"a\r\nb"[..]);
-        assert_eq!(
-            read_frame(&mut r, &mut scratch).unwrap().as_deref(),
-            Some("a")
-        );
-        assert_eq!(
-            read_frame(&mut r, &mut scratch).unwrap().as_deref(),
-            Some("b")
-        );
+        assert_eq!(read_frame(&mut r, &mut scratch).unwrap(), Some("a"));
+        assert_eq!(read_frame(&mut r, &mut scratch).unwrap(), Some("b"));
+        assert_eq!(read_frame(&mut r, &mut scratch).unwrap(), None);
+
+        // A non-UTF-8 frame is an error that costs no later frame; a CR
+        // is dropped only before a newline.
+        let mut r = BufReader::new(&b"\xff\nc\r"[..]);
+        let err = read_frame(&mut r, &mut scratch).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(read_frame(&mut r, &mut scratch).unwrap(), Some("c\r"));
         assert_eq!(read_frame(&mut r, &mut scratch).unwrap(), None);
     }
 }

@@ -314,10 +314,10 @@ fn done_response(ticket: Option<u64>, canonical: &str, cached: bool, report: &st
     line
 }
 
-/// The check on the one source of bytes this process did not encode,
-/// the store: a body is a report only if its parse decodes as one and
-/// is exactly what the encoder gives that parse.
-fn is_canonical_report(body: &str) -> bool {
+/// The check on the bytes this process did not encode, a store body
+/// or a backend's report: they are a report only if their parse
+/// decodes as one and is exactly what the encoder gives that parse.
+pub(crate) fn is_canonical_report(body: &str) -> bool {
     wire::parse(body).is_ok_and(|v| wire::sim_report_from_value(&v).is_ok() && v.encode() == body)
 }
 

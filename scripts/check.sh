@@ -92,7 +92,14 @@ wait "$SERVER_PID"
 # Warm restart over the same store directory: the request served above
 # must come back as a cache hit with zero simulations.
 start_server
-$TPC submit "$REQ" | grep -q '"cached":true'
+HIT=$($TPC submit "$REQ")
+echo "$HIT" | grep -q '"cached":true'
+# The client prints the served report byte for byte: the store entry's
+# body (the .rsp file from its second line on) is in the hit line.
+BODY=$(tail -n +2 "$STORE"/*.rsp)
+[ -n "$BODY" ] && echo "$HIT" | grep -qF -- "$BODY" || {
+  echo "the hit line does not carry the stored report: $HIT"; exit 1;
+}
 $TPC stats | grep -q '"simulations":0'
 $TPC shutdown | grep -q '"status":"ok"'
 wait "$SERVER_PID"

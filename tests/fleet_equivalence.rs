@@ -8,7 +8,7 @@ use std::thread;
 use tpharness::baselines::{L1Kind, TemporalKind};
 use tpharness::experiment::{run_single, Experiment};
 use tpharness::sweep::{SweepJob, SweepRunner};
-use tpharness::wire::{encode_sim_report, parse, Value};
+use tpharness::wire::{decode_sim_report, encode_sim_report, parse, Value};
 use tpserve::protocol::Request;
 use tpserve::{
     Client, CoordController, Coordinator, CoordinatorConfig, HashRing, Server, ServerConfig,
@@ -592,23 +592,24 @@ fn a_wait_answered_without_a_verdict_reroutes_the_job() {
     assert_eq!(verbs(&lines), (1, 1, 2), "{lines:#?}");
 }
 
-#[test]
-fn a_done_whose_report_does_not_decode_reroutes_the_job() {
-    // Canonical JSON, but not a report: the placement is void, the
-    // bytes never reach the cache, and the job runs locally.
-    let (addr, stub) = stub_backend(|ticket, _| {
+/// A stub backend answers job `seed` `done` with `report`, which the
+/// coordinator must not admit: the placement is void, the bytes never
+/// reach the cache, and the job runs locally — once, though it is
+/// asked for twice.
+fn a_done_carrying_reroutes(report: String, seed: u64) {
+    let (addr, stub) = stub_backend(move |ticket, _| {
         format!(
-            r#"{{"status":"done","ticket":{ticket},"key":"0","cached":false,"report":{{"cores":[]}}}}"#
+            r#"{{"status":"done","ticket":{ticket},"key":"0","cached":false,"report":{report}}}"#
         )
     });
     let fleet = start_coordinator(&[addr]);
     let mut c = Client::connect(&fleet.addr).expect("connect coordinator");
     for _ in 0..2 {
-        let resp = c.submit_and_wait(&seeded_payload(27)).unwrap();
+        let resp = c.submit_and_wait(&seeded_payload(seed)).unwrap();
         assert_eq!(status(&resp), "done", "{}", resp.encode());
         assert_eq!(
             resp.get("report").unwrap().encode(),
-            seeded_local_report(27)
+            seeded_local_report(seed)
         );
     }
     assert_eq!(fleet.controller.rerouted(), 1);
@@ -619,6 +620,21 @@ fn a_done_whose_report_does_not_decode_reroutes_the_job() {
     fleet.handle.join().unwrap();
     let lines = stub.join().unwrap();
     assert_eq!(verbs(&lines), (1, 1, 2), "{lines:#?}");
+}
+
+#[test]
+fn a_done_whose_report_does_not_decode_reroutes_the_job() {
+    // Canonical JSON, but not a report.
+    a_done_carrying_reroutes(r#"{"cores":[]}"#.into(), 27);
+}
+
+#[test]
+fn a_done_whose_report_is_not_canonical_reroutes_the_job() {
+    // The right report with one space added: it decodes, but it is not
+    // the encoder's bytes, so it fails the store's admission rule.
+    let spaced = seeded_local_report(28).replacen(',', ", ", 1);
+    assert!(decode_sim_report(&spaced).is_ok());
+    a_done_carrying_reroutes(spaced, 28);
 }
 
 #[test]
