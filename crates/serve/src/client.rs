@@ -10,6 +10,7 @@ use crate::conn::Conn;
 use crate::protocol::read_frame;
 use std::fmt::Write as _;
 use std::io::{self, BufReader, Write};
+use std::time::Duration;
 use tpharness::wire::{self, Value};
 
 /// A blocking protocol client over TCP (`host:port`) or a Unix-domain
@@ -40,7 +41,15 @@ impl Client {
     /// # Errors
     /// Connection errors.
     pub fn connect(addr: &str) -> io::Result<Client> {
-        let conn = Conn::connect(addr)?;
+        Client::over(Conn::connect(addr)?)
+    }
+
+    /// [`Client::connect`], with a TCP connect bounded by `timeout`.
+    pub(crate) fn connect_timeout(addr: &str, timeout: Duration) -> io::Result<Client> {
+        Client::over(Conn::connect_timeout(addr, timeout)?)
+    }
+
+    fn over(conn: Conn) -> io::Result<Client> {
         let writer = conn.try_clone()?;
         Ok(Client {
             reader: BufReader::new(conn),
@@ -48,6 +57,12 @@ impl Client {
             scratch: Vec::new(),
             out: String::new(),
         })
+    }
+
+    /// A second handle onto the connection, whose
+    /// [`shutdown`](Conn::shutdown) ends a call blocked on it.
+    pub(crate) fn handle(&self) -> io::Result<Conn> {
+        self.writer.try_clone()
     }
 
     /// Writes what `lines` appends to the kept buffer, in one write:

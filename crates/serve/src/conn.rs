@@ -1,5 +1,5 @@
 //! A tiny stream abstraction (TCP or Unix-domain) shared by the
-//! server, its backend links, the client and the tests; the listener
+//! server, the client and the tests; the listener
 //! the server accepts through; and [`serve`], the loop one client
 //! connection runs on its own thread.
 
@@ -9,6 +9,7 @@ use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A connected byte stream (TCP or Unix-domain).
@@ -38,8 +39,8 @@ impl Conn {
     }
 
     /// Connects like [`Conn::connect`], but bounds how long a TCP
-    /// connection attempt may block — backend links call this when
-    /// (re)connecting, so a black-holed backend address costs at most
+    /// connection attempt may block — a forwarder calls this for each
+    /// backend it tries, so a black-holed backend address costs at most
     /// `timeout`, not a kernel default. Unix-domain connects either
     /// succeed or fail immediately.
     pub(crate) fn connect_timeout(addr: &str, timeout: Duration) -> io::Result<Conn> {
@@ -171,7 +172,7 @@ const READ_BUFFER: usize = 64 * 1024;
 /// because nothing behind it is read meanwhile — and a peer that never
 /// reads blocks it in `write`, so it stops reading too: that is the
 /// backpressure.
-pub(crate) fn serve(core: &Core, conn: Conn) {
+pub(crate) fn serve(core: &Arc<Core>, conn: Conn) {
     let Ok(mut out) = conn.try_clone() else {
         return;
     };

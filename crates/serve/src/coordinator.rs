@@ -1,11 +1,13 @@
 //! [`Coordinator`]: the same service core as [`Server`], over a
 //! non-empty ring. `tpserve --coordinator --backend=ADDR...` speaks the
 //! *same* client-facing protocol, so every existing client — `tpclient`,
-//! `Client` — works against a coordinator unchanged. Behind the listener each accepted job is
-//! **consistent-hashed by its canonical request encoding** onto one of
-//! N backends ([`crate::ring::HashRing`]) and forwarded — one `SUBMIT`,
-//! one `WAIT` — over persistent links, each with its own reader thread
-//! (`links.rs`); the local worker pool is the fallback of last resort.
+//! `Client` — works against a coordinator unchanged. Behind the
+//! listener each accepted job is **consistent-hashed by its canonical
+//! request encoding** onto one of N backends
+//! ([`crate::ring::HashRing`]) and forwarded the way a client submits
+//! it: one thread and one connection of its own, one `SUBMIT`, one
+//! `WAIT` (`links.rs`); the local worker pool is the fallback of last
+//! resort.
 
 use crate::ring::HashRing;
 use crate::server::{Controller, Server, ServerConfig};
@@ -40,9 +42,6 @@ impl Default for CoordinatorConfig {
 /// A bound, not-yet-running coordinator.
 pub struct Coordinator(Server);
 
-/// Test/observability handle onto a running coordinator.
-pub type CoordController = Controller;
-
 impl Coordinator {
     /// Binds the client-facing listener (`unix:PATH` or TCP
     /// `host:port`) and builds the hash ring over `backends`. No
@@ -70,7 +69,7 @@ impl Coordinator {
     }
 
     /// See [`Server::controller`].
-    pub fn controller(&self) -> CoordController {
+    pub fn controller(&self) -> Controller {
         self.0.controller()
     }
 

@@ -1,21 +1,30 @@
-//! Log-bucket latency histogram for the service's live stats.
+//! Log-linear latency histogram for the service's live stats.
 //!
 //! Service times span five orders of magnitude (a cache hit is
 //! microseconds, a Full-scale mix is seconds), so the stats endpoint
-//! reports quantiles from a fixed 64-bucket power-of-two histogram
-//! rather than a raw sample list: constant memory, O(1) record, and no
-//! allocation on the request path.
+//! reports quantiles from a fixed array of buckets rather than a raw
+//! sample list: constant memory, O(1) record, and no allocation on the
+//! request path.
 
-/// Power-of-two-bucketed histogram over `u64` samples.
+/// Linear sub-buckets per power of two, and its log.
+const SUB: u64 = 8;
+const SUB_BITS: u32 = 3;
+
+/// One bucket per value below [`SUB`], then [`SUB`] per power of two
+/// from `2^3` to `2^63`.
+const BUCKETS: usize = (SUB * (1 + 64 - SUB_BITS as u64)) as usize;
+
+/// Log-linear histogram over `u64` samples.
 ///
-/// Bucket `0` holds the value `0`; bucket `b > 0` holds values in
-/// `[2^(b-1), 2^b - 1]`. Quantile queries return the **upper bound** of
-/// the bucket containing the requested rank, i.e. a conservative
-/// (never-underestimating) latency within a factor of two of the true
-/// quantile.
+/// Values below 8 have a bucket each; every power-of-two range
+/// `[2^e, 2^(e+1))` above is split into 8 equal buckets. Quantile
+/// queries return the **upper bound** of the bucket containing the
+/// requested rank, i.e. a conservative (never-underestimating) value at
+/// most an eighth above the true quantile: a sample `v` reads as a
+/// value in `[v, v + v/8]`.
 #[derive(Clone, Debug)]
 pub struct LogHistogram {
-    buckets: [u64; 64],
+    buckets: [u64; BUCKETS],
     count: u64,
 }
 
@@ -29,25 +38,27 @@ impl LogHistogram {
     /// An empty histogram.
     pub const fn new() -> Self {
         LogHistogram {
-            buckets: [0; 64],
+            buckets: [0; BUCKETS],
             count: 0,
         }
     }
 
     fn bucket(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            (64 - value.leading_zeros() as usize).min(63)
+        if value < SUB {
+            return value as usize;
         }
+        // The width of `value`'s buckets is `2^shift`.
+        let shift = 63 - value.leading_zeros() - SUB_BITS;
+        ((u64::from(shift) + 1) * SUB + (value >> shift) - SUB) as usize
     }
 
     fn upper_bound(bucket: usize) -> u64 {
-        match bucket {
-            0 => 0,
-            63 => u64::MAX,
-            b => (1u64 << b) - 1,
+        let b = bucket as u64;
+        if b < SUB {
+            return b;
         }
+        let shift = b / SUB - 1;
+        ((SUB + b % SUB) << shift) + ((1 << shift) - 1)
     }
 
     /// Records one sample.
@@ -75,7 +86,7 @@ impl LogHistogram {
                 return Self::upper_bound(b);
             }
         }
-        Self::upper_bound(63)
+        u64::MAX
     }
 
     /// Median (see [`LogHistogram::quantile`]).
@@ -118,15 +129,41 @@ mod tests {
         for v in 1..=1000u64 {
             h.record(v);
         }
-        let p50 = h.p50();
-        // True median is 500; bucket upper bound is 511.
-        assert!((500..1000).contains(&p50), "p50 = {p50}");
-        let p99 = h.p99();
-        // True p99 is 990; bucket upper bound is 1023.
-        assert!((990..1980).contains(&p99), "p99 = {p99}");
-        // Never underestimates, at most 2x over.
-        assert!((500..1000).contains(&p50));
-        assert!((990..1980).contains(&p99));
+        // True median is 500, in the bucket [480, 511].
+        assert_eq!(h.p50(), 511);
+        // True p99 is 990, in the bucket [960, 1023].
+        assert_eq!(h.p99(), 1023);
+        // Never under, at most an eighth over.
+        assert!((500..=500 + 500 / 8).contains(&h.p50()));
+        assert!((990..=990 + 990 / 8).contains(&h.p99()));
+    }
+
+    #[test]
+    fn a_single_sample_reads_at_most_an_eighth_above_itself() {
+        tpcheck::check("one sample v reads in [v, v + v/8]", 512, |g| {
+            // Every magnitude, not just the top few bits.
+            let v = g.next_u64() >> g.u64_in(0..64);
+            let mut h = LogHistogram::new();
+            h.record(v);
+            for read in [h.p50(), h.p99(), h.quantile(1.0)] {
+                tpcheck::ensure!(
+                    (v..=v.saturating_add(v / 8)).contains(&read),
+                    "sample {v} reads {read}"
+                );
+            }
+            Ok(())
+        });
+        // Bucket edges, which random draws rarely hit.
+        let edges = (0..64).flat_map(|e| [(1u64 << e) - 1, 1 << e, (1 << e) + 1]);
+        for v in edges.chain([u64::MAX]) {
+            let mut h = LogHistogram::new();
+            h.record(v);
+            let read = h.p50();
+            assert!(
+                (v..=v.saturating_add(v / 8)).contains(&read),
+                "sample {v} reads {read}"
+            );
+        }
     }
 
     #[test]

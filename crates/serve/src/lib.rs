@@ -25,8 +25,9 @@
 //!   settles the job — so nothing polls; `POLL` is the non-blocking
 //!   probe.
 //! * **Blocking I/O, one thread per connection**: each accepted
-//!   connection is served on its own thread, and each backend link has
-//!   one reader thread. Clients may **pipeline** requests (write many
+//!   connection is served on its own thread, and a coordinator forwards
+//!   each remote job from a thread of its own, over a [`Client`]
+//!   connection of its own. Clients may **pipeline** requests (write many
 //!   before reading any response); responses come back in request
 //!   order, written in batches. A slow reader blocks only its own
 //!   thread's `write`, which stops that thread reading too: per-
@@ -98,7 +99,7 @@ pub mod server;
 pub mod store;
 
 pub use client::Client;
-pub use coordinator::{CoordController, Coordinator, CoordinatorConfig};
+pub use coordinator::{Coordinator, CoordinatorConfig};
 pub use hist::LogHistogram;
 pub use protocol::{Request, MAX_LINE_BYTES};
 pub use ring::HashRing;

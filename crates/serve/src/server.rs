@@ -3,14 +3,15 @@
 //! `service.rs` for the job table and cache, `conn.rs` for a client
 //! connection's loop.
 //!
-//! A running core is a fixed set of threads plus one per connection:
-//! the accept loop (the caller's thread), one thread per accepted
-//! connection, the workers, one reader per backend link, and a
-//! housekeeper that ticks the job table and ends the run.
+//! A running core is a fixed set of threads plus one per connection and
+//! one per remote job: the accept loop (the caller's thread), one
+//! thread per accepted connection, the workers, a coordinator's
+//! forwarders (`links.rs`), and a housekeeper that ticks the job table
+//! and ends the run.
 
 use crate::conn::{self, Conn, ListenerKind};
 use crate::ring::HashRing;
-use crate::service::{Core, JOB_TTL};
+use crate::service::{Core, JobState, JOB_TTL};
 use crate::store::DEFAULT_STORE_CAP_BYTES;
 use std::collections::HashMap;
 use std::io;
@@ -86,24 +87,9 @@ impl Controller {
         self.core.latch(|t| t.paused = false);
     }
 
-    /// Pauses the queue: queued work stays queued, running work finishes.
-    pub fn pause(&self) {
-        self.core.latch(|t| t.paused = true);
-    }
-
-    /// Current queue depth (accepted jobs not yet running here).
-    pub fn queue_depth(&self) -> usize {
-        self.core.lock().waiting
-    }
-
     /// Live job-table size (bounded by reap-on-delivery + TTL).
     pub fn ticket_count(&self) -> usize {
         self.core.lock().jobs.len()
-    }
-
-    /// SUBMITs forwarded to backends (re-forwards included).
-    pub fn forwarded(&self) -> u64 {
-        self.core.counters.forwarded.load(Ordering::Relaxed)
     }
 
     /// Jobs that landed anywhere other than their primary ring node.
@@ -173,7 +159,7 @@ impl Server {
     /// # Errors
     /// Fatal accept-loop I/O errors.
     pub fn run_until(self, term: &AtomicBool) -> io::Result<()> {
-        let core = &*self.core;
+        let core = &self.core;
         let open = Mutex::new(Open {
             conns: HashMap::new(),
             accepting: true,
@@ -184,9 +170,6 @@ impl Server {
                 worker
                     .spawn_scoped(s, || core.worker_loop())
                     .expect("spawn worker");
-            }
-            for link in &core.links {
-                s.spawn(move || link.read_answers(core));
             }
             s.spawn(|| housekeep(core, term, &open, &self.addr));
             let result = accept_loop(s, core, &self.listener, &open);
@@ -216,7 +199,7 @@ fn lock(open: &Mutex<Open>) -> MutexGuard<'_, Open> {
 /// housekeeper stops accepting.
 fn accept_loop<'scope, 'env>(
     s: &'scope Scope<'scope, 'env>,
-    core: &'env Core,
+    core: &'env Arc<Core>,
     listener: &ListenerKind,
     open: &'env Mutex<Open>,
 ) -> io::Result<()> {
@@ -254,8 +237,8 @@ fn accept_loop<'scope, 'env>(
 /// The housekeeper: ticks the job table every [`TICK`], turns `term`
 /// into a drain, stops accepting once the drain completes, and ends the
 /// run once every connection has closed or [`SHUTDOWN_LINGER`] passed:
-/// it shuts the connections still open, stops the workers and closes
-/// the links, so every thread of the run returns.
+/// it shuts the connections still open, stops the workers and shuts
+/// every forward connection, so every thread of the run returns.
 fn housekeep(core: &Core, term: &AtomicBool, open: &Mutex<Open>, addr: &str) {
     let mut drained: Option<Instant> = None;
     loop {
@@ -280,6 +263,12 @@ fn housekeep(core: &Core, term: &AtomicBool, open: &Mutex<Open>, addr: &str) {
             break;
         }
     }
-    core.latch(|t| t.stop = true);
-    core.links.iter().for_each(|link| link.close());
+    core.latch(|t| {
+        t.stop = true;
+        for job in t.jobs.values() {
+            if let JobState::Remote(conn) = &job.state {
+                conn.shutdown();
+            }
+        }
+    });
 }

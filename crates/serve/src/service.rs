@@ -10,16 +10,17 @@
 //! Every accepted `SUBMIT` becomes a [`Job`] whose state runs
 //!
 //! ```text
-//! routing → awaiting-submit → remote ─┐
-//!    └──────→ local-queued → running ─┴→ done | deadline-exceeded | failed
+//! routing ⇄ remote ───────────┐
+//!    └──→ local-queued → running ─┴→ done | deadline-exceeded | failed
 //! ```
 //!
 //! The routing rule is *first untried reachable ring candidate, else
 //! the local pool*. A backend is a coordinator with an empty ring: with
 //! no candidates every job goes straight to the local pool at submit
 //! time and nothing routes. For a coordinator the submitting thread
-//! routes the job at once, and the same pool is the last resort once
-//! every ring node has been tried.
+//! starts the job's forwarder ([`links::forward`]) and replies `queued`
+//! at once; the same pool is the last resort once every ring node has
+//! been tried.
 //!
 //! The table, its local queue and the pause/drain/stop latches sit
 //! behind **one** mutex, so shedding, worker wakeup and drain tracking
@@ -35,7 +36,7 @@
 //!
 //! `WAIT <ticket>` is answered when the job turns terminal, not
 //! before: the connection's thread blocks on the table's condvar until
-//! a worker (or a backend's answer on a link) [settles](Core::settle)
+//! a worker (or a forwarder given a backend's verdict) [settles](Core::settle)
 //! the job, then delivers it. Nothing polls. `POLL` remains as the
 //! non-blocking probe. `SHUTDOWN` blocks the same way until the drain
 //! is over, which counts blocked `WAIT`s: its reply in hand means every
@@ -46,9 +47,9 @@
 //! Results are content-addressed by the full canonical request string
 //! (the FNV `key` clients see is display-only, so hash collisions
 //! cannot alias results): memory first, then the optional persistent
-//! [`ResultStore`]. Jobs hold the cache key of their result, never a
-//! second copy of the bytes. A hit is answered synchronously: no queue
-//! slot, no ticket, served even while draining.
+//! [`ResultStore`]. A finished job holds the `Arc<str>` it published,
+//! so delivering it looks nothing up. A hit is answered synchronously:
+//! no queue slot, no ticket, served even while draining.
 //!
 //! One invariant makes a hit a copy of bytes: *what the memory cache
 //! holds is exactly what [`wire`]'s encoder emits, checked once where
@@ -67,8 +68,9 @@
 //! the engine notices at its next epoch boundary
 //! ([`tpsim::CANCEL_EPOCH`] accesses); a cancelled run caches nothing.
 
+use crate::conn::Conn;
 use crate::hist::LogHistogram;
-use crate::links::{self, Link};
+use crate::links::{self, Backend};
 use crate::protocol::Request;
 use crate::ring::HashRing;
 use crate::server::ServerConfig;
@@ -89,21 +91,21 @@ use tpsim::CancelToken;
 pub(crate) const JOB_TTL: Duration = Duration::from_secs(60);
 
 /// Lifecycle of one job (see the module docs for the diagram).
-#[derive(Debug)]
 pub(crate) enum JobState {
-    /// Needs (re)routing: freshly submitted or bounced off a backend.
+    /// Its forwarder is looking for a backend: freshly submitted or
+    /// bounced off one.
     Routing,
-    /// `SUBMIT` forwarded; awaiting that backend's submit response.
-    AwaitSubmit(usize),
-    /// Accepted by that backend; one `WAIT` for it is outstanding on
-    /// the link.
-    Remote(usize),
+    /// Placed on a backend; its forwarder waits on this connection for
+    /// the answer, and a stopping run shuts it.
+    Remote(Conn),
     /// Queued for the local worker pool.
     LocalQueued,
     /// Running in a local worker.
     Running,
+    /// Over, with the report that was published.
     Done {
         cached: bool,
+        report: Arc<str>,
     },
     DeadlineExceeded,
     Failed(String),
@@ -133,8 +135,6 @@ pub(crate) struct Spec {
 
 pub(crate) struct Job {
     pub(crate) spec: Arc<Spec>,
-    /// Backends already tried, in order (never retried for this job).
-    pub(crate) attempts: Vec<usize>,
     pub(crate) state: JobState,
     /// When the job reached a terminal state (drives the TTL reap).
     completed: Option<Instant>,
@@ -237,8 +237,8 @@ pub(crate) fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Relaxed);
 }
 
-/// State shared by the connection threads, the workers, the link
-/// readers, the housekeeper and [`Controller`] handles.
+/// State shared by the connection threads, the workers, the
+/// forwarders, the housekeeper and [`Controller`] handles.
 ///
 /// [`Controller`]: crate::Controller
 pub(crate) struct Core {
@@ -255,7 +255,7 @@ pub(crate) struct Core {
     pub(crate) store: Option<ResultStore>,
     pub(crate) counters: Counters,
     /// One per ring node, in ring order.
-    pub(crate) links: Vec<Link>,
+    pub(crate) backends: Vec<Backend>,
     /// Service times, from the line reaching [`Core::dispatch`] to the
     /// reply line in hand, split by outcome: a ~3 µs cache hit and a
     /// ~0.5 s simulation in one histogram would make the p50 track the
@@ -351,7 +351,7 @@ impl Core {
             ..Table::default()
         };
         Ok(Arc::new(Core {
-            links: Link::for_ring(&ring),
+            backends: Backend::for_ring(&ring),
             ring,
             table: Mutex::new(table),
             cv: Condvar::new(),
@@ -392,21 +392,26 @@ impl Core {
 
     /// Publishes a finished report — `encoded` by [`wire`], which is
     /// what lets a reply splice it unread — under its canonical key:
-    /// memory plus (when configured) the persistent store.
-    pub(crate) fn publish(&self, canonical: &str, encoded: &str) {
-        self.cache().insert(canonical.to_string(), encoded.into());
+    /// memory plus (when configured) the persistent store. Returns the
+    /// entry, for the job to deliver.
+    pub(crate) fn publish(&self, canonical: &str, encoded: &str) -> Arc<str> {
+        let report: Arc<str> = encoded.into();
+        self.cache()
+            .insert(canonical.to_string(), Arc::clone(&report));
         if let Some(store) = &self.store {
             // A store write failure degrades persistence, not
             // correctness: the report is already served from memory.
             let _ = store.put(canonical, encoded);
         }
+        report
     }
 
     /// `SUBMIT`: cache-hit fast path, load shedding, or accept. An
     /// accepted job goes to the local pool at once when the ring is
-    /// empty; otherwise this thread routes it before replying.
-    /// `accepted` is when the line reached [`Core::dispatch`].
-    fn submit(&self, request: Request, payload: &str, accepted: Instant) -> String {
+    /// empty; otherwise this thread starts its forwarder. Either way
+    /// the reply is `queued`. `accepted` is when the line reached
+    /// [`Core::dispatch`].
+    fn submit(self: &Arc<Self>, request: Request, payload: &str, accepted: Instant) -> String {
         let canonical = request.canonical();
         if let Some(hit) = self.lookup_cached(&canonical) {
             bump(&self.counters.cache_hits);
@@ -442,9 +447,9 @@ impl Core {
             cancel: CancelToken::new(),
             accepted,
         };
+        let spec = Arc::new(spec);
         let job = Job {
-            spec: Arc::new(spec),
-            attempts: Vec::new(),
+            spec: Arc::clone(&spec),
             state: JobState::Routing,
             completed: None,
         };
@@ -456,7 +461,7 @@ impl Core {
         let depth = ("queue_depth", num(t.waiting));
         drop(t);
         if !self.ring.is_empty() {
-            links::route(self, id);
+            links::forward(self, id, spec);
         }
         response(
             "queued",
@@ -482,12 +487,9 @@ impl Core {
             Err(live) => return response(live, vec![ticket]),
         };
         match job.state {
-            JobState::Done { cached } => match self.lookup_cached(&job.spec.canonical) {
-                Some(encoded) => done_response(Some(id), &job.spec.canonical, cached, &encoded),
-                // Only reachable if the store's byte cap evicted the
-                // result between completion and this delivery.
-                None => error_response(format!("ticket {id}: result evicted; resubmit")),
-            },
+            JobState::Done { cached, report } => {
+                done_response(Some(id), &job.spec.canonical, cached, &report)
+            }
             JobState::Failed(reason) => response("failed", vec![ticket, ("reason", text(reason))]),
             _ => response("deadline-exceeded", vec![ticket]),
         }
@@ -539,18 +541,17 @@ impl Core {
             let t = self.lock();
             (t.waiting, t.in_flight, t.jobs.len())
         };
-        let backend = |link: &Link| {
-            let b = &link.stats;
+        let backend = |backend: &Backend| {
+            let b = &backend.stats;
             obj(vec![
-                ("addr", text(link.addr.as_str())),
+                ("addr", text(backend.addr.as_str())),
                 ("up", Value::Bool(b.up.load(Relaxed))),
                 ("routed", n(&b.routed)),
                 ("completed", n(&b.completed)),
                 ("rerouted_away", n(&b.rerouted_away)),
-                ("connects", n(&b.connects)),
             ])
         };
-        let backends = self.links.iter().map(backend).collect();
+        let backends = self.backends.iter().map(backend).collect();
         let role = match self.ring.len() {
             0 => "server",
             _ => "coordinator",
@@ -617,7 +618,7 @@ impl Core {
     /// Handles one protocol line and returns the reply line. `WAIT` on a
     /// live job and `SHUTDOWN` block the calling thread until they can
     /// be answered; everything else replies immediately.
-    pub(crate) fn dispatch(&self, line: &str) -> String {
+    pub(crate) fn dispatch(self: &Arc<Self>, line: &str) -> String {
         let received = Instant::now();
         let line = line.trim();
         let (verb, rest) = match line.find(' ') {
@@ -703,12 +704,15 @@ impl Core {
             bump(&c.cancelled);
             return JobState::DeadlineExceeded;
         }
-        if self.lookup_cached(&job.canonical).is_some() {
+        if let Some(report) = self.lookup_cached(&job.canonical) {
             // An identical request completed while this one waited.
             bump(&c.cache_hits);
             bump(&c.served);
             record_time(&self.hit_hist, job.accepted);
-            return JobState::Done { cached: true };
+            return JobState::Done {
+                cached: true,
+                report,
+            };
         }
         let Some(report) = job.request.run(&job.cancel) else {
             bump(&c.cancelled);
@@ -719,10 +723,13 @@ impl Core {
             bump(&c.failed);
             return JobState::Failed("conservation-law audit failed".into());
         }
-        self.publish(&job.canonical, &encode_sim_report(&report));
+        let report = self.publish(&job.canonical, &encode_sim_report(&report));
         bump(&c.served);
         record_time(&self.sim_hist, job.accepted);
-        JobState::Done { cached: false }
+        JobState::Done {
+            cached: false,
+            report,
+        }
     }
 
     /// Housekeeping, run every few milliseconds: reaps terminal jobs
@@ -746,7 +753,7 @@ pub(crate) mod tests {
 
     /// An address that refuses connections: bind an ephemeral port and
     /// drop the listener before anyone dials it.
-    pub(crate) fn dead_addr() -> String {
+    fn dead_addr() -> String {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap().to_string()
     }
@@ -758,7 +765,7 @@ pub(crate) mod tests {
     }
 
     impl Shape {
-        pub(crate) fn new(cfg: ServerConfig, backends: &[String]) -> Shape {
+        fn new(cfg: ServerConfig, backends: &[String]) -> Shape {
             let core = Core::new(cfg, HashRing::new(backends)).expect("core");
             Shape { core }
         }
@@ -767,16 +774,23 @@ pub(crate) mod tests {
             self.core.dispatch(line)
         }
 
-        pub(crate) fn reply(&self, line: &str) -> Value {
+        fn reply(&self, line: &str) -> Value {
             decoded(&self.line(line))
         }
 
-        pub(crate) fn submit(&self, json: &str) -> Value {
-            self.reply(&format!("SUBMIT {json}"))
+        /// `SUBMIT`, and on a ring, the wait for the job's forwarder to
+        /// place it: the shape's backends refuse, so in the local pool.
+        fn submit(&self, json: &str) -> Value {
+            let reply = self.reply(&format!("SUBMIT {json}"));
+            let routing = |j: &Job| matches!(j.state, JobState::Routing | JobState::Remote(_));
+            while self.core.lock().jobs.values().any(routing) {
+                std::thread::yield_now();
+            }
+            reply
         }
 
         /// Accepts `request` as `SUBMIT` would, but leaves it `routing`.
-        pub(crate) fn accept(&self, request: Request) -> u64 {
+        fn accept(&self, request: Request) -> u64 {
             let spec = Spec {
                 canonical: request.canonical(),
                 payload: request.canonical(),
@@ -787,7 +801,6 @@ pub(crate) mod tests {
             };
             let job = Job {
                 spec: Arc::new(spec),
-                attempts: Vec::new(),
                 state: JobState::Routing,
                 completed: None,
             };
@@ -816,7 +829,7 @@ pub(crate) mod tests {
             }
         }
 
-        pub(crate) fn poll(&self, ticket: u64) -> Value {
+        fn poll(&self, ticket: u64) -> Value {
             self.reply(&format!("POLL {ticket}"))
         }
     }
@@ -842,19 +855,19 @@ pub(crate) mod tests {
     }
 
     /// A reply line as the client reads it.
-    pub(crate) fn decoded(reply: &str) -> Value {
+    fn decoded(reply: &str) -> Value {
         parse(reply).expect("a reply is wire-parseable")
     }
 
-    pub(crate) fn str_of<'a>(v: &'a Value, field: &str) -> &'a str {
+    fn str_of<'a>(v: &'a Value, field: &str) -> &'a str {
         v.get(field).and_then(Value::as_str).unwrap_or("<none>")
     }
 
-    pub(crate) fn status(v: &Value) -> &str {
+    fn status(v: &Value) -> &str {
         str_of(v, "status")
     }
 
-    pub(crate) fn ticket(v: &Value) -> u64 {
+    fn ticket(v: &Value) -> u64 {
         v.get("ticket").and_then(Value::as_u64).expect("a ticket")
     }
 
@@ -904,6 +917,9 @@ pub(crate) mod tests {
         service_time_us.simulated.count service_time_us.simulated.p50 \
         service_time_us.simulated.p99";
 
+    /// Every field of a `backends` entry, in order.
+    const BACKEND_FIELDS: [&str; 5] = ["addr", "up", "routed", "completed", "rerouted_away"];
+
     #[test]
     fn stats_shape_is_one_superset_for_every_role() {
         both_shapes(|s| {
@@ -917,6 +933,13 @@ pub(crate) mod tests {
             assert_eq!(enabled.and_then(Value::as_bool), Some(false));
             let backends = stats.get("backends").and_then(Value::as_arr).unwrap();
             assert_eq!(backends.len(), s.core.ring.len());
+            for backend in backends {
+                let Value::Obj(fields) = backend else {
+                    panic!("a backend is an object")
+                };
+                let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(names, BACKEND_FIELDS);
+            }
             let role = ["server", "coordinator"][usize::from(!backends.is_empty())];
             assert_eq!(str_of(stats, "role"), role);
             assert!(parse(&v.encode()).is_ok(), "the response is wire-parseable");
@@ -1230,8 +1253,9 @@ pub(crate) mod tests {
         both_shapes(|s| {
             let a = ticket(&s.submit(r#"{"workload":"gap.bfs","scale":"test","deadline_ms":1}"#));
             s.submit(r#"{"workload":"gap.tc","scale":"test","deadline_ms":60000}"#);
-            let start = Instant::now();
             let (id, spec) = s.core.lock().claim().expect("first queued job");
+            // The deadline's clock starts at acceptance, not here.
+            let start = spec.accepted;
             assert_eq!((id, status(&s.poll(a))), (a, "running"));
             s.core.tick(start, JOB_TTL);
             assert!(!spec.cancel.is_cancelled(), "not yet due");

@@ -143,11 +143,6 @@ impl ResultStore {
         })
     }
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Probes for the report addressed by `canonical`. A key absent
     /// from the admission index returns `None` without any disk I/O;
     /// a present key is read and verified against the embedded
@@ -301,7 +296,7 @@ mod tests {
 
         // Forge a collision: write req-a's slot with a different owner.
         let key = key_of("req-a");
-        fs::write(store.dir().join(file_name(key)), "someone-else\nother").unwrap();
+        fs::write(dir.join(file_name(key)), "someone-else\nother").unwrap();
         assert_eq!(store.get("req-a"), None, "verify-on-read rejects the alias");
         assert_eq!(store.stats().collisions, 1);
         fs::remove_dir_all(&dir).unwrap();

@@ -170,6 +170,15 @@ $TPCOORD sweep \
 CSTATS=$($TPCOORD stats)
 echo "$CSTATS" | grep -q '"role":"coordinator"'
 echo "$CSTATS" | grep -q '"rerouted":0' || { echo "fleet smoke rerouted jobs: $CSTATS"; exit 1; }
+# Every job went to a backend, once: none fell back to the local pool.
+echo "$CSTATS" | grep -q '"forwarded":3,' || { echo "fleet smoke: not 3 forwards: $CSTATS"; exit 1; }
+echo "$CSTATS" | grep -q '"local_jobs":0,' || { echo "fleet smoke ran jobs locally: $CSTATS"; exit 1; }
+# Each forwarded ticket was collected by its WAIT, none left for the
+# TTL reap.
+for s in "$B0" "$B1"; do
+  BSTATS=$(./target/release/tpclient "unix:$s" stats)
+  echo "$BSTATS" | grep -q '"tickets":0,' || { echo "fleet smoke: $s holds tickets: $BSTATS"; exit 1; }
+done
 $TPCOORD shutdown | grep -q '"status":"ok"'
 wait "$COORD_PID"
 ./target/release/tpclient "unix:$B0" shutdown >/dev/null

@@ -4,15 +4,15 @@
 //! backend dies mid-sweep, is down from the start, or the whole fleet
 //! is unreachable and jobs fall back to local execution.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use tpharness::baselines::{L1Kind, TemporalKind};
 use tpharness::experiment::{run_single, Experiment};
 use tpharness::sweep::{SweepJob, SweepRunner};
 use tpharness::wire::{decode_sim_report, encode_sim_report, parse, Value};
 use tpserve::protocol::Request;
-use tpserve::{
-    Client, CoordController, Coordinator, CoordinatorConfig, HashRing, Server, ServerConfig,
-};
+use tpserve::{Client, Controller, Coordinator, CoordinatorConfig, HashRing, Server, ServerConfig};
 use tptrace::{workloads, Scale};
 
 struct Backend {
@@ -36,7 +36,7 @@ fn start_backend() -> Backend {
 
 struct Fleet {
     addr: String,
-    controller: CoordController,
+    controller: Controller,
     handle: thread::JoinHandle<()>,
 }
 
@@ -219,8 +219,8 @@ fn fleet_of_three_matches_local_jobs_sweep() {
 
 #[test]
 fn backend_killed_mid_sweep_reroutes_with_byte_identical_reports() {
-    // Two real backends plus a fake that accepts the coordinator's
-    // link, acknowledges the first SUBMIT as queued, and then drops
+    // Two real backends plus a fake that accepts one forward
+    // connection, acknowledges its SUBMIT as queued, and then drops
     // the connection and stops listening — a mid-sweep kill.
     let b0 = start_backend();
     let b1 = start_backend();
@@ -238,7 +238,8 @@ fn backend_killed_mid_sweep_reroutes_with_byte_identical_reports() {
             .write_all(b"{\"status\":\"queued\",\"ticket\":1,\"key\":\"0\",\"queue_depth\":1}\n")
             .unwrap();
         // Dropping the stream and listener kills the backend: the
-        // coordinator sees EOF on the link and connect-refused after.
+        // coordinator sees EOF on the job's connection and
+        // connect-refused after.
     });
 
     let addrs = vec![b0.addr.clone(), fake_addr, b1.addr.clone()];
@@ -476,46 +477,91 @@ fn coordinator_stops_reading_from_a_client_that_never_reads() {
     }
 }
 
-/// A scripted backend: accepts the coordinator's one link, records
-/// every line sent down it, answers each `SUBMIT` with `queued` under
-/// the next ticket and each `WAIT` — after a pause long enough for a
-/// poller to show itself — with whatever `verdict` makes of the ticket
-/// and the payload submitted under it. Yields the recorded lines once
-/// the link closes. A `verdict` may say anything, which makes this the
+/// A scripted backend: accepts connections in a loop, records every
+/// line sent down any of them, answers each `SUBMIT` with `queued`
+/// under the next ticket and each `WAIT` — after a pause long enough
+/// for a poller to show itself — with whatever `verdict` makes of the
+/// ticket and the payload submitted under it. Its handle yields the
+/// recorded lines. A `verdict` may say anything, which makes this the
 /// misbehaving backend too.
-fn stub_backend(
-    verdict: impl Fn(u64, &str) -> String + Send + 'static,
-) -> (String, thread::JoinHandle<Vec<String>>) {
+fn stub_backend(verdict: impl Fn(u64, &str) -> String + Send + Sync + 'static) -> (String, Stub) {
+    let payloads = Mutex::new(Vec::<String>::new());
+    stub_server(move |line| match line.split_once(' ') {
+        Some(("SUBMIT", payload)) => {
+            let mut payloads = payloads.lock().unwrap();
+            payloads.push(payload.to_string());
+            let ticket = payloads.len();
+            format!(r#"{{"status":"queued","ticket":{ticket},"key":"0","queue_depth":1}}"#)
+        }
+        Some(("WAIT", ticket)) => {
+            thread::sleep(std::time::Duration::from_millis(30));
+            let ticket: u64 = ticket.parse().expect("a ticket number");
+            let payload = payloads.lock().unwrap()[ticket as usize - 1].clone();
+            verdict(ticket, &payload)
+        }
+        _ => r#"{"status":"error","reason":"the stub speaks SUBMIT and WAIT"}"#.to_string(),
+    })
+}
+
+/// A server that accepts any number of connections, serves each on a
+/// thread of its own, records every line it reads and answers it with
+/// what `answer` makes of it.
+fn stub_server(answer: impl Fn(&str) -> String + Send + Sync + 'static) -> (String, Stub) {
     use std::io::{BufRead, BufReader, Write};
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let handle = thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let reader = BufReader::new(stream.try_clone().unwrap());
-        let mut payloads: Vec<String> = Vec::new();
-        let mut seen = Vec::new();
-        for line in reader.lines().map_while(Result::ok) {
-            let answer = match line.split_once(' ') {
-                Some(("SUBMIT", payload)) => {
-                    payloads.push(payload.to_string());
-                    let ticket = payloads.len();
-                    format!(r#"{{"status":"queued","ticket":{ticket},"key":"0","queue_depth":1}}"#)
-                }
-                Some(("WAIT", ticket)) => {
-                    thread::sleep(std::time::Duration::from_millis(30));
-                    let ticket: u64 = ticket.parse().expect("a ticket number");
-                    verdict(ticket, &payloads[ticket as usize - 1])
-                }
-                _ => r#"{"status":"error","reason":"the stub speaks SUBMIT and WAIT"}"#.to_string(),
-            };
-            seen.push(line);
-            if stream.write_all(format!("{answer}\n").as_bytes()).is_err() {
+    let lines = Arc::new(Mutex::new(Vec::new()));
+    let stopped = Arc::new(AtomicBool::new(false));
+    let (seen, stop) = (Arc::clone(&lines), Arc::clone(&stopped));
+    let answer = Arc::new(answer);
+    let accepting = thread::spawn(move || {
+        for stream in listener.incoming() {
+            if stop.load(Ordering::SeqCst) {
                 break;
             }
+            let mut stream = stream.unwrap();
+            let (answer, seen) = (Arc::clone(&answer), Arc::clone(&seen));
+            thread::spawn(move || {
+                let reader = BufReader::new(stream.try_clone().unwrap());
+                for line in reader.lines().map_while(Result::ok) {
+                    seen.lock().unwrap().push(line.clone());
+                    let reply = answer(&line);
+                    if stream.write_all(format!("{reply}\n").as_bytes()).is_err() {
+                        break;
+                    }
+                }
+            });
         }
-        seen
     });
-    (addr, handle)
+    let stub = Stub {
+        addr: addr.clone(),
+        lines,
+        stopped,
+        accepting,
+    };
+    (addr, stub)
+}
+
+/// A running [`stub_server`].
+struct Stub {
+    addr: String,
+    lines: Arc<Mutex<Vec<String>>>,
+    stopped: Arc<AtomicBool>,
+    accepting: thread::JoinHandle<()>,
+}
+
+impl Stub {
+    /// Stops accepting and returns every line recorded. A line is
+    /// recorded before it is answered, so once the coordinator has
+    /// stopped, all of its lines are in.
+    fn join(self) -> thread::Result<Vec<String>> {
+        self.stopped.store(true, Ordering::SeqCst);
+        // Wakes the blocking accept.
+        drop(std::net::TcpStream::connect(&self.addr));
+        self.accepting.join()?;
+        let lines = self.lines.lock().unwrap();
+        Ok(lines.clone())
+    }
 }
 
 /// `(SUBMIT lines, WAIT lines, all lines)` a stub recorded.
@@ -638,10 +684,10 @@ fn a_done_whose_report_is_not_canonical_reroutes_the_job() {
 }
 
 #[test]
-fn a_backend_verdict_of_a_panicked_job_reaches_the_client_and_the_link_lives_on() {
+fn a_panicked_jobs_verdict_is_relayed_and_the_backend_serves_the_next_job() {
     // Ticket 1 panicked on its backend worker; ticket 2 ran. The
     // coordinator relays the first verdict as it is — no reroute, no
-    // local run — and serves the next job over the same link.
+    // local run — and forwards the next job to the same backend.
     let reason = "panicked: warmup fraction 2 is not in [0, 1)";
     let report = seeded_local_report(26);
     let canned = report.clone();
@@ -662,6 +708,76 @@ fn a_backend_verdict_of_a_panicked_job_reaches_the_client_and_the_link_lives_on(
     assert_eq!(fleet.controller.rerouted(), 0);
     assert_eq!(fleet.controller.local_jobs(), 0);
 
+    assert_eq!(status(&c.shutdown().unwrap()), "ok");
+    drop(c);
+    fleet.handle.join().unwrap();
+    let lines = stub.join().unwrap();
+    assert_eq!(verbs(&lines), (2, 2, 4), "{lines:#?}");
+}
+
+#[test]
+fn a_finished_job_is_not_held_behind_an_older_job_on_its_backend() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    // One backend: job 1 is ticket 1 and runs until the test releases
+    // it; job 2 is ticket 2 and is over at once.
+    let (slow, fast) = (seeded_payload(31), seeded_payload(32));
+    let reports = [seeded_local_report(31), seeded_local_report(32)];
+    let (slow_report, fast_report) = (reports[0].clone(), reports[1].clone());
+    let (parked, is_parked) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let released = Mutex::new(released);
+    let slow_line = slow.encode();
+    let (addr, stub) = stub_server(move |line| {
+        let done = |ticket: usize| {
+            let report = &reports[ticket - 1];
+            format!(
+                r#"{{"status":"done","ticket":{ticket},"key":"0","cached":false,"report":{report}}}"#
+            )
+        };
+        match line.split_once(' ') {
+            Some(("SUBMIT", payload)) => {
+                let ticket = if payload == slow_line { 1 } else { 2 };
+                format!(r#"{{"status":"queued","ticket":{ticket},"key":"0","queue_depth":1}}"#)
+            }
+            Some(("WAIT", "1")) => {
+                parked.send(()).unwrap();
+                released.lock().unwrap().recv().unwrap();
+                done(1)
+            }
+            Some(("WAIT", "2")) => done(2),
+            _ => r#"{"status":"error","reason":"unexpected"}"#.to_string(),
+        }
+    });
+    let fleet = start_coordinator(&[addr]);
+    let submit = |payload: Value| {
+        let addr = fleet.addr.clone();
+        let (sent, answer) = mpsc::channel();
+        thread::spawn(move || {
+            let mut c = Client::connect(&addr).expect("connect coordinator");
+            let _ = sent.send(c.submit_and_wait(&payload).unwrap());
+        });
+        answer
+    };
+    let first = submit(slow);
+    is_parked
+        .recv_timeout(Duration::from_secs(30))
+        .expect("job 1's WAIT reaches the backend");
+    let second = submit(fast).recv_timeout(Duration::from_secs(5));
+    let first_was_running = first.try_recv().is_err();
+    // Let job 1 finish before judging, so a failure leaves nothing
+    // blocked.
+    release.send(()).unwrap();
+    let second = second.expect("job 2's answer is not held behind job 1's");
+    assert!(first_was_running, "job 1 was released only now");
+    assert_eq!(status(&second), "done", "{}", second.encode());
+    assert_eq!(second.get("report").unwrap().encode(), fast_report);
+    let first = first.recv().unwrap();
+    assert_eq!(status(&first), "done", "{}", first.encode());
+    assert_eq!(first.get("report").unwrap().encode(), slow_report);
+    assert_eq!(fleet.controller.rerouted(), 0);
+
+    let mut c = Client::connect(&fleet.addr).expect("connect coordinator");
     assert_eq!(status(&c.shutdown().unwrap()), "ok");
     drop(c);
     fleet.handle.join().unwrap();
