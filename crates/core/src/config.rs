@@ -73,8 +73,6 @@ pub struct StreamlineConfig {
     pub skewed: bool,
     /// Hybrid way/set partitioning for sub-half sizes (Section V-D6).
     pub hybrid: bool,
-    /// Partial trigger tag width in bits (6; Section V-D5).
-    pub partial_tag_bits: u32,
     /// Pin the partition to one size (size sweeps); `None` = dynamic.
     pub fixed_size: Option<PartitionSize>,
     /// Largest size dynamic partitioning may choose.
@@ -109,7 +107,6 @@ impl Default for StreamlineConfig {
             realignment: true,
             skewed: false,
             hybrid: false,
-            partial_tag_bits: 6,
             fixed_size: None,
             max_size: PartitionSize::Full,
             dedicated: false,

@@ -5,7 +5,7 @@
 use crate::config::{PartitionSize, StreamlineConfig};
 use crate::stream::{StreamEntry, TargetList};
 use std::ops::Range;
-use tpreplace::{EtrSampler, EtrSamplerConfig, EtrSet};
+use tpreplace::{EtrSampler, EtrSamplerConfig};
 use tpsim::{tagrow, PartitionSpec};
 use tptrace::record::Line;
 
@@ -41,6 +41,16 @@ pub struct ResizeReport {
 /// never collide with a real trigger.
 const VACANT: Line = Line(u64::MAX);
 
+/// Partial trigger tag width in bits (Section V-D5).
+const PARTIAL_TAG_BITS: u32 = 6;
+
+/// Set accesses between two agings of a set's ETRs.
+const ETR_AGE_EVERY: u32 = 8;
+
+/// ETR counter width in bits: 3 suffice for temporal metadata (paper
+/// Section IV-E5).
+const ETR_BITS: u32 = 3;
+
 /// The stream-based metadata store: one fixed-geometry table, like the
 /// slice of the LLC it models. Its `llc_sets` rows of `slots_per_set`
 /// slots are column arrays sized once in [`StreamStore::new`]; slot `w`
@@ -60,15 +70,25 @@ pub struct StreamStore {
     /// fingerprint matches.
     fps: Vec<u8>,
     /// Each slot's partial tag, for the alias scan.
-    tags: Vec<u16>,
-    /// Clock value of each slot's last write or lookup hit.
+    tags: Vec<u8>,
+    /// Clock value of each slot's last write or lookup hit: the LRU
+    /// order of the `-TP-MJ` ablation, and empty under TP-Mockingjay.
     lru: Vec<u64>,
     /// Each slot's correlated targets, `stream_len` lines apart, the
     /// first `lens[slot]` of them valid; with its trigger, the entry.
     targets: Vec<Line>,
     lens: Vec<u8>,
-    /// Per-set TP-Mockingjay state; empty when `tpmj` is off.
-    etr: Vec<EtrSet>,
+    /// TP-Mockingjay's state (Section IV-E5), all three empty when
+    /// `tpmj` is off. Each slot's estimated time remaining (ETR) until
+    /// its reuse: the victim has the largest |ETR|.
+    etr: Vec<i32>,
+    /// Whether each slot was filled since its set's ETR state last
+    /// reset. Only filled slots age; a lookup hit sets a slot's ETR
+    /// either way.
+    filled: Vec<bool>,
+    /// Per set: accesses since its ETR state last reset. Every
+    /// `ETR_AGE_EVERY`th ages the set's filled slots by one.
+    ticks: Vec<u32>,
     /// Per set: inserts since the last lookup hit (decayed by hits).
     /// Above the set capacity the set is *thrashing*: its working set
     /// cycles through without reuse, so — like Belady's MIN, which
@@ -101,9 +121,9 @@ pub struct StreamStore {
 ///   tail — the last `max(cap/8, 1)` slots (TP-MIN behaviour: churn the
 ///   probation slots, retain the resident majority); if no allowed slot
 ///   lies there, the whole set is scanned instead.
-/// * With an ETR set (TP-Mockingjay), the victim has the farthest
-///   predicted reuse, overdue (negative) preferred on ties, and ties
-///   resolve to the *last* such slot (`Iterator::max_by_key`).
+/// * With the set's ETR row (TP-Mockingjay), the victim has the
+///   farthest predicted reuse, overdue (negative) preferred on ties, and
+///   ties resolve to the *last* such slot (`Iterator::max_by_key`).
 /// * Without one, the victim is least-recently used by the set's `lru`
 ///   stamps, ties resolving to the *first* such slot
 ///   (`Iterator::min_by_key`).
@@ -113,7 +133,7 @@ pub struct StreamStore {
 fn select_victim(
     cap: usize,
     thrashing: bool,
-    etr: Option<&EtrSet>,
+    etr: Option<&[i32]>,
     lru: &[u64],
     allowed: &dyn Fn(usize) -> bool,
 ) -> usize {
@@ -121,10 +141,7 @@ fn select_victim(
     let scan = |floor: usize| {
         let eligible = (floor..cap).filter(|&i| allowed(i));
         match etr {
-            Some(e) => eligible.max_by_key(|&i| {
-                let v = e.etr_value(i);
-                (v.unsigned_abs(), v < 0)
-            }),
+            Some(e) => eligible.max_by_key(|&i| (e[i].unsigned_abs(), e[i] < 0)),
             None => eligible.min_by_key(|&i| lru[i]),
         }
     };
@@ -159,20 +176,24 @@ impl StreamStore {
     pub fn new(cfg: StreamlineConfig) -> Self {
         let slots_per_set = cfg.meta_ways * Self::entries_per_block(&cfg);
         let slots = cfg.llc_sets * slots_per_set;
+        // Only the columns the replacement policy reads.
+        let (tpmj_slots, tpmj_sets, lru_slots) = if cfg.tpmj {
+            (slots, cfg.llc_sets, 0)
+        } else {
+            (0, 0, slots)
+        };
         StreamStore {
             size: cfg.fixed_size.unwrap_or(cfg.max_size),
             slots_per_set,
             triggers: vec![VACANT; slots],
             fps: vec![0; slots],
             tags: vec![0; slots],
-            lru: vec![0; slots],
+            lru: vec![0; lru_slots],
             targets: vec![Line(0); slots * cfg.stream_len.max(1)],
             lens: vec![0; slots],
-            etr: if cfg.tpmj {
-                vec![EtrSet::new(slots_per_set, 8); cfg.llc_sets]
-            } else {
-                Vec::new()
-            },
+            etr: vec![0; tpmj_slots],
+            filled: vec![false; tpmj_slots],
+            ticks: vec![0; tpmj_sets],
             inserts_since_hit: vec![0; cfg.llc_sets],
             // Temporal metadata has long but consistent reuse distances
             // (paper Section IV-E5: 3-bit ETRs suffice); the sampler
@@ -257,8 +278,8 @@ impl StreamStore {
         set
     }
 
-    fn partial_tag(&self, trigger: Line) -> u16 {
-        (Self::hash(trigger) >> 20) as u16 & ((1 << self.cfg.partial_tag_bits) - 1) as u16
+    fn partial_tag(trigger: Line) -> u8 {
+        (Self::hash(trigger) >> 20) as u8 & ((1 << PARTIAL_TAG_BITS) - 1)
     }
 
     /// Current partition size.
@@ -315,13 +336,15 @@ impl StreamStore {
     ///
     /// # Panics
     /// Panics if `targets` is longer than the configured `stream_len`.
-    fn write(&mut self, slot: usize, trigger: Line, tag: u16, targets: &[Line]) {
+    fn write(&mut self, slot: usize, trigger: Line, tag: u8, targets: &[Line]) {
         let stride = self.stride();
         assert!(targets.len() <= stride, "entry longer than stream_len");
         self.triggers[slot] = trigger;
         self.fps[slot] = tagrow::fingerprint(trigger.0);
         self.tags[slot] = tag;
-        self.lru[slot] = self.clock;
+        if let Some(stamp) = self.lru.get_mut(slot) {
+            *stamp = self.clock;
+        }
         self.targets[slot * stride..][..targets.len()].copy_from_slice(targets);
         self.lens[slot] = targets.len() as u8;
     }
@@ -335,6 +358,33 @@ impl StreamStore {
         occupied
     }
 
+    /// The ETR the sampler predicts for an entry inserted or hit by
+    /// `pc_hash`.
+    fn predicted_etr(&self, pc_hash: u8) -> i32 {
+        self.sampler
+            .etr_for(self.sampler.predict(pc_hash), ETR_BITS)
+    }
+
+    /// Counts a TP-Mockingjay access to `set`, aging its filled slots
+    /// on every `ETR_AGE_EVERY`th.
+    fn tick_etr(&mut self, set: usize) {
+        self.ticks[set] += 1;
+        if self.ticks[set].is_multiple_of(ETR_AGE_EVERY) {
+            let row = self.row(set, self.slots_per_set);
+            for (e, &filled) in self.etr[row.clone()].iter_mut().zip(&self.filled[row]) {
+                *e -= i32::from(filled);
+            }
+        }
+    }
+
+    /// Restarts `set`'s ETR state: every slot reads 0 and none ages.
+    fn reset_etr(&mut self, set: usize) {
+        let row = self.row(set, self.slots_per_set);
+        self.etr[row.clone()].fill(0);
+        self.filled[row].fill(false);
+        self.ticks[set] = 0;
+    }
+
     /// Inserts a completed stream entry.
     pub fn insert(&mut self, entry: StreamEntry, pc_hash: u8) -> StoreInsert {
         let set_idx = self.set_of(entry.trigger);
@@ -343,7 +393,7 @@ impl StreamStore {
         }
         self.clock += 1;
         let cap = self.entries_cap(self.size);
-        let tag = self.partial_tag(entry.trigger);
+        let tag = Self::partial_tag(entry.trigger);
         let tpmj = self.cfg.tpmj;
         let tsp = self.cfg.tsp;
         let stream_len = self.stride();
@@ -355,8 +405,8 @@ impl StreamStore {
                 self.sampler.observe(key, pc_hash);
             }
         }
-        if let Some(e) = self.etr.get_mut(set_idx) {
-            e.tick();
+        if tpmj {
+            self.tick_etr(set_idx);
         }
 
         let row = self.row(set_idx, cap);
@@ -422,19 +472,17 @@ impl StreamStore {
         }
         let thrashing = tpmj && *since_hit as usize > cap;
         let victim = victim.unwrap_or_else(|| {
-            let lru = &self.lru[row.clone()];
-            select_victim(cap, thrashing, self.etr.get(set_idx), lru, &allowed)
+            let lru = self.lru.get(row.clone()).unwrap_or_default();
+            select_victim(cap, thrashing, self.etr.get(row.clone()), lru, &allowed)
         });
 
         let slot = row.start + victim;
         let redundant =
             self.triggers[slot] == entry.trigger && self.targets_of(slot) == &entry.targets[..];
         self.write(slot, entry.trigger, tag, &entry.targets);
-        if let Some(e) = self.etr.get_mut(set_idx) {
-            e.fill(
-                victim,
-                self.sampler.etr_for(self.sampler.predict(pc_hash), 3),
-            );
+        if tpmj {
+            self.etr[slot] = self.predicted_etr(pc_hash);
+            self.filled[slot] = true;
         }
         StoreInsert::Stored {
             redundant_pairs: redundant_pairs + usize::from(redundant),
@@ -455,14 +503,15 @@ impl StreamStore {
         }
         self.clock += 1;
         let row = self.row(set_idx, self.entries_cap(self.size));
-        let way = self.find(row.clone(), trigger)?;
-        let slot = row.start + way;
-        self.lru[slot] = self.clock;
+        let slot = row.start + self.find(row.clone(), trigger)?;
+        if let Some(stamp) = self.lru.get_mut(slot) {
+            *stamp = self.clock;
+        }
         let since_hit = &mut self.inserts_since_hit[set_idx];
         *since_hit = since_hit.saturating_sub(4);
-        if let Some(e) = self.etr.get_mut(set_idx) {
-            e.tick();
-            e.hit(way, self.sampler.etr_for(self.sampler.predict(pc_hash), 3));
+        if self.cfg.tpmj {
+            self.tick_etr(set_idx);
+            self.etr[slot] = self.predicted_etr(pc_hash);
         }
         // One stream-entry hit supplies a whole entry's worth of
         // correlations (a pairwise store would need one hit per pair),
@@ -507,10 +556,8 @@ impl StreamStore {
                 // ETR state of a set that left the partition, or whose
                 // reachable ways changed, restarts: its ages describe
                 // slots that no longer exist.
-                if keep != old_cap {
-                    if let Some(e) = self.etr.get_mut(set) {
-                        e.reset();
-                    }
+                if keep != old_cap && self.cfg.tpmj {
+                    self.reset_etr(set);
                 }
             }
         } else {
@@ -518,7 +565,7 @@ impl StreamStore {
             // so every surviving entry moves — rearrangement traffic.
             // The list of movers is the store's one allocation after
             // `new`; RTS is the scheme filtered indexing replaces.
-            let movers: Vec<(Line, u16, TargetList)> = (0..self.triggers.len())
+            let movers: Vec<(Line, u8, TargetList)> = (0..self.triggers.len())
                 .filter(|&i| self.triggers[i] != VACANT)
                 .map(|i| {
                     (
@@ -530,7 +577,9 @@ impl StreamStore {
                 .collect();
             self.triggers.fill(VACANT);
             self.fps.fill(0);
-            self.etr.iter_mut().for_each(EtrSet::reset);
+            self.etr.fill(0);
+            self.filled.fill(false);
+            self.ticks.fill(0);
             self.size = size;
             report.moved_blocks = movers.len().div_ceil(Self::entries_per_block(&self.cfg));
             let cap = self.entries_cap(size);
@@ -917,7 +966,7 @@ mod tests {
     fn reference_victim(
         cap: usize,
         thrashing: bool,
-        etr: Option<&EtrSet>,
+        etr: Option<&[i32]>,
         lru: &[u64],
         allowed: &dyn Fn(usize) -> bool,
     ) -> usize {
@@ -941,10 +990,7 @@ mod tests {
             Some(e) => candidates
                 .iter()
                 .copied()
-                .max_by_key(|&i| {
-                    let v = e.etr_value(i);
-                    (v.unsigned_abs(), v < 0)
-                })
+                .max_by_key(|&i| (e[i].unsigned_abs(), e[i] < 0))
                 .expect("candidates nonempty"),
             None => candidates
                 .iter()
@@ -960,18 +1006,11 @@ mod tests {
             let cap = g.usize_in(1..40);
             let thrashing = g.bool();
             let tpmj = g.bool();
-            // Random ETR state: small value range forces |ETR| ties so
+            // A random ETR row: small value range forces |ETR| ties so
             // the last-maximal tie-break is actually exercised; negative
-            // fills cover the overdue-preferred rule.
-            let etr_set = if tpmj {
-                let mut e = EtrSet::new(cap, 8);
-                for w in 0..cap {
-                    e.fill(w, g.u64_in(0..9) as i32 - 4);
-                }
-                Some(e)
-            } else {
-                None
-            };
+            // values cover the overdue-preferred rule.
+            let etr: Vec<i32> = (0..cap).map(|_| g.u64_in(0..9) as i32 - 4).collect();
+            let etr = tpmj.then_some(&etr[..]);
             // Random LRU stamps (duplicates likely, so the first-minimal
             // tie-break is exercised too).
             let lru: Vec<u64> = (0..cap).map(|_| g.u64_in(0..6)).collect();
@@ -983,14 +1022,76 @@ mod tests {
             mask[forced] = true;
             let allowed = |i: usize| mask[i];
 
-            let got = select_victim(cap, thrashing, etr_set.as_ref(), &lru, &allowed);
-            let want = reference_victim(cap, thrashing, etr_set.as_ref(), &lru, &allowed);
+            let got = select_victim(cap, thrashing, etr, &lru, &allowed);
+            let want = reference_victim(cap, thrashing, etr, &lru, &allowed);
             tpcheck::ensure!(
                 got == want,
                 "cap={cap} thrashing={thrashing} tpmj={tpmj}: got {got}, want {want}"
             );
             Ok(())
         });
+    }
+
+    #[test]
+    fn the_farthest_reuse_is_the_victim_and_overdue_wins_ties() {
+        let any = |_: usize| true;
+        // |-3| == |3|: the overdue slot goes first.
+        assert_eq!(select_victim(4, false, Some(&[1, 3, -3, 2]), &[], &any), 2);
+        assert_eq!(select_victim(4, false, Some(&[1, 3, 0, 2]), &[], &any), 1);
+    }
+
+    #[test]
+    fn etrs_age_every_8_set_accesses_and_only_where_filled() {
+        let mut s = store(StreamlineConfig {
+            llc_sets: 1,
+            ..Default::default()
+        });
+        // Two inserts and a lookup hit are three accesses to the set; a
+        // miss is none.
+        s.insert(entry(1, 100), 1);
+        s.insert(entry(2, 200), 1);
+        assert!(s.lookup(Line(1), 1).is_some());
+        assert!(s.lookup(Line(3), 1).is_none());
+        assert_eq!(s.ticks[0], 3);
+        assert_eq!(s.filled[..3], [true, true, false]);
+        s.etr[..3].copy_from_slice(&[2, -1, 5]);
+        for _ in 3..7 {
+            s.tick_etr(0);
+        }
+        assert_eq!(s.etr[..3], [2, -1, 5], "no aging before the 8th access");
+        s.tick_etr(0);
+        assert_eq!(s.etr[..3], [1, -2, 5], "the 8th ages filled slots only");
+    }
+
+    #[test]
+    fn a_slot_reset_by_a_resize_stops_aging_but_a_hit_still_sets_its_etr() {
+        let mut s = store(StreamlineConfig {
+            llc_sets: 2,
+            hybrid: true,
+            ..Default::default()
+        });
+        // Both sets sample: a stream of unique triggers from one PC
+        // trains it toward a nonzero (scan) prediction.
+        for t in 0..5_000u64 {
+            s.insert(entry(t * 97, t), 7);
+        }
+        let predicted = s.predicted_etr(7);
+        assert_ne!(predicted, 0);
+        // Hybrid Quarter halves the ways: set 0 keeps its first 16
+        // entries, and its ETR state restarts.
+        s.set_size(PartitionSize::Quarter);
+        let row = s.row(0, s.slots_per_set);
+        assert!(s.etr[row.clone()].iter().all(|&e| e == 0));
+        assert!(!s.filled[row.clone()].iter().any(|&f| f));
+        assert_eq!(s.ticks[0], 0);
+        let kept = s.triggers[row.start];
+        assert!(s.lookup(kept, 7).is_some());
+        assert_eq!(s.etr[row.start], predicted, "a hit sets the ETR");
+        assert!(!s.filled[row.start], "a hit is not a fill");
+        for _ in 0..2 * ETR_AGE_EVERY {
+            s.tick_etr(0);
+        }
+        assert_eq!(s.etr[row.start], predicted, "an unfilled slot never ages");
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! (hashed) PC, how long its elements take to be reused. The predictor is
 //! then consulted at insertion time to set an *estimated time remaining*
 //! (ETR) for the filled way; the replacement victim is the way whose
-//! reuse is estimated farthest away (largest |ETR|).
+//! reuse is estimated farthest away (largest |ETR|). The ETR counters
+//! and the victim choice belong to the table whose ways they describe:
+//! this module holds only the predictor.
 //!
 //! This module is deliberately generic over what an "element" is: data
 //! lines for classic Mockingjay, or whole correlations for TP-Mockingjay
@@ -66,7 +68,9 @@ pub enum ReusePrediction {
 #[derive(Clone, Debug)]
 pub struct EtrSampler {
     config: EtrSamplerConfig,
-    sets: Vec<Vec<SamplerEntry>>,
+    /// The sampled sets, `ways` entries each: entry `w` of set `s` is
+    /// index `s * ways + w`.
+    entries: Vec<SamplerEntry>,
     /// Per-PC-hash predicted reuse distance; `u32::MAX` encodes scan.
     rdp: Vec<u32>,
     clock: Vec<u32>,
@@ -85,7 +89,7 @@ impl EtrSampler {
         );
         assert!(config.granularity > 0, "granularity must be nonzero");
         EtrSampler {
-            sets: vec![vec![SamplerEntry::default(); config.ways]; config.sets],
+            entries: vec![SamplerEntry::default(); config.sets * config.ways],
             rdp: vec![0; 256],
             clock: vec![0; config.sets],
             lru_clock: 0,
@@ -99,7 +103,7 @@ impl EtrSampler {
     }
 
     fn set_index(&self, key: u64) -> usize {
-        (key ^ (key >> 17) ^ (key >> 31)) as usize % self.sets.len()
+        (key ^ (key >> 17) ^ (key >> 31)) as usize % self.config.sets
     }
 
     fn tag_of(key: u64) -> u16 {
@@ -114,7 +118,8 @@ impl EtrSampler {
         self.clock[si] = self.clock[si].wrapping_add(1);
         self.lru_clock = self.lru_clock.wrapping_add(1);
         let now = self.clock[si];
-        let set = &mut self.sets[si];
+        let ways = self.config.ways;
+        let set = &mut self.entries[si * ways..][..ways];
 
         if let Some(e) = set.iter_mut().find(|e| e.valid && e.tag == tag) {
             // Reuse: train the *previous* PC toward the observed distance.
@@ -175,86 +180,6 @@ impl EtrSampler {
     }
 }
 
-/// Per-set ETR state implementing Mockingjay's victim selection: the way
-/// with the largest |ETR| is evicted, with overdue (negative) ways
-/// preferred on ties. ETRs age by one per `granularity` set accesses.
-#[derive(Clone, Debug)]
-pub struct EtrSet {
-    etr: Vec<i32>,
-    valid: Vec<bool>,
-    access_count: u32,
-    granularity: u32,
-}
-
-impl EtrSet {
-    /// Creates ETR state for `ways` slots aging every `granularity`
-    /// accesses.
-    pub fn new(ways: usize, granularity: u32) -> Self {
-        assert!(ways > 0 && granularity > 0);
-        EtrSet {
-            etr: vec![0; ways],
-            valid: vec![false; ways],
-            access_count: 0,
-            granularity,
-        }
-    }
-
-    /// Returns the set to its just-constructed state, in place.
-    pub fn reset(&mut self) {
-        self.etr.fill(0);
-        self.valid.fill(false);
-        self.access_count = 0;
-    }
-
-    /// Records a set access, aging all valid ways periodically.
-    pub fn tick(&mut self) {
-        self.access_count += 1;
-        if self.access_count.is_multiple_of(self.granularity) {
-            for (e, &v) in self.etr.iter_mut().zip(&self.valid) {
-                if v {
-                    *e -= 1;
-                }
-            }
-        }
-    }
-
-    /// Installs a new element in `way` with the given initial ETR.
-    pub fn fill(&mut self, way: usize, etr: i32) {
-        self.etr[way] = etr;
-        self.valid[way] = true;
-    }
-
-    /// Refreshes `way` on a hit with a new ETR prediction.
-    pub fn hit(&mut self, way: usize, etr: i32) {
-        self.etr[way] = etr;
-    }
-
-    /// Chooses the victim way: invalid first, then max |ETR| preferring
-    /// overdue ways.
-    pub fn victim(&self) -> usize {
-        if let Some(w) = self.valid.iter().position(|v| !v) {
-            return w;
-        }
-        self.etr
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &e)| (e.unsigned_abs(), e < 0))
-            .map(|(w, _)| w)
-            .expect("nonempty set")
-    }
-
-    /// Number of ways.
-    pub fn ways(&self) -> usize {
-        self.etr.len()
-    }
-
-    /// Current ETR value of `way` (for victim selection over a
-    /// restricted candidate subset).
-    pub fn etr_value(&self, way: usize) -> i32 {
-        self.etr[way]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,38 +221,5 @@ mod tests {
         assert_eq!(s.etr_for(ReusePrediction::Scan, 3), -3);
         assert_eq!(s.etr_for(ReusePrediction::Reuse(10_000), 3), 3);
         assert_eq!(s.etr_for(ReusePrediction::Reuse(0), 3), 0);
-    }
-
-    #[test]
-    fn etr_set_victimises_farthest_reuse() {
-        let mut set = EtrSet::new(4, 8);
-        set.fill(0, 1);
-        set.fill(1, 3);
-        set.fill(2, -3);
-        set.fill(3, 2);
-        // |−3| == |3|; overdue (negative) preferred.
-        assert_eq!(set.victim(), 2);
-        set.hit(2, 0);
-        assert_eq!(set.victim(), 1);
-    }
-
-    #[test]
-    fn etr_set_ages_with_ticks() {
-        let mut set = EtrSet::new(2, 2);
-        set.fill(0, 2);
-        set.fill(1, 1);
-        for _ in 0..4 {
-            set.tick();
-        }
-        // Way 1 is now overdue (-1) while way 0 sits at 0.
-        assert_eq!(set.victim(), 1);
-    }
-
-    #[test]
-    fn invalid_ways_are_preferred_victims() {
-        let mut set = EtrSet::new(3, 8);
-        set.fill(0, 0);
-        set.fill(1, 0);
-        assert_eq!(set.victim(), 2);
     }
 }

@@ -61,6 +61,12 @@
 //! pointer under the lock) and replies are encoded lines: a `done` is
 //! an envelope written around the cached report, which is not re-read.
 //!
+//! The memory cache has no bound: it holds one entry per distinct
+//! canonical request for the life of the process, while the disk
+//! store has a byte cap. At figure scale that is a few hundred entries
+//! of about a kilobyte; a long-lived server fed ever-new requests
+//! grows without limit.
+//!
 //! ## Deadlines
 //!
 //! Cancellation is cooperative: [`Core::tick`] flips the

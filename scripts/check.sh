@@ -7,9 +7,10 @@
 #    debug-asserted inside every test-mode simulation) — then rustfmt
 #    in check mode, clippy and rustdoc, warnings denied (and, for the
 #    workspace, any `unsafe` block without a `// SAFETY:` comment).
-# 2. A release-mode sweep over the memory-intensive pool at test scale
-#    with --audit, so the release build's counters are checked against
-#    the same laws the debug assertions enforce.
+# 2. Release-mode sweeps at test scale with --audit (fig09's
+#    single-core pool and fig10's multi-core mixes), so the release
+#    build's counters are checked against the same laws the debug
+#    assertions enforce.
 # 3. The README's trace export -> inspect pair (the serialized format,
 #    and the loaded trace at <= 5.1 B/access), server and fleet smokes
 #    from the outside, then the benchmark's own tests and its quick
@@ -35,6 +36,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== audited quick sweep (release, test scale) =="
 cargo run --release -q -p tpbench -- --scale=test --audit fig09 >/dev/null
+# A multi-core artefact too: fig10's 2-, 4- and 8-core mixes (~70 s on
+# a 2-vCPU host).
+cargo run --release -q -p tpbench -- --scale=test --audit fig10 >/dev/null
 for w in spec06.mcf spec17.xalancbmk gap.bfs; do
   cargo run --release -q -p tpharness --bin tpcli -- \
     compare "$w" --scale=test --audit >/dev/null

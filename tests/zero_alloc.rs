@@ -3,7 +3,8 @@
 //! more memory than the finished trace holds (5 B per access), a
 //! served reply is framed with no allocation, `parse` builds it with one
 //! allocation per thing the tree must own, and `parse_reply` reads it
-//! with the same eight whatever the report's size.
+//! with the same eight whatever the report's size. A metadata store is
+//! built with a handful of allocations and makes none after.
 //!
 //! Engine construction front-loads every table and metadata-store slot,
 //! so the bracket wraps `run` only; what is left is per-run epilogue
@@ -160,6 +161,32 @@ fn the_store_never_allocates_after_construction() {
     work(&mut store, 25_000);
     let allocs = ALLOCS.with(Cell::get) - before;
     assert_eq!(allocs, 0, "StreamStore allocated after construction");
+}
+
+/// A store is a few column arrays, so building one is a few
+/// allocations, not one or two per set (4 363 when each set kept its
+/// own replacement state and each sampler set its own `Vec`).
+const MAX_STORE_NEW_ALLOCS: u64 = 16;
+
+#[test]
+fn a_store_is_built_with_a_few_allocations() {
+    use streamline_repro::streamline_core::StreamStore;
+
+    for tpmj in [true, false] {
+        let cfg = StreamlineConfig {
+            tpmj,
+            ..Default::default()
+        };
+        let before = ALLOCS.with(Cell::get);
+        let store = StreamStore::new(cfg);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        drop(std::hint::black_box(store));
+        assert!(
+            allocs <= MAX_STORE_NEW_ALLOCS,
+            "tpmj={tpmj}: StreamStore::new made {allocs} allocations \
+             (gate {MAX_STORE_NEW_ALLOCS})"
+        );
+    }
 }
 
 /// Triangel's reuse buffer is three arrays sized in `Mrb::new`; hits,
