@@ -9,9 +9,9 @@
 //! high associativity at both sizes with free repartitioning.
 
 use tpharness::report::Table;
+use tpsim::LLC_SLICE_SETS as LLC_SETS;
 use tptrace::Scale;
 
-const LLC_SETS: usize = 2048;
 const ENTRIES_PER_WAY: usize = 4;
 const MAX_WAYS: usize = 8;
 

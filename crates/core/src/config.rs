@@ -1,5 +1,15 @@
-//! Streamline configuration, including every ablation knob used by the
-//! paper's Figures 12, 14, and 15.
+//! Streamline configuration: the ablation and sweep knobs of the paper's
+//! Figures 10–15, and as constants the hardware sizes the paper fixes.
+
+/// Ways reserved per allocated metadata set (8: 1 MB of a 2 MB slice
+/// when every set is allocated).
+pub const META_WAYS: usize = 8;
+
+/// Training-unit entries (256).
+pub const TU_ENTRIES: usize = 256;
+
+/// Instability epoch in accesses (paper Section IV-E6: 1024).
+pub const INSTABILITY_EPOCH: u32 = 1024;
 
 /// Metadata partition sizes (paper Section IV-E4: 0 MB, 0.5 MB, 1 MB).
 ///
@@ -42,19 +52,14 @@ impl PartitionSize {
 /// Full Streamline configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamlineConfig {
-    /// LLC sets in this core's slice (2048 for a 2 MB slice).
+    /// LLC sets in this core's slice (`tpsim::LLC_SLICE_SETS`; tests
+    /// shrink it).
     pub llc_sets: usize,
-    /// LLC associativity (16).
-    pub llc_ways: usize,
-    /// Ways reserved per allocated metadata set (8).
-    pub meta_ways: usize,
     /// Stream length: correlations per stream entry (4).
     pub stream_len: usize,
     /// Per-PC metadata buffer entries (3). Zero disables the buffer
     /// (the `-MB` ablation).
     pub buffer_entries: usize,
-    /// Training-unit entries (256).
-    pub tu_entries: usize,
     /// Enable stream alignment (`-SA` ablation when false).
     pub alignment: bool,
     /// Enable tagged set-partitioning; when false the store degrades to
@@ -75,10 +80,6 @@ pub struct StreamlineConfig {
     pub hybrid: bool,
     /// Pin the partition to one size (size sweeps); `None` = dynamic.
     pub fixed_size: Option<PartitionSize>,
-    /// Largest size dynamic partitioning may choose.
-    pub max_size: PartitionSize,
-    /// Dedicated store outside the LLC (idealised variants).
-    pub dedicated: bool,
     /// Override the stability-based degree with a constant (Figure 10f).
     pub degree_override: Option<usize>,
     /// Utility-partitioner resize epoch in **events**. The paper resizes
@@ -87,19 +88,14 @@ pub struct StreamlineConfig {
     /// (2^17) is chosen to give the partitioner several warm decisions
     /// per run while still amortising cold-start noise.
     pub resize_epoch: u64,
-    /// Instability epoch in accesses (1024).
-    pub instability_epoch: u32,
 }
 
 impl Default for StreamlineConfig {
     fn default() -> Self {
         StreamlineConfig {
-            llc_sets: 2048,
-            llc_ways: 16,
-            meta_ways: 8,
+            llc_sets: tpsim::LLC_SLICE_SETS,
             stream_len: 4,
             buffer_entries: 3,
-            tu_entries: 256,
             alignment: true,
             tsp: true,
             tpmj: true,
@@ -108,11 +104,8 @@ impl Default for StreamlineConfig {
             skewed: false,
             hybrid: false,
             fixed_size: None,
-            max_size: PartitionSize::Full,
-            dedicated: false,
             degree_override: None,
             resize_epoch: 1 << 17,
-            instability_epoch: 1024,
         }
     }
 }
@@ -150,7 +143,7 @@ impl StreamlineConfig {
 
     /// Total correlation capacity at a given partition size.
     pub fn capacity_correlations(&self, size: PartitionSize) -> usize {
-        let blocks = (self.llc_sets >> size.stride_log2(self.llc_sets)) * self.meta_ways;
+        let blocks = (self.llc_sets >> size.stride_log2(self.llc_sets)) * META_WAYS;
         blocks * Self::correlations_per_block(self.stream_len)
     }
 }

@@ -61,7 +61,7 @@ pub mod store;
 pub mod stream;
 pub mod training;
 
-pub use config::{PartitionSize, StreamlineConfig};
+pub use config::{PartitionSize, StreamlineConfig, INSTABILITY_EPOCH, META_WAYS, TU_ENTRIES};
 pub use prefetcher::Streamline;
 pub use store::{StoreInsert, StreamStore};
 pub use stream::{align, Alignment, StreamEntry};

@@ -8,7 +8,7 @@ use crate::stream::{align, StreamEntry, TargetList};
 use crate::training::StreamTu;
 use tpsim::{
     MetaCtx, PartitionSpec, ShadowSets, TemporalEvent, TemporalPrefetcher, TemporalStats,
-    LLC_SAMPLE_SHIFT,
+    LLC_SAMPLE_SHIFT, LLC_WAYS,
 };
 use tptrace::record::Line;
 
@@ -40,7 +40,7 @@ impl Streamline {
         Streamline {
             tu: StreamTu::new(&cfg),
             store: StreamStore::new(cfg),
-            shadow: ShadowSets::new(cfg.llc_sets, LLC_SAMPLE_SHIFT, cfg.llc_ways),
+            shadow: ShadowSets::new(cfg.llc_sets, LLC_SAMPLE_SHIFT, LLC_WAYS),
             events: 0,
             // The first epochs are cold (nothing repeats until the
             // workload's first full pass completes): observe only.
@@ -87,7 +87,7 @@ impl Streamline {
     /// sets).
     fn data_ways_equiv(&self, size: PartitionSize) -> usize {
         let (stride, ways) = self.store.geometry(size);
-        self.cfg.llc_ways - (ways >> stride.min(4))
+        LLC_WAYS - (ways >> stride.min(4))
     }
 
     fn maybe_resize(&mut self, ctx: &mut MetaCtx) {
@@ -101,9 +101,7 @@ impl Streamline {
             self.shadow.reset();
             return;
         }
-        // A dedicated store costs no LLC capacity, so there is nothing
-        // to duel over: stay at the maximum size.
-        if self.cfg.fixed_size.is_none() && !self.cfg.dedicated {
+        if self.cfg.fixed_size.is_none() {
             let w = Self::accuracy_weight(ctx.global_accuracy);
             let candidates = [
                 PartitionSize::SamplesOnly,
@@ -121,7 +119,7 @@ impl Streamline {
             let current = self.store.size();
             let mut best = current;
             let mut best_score = score_of(current);
-            for &size in candidates.iter().filter(|&&s| s <= self.cfg.max_size) {
+            for size in candidates {
                 let score = score_of(size);
                 if score > best_score {
                     best_score = score;

@@ -2,10 +2,10 @@
 //! indexing, TP-Mockingjay replacement, and partial-tag placement
 //! (paper Sections IV-B3, IV-C, IV-D, IV-E).
 
-use crate::config::{PartitionSize, StreamlineConfig};
+use crate::config::{PartitionSize, StreamlineConfig, META_WAYS};
 use crate::stream::{StreamEntry, TargetList};
 use std::ops::Range;
-use tpreplace::{EtrSampler, EtrSamplerConfig};
+use tpreplace::EtrSampler;
 use tpsim::{tagrow, PartitionSpec};
 use tptrace::record::Line;
 
@@ -174,7 +174,7 @@ impl StreamStore {
     /// every set is laid out here, whatever the initial size: this is
     /// the only place the store allocates under filtered indexing.
     pub fn new(cfg: StreamlineConfig) -> Self {
-        let slots_per_set = cfg.meta_ways * Self::entries_per_block(&cfg);
+        let slots_per_set = META_WAYS * Self::entries_per_block(&cfg);
         let slots = cfg.llc_sets * slots_per_set;
         // Only the columns the replacement policy reads.
         let (tpmj_slots, tpmj_sets, lru_slots) = if cfg.tpmj {
@@ -183,7 +183,7 @@ impl StreamStore {
             (0, 0, slots)
         };
         StreamStore {
-            size: cfg.fixed_size.unwrap_or(cfg.max_size),
+            size: cfg.fixed_size.unwrap_or(PartitionSize::Full),
             slots_per_set,
             triggers: vec![VACANT; slots],
             fps: vec![0; slots],
@@ -195,15 +195,7 @@ impl StreamStore {
             filled: vec![false; tpmj_slots],
             ticks: vec![0; tpmj_sets],
             inserts_since_hit: vec![0; cfg.llc_sets],
-            // Temporal metadata has long but consistent reuse distances
-            // (paper Section IV-E5: 3-bit ETRs suffice); the sampler
-            // ranges must cover them.
-            sampler: EtrSampler::new(EtrSamplerConfig {
-                sets: 256,
-                ways: 10,
-                max_distance: 2048,
-                granularity: 64,
-            }),
+            sampler: EtrSampler::new(),
             clock: 0,
             alias_conflicts: 0,
             credit: [0; 4],
@@ -217,9 +209,9 @@ impl StreamStore {
     /// set stride for way count below Half (Section V-D6).
     pub fn geometry(&self, size: PartitionSize) -> (u8, usize) {
         if self.cfg.hybrid && size == PartitionSize::Quarter {
-            (1, self.cfg.meta_ways / 2)
+            (1, META_WAYS / 2)
         } else {
-            (size.stride_log2(self.cfg.llc_sets), self.cfg.meta_ways)
+            (size.stride_log2(self.cfg.llc_sets), META_WAYS)
         }
     }
 
@@ -289,9 +281,6 @@ impl StreamStore {
 
     /// The partition spec the LLC should apply for this store.
     pub fn partition_spec(&self) -> PartitionSpec {
-        if self.cfg.dedicated {
-            return PartitionSpec::Dedicated;
-        }
         let (stride, ways) = self.geometry(self.size);
         PartitionSpec::Sets {
             every_log2: stride,

@@ -2,7 +2,7 @@
 //! stream metadata buffer, and stability-based degree control
 //! (paper Sections IV-E2 and IV-E6).
 
-use crate::config::StreamlineConfig;
+use crate::config::{StreamlineConfig, INSTABILITY_EPOCH, TU_ENTRIES};
 use crate::stream::{StreamEntry, TargetList, MAX_STREAM_LEN};
 use tptrace::record::{Line, Pc};
 
@@ -25,8 +25,8 @@ struct TuSlot {
     targets: TargetList,
     /// Final address of the previously completed stream entry.
     prev_tail: Option<Line>,
-    /// Per-PC stream metadata buffer, MRU first.
-    buffer: Vec<StreamEntry>,
+    /// Entries in this slot's metadata buffer.
+    buffered: usize,
     /// Metadata-buffer insertions this instability epoch.
     insertions: u32,
     /// Accesses this instability epoch.
@@ -38,41 +38,47 @@ struct TuSlot {
 #[derive(Clone, Debug)]
 pub struct StreamTu {
     slots: Vec<TuSlot>,
+    /// Every slot's per-PC stream metadata buffer, MRU first: slot `i`
+    /// owns `buffer_entries` entries from index `i * buffer_entries`,
+    /// the first `buffered` of them valid.
+    buffers: Vec<StreamEntry>,
     stream_len: usize,
     buffer_entries: usize,
-    instability_epoch: u32,
     max_degree: usize,
 }
 
 impl StreamTu {
-    /// Builds the training unit from the prefetcher configuration.
+    /// Builds the training unit from the prefetcher configuration. It
+    /// allocates here only: the demand path never grows a buffer.
     pub fn new(cfg: &StreamlineConfig) -> Self {
-        assert!(cfg.tu_entries > 0 && cfg.stream_len > 0);
+        assert!(cfg.stream_len > 0);
         assert!(
             cfg.stream_len <= MAX_STREAM_LEN,
             "stream_len {} exceeds MAX_STREAM_LEN {}",
             cfg.stream_len,
             MAX_STREAM_LEN
         );
-        // Buffers are pre-reserved at their steady-state high-water mark
-        // (`buffer_entries` entries plus one insert-before-truncate slot)
-        // so the demand path never grows them: lazy growth was one of
-        // the last allocation sources inside a measured run.
-        let slot = || TuSlot {
-            buffer: Vec::with_capacity(cfg.buffer_entries + 1),
-            ..TuSlot::default()
-        };
+        let vacant = StreamEntry::new(Line(0), TargetList::new());
         StreamTu {
-            slots: std::iter::repeat_with(slot).take(cfg.tu_entries).collect(),
+            slots: vec![TuSlot::default(); TU_ENTRIES],
+            buffers: vec![vacant; TU_ENTRIES * cfg.buffer_entries],
             stream_len: cfg.stream_len,
             buffer_entries: cfg.buffer_entries,
-            instability_epoch: cfg.instability_epoch,
             max_degree: cfg.stream_len,
         }
     }
 
     fn index(&self, pc: Pc) -> usize {
-        (pc.0 as usize ^ (pc.0 >> 7) as usize ^ (pc.0 >> 15) as usize) % self.slots.len()
+        (pc.0 as usize ^ (pc.0 >> 7) as usize ^ (pc.0 >> 15) as usize) % TU_ENTRIES
+    }
+
+    /// The slot tracking `pc`, if any, and its whole metadata buffer
+    /// (MRU first, the slot's first `buffered` entries valid).
+    fn tracked(&mut self, pc: Pc) -> Option<(&mut TuSlot, &mut [StreamEntry])> {
+        let idx = self.index(pc);
+        let s = &mut self.slots[idx];
+        let n = self.buffer_entries;
+        (s.valid && s.tag == pc.0).then(|| (s, &mut self.buffers[idx * n..][..n]))
     }
 
     /// Appends `line` to `pc`'s current stream; returns a completed
@@ -84,24 +90,18 @@ impl StreamTu {
         let idx = self.index(pc);
         let s = &mut self.slots[idx];
         if !s.valid || s.tag != pc.0 {
-            // Field-by-field reset (not a struct overwrite): `buffer`
-            // must keep its pre-reserved capacity across PC handoffs or
-            // every slot steal would re-allocate on the demand path.
-            s.tag = pc.0;
-            s.valid = true;
-            s.trigger = Some(line);
-            s.targets.clear();
-            s.prev_tail = None;
-            s.buffer.clear();
-            s.insertions = 0;
-            s.accesses = 0;
-            s.degree = 0;
+            *s = TuSlot {
+                tag: pc.0,
+                valid: true,
+                trigger: Some(line),
+                ..TuSlot::default()
+            };
             return TuObservation::default();
         }
         // Degree epoch bookkeeping.
         s.accesses += 1;
-        if s.accesses >= self.instability_epoch {
-            s.degree = degree_for(s.insertions, self.instability_epoch, self.max_degree);
+        if s.accesses >= INSTABILITY_EPOCH {
+            s.degree = degree_for(s.insertions, self.max_degree);
             s.accesses = 0;
             s.insertions = 0;
         }
@@ -151,24 +151,17 @@ impl StreamTu {
     /// refreshed) and returns `true`. The prefetch hot path reuses one
     /// scratch buffer across chase steps, so this never allocates.
     pub fn buffer_lookup_into(&mut self, pc: Pc, line: Line, out: &mut Vec<Line>) -> bool {
-        if self.buffer_entries == 0 {
+        let Some((s, buf)) = self.tracked(pc) else {
             return false;
-        }
-        let idx = self.index(pc);
-        let s = &mut self.slots[idx];
-        if !s.valid || s.tag != pc.0 {
-            return false;
-        }
-        let Some(pos) = s
-            .buffer
+        };
+        let Some(pos) = buf[..s.buffered]
             .iter()
             .position(|e| e.position_of(line).is_some_and(|p| p < e.correlations()))
         else {
             return false;
         };
-        let e = s.buffer.remove(pos);
-        out.extend_from_slice(e.successors_of(line));
-        s.buffer.insert(0, e);
+        out.extend_from_slice(buf[pos].successors_of(line));
+        buf[..=pos].rotate_right(1);
         true
     }
 
@@ -180,7 +173,7 @@ impl StreamTu {
         if !s.valid || s.tag != pc.0 {
             return None;
         }
-        s.buffer
+        self.buffers[idx * self.buffer_entries..][..s.buffered]
             .iter()
             .find(|e| e.position_of(trigger).is_some_and(|p| p < e.correlations()))
             .cloned()
@@ -189,20 +182,21 @@ impl StreamTu {
     /// Inserts (or replaces, keyed by trigger) an entry in `pc`'s
     /// metadata buffer, counting the insertion for instability tracking.
     pub fn buffer_insert(&mut self, pc: Pc, entry: StreamEntry) {
-        if self.buffer_entries == 0 {
+        let Some((s, buf)) = self.tracked(pc) else {
+            return;
+        };
+        if buf.is_empty() {
             return;
         }
-        let cap = self.buffer_entries;
-        let idx = self.index(pc);
-        let s = &mut self.slots[idx];
-        if !s.valid || s.tag != pc.0 {
-            return;
-        }
-        if let Some(pos) = s.buffer.iter().position(|e| e.trigger == entry.trigger) {
-            s.buffer.remove(pos);
-        }
-        s.buffer.insert(0, entry);
-        s.buffer.truncate(cap);
+        // The entry it replaces makes way, else the first vacant one,
+        // else the LRU one.
+        let n = buf[..s.buffered]
+            .iter()
+            .position(|e| e.trigger == entry.trigger)
+            .unwrap_or(s.buffered.min(buf.len() - 1));
+        buf[..=n].rotate_right(1);
+        buf[0] = entry;
+        s.buffered = s.buffered.max(n + 1);
         s.insertions += 1;
     }
 
@@ -219,10 +213,9 @@ impl StreamTu {
 }
 
 /// Paper Section IV-E6: per-1024-access epochs, degree 4 below 400
-/// insertions, 3 below 600, 2 below 800, else 1 (scaled to the epoch).
-fn degree_for(insertions: u32, epoch: u32, max_degree: usize) -> usize {
-    let scaled = (insertions as u64 * 1024 / epoch.max(1) as u64) as u32;
-    let d = match scaled {
+/// insertions, 3 below 600, 2 below 800, else 1.
+fn degree_for(insertions: u32, max_degree: usize) -> usize {
+    let d = match insertions {
         0..=399 => 4,
         400..=599 => 3,
         600..=799 => 2,
@@ -314,23 +307,21 @@ mod tests {
 
     #[test]
     fn degree_tracks_instability() {
-        assert_eq!(degree_for(100, 1024, 4), 4);
-        assert_eq!(degree_for(450, 1024, 4), 3);
-        assert_eq!(degree_for(700, 1024, 4), 2);
-        assert_eq!(degree_for(900, 1024, 4), 1);
+        assert_eq!(degree_for(100, 4), 4);
+        assert_eq!(degree_for(450, 4), 3);
+        assert_eq!(degree_for(700, 4), 2);
+        assert_eq!(degree_for(900, 4), 1);
         // Stable PC: one buffer insertion every stream_len accesses
         // (256/1024) -> degree 4, as the paper argues.
-        assert_eq!(degree_for(256, 1024, 4), 4);
+        assert_eq!(degree_for(256, 4), 4);
     }
 
     #[test]
     fn degree_epoch_updates_per_pc() {
-        let mut c = cfg();
-        c.instability_epoch = 16;
-        let mut tu = StreamTu::new(&c);
+        let mut tu = StreamTu::new(&cfg());
         tu.observe(Pc(1), Line(0));
-        // Unstable: insert on (almost) every access.
-        for i in 0..40u64 {
+        // Unstable: insert on every access, for over one epoch.
+        for i in 0..INSTABILITY_EPOCH as u64 + 8 {
             tu.observe(Pc(1), Line(1000 + i * 3));
             tu.buffer_insert(Pc(1), StreamEntry::new(Line(i), vec![Line(i + 1)]));
         }

@@ -2,7 +2,7 @@
 
 use streamline_core::{Streamline, StreamlineConfig};
 use tpprefetch::{Berti, Bingo, IpStride, Ipcp, SppPpf};
-use tpsim::{AccessPrefetcher, IdealTemporal, TemporalPrefetcher};
+use tpsim::{AccessPrefetcher, TemporalPrefetcher};
 use triage::{Triage, TriageConfig};
 use triangel::{Triangel, TriangelConfig};
 
@@ -93,9 +93,6 @@ impl L2Kind {
 pub enum TemporalKind {
     /// No temporal prefetcher.
     None,
-    /// Idealised unlimited-metadata temporal prefetcher (irregular-subset
-    /// derivation; upper bound).
-    Ideal,
     /// Triage (MICRO 2019).
     Triage,
     /// Triangel (ISCA 2024), dynamic partitioning.
@@ -115,7 +112,6 @@ impl TemporalKind {
     pub fn build(self) -> Option<Box<dyn TemporalPrefetcher>> {
         match self {
             TemporalKind::None => None,
-            TemporalKind::Ideal => Some(Box::new(IdealTemporal::new(4))),
             TemporalKind::Triage => Some(Box::new(Triage::with_config(TriageConfig::default()))),
             TemporalKind::Triangel => Some(Box::new(Triangel::new())),
             TemporalKind::TriangelFixed(ways) => {
@@ -134,7 +130,6 @@ impl TemporalKind {
     pub fn name(self) -> &'static str {
         match self {
             TemporalKind::None => "none",
-            TemporalKind::Ideal => "ideal",
             TemporalKind::Triage => "triage",
             TemporalKind::Triangel => "triangel",
             TemporalKind::TriangelFixed(_) => "triangel-fixed",
@@ -146,9 +141,8 @@ impl TemporalKind {
 
     /// Every parameterless kind — the ones a name alone identifies, and
     /// so the only ones a CLI flag or the service protocol can carry.
-    pub const NAMED: [TemporalKind; 6] = [
+    pub const NAMED: [TemporalKind; 5] = [
         TemporalKind::None,
-        TemporalKind::Ideal,
         TemporalKind::Triage,
         TemporalKind::Triangel,
         TemporalKind::TriangelIdeal,
@@ -203,6 +197,7 @@ mod tests {
         for family in [
             TemporalKind::TriangelFixed(4).name(),
             TemporalKind::StreamlineCfg(StreamlineConfig::default()).name(),
+            "ideal",
             "magic",
         ] {
             assert!(TemporalKind::from_name(family).is_none(), "{family}");

@@ -10,7 +10,7 @@
 //!
 //! Options: `--scale=test|small|full`, `--l1=none|stride|berti`,
 //! `--l2=none|ipcp|bingo|spp-ppf`,
-//! `--temporal=none|ideal|triage|triangel|triangel-ideal|streamline`,
+//! `--temporal=none|triage|triangel|triangel-ideal|streamline`,
 //! `--bandwidth=<factor>`, `--audit` (verify the run's counters against
 //! the conservation laws in `tpsim::audit`; always on in debug builds).
 

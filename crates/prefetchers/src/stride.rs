@@ -6,6 +6,12 @@ use tptrace::record::{Line, Pc};
 
 const _: () = assert!(LINE_SIZE == 64);
 
+/// Table entries (a power of two).
+const ENTRIES: usize = 64;
+
+/// Prefetches issued ahead of a confident stride.
+const DEGREE: i64 = 3;
+
 #[derive(Clone, Copy, Debug, Default)]
 struct StrideEntry {
     tag: u64,
@@ -18,34 +24,22 @@ struct StrideEntry {
 ///
 /// A small direct-mapped table tracks each PC's last line and stride with
 /// a 2-bit confidence counter; once confidence saturates, the prefetcher
-/// issues `degree` strided prefetches ahead of the demand stream.
+/// issues three strided prefetches ahead of the demand stream.
 #[derive(Clone, Debug)]
 pub struct IpStride {
     table: Vec<StrideEntry>,
-    degree: usize,
 }
 
 impl IpStride {
     /// Creates the paper-default configuration: 64 entries, degree 3.
     pub fn new() -> Self {
-        IpStride::with_params(64, 3)
-    }
-
-    /// Creates a stride prefetcher with a custom table size and degree.
-    ///
-    /// # Panics
-    /// Panics if `entries` is zero or not a power of two, or `degree` is 0.
-    pub fn with_params(entries: usize, degree: usize) -> Self {
-        assert!(entries.is_power_of_two() && entries > 0);
-        assert!(degree > 0);
         IpStride {
-            table: vec![StrideEntry::default(); entries],
-            degree,
+            table: vec![StrideEntry::default(); ENTRIES],
         }
     }
 
     fn index(&self, pc: Pc) -> usize {
-        (pc.0 as usize ^ (pc.0 >> 6) as usize ^ (pc.0 >> 13) as usize) & (self.table.len() - 1)
+        (pc.0 as usize ^ (pc.0 >> 6) as usize ^ (pc.0 >> 13) as usize) & (ENTRIES - 1)
     }
 }
 
@@ -90,7 +84,7 @@ impl AccessPrefetcher for IpStride {
         }
         if e.confidence >= 2 {
             let stride = e.stride;
-            out.extend((1..=self.degree as i64).map(|k| Line((line.0 as i64 + stride * k) as u64)));
+            out.extend((1..=DEGREE).map(|k| Line((line.0 as i64 + stride * k) as u64)));
         }
     }
 }
@@ -154,12 +148,5 @@ mod tests {
         let mut p = IpStride::new();
         let out = drive(&mut p, 0x400, &[7, 7, 7, 7]);
         assert!(out.iter().all(|v| v.is_empty()));
-    }
-
-    #[test]
-    fn custom_degree_is_respected() {
-        let mut p = IpStride::with_params(64, 1);
-        let out = drive(&mut p, 0x400, &[1, 2, 3, 4, 5]);
-        assert_eq!(out.last().unwrap().len(), 1);
     }
 }

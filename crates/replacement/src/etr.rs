@@ -12,35 +12,25 @@
 //! This module is deliberately generic over what an "element" is: data
 //! lines for classic Mockingjay, or whole correlations for TP-Mockingjay
 //! (the paper modifies sampler entries to store correlations and finds
-//! 3-bit ETRs suffice for temporal metadata — see Section IV-E5).
+//! 3-bit ETRs suffice for temporal metadata — see Section IV-E5). Its
+//! geometry and ranges are TP-Mockingjay's, as Streamline's store uses
+//! them.
 
-/// Configuration for an [`EtrSampler`].
-#[derive(Clone, Copy, Debug)]
-pub struct EtrSamplerConfig {
-    /// Number of sampler sets (paper: 8 sampled LLC sets → 32-set sampler
-    /// per sampled set group; we expose the total directly).
-    pub sets: usize,
-    /// Sampler associativity (paper: 10).
-    pub ways: usize,
-    /// Saturating cap for measured reuse distances, in sampler-set
-    /// accesses.
-    pub max_distance: u32,
-    /// ETR quantisation granularity: predicted distances are divided by
-    /// this before being stored in per-way ETR counters (paper: 8 for
-    /// Mockingjay; TP-Mockingjay's 3-bit ETRs use a matching granularity).
-    pub granularity: u32,
-}
+/// Sampler sets (the paper's sampled sets, in total).
+const SETS: usize = 256;
 
-impl Default for EtrSamplerConfig {
-    fn default() -> Self {
-        EtrSamplerConfig {
-            sets: 256,
-            ways: 10,
-            max_distance: 256,
-            granularity: 8,
-        }
-    }
-}
+/// Sampler associativity (paper: 10).
+const WAYS: usize = 10;
+
+/// Saturating cap for measured reuse distances, in sampler-set
+/// accesses. Temporal metadata has long but consistent reuse distances
+/// (paper Section IV-E5), so the range must cover them.
+const MAX_DISTANCE: u32 = 2048;
+
+/// ETR quantisation granularity: predicted distances are divided by
+/// this before being stored in per-way ETR counters, so 3-bit ETRs span
+/// the sampler's range.
+const GRANULARITY: u32 = 64;
 
 #[derive(Clone, Copy, Debug, Default)]
 struct SamplerEntry {
@@ -67,9 +57,8 @@ pub enum ReusePrediction {
 /// ETR counter.
 #[derive(Clone, Debug)]
 pub struct EtrSampler {
-    config: EtrSamplerConfig,
-    /// The sampled sets, `ways` entries each: entry `w` of set `s` is
-    /// index `s * ways + w`.
+    /// The sampled sets, `WAYS` entries each: entry `w` of set `s` is
+    /// index `s * WAYS + w`.
     entries: Vec<SamplerEntry>,
     /// Per-PC-hash predicted reuse distance; `u32::MAX` encodes scan.
     rdp: Vec<u32>,
@@ -78,32 +67,18 @@ pub struct EtrSampler {
 }
 
 impl EtrSampler {
-    /// Creates a sampler from `config`.
-    ///
-    /// # Panics
-    /// Panics if `sets`, `ways`, or `granularity` is zero.
-    pub fn new(config: EtrSamplerConfig) -> Self {
-        assert!(
-            config.sets > 0 && config.ways > 0,
-            "sampler must be nonempty"
-        );
-        assert!(config.granularity > 0, "granularity must be nonzero");
+    /// Creates an empty sampler.
+    pub fn new() -> Self {
         EtrSampler {
-            entries: vec![SamplerEntry::default(); config.sets * config.ways],
+            entries: vec![SamplerEntry::default(); SETS * WAYS],
             rdp: vec![0; 256],
-            clock: vec![0; config.sets],
+            clock: vec![0; SETS],
             lru_clock: 0,
-            config,
         }
     }
 
-    /// The configuration the sampler was built with.
-    pub fn config(&self) -> &EtrSamplerConfig {
-        &self.config
-    }
-
     fn set_index(&self, key: u64) -> usize {
-        (key ^ (key >> 17) ^ (key >> 31)) as usize % self.config.sets
+        (key ^ (key >> 17) ^ (key >> 31)) as usize % SETS
     }
 
     fn tag_of(key: u64) -> u16 {
@@ -118,12 +93,11 @@ impl EtrSampler {
         self.clock[si] = self.clock[si].wrapping_add(1);
         self.lru_clock = self.lru_clock.wrapping_add(1);
         let now = self.clock[si];
-        let ways = self.config.ways;
-        let set = &mut self.entries[si * ways..][..ways];
+        let set = &mut self.entries[si * WAYS..][..WAYS];
 
         if let Some(e) = set.iter_mut().find(|e| e.valid && e.tag == tag) {
             // Reuse: train the *previous* PC toward the observed distance.
-            let distance = now.wrapping_sub(e.timestamp).min(self.config.max_distance);
+            let distance = now.wrapping_sub(e.timestamp).min(MAX_DISTANCE);
             let slot = &mut self.rdp[e.pc_hash as usize];
             *slot = if *slot == u32::MAX || *slot == 0 {
                 distance
@@ -146,10 +120,10 @@ impl EtrSampler {
         let victim = set[victim_idx];
         if victim.valid {
             let slot = &mut self.rdp[victim.pc_hash as usize];
-            *slot = if *slot >= self.config.max_distance / 2 {
+            *slot = if *slot >= MAX_DISTANCE / 2 {
                 u32::MAX // repeated non-reuse (or already scan): declare scan
             } else {
-                (*slot).saturating_add(self.config.max_distance / 8).max(1)
+                (*slot).saturating_add(MAX_DISTANCE / 8).max(1)
             };
         }
         set[victim_idx] = SamplerEntry {
@@ -175,8 +149,14 @@ impl EtrSampler {
         let max = (1i32 << (bits - 1)) - 1;
         match pred {
             ReusePrediction::Scan => -max,
-            ReusePrediction::Reuse(d) => ((d / self.config.granularity) as i32).min(max),
+            ReusePrediction::Reuse(d) => ((d / GRANULARITY) as i32).min(max),
         }
+    }
+}
+
+impl Default for EtrSampler {
+    fn default() -> Self {
+        EtrSampler::new()
     }
 }
 
@@ -186,7 +166,7 @@ mod tests {
 
     #[test]
     fn reuse_trains_toward_observed_distance() {
-        let mut s = EtrSampler::new(EtrSamplerConfig::default());
+        let mut s = EtrSampler::new();
         // Key 42 reused every 4 accesses to its set (approx).
         for _ in 0..50 {
             s.observe(42, 7);
@@ -202,11 +182,7 @@ mod tests {
 
     #[test]
     fn never_reused_pcs_become_scans() {
-        let mut s = EtrSampler::new(EtrSamplerConfig {
-            sets: 4,
-            ways: 2,
-            ..Default::default()
-        });
+        let mut s = EtrSampler::new();
         // A stream of unique keys from one PC: every eviction trains
         // scan-ward.
         for k in 0..10_000u64 {
@@ -217,7 +193,7 @@ mod tests {
 
     #[test]
     fn etr_quantisation_respects_bit_width() {
-        let s = EtrSampler::new(EtrSamplerConfig::default());
+        let s = EtrSampler::new();
         assert_eq!(s.etr_for(ReusePrediction::Scan, 3), -3);
         assert_eq!(s.etr_for(ReusePrediction::Reuse(10_000), 3), 3);
         assert_eq!(s.etr_for(ReusePrediction::Reuse(0), 3), 0);

@@ -30,7 +30,7 @@ pub mod srrip;
 pub mod tpmin;
 
 pub use belady::min_sim;
-pub use etr::{EtrSampler, EtrSamplerConfig, ReusePrediction};
+pub use etr::{EtrSampler, ReusePrediction};
 pub use lru::Lru;
 pub use srrip::Srrip;
 pub use tpmin::tpmin_sim;

@@ -514,6 +514,10 @@ mod tests {
                 r#"{"workload":"gap.bfs","temporal":"triangel-fixed"}"#,
                 "unknown temporal",
             ),
+            (
+                r#"{"workload":"gap.bfs","temporal":"ideal"}"#,
+                "unknown temporal",
+            ),
             (r#"{"workload":"gap.bfs","bandwidth":-1}"#, "bandwidth"),
             (r#"{"workload":"gap.bfs","warmup":1.5}"#, "warmup"),
             (r#"{"workload":"gap.bfs","seed":-3}"#, "seed"),

@@ -147,6 +147,14 @@ impl Default for DramParams {
     }
 }
 
+/// Sets in one core's 2 MB slice of the shared LLC (paper Table II).
+/// The temporal prefetchers size their metadata stores and shadow sets
+/// by it; the LLC has this many sets per core.
+pub const LLC_SLICE_SETS: usize = 2048;
+
+/// LLC associativity (paper Table II).
+pub const LLC_WAYS: usize = 16;
+
 /// Full system configuration (paper Table II, Ice Lake-like).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
@@ -192,8 +200,8 @@ impl SystemConfig {
                 ports: 1,
             },
             llc: CacheParams {
-                capacity: (2 << 20) * cores,
-                ways: 16,
+                capacity: cores * LLC_SLICE_SETS * LLC_WAYS * crate::LINE_SIZE as usize,
+                ways: LLC_WAYS,
                 latency: 20,
                 mshrs: 64,
                 ports: 1,
@@ -239,6 +247,11 @@ mod tests {
 
     #[test]
     fn llc_and_dram_scale_with_cores() {
+        for n in [1, 2, 4, 8] {
+            let llc = SystemConfig::with_cores(n).llc;
+            assert_eq!(llc.sets(), n * LLC_SLICE_SETS, "{n} cores");
+            assert_eq!(llc.ways, LLC_WAYS, "{n} cores");
+        }
         let c8 = SystemConfig::with_cores(8);
         assert_eq!(c8.llc.capacity, 16 << 20);
         assert_eq!(c8.llc.sets(), 16384);

@@ -767,8 +767,43 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefetch::IdealTemporal;
+    use std::collections::HashMap;
+    use tptrace::record::Pc;
     use tptrace::{workloads, Scale};
+
+    /// An idealised temporal prefetcher for these tests: each PC's
+    /// correlations kept without limit or cost, chased to degree 4.
+    #[derive(Default)]
+    struct UnlimitedPairs {
+        last: HashMap<Pc, Line>,
+        next: HashMap<Line, Line>,
+    }
+
+    impl TemporalPrefetcher for UnlimitedPairs {
+        fn name(&self) -> &'static str {
+            "unlimited-pairs"
+        }
+        fn on_event(&mut self, _: &mut MetaCtx, ev: TemporalEvent, out: &mut Vec<Line>) {
+            if let Some(prev) = self.last.insert(ev.pc, ev.line).filter(|&p| p != ev.line) {
+                self.next.insert(prev, ev.line);
+            }
+            let mut cur = ev.line;
+            while let Some(&n) = self
+                .next
+                .get(&cur)
+                .filter(|&&n| n != ev.line && out.len() < 4)
+            {
+                out.push(n);
+                cur = n;
+            }
+        }
+        fn partition(&self) -> PartitionSpec {
+            PartitionSpec::Dedicated
+        }
+        fn stats(&self) -> TemporalStats {
+            TemporalStats::default()
+        }
+    }
 
     fn trace(name: &str) -> Trace {
         workloads::by_name(name).unwrap().generate(Scale::Test)
@@ -793,13 +828,12 @@ mod tests {
             vec![CorePlan::bare(trace("spec06.mcf"))],
         )
         .run();
-        let with =
-            Engine::new(
-                SystemConfig::single_core(),
-                vec![CorePlan::bare(trace("spec06.mcf"))
-                    .with_temporal(Box::new(IdealTemporal::new(4)))],
-            )
-            .run();
+        let with = Engine::new(
+            SystemConfig::single_core(),
+            vec![CorePlan::bare(trace("spec06.mcf"))
+                .with_temporal(Box::new(UnlimitedPairs::default()))],
+        )
+        .run();
         assert!(
             with.cores[0].ipc() > base.cores[0].ipc() * 1.05,
             "ideal temporal should help mcf: {} vs {}",
@@ -819,7 +853,7 @@ mod tests {
         let with = Engine::new(
             SystemConfig::single_core(),
             vec![CorePlan::bare(trace("spec06.libquantum"))
-                .with_temporal(Box::new(IdealTemporal::new(4)))],
+                .with_temporal(Box::new(UnlimitedPairs::default()))],
         )
         .run();
         let ratio = with.cores[0].ipc() / base.cores[0].ipc();
@@ -846,9 +880,8 @@ mod tests {
         let run = || {
             Engine::new(
                 SystemConfig::single_core(),
-                vec![
-                    CorePlan::bare(trace("gap.bfs")).with_temporal(Box::new(IdealTemporal::new(4)))
-                ],
+                vec![CorePlan::bare(trace("gap.bfs"))
+                    .with_temporal(Box::new(UnlimitedPairs::default()))],
             )
             .run()
         };
@@ -914,9 +947,8 @@ mod tests {
         let mk = || {
             Engine::new(
                 SystemConfig::single_core(),
-                vec![
-                    CorePlan::bare(trace("gap.bfs")).with_temporal(Box::new(IdealTemporal::new(4)))
-                ],
+                vec![CorePlan::bare(trace("gap.bfs"))
+                    .with_temporal(Box::new(UnlimitedPairs::default()))],
             )
         };
         let pre_cancelled = CancelToken::new();

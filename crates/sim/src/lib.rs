@@ -23,12 +23,35 @@
 //!
 //! ## Quick example
 //!
+//! A temporal prefetcher is anything that implements
+//! [`TemporalPrefetcher`]; this one prefetches the line after each L2
+//! miss and keeps no metadata.
+//!
 //! ```
-//! use tpsim::{Engine, CorePlan, SystemConfig, IdealTemporal};
+//! use tpsim::{CorePlan, Engine, MetaCtx, PartitionSpec, SystemConfig};
+//! use tpsim::{TemporalEvent, TemporalPrefetcher, TemporalStats};
+//! use tptrace::record::Line;
 //! use tptrace::{workloads, Scale};
 //!
+//! struct NextLine;
+//!
+//! impl TemporalPrefetcher for NextLine {
+//!     fn name(&self) -> &'static str {
+//!         "next-line"
+//!     }
+//!     fn on_event(&mut self, _: &mut MetaCtx, ev: TemporalEvent, out: &mut Vec<Line>) {
+//!         out.push(Line(ev.line.0 + 1));
+//!     }
+//!     fn partition(&self) -> PartitionSpec {
+//!         PartitionSpec::None
+//!     }
+//!     fn stats(&self) -> TemporalStats {
+//!         TemporalStats::default()
+//!     }
+//! }
+//!
 //! let trace = workloads::by_name("gap.bfs").unwrap().generate(Scale::Test);
-//! let plan = CorePlan::bare(trace).with_temporal(Box::new(IdealTemporal::new(4)));
+//! let plan = CorePlan::bare(trace).with_temporal(Box::new(NextLine));
 //! let report = Engine::new(SystemConfig::single_core(), vec![plan]).run();
 //! println!("IPC = {:.3}", report.cores[0].ipc());
 //! ```
@@ -51,12 +74,12 @@ pub use audit::{AuditReport, Violation};
 pub use cancel::{CancelToken, CANCEL_EPOCH};
 pub use config::{
     validate_warmup_fraction, CacheParams, ConfigError, CoreParams, DramParams, SystemConfig,
+    LLC_SLICE_SETS, LLC_WAYS,
 };
 pub use engine::{CorePlan, Engine, DEFAULT_BATCH};
 pub use hierarchy::{Hierarchy, PrefetchOrigin};
 pub use prefetch::{
-    AccessPrefetcher, IdealTemporal, L2EventKind, MetaCtx, PartitionSpec, TemporalEvent,
-    TemporalPrefetcher,
+    AccessPrefetcher, L2EventKind, MetaCtx, PartitionSpec, TemporalEvent, TemporalPrefetcher,
 };
 pub use shadow::{ShadowSets, LLC_SAMPLE_SHIFT};
 pub use stats::{CacheStats, CoreReport, DramStats, SimReport, TemporalStats};

@@ -1,6 +1,6 @@
-//! Prefetcher interfaces and the idealised reference temporal prefetcher.
+//! Prefetcher interfaces.
 //!
-//! Three kinds of prefetchers plug into the engine:
+//! Two kinds of prefetchers plug into the engine:
 //!
 //! * [`AccessPrefetcher`] — regular prefetchers observing every demand
 //!   access at one level (IP-stride and Berti at the L1D; IPCP, Bingo,
@@ -9,12 +9,8 @@
 //!   study (Triage, Triangel, Streamline). They train on L2 demand
 //!   misses and L2 prefetch hits, keep their metadata in an LLC
 //!   partition, and are charged for metadata traffic via [`MetaCtx`].
-//! * [`IdealTemporal`] — an idealised Triage with unlimited, free
-//!   metadata; used to derive the paper's "irregular subset" (workloads
-//!   with ≥5% headroom under idealised temporal prefetching).
 
 use crate::stats::TemporalStats;
-use std::collections::HashMap;
 use tptrace::record::{Line, Pc};
 
 /// A regular prefetcher attached to one cache level.
@@ -195,128 +191,9 @@ pub trait TemporalPrefetcher: Send {
     fn stats(&self) -> TemporalStats;
 }
 
-/// Idealised temporal prefetcher: unlimited PC-localised pairwise
-/// metadata, no storage cost, no traffic, fixed degree.
-///
-/// This is "idealized Triage ... given unlimited metadata storage" from
-/// the paper's methodology; the harness uses it to derive the irregular
-/// subset and as an upper bound in ablation plots.
-#[derive(Debug, Default)]
-pub struct IdealTemporal {
-    degree: usize,
-    /// Last line accessed by each PC.
-    last: HashMap<Pc, Line>,
-    /// trigger line -> next line (most recent correlation).
-    next: HashMap<Line, Line>,
-    stats: TemporalStats,
-}
-
-impl IdealTemporal {
-    /// Creates an ideal prefetcher with the given degree (paper: 4).
-    pub fn new(degree: usize) -> Self {
-        IdealTemporal {
-            degree,
-            ..Default::default()
-        }
-    }
-}
-
-impl TemporalPrefetcher for IdealTemporal {
-    fn name(&self) -> &'static str {
-        "ideal-temporal"
-    }
-
-    fn on_event(&mut self, _ctx: &mut MetaCtx, ev: TemporalEvent, out: &mut Vec<Line>) {
-        // Train: correlate the PC's previous access with this one.
-        if let Some(prev) = self.last.insert(ev.pc, ev.line) {
-            if prev != ev.line {
-                self.stats.trigger_lookups += 1;
-                match self.next.insert(prev, ev.line) {
-                    Some(old) => {
-                        self.stats.trigger_hits += 1;
-                        if old == ev.line {
-                            self.stats.correlation_hits += 1;
-                        }
-                    }
-                    None => {
-                        self.stats.inserts += 1;
-                    }
-                }
-            }
-        }
-        // Prefetch: chase the correlation chain.
-        let mut cur = ev.line;
-        for _ in 0..self.degree {
-            match self.next.get(&cur) {
-                Some(&n) if n != ev.line => {
-                    out.push(n);
-                    cur = n;
-                }
-                _ => break,
-            }
-        }
-        self.stats.prefetches_issued += out.len() as u64;
-    }
-
-    fn partition(&self) -> PartitionSpec {
-        PartitionSpec::Dedicated
-    }
-
-    fn stats(&self) -> TemporalStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(pc: u64, line: u64) -> TemporalEvent {
-        TemporalEvent {
-            pc: Pc(pc),
-            line: Line(line),
-            kind: L2EventKind::DemandMiss,
-            now: 0,
-        }
-    }
-
-    #[test]
-    fn ideal_learns_repeated_sequences() {
-        let mut p = IdealTemporal::new(4);
-        let mut ctx = MetaCtx::new(0, 0.0);
-        let mut out = Vec::new();
-        let seq = [10u64, 20, 30, 40, 50];
-        for _ in 0..2 {
-            for &l in &seq {
-                out.clear();
-                p.on_event(&mut ctx, ev(1, l), &mut out);
-            }
-        }
-        // Third pass: on access to 10, the full chain should prefetch.
-        out.clear();
-        p.on_event(&mut ctx, ev(1, 10), &mut out);
-        assert_eq!(
-            out,
-            vec![Line(20), Line(30), Line(40), Line(50)],
-            "chain prefetch of degree 4"
-        );
-    }
-
-    #[test]
-    fn ideal_respects_degree() {
-        let mut p = IdealTemporal::new(2);
-        let mut ctx = MetaCtx::new(0, 0.0);
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            for l in [1u64, 2, 3, 4, 5] {
-                out.clear();
-                p.on_event(&mut ctx, ev(9, l), &mut out);
-            }
-        }
-        out.clear();
-        p.on_event(&mut ctx, ev(9, 1), &mut out);
-        assert_eq!(out.len(), 2);
-    }
 
     #[test]
     fn meta_ctx_accumulates_charges() {

@@ -96,8 +96,8 @@ pub struct Workload {
     pub suite: Suite,
     /// Whether the workload belongs to the paper's "irregular subset"
     /// (≥5% headroom under an idealised Triage with unlimited metadata).
-    /// We mark the pattern classes that have substantial repeated
-    /// irregular structure; the harness can also derive this dynamically.
+    /// The flag is static: it marks the pattern classes that have
+    /// substantial repeated irregular structure.
     pub irregular: bool,
     /// Deterministic seed (distinct per workload).
     pub seed: u64,

@@ -3,34 +3,30 @@
 use crate::lut::{CompressedTarget, TargetLut};
 use crate::pairwise::{InsertOutcome, PairwiseStore};
 use std::collections::HashMap;
-use tpsim::{MetaCtx, PartitionSpec, TemporalEvent, TemporalPrefetcher, TemporalStats};
+use tpsim::{
+    MetaCtx, PartitionSpec, TemporalEvent, TemporalPrefetcher, TemporalStats, LLC_SLICE_SETS,
+};
 use tptrace::record::{Line, Pc};
+
+/// Maximum metadata ways (8: 1 MB of a 2 MB slice).
+const MAX_WAYS: u8 = 8;
+
+/// Prefetch degree.
+const DEGREE: usize = 4;
+
+/// Correlations per metadata way-block (16, thanks to LUT compression).
+const ENTRIES_PER_WAY: usize = 16;
 
 /// Triage configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct TriageConfig {
-    /// LLC sets in this core's slice (2048 for 2 MB / 16-way).
-    pub llc_sets: usize,
-    /// Maximum metadata ways (8 → 1 MB).
-    pub max_ways: u8,
-    /// Prefetch degree (4).
-    pub degree: usize,
     /// Resize epoch in training events (50K).
     pub epoch: u64,
-    /// Correlations per metadata way-block (16, thanks to LUT
-    /// compression).
-    pub entries_per_way: usize,
 }
 
 impl Default for TriageConfig {
     fn default() -> Self {
-        TriageConfig {
-            llc_sets: 2048,
-            max_ways: 8,
-            degree: 4,
-            epoch: 50_000,
-            entries_per_way: 16,
-        }
+        TriageConfig { epoch: 50_000 }
     }
 }
 
@@ -55,12 +51,8 @@ impl Triage {
     pub fn with_config(config: TriageConfig) -> Self {
         Triage {
             tu: HashMap::new(),
-            store: PairwiseStore::new(
-                config.llc_sets,
-                config.entries_per_way,
-                config.max_ways,
-                config.max_ways, // start fully sized; the first epoch adjusts
-            ),
+            // Start fully sized; the first epoch adjusts.
+            store: PairwiseStore::new(LLC_SLICE_SETS, ENTRIES_PER_WAY, MAX_WAYS, MAX_WAYS),
             lut: TargetLut::new(),
             events: 0,
             stats: TemporalStats::default(),
@@ -82,11 +74,11 @@ impl Triage {
         // the smallest allocation capturing (almost) all the hits the
         // maximum allocation would, with a mild per-way cost so that a
         // workload with no temporal reuse releases the ways to data.
-        let full = self.store.hits_with_ways(self.config.max_ways);
+        let full = self.store.hits_with_ways(MAX_WAYS);
         let per_way_cost = (full / 64).max(8);
         let mut best_w = 0u8;
         let mut best_score = i64::MIN;
-        for w in 0..=self.config.max_ways {
+        for w in 0..=MAX_WAYS {
             let score = self.store.hits_with_ways(w) as i64 - per_way_cost as i64 * w as i64;
             if score > best_score {
                 best_score = score;
@@ -144,7 +136,7 @@ impl TemporalPrefetcher for Triage {
         // --- Prefetching: chase correlations up to the degree; each hop
         // in a pairwise store is an independent metadata read.
         let mut cur = ev.line;
-        for _ in 0..self.config.degree {
+        for _ in 0..DEGREE {
             self.stats.trigger_lookups += 1;
             ctx.read_block();
             let Some(stored) = self.store.lookup(cur.0) else {
@@ -246,10 +238,7 @@ mod tests {
 
     #[test]
     fn resize_epoch_releases_ways_without_reuse() {
-        let mut t = Triage::with_config(TriageConfig {
-            epoch: 1000,
-            ..TriageConfig::default()
-        });
+        let mut t = Triage::with_config(TriageConfig { epoch: 1000 });
         // Pure scan: no trigger ever repeats.
         for i in 0..4000u64 {
             let mut ctx = MetaCtx::new(0, 0.0);
@@ -261,10 +250,7 @@ mod tests {
 
     #[test]
     fn resize_epoch_keeps_ways_under_reuse() {
-        let mut t = Triage::with_config(TriageConfig {
-            epoch: 1000,
-            ..TriageConfig::default()
-        });
+        let mut t = Triage::with_config(TriageConfig { epoch: 1000 });
         let seq: Vec<u64> = (0..500).map(|i| 77_000 + i * 3).collect();
         for _ in 0..8 {
             drive(&mut t, 2, &seq);

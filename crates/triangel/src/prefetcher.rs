@@ -5,28 +5,25 @@ use crate::mrb::Mrb;
 use crate::training::TrainingUnit;
 use tpsim::{
     MetaCtx, PartitionSpec, ShadowSets, TemporalEvent, TemporalPrefetcher, TemporalStats,
-    LLC_SAMPLE_SHIFT,
+    LLC_SAMPLE_SHIFT, LLC_SLICE_SETS, LLC_WAYS,
 };
 use tptrace::record::Line;
 use triage::pairwise::{InsertOutcome, PairwiseStore};
 
+/// Maximum metadata ways (8: 1 MB of a 2 MB slice).
+const MAX_WAYS: u8 = 8;
+
+/// Correlations per way-block (12: full 31-bit targets).
+const ENTRIES_PER_WAY: usize = 12;
+
+/// Metadata reuse buffer entries (32).
+const MRB_ENTRIES: usize = 32;
+
 /// Triangel configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct TriangelConfig {
-    /// LLC sets in this core's slice.
-    pub llc_sets: usize,
-    /// LLC associativity.
-    pub llc_ways: usize,
-    /// Maximum metadata ways (8 → 1 MB on a 2 MB slice).
-    pub max_ways: u8,
-    /// Maximum prefetch degree (4).
-    pub max_degree: usize,
     /// Partitioning epoch in training events (50K).
     pub epoch: u64,
-    /// Correlations per way-block (12: full 31-bit targets).
-    pub entries_per_way: usize,
-    /// MRB capacity (32).
-    pub mrb_entries: usize,
     /// Dedicated metadata store outside the LLC (Triangel-Ideal).
     pub dedicated: bool,
     /// Pin the partition to a fixed way count (size-sweep experiments).
@@ -36,13 +33,7 @@ pub struct TriangelConfig {
 impl Default for TriangelConfig {
     fn default() -> Self {
         TriangelConfig {
-            llc_sets: 2048,
-            llc_ways: 16,
-            max_ways: 8,
-            max_degree: 4,
             epoch: 50_000,
-            entries_per_way: 12,
-            mrb_entries: 32,
             dedicated: false,
             fixed_ways: None,
         }
@@ -78,17 +69,12 @@ impl Triangel {
 
     /// Creates a Triangel prefetcher from an explicit configuration.
     pub fn with_config(config: TriangelConfig) -> Self {
-        let initial = config.fixed_ways.unwrap_or(config.max_ways);
+        let initial = config.fixed_ways.unwrap_or(MAX_WAYS);
         Triangel {
-            tu: TrainingUnit::new(config.max_degree),
-            store: PairwiseStore::new(
-                config.llc_sets,
-                config.entries_per_way,
-                config.max_ways,
-                initial,
-            ),
-            mrb: Mrb::new(config.mrb_entries),
-            shadow: ShadowSets::new(config.llc_sets, LLC_SAMPLE_SHIFT, config.llc_ways),
+            tu: TrainingUnit::new(),
+            store: PairwiseStore::new(LLC_SLICE_SETS, ENTRIES_PER_WAY, MAX_WAYS, initial),
+            mrb: Mrb::new(MRB_ENTRIES),
+            shadow: ShadowSets::new(LLC_SLICE_SETS, LLC_SAMPLE_SHIFT, LLC_WAYS),
             events: 0,
             stats: TemporalStats::default(),
             config,
@@ -115,9 +101,7 @@ impl Triangel {
             // hits plus trigger hits — Triangel values both the same,
             // which Section IV-D2 criticises.
             let score_of = |w: u8| {
-                let data = self
-                    .shadow
-                    .hits_with_ways(self.config.llc_ways - w as usize);
+                let data = self.shadow.hits_with_ways(LLC_WAYS - w as usize);
                 // Shadow sets sample 1/32 of sets; scale to match the
                 // unsampled trigger histogram.
                 ((data << LLC_SAMPLE_SHIFT) + self.store.hits_with_ways(w)) as i64
@@ -125,7 +109,7 @@ impl Triangel {
             let current = self.store.ways();
             let mut best_w = current;
             let mut best_score = score_of(current);
-            for w in 0..=self.config.max_ways {
+            for w in 0..=MAX_WAYS {
                 let score = score_of(w);
                 if score > best_score {
                     best_score = score;

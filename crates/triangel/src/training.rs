@@ -33,6 +33,15 @@ const RATE_MIN: u8 = 2;
 const RATE_MAX: u8 = 10;
 /// Unused evictions punish reuse confidence once the rate is this slow.
 const RATE_PUNISH: u8 = 8;
+/// Training-unit entries.
+const TU_ENTRIES: usize = 256;
+/// History-sampler entries (a power of two: it is hash-indexed).
+const HS_ENTRIES: usize = 512;
+const _: () = assert!(HS_ENTRIES.is_power_of_two());
+/// Second-chance-sampler entries.
+const SCS_ENTRIES: usize = 16;
+/// Maximum prefetch degree.
+const MAX_DEGREE: usize = 4;
 
 #[derive(Clone, Copy, Debug, Default)]
 struct TuEntry {
@@ -84,44 +93,27 @@ pub struct TrainingUnit {
     tu: Vec<TuEntry>,
     hs: Vec<HsEntry>,
     scs: Vec<ScsEntry>,
-    max_degree: usize,
 }
 
 impl TrainingUnit {
     /// Creates the paper-sized training unit: 256 TU entries, a
     /// 512-entry history sampler, a 16-entry second-chance sampler.
-    pub fn new(max_degree: usize) -> Self {
-        TrainingUnit::with_geometry(256, 512, 16, max_degree)
-    }
-
-    /// Fully parameterised constructor.
-    ///
-    /// # Panics
-    /// Panics on zero geometry or a non-power-of-two sampler size.
-    pub fn with_geometry(
-        tu_entries: usize,
-        hs_entries: usize,
-        scs_entries: usize,
-        max_degree: usize,
-    ) -> Self {
-        assert!(tu_entries > 0 && scs_entries > 0 && max_degree > 0);
-        assert!(hs_entries.is_power_of_two(), "hs must be a power of two");
+    pub fn new() -> Self {
         TrainingUnit {
-            tu: vec![TuEntry::default(); tu_entries],
-            hs: vec![HsEntry::default(); hs_entries],
-            scs: vec![ScsEntry::default(); scs_entries],
-            max_degree,
+            tu: vec![TuEntry::default(); TU_ENTRIES],
+            hs: vec![HsEntry::default(); HS_ENTRIES],
+            scs: vec![ScsEntry::default(); SCS_ENTRIES],
         }
     }
 
     fn tu_index(&self, pc: Pc) -> usize {
-        (pc.0 as usize ^ (pc.0 >> 7) as usize ^ (pc.0 >> 15) as usize) % self.tu.len()
+        (pc.0 as usize ^ (pc.0 >> 7) as usize ^ (pc.0 >> 15) as usize) % TU_ENTRIES
     }
 
     fn hs_index(&self, trigger: u64) -> usize {
         let mut x = trigger.wrapping_add(0x9e37_79b9_7f4a_7c15);
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        (x ^ (x >> 27)) as usize & (self.hs.len() - 1)
+        (x ^ (x >> 27)) as usize & (HS_ENTRIES - 1)
     }
 
     /// Processes one L2 event for `pc` accessing `line`; returns the
@@ -217,7 +209,7 @@ impl TrainingUnit {
             0..=1 => 0,
             2..=7 => 1,
             8..=11 => 2,
-            _ => self.max_degree,
+            _ => MAX_DEGREE,
         };
 
         TuDecision {
@@ -318,6 +310,12 @@ impl TrainingUnit {
     }
 }
 
+impl Default for TrainingUnit {
+    fn default() -> Self {
+        TrainingUnit::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,7 +326,7 @@ mod tests {
 
     #[test]
     fn stable_stream_builds_confidence_and_degree() {
-        let mut tu = TrainingUnit::new(4);
+        let mut tu = TrainingUnit::new();
         let seq: Vec<u64> = (0..40).map(|i| 100 + i).collect();
         for _ in 0..40 {
             drive(&mut tu, 1, &seq);
@@ -343,7 +341,7 @@ mod tests {
 
     #[test]
     fn random_stream_loses_pattern_confidence() {
-        let mut tu = TrainingUnit::new(4);
+        let mut tu = TrainingUnit::new();
         let mut x = 0xabcdefu64;
         let mut lines = Vec::new();
         for _ in 0..30_000 {
@@ -357,7 +355,7 @@ mod tests {
 
     #[test]
     fn correlations_report_previous_address() {
-        let mut tu = TrainingUnit::new(4);
+        let mut tu = TrainingUnit::new();
         tu.observe(Pc(3), Line(10));
         let d = tu.observe(Pc(3), Line(20));
         assert_eq!(d.correlation, Some((Line(10), Line(20))));
@@ -365,7 +363,7 @@ mod tests {
 
     #[test]
     fn scan_pcs_lose_reuse_confidence() {
-        let mut tu = TrainingUnit::new(4);
+        let mut tu = TrainingUnit::new();
         // Never-repeating triggers: rate climbs to max, then unused
         // evictions punish reuse confidence.
         let lines: Vec<u64> = (0..200_000).map(|i| 10_000_000 + i).collect();
@@ -377,7 +375,7 @@ mod tests {
 
     #[test]
     fn long_reuse_distances_adapt_rather_than_filter() {
-        let mut tu = TrainingUnit::new(4);
+        let mut tu = TrainingUnit::new();
         // mcf-like: a 20K-line loop (reuse distance 20K, far beyond a
         // fixed-rate 512-entry sampler) revisited many times.
         let seq: Vec<u64> = (0..20_000).map(|i| 500_000 + i * 3).collect();
@@ -393,7 +391,7 @@ mod tests {
 
     #[test]
     fn second_chance_rescues_reordered_patterns() {
-        let mut tu = TrainingUnit::new(4);
+        let mut tu = TrainingUnit::new();
         // Pattern A->B->C with occasional A->C->B swaps.
         let mut seq = Vec::new();
         for i in 0..2000 {
@@ -413,7 +411,7 @@ mod tests {
 
     #[test]
     fn new_pc_starts_neutral() {
-        let mut tu = TrainingUnit::new(4);
+        let mut tu = TrainingUnit::new();
         let d = tu.observe(Pc(9), Line(1));
         assert_eq!(d.correlation, None);
         assert_eq!(d.degree, 0);

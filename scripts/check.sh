@@ -8,9 +8,10 @@
 #    in check mode, clippy and rustdoc, warnings denied (and, for the
 #    workspace, any `unsafe` block without a `// SAFETY:` comment).
 # 2. Release-mode sweeps at test scale with --audit (fig09's
-#    single-core pool and fig10's multi-core mixes), so the release
-#    build's counters are checked against the same laws the debug
-#    assertions enforce.
+#    single-core pool, fig10's multi-core mixes, and fig12-15, which set
+#    every prefetcher knob), so the release build's counters are checked
+#    against the same laws the debug assertions enforce; an unknown
+#    temporal prefetcher name is refused by tpcli.
 # 3. The README's trace export -> inspect pair (the serialized format,
 #    and the loaded trace at <= 5.1 B/access), server and fleet smokes
 #    from the outside, then the benchmark's own tests and its quick
@@ -39,10 +40,19 @@ cargo run --release -q -p tpbench -- --scale=test --audit fig09 >/dev/null
 # A multi-core artefact too: fig10's 2-, 4- and 8-core mixes (~70 s on
 # a 2-vCPU host).
 cargo run --release -q -p tpbench -- --scale=test --audit fig10 >/dev/null
+# The artefacts that set every Streamline and Triangel knob: stream
+# length, buffer, ablations, fixed sizes, skewed and hybrid indexing,
+# fixed ways and the dedicated store (~21 s at --jobs=2 on 2 vCPUs).
+cargo run --release -q -p tpbench -- --scale=test --audit fig12 fig13 fig14 fig15 >/dev/null
 for w in spec06.mcf spec17.xalancbmk gap.bfs; do
   cargo run --release -q -p tpharness --bin tpcli -- \
     compare "$w" --scale=test --audit >/dev/null
 done
+# A temporal prefetcher name outside TemporalKind::NAMED is a usage
+# error (exit 2), not a run.
+STATUS=0
+./target/release/tpcli run gap.pr --scale=test --temporal=ideal >/dev/null 2>&1 || STATUS=$?
+[ "$STATUS" -eq 2 ] || { echo "tpcli --temporal=ideal: expected exit 2, got $STATUS"; exit 1; }
 
 echo "== trace format and layout from the shipped binaries (README's export -> inspect) =="
 TPT="${TMPDIR:-/tmp}/tpcli-check-$$.tpt"

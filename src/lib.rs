@@ -47,7 +47,7 @@ pub mod prelude {
     pub use tpharness::experiment::{run_mix, run_single, Experiment};
     pub use tpharness::metrics::{gmean, mix_speedup, summarize, PairedRun};
     pub use tpharness::report::Table;
-    pub use tpsim::{CorePlan, Engine, IdealTemporal, SimReport, SystemConfig, TemporalPrefetcher};
+    pub use tpsim::{CorePlan, Engine, SimReport, SystemConfig, TemporalPrefetcher};
     pub use tptrace::{workloads, MixGenerator, Scale, Suite, Trace, Workload};
     pub use triage::Triage;
     pub use triangel::Triangel;

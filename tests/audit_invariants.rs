@@ -23,9 +23,8 @@ use streamline_repro::tptrace::record::Line;
 use streamline_repro::tptrace::TraceBuilder;
 use tpcheck::{check, ensure, Gen};
 
-const TEMPORAL_KINDS: [TemporalKind; 6] = [
+const TEMPORAL_KINDS: [TemporalKind; 5] = [
     TemporalKind::None,
-    TemporalKind::Ideal,
     TemporalKind::Triage,
     TemporalKind::Triangel,
     TemporalKind::TriangelIdeal,

@@ -35,9 +35,9 @@ use tpcheck::{check, ensure, Gen};
 /// pool (the zero-warmup fast path skips the warmup clamp entirely).
 fn random_experiment(g: &mut Gen) -> Experiment {
     let temporal = [
-        TemporalKind::Ideal,
         TemporalKind::Triage,
         TemporalKind::Triangel,
+        TemporalKind::TriangelIdeal,
         TemporalKind::Streamline,
     ][g.usize_in(0..4)];
     let mut exp = Experiment::new(Scale::Test)

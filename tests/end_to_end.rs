@@ -167,20 +167,6 @@ fn bandwidth_scaling_changes_outcomes_sanely() {
 }
 
 #[test]
-fn ideal_temporal_is_an_upper_bound_on_streamline() {
-    let w = workloads::by_name("spec06.xalancbmk").unwrap();
-    let base = Experiment::new(Scale::Test).l1(L1Kind::Stride);
-    let ideal = run_single(&w, &base.clone().temporal(TemporalKind::Ideal));
-    let real = run_single(&w, &base.clone().temporal(TemporalKind::Streamline));
-    assert!(
-        ipc(&ideal) >= ipc(&real) * 0.95,
-        "ideal {} should not lose to real {}",
-        ipc(&ideal),
-        ipc(&real)
-    );
-}
-
-#[test]
 fn l2_prefetchers_compose_with_streamline() {
     let w = workloads::by_name("spec06.soplex").unwrap();
     let base = Experiment::new(Scale::Test).l1(L1Kind::Stride);

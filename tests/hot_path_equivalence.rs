@@ -38,9 +38,9 @@ use tpcheck::{check, ensure, Gen};
 /// would leave the sidecar tables and the partition path idle).
 fn random_prefetching_experiment(g: &mut Gen) -> Experiment {
     let temporal = [
-        TemporalKind::Ideal,
         TemporalKind::Triage,
         TemporalKind::Triangel,
+        TemporalKind::TriangelIdeal,
         TemporalKind::Streamline,
     ][g.usize_in(0..4)];
     let mut exp = Experiment::new(Scale::Test)

@@ -12,7 +12,7 @@
 
 use streamline_repro::prelude::*;
 use streamline_repro::streamline_core::store::ALL_SIZES;
-use streamline_repro::streamline_core::{StoreInsert, StreamEntry, StreamStore};
+use streamline_repro::streamline_core::{StoreInsert, StreamEntry, StreamStore, META_WAYS};
 use streamline_repro::tptrace::record::Line;
 use streamline_repro::tptrace::rng::SmallRng;
 
@@ -66,7 +66,7 @@ fn run_seed(seed: u64, d: &mut Fnv) {
     let mut store = StreamStore::new(cfg);
 
     // A colliding trigger universe: twice the hot sets' capacity.
-    let cap = cfg.meta_ways
+    let cap = META_WAYS
         * (StreamlineConfig::correlations_per_block(cfg.stream_len) / cfg.stream_len).max(1);
     let universe: Vec<Line> = (1u64..)
         .map(|i| Line(i * 0x9e5))
